@@ -175,9 +175,17 @@ def _partitions_report() -> ReportTable:
         f"morsel executor only ran {executed} morsels over "
         f"{PARTITIONS} partitions"
     )
-    serial_seconds, morsel_seconds = _timed_interleaved(
-        [lambda: serial.sql(morsel_query), lambda: morsel.sql(morsel_query)])
+    # The flat session (one whole-plan executor run over the whole
+    # table) is timed alongside for reference only; the gate compares
+    # the two partitioned sessions.
+    _warm(flat, morsel_query)
+    serial_seconds, morsel_seconds, flat_morsel_seconds = _timed_interleaved(
+        [lambda: serial.sql(morsel_query), lambda: morsel.sql(morsel_query),
+         lambda: flat.sql(morsel_query)])
     morsel_speedup = serial_seconds / max(morsel_seconds, 1e-12)
+    report.add(workload="morsel scan", variant="flat (dop=1)",
+               rows=ROWS, wall_ms=flat_morsel_seconds * 1e3,
+               note="no partition column, one executor run (not gated)")
     report.add(workload="morsel scan", variant="serial (dop=1)",
                rows=ROWS, wall_ms=serial_seconds * 1e3,
                note="unselective quartic filter, ~99% kept")

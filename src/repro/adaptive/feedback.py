@@ -126,13 +126,13 @@ class OperatorFeedback:
                 calls: int = 1) -> None:
         """Fold one execution's (possibly multi-call) totals in.
 
-        A chunk-parallel or per-partition execution runs an operator
-        ``calls`` times; broadcast-join dimension subtrees are re-read
-        once *per chunk*, so summed rows would overcount them by the
-        degree of parallelism. The cardinality EWMA therefore tracks the
-        **per-call mean** — the size each operator instance actually saw,
-        which is also what the build-side and batch-sizing decisions need
-        (each chunk's join/predict runs against per-call inputs).
+        A morsel fan-out runs an operator ``calls`` times; broadcast-join
+        dimension subtrees are re-read once *per morsel*, so summed rows
+        would overcount them by the number of morsels. The cardinality
+        EWMA therefore tracks the **per-call mean** — the size each
+        operator instance actually saw, which is also what the build-side
+        and batch-sizing decisions need (each morsel's join/predict runs
+        against per-call inputs).
         Selectivity and per-row cost are ratios of the totals, which are
         scale-free either way.
         """

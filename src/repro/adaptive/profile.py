@@ -383,9 +383,9 @@ class JoinStepProfile:
     rows_right: int = 0
     rows_out: int = 0
     # Summed per call (sum of l_i * r_i), not left-sum x right-sum: a
-    # chunk-parallel execution joins each chunk against the full build
-    # side, and the product of the sums would overcount the cross space
-    # by the degree of parallelism.
+    # morsel fan-out joins each morsel against the full build side, and
+    # the product of the sums would overcount the cross space by the
+    # number of morsels.
     cross_rows: int = 0
     seconds: float = 0.0
 
@@ -400,9 +400,8 @@ class JoinStepProfile:
 class PartitionProfile:
     """Observed behaviour of one partition under one operator.
 
-    Recorded by partition-restricted executions (morsel scans, the
-    per-partition predict dispatch): ``rows_in`` counts partition rows
-    scanned, ``rows_out`` the rows the operator's pipeline segment kept —
+    Recorded per morsel by the morsel driver: ``rows_in`` counts partition
+    rows scanned, ``rows_out`` the rows the operator's pipeline segment kept —
     so ``selectivity`` is the partition's *observed* survival rate, the
     quantity whose per-shard skew the data-induced rule and the morsel
     scheduler both consume.
@@ -497,8 +496,8 @@ class PlanProfiler:
     """Thread-safe per-execution collector of operator observations.
 
     One profiler is shared by every :class:`~repro.relational.executor.
-    Executor` a query fans out to (chunk-parallel, per-partition), so the
-    assembled tree aggregates the whole execution. Accumulators key on
+    Executor` a query fans out to (one per morsel plus the serial tail),
+    so the assembled tree aggregates the whole execution. Accumulators key on
     node identity (the plan object outlives the run); fingerprints are
     resolved once, at :meth:`profile_tree` time.
     """
@@ -567,8 +566,8 @@ class PlanProfiler:
                          seconds: float) -> None:
         """Record one partition-restricted execution of ``node``'s segment.
 
-        Called per morsel (several morsels of one partition accumulate
-        into one entry) and per partition-specialized predict dispatch.
+        Called per morsel; several morsels of one partition accumulate
+        into one entry.
         """
         key = (id(node), partition)
         with self._lock:
@@ -588,8 +587,7 @@ class PlanProfiler:
     def profile_tree(self, plan: PlanNode) -> OperatorProfile:
         """Assemble the profile tree for ``plan`` from the accumulators.
 
-        Nodes that never executed (e.g. a serial tail applied over an
-        already-materialized table) appear with zero calls, so the tree
+        Nodes without observations appear with zero calls, so the tree
         always mirrors the full plan shape.
         """
         with self._lock:

@@ -1,4 +1,4 @@
-"""Physical execution of Predict operators + per-partition dispatch.
+"""Physical execution of Predict operators.
 
 :class:`PredictRuntime` is the callback the relational executor invokes for
 Predict nodes. It mirrors the paper's Spark integration (§6): inputs arrive
@@ -25,16 +25,12 @@ import numpy as np
 from repro.errors import ExecutionError
 from repro.onnxlite.graph import Graph
 from repro.onnxlite.runtime import InferenceSession
-from repro.relational.executor import ExecStats, Executor
-from repro.relational.logical import PlanNode, Predict, PredictMode, Scan, walk
-from repro.relational.parallel import (
-    ParallelExecutor,
-    chunk_ranges,
-    split_serial_tail,
-)
+from repro.relational.executor import ExecStats
+from repro.relational.logical import Predict, PredictMode
+from repro.relational.morsel import MorselExecutor, chunk_ranges
 from repro.storage.catalog import Catalog
 from repro.storage.column import Column, DataType
-from repro.storage.table import Table, concat_tables
+from repro.storage.table import Table
 from repro.tensor.device import CpuDevice, K80, SimulatedGpuDevice
 from repro.tensor.runtime import TensorRuntime
 
@@ -51,13 +47,13 @@ class PredictRuntime:
     def __init__(self, batch_size: int = DEFAULT_BATCH_SIZE, gpu_spec=K80):
         self.batch_size = batch_size
         self._sessions: "OrderedDict[int, InferenceSession]" = OrderedDict()
-        self._sessions_lock = threading.Lock()
+        # Guards the session cache and gpu_time_adjustment: one runtime
+        # serves every morsel worker of a query.
+        self._lock = threading.Lock()
         self._tensor_cpu = TensorRuntime(CpuDevice())
         self._tensor_gpu = TensorRuntime(SimulatedGpuDevice(gpu_spec))
         # Accumulated (modeled - measured) seconds for simulated devices.
         self.gpu_time_adjustment = 0.0
-        # Partition index installed by per-partition execution (None = global).
-        self.active_partition: Optional[int] = None
         # Optional repro.adaptive.feedback.FeedbackStore: every model
         # invocation records (rows, seconds) so the optimizer can size
         # predict batches and the micro-batcher can size coalesced
@@ -77,13 +73,12 @@ class PredictRuntime:
 
         The clone *shares* the expensive caches — per-model inference
         sessions and the tensor runtimes' compiled programs — but gets its
-        own mutable per-call state (``active_partition``, accumulated GPU
-        time adjustment), so concurrent ``RavenSession.sql()`` calls never
-        observe each other's partition dispatch or timing.
+        own per-call state (deadline, span, accumulated GPU time
+        adjustment), so concurrent ``RavenSession.sql()`` calls never
+        observe each other's budget or timing.
         """
         clone = copy.copy(self)
         clone.gpu_time_adjustment = 0.0
-        clone.active_partition = None
         clone.deadline = None
         clone.span = None
         return clone
@@ -96,8 +91,13 @@ class PredictRuntime:
             self.faults.fire("predict.run", detail=detail)
 
     # ------------------------------------------------------------------
-    def __call__(self, node: Predict, table: Table) -> Table:
-        graph = self._select_graph(node)
+    def __call__(self, node: Predict, table: Table,
+                 partition: Optional[int] = None) -> Table:
+        """Score ``table``; ``partition`` selects the partition-specialized
+        graph (data-induced optimization) when the node carries them."""
+        graph = (node.per_partition_graphs[partition]
+                 if node.per_partition_graphs and partition is not None
+                 else node.graph)
         inputs = {name: table.array(column)
                   for name, column in node.input_mapping.items()}
         wanted = [graph_output for _, graph_output, _ in node.output_columns]
@@ -123,11 +123,6 @@ class PredictRuntime:
         return Table(columns)
 
     # ------------------------------------------------------------------
-    def _select_graph(self, node: Predict) -> Graph:
-        if node.per_partition_graphs and self.active_partition is not None:
-            return node.per_partition_graphs[self.active_partition]
-        return node.graph
-
     def session_for(self, graph: Graph) -> InferenceSession:
         """The cached inference session for a graph (shared across threads).
 
@@ -138,13 +133,13 @@ class PredictRuntime:
         first call for the same graph keeps the winner's session.
         """
         key = id(graph)
-        with self._sessions_lock:
+        with self._lock:
             session = self._sessions.get(key)
             if session is not None:
                 self._sessions.move_to_end(key)
                 return session
         session = InferenceSession(graph)
-        with self._sessions_lock:
+        with self._lock:
             existing = self._sessions.get(key)
             if existing is not None:
                 return existing
@@ -202,7 +197,8 @@ class PredictRuntime:
         if span is not None:
             span.finish()
         if runtime.device.simulated:
-            self.gpu_time_adjustment += result.seconds - measured
+            with self._lock:
+                self.gpu_time_adjustment += result.seconds - measured
         missing = [name for name in wanted if name not in result.outputs]
         if missing:
             raise ExecutionError(f"tensor program lacks outputs: {missing}")
@@ -220,196 +216,36 @@ def _to_column(array: np.ndarray, dtype: DataType) -> Column:
 
 
 # ---------------------------------------------------------------------------
-# Plan-level execution (handles per-partition models and DOP)
+# Plan-level execution
 # ---------------------------------------------------------------------------
 
-class QueryExecutor:
-    """Executes optimized plans, dispatching partition-specialized models.
+class QueryExecutor(MorselExecutor):
+    """Executes optimized plans: the morsel driver bound to a PredictRuntime.
 
-    When a Predict node carries ``per_partition_graphs`` (installed by the
-    data-induced rule), the plan body is executed once per partition of the
-    source table — each run scanning one partition and using its
-    specialized model — then results are combined and the serial tail
-    (aggregate/sort/limit) is applied once. This mirrors Spark executing
-    one task per partition with a partition-local broadcast model.
+    Scan fan-out — degree of parallelism, partition-specialized models
+    (one task per partition with a partition-local model, like Spark,
+    paper §6) and zone-map skipping — is all
+    :class:`~repro.relational.morsel.MorselExecutor`; this class only
+    mirrors the per-query deadline, fault injector and span onto the
+    predict runtime so predict batches are bounded and traced like the
+    relational operators around them.
     """
 
     def __init__(self, catalog: Catalog, runtime: Optional[PredictRuntime] = None,
                  dop: int = 1, compile_expressions: bool = True,
                  profiler=None, deadline=None, faults=None, span=None,
                  feedback=None, metrics=None):
-        self.catalog = catalog
         self.runtime = runtime or PredictRuntime()
-        self.dop = dop
-        self.compile_expressions = compile_expressions
-        # Optional FeedbackStore / MetricsRegistry: drive skew-aware
-        # morsel scheduling, per-partition observations and the
-        # partition counters (partitions_skipped, morsels_executed).
-        self.feedback = feedback
-        self.metrics = metrics
-        # Aggregated over every executor this query fans out to
-        # (chunk-parallel, per-partition); read by RunStats.
-        self.exec_stats = ExecStats()
-        # Optional PlanProfiler, likewise shared across the fan-out.
-        self.profiler = profiler
-        # Optional per-query Deadline / FaultInjector, shared across the
-        # fan-out and mirrored onto the predict runtime.
-        self.deadline = deadline
-        self.faults = faults
-        # Optional telemetry Span ("execute"): operator spans attach
-        # under it, and it is mirrored onto the predict runtime so
-        # predict batches land in the same tree.
-        self.span = span
         if deadline is not None:
             self.runtime.deadline = deadline
         if faults is not None:
             self.runtime.faults = faults
         if span is not None:
             self.runtime.span = span
-
-    def _make_executor(self, scan_restrictions=None) -> Executor:
-        return Executor(self.catalog, self.runtime,
-                        scan_restrictions=scan_restrictions,
-                        compile_expressions=self.compile_expressions,
-                        exec_stats=self.exec_stats,
-                        profiler=self.profiler,
-                        deadline=self.deadline,
-                        faults=self.faults,
-                        span=self.span)
-
-    def execute(self, plan: PlanNode) -> Table:
-        from repro.relational.skipping import plan_partition_restrictions
-        partitioned = self._partitioned_predict(plan)
-        skip = plan_partition_restrictions(plan, self.catalog)
-        if partitioned is None:
-            if self._morsel_target(plan) is not None:
-                # Morsel-driven parallel scan over the partitioned fact
-                # table: partition-aligned morsels on a work-stealing
-                # pool, zone-map skipping applied at morsel generation
-                # (it subsumes the plan-time skip dict above).
-                from repro.relational.morsel import MorselExecutor
-                return MorselExecutor(
-                    self.catalog, self.dop, self.runtime,
-                    compile_expressions=self.compile_expressions,
-                    exec_stats=self.exec_stats,
-                    profiler=self.profiler,
-                    deadline=self.deadline,
-                    faults=self.faults,
-                    span=self.span,
-                    feedback=self.feedback,
-                    metrics=self.metrics,
-                ).execute(plan)
-            if skip:
-                # Data skipping (paper §4.2): scan only the surviving
-                # partitions. Runs serially — the skip already removed the
-                # bulk of the work chunk-parallelism would have split.
-                if self.metrics is not None:
-                    dropped = sum(
-                        self.catalog.table(name).data.num_partitions
-                        - len(kept) for name, kept in skip.items())
-                    self.metrics.counter("partitions_skipped").inc(dropped)
-                return self._make_executor(dict(skip)).execute(plan)
-            return ParallelExecutor(
-                self.catalog, self.dop, self.runtime,
-                compile_expressions=self.compile_expressions,
-                exec_stats=self.exec_stats,
-                profiler=self.profiler,
-                deadline=self.deadline,
-                faults=self.faults,
-                span=self.span,
-            ).execute(plan)
-        return self._execute_per_partition(plan, partitioned, skip)
-
-    def _morsel_target(self, plan: PlanNode) -> Optional[Scan]:
-        """The scan the morsel executor would drive, or None.
-
-        Morsel execution engages when parallelism was requested
-        (``dop > 1``) and the plan's largest scanned table is genuinely
-        partitioned — otherwise the row-chunk ``ParallelExecutor`` or
-        the serial skip path is the better (and historical) choice. The
-        single-scan eligibility check lives in the morsel executor
-        itself, which degrades to serial-with-skipping when it fails.
-        """
-        if self.dop <= 1:
-            return None
-        from repro.relational.parallel import largest_scan, split_serial_tail
-        _, body = split_serial_tail(plan)
-        target = largest_scan(body, self.catalog)
-        if target is None:
-            return None
-        entry = self.catalog.table(target.table_name)
-        return target if entry.data.num_partitions > 1 else None
-
-    # ------------------------------------------------------------------
-    def _partitioned_predict(self, plan: PlanNode) -> Optional[Predict]:
-        for node in walk(plan):
-            if isinstance(node, Predict) and node.per_partition_graphs:
-                return node
-        return None
-
-    def _execute_per_partition(self, plan: PlanNode, predict: Predict,
-                               skip: Optional[Dict[str, List[int]]] = None
-                               ) -> Table:
-        table_name = self._source_table(predict)
-        entry = self.catalog.table(table_name)
-        if len(predict.per_partition_graphs or []) != entry.data.num_partitions:
-            raise ExecutionError(
-                "per-partition graphs do not match the table's partitioning"
-            )
-        surviving = (skip or {}).get(table_name,
-                                     list(range(entry.data.num_partitions)))
-        if self.metrics is not None and skip:
-            self.metrics.counter("partitions_skipped").inc(
-                entry.data.num_partitions - len(surviving))
-        tail, body = split_serial_tail(plan)
-        scan = next((node for node in walk(body) if isinstance(node, Scan)
-                     and node.table_name == table_name), None)
-        pieces: List[Table] = []
-        for index in surviving:
-            self.runtime.active_partition = index
-            executor = self._make_executor({table_name: index})
-            started = time.perf_counter()
-            piece = executor.execute(body)
-            elapsed = time.perf_counter() - started
-            pieces.append(piece)
-            # Per-partition feedback: rows scanned vs rows the segment
-            # kept, under the scan's partition fingerprint — the same
-            # keys the morsel scheduler and data-induced rule read.
-            if scan is not None and (self.profiler is not None
-                                     or self.feedback is not None):
-                rows_in = entry.data.partitions[index].num_rows
-                if self.profiler is not None:
-                    # Reaches the feedback store when the session folds
-                    # the profile tree in (record_profile).
-                    self.profiler.record_partition(
-                        scan, index, rows_in, piece.num_rows, elapsed)
-                else:
-                    from repro.adaptive.profile import plan_fingerprint
-                    self.feedback.record_partition(
-                        plan_fingerprint(scan), index, rows_in,
-                        piece.num_rows, elapsed)
-        self.runtime.active_partition = None
-        if not pieces:
-            # Every partition was skipped; produce an empty result with the
-            # right schema by executing over an empty partition slice.
-            self.runtime.active_partition = 0
-            executor = self._make_executor({table_name: []})
-            pieces.append(executor.execute(body))
-            self.runtime.active_partition = None
-        result = concat_tables(pieces)
-        from repro.relational.parallel import apply_tail
-        for op in reversed(tail):
-            result = apply_tail(op, result, self.catalog, self.runtime,
-                                compile_expressions=self.compile_expressions,
-                                exec_stats=self.exec_stats)
-        return result
-
-    def _source_table(self, predict: Predict) -> str:
-        scans = [node for node in walk(predict.child) if isinstance(node, Scan)]
-        partitioned = [s for s in scans
-                       if self.catalog.table(s.table_name).data.num_partitions > 1]
-        if len(partitioned) != 1:
-            raise ExecutionError(
-                "per-partition prediction requires exactly one partitioned table"
-            )
-        return partitioned[0].table_name
+        # exec_stats aggregates every executor the query fans out to;
+        # read by RunStats.
+        super().__init__(catalog, dop, self.runtime,
+                         compile_expressions=compile_expressions,
+                         exec_stats=ExecStats(), profiler=profiler,
+                         deadline=deadline, faults=faults, span=span,
+                         feedback=feedback, metrics=metrics)

@@ -52,7 +52,7 @@ from __future__ import annotations
 import threading
 import time
 import uuid
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -1030,9 +1030,9 @@ class RavenSession:
 
         Dispatches over a thread pool (numpy kernels release the GIL, so
         vectorized work overlaps); each call still goes through the plan
-        cache, and large scans additionally chunk-parallelize inside a
+        cache, and large scans additionally fan out over morsels inside a
         worker when the session's ``dop`` > 1 (via
-        :class:`repro.relational.parallel.ParallelExecutor`).
+        :class:`repro.relational.morsel.MorselExecutor`).
 
         ``max_pending`` bounds the pending-query depth (submitted but not
         yet finished). When the bound is reached, ``backpressure`` decides:
@@ -1061,55 +1061,10 @@ class RavenSession:
                          deadline: Union[Deadline, float, None] = None
                          ) -> List[Tuple[Table, RunStats]]:
         """:meth:`serve`, returning ``(table, stats)`` per query in order."""
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if backpressure not in ("block", "raise"):
-            raise ValueError("backpressure must be 'block' or 'raise'")
-        if max_pending is not None and max_pending < 1:
-            raise ValueError("max_pending must be >= 1")
-        queries = list(queries)
-        gate = (threading.BoundedSemaphore(max_pending)
-                if max_pending is not None else None)
-
-        def admit(query: str) -> None:
-            if gate is not None:
-                if backpressure == "block":
-                    gate.acquire()
-                elif not gate.acquire(blocking=False):
-                    with self._stats_lock:
-                        self.serving_stats.rejected += 1
-                    raise BackpressureError(
-                        f"pending-query depth {max_pending} exceeded "
-                        f"(policy='raise'): {query[:80]!r}"
-                    )
-            with self._stats_lock:
-                self.serving_stats.submitted += 1
-
-        def run_one(index: int, query: str) -> Tuple[Table, RunStats]:
-            try:
-                outcome = self._attempt_query(query, retry, deadline,
-                                              salt=index)
-            finally:
-                with self._stats_lock:
-                    self.serving_stats.completed += 1
-                if gate is not None:
-                    gate.release()
-            if outcome.error is not None:
-                raise outcome.error
-            return outcome.table, outcome.stats
-
-        if workers == 1 or len(queries) <= 1:
-            results = []
-            for index, query in enumerate(queries):
-                admit(query)
-                results.append(run_one(index, query))
-            return results
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = []
-            for index, query in enumerate(queries):
-                admit(query)  # backpressure applies *before* submission
-                futures.append(pool.submit(run_one, index, query))
-            return [future.result() for future in futures]
+        return [(outcome.table, outcome.stats) for outcome in
+                self._serve_batch(queries, workers, max_pending,
+                                  backpressure, retry, deadline,
+                                  isolate=False)]
 
     def serve_outcomes(self, queries: Iterable[str], workers: int = 4,
                        max_pending: Optional[int] = None,
@@ -1127,6 +1082,20 @@ class RavenSession:
         carries the :class:`~repro.errors.BackpressureError` with
         ``attempts=0``.
         """
+        return self._serve_batch(queries, workers, max_pending,
+                                 backpressure, retry, deadline, isolate=True)
+
+    def _serve_batch(self, queries: Iterable[str], workers: int,
+                     max_pending: Optional[int], backpressure: str,
+                     retry: Optional[RetryPolicy],
+                     deadline: Union[Deadline, float, None],
+                     isolate: bool) -> List[QueryOutcome]:
+        """Admission gate + dispatch shared by every ``serve*`` entry point.
+
+        ``isolate=False`` is the abort contract (an admission rejection or
+        the first final failure, in query order, raises); ``isolate=True``
+        turns both into per-query outcomes.
+        """
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if backpressure not in ("block", "raise"):
@@ -1136,25 +1105,6 @@ class RavenSession:
         queries = list(queries)
         gate = (threading.BoundedSemaphore(max_pending)
                 if max_pending is not None else None)
-
-        def admit(query: str) -> bool:
-            if gate is not None:
-                if backpressure == "block":
-                    gate.acquire()
-                elif not gate.acquire(blocking=False):
-                    with self._stats_lock:
-                        self.serving_stats.rejected += 1
-                    return False
-            with self._stats_lock:
-                self.serving_stats.submitted += 1
-            return True
-
-        def rejected(query: str) -> QueryOutcome:
-            return QueryOutcome(
-                query=query, attempts=0,
-                error=BackpressureError(
-                    f"pending-query depth {max_pending} exceeded "
-                    f"(policy='raise'): {query[:80]!r}"))
 
         def run_one(index: int, query: str) -> QueryOutcome:
             try:
@@ -1166,21 +1116,39 @@ class RavenSession:
                 if gate is not None:
                     gate.release()
 
+        def dispatch(index: int, query: str, submit):
+            """Admit then submit; backpressure applies *before* submission."""
+            if gate is not None:
+                if backpressure == "block":
+                    gate.acquire()
+                elif not gate.acquire(blocking=False):
+                    with self._stats_lock:
+                        self.serving_stats.rejected += 1
+                    rejection = BackpressureError(
+                        f"pending-query depth {max_pending} exceeded "
+                        f"(policy='raise'): {query[:80]!r}")
+                    if not isolate:
+                        raise rejection
+                    return QueryOutcome(query=query, attempts=0,
+                                        error=rejection)
+            with self._stats_lock:
+                self.serving_stats.submitted += 1
+            return submit(run_one, index, query)
+
+        def settle(outcome: QueryOutcome) -> QueryOutcome:
+            if outcome.error is not None and not isolate:
+                raise outcome.error
+            return outcome
+
         if workers == 1 or len(queries) <= 1:
-            return [run_one(index, query) if admit(query)
-                    else rejected(query)
+            return [settle(dispatch(index, query,
+                                    lambda fn, *args: fn(*args)))
                     for index, query in enumerate(queries)]
-        outcomes: List[Optional[QueryOutcome]] = [None] * len(queries)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {}
-            for index, query in enumerate(queries):
-                if admit(query):  # backpressure before submission
-                    futures[index] = pool.submit(run_one, index, query)
-                else:
-                    outcomes[index] = rejected(query)
-            for index, future in futures.items():
-                outcomes[index] = future.result()
-        return outcomes
+            pending = [dispatch(index, query, pool.submit)
+                       for index, query in enumerate(queries)]
+            return [settle(entry.result() if isinstance(entry, Future)
+                           else entry) for entry in pending]
 
     def _attempt_query(self, query: str, retry: Optional[RetryPolicy],
                        deadline: Union[Deadline, float, None],
@@ -1261,7 +1229,7 @@ class RavenSession:
                  record_feedback: bool = True
                  ) -> Tuple[Table, RunStats]:
         # Per-call runtime view: shares the inference-session and compiled-
-        # program caches but keeps partition dispatch and GPU-time
+        # program caches but keeps the deadline, span and GPU-time
         # accounting local, so concurrent calls never interleave state.
         runtime = self.runtime.for_call()
         # force_profile (EXPLAIN ANALYZE) profiles even for adaptive=False

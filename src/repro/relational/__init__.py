@@ -49,7 +49,6 @@ from repro.relational.logical import (
     walk,
 )
 from repro.relational.optimizer import RelationalOptimizer
-from repro.relational.parallel import ParallelExecutor
 from repro.relational.sqlgen import expression_to_sql, plan_to_sql
 
 __all__ = [
@@ -57,7 +56,7 @@ __all__ = [
     "ColumnRef", "CompiledProgram", "ExecStats", "Executor", "Expression",
     "Filter", "FunctionCall", "InList",
     "Join", "JoinEdge", "Limit", "Literal", "MultiJoin",
-    "ParallelExecutor", "PlanNode", "Predict",
+    "PlanNode", "Predict",
     "PredictMode", "Project", "RelationalOptimizer", "Scan", "Sort", "UnaryOp",
     "col", "compile_outputs", "compile_predicate", "conjunction", "conjuncts",
     "execute", "expression_to_sql",

@@ -50,6 +50,7 @@ from repro.relational.logical import (
     Filter,
     Join,
     Limit,
+    Materialized,
     MultiJoin,
     PlanNode,
     Predict,
@@ -59,23 +60,24 @@ from repro.relational.logical import (
 )
 from repro.storage.catalog import Catalog
 from repro.storage.column import Column, DataType
-from repro.storage.table import Table, TableView
+from repro.storage.table import Table, TableView, concat_tables
 
-# predict_executor(node, input_table) -> Table of the node's output columns.
-PredictExecutor = Callable[[Predict, Table], Table]
+# predict_executor(node, input_table, partition) -> Table of the node's
+# output columns; ``partition`` is the morsel's partition index when the
+# node carries partition-specialized graphs, else None.
+PredictExecutor = Callable[[Predict, Table, Optional[int]], Table]
 
 
 @dataclass(frozen=True, order=True)
 class Morsel:
     """One partition-aligned unit of scan work.
 
-    A fourth ``scan_restrictions`` kind (after partition index, row range
-    and partition-index list): restricts the scan to rows
-    ``[start, stop)`` *of one partition*. The morsel-driven executor
-    (:mod:`repro.relational.morsel`) fans a query out over morsels and
-    merges results in ``(partition, start)`` order — exactly the row
-    order of the serial unrestricted scan, which is what keeps parallel
-    execution bit-for-bit identical.
+    As a ``scan_restrictions`` value it restricts the scan of the driven
+    table to rows ``[start, stop)`` *of one partition*. The morsel
+    driver (:mod:`repro.relational.morsel`) fans a query out over
+    morsels and merges results in ``(partition, start)`` order — exactly
+    the row order of the unrestricted scan, which is what keeps fanned-
+    out execution bit-for-bit identical.
     """
 
     partition: int
@@ -90,8 +92,8 @@ class Morsel:
 class ExecStats:
     """Per-execution counters for compiled-expression reuse.
 
-    Shared (thread-safely) by every Executor a QueryExecutor fans out to,
-    so chunk-parallel and per-partition runs aggregate into one view.
+    Shared (thread-safely) by every Executor a query fans out to (one per
+    morsel plus the serial tail), so they aggregate into one view.
     ``expression_fallbacks`` counts operators that degraded from the
     compiled engine to the interpreted oracle after a compile/engine
     failure.
@@ -126,9 +128,9 @@ class ExecStats:
 class Executor:
     """Evaluates plans against a catalog.
 
-    ``scan_restrictions`` optionally restricts named tables to one partition
-    index or a row range — used for per-partition execution (data-induced
-    optimization) and for chunk-parallel execution (DOP).
+    ``scan_restrictions`` optionally restricts named tables: a
+    :class:`Morsel` for the table the morsel driver fans out over, a list
+    of surviving partition indices for tables pruned by zone maps.
     ``compile_expressions`` selects the compiled expression engine (default)
     or the interpreted oracle.
     ``profiler`` (a :class:`repro.adaptive.profile.PlanProfiler`) turns on
@@ -157,17 +159,42 @@ class Executor:
         self.faults = faults
         # Telemetry: when a parent Span is given, every operator records
         # a child span with rows in/out. Each Executor instance runs its
-        # plan on one thread (chunk parallelism builds one Executor per
-        # chunk), so a plain list works as the span stack; concurrent
+        # plan on one thread (the morsel driver builds one Executor per
+        # morsel), so a plain list works as the span stack; concurrent
         # child appends on the shared parent are trace-lock protected.
         self._span_stack = [span] if span is not None else None
+        # Installed by execute_above: (subtree root, stand-in leaf) and
+        # the seconds computing the subtree took.
+        self._computed: Optional[Tuple[PlanNode, Materialized]] = None
+        self._computed_seconds = 0.0
 
     # ------------------------------------------------------------------
     def execute(self, plan: PlanNode) -> Table:
         """Run the plan; the root is the final pipeline breaker."""
         return self._run(plan).materialize()
 
+    def execute_above(self, plan: PlanNode, subtree: PlanNode,
+                      computed: Table, seconds: float) -> Table:
+        """Run ``plan`` with its ``subtree`` already computed.
+
+        The morsel driver's serial tail: the operators above ``subtree``
+        run as themselves — same profiler keys, compiled-program caches
+        and spans as a whole-plan run — and reaching ``subtree`` reads
+        ``computed`` through a :class:`Materialized` leaf. ``seconds``
+        is what computing the subtree took; profiled operator times are
+        inclusive of their inputs, so it is charged to every operator
+        this call runs. That is right only while each of them is an
+        ancestor of ``subtree`` — the tail is a chain of unary operators
+        (:func:`repro.relational.morsel.split_serial_tail`); an operator
+        beside the subtree would be overcharged.
+        """
+        self._computed = (subtree, Materialized(computed))
+        self._computed_seconds = seconds
+        return self.execute(plan)
+
     def _run(self, plan: PlanNode) -> TableView:
+        if self._computed is not None and plan is self._computed[0]:
+            plan = self._computed[1]
         method = getattr(self, f"_exec_{type(plan).__name__.lower()}", None)
         if method is None:
             raise ExecutionError(f"no executor for operator {type(plan).__name__}")
@@ -204,7 +231,8 @@ class Executor:
         if self.faults is not None:
             self.faults.fire("executor.operator",
                              detail=type(plan).__name__)
-        if self.profiler is None:
+        # The Materialized stand-in is in no plan tree: nothing to profile.
+        if self.profiler is None or isinstance(plan, Materialized):
             result = method(plan)
             if isinstance(result, Table):
                 result = TableView(result)
@@ -215,8 +243,9 @@ class Executor:
         result = method(plan)
         if isinstance(result, Table):
             result = TableView(result)
-        self.profiler.record_operator(plan, result.num_rows,
-                                      time.perf_counter() - started)
+        self.profiler.record_operator(
+            plan, result.num_rows,
+            time.perf_counter() - started + self._computed_seconds)
         if self.deadline is not None:
             self.deadline.check(f"operator {type(plan).__name__}")
         return result
@@ -273,14 +302,8 @@ class Executor:
         if isinstance(restriction, Morsel):
             table = entry.data.partitions[restriction.partition].table \
                 .slice(restriction.start, restriction.stop)
-        elif isinstance(restriction, int):
-            table = entry.data.partitions[restriction].table
-        elif isinstance(restriction, tuple):
-            start, stop = restriction
-            table = entry.data.to_table().slice(start, stop)
-        elif isinstance(restriction, list):
+        elif restriction is not None:
             # Partition skipping: read only the listed partitions.
-            from repro.storage.table import concat_tables
             if not restriction:
                 table = entry.data.partitions[0].table.slice(0, 0)
             else:
@@ -291,6 +314,9 @@ class Executor:
         if node.columns is not None:
             table = table.select(node.columns)
         return table.prefix(node.alias)
+
+    def _exec_materialized(self, node: Materialized) -> Table:
+        return node.table
 
     # ------------------------------------------------------------------
     # Row-preserving operators (selection-vector composition, no copies)
@@ -572,7 +598,14 @@ class Executor:
                       else view.column_names)
         needed = set(kept_names) | set(node.input_mapping.values())
         table = view.materialize([n for n in view.column_names if n in needed])
-        outputs = self.predict_executor(node, table)
+        partition = None
+        if node.per_partition_graphs:
+            # Partition-specialized models: the morsel names the partition.
+            partition = next(
+                (restriction.partition
+                 for restriction in self.scan_restrictions.values()
+                 if isinstance(restriction, Morsel)), None)
+        outputs = self.predict_executor(node, table, partition)
         columns = [(n, table.column(n)) for n in kept_names]
         for name, _, _ in node.output_columns:
             columns.append((name, outputs.column(name)))

@@ -104,6 +104,34 @@ class Scan(PlanNode):
         return f"Scan({self.table_name} AS {self.alias}: [{cols}])"
 
 
+class Materialized(PlanNode):
+    """Leaf over an already-computed table.
+
+    Stands in for a subtree whose result exists — the merged fan-out
+    output the morsel driver's serial tail runs over
+    (:meth:`repro.relational.executor.Executor.execute_above`). Purely
+    an execution-time node: the planner never emits it and it is not
+    persisted.
+    """
+
+    def __init__(self, table):
+        self.table = table
+
+    def children(self):
+        return ()
+
+    def with_children(self, children):
+        if children:
+            raise PlanError("Materialized takes no children")
+        return self
+
+    def output_schema(self, catalog: Catalog) -> Schema:
+        return self.table.schema
+
+    def _label(self):
+        return f"Materialized({self.table.num_rows} rows)"
+
+
 class Filter(PlanNode):
     """Keep rows satisfying a boolean predicate."""
 

@@ -1,31 +1,40 @@
-"""Morsel-driven parallel scans over partitioned tables.
+"""Morsel-driven scan fan-out: the one way a plan runs over row ranges.
 
-The monolithic scan path treats a partitioned table as one concatenated
-array. Here the scan side of a plan is instead driven by **morsels** —
-partition-aligned row ranges (:class:`~repro.relational.executor.Morsel`)
-— pulled by a worker pool from one shared queue, the classic
-morsel-driven scheme: idle workers steal the next morsel, so a skewed
-partition never strands the pool behind one big static chunk.
+The paper runs one prediction query at DOP 1 and DOP 16 (Fig. 8), one
+task per partition with a partition-specialized model (§4.2, §6), and
+over zone-map-pruned partitions. All three are the same idea — run the
+plan *body* over disjoint row ranges of the fact table, merge, run the
+serial *tail* once — and this module is the only place that knows it.
+The unit of work is the **morsel**, a partition-aligned row range
+(:class:`~repro.relational.executor.Morsel`); an unpartitioned table is
+a single partition.
 
-Three properties the rest of the system relies on:
+Properties the rest of the system relies on:
 
-* **Zone-map skipping at runtime.** Before morsels are generated, each
-  partition's statistics are checked against the plan's filter
-  constraints (the same :mod:`repro.relational.skipping` analysis the
-  serial path uses at plan time); partitions proven empty produce no
-  morsels at all. Skipped partitions are counted in the
-  ``partitions_skipped`` metric, executed morsels in
-  ``morsels_executed``.
+* **Zone-map skipping at runtime.** Each partition's statistics are
+  checked against the body's filter constraints
+  (:mod:`repro.relational.skipping`); partitions proven empty produce no
+  morsels. Skipped partitions are counted in the ``partitions_skipped``
+  metric, executed morsels in ``morsels_executed``.
 * **Bit-for-bit determinism.** Morsel results merge in ``(partition,
-  start)`` order — exactly the row order of the serial scan over
+  start)`` order — exactly the row order of one scan over
   ``PartitionedTable.to_table()`` — before the serial tail runs, so the
-  output is identical to serial execution no matter which worker ran
+  output is identical to a whole-plan run no matter which worker ran
   what when.
-* **Skew-aware scheduling.** When a feedback store has per-partition
-  observations (seconds-per-row under the scan's partition
-  fingerprint), morsels are ordered longest-estimated-first (LPT);
-  cold, we fall back to row counts. Each finished morsel records its
-  observation back, so skew learned on one query schedules the next.
+* **Skew-aware scheduling.** Morsels are pulled from one shared queue by
+  ``min(dop, #morsels)`` workers (an idle worker steals the next morsel,
+  so a skewed partition never strands the pool). With per-partition
+  feedback (seconds-per-row under the scan's partition fingerprint) the
+  queue is ordered longest-estimated-first (LPT); cold, by row count.
+  Each finished morsel records its observation back.
+* **One execution context.** Every morsel and the serial tail run on
+  executors built from the same profiler, deadline, fault injector,
+  span and exec stats, so the tail is observed and bounded like the
+  body.
+* **Nothing to fan out, nothing added.** When the morsel plan is a
+  single morsel spanning the whole driven table (``dop=1`` over an
+  unpartitioned table), or the plan cannot fan out (the driven table is
+  scanned twice), the plan runs as one whole-plan ``Executor`` call.
 """
 
 from __future__ import annotations
@@ -36,15 +45,20 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
+from repro.errors import ExecutionError
 from repro.relational.executor import ExecStats, Executor, Morsel, \
     PredictExecutor
-from repro.relational.logical import PlanNode, Scan, walk
-from repro.relational.parallel import (
-    apply_tail,
-    chunk_ranges,
-    largest_scan,
-    split_serial_tail,
+from repro.relational.logical import (
+    Aggregate,
+    Limit,
+    PlanNode,
+    Predict,
+    Project,
+    Scan,
+    Sort,
+    walk,
 )
+from repro.relational.skipping import plan_partition_restrictions
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table, concat_tables
 
@@ -52,25 +66,74 @@ from repro.storage.table import Table, concat_tables
 #: Executor walk + numpy call fixed costs) dominates the vectorized work.
 MIN_MORSEL_ROWS = 8_192
 
-#: Target number of morsels per worker. >1 so the pool can rebalance when
-#: morsel costs are skewed; small enough to keep dispatch overhead low.
-MORSELS_PER_WORKER = 4
+#: Target number of morsels per worker. One: every morsel repeats the
+#: body's numpy calls, and each call hands the interpreter lock to
+#: another worker and waits to get it back, so finer morsels cost more
+#: than the rebalancing they buy (measured at 4 per worker, dop=4, 2
+#: cores: a 100k-row tree-as-CASE scan 2.2x slower, an 800k-row
+#: filter+project 1.4-1.6x slower than at 1 per worker). Partition
+#: boundaries still cut finer — a partitioned table yields at least one
+#: morsel per partition, and partition skew is what LPT scheduling
+#: balances.
+MORSELS_PER_WORKER = 1
 
 
-def plan_morsels(partition_rows: List[Tuple[int, int]], dop: int,
-                 morsel_rows: Optional[int] = None) -> List[Morsel]:
+def split_serial_tail(plan: PlanNode) -> Tuple[List[PlanNode], PlanNode]:
+    """Peel root operators that must run once, returning (tail-ops, body).
+
+    Tail ops are returned outermost-first; the body is morsel-safe (its
+    output rows are a disjoint union over morsels).
+
+    A root ``Project`` peels too: it is row-wise (safe either side of the
+    split), but leaving it in the body would hide an ``Aggregate`` sitting
+    right below it — ``SELECT AVG(x) AS m ...`` plans root at
+    ``Project(Aggregate(...))``, and a per-morsel aggregate under a
+    morsel-blind tail would emit one row per morsel.
+    """
+    tail: List[PlanNode] = []
+    current = plan
+    while isinstance(current, (Project, Aggregate, Sort, Limit)):
+        tail.append(current)
+        current = current.children()[0]
+    # Row-wise Projects peeled below the last genuine breaker can stay in
+    # the body (cheaper: they run inside the parallel section).
+    while tail and isinstance(tail[-1], Project):
+        current = tail.pop()
+    return tail, current
+
+
+def chunk_ranges(num_rows: int, chunks: int) -> List[Tuple[int, int]]:
+    """Split ``[0, num_rows)`` into up to ``chunks`` contiguous ranges.
+
+    Shared by morsel planning, the batched inference path in
+    :mod:`repro.core.executor`, and the serving micro-batcher.
+    """
+    chunks = max(1, min(chunks, num_rows)) if num_rows else 1
+    size = -(-num_rows // chunks) if num_rows else 0
+    out = []
+    start = 0
+    while start < num_rows:
+        out.append((start, min(start + size, num_rows)))
+        start += size
+    return out or [(0, 0)]
+
+
+def plan_morsels(partition_rows: List[Tuple[int, int]],
+                 dop: int) -> List[Morsel]:
     """Cut surviving partitions into partition-aligned morsels.
 
     ``partition_rows`` is ``[(partition_index, num_rows), ...]``. The
     morsel size targets :data:`MORSELS_PER_WORKER` morsels per worker
     over the total surviving rows, floored at :data:`MIN_MORSEL_ROWS`;
-    morsels never span partitions (a morsel must have one zone map, one
-    feedback fingerprint and one specialized model).
+    partitions smaller than that stay whole, larger ones are cut into
+    balanced ranges (a single worker has nobody to share with, so
+    ``dop=1`` keeps every partition one morsel). Morsels never span
+    partitions (a morsel must have one zone map, one feedback
+    fingerprint and one specialized model).
     """
     total = sum(rows for _, rows in partition_rows)
-    if morsel_rows is None:
-        want = max(1, dop * MORSELS_PER_WORKER)
-        morsel_rows = max(MIN_MORSEL_ROWS, -(-total // want))
+    morsel_rows = max(MIN_MORSEL_ROWS,
+                      -(-total // (dop * MORSELS_PER_WORKER)))
     morsels: List[Morsel] = []
     for index, rows in partition_rows:
         if rows == 0:
@@ -81,13 +144,13 @@ def plan_morsels(partition_rows: List[Tuple[int, int]], dop: int,
 
 
 class MorselExecutor:
-    """Executes a plan as a morsel-parallel scan over one partitioned table.
+    """Executes a plan by fanning its body out over morsels of one table.
 
-    Mirrors :class:`~repro.relational.parallel.ParallelExecutor`'s
-    correctness requirement — the morselized table must be scanned
-    exactly once in the body (star/snowflake queries re-read dimension
-    tables per morsel, a broadcast join) — and falls back to serial
-    execution when the plan does not qualify.
+    The *driven* table is the source of a partition-specialized
+    ``Predict`` (data-induced optimization: each morsel runs its
+    partition's model) or else the largest scanned table; it must be
+    scanned exactly once in the body (star/snowflake queries re-read
+    dimension tables per morsel, a broadcast join).
     """
 
     def __init__(self, catalog: Catalog, dop: int = 1,
@@ -95,14 +158,16 @@ class MorselExecutor:
                  compile_expressions: bool = True,
                  exec_stats: Optional[ExecStats] = None,
                  profiler=None, deadline=None, faults=None, span=None,
-                 feedback=None, metrics=None,
-                 morsel_rows: Optional[int] = None):
+                 feedback=None, metrics=None):
         if dop < 1:
             raise ValueError("dop must be >= 1")
         self.catalog = catalog
         self.dop = dop
         self.predict_executor = predict_executor
         self.compile_expressions = compile_expressions
+        # Shared by every executor the query fans out to (ExecStats and
+        # the PlanProfiler are thread-safe; a Deadline reads a fixed
+        # expiry; span child appends are trace-lock protected).
         self.exec_stats = exec_stats
         self.profiler = profiler
         self.deadline = deadline
@@ -114,7 +179,6 @@ class MorselExecutor:
         self.feedback = feedback
         # Optional telemetry MetricsRegistry for the partition counters.
         self.metrics = metrics
-        self.morsel_rows = morsel_rows
 
     # ------------------------------------------------------------------
     def _make_executor(self, scan_restrictions=None) -> Executor:
@@ -128,58 +192,98 @@ class MorselExecutor:
                         span=self.span)
 
     def execute(self, plan: PlanNode) -> Table:
-        from repro.relational.skipping import plan_partition_restrictions
-
         tail, body = split_serial_tail(plan)
-        target = largest_scan(body, self.catalog)
-        scan_count = sum(1 for node in walk(body)
-                         if isinstance(node, Scan)
-                         and target is not None
-                         and node.table_name == target.table_name)
-        entry = (self.catalog.table(target.table_name)
-                 if target is not None else None)
-        if entry is None or scan_count != 1 or entry.data.num_partitions <= 1:
-            # Not morselizable; the plan-time skip analysis still applies.
-            skip = plan_partition_restrictions(plan, self.catalog)
-            return self._make_executor(dict(skip) if skip else None) \
-                .execute(plan)
+        driven = self._driven_scan(body)
+        # Zone-map skipping: partitions whose statistics prove the
+        # body's filters empty are never read (all Filters sit in the
+        # body — the tail is Project/Aggregate/Sort/Limit only).
+        pruned = plan_partition_restrictions(body, self.catalog)
+        if pruned:
+            skipped = sum(
+                self.catalog.table(name).data.num_partitions - len(kept)
+                for name, kept in pruned.items())
+            if self.metrics is not None:
+                self.metrics.counter("partitions_skipped").inc(skipped)
+            if self.span is not None:
+                self.span.set(partitions_skipped=skipped)
+        if driven is None:
+            return self._make_executor(pruned).execute(plan)
 
-        # Runtime zone-map skipping: partitions whose statistics prove
-        # the body's filters empty generate no morsels.
-        skip = plan_partition_restrictions(body, self.catalog)
-        surviving = skip.get(target.table_name,
-                             list(range(entry.data.num_partitions)))
-        skipped = entry.data.num_partitions - len(surviving)
-        if self.metrics is not None:
-            self.metrics.counter("partitions_skipped").inc(skipped)
-        if self.span is not None and skipped:
-            self.span.set(partitions_skipped=skipped)
-
-        other_skip = {name: kept for name, kept in skip.items()
-                      if name != target.table_name}
-        if not surviving:
-            # Every partition proven empty: one serial run over an empty
-            # slice produces the correctly-typed empty result.
-            restrictions = dict(other_skip)
-            restrictions[target.table_name] = []
-            return self._run_serial_tail(
-                self._make_executor(restrictions).execute(body), tail)
-
+        partitions = self.catalog.table(driven.table_name).data.partitions
+        surviving = pruned.pop(driven.table_name, range(len(partitions)))
         morsels = plan_morsels(
-            [(i, entry.data.partitions[i].num_rows) for i in surviving],
-            self.dop, self.morsel_rows)
-        pieces = self._run_morsels(morsels, body, target, other_skip)
-        result = concat_tables([pieces[m] for m in sorted(pieces)]) \
-            if pieces else self._make_executor(
-                {**other_skip, target.table_name: []}).execute(body)
-        return self._run_serial_tail(result, tail)
+            [(i, partitions[i].num_rows) for i in surviving], self.dop)
+        if len(partitions) == 1 and len(morsels) <= 1:
+            # One morsel spanning the whole table: nothing to schedule,
+            # merge or split a tail for.
+            return self._make_executor(pruned).execute(plan)
+        body_seconds = 0.0
+        if morsels:
+            pieces = self._run_morsels(morsels, body, driven, pruned)
+            merged = concat_tables([pieces[m][0] for m in sorted(pieces)])
+            body_seconds = sum(seconds for _, seconds in pieces.values())
+        else:
+            # Every partition pruned (or empty): a zero-row morsel
+            # yields the correctly-typed empty body output.
+            first = surviving[0] if surviving else 0
+            merged = self._make_executor(
+                {**pruned, driven.table_name: Morsel(first, 0, 0)}
+            ).execute(body)
+        if not tail:
+            return merged
+        return self._make_executor().execute_above(plan, body, merged,
+                                                   body_seconds)
+
+    # ------------------------------------------------------------------
+    def _driven_scan(self, body: PlanNode) -> Optional[Scan]:
+        """The scan to fan out over, or None when the body cannot fan out
+        (no scan, or the driven table is scanned more than once)."""
+        scans: List[Scan] = []
+        predict: Optional[Predict] = None
+        for node in walk(body):
+            if isinstance(node, Scan):
+                scans.append(node)
+            elif isinstance(node, Predict) and node.per_partition_graphs:
+                predict = node
+        if predict is not None:
+            driven = self._specialized_source(predict)
+        else:
+            # The table with the most rows: the 'fact' side.
+            driven = max(
+                scans, default=None, key=lambda scan:
+                self.catalog.table(scan.table_name).stats.row_count)
+        if driven is None or sum(scan.table_name == driven.table_name
+                                 for scan in scans) != 1:
+            return None
+        return driven
+
+    def _specialized_source(self, predict: Predict) -> Scan:
+        """The partitioned scan a per-partition ``Predict`` specializes on."""
+        partitioned = [
+            node for node in walk(predict.child) if isinstance(node, Scan)
+            and self.catalog.table(node.table_name).data.num_partitions > 1]
+        if len(partitioned) != 1:
+            raise ExecutionError(
+                "per-partition prediction requires exactly one partitioned table"
+            )
+        (source,) = partitioned
+        if len(predict.per_partition_graphs) != \
+                self.catalog.table(source.table_name).data.num_partitions:
+            raise ExecutionError(
+                "per-partition graphs do not match the table's partitioning"
+            )
+        return source
 
     # ------------------------------------------------------------------
     def _run_morsels(self, morsels: List[Morsel], body: PlanNode,
-                     target: Scan, other_skip: Dict[str, List[int]]
-                     ) -> Dict[Morsel, Table]:
-        queue = deque(self._schedule(morsels, target))
-        results: Dict[Morsel, Table] = {}
+                     driven: Scan, pruned: Dict[str, List[int]]
+                     ) -> Dict[Morsel, Tuple[Table, float]]:
+        """Run every morsel; returns ``{morsel: (output, seconds)}``."""
+        workers = min(self.dop, len(morsels))
+        # Order only matters to a pool; results merge canonically anyway.
+        queue = deque(self._schedule(morsels, driven) if workers > 1
+                      else morsels)
+        results: Dict[Morsel, Tuple[Table, float]] = {}
         lock = threading.Lock()
         errors: List[BaseException] = []
 
@@ -190,15 +294,14 @@ class MorselExecutor:
                         return
                     morsel = queue.popleft()
                 try:
-                    piece = self._run_one(morsel, body, target, other_skip)
+                    outcome = self._run_one(morsel, body, driven, pruned)
                 except BaseException as exc:  # propagate after drain
                     with lock:
                         errors.append(exc)
                     return
                 with lock:
-                    results[morsel] = piece
+                    results[morsel] = outcome
 
-        workers = min(self.dop, len(queue)) or 1
         if workers == 1:
             worker()
         else:
@@ -210,21 +313,20 @@ class MorselExecutor:
             raise errors[0]
         return results
 
-    def _run_one(self, morsel: Morsel, body: PlanNode, target: Scan,
-                 other_skip: Dict[str, List[int]]) -> Table:
-        restrictions = dict(other_skip)
-        restrictions[target.table_name] = morsel
+    def _run_one(self, morsel: Morsel, body: PlanNode, driven: Scan,
+                 pruned: Dict[str, List[int]]) -> Tuple[Table, float]:
         span = None
         if self.span is not None:
             span = self.span.child(
                 "scan.morsel", category="scan",
-                table=target.table_name, partition=morsel.partition,
-                label=self.catalog.table(target.table_name)
+                table=driven.table_name, partition=morsel.partition,
+                label=self.catalog.table(driven.table_name)
                 .data.partitions[morsel.partition].label,
                 start=morsel.start, rows=morsel.num_rows)
         started = time.perf_counter()
         try:
-            piece = self._make_executor(restrictions).execute(body)
+            piece = self._make_executor(
+                {**pruned, driven.table_name: morsel}).execute(body)
         except BaseException:
             if span is not None:
                 span.finish(status="error")
@@ -239,16 +341,16 @@ class MorselExecutor:
             # profile tree in (record_profile); recording directly too
             # would double-count the observation.
             self.profiler.record_partition(
-                target, morsel.partition, morsel.num_rows,
+                driven, morsel.partition, morsel.num_rows,
                 piece.num_rows, elapsed)
         elif self.feedback is not None:
             self.feedback.record_partition(
-                self._scan_fingerprint(target), morsel.partition,
+                self._scan_fingerprint(driven), morsel.partition,
                 morsel.num_rows, piece.num_rows, elapsed)
-        return piece
+        return piece, elapsed
 
     # ------------------------------------------------------------------
-    def _schedule(self, morsels: List[Morsel], target: Scan) -> List[Morsel]:
+    def _schedule(self, morsels: List[Morsel], driven: Scan) -> List[Morsel]:
         """LPT order: longest estimated morsel first.
 
         With per-partition feedback the estimate is observed
@@ -258,7 +360,7 @@ class MorselExecutor:
         """
         costs = {m: float(m.num_rows) for m in morsels}
         if self.feedback is not None:
-            fingerprint = self._scan_fingerprint(target)
+            fingerprint = self._scan_fingerprint(driven)
             for morsel in morsels:
                 per_row = self.feedback.partition_seconds_per_row(
                     fingerprint, morsel.partition)
@@ -266,16 +368,8 @@ class MorselExecutor:
                     costs[morsel] = per_row * morsel.num_rows
         return sorted(morsels, key=lambda m: (-costs[m], m))
 
-    def _scan_fingerprint(self, target: Scan) -> str:
+    def _scan_fingerprint(self, driven: Scan) -> str:
         # Lazy import: repro.adaptive imports the relational layer.
         from repro.adaptive.profile import plan_fingerprint
 
-        return plan_fingerprint(target)
-
-    def _run_serial_tail(self, result: Table, tail: List[PlanNode]) -> Table:
-        for op in reversed(tail):
-            result = apply_tail(op, result, self.catalog,
-                                self.predict_executor,
-                                compile_expressions=self.compile_expressions,
-                                exec_stats=self.exec_stats)
-        return result
+        return plan_fingerprint(driven)

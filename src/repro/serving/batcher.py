@@ -13,7 +13,7 @@ session's shared :class:`~repro.onnxlite.runtime.InferenceSession` cache
 (:meth:`~repro.core.executor.PredictRuntime.run_graph_batched`, the same
 path ``sql()`` uses), and the stacked outputs are split back per request.
 Oversized coalesced batches chunk via
-:func:`repro.relational.parallel.chunk_ranges`, like the DOP executor.
+:func:`repro.relational.morsel.chunk_ranges`, like morsel planning.
 
 Endpoints default to the catalog's registered model graphs; use
 :meth:`MicroBatcher.register_endpoint` to serve an *optimized* graph

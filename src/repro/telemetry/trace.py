@@ -23,7 +23,7 @@ is off without allocating anything — callers hold a single ``trace is
 None`` check on the hot path, and the zero-allocation test pins it.
 
 Thread safety: span mutation takes the owning trace's lock (children
-append concurrently under chunk-parallel execution); ``finish`` hands
+append concurrently under morsel fan-out); ``finish`` hands
 the trace to the ring under the tracer's lock.
 """
 

@@ -324,13 +324,13 @@ class TestFeedbackDecisions:
         # Without observations the plan's current choice is kept.
         assert plan_build_side(swapped, FeedbackStore()) == "left"
 
-    def test_chunk_parallel_profiles_use_per_call_means(self, rng):
+    def test_morsel_profiles_use_per_call_means(self, rng):
         # A dop>1 broadcast join re-reads the dimension subtree once per
-        # chunk; the cardinality feedback must not multiply it by dop.
+        # morsel (3 here); the cardinality feedback must not multiply it.
         dim = Table.from_arrays(k=np.arange(100),
                                 dv=rng.normal(0, 1, 100))
-        fact = Table.from_arrays(k=rng.integers(0, 100, 8_000),
-                                 fv=rng.normal(0, 1, 8_000))
+        fact = Table.from_arrays(k=rng.integers(0, 100, 20_000),
+                                 fv=rng.normal(0, 1, 20_000))
         sess = RavenSession(dop=4)
         sess.register_table("dim", dim)
         sess.register_table("fact", fact)

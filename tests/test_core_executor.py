@@ -120,6 +120,55 @@ class TestErrors:
             QueryExecutor(catalog, PredictRuntime()).execute(node)
 
 
+class TestGpuAdjustmentUnderFanOut:
+    def test_dop4_adjustment_is_sum_of_batch_differences(self, setup,
+                                                         monkeypatch):
+        # One runtime serves every morsel worker. The four workers leave
+        # their tensor run together (barrier) and reading the accumulator
+        # yields the GIL, so an unlocked `+=` would lose all but one
+        # update; measured time is pinned to 0 so each batch's
+        # modeled-minus-measured difference is exactly its modeled time.
+        import threading
+        import time
+        import types
+
+        class YieldingRuntime(PredictRuntime):
+            @property
+            def gpu_time_adjustment(self):
+                value = self._adjustment
+                time.sleep(0.005)
+                return value
+
+            @gpu_time_adjustment.setter
+            def gpu_time_adjustment(self, value):
+                self._adjustment = value
+
+        catalog, predict, pipeline, table = setup
+        session = RavenSession(strategy="dnn", gpu_available=True, dop=4)
+        session.catalog = catalog
+        session.runtime.__class__ = YieldingRuntime
+        session.runtime.gpu_time_adjustment = 0.0
+        modeled = []
+        run = session.runtime._tensor_gpu.run
+        together = threading.Barrier(4)
+
+        def recording_run(graph, inputs):
+            result = run(graph, inputs)
+            modeled.append(result.seconds)
+            together.wait(timeout=10)
+            return result
+
+        monkeypatch.setattr(session.runtime._tensor_gpu, "run", recording_run)
+        monkeypatch.setattr("repro.core.executor.time", types.SimpleNamespace(
+            perf_counter=lambda: 0.0))
+        _, stats = session.sql_with_stats(
+            "SELECT d.id, p.score FROM PREDICT(MODEL = m, "
+            "DATA = t AS d) WITH (score FLOAT) AS p")
+        assert len(modeled) == 4  # 25k rows -> four morsels, one batch each
+        assert stats.gpu_adjustment_seconds == pytest.approx(sum(modeled),
+                                                             rel=1e-12)
+
+
 class TestRunStats:
     def test_adjusted_seconds_includes_gpu_model(self, setup):
         catalog, predict, pipeline, table = setup

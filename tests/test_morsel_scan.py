@@ -1,24 +1,43 @@
-"""Morsel-driven parallel scans: planning, skipping, determinism.
+"""Morsel-driven scan fan-out: planning, one differential matrix, telemetry.
 
-The contract under test is bit-for-bit equality with serial execution
-over the same partitioned layout — the morsel pool may run partitions
-in any order on any worker, but the merged result must be exactly what
-``dop=1`` produces.
+The contract under test is bit-for-bit equality with **one whole-plan
+``Executor`` run** — the morsel pool may run any morsel on any worker,
+over any physical layout, but the merged result (serial tail included)
+must be exactly what a single executor produces over the concatenated
+table.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 import pytest
 
 from repro import RavenSession, Table
+from repro.errors import DeadlineExceededError
+from repro.learn import DecisionTreeClassifier, make_standard_pipeline
+from repro.relational import (
+    Aggregate,
+    AggregateSpec,
+    Filter,
+    Join,
+    Limit,
+    Project,
+    Scan,
+    Sort,
+    col,
+    find_predict_nodes,
+)
 from repro.relational.executor import Executor, Morsel
-from repro.relational.logical import Scan
 from repro.relational.morsel import (
     MIN_MORSEL_ROWS,
     MorselExecutor,
+    chunk_ranges,
     plan_morsels,
+    split_serial_tail,
 )
+from repro.resilience import Deadline
 from repro.storage.catalog import Catalog
 from repro.storage.partition import Partition, PartitionedTable
 from repro.storage.statistics import TableStats
@@ -52,18 +71,6 @@ def make_session(dop, table=None, **kwargs) -> RavenSession:
     return session
 
 
-QUERIES = [
-    "SELECT e.id, e.x FROM events AS e WHERE e.y < 37.0",
-    "SELECT e.id, e.x + e.y AS s FROM events AS e WHERE e.x > 1.0",
-    "SELECT e.id, e.x FROM events AS e WHERE e.bucket = 3 AND e.y < 50.0",
-    "SELECT e.id FROM events AS e WHERE e.bucket > 99",
-    "SELECT AVG(e.x) AS m, COUNT(*) AS c FROM events AS e WHERE e.y < 37.0",
-    "SELECT e.bucket, COUNT(*) AS c, AVG(e.x) AS m FROM events AS e "
-    "GROUP BY e.bucket ORDER BY bucket",
-    "SELECT e.id, e.x FROM events AS e WHERE e.x > 1.5 ORDER BY id LIMIT 40",
-]
-
-
 # ---------------------------------------------------------------------------
 # Morsel planning
 # ---------------------------------------------------------------------------
@@ -90,11 +97,44 @@ class TestPlanMorsels:
         # Never more than ceil(rows / MIN_MORSEL_ROWS) morsels.
         assert len(morsels) <= 2
 
-    def test_explicit_morsel_rows(self):
-        # 100 rows at morsel_rows=30 → 4 chunks, balanced by chunk_ranges.
-        morsels = plan_morsels([(0, 100)], dop=2, morsel_rows=30)
-        assert [(m.start, m.stop) for m in sorted(morsels)] == \
+    def test_chunk_ranges_balance(self):
+        # 100 rows in 4 chunks: equal ranges, not 30/30/30/10.
+        assert chunk_ranges(100, 4) == \
             [(0, 25), (25, 50), (50, 75), (75, 100)]
+        assert chunk_ranges(10, 3) == [(0, 4), (4, 8), (8, 10)]
+        assert chunk_ranges(2, 5) == [(0, 1), (1, 2)]
+        assert chunk_ranges(0, 4) == [(0, 0)]
+
+    def test_one_morsel_per_worker_over_one_partition(self):
+        # An unpartitioned table at dop=4: four balanced morsels.
+        assert plan_morsels([(0, 100_000)], dop=4) == [
+            Morsel(0, 0, 25_000), Morsel(0, 25_000, 50_000),
+            Morsel(0, 50_000, 75_000), Morsel(0, 75_000, 100_000)]
+        # Partitions at most a worker's share stay whole; a larger one
+        # is cut: 120k rows / 4 workers = 30k-row target.
+        assert plan_morsels([(0, 20_000), (1, 70_000), (2, 30_000)],
+                            dop=4) == [
+            Morsel(0, 0, 20_000), Morsel(1, 0, 23_334),
+            Morsel(1, 23_334, 46_668), Morsel(1, 46_668, 70_000),
+            Morsel(2, 0, 30_000)]
+
+    def test_single_worker_keeps_partitions_whole(self):
+        # dop=1 has nobody to rebalance with: one morsel per partition,
+        # so an unpartitioned table is a single whole-table morsel.
+        assert plan_morsels([(0, 400_000)], dop=1) == [Morsel(0, 0, 400_000)]
+        assert plan_morsels([(0, 50_000), (2, 90_000)], dop=1) == \
+            [Morsel(0, 0, 50_000), Morsel(2, 0, 90_000)]
+
+    def test_split_serial_tail(self):
+        plan = Limit(Sort(Filter(Scan("fact"), col("fact.v").gt(0)),
+                          [("fact.v", True)]), 3)
+        tail, body = split_serial_tail(plan)
+        assert [type(t).__name__ for t in tail] == ["Limit", "Sort"]
+        assert isinstance(body, Filter)
+
+    def test_invalid_dop(self):
+        with pytest.raises(ValueError):
+            MorselExecutor(Catalog(), dop=0)
 
 
 class TestMorselRestriction:
@@ -114,40 +154,174 @@ class TestMorselRestriction:
 
 
 # ---------------------------------------------------------------------------
-# Differential: morsel-parallel vs serial, bit-for-bit
+# The differential matrix: dop × physical layout × plan shape, every cell
+# bit-for-bit against one whole-plan Executor run of the same plan.
 # ---------------------------------------------------------------------------
 
-class TestMorselDifferential:
+EVENTS = make_events()
+BUCKETS = Table.from_arrays(
+    bucket=np.arange(6), weight=np.linspace(0.5, 3.0, 6),
+    region=np.asarray(["n", "s", "e", "w", "n", "s"]))
+
+
+def _layouts(spill_dir):
+    """The events table in every physical layout (same rows, same order)."""
+    spilled = PartitionedTable.from_table(EVENTS, "bucket")
+    spilled.spill(spill_dir)
+    return {
+        "unpartitioned": PartitionedTable.from_table(EVENTS),
+        "partition_column": PartitionedTable.from_table(EVENTS, "bucket"),
+        "num_partitions": PartitionedTable.from_table(EVENTS,
+                                                      num_partitions=5),
+        "spilled": spilled,
+    }
+
+
+def _bucket_model():
+    features = EVENTS.take(np.arange(0, EVENTS.num_rows, 15))
+    labels = ((features.array("x") > 0.2)
+              | (features.array("bucket") >= 4)).astype(int)
+    pipeline = make_standard_pipeline(
+        DecisionTreeClassifier(max_depth=6, random_state=0),
+        ["x", "y", "bucket"], [])
+    pipeline.fit(features, labels)
+    return pipeline
+
+
+# -- plan-shaped inputs (the six result cases ported from the former DOP
+# executor's suite, as hand-built plans over the matrix tables) ----------
+def _filter_project_plan():
+    return Project(Filter(Scan("events"), col("events.x").gt(0.0)),
+                   [("x", col("events.x"))])
+
+
+def _fact_dim_join_plan():
+    return Join(Scan("events"), Scan("buckets"),
+                ["events.bucket"], ["buckets.bucket"])
+
+
+def _grouped_aggregate_plan():
+    return Aggregate(Scan("events"), ["events.bucket"],
+                     [AggregateSpec("n", "count"),
+                      AggregateSpec("s", "sum", "events.x")])
+
+
+def _global_aggregate_plan():
+    return Aggregate(Scan("events"), [], [AggregateSpec("n", "count")])
+
+
+def _sort_limit_plan():
+    return Limit(Sort(Project(Scan("events"), [("x", col("events.x"))]),
+                      [("x", True)]), 5)
+
+
+def _self_join_plan():
+    # The driven table is scanned twice: it must run as one serial
+    # execution (restricting both scans to one morsel would drop the
+    # b-side matches that live in other morsels of the partition).
+    return Join(Filter(Scan("events", "a"), col("a.id").lt(200)),
+                Filter(Scan("events", "b"), col("b.y").lt(1.0)),
+                ["a.bucket"], ["b.bucket"])
+
+
+PREDICT_QUERY = ("SELECT d.id, p.score FROM PREDICT(MODEL = m, "
+                 "DATA = events AS d) WITH (score FLOAT) AS p "
+                 "WHERE d.y < 60.0")
+
+# shape -> (session kwargs, inputs); an input is SQL text or a plan builder.
+SHAPES = {
+    "filter_project": ({}, [
+        "SELECT e.id, e.x FROM events AS e WHERE e.y < 37.0",
+        _filter_project_plan,
+    ]),
+    "skip_hit": ({}, [
+        "SELECT e.id, e.x FROM events AS e "
+        "WHERE e.bucket = 3 AND e.y < 50.0",
+    ]),
+    "all_skipped": ({}, [
+        "SELECT e.id, e.x FROM events AS e WHERE e.bucket > 99",
+    ]),
+    "global_aggregate_under_project": ({}, [
+        "SELECT AVG(e.x) AS m, COUNT(*) AS c FROM events AS e "
+        "WHERE e.y < 37.0",
+        _global_aggregate_plan,
+    ]),
+    "group_order_limit": ({}, [
+        "SELECT e.bucket, COUNT(*) AS c FROM events AS e WHERE e.y < 37.0 "
+        "GROUP BY e.bucket ORDER BY bucket LIMIT 3",
+        "SELECT e.id, e.x FROM events AS e WHERE e.x > 1.5 "
+        "ORDER BY id LIMIT 40",
+        _grouped_aggregate_plan,
+        _sort_limit_plan,
+    ]),
+    "star_join": ({}, [
+        "SELECT e.id, e.x, b.weight FROM events AS e JOIN buckets AS b "
+        "ON e.bucket = b.bucket WHERE e.y < 37.0 AND b.region = 'n'",
+        _fact_dim_join_plan,
+        _self_join_plan,
+    ]),
+    "per_partition_predict": ({"strategy": "none"}, [PREDICT_QUERY]),
+    "interpreted": ({"compile_expressions": False}, [
+        "SELECT e.id, e.x + e.y AS s FROM events AS e WHERE e.x > 1.0",
+        "SELECT e.bucket, COUNT(*) AS c, AVG(e.x) AS m FROM events AS e "
+        "WHERE e.y < 37.0 GROUP BY e.bucket ORDER BY bucket",
+    ]),
+    "static": ({"adaptive": False}, [
+        "SELECT e.id, e.x FROM events AS e WHERE e.bucket = 3 AND e.y < 50.0",
+        "SELECT AVG(e.x) AS m, COUNT(*) AS c FROM events AS e "
+        "WHERE e.y < 37.0",
+    ]),
+}
+LAYOUTS = ["unpartitioned", "partition_column", "num_partitions", "spilled"]
+
+
+def _morsels_executed(session: RavenSession) -> int:
+    counters = session.telemetry.metrics.snapshot()["counters"]
+    return counters.get("morsels_executed", 0)
+
+
+class TestFanOutMatrix:
     @pytest.fixture(scope="class")
-    def oracle(self):
-        session = make_session(dop=1)
-        return [session.sql(q) for q in QUERIES]
+    def model(self):
+        return _bucket_model()
 
-    @pytest.mark.parametrize("dop", [1, 2, 4])
-    def test_bit_for_bit_across_dop(self, oracle, dop):
-        session = make_session(dop=dop)
-        for query, expected in zip(QUERIES, oracle):
-            assert tables_equal_bitwise(session.sql(query), expected), query
+    @pytest.fixture(scope="class")
+    def layouts(self, tmp_path_factory):
+        return _layouts(tmp_path_factory.mktemp("spill"))
 
-    @pytest.mark.parametrize("dop", [2, 4])
-    def test_interpreted_engine_matches_too(self, oracle, dop):
-        session = make_session(dop=dop, compile_expressions=False)
-        for query, expected in zip(QUERIES, oracle):
-            assert tables_equal_bitwise(session.sql(query), expected), query
-
-    def test_static_session_matches(self, oracle):
-        session = make_session(dop=4, adaptive=False)
-        for query, expected in zip(QUERIES, oracle):
-            assert tables_equal_bitwise(session.sql(query), expected), query
-
-    def test_single_partition_table(self):
-        table = make_events(20_000, buckets=1)
-        serial = RavenSession(dop=1)
-        serial.register_table("events", table)
-        parallel = RavenSession(dop=4)
-        parallel.register_table("events", table)
-        query = "SELECT e.id, e.x FROM events AS e WHERE e.y < 20.0"
-        assert tables_equal_bitwise(serial.sql(query), parallel.sql(query))
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    # 7 divides neither the rows nor the partition counts evenly.
+    @pytest.mark.parametrize("dop", [1, 2, 4, 7])
+    def test_cell_equals_whole_plan_run(self, dop, layout, shape, model,
+                                        layouts):
+        kwargs, inputs = SHAPES[shape]
+        session = RavenSession(dop=dop, **kwargs)
+        session.register_table("events", layouts[layout],
+                               primary_key=["id"])
+        session.register_table("buckets", BUCKETS, primary_key=["bucket"])
+        session.register_model("m", model)
+        for item in inputs:
+            if isinstance(item, str):
+                plan, _ = session.optimize(item)
+                actual = session.sql(item)
+            else:
+                plan = item()
+                before = _morsels_executed(session)
+                actual = session.execute_plan(plan)
+                if item is _self_join_plan:
+                    assert _morsels_executed(session) == before
+            # The oracle: one compiled whole-plan Executor over the
+            # concatenated table (global model, no fan-out, no skipping).
+            expected = Executor(session.catalog,
+                                session.runtime.for_call()).execute(plan)
+            assert tables_equal_bitwise(actual, expected), (shape, item)
+            if shape == "all_skipped":
+                assert actual.num_rows == 0
+                assert actual.column_names == ["id", "x"]
+            if shape == "per_partition_predict" and layout != "unpartitioned":
+                (predict,) = find_predict_nodes(plan)
+                assert predict.per_partition_graphs is not None
 
     def test_empty_partitions_in_layout(self):
         base = make_events(6_000, buckets=3)
@@ -163,9 +337,99 @@ class TestMorselDifferential:
         serial.register_table("events", layout)
         parallel = RavenSession(dop=4)
         parallel.register_table("events", layout)
-        for query in QUERIES:
-            assert tables_equal_bitwise(serial.sql(query),
-                                        parallel.sql(query)), query
+        for _, inputs in SHAPES.values():
+            for query in inputs:
+                if isinstance(query, str) and "PREDICT" not in query \
+                        and "buckets" not in query:
+                    assert tables_equal_bitwise(serial.sql(query),
+                                                parallel.sql(query)), query
+
+
+# ---------------------------------------------------------------------------
+# One execution context: the serial tail is observed and bounded
+# ---------------------------------------------------------------------------
+
+TAIL_QUERY = ("SELECT e.bucket, COUNT(*) AS c, AVG(e.x) AS m "
+              "FROM events AS e WHERE e.y < 37.0 "
+              "GROUP BY e.bucket ORDER BY bucket")
+
+
+def _observed_rows(session: RavenSession):
+    _, stats = session.sql_with_stats(TAIL_QUERY)
+    return [(p.operator, p.rows_in, p.rows_out)
+            for p in stats.operator_profiles.walk()]
+
+
+class TestSerialTailContext:
+    @pytest.mark.parametrize("partition_column", [None, "bucket"])
+    def test_tail_operators_observed_like_dop1(self, partition_column):
+        observed = {}
+        for dop in (1, 4):
+            session = RavenSession(dop=dop)
+            session.register_table("events", EVENTS,
+                                   partition_column=partition_column)
+            observed[dop] = _observed_rows(session)
+            text = session.explain(TAIL_QUERY, analyze=True)
+            assert "0->0 rows" not in text
+        assert observed[4] == observed[1]
+        tail = [row for row in observed[4]
+                if row[0].startswith(("Sort", "Project", "Aggregate"))]
+        assert len(tail) == 3 and all(rows_in > 0 for _, rows_in, _ in tail)
+
+    def test_deadline_fires_in_tail_operator(self, monkeypatch):
+        # The clock jumps past the expiry right after the fan-out, so the
+        # first check that can fire is a serial-tail operator's.
+        now = [0.0]
+        deadline = Deadline(1.0, clock=lambda: now[0])
+        fan_out = MorselExecutor._run_morsels
+
+        def expire_after_fan_out(self, *args):
+            pieces = fan_out(self, *args)
+            now[0] = 5.0
+            return pieces
+
+        monkeypatch.setattr(MorselExecutor, "_run_morsels",
+                            expire_after_fan_out)
+        session = make_session(dop=4)
+        with pytest.raises(DeadlineExceededError) as raised:
+            session.sql(TAIL_QUERY, deadline=deadline)
+        assert raised.value.where.startswith("operator Sort")
+
+    def test_tail_operators_traced_under_execute_span(self):
+        session = make_session(dop=4, telemetry=True)
+        session.sql(TAIL_QUERY)
+        names = [s.name for s in session.telemetry.tracer.last().spans()]
+        assert {"Sort", "Aggregate", "Materialized", "scan.morsel"} \
+            <= set(names)
+
+    def test_per_partition_models_run_on_several_workers(self):
+        session = make_session(dop=4, telemetry=True, strategy="none")
+        session.register_model("m", _bucket_model())
+        plan, _ = session.optimize(PREDICT_QUERY)
+        (predict,) = find_predict_nodes(plan)
+        assert len(predict.per_partition_graphs) == 6
+        # The first predict call waits for a second worker to arrive, so
+        # a fan-out always shows two threads (a serial per-partition
+        # loop would time out here and fail the thread-id check below).
+        seen, overlapped = set(), threading.Event()
+        run_batched = session.runtime.run_graph_batched
+
+        def gated(*args, **kwargs):
+            seen.add(threading.get_ident())
+            if len(seen) > 1:
+                overlapped.set()
+            overlapped.wait(timeout=10)
+            return run_batched(*args, **kwargs)
+
+        session.runtime.run_graph_batched = gated
+        actual = session.sql(PREDICT_QUERY)
+        morsels = [s for s in session.telemetry.tracer.last().spans()
+                   if s.name == "scan.morsel"]
+        assert {s.attributes["partition"] for s in morsels} == set(range(6))
+        assert len({s.thread_id for s in morsels}) > 1
+        serial = make_session(dop=1, strategy="none")
+        serial.register_model("m", _bucket_model())
+        assert tables_equal_bitwise(actual, serial.sql(PREDICT_QUERY))
 
 
 # ---------------------------------------------------------------------------

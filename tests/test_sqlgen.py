@@ -1,4 +1,4 @@
-"""Tests for chunk-parallel execution (DOP) and SQL text generation."""
+"""Tests for SQL text generation (expressions and plans)."""
 
 import numpy as np
 import pytest
@@ -14,18 +14,15 @@ from repro.relational import (
     InList,
     Join,
     Limit,
-    ParallelExecutor,
     Project,
     Scan,
     Sort,
     UnaryOp,
     col,
-    execute,
     expression_to_sql,
     lit,
     plan_to_sql,
 )
-from repro.relational.parallel import split_serial_tail
 from repro.storage import Catalog, DataType, Table
 
 
@@ -40,67 +37,6 @@ def catalog():
     catalog.add_table("dim", Table.from_arrays(
         key=np.arange(20), w=rng.normal(size=20)), primary_key=["key"])
     return catalog
-
-
-class TestParallelExecutor:
-    @pytest.mark.parametrize("dop", [1, 2, 4, 7])
-    def test_filter_project_matches_serial(self, catalog, dop):
-        plan = Project(Filter(Scan("fact"), col("fact.v").gt(0.0)),
-                       [("v", col("fact.v"))])
-        serial = execute(plan, catalog)
-        parallel = ParallelExecutor(catalog, dop=dop).execute(plan)
-        assert np.allclose(np.sort(serial.array("v")),
-                           np.sort(parallel.array("v")))
-
-    @pytest.mark.parametrize("dop", [2, 4])
-    def test_join_chunked_on_fact_side(self, catalog, dop):
-        plan = Join(Scan("fact"), Scan("dim"), ["fact.key"], ["dim.key"])
-        serial = execute(plan, catalog)
-        parallel = ParallelExecutor(catalog, dop=dop).execute(plan)
-        assert serial.num_rows == parallel.num_rows
-        assert np.allclose(np.sort(serial.array("dim.w")),
-                           np.sort(parallel.array("dim.w")))
-
-    def test_aggregate_tail_runs_once(self, catalog):
-        plan = Aggregate(Scan("fact"), ["fact.key"],
-                         [AggregateSpec("n", "count"),
-                          AggregateSpec("s", "sum", "fact.v")])
-        serial = execute(plan, catalog)
-        parallel = ParallelExecutor(catalog, dop=4).execute(plan)
-        s = {r["fact.key"]: r for r in serial.to_rows()}
-        p = {r["fact.key"]: r for r in parallel.to_rows()}
-        assert s.keys() == p.keys()
-        for key in s:
-            assert s[key]["n"] == p[key]["n"]
-            assert np.isclose(s[key]["s"], p[key]["s"])
-
-    def test_global_aggregate(self, catalog):
-        plan = Aggregate(Scan("fact"), [], [AggregateSpec("n", "count")])
-        out = ParallelExecutor(catalog, dop=3).execute(plan)
-        assert out.array("n")[0] == 2_000
-
-    def test_sort_limit_tail(self, catalog):
-        plan = Limit(Sort(Project(Scan("fact"), [("v", col("fact.v"))]),
-                          [("v", True)]), 5)
-        serial = execute(plan, catalog)
-        parallel = ParallelExecutor(catalog, dop=4).execute(plan)
-        assert serial.array("v").tolist() == parallel.array("v").tolist()
-
-    def test_self_join_falls_back_to_serial(self, catalog):
-        plan = Join(Scan("fact", "a"), Scan("fact", "b"), ["a.id"], ["b.id"])
-        out = ParallelExecutor(catalog, dop=4).execute(plan)
-        assert out.num_rows == 2_000
-
-    def test_invalid_dop(self, catalog):
-        with pytest.raises(ValueError):
-            ParallelExecutor(catalog, dop=0)
-
-    def test_split_serial_tail(self, catalog):
-        plan = Limit(Sort(Filter(Scan("fact"), col("fact.v").gt(0)),
-                          [("fact.v", True)]), 3)
-        tail, body = split_serial_tail(plan)
-        assert [type(t).__name__ for t in tail] == ["Limit", "Sort"]
-        assert isinstance(body, Filter)
 
 
 class TestExpressionToSql:
