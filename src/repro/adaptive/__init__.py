@@ -32,7 +32,6 @@ from repro.adaptive.profile import (
     OperatorProfile,
     PlanProfiler,
     conjunct_fingerprint,
-    expression_fingerprint,
     join_edge_fingerprint,
     join_region,
     join_step_fingerprints,
@@ -48,7 +47,7 @@ __all__ = [
     "ConjunctProfile", "FeedbackStore", "FeedbackStoreStats", "JoinRegion",
     "JoinStepProfile",
     "OperatorFeedback", "OperatorProfile", "PlanProfiler", "apply_feedback",
-    "conjunct_fingerprint", "expression_fingerprint", "feedback_divergence",
+    "conjunct_fingerprint", "feedback_divergence",
     "join_edge_fingerprint", "join_region", "join_step_fingerprints",
     "plan_fingerprint", "plan_join_order",
 ]

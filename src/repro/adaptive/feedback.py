@@ -103,10 +103,6 @@ class FeedbackStoreStats:
     model_evictions: int = 0
     merges: int = 0
 
-    def snapshot(self) -> "FeedbackStoreStats":
-        return FeedbackStoreStats(self.operator_evictions,
-                                  self.model_evictions, self.merges)
-
 
 @dataclass
 class OperatorFeedback:
@@ -281,12 +277,12 @@ class FeedbackStore:
             for profile in root.walk():
                 if profile.calls == 0:
                     continue
-                self._observe(profile.fingerprint, profile.operator,
+                self._observe(profile.fingerprint, lambda: profile.operator,
                               profile.rows_in, profile.rows_out,
                               profile.self_seconds, profile.calls)
                 for part in profile.conjuncts:
                     self._observe(part.fingerprint,
-                                  f"conjunct:{part.expression}",
+                                  lambda: f"conjunct:{part.expression}",
                                   part.rows_in, part.rows_out, part.seconds,
                                   part.calls)
                 for step in profile.joins:
@@ -296,22 +292,25 @@ class FeedbackStore:
                     # joins already reduced either side, which is what the
                     # ordering pass needs to cost any candidate sequence.
                     self._observe(step.fingerprint,
-                                  f"joinstep:{step.detail}",
+                                  lambda: f"joinstep:{step.detail}",
                                   step.cross_rows, step.rows_out,
                                   step.seconds, step.calls)
                 for part in profile.partitions:
                     self._observe(part.fingerprint,
-                                  f"partition:{profile.operator}"
-                                  f":{part.partition}",
+                                  lambda: f"partition:{profile.operator}"
+                                          f":{part.partition}",
                                   part.rows_in, part.rows_out, part.seconds,
                                   part.calls)
 
-    def _observe(self, fingerprint: str, operator: str, rows_in: int,
+    def _observe(self, fingerprint: str, label, rows_in: int,
                  rows_out: int, seconds: float, calls: int) -> None:
+        """Fold one observation in; ``label()`` names the entry and is
+        called only when the fingerprint is new (profile labels render
+        their plan node on first read — a known fingerprint never asks)."""
         feedback = self._operators.get(fingerprint)
         if feedback is None:
             feedback = self._operators[fingerprint] = OperatorFeedback(
-                operator=operator)
+                operator=label())
             self._bound_operators_locked()
         else:
             self._operators.move_to_end(fingerprint)
@@ -326,23 +325,6 @@ class FeedbackStore:
         while len(self._models) > self.max_model_entries:
             self._models.popitem(last=False)
             self.stats.model_evictions += 1
-
-    def record_partition(self, fingerprint: str, partition: int,
-                         rows_in: int, rows_out: int,
-                         seconds: float) -> None:
-        """Record one partition-restricted execution of an operator.
-
-        The morsel executor calls this per finished morsel (several
-        morsels of one partition accumulate under one key). Entries live
-        in the same operator map under the composed
-        :func:`~repro.adaptive.profile.partition_fingerprint`, so they
-        export, merge and LRU-bound exactly like every other
-        observation.
-        """
-        with self._lock:
-            self._observe(partition_fingerprint(fingerprint, partition),
-                          f"partition:{fingerprint}:{partition}",
-                          rows_in, rows_out, seconds, 1)
 
     def record_predict(self, model_name: str, rows: int,
                        seconds: float) -> None:

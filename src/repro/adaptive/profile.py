@@ -3,13 +3,13 @@
 The optimizer never sees a single run today: it estimates selectivities
 and costs statically, and a misestimate is baked into the cached plan
 forever. This module closes half of that loop — it observes. The
-relational executor, when handed a :class:`PlanProfiler`, records every
-operator's output cardinality and inclusive wall time (and, for filters
-over conjunctions, the per-conjunct cascade) into per-node accumulators;
-:meth:`PlanProfiler.profile_tree` assembles them into an
-:class:`OperatorProfile` tree mirroring the plan, which is attached to
-:class:`~repro.core.session.RunStats` and fed to the
-:class:`~repro.adaptive.feedback.FeedbackStore`.
+relational executor records every operator's rows in/out and inclusive
+wall time (and, for filters over conjunctions, the per-conjunct cascade)
+on the run's :class:`PlanProfiler` — the executor-facing half of the
+per-query record, :class:`~repro.core.session.RunStats`;
+:meth:`PlanProfiler.profile_tree` links the observations into an
+:class:`OperatorProfile` tree mirroring the plan, which EXPLAIN ANALYZE
+renders and the :class:`~repro.adaptive.feedback.FeedbackStore` folds in.
 
 Profiles aggregate under **structural fingerprints** rather than object
 identities, so observations survive re-optimization: a re-optimized plan
@@ -49,15 +49,6 @@ from repro.relational.logical import (
 
 def _digest(text: str) -> str:
     return hashlib.md5(text.encode("utf-8")).hexdigest()[:16]
-
-
-def expression_fingerprint(expr: Expression) -> str:
-    """Deterministic structural fingerprint of a scalar expression.
-
-    Built from the recursive ``repr`` (which every expression type renders
-    canonically), digested so keys stay short even for MLtoSQL trees.
-    """
-    return _digest(repr(expr))
 
 
 def plan_fingerprint(node: PlanNode) -> str:
@@ -346,22 +337,60 @@ def join_step_fingerprints(node: PlanNode) -> Optional[Tuple[str, ...]]:
 # Profile data model
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ConjunctProfile:
-    """Observed behaviour of one conjunct within a filter cascade."""
+def _lazy_text(name: str) -> property:
+    """A text field that may be handed the plan node or expression it
+    describes instead of the text: ``repr`` runs on first read, once.
 
-    expression: str
-    fingerprint: str
+    Labels are read by EXPLAIN ANALYZE and by the feedback store when it
+    meets a *new* fingerprint; a warmed query never reads one, so it never
+    pays for stringifying its plan (an MLtoSQL ``Project`` renders a whole
+    decision tree).
+    """
+    slot = "_" + name
+
+    def fget(self) -> str:
+        value = self.__dict__[slot]
+        if not isinstance(value, str):
+            value = self.__dict__[slot] = repr(value)
+        return value
+
+    def fset(self, value) -> None:
+        self.__dict__[slot] = value
+
+    return property(fget, fset)
+
+
+@dataclass(kw_only=True)
+class _RowCounts:
+    """Totals of one observed thing over a run: calls, rows, seconds."""
+
     calls: int = 0
     rows_in: int = 0
     rows_out: int = 0
     seconds: float = 0.0
+
+    def add(self, rows_in: int, rows_out: int, seconds: float) -> None:
+        self.calls += 1
+        self.rows_in += rows_in
+        self.rows_out += rows_out
+        self.seconds += seconds
 
     @property
     def selectivity(self) -> Optional[float]:
         if self.rows_in <= 0:
             return None
         return self.rows_out / self.rows_in
+
+
+@dataclass
+class ConjunctProfile(_RowCounts):
+    """Observed behaviour of one conjunct within a filter cascade."""
+
+    expression: str
+    fingerprint: str
+
+
+ConjunctProfile.expression = _lazy_text("expression")
 
 
 @dataclass
@@ -397,7 +426,7 @@ class JoinStepProfile:
 
 
 @dataclass
-class PartitionProfile:
+class PartitionProfile(_RowCounts):
     """Observed behaviour of one partition under one operator.
 
     Recorded per morsel by the morsel driver: ``rows_in`` counts partition
@@ -409,20 +438,10 @@ class PartitionProfile:
 
     partition: int
     fingerprint: str
-    calls: int = 0
-    rows_in: int = 0
-    rows_out: int = 0
-    seconds: float = 0.0
-
-    @property
-    def selectivity(self) -> Optional[float]:
-        if self.rows_in <= 0:
-            return None
-        return self.rows_out / self.rows_in
 
 
 @dataclass
-class OperatorProfile:
+class OperatorProfile(_RowCounts):
     """One plan operator's aggregated runtime observations.
 
     ``seconds`` is inclusive (operator + its inputs); :attr:`self_seconds`
@@ -433,10 +452,6 @@ class OperatorProfile:
 
     operator: str
     fingerprint: str
-    calls: int = 0
-    rows_in: int = 0
-    rows_out: int = 0
-    seconds: float = 0.0
     children: List["OperatorProfile"] = field(default_factory=list)
     conjuncts: List[ConjunctProfile] = field(default_factory=list)
     joins: List[JoinStepProfile] = field(default_factory=list)
@@ -445,12 +460,6 @@ class OperatorProfile:
     @property
     def self_seconds(self) -> float:
         return max(0.0, self.seconds - sum(c.seconds for c in self.children))
-
-    @property
-    def selectivity(self) -> Optional[float]:
-        if self.rows_in <= 0:
-            return None
-        return self.rows_out / self.rows_in
 
     def walk(self):
         yield self
@@ -483,59 +492,87 @@ class OperatorProfile:
         return "\n".join(lines)
 
 
-class _NodeAccumulator:
-    __slots__ = ("calls", "rows_out", "seconds")
-
-    def __init__(self):
-        self.calls = 0
-        self.rows_out = 0
-        self.seconds = 0.0
+OperatorProfile.operator = _lazy_text("operator")
 
 
 class PlanProfiler:
-    """Thread-safe per-execution collector of operator observations.
+    """What the executors of one plan run write — the executor-facing half
+    of the per-query record (:class:`~repro.core.session.RunStats` is this
+    class plus what the session knows: route, cache outcome, timings).
 
-    One profiler is shared by every :class:`~repro.relational.executor.
+    One instance is shared by every :class:`~repro.relational.executor.
     Executor` a query fans out to (one per morsel plus the serial tail),
-    so the assembled tree aggregates the whole execution. Accumulators key on
-    node identity (the plan object outlives the run); fingerprints are
-    resolved once, at :meth:`profile_tree` time.
+    so it aggregates the whole execution; every write takes the one lock.
+    Observations accumulate straight into the :class:`OperatorProfile` of
+    their plan node, keyed by node identity (the profile holds the node,
+    so the id cannot be recycled) with the label left unrendered;
+    :meth:`profile_tree` only links them into the plan's shape.
+
+    ``profile`` says whether operators are observed at all (rows, time,
+    the per-conjunct cascade); the expression-program counters are always
+    kept. ``span`` is the telemetry span work currently runs under (None
+    when tracing is off): operators and predict batches open their child
+    spans on it.
     """
 
-    __slots__ = ("_lock", "_nodes", "_conjuncts", "_joins", "_partitions")
-
     def __init__(self):
+        self.profile = True
+        self.span = None
+        # Compiled-expression engine reuse: programs compiled this run vs
+        # fetched from the per-plan cache, and operators that fell back
+        # from the compiled engine to the interpreted oracle.
+        self.programs_compiled = 0
+        self.programs_reused = 0
+        self.expression_fallbacks = 0
         self._lock = threading.Lock()
-        self._nodes: Dict[int, _NodeAccumulator] = {}
-        self._conjuncts: Dict[Tuple[int, int], ConjunctProfile] = {}
-        self._joins: Dict[Tuple[int, int], JoinStepProfile] = {}
-        self._partitions: Dict[Tuple[int, int], PartitionProfile] = {}
+        self._nodes: Dict[int, OperatorProfile] = {}
+        self._parts: Dict[Tuple[int, str, int], object] = {}
 
     # ------------------------------------------------------------------
-    def record_operator(self, node: PlanNode, rows_out: int,
-                        seconds: float) -> None:
+    def record_program(self, compiled: bool) -> None:
         with self._lock:
-            acc = self._nodes.get(id(node))
-            if acc is None:
-                acc = self._nodes[id(node)] = _NodeAccumulator()
-            acc.calls += 1
-            acc.rows_out += rows_out
-            acc.seconds += seconds
+            if compiled:
+                self.programs_compiled += 1
+            else:
+                self.programs_reused += 1
+
+    def record_fallback(self) -> None:
+        with self._lock:
+            self.expression_fallbacks += 1
+
+    def _node_locked(self, node: PlanNode) -> OperatorProfile:
+        profile = self._nodes.get(id(node))
+        if profile is None:
+            profile = self._nodes[id(node)] = OperatorProfile(
+                node, plan_fingerprint(node))
+        return profile
+
+    def _part_locked(self, node: PlanNode, kind: str, index: int, make):
+        """The ``index``-th entry of ``node``'s ``kind`` list (conjuncts,
+        joins, partitions), made on first sight. A cascade reaches
+        conjunct k — a MultiJoin step k — only after k-1, on every
+        thread, so those lists fill in index order."""
+        part = self._parts.get((id(node), kind, index))
+        if part is None:
+            part = self._parts[(id(node), kind, index)] = make()
+            getattr(self._node_locked(node), kind).append(part)
+        return part
+
+    def record_operator(self, node: PlanNode, rows_out: int, seconds: float,
+                        rows_in: Optional[int] = None) -> None:
+        """One execution of ``node``; ``rows_in`` None means a leaf, which
+        reads what it emits."""
+        with self._lock:
+            self._node_locked(node).add(
+                rows_out if rows_in is None else rows_in, rows_out, seconds)
 
     def record_conjunct(self, node: Filter, index: int, expression: Expression,
                         rows_in: int, rows_out: int, seconds: float) -> None:
-        key = (id(node), index)
         with self._lock:
-            part = self._conjuncts.get(key)
-            if part is None:
-                part = self._conjuncts[key] = ConjunctProfile(
-                    expression=repr(expression),
-                    fingerprint=conjunct_fingerprint(node, index),
-                )
-            part.calls += 1
-            part.rows_in += rows_in
-            part.rows_out += rows_out
-            part.seconds += seconds
+            self._part_locked(
+                node, "conjuncts", index, lambda: ConjunctProfile(
+                    expression, conjunct_fingerprint(node, index))
+            ).add(rows_in, rows_out, seconds)
 
     def record_join(self, node: PlanNode, step: int, detail: str,
                     rows_left: int, rows_right: int, rows_out: int,
@@ -548,12 +585,10 @@ class PlanProfiler:
         fps = join_step_fingerprints(node)
         if fps is None or step >= len(fps):
             return
-        key = (id(node), step)
         with self._lock:
-            entry = self._joins.get(key)
-            if entry is None:
-                entry = self._joins[key] = JoinStepProfile(
-                    detail=detail, fingerprint=fps[step])
+            entry = self._part_locked(
+                node, "joins", step,
+                lambda: JoinStepProfile(detail=detail, fingerprint=fps[step]))
             entry.calls += 1
             entry.rows_left += rows_left
             entry.rows_right += rows_right
@@ -569,65 +604,27 @@ class PlanProfiler:
         Called per morsel; several morsels of one partition accumulate
         into one entry.
         """
-        key = (id(node), partition)
         with self._lock:
-            entry = self._partitions.get(key)
-            if entry is None:
-                entry = self._partitions[key] = PartitionProfile(
-                    partition=partition,
-                    fingerprint=partition_fingerprint(
-                        plan_fingerprint(node), partition),
-                )
-            entry.calls += 1
-            entry.rows_in += rows_in
-            entry.rows_out += rows_out
-            entry.seconds += seconds
+            self._part_locked(
+                node, "partitions", partition, lambda: PartitionProfile(
+                    partition=partition, fingerprint=partition_fingerprint(
+                        plan_fingerprint(node), partition))
+            ).add(rows_in, rows_out, seconds)
 
     # ------------------------------------------------------------------
     def profile_tree(self, plan: PlanNode) -> OperatorProfile:
-        """Assemble the profile tree for ``plan`` from the accumulators.
+        """The observations as a tree mirroring ``plan``.
 
         Nodes without observations appear with zero calls, so the tree
-        always mirrors the full plan shape.
+        always has the full plan shape.
         """
         with self._lock:
-            nodes = dict(self._nodes)
-            conjunct_parts = dict(self._conjuncts)
-            join_parts = dict(self._joins)
-            partition_parts = dict(self._partitions)
-        return self._assemble(plan, nodes, conjunct_parts, join_parts,
-                              partition_parts)
+            return self._link_locked(plan)
 
-    def _assemble(self, node: PlanNode, nodes, conjunct_parts, join_parts,
-                  partition_parts) -> OperatorProfile:
-        children = [self._assemble(child, nodes, conjunct_parts, join_parts,
-                                   partition_parts)
-                    for child in node.children()]
-        acc = nodes.get(id(node))
-        profile = OperatorProfile(
-            operator=node._label(),
-            fingerprint=plan_fingerprint(node),
-            calls=acc.calls if acc else 0,
-            rows_out=acc.rows_out if acc else 0,
-            seconds=acc.seconds if acc else 0.0,
-            children=children,
-        )
-        if children:
-            profile.rows_in = sum(child.rows_out for child in children)
-        else:
-            # Leaves (scans) read what they emit.
-            profile.rows_in = profile.rows_out
-        if isinstance(node, Filter):
-            parts = [part for (node_id, _), part
-                     in sorted(conjunct_parts.items())
-                     if node_id == id(node)]
-            profile.conjuncts = parts
-        if isinstance(node, (Join, MultiJoin)):
-            profile.joins = [part for (node_id, _), part
-                             in sorted(join_parts.items())
-                             if node_id == id(node)]
-        parts = [part for (node_id, _), part
-                 in sorted(partition_parts.items()) if node_id == id(node)]
-        if parts:
-            profile.partitions = parts
+    def _link_locked(self, node: PlanNode) -> OperatorProfile:
+        profile = self._node_locked(node)
+        profile.children = [self._link_locked(child)
+                            for child in node.children()]
+        # Morsels finish in scheduling order, not partition order.
+        profile.partitions.sort(key=lambda part: part.partition)
         return profile

@@ -25,7 +25,6 @@ import numpy as np
 from repro.errors import ExecutionError
 from repro.onnxlite.graph import Graph
 from repro.onnxlite.runtime import InferenceSession
-from repro.relational.executor import ExecStats
 from repro.relational.logical import Predict, PredictMode
 from repro.relational.morsel import MorselExecutor, chunk_ranges
 from repro.storage.catalog import Catalog
@@ -163,26 +162,25 @@ class PredictRuntime:
         session = self.session_for(graph)
         batch_size = batch_size or self.batch_size
         if num_rows <= batch_size:
-            self._pre_batch(detail=f"rows={num_rows}")
-            if self.span is not None:
-                with self.span.child("predict.batch", category="predict",
-                                     rows=num_rows):
-                    return session.run(inputs, wanted)
-            return session.run(inputs, wanted)
+            return self._run_batch(session, inputs, wanted, num_rows)
         pieces: Dict[str, List[np.ndarray]] = {name: [] for name in wanted}
         n_chunks = -(-num_rows // batch_size)
         for start, stop in chunk_ranges(num_rows, n_chunks):
-            self._pre_batch(detail=f"rows={stop - start}")
             batch = {name: array[start:stop] for name, array in inputs.items()}
-            if self.span is not None:
-                with self.span.child("predict.batch", category="predict",
-                                     rows=stop - start):
-                    result = session.run(batch, wanted)
-            else:
-                result = session.run(batch, wanted)
+            result = self._run_batch(session, batch, wanted, stop - start)
             for name in wanted:
                 pieces[name].append(result[name])
         return {name: np.concatenate(chunks) for name, chunks in pieces.items()}
+
+    def _run_batch(self, session: InferenceSession,
+                   batch: Dict[str, np.ndarray], wanted: List[str],
+                   rows: int) -> Dict[str, np.ndarray]:
+        """One inference batch, under a ``predict.batch`` span if traced."""
+        self._pre_batch(detail=f"rows={rows}")
+        if self.span is None:
+            return session.run(batch, wanted)
+        with self.span.child("predict.batch", category="predict", rows=rows):
+            return session.run(batch, wanted)
 
     def _run_tensor(self, runtime: TensorRuntime, graph: Graph,
                     inputs: Dict[str, np.ndarray],
@@ -226,26 +224,23 @@ class QueryExecutor(MorselExecutor):
     (one task per partition with a partition-local model, like Spark,
     paper §6) and zone-map skipping — is all
     :class:`~repro.relational.morsel.MorselExecutor`; this class only
-    mirrors the per-query deadline, fault injector and span onto the
-    predict runtime so predict batches are bounded and traced like the
-    relational operators around them.
+    mirrors the per-query deadline, fault injector and the record's span
+    onto the predict runtime so predict batches are bounded and traced
+    like the relational operators around them.
     """
 
     def __init__(self, catalog: Catalog, runtime: Optional[PredictRuntime] = None,
                  dop: int = 1, compile_expressions: bool = True,
-                 profiler=None, deadline=None, faults=None, span=None,
+                 record=None, deadline=None, faults=None,
                  feedback=None, metrics=None):
         self.runtime = runtime or PredictRuntime()
+        super().__init__(catalog, dop, self.runtime,
+                         compile_expressions=compile_expressions,
+                         record=record, deadline=deadline, faults=faults,
+                         feedback=feedback, metrics=metrics)
         if deadline is not None:
             self.runtime.deadline = deadline
         if faults is not None:
             self.runtime.faults = faults
-        if span is not None:
-            self.runtime.span = span
-        # exec_stats aggregates every executor the query fans out to;
-        # read by RunStats.
-        super().__init__(catalog, dop, self.runtime,
-                         compile_expressions=compile_expressions,
-                         exec_stats=ExecStats(), profiler=profiler,
-                         deadline=deadline, faults=faults, span=span,
-                         feedback=feedback, metrics=metrics)
+        if self.record.span is not None:
+            self.runtime.span = self.record.span

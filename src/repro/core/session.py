@@ -15,36 +15,40 @@ Wraps catalog + parser + optimizer + executor:
         WHERE d.asthma = 1
     \"\"\")
 
-Per-call timing is returned by :meth:`RavenSession.sql_with_stats` (and
-mirrored into ``session.last_run`` as a best-effort alias for serial
-callers), including the modeled time adjustment for simulated-GPU
-execution.
+**One record per query.** Every run — ``sql()``, a ``serve`` attempt,
+``explain(analyze=True)``, a prepared plan — creates one
+:class:`RunStats` and is the only thing the run writes to: the session
+stamps the route, the cache outcome, named events (``cache.*``,
+``breaker.*``, ``plan.stale``), phase timings and the error; the
+executors write per-operator rows and time, conjunct/join-step/partition
+observations and expression-program counts straight onto it. Nothing
+else is kept while a query runs.
 
-Serving: sessions are safe for concurrent ``sql()`` calls, keep a
-normalized plan cache so repeated queries skip parse/bind/optimize
-(see :mod:`repro.serving`), and expose :meth:`RavenSession.serve` to
-dispatch a batch of queries over a thread pool (with optional bounded
-pending-query depth — backpressure).
+**One lifecycle.** :meth:`RavenSession._sql_routed` is linear —
+normalize → admit (circuit breaker) → resolve the plan (the plan cache,
+or the open breaker's static entry) → execute — and the routes
+(adaptive, half-open trial, degraded-static, explain) differ only in
+which of those steps they take, never in a separate code path.
 
-Adaptive execution (on by default): every run is profiled into an
-:class:`~repro.adaptive.profile.OperatorProfile` tree (see
-``RunStats.operator_profiles``), observations aggregate in the session's
-:class:`~repro.adaptive.feedback.FeedbackStore`, the optimizer consumes
-them (conjunct reordering, join build side, predict batch sizing), and a
-cached plan that execution feedback has drifted away from is marked
-stale and re-optimized through the plan cache's single-flight path
-(``plan_cache.stats.reoptimizations``). ``RavenSession(adaptive=False)``
-turns the whole loop off and must produce bit-for-bit identical results.
+**One fold.** :meth:`RavenSession._fold` runs once when the lifecycle
+ends, on success and on every error, and derives everything else from
+the record: feedback-store observations and the staleness check that
+re-optimizes drifted cached plans (``plan_cache.stats.reoptimizations``),
+the query-run ``serving_stats`` counters, latency histograms, the
+slow-query log entry, trace root attributes, and ``session.last_run``.
+``sql_with_stats`` returns the record; EXPLAIN ANALYZE renders it.
 
-Persistence & warm start (see :mod:`repro.persist`): the warm state —
-optimized plans, learned feedback, catalog statistics — survives the
-process. ``session.save_snapshot(path)`` exports it;
-``RavenSession(warm_start=path_or_snapshot)`` starts a new worker where
-the fleet left off (plans install as their tables/models get registered,
-validated by content digest); a :class:`~repro.persist.SnapshotStore`
-auto-checkpoints every K re-optimizations.
-``RavenSession(profile_sample_rate=N)`` throttles profiling of
-fixed-point cached plans to every Nth execution.
+Around that core: sessions are safe for concurrent ``sql()`` calls, keep
+a normalized plan cache (:mod:`repro.serving`) and dispatch batches over
+a thread pool with optional backpressure (:meth:`RavenSession.serve`);
+``RavenSession(adaptive=False)`` turns profiling and the feedback loop
+off and must produce bit-for-bit identical results;
+``profile_sample_rate=N`` throttles profiling of fixed-point cached
+plans to every Nth execution; and the warm state — optimized plans,
+learned feedback, catalog statistics — survives the process through
+:mod:`repro.persist` (``save_snapshot`` / ``warm_start=`` / an attached
+:class:`~repro.persist.SnapshotStore` checkpointing every K
+re-optimizations).
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ import threading
 import time
 import uuid
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -90,6 +94,7 @@ from repro.resilience.breaker import (
     EVENT_CLOSED,
     EVENT_REOPENED,
     EVENT_TRIPPED,
+    ROUTE_ADAPTIVE,
     ROUTE_DEGRADED,
     ROUTE_TRIAL,
 )
@@ -98,7 +103,6 @@ from repro.resilience.faults import FaultInjector
 from repro.resilience.retry import (
     QueryOutcome,
     RetryPolicy,
-    outcome_degraded_flags,
     raven_typed,
 )
 from repro.relational.sqlgen import plan_to_sql
@@ -109,46 +113,127 @@ from repro.storage.partition import PartitionedTable
 from repro.storage.table import Table
 from repro.telemetry import Telemetry
 from repro.telemetry.explain import render_analyze
-from repro.telemetry.metrics import MetricsRegistry
-from repro.tensor.device import K80
+from repro.telemetry.metrics import CounterStats, MetricsRegistry
+
+#: ``RunStats.route`` of an ``explain(analyze=True)`` run; the other
+#: routes are the breaker board's admission decisions (``ROUTE_*``).
+ROUTE_EXPLAIN = "explain"
 
 
-@dataclass
-class RunStats:
-    """Timing of one executed query.
+class RunStats(PlanProfiler):
+    """The record of one query run: written once, folded once.
 
     Returned per-call by :meth:`RavenSession.sql_with_stats` so concurrent
     callers each see their own numbers; ``session.last_run`` holds the most
-    recently finished call's stats as a best-effort alias.
+    recently finished call's record as a best-effort alias.
 
+    The session writes the query-level fields below; the executors write
+    the inherited :class:`~repro.adaptive.profile.PlanProfiler` half
+    (``programs_compiled`` / ``programs_reused`` / ``expression_fallbacks``
+    and the per-operator observations behind :attr:`operator_profiles`).
     ``optimize_seconds`` vs ``execute_seconds`` is the per-call
-    optimize/execute breakdown (``wall_seconds`` remains the measured
-    execution wall time, identical to ``execute_seconds``, for backwards
-    compatibility); ``operator_profiles`` carries the adaptive
-    subsystem's per-operator observations for profiled (adaptive) runs.
+    optimize/execute breakdown (on a plan-cache hit the former is just
+    normalize + lookup); ``seconds`` is the whole call. A run that failed
+    keeps what it observed up to ``error``.
     """
 
-    wall_seconds: float
-    gpu_adjustment_seconds: float = 0.0
-    optimize_seconds: float = 0.0
-    execute_seconds: float = 0.0
-    report: Optional[OptimizationReport] = None
-    cache_hit: bool = False
-    # Compiled-expression engine reuse: programs compiled this call vs
-    # fetched from the per-plan cache (warm hits report reused only).
-    programs_compiled: int = 0
-    programs_reused: int = 0
-    # Per-operator runtime profile of this call (None for adaptive=False).
-    operator_profiles: Optional[OperatorProfile] = None
-    # Degraded-mode markers: times the compiled expression engine fell
-    # back to the interpreted oracle during this call, and whether the
-    # circuit breaker served the safe static re-optimization instead of
-    # the adaptively-annotated plan.
-    expression_fallbacks: int = 0
-    static_plan: bool = False
-    # Structural fingerprint of the executed plan (joinable against the
-    # plan cache, the feedback store, and slow-query-log entries).
-    plan_fingerprint: Optional[str] = None
+    def __init__(self, query: str = "", route: str = ROUTE_ADAPTIVE,
+                 plan: Optional[PlanNode] = None,
+                 report: Optional[OptimizationReport] = None):
+        super().__init__()
+        # Decided once the plan is resolved (see _sql_routed).
+        self.profile = False
+        self.query = query
+        # adaptive | trial | degraded (served the breaker's static plan)
+        # | explain.
+        self.route = route
+        # Which execution of a served query this was (1 = first try).
+        self.attempt = 1
+        self.plan = plan
+        self.report = report
+        self.cache_hit = False
+        # The plan-cache key and entry that served the plan (None when
+        # the cache is off, the plan was static or handed in prepared).
+        self.key = None
+        self.entry: Optional[CachedPlan] = None
+        # The query's breaker state as an EXPLAIN saw it.
+        self.breaker_state: Optional[str] = None
+        self.seconds = 0.0
+        self.optimize_seconds = 0.0
+        self.execute_seconds = 0.0
+        # Modeled-minus-measured device time of simulated-GPU predicts.
+        self.gpu_adjustment_seconds = 0.0
+        # Named lifecycle events in order: cache.hit/miss/join/coalesced,
+        # breaker.trial/degraded/tripped/reopened/closed, plan.stale.
+        self.events: List[str] = []
+        self.error: Optional[BaseException] = None
+        # The query's span tree when tracing is on (``span``, inherited,
+        # is the span the current lifecycle phase runs under).
+        self.trace = None
+
+    # -- written by the session as the lifecycle advances ---------------
+    def event(self, name: str, **attributes) -> None:
+        """Note a named lifecycle event: kept on the record (the serving
+        counters are folded from these) and marked on the current span."""
+        self.events.append(name)
+        if self.span is not None:
+            self.span.event(name, **attributes)
+
+    @contextmanager
+    def phase(self, name: str, **attributes):
+        """Run the ``optimize`` or ``execute`` phase: time it into
+        ``<name>_seconds`` (also when it fails) and, when tracing, under a
+        child span that becomes the current one. Yields that span or None.
+        """
+        parent = self.span
+        span = None
+        if parent is not None:
+            span = self.span = parent.child(name, category=name, **attributes)
+        started = time.perf_counter()
+        try:
+            yield span
+        except BaseException:
+            if span is not None:
+                span.finish(status="error")
+            raise
+        finally:
+            setattr(self, f"{name}_seconds", time.perf_counter() - started)
+            self.span = parent
+        if span is not None:
+            span.finish()
+
+    def mark_attempt(self, attempt: int) -> None:
+        """Stamp which serve attempt this run was (known only once the
+        retry loop sees it return), on the record and its trace root."""
+        self.attempt = attempt
+        if self.trace is not None:
+            self.trace.root.set(attempt=attempt)
+
+    # -- derived views ---------------------------------------------------
+    @property
+    def static_plan(self) -> bool:
+        """Whether the circuit breaker served the safe static
+        re-optimization instead of the adaptively-annotated plan."""
+        return self.route == ROUTE_DEGRADED
+
+    @property
+    def plan_fingerprint(self) -> Optional[str]:
+        """Structural fingerprint of the executed plan (joinable against
+        the plan cache, the feedback store, and slow-query-log entries)."""
+        return None if self.plan is None else plan_fingerprint(self.plan)
+
+    @property
+    def operator_profiles(self) -> Optional[OperatorProfile]:
+        """Per-operator runtime profile of this call, as a tree mirroring
+        the plan (None when the run was not profiled)."""
+        if not self.profile or self.plan is None:
+            return None
+        return self.profile_tree(self.plan)
+
+    @property
+    def wall_seconds(self) -> float:
+        """The measured execution wall time (alias of ``execute_seconds``)."""
+        return self.execute_seconds
 
     @property
     def total_seconds(self) -> float:
@@ -160,23 +245,10 @@ class RunStats:
     def adjusted_seconds(self) -> float:
         """Wall time with measured simulated-device time replaced by the
         modeled device time (what a GPU-equipped run would have taken)."""
-        return self.wall_seconds + self.gpu_adjustment_seconds
+        return self.execute_seconds + self.gpu_adjustment_seconds
 
 
-def _serving_counter_property(name: str) -> property:
-    """Attribute API over a registry counter (read / assign / ``+=``
-    under the session's ``_stats_lock``, exactly like the dataclass
-    attributes this class replaced)."""
-    def fget(self):
-        return self._counters[name].value
-
-    def fset(self, value):
-        self._counters[name].set(value)
-
-    return property(fget, fset)
-
-
-class ServingStats:
+class ServingStats(CounterStats):
     """Counters for session serving traffic (monotonic).
 
     ``rejected`` counts queries refused by the ``"raise"`` backpressure
@@ -191,43 +263,31 @@ class ServingStats:
     ``sql()`` calls, not just ``serve`` batches — a breaker trip is a
     breaker trip however the query arrived.
 
-    Counters live on a :class:`~repro.telemetry.metrics.MetricsRegistry`
-    as ``serving_<field>`` (the session's shared registry, so one
-    metrics snapshot or Prometheus scrape sees them); the attribute API
-    is preserved bit-for-bit by properties.
+    Registry counters ``serving_<field>`` (on the session's shared
+    registry, so one metrics snapshot or Prometheus scrape sees them)
+    behind the attribute API of
+    :class:`~repro.telemetry.metrics.CounterStats`.
 
     ``queries_in_flight`` is the one non-monotonic member: a gauge of
     queries currently inside ``sql()`` (incremented on entry, decremented
     in a ``finally`` so error paths can never wedge it high), giving the
-    metrics sampler live concurrency next to queue depth.
+    metrics sampler live concurrency next to queue depth. It is carried
+    by snapshots and the repr but is not part of equality.
     """
 
+    PREFIX = "serving"
     FIELDS = ("submitted", "completed", "rejected", "failed", "retries",
               "deadline_exceeded", "degraded_runs", "expression_fallbacks",
               "breaker_trips", "breaker_reopens", "breaker_half_opens",
               "breaker_closes")
 
-    __slots__ = ("_counters", "in_flight")
+    __slots__ = ("in_flight",)
 
-    def __init__(self, submitted: int = 0, completed: int = 0,
-                 rejected: int = 0, failed: int = 0, retries: int = 0,
-                 deadline_exceeded: int = 0, degraded_runs: int = 0,
-                 expression_fallbacks: int = 0, breaker_trips: int = 0,
-                 breaker_reopens: int = 0, breaker_half_opens: int = 0,
-                 breaker_closes: int = 0, queries_in_flight: int = 0,
-                 registry: Optional[MetricsRegistry] = None):
+    def __init__(self, *values: int, queries_in_flight: int = 0,
+                 registry: Optional[MetricsRegistry] = None, **named: int):
         if registry is None:
             registry = MetricsRegistry()
-        values = (submitted, completed, rejected, failed, retries,
-                  deadline_exceeded, degraded_runs, expression_fallbacks,
-                  breaker_trips, breaker_reopens, breaker_half_opens,
-                  breaker_closes)
-        self._counters = {}
-        for name, value in zip(self.FIELDS, values):
-            counter = registry.counter(f"serving_{name}")
-            if value:
-                counter.inc(value)
-            self._counters[name] = counter
+        super().__init__(*values, registry=registry, **named)
         self.in_flight = registry.gauge("serving_queries_in_flight")
         if queries_in_flight:
             self.in_flight.set(queries_in_flight)
@@ -236,28 +296,24 @@ class ServingStats:
     def queries_in_flight(self) -> int:
         return self.in_flight.value
 
-    def _values(self) -> Tuple[int, ...]:
-        return tuple(self._counters[name].value for name in self.FIELDS)
-
     def snapshot(self) -> "ServingStats":
         return ServingStats(*self._values(),
                             queries_in_flight=self.queries_in_flight)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ServingStats):
-            return NotImplemented
-        return self._values() == other._values()
-
     def __repr__(self) -> str:
-        inner = ", ".join(f"{name}={value}" for name, value
-                          in zip(self.FIELDS, self._values()))
-        return (f"ServingStats({inner}, "
+        return (f"{super().__repr__()[:-1]}, "
                 f"queries_in_flight={self.queries_in_flight})")
 
 
-for _field in ServingStats.FIELDS:
-    setattr(ServingStats, _field, _serving_counter_property(_field))
-del _field
+#: The serving counter each lifecycle event on a record bumps when the
+#: record is folded.
+_EVENT_COUNTERS = {
+    f"breaker.{ROUTE_TRIAL}": "breaker_half_opens",
+    f"breaker.{ROUTE_DEGRADED}": "degraded_runs",
+    f"breaker.{EVENT_TRIPPED}": "breaker_trips",
+    f"breaker.{EVENT_REOPENED}": "breaker_reopens",
+    f"breaker.{EVENT_CLOSED}": "breaker_closes",
+}
 
 
 class RavenSession:
@@ -269,13 +325,11 @@ class RavenSession:
                  enable_data_induced: Optional[bool] = None,
                  strategy: Optional[Union[OptimizationStrategy, str]] = None,
                  gpu_available: bool = False,
-                 gpu_spec=K80,
                  dop: int = 1,
                  batch_size: int = DEFAULT_BATCH_SIZE,
                  plan_cache: Union[PlanCache, bool] = True,
                  compile_expressions: bool = True,
                  adaptive: bool = True,
-                 feedback: Optional[FeedbackStore] = None,
                  warm_start: Union[str, Path, Snapshot, None] = None,
                  profile_sample_rate: Optional[int] = None,
                  breakers: Union[CircuitBreakerBoard, bool] = True,
@@ -297,8 +351,7 @@ class RavenSession:
         # adaptive path); results must be bit-for-bit identical.
         self.adaptive = adaptive
         self.feedback: Optional[FeedbackStore] = (
-            feedback if feedback is not None
-            else (FeedbackStore() if adaptive else None))
+            FeedbackStore() if adaptive else None)
         self.enable_cross = enable_optimizations if enable_cross is None \
             else enable_cross
         self.enable_data_induced = enable_optimizations \
@@ -307,9 +360,8 @@ class RavenSession:
         self.strategy = strategy if enable_optimizations else "none"
         self.gpu_available = gpu_available
         self.dop = dop
-        self.runtime = PredictRuntime(batch_size=batch_size, gpu_spec=gpu_spec)
-        if self.adaptive:
-            self.runtime.feedback = self.feedback
+        self.runtime = PredictRuntime(batch_size=batch_size)
+        self.runtime.feedback = self.feedback
         self.last_run: Optional[RunStats] = None
         self.serving_stats = ServingStats(registry=self.telemetry.metrics)
         # Fault injection (repro.resilience): when set, every registered
@@ -338,9 +390,6 @@ class RavenSession:
             # one snapshot sees cache + serving + latency together.
             self.plan_cache.stats.bind(self.telemetry.metrics)
         self._stats_lock = threading.Lock()
-        # Thread-local retry context: _attempt_query stamps the attempt
-        # number here so the query trace can carry it.
-        self._attempt_context = threading.local()
         # Sampled re-profiling: with a rate N, a *fixed-point* cached plan
         # is profiled on every Nth hit instead of every call (fresh and
         # still-converging plans always profile, so the feedback loop
@@ -620,13 +669,39 @@ class RavenSession:
             return plan, OptimizationReport()
         return self._optimizer(static=static).optimize(bound)
 
-    def _plan_for(self, query: str, normalized=None, deadline=None,
-                  span=None):
-        """Resolve a query through the cache.
+    def _resolve_plan(self, query: str, normalized, deadline,
+                      record: RunStats) -> None:
+        """The lifecycle's plan step: put the plan to run on the record.
 
-        Returns ``(plan, report, cache_hit, key, entry)`` — ``key``/
-        ``entry`` are None when the cache is disabled; the adaptive
-        staleness check uses them after execution.
+        The ordinary routes resolve through the plan cache
+        (:meth:`_plan_for`). The degraded route serves the open breaker's
+        static re-optimization — it trusts no learned annotation and is
+        cached on the breaker entry (dependency-version validated, like
+        any cached plan); its ``cache.*`` events are about that entry.
+        """
+        if record.route != ROUTE_DEGRADED:
+            with record.phase("optimize") as span:
+                self._plan_for(query, normalized, deadline, record)
+                if span is not None:
+                    span.set(cache_hit=record.cache_hit)
+            return
+        with record.phase("optimize", static=True):
+            entry = self.breakers.static_entry(normalized.key, self.catalog)
+            if entry is None:
+                record.event("cache.miss")
+                entry = self._optimize_to_entry(query, normalized,
+                                                deadline=deadline,
+                                                static=True)
+                self.breakers.set_static_entry(normalized.key, entry)
+            else:
+                record.event("cache.hit")
+            record.plan, record.report = entry.plan, entry.report
+
+    def _plan_for(self, query: str, normalized, deadline,
+                  record: RunStats) -> None:
+        """Resolve a query through the plan cache onto ``record``: its
+        plan, report, ``cache_hit``, and the cache ``key``/``entry`` the
+        staleness check uses after execution (None when the cache is off).
 
         Concurrent misses for the same normalized key are single-flighted:
         the first caller optimizes while the others wait on the in-flight
@@ -640,49 +715,43 @@ class RavenSession:
         entry's recorded versions no longer match the live catalog and the
         next lookup discards it instead of serving a stale plan.
         """
-        if self.plan_cache is None:
+        cache = self.plan_cache
+        if cache is None:
             if deadline is not None:
                 deadline.check("plan optimization")
-            plan, report = self.optimize(query)
-            return plan, report, False, None, None
-        if normalized is None:
-            normalized = normalize_query(query)
-        entry, flight, owner = self.plan_cache.begin(normalized.key, self.catalog)
+            record.plan, record.report = self.optimize(query)
+            return
+        entry, flight, owner = cache.begin(normalized.key, self.catalog)
         if entry is not None:
-            if span is not None:
-                span.event("cache.hit")
-            return entry.plan, entry.report, True, normalized.key, entry
-        if not owner:
-            if span is not None:
-                span.event("cache.join")
+            record.event("cache.hit")
+            record.cache_hit = True
+        elif owner:
+            record.event("cache.miss")
+            try:
+                entry = self._optimize_to_entry(query, normalized,
+                                                deadline=deadline)
+            except BaseException:
+                cache.complete(flight, None)
+                raise
+            cache.complete(flight, entry)
+        else:
+            record.event("cache.join")
+            timeout = cache.join_timeout
             if deadline is not None:
-                entry = self.plan_cache.join(
-                    flight, self.catalog,
-                    timeout=deadline.bound(self.plan_cache.join_timeout))
-            else:
-                entry = self.plan_cache.join(flight, self.catalog)
+                timeout = deadline.bound(timeout)
+            entry = cache.join(flight, self.catalog, timeout=timeout)
             if entry is not None:
-                if span is not None:
-                    span.event("cache.coalesced")
-                return entry.plan, entry.report, True, normalized.key, entry
-            # Owner failed, timed out, or its entry was invalidated:
-            # optimize here.
-            if span is not None:
-                span.event("cache.miss")
-            entry = self._optimize_to_entry(query, normalized,
-                                            deadline=deadline)
-            self.plan_cache.put(normalized.key, entry)
-            return entry.plan, entry.report, False, normalized.key, entry
-        if span is not None:
-            span.event("cache.miss")
-        try:
-            entry = self._optimize_to_entry(query, normalized,
-                                            deadline=deadline)
-        except BaseException:
-            self.plan_cache.complete(flight, None)
-            raise
-        self.plan_cache.complete(flight, entry)
-        return entry.plan, entry.report, False, normalized.key, entry
+                record.event("cache.coalesced")
+                record.cache_hit = True
+            else:
+                # Owner failed, timed out, or its entry was invalidated:
+                # optimize here.
+                record.event("cache.miss")
+                entry = self._optimize_to_entry(query, normalized,
+                                                deadline=deadline)
+                cache.put(normalized.key, entry)
+        record.key, record.entry = normalized.key, entry
+        record.plan, record.report = entry.plan, entry.report
 
     def _optimize_to_entry(self, query: str, normalized, deadline=None,
                            static: bool = False) -> CachedPlan:
@@ -713,50 +782,23 @@ class RavenSession:
     def explain(self, query: str, analyze: bool = False) -> str:
         """Optimized plan rendering plus the optimizer's report.
 
-        With ``analyze=True`` the query is actually executed (through
-        the plan cache, so warm entries render as cache hits) and the
-        plan is annotated with *observed* per-operator rows in/out,
-        selectivity, and self-time, plus the serving context that
-        produced it: cache hit/miss, circuit-breaker state, plan
-        fingerprint, and compile-vs-reuse counts.
+        With ``analyze=True`` the query is actually executed — the
+        ordinary lifecycle on the explain route: through the plan cache
+        (so warm entries render as cache hits) with profiling forced on,
+        but past the breaker board, because an EXPLAIN must not consume
+        a half-open breaker's trial slot, and leaving the cached entry's
+        adaptive state alone — and the plan is annotated with *observed*
+        per-operator rows in/out, selectivity, and self-time, plus the
+        serving context that produced it: cache hit/miss, circuit-breaker
+        state, plan fingerprint, and compile-vs-reuse counts.
         """
         if analyze:
-            return self._explain_analyze(query)
+            record = RunStats(query, route=ROUTE_EXPLAIN)
+            self._run_query(record, None)
+            return render_analyze(record)
         plan, report = self.optimize(query)
         return plan.pretty(self.catalog) + "\n-- " + \
             report.summary().replace("\n", "\n-- ")
-
-    def _explain_analyze(self, query: str) -> str:
-        """Execute ``query`` with profiling forced on and render the
-        observed plan. Goes through the plan cache (so the rendering
-        reflects real serving state) but not the breaker board — an
-        EXPLAIN must not consume a half-open breaker's trial slot."""
-        normalized = (normalize_query(query)
-                      if self.plan_cache is not None else None)
-        optimize_started = time.perf_counter()
-        plan, report, cache_hit, _key, _entry = self._plan_for(
-            query, normalized=normalized)
-        optimize_seconds = time.perf_counter() - optimize_started
-        _table, stats = self._execute(
-            plan, report, optimize_seconds, cache_hit=cache_hit,
-            profile=True, force_profile=True,
-            record_feedback=self.adaptive)
-        breaker_state = None
-        if self.breakers is not None and normalized is not None:
-            breaker_state = self.breakers.state(normalized.key)
-        info = {
-            "cache_hit": cache_hit,
-            "static_plan": stats.static_plan,
-            "breaker_state": breaker_state,
-            "plan_fingerprint": stats.plan_fingerprint,
-            "optimize_seconds": optimize_seconds,
-            "execute_seconds": stats.execute_seconds,
-            "programs_compiled": stats.programs_compiled,
-            "programs_reused": stats.programs_reused,
-            "expression_fallbacks": stats.expression_fallbacks,
-        }
-        return render_analyze(stats.operator_profiles, info=info,
-                              report=report)
 
     def to_sql_server(self, query: str) -> str:
         """T-SQL text of the optimized plan (paper §6: SQL Server output)."""
@@ -783,7 +825,7 @@ class RavenSession:
                        ) -> Tuple[Table, RunStats]:
         """Like :meth:`sql` but also returns this call's :class:`RunStats`.
 
-        Safe for concurrent use: stats are computed per call, never read
+        Safe for concurrent use: the record is per call, never read
         back from shared session state. On a plan-cache hit
         ``stats.optimize_seconds`` is just the normalize+lookup time.
 
@@ -798,172 +840,76 @@ class RavenSession:
         re-optimization instead (``stats.static_plan``,
         ``serving_stats.degraded_runs``).
         """
-        deadline = Deadline.coerce(deadline)
-        telemetry = self.telemetry
-        trace = telemetry.start_trace(query) if telemetry.enabled else None
-        if trace is not None:
-            attempt = getattr(self._attempt_context, "attempt", None)
-            if attempt is not None:
-                trace.root.set(attempt=attempt)
+        record = RunStats(query)
+        return self._run_query(record, Deadline.coerce(deadline)), record
+
+    def _run_query(self, record: RunStats,
+                   deadline: Optional[Deadline]) -> Table:
+        """One run, start to finish: open the record's trace, run the
+        lifecycle, fold the record — on success and on every error."""
+        record.trace = self.telemetry.start_trace(record.query)
+        if record.trace is not None:
+            record.span = record.trace.root
         started = time.perf_counter()
         # The live-concurrency gauge: dec in the finally so no error path
         # (breaker raise, deadline, executor fault) can wedge it high.
         self.serving_stats.in_flight.inc()
         try:
-            try:
-                table, stats = self._sql_routed(query, deadline, trace)
-            except BaseException as error:
-                if telemetry.enabled:
-                    if trace is not None:
-                        telemetry.tracer.finish(trace, status="error",
-                                                error=error)
-                    telemetry.observe_query(
-                        query, time.perf_counter() - started, trace=trace,
-                        error=error)
-                raise
+            return self._sql_routed(record.query, deadline, record)
+        except BaseException as error:
+            record.error = error
+            # The retry loop reaches a failed attempt's record through
+            # its error (sql_with_stats has nothing to return it in).
+            error.run_stats = record
+            raise
         finally:
             self.serving_stats.in_flight.dec()
-        if telemetry.enabled:
-            if trace is not None:
-                trace.root.set(cache_hit=stats.cache_hit,
-                               static_plan=stats.static_plan,
-                               plan_fingerprint=stats.plan_fingerprint)
-                telemetry.tracer.finish(trace)
-            telemetry.observe_query(query, time.perf_counter() - started,
-                                    stats=stats, trace=trace)
-        return table, stats
+            record.seconds = time.perf_counter() - started
+            self._fold(record)
 
     def _sql_routed(self, query: str, deadline: Optional[Deadline],
-                    trace=None) -> Tuple[Table, RunStats]:
-        """Route one query: breaker admission, then the adaptive path or
-        the degraded static one. Breaker transitions land on the trace
-        root as events."""
-        key = None
-        route = None
-        normalized = None
-        if self.breakers is not None and self.plan_cache is not None:
-            normalized = normalize_query(query)
-            key = normalized.key
-            route = self.breakers.acquire(key)
-            if route == ROUTE_TRIAL:
-                with self._stats_lock:
-                    self.serving_stats.breaker_half_opens += 1
-                if trace is not None:
-                    trace.root.event("breaker.trial")
-            elif route == ROUTE_DEGRADED:
-                if trace is not None:
-                    trace.root.event("breaker.degraded")
-                return self._sql_degraded(query, normalized, deadline,
-                                          trace=trace)
-        try:
-            table, stats = self._sql_adaptive(query, deadline, normalized,
-                                              trace=trace)
-        except BaseException as error:
-            self._breaker_outcome(key, route, error, trace=trace)
-            if isinstance(error, DeadlineExceededError):
-                with self._stats_lock:
-                    self.serving_stats.deadline_exceeded += 1
-            raise
-        self._breaker_outcome(key, route, None, trace=trace)
-        return table, stats
+                    record: RunStats) -> Table:
+        """The lifecycle: normalize → admit → resolve the plan → execute
+        (``query`` is ``record.query``).
 
-    def _sql_adaptive(self, query: str, deadline, normalized, trace=None
-                      ) -> Tuple[Table, RunStats]:
-        """The ordinary (non-degraded) plan-cache + adaptive-loop path."""
-        optimize_started = time.perf_counter()
-        span = (trace.root.child("optimize", category="optimize")
-                if trace is not None else None)
-        try:
-            plan, report, cache_hit, key, entry = self._plan_for(
-                query, normalized=normalized, deadline=deadline, span=span)
-        except BaseException:
-            if span is not None:
-                span.finish(status="error")
-            raise
-        if span is not None:
-            span.finish(cache_hit=cache_hit)
-        optimize_seconds = time.perf_counter() - optimize_started
-        table, stats = self._execute(plan, report, optimize_seconds,
-                                     cache_hit=cache_hit,
-                                     profile=self._should_profile(entry,
-                                                                  cache_hit),
-                                     deadline=deadline, trace=trace)
-        if (entry is not None and self.adaptive
-                and stats.operator_profiles is not None
-                and self.plan_cache is not None):
-            # Stale = the feedback passes would now produce a different
-            # plan, or an operator's recent behaviour has drifted from
-            # its long-run average (EWMA drift signal) — either way the
-            # plan was optimized against assumptions execution no longer
-            # supports. A consumed drift signal is reset so the slow
-            # EWMA's convergence tail cannot keep re-marking the
-            # replacement plan call after call.
-            drifted = self._drifted_fingerprints(stats.operator_profiles)
-            if drifted or feedback_divergence(entry.plan, self.feedback,
-                                              self.runtime.batch_size,
-                                              self.catalog):
-                if self.plan_cache.mark_stale(key, entry) \
-                        and trace is not None:
-                    trace.root.event("plan.stale", drifted=len(drifted))
-                for fingerprint in drifted:
-                    self.feedback.consume_drift(fingerprint)
-                entry.fixed_point = False
-            else:
-                # Converged: eligible for sampled re-profiling, and what
-                # a snapshot records as this plan's adaptive state. Also
-                # the right moment to auto-checkpoint — the cache holds
-                # the *replacement* plan, not the just-dropped stale one.
-                entry.fixed_point = True
-                self._maybe_checkpoint()
-        return table, stats
-
-    def _sql_degraded(self, query: str, normalized, deadline, trace=None
-                      ) -> Tuple[Table, RunStats]:
-        """Serve an open-breaker query from its static re-optimization.
-
-        The static plan trusts no learned annotation and is cached on the
-        breaker entry (dependency-version validated, like any cached
-        plan). Degraded runs never profile: feedback must keep describing
-        the adaptive path the half-open trial will retest.
+        Admission asks the query's circuit breaker for the route (an
+        EXPLAIN only looks at its state); a prepared plan, already on the
+        record, skips straight to execution. Runs on the adaptive path —
+        ordinary or half-open trial — report their outcome back to the
+        breaker.
         """
-        with self._stats_lock:
-            self.serving_stats.degraded_runs += 1
-        optimize_started = time.perf_counter()
-        span = (trace.root.child("optimize", category="optimize",
-                                 static=True)
-                if trace is not None else None)
+        normalized = None
+        if record.plan is None and self.plan_cache is not None:
+            normalized = normalize_query(query)
+        guarded = None
+        if normalized is not None and self.breakers is not None:
+            if record.route == ROUTE_EXPLAIN:
+                record.breaker_state = self.breakers.state(normalized.key)
+            else:
+                record.route = self.breakers.acquire(normalized.key)
+                if record.route != ROUTE_ADAPTIVE:
+                    record.event(f"breaker.{record.route}")
+                if record.route != ROUTE_DEGRADED:
+                    guarded = normalized.key
         try:
-            entry = self.breakers.static_entry(normalized.key, self.catalog)
-            if entry is None:
-                if span is not None:
-                    span.event("cache.miss")
-                entry = self._optimize_to_entry(query, normalized,
-                                                deadline=deadline,
-                                                static=True)
-                self.breakers.set_static_entry(normalized.key, entry)
-            elif span is not None:
-                span.event("cache.hit")
-        except BaseException:
-            if span is not None:
-                span.finish(status="error")
+            if record.plan is None:
+                self._resolve_plan(query, normalized, deadline, record)
+            # Degraded runs never profile: feedback must keep describing
+            # the adaptive path the half-open trial will retest. EXPLAIN
+            # ANALYZE profiles even for adaptive=False sessions.
+            record.profile = record.route == ROUTE_EXPLAIN or (
+                self.adaptive and record.route != ROUTE_DEGRADED
+                and self._should_profile(record.entry, record.cache_hit))
+            table = self._execute(record, deadline)
+        except BaseException as error:
+            self._breaker_outcome(guarded, record, error)
             raise
-        if span is not None:
-            span.finish()
-        optimize_seconds = time.perf_counter() - optimize_started
-        try:
-            table, stats = self._execute(entry.plan, entry.report,
-                                         optimize_seconds, cache_hit=False,
-                                         profile=False, deadline=deadline,
-                                         trace=trace)
-        except DeadlineExceededError:
-            with self._stats_lock:
-                self.serving_stats.deadline_exceeded += 1
-            raise
-        stats.static_plan = True
-        return table, stats
+        self._breaker_outcome(guarded, record, None)
+        return table
 
-    def _breaker_outcome(self, key, route, error, trace=None) -> None:
-        """Report one adaptive-path result to the breaker board.
+    def _breaker_outcome(self, key, record: RunStats, error) -> None:
+        """Report one adaptive-path result to the breaker board; a state
+        transition comes back as an event on the record.
 
         Failures are library errors (RavenError, including deadline
         expiry — a plan that repeatedly blows its deadline deserves
@@ -971,9 +917,9 @@ class RavenSession:
         (BackpressureError) and BaseExceptions like KeyboardInterrupt
         never count.
         """
-        if key is None or self.breakers is None:
+        if key is None:
             return
-        trial = route == ROUTE_TRIAL
+        trial = record.route == ROUTE_TRIAL
         if error is None:
             event = self.breakers.record_success(key, trial=trial)
         elif (isinstance(error, Exception)
@@ -981,17 +927,8 @@ class RavenSession:
             event = self.breakers.record_failure(key, trial=trial)
         else:
             return
-        if event is None:
-            return
-        if trace is not None:
-            trace.root.event(f"breaker.{event}")
-        with self._stats_lock:
-            if event == EVENT_TRIPPED:
-                self.serving_stats.breaker_trips += 1
-            elif event == EVENT_REOPENED:
-                self.serving_stats.breaker_reopens += 1
-            elif event == EVENT_CLOSED:
-                self.serving_stats.breaker_closes += 1
+        if event is not None:
+            record.event(f"breaker.{event}")
 
     def _should_profile(self, entry, cache_hit: bool) -> bool:
         """Sampled re-profiling gate (True = profile this execution).
@@ -1006,6 +943,82 @@ class RavenSession:
                 or not entry.fixed_point):
             return True
         return entry.hits % rate == 0
+
+    def _execute(self, record: RunStats,
+                 deadline: Optional[Deadline]) -> Table:
+        """The lifecycle's execute step: run ``record.plan``."""
+        # Per-call runtime view: shares the inference-session and compiled-
+        # program caches but keeps the deadline, span and GPU-time
+        # accounting local, so concurrent calls never interleave state.
+        runtime = self.runtime.for_call()
+        with record.phase("execute") as span:
+            table = QueryExecutor(
+                self.catalog, runtime, dop=self.dop,
+                compile_expressions=self.compile_expressions,
+                record=record, deadline=deadline, faults=self.faults,
+                feedback=self.feedback, metrics=self.telemetry.metrics,
+            ).execute(record.plan)
+            if span is not None:
+                span.set(rows=table.num_rows)
+        record.gpu_adjustment_seconds = runtime.gpu_time_adjustment
+        return table
+
+    def _fold(self, record: RunStats) -> None:
+        """Derive everything a finished run leaves behind from its record.
+
+        The one place the adaptive loop learns from a run, the query-run
+        serving counters move, and telemetry (trace ring, histograms,
+        slow-query log) hears of it — reached on success and, with what
+        the run observed before failing, on every error.
+        """
+        profiles = record.operator_profiles if record.error is None else None
+        if profiles is not None and self.feedback is not None:
+            self.feedback.record_profile(profiles)
+            # An EXPLAIN leaves the cached entry's adaptive state alone.
+            if record.entry is not None and record.route != ROUTE_EXPLAIN:
+                self._check_staleness(record, profiles)
+        stats = self.serving_stats
+        with self._stats_lock:
+            self.runtime.gpu_time_adjustment += record.gpu_adjustment_seconds
+            for name in record.events:
+                counter = _EVENT_COUNTERS.get(name)
+                if counter is not None:
+                    setattr(stats, counter, getattr(stats, counter) + 1)
+            if isinstance(record.error, DeadlineExceededError):
+                stats.deadline_exceeded += 1
+            if record.expression_fallbacks:
+                stats.expression_fallbacks += record.expression_fallbacks
+        self.last_run = record
+        self.telemetry.observe_query(record)
+
+    def _check_staleness(self, record: RunStats,
+                         profiles: OperatorProfile) -> None:
+        """Mark the cached plan stale when execution no longer supports it.
+
+        Stale = the feedback passes would now produce a different plan,
+        or an operator's recent behaviour has drifted from its long-run
+        average (EWMA drift signal) — either way the plan was optimized
+        against assumptions execution no longer supports. A consumed
+        drift signal is reset so the slow EWMA's convergence tail cannot
+        keep re-marking the replacement plan call after call.
+        """
+        entry = record.entry
+        drifted = self._drifted_fingerprints(profiles)
+        if drifted or feedback_divergence(entry.plan, self.feedback,
+                                          self.runtime.batch_size,
+                                          self.catalog):
+            if self.plan_cache.mark_stale(record.key, entry):
+                record.event("plan.stale", drifted=len(drifted))
+            for fingerprint in drifted:
+                self.feedback.consume_drift(fingerprint)
+            entry.fixed_point = False
+        else:
+            # Converged: eligible for sampled re-profiling, and what
+            # a snapshot records as this plan's adaptive state. Also
+            # the right moment to auto-checkpoint — the cache holds
+            # the *replacement* plan, not the just-dropped stale one.
+            entry.fixed_point = True
+            self._maybe_checkpoint()
 
     def _drifted_fingerprints(self, root: OperatorProfile) -> List[str]:
         """Profiled operator/conjunct fingerprints tripping drift."""
@@ -1168,7 +1181,6 @@ class RavenSession:
         slept = 0.0
         while True:
             attempts += 1
-            self._attempt_context.attempt = attempts
             try:
                 # Only pass the kwarg when set: callers (and tests) may
                 # wrap sql_with_stats with a single-argument callable.
@@ -1178,6 +1190,9 @@ class RavenSession:
                 else:
                     table, stats = self.sql_with_stats(query)
             except Exception as error:
+                failed_run = getattr(error, "run_stats", None)
+                if failed_run is not None:
+                    failed_run.mark_attempt(attempts)
                 can_retry = (retry is not None
                              and attempts < retry.max_attempts
                              and retry.is_retryable(error))
@@ -1199,11 +1214,9 @@ class RavenSession:
                 time.sleep(delay)
                 slept += delay
                 continue
-            finally:
-                self._attempt_context.attempt = None
-            return QueryOutcome(
-                query=query, table=table, stats=stats, attempts=attempts,
-                degraded=outcome_degraded_flags(stats, attempts))
+            stats.mark_attempt(attempts)
+            return QueryOutcome(query=query, table=table, stats=stats,
+                                attempts=attempts)
 
     def prepare(self, query: str) -> "PreparedQuery":
         """Optimize once, execute many times (offline optimization, §7.4).
@@ -1219,68 +1232,7 @@ class RavenSession:
 
     def execute_plan(self, plan: PlanNode) -> Table:
         """Execute an already-optimized plan."""
-        return self._execute(plan, None, 0.0)[0]
-
-    def _execute(self, plan: PlanNode, report: Optional[OptimizationReport],
-                 optimize_seconds: float, cache_hit: bool = False,
-                 profile: bool = True,
-                 deadline: Optional[Deadline] = None,
-                 trace=None, force_profile: bool = False,
-                 record_feedback: bool = True
-                 ) -> Tuple[Table, RunStats]:
-        # Per-call runtime view: shares the inference-session and compiled-
-        # program caches but keeps the deadline, span and GPU-time
-        # accounting local, so concurrent calls never interleave state.
-        runtime = self.runtime.for_call()
-        # force_profile (EXPLAIN ANALYZE) profiles even for adaptive=False
-        # sessions; record_feedback then gates whether the observations
-        # feed the adaptive loop.
-        profiler = (PlanProfiler()
-                    if ((self.adaptive or force_profile) and profile)
-                    else None)
-        span = (trace.root.child("execute", category="execute")
-                if trace is not None else None)
-        executor = QueryExecutor(self.catalog, runtime, dop=self.dop,
-                                 compile_expressions=self.compile_expressions,
-                                 profiler=profiler, deadline=deadline,
-                                 faults=self.faults, span=span,
-                                 feedback=self.feedback,
-                                 metrics=self.telemetry.metrics)
-        started = time.perf_counter()
-        try:
-            result = executor.execute(plan)
-        except BaseException:
-            if span is not None:
-                span.finish(status="error")
-            raise
-        wall = time.perf_counter() - started
-        if span is not None:
-            span.finish(rows=result.num_rows)
-        fallbacks = executor.exec_stats.expression_fallbacks
-        with self._stats_lock:
-            self.runtime.gpu_time_adjustment += runtime.gpu_time_adjustment
-            if fallbacks:
-                self.serving_stats.expression_fallbacks += fallbacks
-        profiles: Optional[OperatorProfile] = None
-        if profiler is not None:
-            profiles = profiler.profile_tree(plan)
-            if record_feedback and self.feedback is not None:
-                self.feedback.record_profile(profiles)
-        stats = RunStats(
-            wall_seconds=wall,
-            gpu_adjustment_seconds=runtime.gpu_time_adjustment,
-            optimize_seconds=optimize_seconds,
-            execute_seconds=wall,
-            report=report,
-            cache_hit=cache_hit,
-            programs_compiled=executor.exec_stats.programs_compiled,
-            programs_reused=executor.exec_stats.programs_reused,
-            operator_profiles=profiles,
-            expression_fallbacks=fallbacks,
-            plan_fingerprint=plan_fingerprint(plan),
-        )
-        self.last_run = stats
-        return result, stats
+        return self._run_query(RunStats(plan=plan), None)
 
 
 class PreparedQuery:
@@ -1300,11 +1252,12 @@ class PreparedQuery:
 
     def execute(self) -> Table:
         """Run the prepared plan (no re-optimization)."""
-        return self.session._execute(self.plan, self.report, 0.0)[0]
+        return self.execute_with_stats()[0]
 
     def execute_with_stats(self) -> Tuple[Table, RunStats]:
         """Run the prepared plan, returning this call's stats."""
-        return self.session._execute(self.plan, self.report, 0.0)
+        record = RunStats(self.query, plan=self.plan, report=self.report)
+        return self.session._run_query(record, None), record
 
     def optimized_graphs(self) -> List[Graph]:
         """The post-optimization pipeline graphs still in the plan.

@@ -10,7 +10,7 @@ from repro.relational.compile import (
     compile_outputs,
     compile_predicate,
 )
-from repro.relational.executor import ExecStats, Executor, execute
+from repro.relational.executor import Executor, execute
 from repro.relational.expressions import (
     Between,
     BinaryOp,
@@ -53,7 +53,7 @@ from repro.relational.sqlgen import expression_to_sql, plan_to_sql
 
 __all__ = [
     "Aggregate", "AggregateSpec", "Between", "BinaryOp", "CaseWhen", "Cast",
-    "ColumnRef", "CompiledProgram", "ExecStats", "Executor", "Expression",
+    "ColumnRef", "CompiledProgram", "Executor", "Expression",
     "Filter", "FunctionCall", "InList",
     "Join", "JoinEdge", "Limit", "Literal", "MultiJoin",
     "PlanNode", "Predict",

@@ -25,13 +25,19 @@ breaker — so a bounded query overruns by at most one operator; a
 ``executor.compile`` sites; and when the compiled expression engine
 fails (a :class:`~repro.errors.CompileError` or an internal defect) the
 operator **falls back to the interpreted oracle** — bit-for-bit the same
-result, counted in ``exec_stats.expression_fallbacks`` — instead of
+result, counted in ``record.expression_fallbacks`` — instead of
 failing the query.
+
+Observation: everything a run observes — per-operator rows and time, the
+per-conjunct cascade, join steps, compiled-program reuse, fallbacks —
+is written to the one ``record`` the executor is given (a
+:class:`repro.adaptive.profile.PlanProfiler`, in a session the query's
+:class:`~repro.core.session.RunStats`); operator spans open under
+``record.span`` when tracing is on.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -89,40 +95,14 @@ class Morsel:
         return self.stop - self.start
 
 
-class ExecStats:
-    """Per-execution counters for compiled-expression reuse.
+def unobserved_record():
+    """The record of a run nobody reads: what a bare executor writes to."""
+    # Lazy import: repro.adaptive imports the relational layer.
+    from repro.adaptive.profile import PlanProfiler
 
-    Shared (thread-safely) by every Executor a query fans out to (one per
-    morsel plus the serial tail), so they aggregate into one view.
-    ``expression_fallbacks`` counts operators that degraded from the
-    compiled engine to the interpreted oracle after a compile/engine
-    failure.
-    """
-
-    __slots__ = ("_lock", "programs_compiled", "programs_reused",
-                 "expression_fallbacks")
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.programs_compiled = 0
-        self.programs_reused = 0
-        self.expression_fallbacks = 0
-
-    def record(self, compiled: bool) -> None:
-        with self._lock:
-            if compiled:
-                self.programs_compiled += 1
-            else:
-                self.programs_reused += 1
-
-    def record_fallback(self) -> None:
-        with self._lock:
-            self.expression_fallbacks += 1
-
-    def __repr__(self):
-        return (f"ExecStats(compiled={self.programs_compiled}, "
-                f"reused={self.programs_reused}, "
-                f"fallbacks={self.expression_fallbacks})")
+    record = PlanProfiler()
+    record.profile = False
+    return record
 
 
 class Executor:
@@ -133,36 +113,37 @@ class Executor:
     of surviving partition indices for tables pruned by zone maps.
     ``compile_expressions`` selects the compiled expression engine (default)
     or the interpreted oracle.
-    ``profiler`` (a :class:`repro.adaptive.profile.PlanProfiler`) turns on
-    per-operator runtime profiling: every operator records its output
-    cardinality and inclusive wall time, and conjunctive filters run as a
-    per-conjunct cascade so individual selectivities are observed. The
-    profiled execution is bit-for-bit identical to the unprofiled one.
+    ``record`` (a :class:`repro.adaptive.profile.PlanProfiler`) receives
+    what the run observes. With ``record.profile`` every operator records
+    its rows in/out and inclusive wall time, and conjunctive filters run
+    as a per-conjunct cascade so individual selectivities are observed;
+    with ``record.span`` every operator opens a child span. The observed
+    execution is bit-for-bit identical to the unobserved one.
     """
 
     def __init__(self, catalog: Catalog,
                  predict_executor: Optional[PredictExecutor] = None,
                  scan_restrictions: Optional[Dict[str, object]] = None,
                  compile_expressions: bool = True,
-                 exec_stats: Optional[ExecStats] = None,
-                 profiler=None, deadline=None, faults=None, span=None):
+                 record=None, deadline=None, faults=None):
         self.catalog = catalog
         self.predict_executor = predict_executor
         self.scan_restrictions = scan_restrictions or {}
         self.compile_expressions = compile_expressions
-        self.exec_stats = exec_stats if exec_stats is not None else ExecStats()
-        self.profiler = profiler
+        self.record = record if record is not None else unobserved_record()
         # Cooperative repro.resilience.Deadline (checked before every
         # operator) and FaultInjector (sites: executor.operator,
         # executor.compile). Both default off with zero hot-path cost.
         self.deadline = deadline
         self.faults = faults
-        # Telemetry: when a parent Span is given, every operator records
-        # a child span with rows in/out. Each Executor instance runs its
-        # plan on one thread (the morsel driver builds one Executor per
-        # morsel), so a plain list works as the span stack; concurrent
-        # child appends on the shared parent are trace-lock protected.
+        # Each Executor instance runs its plan on one thread (the morsel
+        # driver builds one Executor per morsel), so a plain list works
+        # as the span stack and a plain attribute as the running count of
+        # rows the current operator's inputs produced; concurrent child
+        # appends on the shared parent span are trace-lock protected.
+        span = self.record.span
         self._span_stack = [span] if span is not None else None
+        self._child_rows: Optional[int] = None
         # Installed by execute_above: (subtree root, stand-in leaf) and
         # the seconds computing the subtree took.
         self._computed: Optional[Tuple[PlanNode, Materialized]] = None
@@ -178,7 +159,7 @@ class Executor:
         """Run ``plan`` with its ``subtree`` already computed.
 
         The morsel driver's serial tail: the operators above ``subtree``
-        run as themselves — same profiler keys, compiled-program caches
+        run as themselves — same record keys, compiled-program caches
         and spans as a whole-plan run — and reaching ``subtree`` reads
         ``computed`` through a :class:`Materialized` leaf. ``seconds``
         is what computing the subtree took; profiled operator times are
@@ -193,61 +174,57 @@ class Executor:
         return self.execute(plan)
 
     def _run(self, plan: PlanNode) -> TableView:
+        """Run one operator — and observe it: this is the only place an
+        operator's rows in/out and time are measured, for the record's
+        profile and for its span alike."""
         if self._computed is not None and plan is self._computed[0]:
             plan = self._computed[1]
-        method = getattr(self, f"_exec_{type(plan).__name__.lower()}", None)
+        name = type(plan).__name__
+        method = getattr(self, f"_exec_{name.lower()}", None)
         if method is None:
-            raise ExecutionError(f"no executor for operator {type(plan).__name__}")
-        if self._span_stack is None:
-            return self._run_timed(plan, method)
-        span = self._span_stack[-1].child(type(plan).__name__,
-                                          category="operator")
-        self._span_stack.append(span)
+            raise ExecutionError(f"no executor for operator {name}")
+        spans = self._span_stack
+        span = None
+        if spans is not None:
+            span = spans[-1].child(name, category="operator")
+            spans.append(span)
+        inputs_before, self._child_rows = self._child_rows, None
+        started = time.perf_counter()
         try:
-            result = self._run_timed(plan, method)
+            # Deadline checks bracket the operator: the entry check fires
+            # during plan descent, the exit check fires right after this
+            # operator's own work — so a query overruns its deadline by at
+            # most one operator (one pipeline-breaker interval).
+            if self.deadline is not None:
+                self.deadline.check(f"operator {name} start")
+            if self.faults is not None:
+                self.faults.fire("executor.operator", detail=name)
+            result = method(plan)
         except BaseException:
-            span.finish(status="error")
+            if span is not None:
+                span.finish(status="error")
             raise
         finally:
-            self._span_stack.pop()
-        operator_children = [child for child in span.children
-                             if child.category == "operator"]
-        if operator_children:
-            rows_in = sum((child.attributes or {}).get("rows", 0)
-                          for child in operator_children)
-        else:
-            # Leaf (Scan): rows read == rows produced.
-            rows_in = result.num_rows
-        span.finish(rows_in=rows_in, rows=result.num_rows)
-        return result
-
-    def _run_timed(self, plan: PlanNode, method) -> TableView:
-        # Deadline checks bracket the operator: the entry check fires
-        # during plan descent, the exit check fires right after this
-        # operator's own work — so a query overruns its deadline by at
-        # most one operator (one pipeline-breaker interval).
-        if self.deadline is not None:
-            self.deadline.check(f"operator {type(plan).__name__} start")
-        if self.faults is not None:
-            self.faults.fire("executor.operator",
-                             detail=type(plan).__name__)
-        # The Materialized stand-in is in no plan tree: nothing to profile.
-        if self.profiler is None or isinstance(plan, Materialized):
-            result = method(plan)
-            if isinstance(result, Table):
-                result = TableView(result)
-            if self.deadline is not None:
-                self.deadline.check(f"operator {type(plan).__name__}")
-            return result
-        started = time.perf_counter()
-        result = method(plan)
+            if span is not None:
+                spans.pop()
         if isinstance(result, Table):
             result = TableView(result)
-        self.profiler.record_operator(
-            plan, result.num_rows,
-            time.perf_counter() - started + self._computed_seconds)
+        rows = result.num_rows
+        # A leaf reads what it emits; everything else reads what its
+        # inputs (the _run calls its method made) produced.
+        rows_in = rows if self._child_rows is None else self._child_rows
+        self._child_rows = rows if inputs_before is None \
+            else inputs_before + rows
+        # The Materialized stand-in is in no plan tree: nothing to profile.
+        if self.record.profile and not isinstance(plan, Materialized):
+            self.record.record_operator(
+                plan, rows,
+                time.perf_counter() - started + self._computed_seconds,
+                rows_in=rows_in)
+        if span is not None:
+            span.finish(rows_in=rows_in, rows=rows)
         if self.deadline is not None:
-            self.deadline.check(f"operator {type(plan).__name__}")
+            self.deadline.check(f"operator {name}")
         return result
 
     # ------------------------------------------------------------------
@@ -267,18 +244,19 @@ class Executor:
         fingerprint = tuple(schema)
         cached = node.__dict__.get("_compiled_program")
         if cached is not None and cached[0] == fingerprint:
-            self.exec_stats.record(compiled=False)
+            self.record.record_program(compiled=False)
             return cached[1]
         if isinstance(node, Filter):
             program = compile_predicate(node.predicate, schema)
         else:
             program = compile_outputs(node.outputs, schema)
         node._compiled_program = (fingerprint, program)
-        self.exec_stats.record(compiled=True)
+        self.record.record_program(compiled=True)
         return program
 
-    def _fallback_allowed(self, error: BaseException) -> bool:
-        """Should a compiled-engine failure degrade to the interpreted oracle?
+    def _fall_back(self, error: BaseException) -> None:
+        """A compiled-engine failure: count a fallback to the interpreted
+        oracle on the record, or re-raise when the oracle cannot help.
 
         :class:`CompileError` (the engine could not lower the expression;
         injected compile faults use it too) and internal defects (non-
@@ -287,11 +265,11 @@ class Executor:
         :class:`RavenError`\\ s are *data* errors the oracle would raise
         identically (plus deadline expiry), so they propagate.
         """
-        if isinstance(error, CompileError):
-            return True
-        if isinstance(error, RavenError):
-            return False
-        return isinstance(error, Exception)
+        internal_defect = (isinstance(error, Exception)
+                           and not isinstance(error, RavenError))
+        if not (isinstance(error, CompileError) or internal_defect):
+            raise error
+        self.record.record_fallback()
 
     # ------------------------------------------------------------------
     # Leaf
@@ -323,7 +301,7 @@ class Executor:
     # ------------------------------------------------------------------
     def _exec_filter(self, node: Filter) -> TableView:
         view = self._run(node.child)
-        if self.profiler is not None:
+        if self.record.profile:
             parts = node.__dict__.get("_adaptive_conjuncts")
             if parts is None:
                 parts = conjuncts(node.predicate)
@@ -334,11 +312,9 @@ class Executor:
             try:
                 keep = self._program_for(node, view.schema).run_single(view)
             except BaseException as error:
-                if not self._fallback_allowed(error):
-                    raise
                 # Degraded mode: the compiled engine failed, the
                 # interpreted oracle computes the identical mask.
-                self.exec_stats.record_fallback()
+                self._fall_back(error)
                 keep = node.predicate.evaluate(view)
         else:
             keep = node.predicate.evaluate(view)
@@ -362,9 +338,7 @@ class Executor:
             try:
                 programs = self._conjunct_programs(node, parts, view.schema)
             except BaseException as error:
-                if not self._fallback_allowed(error):
-                    raise
-                self.exec_stats.record_fallback()
+                self._fall_back(error)
         for index, part in enumerate(parts):
             rows_in = view.num_rows
             started = time.perf_counter()
@@ -372,9 +346,7 @@ class Executor:
                 try:
                     keep = programs[index].run_single(view)
                 except BaseException as error:
-                    if not self._fallback_allowed(error):
-                        raise
-                    self.exec_stats.record_fallback()
+                    self._fall_back(error)
                     keep = part.evaluate(view)
             else:
                 keep = part.evaluate(view)
@@ -382,25 +354,25 @@ class Executor:
                 raise ExecutionError(
                     "filter predicate did not evaluate to booleans")
             view = view.refine(keep)
-            self.profiler.record_conjunct(node, index, part, rows_in,
-                                          view.num_rows,
-                                          time.perf_counter() - started)
+            self.record.record_conjunct(node, index, part, rows_in,
+                                        view.num_rows,
+                                        time.perf_counter() - started)
         return view
 
     def _conjunct_programs(self, node: Filter, parts,
                            schema) -> List[CompiledProgram]:
         """Per-conjunct compiled programs, cached on the node like
-        :meth:`_program_for` (counted once per filter in exec stats)."""
+        :meth:`_program_for` (counted once per filter on the record)."""
         if self.faults is not None:
             self.faults.fire("executor.compile", detail="FilterCascade")
         fingerprint = tuple(schema)
         cached = node.__dict__.get("_conjunct_programs")
         if cached is not None and cached[0] == fingerprint:
-            self.exec_stats.record(compiled=False)
+            self.record.record_program(compiled=False)
             return cached[1]
         programs = [compile_predicate(part, schema) for part in parts]
         node._conjunct_programs = (fingerprint, programs)
-        self.exec_stats.record(compiled=True)
+        self.record.record_program(compiled=True)
         return programs
 
     def _exec_project(self, node: Project) -> Table:
@@ -414,9 +386,7 @@ class Executor:
                     columns.append((name, Column(arrays[name], dtype)))
                 return Table(columns)
             except BaseException as error:
-                if not self._fallback_allowed(error):
-                    raise
-                self.exec_stats.record_fallback()
+                self._fall_back(error)
                 columns = []
         schema = view.schema
         for name, expr in node.outputs:
@@ -473,12 +443,12 @@ class Executor:
         codes = _composite_codes(left, right, node.left_keys, node.right_keys)
         left_idx, right_idx, unmatched = _join_indices(
             *codes, how=node.how, build=build)
-        if self.profiler is not None:
+        if self.record.profile:
             keys = ", ".join(f"{lk}={rk}" for lk, rk
                              in zip(node.left_keys, node.right_keys))
-            self.profiler.record_join(node, 0, keys, left.num_rows,
-                                      right.num_rows, len(left_idx),
-                                      time.perf_counter() - started)
+            self.record.record_join(node, 0, keys, left.num_rows,
+                                    right.num_rows, len(left_idx),
+                                    time.perf_counter() - started)
         if node.how == "inner":
             columns = _gather_columns(left, left_idx)
             columns += _gather_columns(right, right_idx)
@@ -550,12 +520,12 @@ class Executor:
             matched = {index: rows[step_left]
                        for index, rows in matched.items()}
             matched[target] = step_right
-            if self.profiler is not None:
+            if self.record.profile:
                 keys = ", ".join(f"{e.left_key}={e.right_key}" for e in edges)
-                self.profiler.record_join(node, position - 1, keys,
-                                          rows_current, rows_target,
-                                          len(step_left),
-                                          time.perf_counter() - started)
+                self.record.record_join(node, position - 1, keys,
+                                        rows_current, rows_target,
+                                        len(step_left),
+                                        time.perf_counter() - started)
         # Canonical order: original input 0 is the primary sort key.
         # Index tuples are unique (each output row is a distinct
         # combination of input rows), so this is a total order and the

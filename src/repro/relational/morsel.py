@@ -26,11 +26,11 @@ Properties the rest of the system relies on:
   so a skewed partition never strands the pool). With per-partition
   feedback (seconds-per-row under the scan's partition fingerprint) the
   queue is ordered longest-estimated-first (LPT); cold, by row count.
-  Each finished morsel records its observation back.
+  Each finished morsel of a profiled run records its observation on the
+  run's record.
 * **One execution context.** Every morsel and the serial tail run on
-  executors built from the same profiler, deadline, fault injector,
-  span and exec stats, so the tail is observed and bounded like the
-  body.
+  executors built from the same record, deadline and fault injector,
+  so the tail is observed and bounded like the body.
 * **Nothing to fan out, nothing added.** When the morsel plan is a
   single morsel spanning the whole driven table (``dop=1`` over an
   unpartitioned table), or the plan cannot fan out (the driven table is
@@ -46,8 +46,8 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ExecutionError
-from repro.relational.executor import ExecStats, Executor, Morsel, \
-    PredictExecutor
+from repro.relational.executor import Executor, Morsel, PredictExecutor, \
+    unobserved_record
 from repro.relational.logical import (
     Aggregate,
     Limit,
@@ -156,8 +156,7 @@ class MorselExecutor:
     def __init__(self, catalog: Catalog, dop: int = 1,
                  predict_executor: Optional[PredictExecutor] = None,
                  compile_expressions: bool = True,
-                 exec_stats: Optional[ExecStats] = None,
-                 profiler=None, deadline=None, faults=None, span=None,
+                 record=None, deadline=None, faults=None,
                  feedback=None, metrics=None):
         if dop < 1:
             raise ValueError("dop must be >= 1")
@@ -165,17 +164,15 @@ class MorselExecutor:
         self.dop = dop
         self.predict_executor = predict_executor
         self.compile_expressions = compile_expressions
-        # Shared by every executor the query fans out to (ExecStats and
-        # the PlanProfiler are thread-safe; a Deadline reads a fixed
-        # expiry; span child appends are trace-lock protected).
-        self.exec_stats = exec_stats
-        self.profiler = profiler
+        # Shared by every executor the query fans out to (the record
+        # locks its writes; a Deadline reads a fixed expiry; span child
+        # appends are trace-lock protected).
+        self.record = record if record is not None else unobserved_record()
         self.deadline = deadline
         self.faults = faults
-        self.span = span
         # Optional repro.adaptive.feedback.FeedbackStore: read for
-        # skew-aware morsel ordering, written with per-morsel
-        # (rows_in, rows_out, seconds) observations.
+        # skew-aware morsel ordering (per-morsel observations go on the
+        # record, like every other observation).
         self.feedback = feedback
         # Optional telemetry MetricsRegistry for the partition counters.
         self.metrics = metrics
@@ -185,11 +182,9 @@ class MorselExecutor:
         return Executor(self.catalog, self.predict_executor,
                         scan_restrictions=scan_restrictions,
                         compile_expressions=self.compile_expressions,
-                        exec_stats=self.exec_stats,
-                        profiler=self.profiler,
+                        record=self.record,
                         deadline=self.deadline,
-                        faults=self.faults,
-                        span=self.span)
+                        faults=self.faults)
 
     def execute(self, plan: PlanNode) -> Table:
         tail, body = split_serial_tail(plan)
@@ -204,8 +199,8 @@ class MorselExecutor:
                 for name, kept in pruned.items())
             if self.metrics is not None:
                 self.metrics.counter("partitions_skipped").inc(skipped)
-            if self.span is not None:
-                self.span.set(partitions_skipped=skipped)
+            if self.record.span is not None:
+                self.record.span.set(partitions_skipped=skipped)
         if driven is None:
             return self._make_executor(pruned).execute(plan)
 
@@ -316,8 +311,8 @@ class MorselExecutor:
     def _run_one(self, morsel: Morsel, body: PlanNode, driven: Scan,
                  pruned: Dict[str, List[int]]) -> Tuple[Table, float]:
         span = None
-        if self.span is not None:
-            span = self.span.child(
+        if self.record.span is not None:
+            span = self.record.span.child(
                 "scan.morsel", category="scan",
                 table=driven.table_name, partition=morsel.partition,
                 label=self.catalog.table(driven.table_name)
@@ -336,17 +331,12 @@ class MorselExecutor:
             span.finish(rows_out=piece.num_rows)
         if self.metrics is not None:
             self.metrics.counter("morsels_executed").inc()
-        if self.profiler is not None:
-            # Reaches the feedback store when the session folds the
-            # profile tree in (record_profile); recording directly too
-            # would double-count the observation.
-            self.profiler.record_partition(
+        if self.record.profile:
+            # Reaches the feedback store (and from there the next run's
+            # schedule) when the session folds the record.
+            self.record.record_partition(
                 driven, morsel.partition, morsel.num_rows,
                 piece.num_rows, elapsed)
-        elif self.feedback is not None:
-            self.feedback.record_partition(
-                self._scan_fingerprint(driven), morsel.partition,
-                morsel.num_rows, piece.num_rows, elapsed)
         return piece, elapsed
 
     # ------------------------------------------------------------------

@@ -51,7 +51,6 @@ from repro.resilience.retry import (
     DEGRADED_STATIC_PLAN,
     QueryOutcome,
     RetryPolicy,
-    outcome_degraded_flags,
     raven_typed,
 )
 
@@ -65,5 +64,5 @@ __all__ = [
     "SITES", "SITE_BATCHER_EXECUTE", "SITE_EXECUTOR_COMPILE",
     "SITE_EXECUTOR_OPERATOR", "SITE_LEDGER_APPEND", "SITE_PLAN_OPTIMIZE",
     "SITE_PREDICT_RUN", "SITE_SNAPSHOT_WRITE",
-    "outcome_degraded_flags", "raven_typed",
+    "raven_typed",
 ]

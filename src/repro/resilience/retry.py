@@ -15,7 +15,7 @@ typed error out in order instead of aborting the whole batch.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple, Type
 
 from repro.errors import (
@@ -91,7 +91,7 @@ class RetryPolicy:
         return floor + rng.random() * (raw - floor)
 
 
-#: Degraded-mode flags carried on outcomes (and derivable from RunStats).
+#: Degraded-mode flags carried on outcomes.
 DEGRADED_STATIC_PLAN = "static-plan"
 DEGRADED_INTERPRETED = "interpreted-fallback"
 DEGRADED_RETRIED = "retried"
@@ -101,14 +101,12 @@ DEGRADED_RETRIED = "retried"
 class QueryOutcome:
     """The envelope for one served query: value *or* typed error.
 
-    ``ok`` outcomes carry ``table``/``stats``; failed outcomes carry the
+    ``ok`` outcomes carry ``table``/``stats`` (the final attempt's
+    :class:`~repro.core.session.RunStats`); failed outcomes carry the
     final ``error`` after retries exhausted (always a typed exception —
     :class:`~repro.errors.RavenError` subclasses for library failures).
     ``attempts`` counts executions (0 when admission itself was rejected,
-    e.g. backpressure). ``degraded`` lists the fallbacks that produced
-    the value: ``"static-plan"`` (circuit breaker served the safe static
-    re-optimization), ``"interpreted-fallback"`` (compiled expression
-    engine fell back to the interpreted oracle), ``"retried"``.
+    e.g. backpressure).
     """
 
     query: str
@@ -116,11 +114,28 @@ class QueryOutcome:
     stats: Optional[object] = None
     error: Optional[BaseException] = None
     attempts: int = 0
-    degraded: Tuple[str, ...] = field(default_factory=tuple)
 
     @property
     def ok(self) -> bool:
         return self.error is None
+
+    @property
+    def degraded(self) -> Tuple[str, ...]:
+        """The fallbacks that produced the value, read off ``stats``:
+        ``"static-plan"`` (circuit breaker served the safe static
+        re-optimization), ``"interpreted-fallback"`` (compiled expression
+        engine fell back to the interpreted oracle), ``"retried"``."""
+        if self.error is not None:
+            return ()
+        flags = []
+        if self.stats is not None:
+            if self.stats.static_plan:
+                flags.append(DEGRADED_STATIC_PLAN)
+            if self.stats.expression_fallbacks:
+                flags.append(DEGRADED_INTERPRETED)
+        if self.attempts > 1:
+            flags.append(DEGRADED_RETRIED)
+        return tuple(flags)
 
     def result(self):
         """The table, re-raising the stored error for failed outcomes."""
@@ -133,18 +148,6 @@ class QueryOutcome:
         flags = f", degraded={list(self.degraded)}" if self.degraded else ""
         return (f"QueryOutcome({status}, attempts={self.attempts}{flags}, "
                 f"query={self.query[:40]!r})")
-
-
-def outcome_degraded_flags(stats, attempts: int) -> Tuple[str, ...]:
-    """Derive an outcome's degraded flags from its RunStats + attempts."""
-    flags = []
-    if stats is not None and getattr(stats, "static_plan", False):
-        flags.append(DEGRADED_STATIC_PLAN)
-    if stats is not None and getattr(stats, "expression_fallbacks", 0):
-        flags.append(DEGRADED_INTERPRETED)
-    if attempts > 1:
-        flags.append(DEGRADED_RETRIED)
-    return tuple(flags)
 
 
 def raven_typed(error: BaseException) -> BaseException:

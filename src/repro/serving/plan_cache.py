@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.storage.catalog import Catalog
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import CounterStats
 
 DEFAULT_CAPACITY = 128
 # Default bound on waiting for another caller's in-flight optimization:
@@ -50,20 +50,7 @@ DEFAULT_JOIN_TIMEOUT = 30.0
 DependencyVersions = Dict[Tuple[str, str], int]
 
 
-def _counter_property(name: str) -> property:
-    """Attribute API over a registry counter: reads return the counter's
-    value, assignment sets it — so existing ``stats.field += 1`` call
-    sites (already serialized by their owners' locks) work unchanged."""
-    def fget(self):
-        return self._counters[name].value
-
-    def fset(self, value):
-        self._counters[name].set(value)
-
-    return property(fget, fset)
-
-
-class PlanCacheStats:
+class PlanCacheStats(CounterStats):
     """Hit/miss/eviction/invalidation counters (monotonic).
 
     ``coalesced`` counts misses that waited on a concurrent in-flight
@@ -77,49 +64,15 @@ class PlanCacheStats:
     catalog; ``join_timeouts`` are single-flight waits that expired
     before the owner published (the waiter optimized independently).
 
-    Counters live on a :class:`~repro.telemetry.metrics.MetricsRegistry`
-    as ``plan_cache_<field>`` (a private registry until :meth:`bind`
-    re-homes them onto a session's shared one); the dataclass-era
-    attribute API — reads, assignment, ``+=`` under the cache's lock —
-    is preserved bit-for-bit by properties.
+    Registry counters ``plan_cache_<field>`` behind the attribute API of
+    :class:`~repro.telemetry.metrics.CounterStats`.
     """
 
+    PREFIX = "plan_cache"
     FIELDS = ("hits", "misses", "evictions", "invalidations", "coalesced",
               "reoptimizations", "restored", "join_timeouts")
 
-    __slots__ = ("_counters",)
-
-    def __init__(self, hits: int = 0, misses: int = 0, evictions: int = 0,
-                 invalidations: int = 0, coalesced: int = 0,
-                 reoptimizations: int = 0, restored: int = 0,
-                 join_timeouts: int = 0,
-                 registry: Optional[MetricsRegistry] = None):
-        if registry is None:
-            registry = MetricsRegistry()
-        values = (hits, misses, evictions, invalidations, coalesced,
-                  reoptimizations, restored, join_timeouts)
-        self._counters = {}
-        for name, value in zip(self.FIELDS, values):
-            counter = registry.counter(f"plan_cache_{name}")
-            if value:
-                counter.inc(value)
-            self._counters[name] = counter
-
-    def bind(self, registry: MetricsRegistry) -> None:
-        """Re-home the counters onto ``registry`` (the session's shared
-        one), carrying the values accumulated so far."""
-        for name in self.FIELDS:
-            current = self._counters[name]
-            target = registry.counter(current.name)
-            if target is current:
-                continue
-            value = current.value
-            if value:
-                target.inc(value)
-            self._counters[name] = target
-
-    def _values(self) -> Tuple[int, ...]:
-        return tuple(self._counters[name].value for name in self.FIELDS)
+    __slots__ = ()
 
     @property
     def lookups(self) -> int:
@@ -129,24 +82,6 @@ class PlanCacheStats:
     def hit_rate(self) -> float:
         lookups = self.lookups
         return self.hits / lookups if lookups else 0.0
-
-    def snapshot(self) -> "PlanCacheStats":
-        return PlanCacheStats(*self._values())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PlanCacheStats):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{name}={value}" for name, value
-                          in zip(self.FIELDS, self._values()))
-        return f"PlanCacheStats({inner})"
-
-
-for _field in PlanCacheStats.FIELDS:
-    setattr(PlanCacheStats, _field, _counter_property(_field))
-del _field
 
 
 @dataclass

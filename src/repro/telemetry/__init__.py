@@ -12,6 +12,16 @@ bundles the three runtime-observability surfaces this package provides:
 * ``telemetry.slow_log`` — the :class:`~repro.telemetry.slowlog.SlowQueryLog`
   capturing plan fingerprint + full trace for queries over a threshold.
 
+None of them watches a query run. A run writes to its one record
+(:class:`~repro.core.session.RunStats`; when tracing is on the record
+carries the live :class:`~repro.telemetry.trace.Trace` and the span each
+phase runs under), and when the run ends — successfully or not — the
+session's fold hands the record to :meth:`Telemetry.observe_query`
+exactly once. Everything here is a view of that record: the trace's root
+attributes and status, the ``query/optimize/execute_seconds`` histograms,
+the ``queries{outcome}`` counters, the slow-query entry, and
+:func:`~repro.telemetry.explain.render_analyze`'s EXPLAIN ANALYZE text.
+
 Cost model: ``Telemetry(...)`` with defaults keeps metrics on and tracing
 off — the per-query overhead is a handful of counter increments and
 three histogram observes. ``telemetry.enabled = False`` turns the whole
@@ -101,24 +111,31 @@ class Telemetry:
             return None
         return self.tracer.start(query, root_name=root_name, **attributes)
 
-    def observe_query(self, query: str, seconds: float, stats=None,
-                      trace: Optional[Trace] = None,
-                      error: Optional[BaseException] = None) -> None:
-        """Fold one finished query into histograms, counters, and (when
-        over the threshold) the slow-query log."""
+    def observe_query(self, record) -> None:
+        """Fold one finished query's record (success or failure) into the
+        trace ring, histograms, counters and — when over the threshold —
+        the slow-query log."""
         if not self.enabled:
             return
-        self._query_seconds.observe(seconds)
-        if error is None:
+        trace = record.trace
+        if trace is not None:
+            if record.plan is not None:
+                trace.root.set(cache_hit=record.cache_hit,
+                               static_plan=record.static_plan,
+                               plan_fingerprint=record.plan_fingerprint)
+            if record.error is None:
+                self.tracer.finish(trace)
+            else:
+                self.tracer.finish(trace, status="error", error=record.error)
+        self._query_seconds.observe(record.seconds)
+        if record.error is None:
             self._queries_ok.inc()
         else:
             self._queries_error.inc()
-        if stats is not None:
-            self._optimize_seconds.observe(stats.optimize_seconds)
-            self._execute_seconds.observe(stats.execute_seconds)
-        if self.slow_log.should_record(seconds):
-            self.slow_log.record(query, seconds, stats=stats, trace=trace,
-                                 error=error)
+        if record.plan is not None:
+            self._optimize_seconds.observe(record.optimize_seconds)
+            self._execute_seconds.observe(record.execute_seconds)
+        self.slow_log.record(record)
 
     # ------------------------------------------------------------------
     def sampler(self, **kwargs) -> MetricsSampler:

@@ -1,8 +1,8 @@
 """EXPLAIN ANALYZE rendering: the optimized plan, annotated with what
 actually happened when it ran.
 
-:func:`render_analyze` combines three evidence sources into one text
-block:
+:func:`render_analyze` reads three kinds of evidence off the query's one
+record (:class:`~repro.core.session.RunStats`) into one text block:
 
 * the optimized plan shape (via the profile tree, which mirrors it
   node-for-node — including nodes that never executed, shown with zero
@@ -17,62 +17,37 @@ block:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List
 
 
-def _format_seconds(seconds: Optional[float]) -> str:
-    if seconds is None:
-        return "?"
-    return f"{seconds * 1e3:.2f}ms"
+def render_analyze(record) -> str:
+    """Render an EXPLAIN ANALYZE block from a finished query's record.
 
-
-def render_analyze(profile, info: Optional[Dict[str, object]] = None,
-                   report=None) -> str:
-    """Render an EXPLAIN ANALYZE block.
-
-    ``profile`` is the root :class:`OperatorProfile` of the executed
-    plan; ``info`` carries the serving context (cache_hit, static_plan,
-    breaker_state, plan_fingerprint, optimize/execute seconds,
-    programs_compiled/reused, expression_fallbacks); ``report`` is the
-    optimizer's rule report, appended as commented lines.
+    ``record`` is the run's :class:`~repro.core.session.RunStats`: its
+    profile tree is the plan, its other fields the serving context, and
+    its optimizer rule report is appended as commented lines.
     """
-    info = info or {}
     lines: List[str] = ["EXPLAIN ANALYZE"]
 
-    route = "degraded-static" if info.get("static_plan") else "adaptive"
-    cache = "hit" if info.get("cache_hit") else "miss"
+    route = "degraded-static" if record.static_plan else "adaptive"
+    cache = "hit" if record.cache_hit else "miss"
     lines.append(f"route: {route} | plan cache: {cache}")
-
-    breaker = info.get("breaker_state")
-    if breaker is not None:
-        lines.append(f"breaker: {breaker}")
-
-    fingerprint = info.get("plan_fingerprint")
-    if fingerprint:
-        lines.append(f"plan fingerprint: {fingerprint}")
-
-    optimize = info.get("optimize_seconds")
-    execute = info.get("execute_seconds")
-    if optimize is not None or execute is not None:
-        lines.append(f"optimize: {_format_seconds(optimize)} | "
-                     f"execute: {_format_seconds(execute)}")
-
-    compiled = info.get("programs_compiled")
-    reused = info.get("programs_reused")
-    if compiled is not None or reused is not None:
-        lines.append(f"expression programs: {compiled or 0} compiled, "
-                     f"{reused or 0} reused")
-
-    fallbacks = info.get("expression_fallbacks")
-    if fallbacks:
-        lines.append(f"expression fallbacks: {fallbacks}")
+    if record.breaker_state is not None:
+        lines.append(f"breaker: {record.breaker_state}")
+    lines.append(f"plan fingerprint: {record.plan_fingerprint}")
+    lines.append(f"optimize: {record.optimize_seconds * 1e3:.2f}ms | "
+                 f"execute: {record.execute_seconds * 1e3:.2f}ms")
+    lines.append(f"expression programs: {record.programs_compiled} compiled, "
+                 f"{record.programs_reused} reused")
+    if record.expression_fallbacks:
+        lines.append(f"expression fallbacks: {record.expression_fallbacks}")
 
     lines.append("")
     lines.append("plan (observed rows in->out, selectivity, self time):")
-    lines.append(profile.pretty())
+    lines.append(record.operator_profiles.pretty())
 
-    if report is not None:
-        summary = report.summary()
+    if record.report is not None:
+        summary = record.report.summary()
         if summary:
             lines.append("")
             lines.append("-- " + summary.replace("\n", "\n-- "))

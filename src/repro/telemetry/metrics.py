@@ -425,3 +425,85 @@ def _format(value) -> str:
     if isinstance(value, int):
         return str(value)
     return f"{value:.9g}"
+
+
+def _counter_property(name: str) -> property:
+    """Attribute view of ``self._counters[name]``: read the value, assign
+    to set it."""
+    def fget(self):
+        return self._counters[name].value
+
+    def fset(self, value):
+        self._counters[name].set(value)
+
+    return property(fget, fset)
+
+
+class CounterStats:
+    """A family of monotonic counters with a dataclass-like attribute API.
+
+    A subclass is a ``PREFIX`` and a ``FIELDS`` tuple (plus whatever it
+    derives from them). Each field lives on a :class:`MetricsRegistry`
+    as the counter ``<PREFIX>_<field>`` — a private registry until one
+    is passed or :meth:`bind` re-homes the family onto a shared one — and
+    reads, assigns and increments like a plain attribute: assignment sets
+    the counter, so ``stats.field += 1`` sites (serialized by their
+    owners' locks, as they were for the dataclasses this replaced) work
+    unchanged. Construction takes initial values positionally in
+    ``FIELDS`` order or by name; equality compares the counters.
+    """
+
+    PREFIX = ""
+    FIELDS: Tuple[str, ...] = ()
+
+    __slots__ = ("_counters",)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for name in cls.FIELDS:
+            setattr(cls, name, _counter_property(name))
+
+    def __init__(self, *values: int,
+                 registry: Optional[MetricsRegistry] = None, **named: int):
+        initial = dict(zip(self.FIELDS, values), **named)
+        unknown = set(initial) - set(self.FIELDS)
+        if unknown or len(values) > len(self.FIELDS):
+            raise TypeError(f"{type(self).__name__} takes {self.FIELDS}, "
+                            f"got {values} {named}")
+        if registry is None:
+            registry = MetricsRegistry()
+        self._counters: Dict[str, Counter] = {}
+        for name in self.FIELDS:
+            counter = self._counters[name] = registry.counter(
+                f"{self.PREFIX}_{name}")
+            counter.inc(initial.get(name, 0))
+
+    def bind(self, registry: MetricsRegistry) -> None:
+        """Re-home the counters onto ``registry`` (a session's shared
+        one), carrying the values accumulated so far."""
+        for name in self.FIELDS:
+            current = self._counters[name]
+            target = registry.counter(current.name)
+            if target is current:
+                continue
+            value = current.value
+            if value:
+                target.inc(value)
+            self._counters[name] = target
+
+    def _values(self) -> Tuple[int, ...]:
+        return tuple(self._counters[name].value for name in self.FIELDS)
+
+    def snapshot(self):
+        """A detached copy (on a private registry) of the current values."""
+        return type(self)(*self._values())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={value}" for name, value
+                          in zip(self.FIELDS, self._values()))
+        return f"{type(self).__name__}({inner})"

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 
 from repro.persist.atomic import atomic_write_text
 
-from .trace import SITE_TELEMETRY_DUMP, Trace
+from .trace import SITE_TELEMETRY_DUMP
 
 SCHEMA = "repro-slowlog-v1"
 
@@ -43,31 +43,28 @@ class SlowQueryLog:
         self._ring: "deque[Dict[str, object]]" = deque(maxlen=capacity)
 
     # ------------------------------------------------------------------
-    def should_record(self, seconds: float) -> bool:
-        return seconds >= self.threshold_seconds
-
-    def record(self, query: str, seconds: float, stats=None,
-               trace: Optional[Trace] = None,
-               error: Optional[BaseException] = None) -> Dict[str, object]:
-        """Append one entry (caller has already applied the threshold;
-        ``stats`` is the query's RunStats when the run completed)."""
+    def record(self, record) -> Optional[Dict[str, object]]:
+        """Append the entry for a finished query's record (a
+        :class:`~repro.core.session.RunStats`) if it ran over the
+        threshold. A query that failed keeps whatever it observed before
+        failing; the plan-level fields need a plan."""
+        if record.seconds < self.threshold_seconds:
+            return None
         entry: Dict[str, object] = {
-            "query": query,
+            "query": record.query,
             "at": time.time(),
-            "seconds": seconds,
+            "seconds": record.seconds,
         }
-        if stats is not None:
-            entry["optimize_seconds"] = stats.optimize_seconds
-            entry["execute_seconds"] = stats.execute_seconds
-            entry["cache_hit"] = stats.cache_hit
-            entry["static_plan"] = stats.static_plan
-            fingerprint = getattr(stats, "plan_fingerprint", None)
-            if fingerprint is not None:
-                entry["plan_fingerprint"] = fingerprint
-        if error is not None:
-            entry["error"] = f"{type(error).__name__}: {error}"
-        if trace is not None:
-            entry["trace"] = trace.to_dict()
+        if record.plan is not None:
+            entry["optimize_seconds"] = record.optimize_seconds
+            entry["execute_seconds"] = record.execute_seconds
+            entry["cache_hit"] = record.cache_hit
+            entry["static_plan"] = record.static_plan
+            entry["plan_fingerprint"] = record.plan_fingerprint
+        if record.error is not None:
+            entry["error"] = f"{type(record.error).__name__}: {record.error}"
+        if record.trace is not None:
+            entry["trace"] = record.trace.to_dict()
         with self._lock:
             self._ring.append(entry)
         return entry

@@ -64,25 +64,6 @@ class TestProfilerPartitions:
         assert store.partition_selectivity(base, 3) is None
 
 
-class TestStorePartitionAPI:
-    def test_record_and_lookup(self):
-        store = FeedbackStore()
-        store.record_partition("fp", 0, 1_000, 100, 0.01)
-        store.record_partition("fp", 1, 1_000, 900, 0.02)
-        assert store.partition_selectivity("fp", 0) == 0.1
-        assert store.partition_selectivity("fp", 1) == 0.9
-        spr0 = store.partition_seconds_per_row("fp", 0)
-        spr1 = store.partition_seconds_per_row("fp", 1)
-        assert spr0 is not None and spr1 is not None and spr1 > spr0
-
-    def test_partition_entries_survive_export_merge(self):
-        store = FeedbackStore()
-        store.record_partition("fp", 0, 1_000, 250, 0.01)
-        other = FeedbackStore()
-        other.merge_state(store.export_state())
-        assert other.partition_selectivity("fp", 0) == 0.25
-
-
 class TestEndToEnd:
     def test_morsel_runs_populate_partition_observations(self):
         session = make_session(dop=4)

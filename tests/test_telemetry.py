@@ -33,7 +33,7 @@ from repro.telemetry import (
 )
 from repro.telemetry.metrics import DEFAULT_GROWTH
 from repro.telemetry import trace as trace_module
-from repro.core.session import ServingStats
+from repro.core.session import RunStats, ServingStats
 
 FILTER_QUERY = "SELECT pi.id FROM patient_info AS pi WHERE pi.age > 50"
 
@@ -604,7 +604,7 @@ class TestSlowQueryLog:
     def test_capacity_bounds_entries(self):
         log = SlowQueryLog(threshold_seconds=0.0, capacity=3)
         for index in range(7):
-            log.record(f"q{index}", seconds=0.5)
+            log.record(RunStats(f"q{index}"))
         entries = log.entries()
         assert len(entries) == 3
         assert entries[-1]["query"] == "q6"
@@ -621,7 +621,7 @@ class TestSlowQueryLog:
 
     def test_dump_roundtrip(self, tmp_path):
         log = SlowQueryLog(threshold_seconds=0.0)
-        log.record("SELECT 1", seconds=2.5)
+        log.record(RunStats("SELECT 1"))
         path = tmp_path / "slow.json"
         log.dump(path)
         doc = json.loads(path.read_text())
