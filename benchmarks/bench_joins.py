@@ -11,9 +11,19 @@ execution observes the per-edge join selectivities; the feedback pass
 flips the region to join the sparse dimension first (``MultiJoin`` with a
 reordered execution sequence), shrinking the intermediate result ~50x.
 
+Both sessions run the region as a row-index ``MultiJoin`` (the static one
+in text order), so neither copies a column more than once; what the
+reordering saves is the index shuffling and key lookups of the wide 1:1
+step at full cardinality.
+
 Acceptance gate (also run by the CI bench-smoke job): the warmed adaptive
-plan must never be slower than the warmed static plan, and at full scale
-(>= 50k fact rows) must be >= 1.5x faster. Results are verified
+plan must never be slower than the warmed static plan. Its absolute
+warmed time is gated at full scale (>= 50k fact rows) against the perf
+ledger's history (``joins:adaptive_seconds`` in
+``repro.obsv.gates.DEFAULT_GATES``): the ratio against the static plan
+used to be the full-scale gate, but it shrank when the static plan
+stopped copying every column at every join step, and an absolute number
+does not move with the baseline. Results are verified
 bit-for-bit between both sessions before timing (the MultiJoin's
 canonical output order makes reordering invisible), and persisted to
 ``benchmarks/results/bench_joins.json`` at full scale.
@@ -34,7 +44,6 @@ ROWS = scaled(200_000, minimum=20_000)
 JSON_PATH = RESULTS_DIR / "bench_joins.json"
 
 FULL_SCALE_ROWS = 50_000
-FULL_SCALE_SPEEDUP = 1.5
 
 # Fraction of fact keys present in the sparse dimension (the misestimate:
 # statistics see equal-size dimensions with unique keys either way).
@@ -157,20 +166,18 @@ def _joins_report() -> ReportTable:
                note=f"reoptimizations={reoptimizations}, "
                     f"warm_rounds={warm_rounds}")
 
-    required = FULL_SCALE_SPEEDUP if ROWS >= FULL_SCALE_ROWS else 1.0
-    report.note(f"adaptive speedup {speedup:.1f}x "
-                f"(acceptance: >= {required:.1f}x at {ROWS} fact rows)")
-    report.note("results verified bit-for-bit against the static oracle "
-                "(canonical MultiJoin output order)")
-    assert speedup >= required, (
-        f"warmed adaptive join order only {speedup:.2f}x vs text order "
-        f"(required >= {required:.1f}x at {ROWS} fact rows)"
-    )
-
     # Full-scale runs update the committed perf-trajectory artifact; CI
     # smoke runs write to results/smoke/ instead (tiny-row noise must
     # not clobber the committed trajectory).
     full_scale = ROWS >= FULL_SCALE_ROWS
+    report.note(f"adaptive speedup {speedup:.1f}x "
+                "(acceptance: never slower, >= 1.0x)")
+    report.note("results verified bit-for-bit against the static oracle "
+                "(canonical MultiJoin output order)")
+    assert speedup >= 1.0, (
+        f"warmed adaptive join order is slower than text order "
+        f"({speedup:.2f}x at {ROWS} fact rows)"
+    )
     write_bench_json("joins", {
         "fact_rows": ROWS,
         "sparse_match_fraction": SPARSE_MATCH_FRACTION,

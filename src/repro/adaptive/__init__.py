@@ -9,9 +9,9 @@ Closes the optimize → execute loop the static optimizer leaves open:
   plan fingerprints into a :class:`FeedbackStore` of observed
   selectivities, cardinalities, per-row costs and EWMA drift signals;
 * :mod:`~repro.adaptive.reopt` — the optimizer consumes the store:
-  conjunct reordering by observed selectivity/cost rank, join build-side
-  choice by observed cardinality, predict batch sizing by observed
-  per-row model cost. The serving plan cache marks entries stale when
+  conjunct reordering by observed selectivity/cost rank, join ordering
+  by observed cardinalities and join selectivities, predict batch sizing
+  by observed per-row model cost. The serving plan cache marks entries stale when
   feedback diverges from what a cached plan encodes, re-optimizing them
   through the existing single-flight path.
 
@@ -27,13 +27,11 @@ from repro.adaptive.feedback import (
 )
 from repro.adaptive.profile import (
     ConjunctProfile,
-    JoinRegion,
     JoinStepProfile,
     OperatorProfile,
     PlanProfiler,
     conjunct_fingerprint,
     join_edge_fingerprint,
-    join_region,
     join_step_fingerprints,
     plan_fingerprint,
 )
@@ -44,10 +42,10 @@ from repro.adaptive.reopt import (
 )
 
 __all__ = [
-    "ConjunctProfile", "FeedbackStore", "FeedbackStoreStats", "JoinRegion",
+    "ConjunctProfile", "FeedbackStore", "FeedbackStoreStats",
     "JoinStepProfile",
     "OperatorFeedback", "OperatorProfile", "PlanProfiler", "apply_feedback",
     "conjunct_fingerprint", "feedback_divergence",
-    "join_edge_fingerprint", "join_region", "join_step_fingerprints",
+    "join_edge_fingerprint", "join_step_fingerprints",
     "plan_fingerprint", "plan_join_order",
 ]

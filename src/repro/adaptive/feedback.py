@@ -126,7 +126,7 @@ class OperatorFeedback:
         dimension subtrees are re-read once *per morsel*, so summed rows
         would overcount them by the number of morsels. The cardinality
         EWMA therefore tracks the **per-call mean** — the size each
-        operator instance actually saw, which is also what the build-side
+        operator instance actually saw, which is also what the join-order
         and batch-sizing decisions need (each morsel's join/predict runs
         against per-call inputs).
         Selectivity and per-row cost are ratios of the totals, which are

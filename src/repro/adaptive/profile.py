@@ -16,7 +16,7 @@ identities, so observations survive re-optimization: a re-optimized plan
 whose subtrees are structurally identical keeps accumulating into the
 same feedback keys. Fingerprints are cached on the plan nodes themselves
 (the same per-plan-node caching pattern the compiled-expression programs
-use), deliberately ignore pure execution annotations (join build side,
+use), deliberately ignore pure execution annotations (join order,
 predict batch size), and treat AND-conjunctions as order-insensitive —
 reordering a filter's conjuncts must not orphan its history.
 
@@ -57,7 +57,7 @@ def plan_fingerprint(node: PlanNode) -> str:
     Cached on the node (``node._adaptive_fp``). Two properties matter for
     feedback aggregation:
 
-    * execution *annotations* (``Join.build_side``, ``Predict.batch_rows``)
+    * execution *annotations* (``MultiJoin.order``, ``Predict.batch_rows``)
       are excluded — they change how a node runs, not what it computes;
     * a Filter's conjuncts hash as a sorted multiset — ``a AND b`` and
       ``b AND a`` share one feedback history, so reordering by observed
@@ -81,9 +81,9 @@ def plan_fingerprint(node: PlanNode) -> str:
         payload = f"Join:{node.how}:{keys}"
     elif isinstance(node, MultiJoin):
         # The execution `order` is a pure annotation: differently-ordered
-        # MultiJoins over the same inputs/edges share one feedback history
-        # (same reasoning as Join.build_side). Edges hash as a sorted
-        # multiset — they carry no order of their own.
+        # MultiJoins over the same inputs/edges share one feedback history.
+        # Edges hash as a sorted multiset — they carry no order of their
+        # own.
         edges = sorted(f"{e.left_input}.{e.left_key}={e.right_input}.{e.right_key}"
                        for e in node.edges)
         payload = "MultiJoin:" + "&".join(edges)
@@ -142,144 +142,6 @@ def conjunct_fingerprint(filter_node: Filter, index: int) -> str:
     return cached[index]
 
 
-# ---------------------------------------------------------------------------
-# Join regions: flatten a tree of inner equi-joins into (leaves, edges)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class JoinRegion:
-    """A maximal region of inner joins, flattened.
-
-    ``leaves`` are the non-inner-join subplans in original (in-order,
-    i.e. query text) order; ``edges`` the equi-join key pairs mapped onto
-    leaf indices. The region satisfies the *connected-prefix* property:
-    every leaf after the first shares an edge with an earlier leaf, so any
-    connectivity-respecting execution sequence avoids cross products.
-    """
-
-    leaves: Tuple[PlanNode, ...]
-    edges: Tuple[JoinEdge, ...]
-
-
-def _leaf_claims(node: PlanNode) -> Tuple[set, set]:
-    """(exact column names, alias prefixes) a region leaf can produce.
-
-    Used to attribute a join key column to one leaf. A ``Scan`` claims its
-    alias as a prefix (covering unpruned ``columns=None`` scans); nodes
-    with explicit output lists claim exact names. Unknown operators claim
-    nothing, which makes the attribution — and therefore the region
-    extraction — fail safely.
-    """
-    if isinstance(node, Scan):
-        exact = set() if node.columns is None else \
-            {f"{node.alias}.{c}" for c in node.columns}
-        return exact, {node.alias}
-    if isinstance(node, Project):
-        return {name for name, _ in node.outputs}, set()
-    if isinstance(node, Aggregate):
-        return set(node.group_by) | {s.name for s in node.aggregates}, set()
-    if isinstance(node, Predict):
-        outputs = {name for name, _, _ in node.output_columns}
-        if node.keep_columns is not None:
-            return set(node.keep_columns) | outputs, set()
-        exact, prefixes = _leaf_claims(node.child)
-        return exact | outputs, prefixes
-    if isinstance(node, (Filter, Sort, Limit)):
-        return _leaf_claims(node.children()[0])
-    if isinstance(node, (Join, MultiJoin)):
-        exact: set = set()
-        prefixes: set = set()
-        for child in node.children():
-            child_exact, child_prefixes = _leaf_claims(child)
-            exact |= child_exact
-            prefixes |= child_prefixes
-        return exact, prefixes
-    return set(), set()
-
-
-def _claims_column(claims: Tuple[set, set], column: str) -> bool:
-    exact, prefixes = claims
-    return column in exact or column.split(".", 1)[0] in prefixes
-
-
-def join_region(node: PlanNode) -> Optional[JoinRegion]:
-    """Flatten the inner-join region rooted at ``node``, or None.
-
-    Returns None when ``node`` is not an inner ``Join``/``MultiJoin``,
-    when a join key cannot be attributed to exactly one leaf, or when the
-    original leaf order violates the connected-prefix property (a bushy
-    shape whose in-order sequence would need a cross product).
-
-    Cached on the node (plan trees are immutable — rewrites build new
-    nodes): the ordering pass and the divergence check run after every
-    profiled execution of a cached plan, and must not re-flatten the tree
-    each time.
-    """
-    if not ((isinstance(node, Join) and node.how == "inner")
-            or isinstance(node, MultiJoin)):
-        return None
-    cached = node.__dict__.get("_adaptive_region")
-    if cached is not None:
-        return cached or None  # False sentinel = previously failed
-    region = _extract_join_region(node)
-    node._adaptive_region = region if region is not None else False
-    return region
-
-
-def _extract_join_region(node: PlanNode) -> Optional[JoinRegion]:
-    leaves: List[PlanNode] = []
-    pairs: List[Tuple[str, str]] = []  # (key column, key column)
-
-    def flatten(current: PlanNode) -> None:
-        if isinstance(current, Join) and current.how == "inner":
-            flatten(current.left)
-            flatten(current.right)
-            pairs.extend(zip(current.left_keys, current.right_keys))
-        elif isinstance(current, MultiJoin):
-            leaves.extend(current.inputs)
-            pairs.extend((edge.left_key, edge.right_key)
-                         for edge in current.edges)
-        else:
-            leaves.append(current)
-
-    flatten(node)
-    if len(leaves) < 2:
-        return None
-    edges = attribute_key_pairs(leaves, pairs)
-    if edges is None:
-        return None
-    # Connected-prefix check: leaf i must share an edge with a leaf < i.
-    for index in range(1, len(leaves)):
-        if not any(edge.right_input == index and edge.left_input < index
-                   for edge in edges):
-            return None
-    return JoinRegion(tuple(leaves), tuple(edges))
-
-
-def attribute_key_pairs(leaves: List[PlanNode],
-                        pairs: List[Tuple[str, str]]
-                        ) -> Optional[List[JoinEdge]]:
-    """Map key-column pairs onto leaf indices; None when ambiguous."""
-    claims = [_leaf_claims(leaf) for leaf in leaves]
-
-    def leaf_of(column: str) -> Optional[int]:
-        matches = [index for index, claim in enumerate(claims)
-                   if _claims_column(claim, column)]
-        return matches[0] if len(matches) == 1 else None
-
-    edges: List[JoinEdge] = []
-    for left_key, right_key in pairs:
-        left_leaf = leaf_of(left_key)
-        right_leaf = leaf_of(right_key)
-        if left_leaf is None or right_leaf is None or left_leaf == right_leaf:
-            return None
-        if left_leaf > right_leaf:
-            left_leaf, right_leaf = right_leaf, left_leaf
-            left_key, right_key = right_key, left_key
-        edges.append(JoinEdge(left_leaf, right_leaf, left_key, right_key))
-    return edges
-
-
 def join_edge_fingerprint(leaf_fps: List[str],
                           edges: List[JoinEdge]) -> str:
     """Fingerprint of one join *step*: the edge set it resolves.
@@ -298,39 +160,16 @@ def join_edge_fingerprint(leaf_fps: List[str],
     return _digest("joinstep:" + "&".join(sorted(parts)))
 
 
-def join_step_fingerprints(node: PlanNode) -> Optional[Tuple[str, ...]]:
-    """Per-step fingerprints for a join operator, cached on the node.
-
-    For a binary inner ``Join`` this is the single step merging its two
-    subtrees; for a ``MultiJoin`` one fingerprint per step of its
-    execution sequence (position 0 — the starting input — has no step).
-    None when the region cannot be extracted.
-    """
+def join_step_fingerprints(node: MultiJoin) -> Tuple[str, ...]:
+    """One fingerprint per step of a ``MultiJoin``'s execution sequence
+    (position 0 — the starting input — has no step), cached on the node."""
     cached = node.__dict__.get("_adaptive_step_fps")
-    if cached is not None:
-        return cached or None  # () sentinel = previously failed
-    region = join_region(node)
-    if region is None:
-        node._adaptive_step_fps = ()
-        return None
-    leaf_fps = [plan_fingerprint(leaf) for leaf in region.leaves]
-    if isinstance(node, MultiJoin):
-        fps: Tuple[str, ...] = tuple(
+    if cached is None:
+        leaf_fps = [plan_fingerprint(leaf) for leaf in node.inputs]
+        cached = node._adaptive_step_fps = tuple(
             join_edge_fingerprint(leaf_fps, node.step_edges(position))
-            for position in range(1, len(node.inputs))
-        )
-    else:
-        # A binary join's single step resolves its *own* key pairs (the
-        # edges of nested joins are those joins' steps, recorded when
-        # they execute).
-        own = attribute_key_pairs(list(region.leaves),
-                                  list(zip(node.left_keys, node.right_keys)))
-        if own is None:  # pragma: no cover - region extraction succeeded
-            node._adaptive_step_fps = ()
-            return None
-        fps = (join_edge_fingerprint(leaf_fps, own),)
-    node._adaptive_step_fps = fps
-    return fps
+            for position in range(1, len(node.inputs)))
+    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -574,21 +413,15 @@ class PlanProfiler:
                     expression, conjunct_fingerprint(node, index))
             ).add(rows_in, rows_out, seconds)
 
-    def record_join(self, node: PlanNode, step: int, detail: str,
+    def record_join(self, node: MultiJoin, step: int, detail: str,
                     rows_left: int, rows_right: int, rows_out: int,
                     seconds: float) -> None:
-        """Record one join step (binary Join: step 0; MultiJoin: per step).
-
-        Silently skipped when the node's join region cannot be extracted
-        (no stable fingerprint to aggregate under).
-        """
-        fps = join_step_fingerprints(node)
-        if fps is None or step >= len(fps):
-            return
+        """Record one step of a ``MultiJoin``."""
+        fingerprint = join_step_fingerprints(node)[step]
         with self._lock:
             entry = self._part_locked(
                 node, "joins", step,
-                lambda: JoinStepProfile(detail=detail, fingerprint=fps[step]))
+                lambda: JoinStepProfile(detail=detail, fingerprint=fingerprint))
             entry.calls += 1
             entry.rows_left += rows_left
             entry.rows_right += rows_right

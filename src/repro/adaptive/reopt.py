@@ -9,34 +9,30 @@ from what the :class:`~repro.adaptive.feedback.FeedbackStore` observed:
   orders conjuncts by the classic rank criterion
   ``(selectivity - 1) / cost`` (most filtering power per unit cost
   first), using observed per-conjunct selectivities and per-row costs.
-* **Join build side** — the vectorized equi-join sorts one side and
-  probes it with the other; sorting the observably smaller side is
-  cheaper. The pass annotates ``Join.build_side`` from observed child
-  cardinalities (the executor restores the default output order, so the
-  annotation is invisible in results).
-* **Join ordering** — a region of inner equi-joins (three or more
-  relations) is flattened into a join graph and ordered greedily by
-  estimated output cardinality: base-table statistics when cold,
-  FeedbackStore EWMA cardinalities and per-edge join selectivities when
-  warm. A reordered region executes as a :class:`MultiJoin`, whose
-  canonical output order (per-input row positions, original input order
-  major) is exactly what the written binary-join tree emits — so the
-  rewrite preserves row content *and* row order bit-for-bit.
+* **Join ordering** — every inner equi-join region reaches this pass as a
+  :class:`MultiJoin` in text order (the static pipeline lowers it); a
+  region of three or more relations is ordered greedily by estimated
+  output cardinality: base-table statistics when cold, FeedbackStore
+  EWMA cardinalities and per-edge join selectivities when warm. The
+  decision only ever flips ``MultiJoin.order``, whose canonical output
+  order (per-input row positions, original input order major) is exactly
+  what the written binary-join tree emits — so the rewrite preserves row
+  content *and* row order bit-for-bit. (Which side of a join step gets
+  sorted is not planned at all: the executor picks it from the row
+  counts it sees.)
 * **Predict batch sizing** — batched model invocation amortizes dispatch
   overhead; the per-model per-row cost observed by the runtime sizes
   ``Predict.batch_rows`` so one batch lands near a target wall time
   instead of the static default.
 
 Every decision carries **hysteresis** (reordering needs a >10% modeled
-win, build-side swaps need a 4x cardinality gap and persist until it
-narrows below 2.5x, batch sizes snap to powers of two), so a warmed plan
+win, batch sizes snap to powers of two), so a warmed plan
 reaches a fixed point instead of oscillating — the session re-optimizes
 a cached plan only while :func:`apply_feedback` still wants to change
 it, or when a fingerprint's EWMA drift signal fires.
 
 All rewrites are *result-preserving*: AND is commutative (and reordering
-is refused when any conjunct could raise on rows another one guards),
-the build-side join restores probe-major row order bit-for-bit, the
+is refused when any conjunct could raise on rows another one guards), the
 MultiJoin emits the canonical (written-order) row order regardless of
 its execution sequence, and model outputs are row-independent across
 batch boundaries.
@@ -44,13 +40,12 @@ batch boundaries.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.adaptive.feedback import FeedbackStore
 from repro.adaptive.profile import (
     conjunct_fingerprint,
     join_edge_fingerprint,
-    join_region,
     plan_fingerprint,
 )
 from repro.relational.expressions import (
@@ -93,12 +88,6 @@ JOIN_REORDER_MIN_GAIN = 0.10
 DEFAULT_FILTER_SELECTIVITY = 0.25
 DEFAULT_GROUP_FRACTION = 0.10
 DEFAULT_TABLE_ROWS = 1_000.0
-# Build-side swaps pay an output re-sort; require a clear size gap to
-# swap, and keep the swap until the gap narrows well below it (a
-# hysteresis band, so an EWMA hovering at the boundary cannot thrash the
-# plan cache with re-optimizations).
-BUILD_SIDE_RATIO = 4.0
-BUILD_SIDE_KEEP_RATIO = 2.5
 # Predict batch sizing: aim one batch at this wall time, snapped to a
 # power of two within [MIN, MAX] rows.
 TARGET_BATCH_SECONDS = 0.25
@@ -182,31 +171,6 @@ def plan_conjunct_order(filter_node: Filter, store: FeedbackStore
     if best >= current * (1.0 - REORDER_MIN_GAIN):
         return None  # not worth disturbing a warmed plan
     return ranks
-
-
-def plan_build_side(join: Join, store: FeedbackStore) -> Optional[str]:
-    """``"left"`` when the left input is observably much smaller.
-
-    Without observations for both children the plan's current choice is
-    kept. Swapping needs a :data:`BUILD_SIDE_RATIO` gap; an existing swap
-    is kept until the gap narrows below :data:`BUILD_SIDE_KEEP_RATIO`.
-
-    Only ``inner`` and ``left`` joins — the combinations the executor's
-    build-left variant implements — are ever annotated; anything else
-    keeps its current (validated-at-construction) value, so adaptive
-    re-optimization cannot emit a hint the executor would reject.
-    """
-    if join.how not in ("inner", "left"):  # pragma: no cover - Join
-        return join.build_side             # validates how at construction
-    left_rows = store.rows_out(plan_fingerprint(join.left))
-    right_rows = store.rows_out(plan_fingerprint(join.right))
-    if left_rows is None or right_rows is None:
-        return join.build_side  # no evidence either way: keep the plan's
-    ratio = (BUILD_SIDE_KEEP_RATIO if join.build_side == "left"
-             else BUILD_SIDE_RATIO)
-    if left_rows * ratio < right_rows:
-        return "left"
-    return None
 
 
 def plan_batch_rows(predict: Predict, store: FeedbackStore,
@@ -299,9 +263,9 @@ def _key_distinct(leaf: PlanNode, column: str, catalog) -> Optional[float]:
 class _JoinOrderModel:
     """Cost model over one join region: cards + step selectivities."""
 
-    def __init__(self, region, store: FeedbackStore, catalog):
-        self.leaves = list(region.leaves)
-        self.edges = list(region.edges)
+    def __init__(self, region: MultiJoin, store: FeedbackStore, catalog):
+        self.leaves = region.inputs
+        self.edges = region.edges
         self.leaf_fps = [plan_fingerprint(leaf) for leaf in self.leaves]
         self.cards = [estimated_rows(leaf, store, catalog)
                       for leaf in self.leaves]
@@ -402,22 +366,20 @@ class _JoinOrderModel:
         return total
 
 
-def plan_join_order(node: PlanNode, store: FeedbackStore,
+def plan_join_order(node: MultiJoin, store: FeedbackStore,
                     catalog=None) -> Optional[List[int]]:
     """The execution sequence feedback/statistics prefer, or None.
 
-    ``node`` is the top of an inner-join region (binary ``Join`` tree or
-    ``MultiJoin``). Returns a permutation of the region's original leaf
-    order, only when it differs from the plan's current sequence *and*
-    models at least :data:`JOIN_REORDER_MIN_GAIN` less summed intermediate
-    cardinality (hysteresis — warmed plans reach a fixed point).
+    Returns a permutation of the region's inputs, only when it differs
+    from the node's current sequence *and* models at least
+    :data:`JOIN_REORDER_MIN_GAIN` less summed intermediate cardinality
+    (hysteresis — warmed plans reach a fixed point). A two-input region
+    has one sequence.
     """
-    region = join_region(node)
-    if region is None or len(region.leaves) < 3:
+    if len(node.inputs) < 3:
         return None
-    model = _JoinOrderModel(region, store, catalog)
-    current = node.sequence() if isinstance(node, MultiJoin) \
-        else list(range(len(region.leaves)))
+    model = _JoinOrderModel(node, store, catalog)
+    current = node.sequence()
     greedy = model.greedy_sequence()
     if greedy is None or greedy == current:
         return None
@@ -426,66 +388,6 @@ def plan_join_order(node: PlanNode, store: FeedbackStore,
     if greedy_cost >= current_cost * (1.0 - JOIN_REORDER_MIN_GAIN):
         return None
     return greedy
-
-
-def _replace_region_leaves(node: PlanNode,
-                           leaves: Iterator[PlanNode]) -> PlanNode:
-    """Rebuild a join region's internal shape over replacement leaves
-    (consumed in the same in-order sequence ``join_region`` flattens)."""
-    if isinstance(node, Join) and node.how == "inner":
-        left = _replace_region_leaves(node.left, leaves)
-        right = _replace_region_leaves(node.right, leaves)
-        if left is node.left and right is node.right:
-            return node
-        return node.with_children([left, right])
-    if isinstance(node, MultiJoin):
-        new_inputs = [next(leaves) for _ in node.inputs]
-        if all(new is old for new, old in zip(new_inputs, node.inputs)):
-            return node
-        return MultiJoin(new_inputs, node.edges, node.order,
-                         order_insensitive=node.order_insensitive)
-    return next(leaves)
-
-
-def _reorder_joins(node: PlanNode, store: FeedbackStore, catalog,
-                   info: Dict[str, object]) -> PlanNode:
-    """Top-down pass applying :func:`plan_join_order` to region tops.
-
-    Regions are handled at their topmost node only (the maximal set of
-    adjacent inner joins); recursion continues *inside the region's
-    leaves*, so nested regions below non-join operators are still
-    visited.
-    """
-    if (isinstance(node, Join) and node.how == "inner") \
-            or isinstance(node, MultiJoin):
-        region = join_region(node)
-        if region is not None:
-            new_leaves = [_reorder_joins(leaf, store, catalog, info)
-                          for leaf in region.leaves]
-            leaves_changed = any(new is not old for new, old
-                                 in zip(new_leaves, region.leaves))
-            desired = plan_join_order(node, store, catalog)
-            if desired is not None:
-                info["joins_reordered"] = int(info["joins_reordered"]) + 1
-                order = None if desired == list(range(len(new_leaves))) \
-                    else desired
-                return MultiJoin(new_leaves, list(region.edges), order,
-                                 order_insensitive=isinstance(node, MultiJoin)
-                                 and node.order_insensitive)
-            if not leaves_changed:
-                return node
-            if isinstance(node, MultiJoin):
-                return MultiJoin(new_leaves, node.edges, node.order,
-                                 order_insensitive=node.order_insensitive)
-            return _replace_region_leaves(node, iter(new_leaves))
-    children = node.children()
-    if not children:
-        return node
-    new_children = [_reorder_joins(child, store, catalog, info)
-                    for child in children]
-    if all(new is old for new, old in zip(new_children, children)):
-        return node
-    return node.with_children(new_children)
 
 
 #: Aggregate functions whose result is invariant under any permutation of
@@ -557,16 +459,10 @@ def apply_feedback(plan: PlanNode, store: FeedbackStore,
     """
     info: Dict[str, object] = {
         "filters_reordered": 0,
-        "joins_build_left": 0,
         "joins_reordered": 0,
         "joins_sort_skipped": 0,
         "predicts_batch_sized": 0,
     }
-    plan_joins = _reorder_joins(plan, store, catalog, info)
-    plan_joins = _annotate_order_insensitive(plan_joins)
-    info["joins_sort_skipped"] = sum(
-        1 for node in walk(plan_joins)
-        if isinstance(node, MultiJoin) and node.order_insensitive)
 
     def rewrite(node: PlanNode) -> Optional[PlanNode]:
         if isinstance(node, Filter):
@@ -577,16 +473,15 @@ def apply_feedback(plan: PlanNode, store: FeedbackStore,
             info["filters_reordered"] += 1
             predicate = conjunction([parts[index] for index in order])
             return Filter(node.child, predicate)
-        if isinstance(node, Join):
-            desired = plan_build_side(node, store)
-            if desired == node.build_side:
+        if isinstance(node, MultiJoin):
+            desired = plan_join_order(node, store, catalog)
+            if desired is None:
                 return None
-            if desired != "left" and node.build_side is None:
-                return None
-            info["joins_build_left"] += int(desired == "left")
-            rebuilt = Join(node.left, node.right, node.left_keys,
-                           node.right_keys, node.how, build_side=desired)
-            return rebuilt
+            info["joins_reordered"] += 1
+            # The text-order sequence is spelled "no annotation".
+            order = None if desired == sorted(desired) else desired
+            return MultiJoin(node.inputs, node.edges, order,
+                             order_insensitive=node.order_insensitive)
         if isinstance(node, Predict):
             desired = plan_batch_rows(node, store, default_batch_rows)
             if desired == node.batch_rows:
@@ -595,7 +490,10 @@ def apply_feedback(plan: PlanNode, store: FeedbackStore,
             return node.replace(batch_rows=desired)
         return None
 
-    rewritten = transform_plan(plan_joins, rewrite)
+    rewritten = _annotate_order_insensitive(transform_plan(plan, rewrite))
+    info["joins_sort_skipped"] = sum(
+        1 for node in walk(rewritten)
+        if isinstance(node, MultiJoin) and node.order_insensitive)
     # Every decision that differs from the plan returns a replacement
     # node, so object identity is the complete change test (it also
     # catches annotation *reverts*, which increment no counter).

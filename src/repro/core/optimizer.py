@@ -6,7 +6,10 @@ model-projection pushdown (pruning exposes more unused features), then the
 data-induced optimizations — because they are always beneficial. Then the
 data-driven strategy picks {none, MLtoSQL, MLtoDNN} per trained pipeline.
 Host-engine relational passes run before (to position filters) and after
-(to harvest the columns the rules freed).
+(to harvest the columns the rules freed). The static pipeline ends by
+lowering every inner equi-join region to one row-index ``MultiJoin`` — the
+only way an optimized plan runs an inner join — and the feedback-driven
+passes, when a store is given, tune that final shape.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from repro.core.rules import (
 from repro.core.strategies import DefaultPaperRule, FixedStrategy, OptimizationStrategy
 from repro.errors import UnsupportedOperatorError
 from repro.relational.logical import PlanNode, find_predict_nodes
-from repro.relational.optimizer import RelationalOptimizer
+from repro.relational.optimizer import RelationalOptimizer, lower_joins
 from repro.storage.catalog import Catalog
 
 
@@ -65,7 +68,7 @@ class RavenOptimizer:
       to the CPU tensor runtime otherwise;
     * ``feedback`` — a :class:`repro.adaptive.feedback.FeedbackStore`;
       when given, the feedback-driven passes run last (conjunct
-      reordering, join build side, predict batch sizing), tuning the plan
+      reordering, join ordering, predict batch sizing), tuning the plan
       to observed selectivities and costs. ``predict_batch_rows`` is the
       runtime's default predict batch size, the baseline batch sizing
       compares against.
@@ -122,7 +125,7 @@ class RavenOptimizer:
 
         plan = self._apply_strategy(plan, report)
         # Harvest columns freed by the rules (pushdown below joins, scans).
-        plan = self._relational.optimize(plan)
+        plan = lower_joins(self._relational.optimize(plan))
         if self.feedback is not None:
             # Feedback-driven tuning runs last, over the final operator
             # shapes, so the fingerprints it consults match what the

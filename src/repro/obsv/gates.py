@@ -71,15 +71,20 @@ class Gate:
 #: two expression-engine ratios time raw numpy kernels (no session fixed
 #: costs to damp them) and swing 25-40% on shared single-cpu runners;
 #: the adaptive ratio times ~5ms warmed calls and was observed swinging
-#: ~15% around its median, so it gets 20%; joins and persist ratios sit
-#: on larger per-call work and stay within 15%.
+#: ~15% around its median, so it gets 20%; the persist ratio sits on
+#: larger per-call work and stays within 15%.
 DEFAULT_GATES: Sequence[Gate] = (
     Gate("expressions", "workloads.deep_tree_case_depth8.speedup",
          tolerance=0.30),
     Gate("expressions", "workloads.wide_cse_projection_x32.speedup",
          tolerance=0.40),
     Gate("adaptive", "speedup", tolerance=0.20),
-    Gate("joins", "speedup"),
+    # An absolute time, not a ratio: both join sessions run the region
+    # as one row-index MultiJoin, so the static baseline's time moves
+    # with every join-engine change and a ratio against it says little
+    # about the reordered plan. ~100 ms warmed calls swing ~25% across
+    # runs on a shared runner.
+    Gate("joins", "adaptive_seconds", LOWER_IS_BETTER, tolerance=0.25),
     Gate("persist", "speedup"),
     # Resilience SLOs. Availability is a count ratio, not a timing —
     # zero tolerance: any query the retrying fleet fails to answer under

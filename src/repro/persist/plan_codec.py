@@ -10,11 +10,11 @@ algebra, bit-for-bit:
   execution ``order``) and every expression node type has a tagged dict
   form;
 * execution *annotations* learned by the adaptive subsystem
-  (``Join.build_side``, ``Predict.batch_rows``, ``MultiJoin.order``,
-  feedback-reordered conjunct order) survive the round trip — they are
+  (``Predict.batch_rows``, ``MultiJoin.order``, feedback-reordered
+  conjunct order) survive the round trip — they are
   the whole point of persisting a warmed plan;
 * derived per-node caches (compiled expression programs, adaptive
-  fingerprints, join-region extractions) are deliberately *not*
+  fingerprints) are deliberately *not*
   serialized: they live in ``node.__dict__`` side slots and are
   recomputed lazily on first execution of a loaded plan.
 
@@ -171,8 +171,7 @@ def _node_to_dict(node: PlanNode) -> Dict[str, Any]:
                 "right": _node_to_dict(node.right),
                 "left_keys": list(node.left_keys),
                 "right_keys": list(node.right_keys),
-                "how": node.how,
-                "build_side": node.build_side}
+                "how": node.how}
     if isinstance(node, MultiJoin):
         return {"t": "multijoin",
                 "inputs": [_node_to_dict(child) for child in node.inputs],
@@ -232,10 +231,12 @@ def _node_from_dict(payload: Dict[str, Any]) -> PlanNode:
                        [(name, expression_from_dict(expr))
                         for name, expr in payload["outputs"]])
     if tag == "join":
+        # Payloads written when the sort side was still planned carry one
+        # more key (the planned side); it is not read.
         return Join(_node_from_dict(payload["left"]),
                     _node_from_dict(payload["right"]),
                     payload["left_keys"], payload["right_keys"],
-                    payload["how"], payload["build_side"])
+                    payload["how"])
     if tag == "multijoin":
         edges = [JoinEdge(edge["left_input"], edge["right_input"],
                           edge["left_key"], edge["right_key"])

@@ -24,7 +24,7 @@ the fleet left off:
   gap).
 
 Loading never recomputes derived caches eagerly: compiled expression
-programs, adaptive fingerprints and join-region extractions live in
+programs and adaptive fingerprints live in
 plan-node side slots and are rebuilt lazily on first execution.
 """
 

@@ -10,8 +10,15 @@ Execution is organized around **late materialization**: row-preserving
 operators pass a :class:`~repro.storage.table.TableView` — shared column
 data plus a selection vector — downstream instead of copying every column
 at every operator. ``Filter`` only composes selections; columns are
-gathered once, at pipeline breakers (join sides, aggregate, sort, predict
-inputs, final output). Scalar expressions are lowered to
+gathered once, at pipeline breakers (aggregate, sort, predict inputs,
+final output). Joins extend this through an inner-join region: a
+``MultiJoin`` — the form every inner equi-join region of an optimized
+plan arrives in — carries per-input row-index vectors from step to step
+and gathers each column once, after its last step; which side of a step
+gets sorted is decided from the row counts the step sees. The binary
+``Join`` (left outer joins, and the written join tree an unoptimized
+session runs as the reference) gathers both sides at every step. Scalar
+expressions are lowered to
 :class:`~repro.relational.compile.CompiledProgram` instructions (CSE +
 masked CASE routing + constant folding), cached per plan node so plans
 held by the serving cache skip compilation on warm executions; the
@@ -78,9 +85,8 @@ PredictExecutor = Callable[[Predict, Table, Optional[int]], Table]
 class Morsel:
     """One partition-aligned unit of scan work.
 
-    As a ``scan_restrictions`` value it restricts the scan of the driven
-    table to rows ``[start, stop)`` *of one partition*. The morsel
-    driver (:mod:`repro.relational.morsel`) fans a query out over
+    As a ``scan_restrictions`` value it restricts the driven scan to
+    rows ``[start, stop)`` *of one partition*. The morsel driver (:mod:`repro.relational.morsel`) fans a query out over
     morsels and merges results in ``(partition, start)`` order — exactly
     the row order of the unrestricted scan, which is what keeps fanned-
     out execution bit-for-bit identical.
@@ -108,9 +114,11 @@ def unobserved_record():
 class Executor:
     """Evaluates plans against a catalog.
 
-    ``scan_restrictions`` optionally restricts named tables: a
-    :class:`Morsel` for the table the morsel driver fans out over, a list
-    of surviving partition indices for tables pruned by zone maps.
+    ``scan_restrictions`` optionally restricts scans, keyed by the
+    ``Scan`` node (neither a table name nor an alias names one scan of a
+    plan): a :class:`Morsel` for the scan the morsel driver fans out
+    over, a list of surviving partition indices for scans pruned by zone
+    maps.
     ``compile_expressions`` selects the compiled expression engine (default)
     or the interpreted oracle.
     ``record`` (a :class:`repro.adaptive.profile.PlanProfiler`) receives
@@ -123,7 +131,7 @@ class Executor:
 
     def __init__(self, catalog: Catalog,
                  predict_executor: Optional[PredictExecutor] = None,
-                 scan_restrictions: Optional[Dict[str, object]] = None,
+                 scan_restrictions: Optional[Dict[Scan, object]] = None,
                  compile_expressions: bool = True,
                  record=None, deadline=None, faults=None):
         self.catalog = catalog
@@ -276,7 +284,7 @@ class Executor:
     # ------------------------------------------------------------------
     def _exec_scan(self, node: Scan) -> Table:
         entry = self.catalog.table(node.table_name)
-        restriction = self.scan_restrictions.get(node.table_name)
+        restriction = self.scan_restrictions.get(node)
         if isinstance(restriction, Morsel):
             table = entry.data.partitions[restriction.partition].table \
                 .slice(restriction.start, restriction.stop)
@@ -416,39 +424,22 @@ class Executor:
         return table.take(order)
 
     # ------------------------------------------------------------------
-    # Join (selection-vector-aware: key codes factorize through each
-    # side's selection vector; non-key columns are gathered exactly once,
+    # Joins are selection-vector-aware: key codes factorize through each
+    # side's selection vector, and every column is gathered exactly once,
     # at emit, composing the join indices with the selection — a
-    # Filter -> Join pipeline never materializes its full input)
+    # Filter -> Join pipeline never materializes its full input.
+    #
+    # Binary Join: what only it can do (left outer joins, regions whose
+    # keys cannot be attributed to one input) and the written join tree
+    # an unoptimized session runs step by step — the reference the
+    # MultiJoin is tested against. Both sides' columns are gathered at
+    # every step.
     # ------------------------------------------------------------------
-
-    # (how, build) combinations the executor implements. ``build`` hints
-    # on anything outside this table are a planner bug — rejected loudly
-    # instead of silently running with the default.
-    _SUPPORTED_JOINS = frozenset({
-        ("inner", "left"), ("inner", "right"),
-        ("left", "left"), ("left", "right"),
-    })
-
     def _exec_join(self, node: Join) -> Table:
         left = self._run(node.left)
         right = self._run(node.right)
-        build = node.build_side or "right"
-        if (node.how, build) not in self._SUPPORTED_JOINS:
-            raise ExecutionError(
-                f"unsupported join execution: how={node.how!r} with "
-                f"build_side={node.build_side!r}"
-            )
-        started = time.perf_counter()
         codes = _composite_codes(left, right, node.left_keys, node.right_keys)
-        left_idx, right_idx, unmatched = _join_indices(
-            *codes, how=node.how, build=build)
-        if self.record.profile:
-            keys = ", ".join(f"{lk}={rk}" for lk, rk
-                             in zip(node.left_keys, node.right_keys))
-            self.record.record_join(node, 0, keys, left.num_rows,
-                                    right.num_rows, len(left_idx),
-                                    time.perf_counter() - started)
+        left_idx, right_idx, unmatched = _join_indices(*codes, how=node.how)
         if node.how == "inner":
             columns = _gather_columns(left, left_idx)
             columns += _gather_columns(right, right_idx)
@@ -461,17 +452,27 @@ class Executor:
         return Table(columns)
 
     # ------------------------------------------------------------------
-    # MultiJoin: an n-way inner-join region executed on row indices.
-    # Intermediate steps only shuffle per-input int64 index arrays (plus
-    # the key columns of the step); payload columns are gathered once, at
-    # the end. The output is emitted in the canonical order — rows sorted
+    # MultiJoin: how every inner-join region of an optimized plan runs.
+    # Steps only shuffle per-input int64 row-index vectors (plus the key
+    # columns of the step); each column is gathered once, at the end. The
+    # output is emitted in the canonical order — rows sorted
     # lexicographically by per-input row position, original input order
-    # major — which is exactly what the original tree of binary joins
+    # major — which is exactly what the written tree of binary joins
     # produces, so every execution `order` is bit-for-bit identical.
     # ------------------------------------------------------------------
     def _exec_multijoin(self, node: MultiJoin) -> Table:
         views = [self._run(child) for child in node.inputs]
         sequence = node.sequence()
+        # A step that keeps its held rows in order extends a canonically
+        # ordered prefix canonically (index tuples are unique; ties on the
+        # held rows break on ascending target row), so the text-order
+        # sequence needs no output sort. Any other sequence is sorted into
+        # canonical order at the end, and its steps may emit whatever
+        # order is cheapest — as may every step when the feedback pass
+        # proved the consumer permutation-invariant (order_insensitive).
+        in_order = sequence == sorted(sequence)
+        ordered_steps = in_order and not node.order_insensitive
+        sort_output = not in_order and not node.order_insensitive
         first = sequence[0]
         matched: Dict[int, np.ndarray] = {
             first: np.arange(views[first].num_rows, dtype=np.int64)
@@ -505,18 +506,9 @@ class Executor:
                                 new_codes.max(initial=0))) + 1
                 current_codes = current_codes * radix + held_codes
                 target_codes = target_codes * radix + new_codes
-            # Sort (build) whichever side is smaller. The canonical output
-            # sort below makes the intermediate order irrelevant, so both
-            # directions use the plain build-right kernel with the
-            # arguments swapped — never the build-left variant, whose
-            # stable re-sort exists only to restore an order nobody needs
-            # here.
-            if rows_current <= rows_target:
-                step_right, step_left, _ = _join_indices(
-                    target_codes, current_codes, how="inner", build="right")
-            else:
-                step_left, step_right, _ = _join_indices(
-                    current_codes, target_codes, how="inner", build="right")
+            step_left, step_right, _ = _join_indices(
+                current_codes, target_codes, how="inner",
+                left_major=ordered_steps)
             matched = {index: rows[step_left]
                        for index, rows in matched.items()}
             matched[target] = step_right
@@ -526,22 +518,14 @@ class Executor:
                                         rows_current, rows_target,
                                         len(step_left),
                                         time.perf_counter() - started)
-        # Canonical order: original input 0 is the primary sort key.
-        # Index tuples are unique (each output row is a distinct
-        # combination of input rows), so this is a total order and the
-        # result is independent of the execution sequence. When the
-        # feedback pass proved the consumer permutation-invariant
-        # (order_insensitive), the sort is pure overhead and rows pass
-        # through in whatever order the join steps produced them.
-        count = len(matched[first])
-        if count and not node.order_insensitive:
+        if sort_output and len(matched[first]):
+            # Original input 0 is the primary sort key.
             order = np.lexsort([matched[index]
                                 for index in reversed(range(len(views)))])
-        else:
-            order = np.arange(count, dtype=np.int64)
+            matched = {index: rows[order] for index, rows in matched.items()}
         columns: List[Tuple[str, Column]] = []
         for index, view in enumerate(views):
-            columns += _gather_columns(view, matched[index][order])
+            columns += _gather_columns(view, matched[index])
         return Table(columns)
 
     # ------------------------------------------------------------------
@@ -628,73 +612,60 @@ def _composite_codes(left: Union[Table, TableView], right: Union[Table, TableVie
     return left_codes, right_codes
 
 
+#: Sorting the left side of a join means re-sorting the matches back to
+#: left-major order; that pays once the left side is this many times
+#: smaller than the right.
+_SORT_LEFT_GAP = 4
+
+
+def _sorted_probe(probe_codes: np.ndarray, build_codes: np.ndarray
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """Sort ``build_codes`` and probe it with ``probe_codes``.
+
+    Returns (probe_idx, build_idx); pairs come out probe-major — per
+    probe row, its matches in ascending build row — like a streaming
+    hash probe.
+    """
+    order = np.argsort(build_codes, kind="stable")
+    sorted_build = build_codes[order]
+    starts = np.searchsorted(sorted_build, probe_codes, side="left")
+    counts = np.searchsorted(sorted_build, probe_codes, side="right") - starts
+    probe_idx = np.repeat(np.arange(len(probe_codes)), counts)
+    first_pair = np.cumsum(counts) - counts
+    intra = np.arange(len(probe_idx)) - np.repeat(first_pair, counts)
+    build_idx = order[np.repeat(starts, counts) + intra]
+    return probe_idx, build_idx
+
+
 def _join_indices(left_codes: np.ndarray, right_codes: np.ndarray,
-                  how: str, build: str = "right"
+                  how: str, left_major: bool = True
                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized sorted-probe equi-join.
 
-    Returns (left_idx, right_idx, unmatched_left_idx); matched pairs keep the
-    left relation's row order (stable, like a streaming hash probe).
-
-    ``build`` selects which side gets sorted (the analogue of a hash
-    join's build side): the default sorts the right side and probes with
-    the left; ``build="left"`` — chosen by feedback-driven re-optimization
-    when the left input is observably much smaller — sorts the left side,
-    probes with the right, and restores the left-major output order, so
-    both variants produce bit-for-bit identical results.
+    Returns (left_idx, right_idx, unmatched_left_idx). One side is sorted
+    (the analogue of a hash join's build side) and probed with the other:
+    the right side, unless the left is much smaller
+    (:data:`_SORT_LEFT_GAP`) — decided from the two inputs as they arrive,
+    so there is nothing to plan or cache. Matched pairs keep the left
+    relation's row order either way (bit-for-bit the same result); a
+    caller that re-sorts the pairs itself passes ``left_major=False`` to
+    skip restoring it, and then simply the smaller side is sorted.
     """
-    if build == "left":
-        return _join_indices_build_left(left_codes, right_codes, how)
-    order = np.argsort(right_codes, kind="stable")
-    sorted_right = right_codes[order]
-    starts = np.searchsorted(sorted_right, left_codes, side="left")
-    ends = np.searchsorted(sorted_right, left_codes, side="right")
-    counts = ends - starts
-    total = int(counts.sum())
-    left_idx = np.repeat(np.arange(len(left_codes)), counts)
-    if total:
-        cum = np.cumsum(counts)
-        intra = np.arange(total) - np.repeat(cum - counts, counts)
-        right_pos = np.repeat(starts, counts) + intra
-        right_idx = order[right_pos]
+    gap = _SORT_LEFT_GAP if left_major else 1
+    if len(left_codes) * gap < len(right_codes):
+        right_idx, left_idx = _sorted_probe(right_codes, left_codes)
+        if left_major:
+            # Pairs were generated right-major; for a fixed left row the
+            # stable re-sort keeps them in generation order — ascending
+            # right row — which is what probing with the left emits.
+            restore = np.argsort(left_idx, kind="stable")
+            left_idx, right_idx = left_idx[restore], right_idx[restore]
     else:
-        right_idx = np.asarray([], dtype=np.int64)
-    unmatched = np.nonzero(counts == 0)[0] if how == "left" else np.asarray([], dtype=np.int64)
-    return left_idx, right_idx, unmatched
-
-
-def _join_indices_build_left(left_codes: np.ndarray, right_codes: np.ndarray,
-                             how: str
-                             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted-probe join building (sorting) the left side.
-
-    Pairs are generated probe-major (per right row, its left matches in
-    ascending left order) and then stably re-sorted by left index; for a
-    fixed left row the ties keep their generation order — ascending right
-    index — which is exactly the order the build-right variant emits.
-    """
-    order = np.argsort(left_codes, kind="stable")
-    sorted_left = left_codes[order]
-    starts = np.searchsorted(sorted_left, right_codes, side="left")
-    ends = np.searchsorted(sorted_left, right_codes, side="right")
-    counts = ends - starts
-    total = int(counts.sum())
-    gen_right = np.repeat(np.arange(len(right_codes)), counts)
-    if total:
-        cum = np.cumsum(counts)
-        intra = np.arange(total) - np.repeat(cum - counts, counts)
-        left_pos = np.repeat(starts, counts) + intra
-        gen_left = order[left_pos]
-        resort = np.argsort(gen_left, kind="stable")
-        left_idx = gen_left[resort]
-        right_idx = gen_right[resort]
-    else:
-        left_idx = np.asarray([], dtype=np.int64)
-        right_idx = np.asarray([], dtype=np.int64)
+        left_idx, right_idx = _sorted_probe(left_codes, right_codes)
     if how == "left":
-        matched = np.zeros(len(left_codes), dtype=np.bool_)
-        matched[left_idx] = True
-        unmatched = np.nonzero(~matched)[0]
+        found = np.zeros(len(left_codes), dtype=np.bool_)
+        found[left_idx] = True
+        unmatched = np.nonzero(~found)[0]
     else:
         unmatched = np.asarray([], dtype=np.int64)
     return left_idx, right_idx, unmatched

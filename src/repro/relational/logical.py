@@ -184,37 +184,35 @@ class Project(PlanNode):
 
 
 class Join(PlanNode):
-    """Equi-join on key column lists (inner or left outer).
+    """Binary equi-join on key column lists (inner or left outer).
 
-    ``build_side`` is a pure execution annotation (set by feedback-driven
-    re-optimization): the executor sorts the annotated side and probes it
-    with the other, restoring the default left-major output order either
-    way. ``None`` means the default (build on the right).
+    The shape joins are written and bound in. An optimized plan keeps it
+    only for what nothing else expresses — left outer joins, and inner
+    joins whose keys cannot be attributed to one input each; every other
+    inner join is lowered into a :class:`MultiJoin`. The executor sorts
+    whichever side is smaller when it runs and emits left-major row order
+    either way.
     """
 
     def __init__(self, left: PlanNode, right: PlanNode,
                  left_keys: Sequence[str], right_keys: Sequence[str],
-                 how: str = "inner", build_side: Optional[str] = None):
+                 how: str = "inner"):
         if len(left_keys) != len(right_keys) or not left_keys:
             raise PlanError("join needs matching non-empty key lists")
         if how not in ("inner", "left"):
             raise PlanError(f"unsupported join type: {how!r}")
-        if build_side not in (None, "left", "right"):
-            raise PlanError(f"unsupported build side: {build_side!r}")
         self.left = left
         self.right = right
         self.left_keys = list(left_keys)
         self.right_keys = list(right_keys)
         self.how = how
-        self.build_side = build_side
 
     def children(self):
         return (self.left, self.right)
 
     def with_children(self, children):
         left, right = children
-        return Join(left, right, self.left_keys, self.right_keys, self.how,
-                    self.build_side)
+        return Join(left, right, self.left_keys, self.right_keys, self.how)
 
     def output_schema(self, catalog: Catalog) -> Schema:
         left_schema = self.left.output_schema(catalog)
@@ -227,8 +225,7 @@ class Join(PlanNode):
     def _label(self):
         keys = ", ".join(f"{lk}={rk}"
                          for lk, rk in zip(self.left_keys, self.right_keys))
-        build = f", build={self.build_side}" if self.build_side else ""
-        return f"Join[{self.how}]({keys}{build})"
+        return f"Join[{self.how}]({keys})"
 
 
 @dataclass(frozen=True)
@@ -256,21 +253,25 @@ class JoinEdge:
 class MultiJoin(PlanNode):
     """A region of inner equi-joins executed as one n-way operator.
 
-    Created by feedback-driven join ordering from a tree of binary inner
-    ``Join`` operators: ``inputs`` holds the region's leaf subplans in the
-    *original* (query text) order, ``edges`` the equi-join key pairs of the
-    tree, and ``order`` — a pure execution annotation — the sequence the
-    executor joins the inputs in (``None`` = original order). The executor
-    restores the **canonical output order** (the order the original
-    left-deep tree of binary joins would emit: rows sorted
-    lexicographically by the per-input row positions, original input order
-    major), so any ``order`` produces bit-for-bit identical results and
-    ``RavenSession(adaptive=False)`` remains a differential oracle.
+    The lowered form of every inner-join region of an optimized plan
+    (:func:`repro.relational.optimizer.lower_joins`; two inputs
+    included): ``inputs`` holds the region's leaf subplans in the
+    *original* (query text) order, ``edges`` the equi-join key pairs of
+    the written tree, and ``order`` — a pure execution annotation, set by
+    feedback-driven join ordering — the sequence the executor joins the
+    inputs in (``None`` = original order). The executor works on
+    per-input row-index vectors, gathers each column once at the end, and
+    emits the **canonical output order** (the order the written tree of
+    binary joins emits: rows sorted lexicographically by the per-input
+    row positions, original input order major), so any ``order`` produces
+    bit-for-bit identical results and the written ``Join`` tree
+    (``RavenSession(enable_optimizations=False)``) remains a differential
+    oracle.
 
     Every input after the first (in original order *and* in any annotated
     order) must be connected by at least one edge to the inputs before it
-    — the join-ordering pass only extracts regions with this property, so
-    execution never needs a cross product.
+    — the lowering only extracts regions with this property, so execution
+    never needs a cross product.
 
     ``order_insensitive`` — likewise a pure execution annotation — marks
     the output order as irrelevant to the query result (the consumer is a

@@ -195,8 +195,8 @@ class MorselExecutor:
         pruned = plan_partition_restrictions(body, self.catalog)
         if pruned:
             skipped = sum(
-                self.catalog.table(name).data.num_partitions - len(kept)
-                for name, kept in pruned.items())
+                self.catalog.table(scan.table_name).data.num_partitions
+                - len(kept) for scan, kept in pruned.items())
             if self.metrics is not None:
                 self.metrics.counter("partitions_skipped").inc(skipped)
             if self.record.span is not None:
@@ -205,7 +205,7 @@ class MorselExecutor:
             return self._make_executor(pruned).execute(plan)
 
         partitions = self.catalog.table(driven.table_name).data.partitions
-        surviving = pruned.pop(driven.table_name, range(len(partitions)))
+        surviving = pruned.pop(driven, range(len(partitions)))
         morsels = plan_morsels(
             [(i, partitions[i].num_rows) for i in surviving], self.dop)
         if len(partitions) == 1 and len(morsels) <= 1:
@@ -222,7 +222,7 @@ class MorselExecutor:
             # yields the correctly-typed empty body output.
             first = surviving[0] if surviving else 0
             merged = self._make_executor(
-                {**pruned, driven.table_name: Morsel(first, 0, 0)}
+                {**pruned, driven: Morsel(first, 0, 0)}
             ).execute(body)
         if not tail:
             return merged
@@ -271,7 +271,7 @@ class MorselExecutor:
 
     # ------------------------------------------------------------------
     def _run_morsels(self, morsels: List[Morsel], body: PlanNode,
-                     driven: Scan, pruned: Dict[str, List[int]]
+                     driven: Scan, pruned: Dict[Scan, List[int]]
                      ) -> Dict[Morsel, Tuple[Table, float]]:
         """Run every morsel; returns ``{morsel: (output, seconds)}``."""
         workers = min(self.dop, len(morsels))
@@ -309,7 +309,7 @@ class MorselExecutor:
         return results
 
     def _run_one(self, morsel: Morsel, body: PlanNode, driven: Scan,
-                 pruned: Dict[str, List[int]]) -> Tuple[Table, float]:
+                 pruned: Dict[Scan, List[int]]) -> Tuple[Table, float]:
         span = None
         if self.record.span is not None:
             span = self.record.span.child(
@@ -321,7 +321,7 @@ class MorselExecutor:
         started = time.perf_counter()
         try:
             piece = self._make_executor(
-                {**pruned, driven.table_name: morsel}).execute(body)
+                {**pruned, driven: morsel}).execute(body)
         except BaseException:
             if span is not None:
                 span.finish(status="error")

@@ -6,6 +6,11 @@ optimizations are also triggered by the data engine"): predicate pushdown,
 projection pruning down to scans, PK-FK join elimination and constant
 folding. Raven's model-projection pushdown only pays off because these
 passes then push the narrowed column set below joins and into scans.
+
+:func:`lower_joins` is the last static step of the Raven optimizer (not of
+:class:`RelationalOptimizer`, whose output stays the written ``Join``
+tree — the reference the lowered path is tested against): every inner
+equi-join region becomes one row-index :class:`MultiJoin`.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from repro.relational.logical import (
     Aggregate,
     Filter,
     Join,
+    JoinEdge,
     Limit,
     MultiJoin,
     PlanNode,
@@ -144,8 +150,7 @@ def push_down_filters(plan: PlanNode, catalog: Optional[Catalog] = None) -> Plan
             right = child.right if not to_right else Filter(child.right, conjunction(to_right))
             new_join = Join(push_down_filters(left, catalog),
                             push_down_filters(right, catalog),
-                            child.left_keys, child.right_keys, child.how,
-                            child.build_side)
+                            child.left_keys, child.right_keys, child.how)
             if keep:
                 return Filter(new_join, conjunction(keep))
             return new_join
@@ -267,8 +272,7 @@ def prune_columns(plan: PlanNode, catalog: Catalog,
         right_required = (required & right_names) | set(plan.right_keys)
         return Join(prune_columns(plan.left, catalog, left_required),
                     prune_columns(plan.right, catalog, right_required),
-                    plan.left_keys, plan.right_keys, plan.how,
-                    plan.build_side)
+                    plan.left_keys, plan.right_keys, plan.how)
 
     if isinstance(plan, Aggregate):
         child_required = set(plan.group_by)
@@ -359,3 +363,109 @@ def _try_drop_side(join: Join, catalog: Catalog, drop_right: bool) -> Optional[P
     for doomed_key, kept_key in zip(doomed_keys, kept_keys):
         outputs.append((doomed_key, ColumnRef(kept_key)))
     return Project(kept, outputs)
+
+
+# ---------------------------------------------------------------------------
+# Join lowering: inner-join regions run as one row-index MultiJoin
+# ---------------------------------------------------------------------------
+
+def _leaf_claims(node: PlanNode) -> Tuple[set, set]:
+    """(exact column names, alias prefixes) a region leaf can produce.
+
+    Used to attribute a join key column to one leaf. A ``Scan`` claims its
+    alias as a prefix (covering unpruned ``columns=None`` scans); nodes
+    with explicit output lists claim exact names. Unknown operators claim
+    nothing, which makes the attribution — and therefore the region
+    extraction — fail safely.
+    """
+    if isinstance(node, Scan):
+        exact = set() if node.columns is None else \
+            {f"{node.alias}.{c}" for c in node.columns}
+        return exact, {node.alias}
+    if isinstance(node, Project):
+        return {name for name, _ in node.outputs}, set()
+    if isinstance(node, Aggregate):
+        return set(node.group_by) | {s.name for s in node.aggregates}, set()
+    if isinstance(node, Predict):
+        outputs = {name for name, _, _ in node.output_columns}
+        if node.keep_columns is not None:
+            return set(node.keep_columns) | outputs, set()
+        exact, prefixes = _leaf_claims(node.child)
+        return exact | outputs, prefixes
+    if isinstance(node, (Filter, Sort, Limit)):
+        return _leaf_claims(node.children()[0])
+    if isinstance(node, (Join, MultiJoin)):
+        exact: set = set()
+        prefixes: set = set()
+        for child in node.children():
+            child_exact, child_prefixes = _leaf_claims(child)
+            exact |= child_exact
+            prefixes |= child_prefixes
+        return exact, prefixes
+    return set(), set()
+
+
+def join_region(node: PlanNode) -> Optional[MultiJoin]:
+    """The maximal inner-join region rooted at ``node``, flattened into a
+    text-order :class:`MultiJoin`, or None.
+
+    The inputs are the region's non-inner-join subplans in original
+    (in-order, i.e. query text) order; the edges its equi-join key pairs
+    mapped onto input indices. None when ``node`` is not an inner
+    ``Join``, when a join key cannot be attributed to exactly one leaf,
+    or when the leaf order violates the connected-prefix property (a
+    bushy shape whose in-order sequence would need a cross product).
+    """
+    if not (isinstance(node, Join) and node.how == "inner"):
+        return None
+    leaves: List[PlanNode] = []
+    pairs: List[Tuple[str, str]] = []  # (key column, key column)
+
+    def flatten(current: PlanNode) -> None:
+        if isinstance(current, Join) and current.how == "inner":
+            flatten(current.left)
+            flatten(current.right)
+            pairs.extend(zip(current.left_keys, current.right_keys))
+        else:
+            leaves.append(current)
+
+    flatten(node)
+    claims = [_leaf_claims(leaf) for leaf in leaves]
+
+    def leaf_of(column: str) -> Optional[int]:
+        matches = [index for index, (exact, prefixes) in enumerate(claims)
+                   if column in exact or column.split(".", 1)[0] in prefixes]
+        return matches[0] if len(matches) == 1 else None
+
+    edges: List[JoinEdge] = []
+    for left_key, right_key in pairs:
+        left_leaf = leaf_of(left_key)
+        right_leaf = leaf_of(right_key)
+        if left_leaf is None or right_leaf is None or left_leaf == right_leaf:
+            return None
+        if left_leaf > right_leaf:
+            left_leaf, right_leaf = right_leaf, left_leaf
+            left_key, right_key = right_key, left_key
+        edges.append(JoinEdge(left_leaf, right_leaf, left_key, right_key))
+    # Connected-prefix check: leaf i must share an edge with a leaf < i.
+    for index in range(1, len(leaves)):
+        if not any(edge.right_input == index for edge in edges):
+            return None
+    return MultiJoin(leaves, edges)
+
+
+def lower_joins(plan: PlanNode) -> PlanNode:
+    """Lower every maximal inner-join region :func:`join_region` can
+    extract (two inputs included) to a text-order ``MultiJoin``.
+
+    Top-down, so a region is taken at its topmost join; the pass then
+    continues inside the region's inputs. Binary ``Join`` nodes survive
+    only as left outer joins and un-attributable regions. A join-free
+    plan comes back as the same object.
+    """
+    plan = join_region(plan) or plan
+    children = plan.children()
+    new_children = [lower_joins(child) for child in children]
+    if all(new is old for new, old in zip(new_children, children)):
+        return plan
+    return plan.with_children(new_children)

@@ -15,7 +15,7 @@ partitions.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.relational.expressions import conjuncts
 from repro.relational.logical import Filter, PlanNode, Scan, walk
@@ -24,16 +24,26 @@ from repro.storage.statistics import TableStats
 
 
 def plan_partition_restrictions(plan: PlanNode, catalog: Catalog
-                                ) -> Dict[str, List[int]]:
-    """Partition indices each scan must read; tables not listed read all.
+                                ) -> Dict[Scan, List[int]]:
+    """Partition indices each scan must read, keyed by the ``Scan`` node
+    itself; scans not listed read all.
 
-    Only filters sitting *directly above* a scan (possibly stacked) are
+    A restriction belongs to the scan it was proven for, and only the
+    node identifies that scan: a table name is shared by the two sides
+    of a self-join, and an alias is only unique within one SELECT (two
+    subqueries may both say ``t AS x``). A node the plan reaches at more
+    than one place (a CTE referenced twice) is left unrestricted. Only
+    filters sitting *directly above* a scan (possibly stacked) are
     used — after the relational optimizer's pushdown pass that is where
     every single-table conjunct lives, so the analysis stays trivially
     sound (no reasoning across joins needed).
     """
-    restrictions: Dict[str, List[int]] = {}
+    restrictions: Dict[Scan, List[int]] = {}
+    seen: Set[Scan] = set()
+    shared: Set[Scan] = set()
     for node in walk(plan):
+        if isinstance(node, Scan):
+            (shared if node in seen else seen).add(node)
         if not isinstance(node, Filter):
             continue
         scan = _scan_below(node)
@@ -45,10 +55,12 @@ def plan_partition_restrictions(plan: PlanNode, catalog: Catalog
             continue
         kept = _surviving_partitions(node, scan, entry)
         if kept is not None and len(kept) < entry.data.num_partitions:
-            previous = restrictions.get(scan.table_name)
+            previous = restrictions.get(scan)
             if previous is not None:
                 kept = sorted(set(previous) & set(kept))
-            restrictions[scan.table_name] = kept
+            restrictions[scan] = kept
+    for scan in shared:
+        restrictions.pop(scan, None)
     return restrictions
 
 

@@ -24,15 +24,12 @@ from repro.adaptive.profile import (
 from repro.adaptive.reopt import (
     apply_feedback,
     plan_batch_rows,
-    plan_build_side,
     plan_conjunct_order,
 )
 from repro.errors import BackpressureError
-from repro.relational.executor import Executor
 from repro.relational.expressions import BinaryOp, col, lit
 from repro.relational.logical import (
     Filter,
-    Join,
     Predict,
     Scan,
     walk,
@@ -42,7 +39,6 @@ from repro.serving.batcher import (
     DEFAULT_MAX_BATCH_ROWS,
     MicroBatcher,
 )
-from repro.storage.catalog import Catalog
 from repro.storage.column import DataType
 
 
@@ -108,12 +104,6 @@ class TestFingerprints:
         # position, so observations survive reordering.
         assert conjunct_fingerprint(f_ab, 0) == conjunct_fingerprint(f_ba, 1)
         assert conjunct_fingerprint(f_ab, 1) == conjunct_fingerprint(f_ba, 0)
-
-    def test_execution_annotations_do_not_change_fingerprints(self):
-        plain = Join(Scan("l"), Scan("r"), ["l.k"], ["r.k"])
-        annotated = Join(Scan("l"), Scan("r"), ["l.k"], ["r.k"],
-                         build_side="left")
-        assert plan_fingerprint(plain) == plan_fingerprint(annotated)
 
     def test_different_predicates_differ(self):
         f1 = Filter(Scan("t"), col("t.a").gt(lit(0.5)))
@@ -289,41 +279,6 @@ class TestFeedbackDecisions:
         _observe_conjuncts(store, node, [0.99, 0.01])
         assert plan_conjunct_order(node, store) is None
 
-    def test_build_side_follows_observed_cardinality(self):
-        store = FeedbackStore()
-        join = Join(Scan("l"), Scan("r"), ["l.k"], ["r.k"])
-        assert plan_build_side(join, store) is None
-        for rows_out, side in ((100, "left"), (100_000, "right")):
-            profile = OperatorProfile(
-                operator="Scan", fingerprint=plan_fingerprint(
-                    join.left if side == "left" else join.right),
-                calls=1, rows_in=rows_out, rows_out=rows_out, seconds=0.0)
-            store.record_profile(profile)
-        assert plan_build_side(join, store) == "left"
-
-    def test_build_side_hysteresis_band(self):
-        def store_with(left_rows, right_rows, join):
-            store = FeedbackStore()
-            for rows, child in ((left_rows, join.left),
-                                (right_rows, join.right)):
-                store.record_profile(OperatorProfile(
-                    operator="Scan", fingerprint=plan_fingerprint(child),
-                    calls=1, rows_in=rows, rows_out=rows, seconds=0.0))
-            return store
-
-        plain = Join(Scan("l"), Scan("r"), ["l.k"], ["r.k"])
-        swapped = Join(Scan("l"), Scan("r"), ["l.k"], ["r.k"],
-                       build_side="left")
-        # A 3x gap is inside the band: not enough to swap, but enough to
-        # keep an existing swap — the boundary cannot thrash.
-        assert plan_build_side(plain, store_with(100, 300, plain)) is None
-        assert plan_build_side(swapped,
-                               store_with(100, 300, swapped)) == "left"
-        # Below the keep threshold the swap reverts.
-        assert plan_build_side(swapped, store_with(100, 150, swapped)) is None
-        # Without observations the plan's current choice is kept.
-        assert plan_build_side(swapped, FeedbackStore()) == "left"
-
     def test_morsel_profiles_use_per_call_means(self, rng):
         # A dop>1 broadcast join re-reads the dimension subtree once per
         # morsel (3 here); the cardinality feedback must not multiply it.
@@ -374,37 +329,6 @@ class TestFeedbackDecisions:
         # The rewritten plan now encodes the feedback: no further change.
         _, changed_again, _ = apply_feedback(rewritten, store, 10_000)
         assert not changed_again
-
-
-# ---------------------------------------------------------------------------
-# Build-side join execution equivalence
-# ---------------------------------------------------------------------------
-
-class TestBuildSideJoin:
-    @pytest.mark.parametrize("how", ["inner", "left"])
-    def test_build_left_is_bit_for_bit_identical(self, rng, how):
-        catalog = Catalog()
-        n_left, n_right = 50, 400
-        catalog.add_table("l", Table.from_arrays(
-            k=rng.integers(0, 30, n_left), lv=rng.normal(0, 1, n_left)))
-        catalog.add_table("r", Table.from_arrays(
-            k=rng.integers(0, 30, n_right), rv=rng.normal(0, 1, n_right)))
-        default = Join(Scan("l"), Scan("r"), ["l.k"], ["r.k"], how)
-        swapped = Join(Scan("l"), Scan("r"), ["l.k"], ["r.k"], how,
-                       build_side="left")
-        executor = Executor(catalog)
-        expected = executor.execute(default)
-        actual = executor.execute(swapped)
-        assert tables_equal_bitwise(expected, actual)
-
-    def test_build_left_empty_sides(self):
-        catalog = Catalog()
-        catalog.add_table("l", Table.from_arrays(k=np.asarray([], np.int64)))
-        catalog.add_table("r", Table.from_arrays(k=np.asarray([1, 2])))
-        for how in ("inner", "left"):
-            plan = Join(Scan("l"), Scan("r"), ["l.k"], ["r.k"], how,
-                        build_side="left")
-            assert Executor(catalog).execute(plan).num_rows == 0
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,13 @@ from repro.adaptive.profile import (
     JoinStepProfile,
     OperatorProfile,
     join_edge_fingerprint,
-    join_region,
     join_step_fingerprints,
     plan_fingerprint,
 )
-from repro.adaptive.reopt import apply_feedback, plan_build_side, plan_join_order
+from repro.adaptive.reopt import apply_feedback, plan_join_order
 from repro.errors import ExecutionError, PlanError
-from repro.relational.executor import Executor
+from repro.core.parser import parse
+from repro.relational.executor import Executor, _join_indices
 from repro.relational.expressions import col, lit
 from repro.relational.logical import (
     Filter,
@@ -35,8 +35,12 @@ from repro.relational.logical import (
     JoinEdge,
     MultiJoin,
     Scan,
+    transform_plan,
     walk,
 )
+from repro.relational.optimizer import join_region, lower_joins
+from repro.storage.column import Column
+from repro.storage.partition import PartitionedTable
 from repro.storage.catalog import Catalog
 from repro.storage.table import TableView
 
@@ -94,8 +98,8 @@ def _star_multijoin(order=None) -> MultiJoin:
 class TestJoinRegion:
     def test_left_deep_tree_flattens(self):
         region = join_region(_star_tree())
-        assert region is not None
-        assert [type(leaf).__name__ for leaf in region.leaves] == ["Scan"] * 3
+        assert region is not None and region.order is None
+        assert [type(leaf).__name__ for leaf in region.inputs] == ["Scan"] * 3
         assert {(e.left_input, e.right_input) for e in region.edges} \
             == {(0, 1), (0, 2)}
 
@@ -105,7 +109,7 @@ class TestJoinRegion:
                     Scan("d2"), ["fact.k2"], ["d2.k2"])
         region = join_region(tree)
         assert region is not None
-        assert region.leaves[1] is filtered
+        assert region.inputs[1] is filtered
 
     def test_left_outer_join_is_a_leaf_not_a_region(self):
         outer = Join(Scan("fact"), Scan("d1"), ["fact.k1"], ["d1.k1"],
@@ -114,26 +118,8 @@ class TestJoinRegion:
         tree = Join(outer, Scan("d2"), ["fact.k2"], ["d2.k2"])
         region = join_region(tree)
         assert region is not None
-        assert region.leaves[0] is outer
-        assert len(region.leaves) == 2
-
-    def test_multijoin_flattens_to_its_own_region(self):
-        node = _star_multijoin(order=[0, 2, 1])
-        region = join_region(node)
-        assert region is not None
-        assert list(region.leaves) == node.inputs
-        assert len(region.edges) == 2
-
-    def test_region_extraction_is_cached_on_the_node(self):
-        # The divergence check re-runs the ordering pass after every
-        # profiled execution of a cached plan; the flatten must not
-        # repeat.
-        tree = _star_tree()
-        assert join_region(tree) is join_region(tree)
-        outer = Join(Scan("fact"), Scan("d1"), ["fact.k1"], ["d1.k1"],
-                     how="left")
-        assert join_region(outer) is None
-        assert join_region(outer) is None  # failed extraction cached too
+        assert region.inputs[0] is outer
+        assert len(region.inputs) == 2
 
     def test_bushy_cross_prefix_region_is_rejected(self):
         # (a JOIN b) x (c JOIN d) with edges a-b, c-d, a-d only: leaf c
@@ -143,6 +129,28 @@ class TestJoinRegion:
         right = Join(Scan("c"), Scan("d"), ["c.k"], ["d.k"])
         bushy = Join(left, right, ["a.j"], ["d.j"])
         assert join_region(bushy) is None
+
+    def test_lowering_takes_maximal_regions_and_recurses_into_leaves(self):
+        # inner region -> left outer join (stays binary) -> inner region.
+        inner = Join(Scan("fact"), Scan("d1"), ["fact.k1"], ["d1.k1"])
+        outer = Join(inner, Scan("x"), ["fact.k1"], ["x.k1"], how="left")
+        top = Join(outer, Scan("d2"), ["fact.k2"], ["d2.k2"])
+        lowered = lower_joins(top)
+        assert isinstance(lowered, MultiJoin) and len(lowered.inputs) == 2
+        kept = lowered.inputs[0]
+        assert isinstance(kept, Join) and kept.how == "left"
+        assert isinstance(kept.left, MultiJoin)
+        assert not [n for n in walk(lowered)
+                    if isinstance(n, Join) and n.how == "inner"]
+        # An un-attributable region stays the written tree, but the
+        # regions below it still lower; a join-free plan is untouched.
+        left = Join(Scan("a"), Scan("b"), ["a.k"], ["b.k"])
+        right = Join(Scan("c"), Scan("d"), ["c.k"], ["d.k"])
+        bushy = lower_joins(Join(left, right, ["a.j"], ["d.j"]))
+        assert isinstance(bushy, Join)
+        assert all(isinstance(side, MultiJoin) for side in bushy.children())
+        scan = Filter(Scan("a"), col("a.k").gt(lit(0)))
+        assert lower_joins(scan) is scan
 
 
 # ---------------------------------------------------------------------------
@@ -154,13 +162,12 @@ class TestJoinFingerprints:
         assert plan_fingerprint(_star_multijoin()) \
             == plan_fingerprint(_star_multijoin(order=[0, 2, 1]))
 
-    def test_binary_step_matches_multijoin_step(self):
-        # The step the binary tree records when it joins d2 is the step
-        # the ordering pass looks up for any sequence that adds d2.
-        binary_fps = join_step_fingerprints(_star_tree())
-        multi_fps = join_step_fingerprints(_star_multijoin())
-        assert binary_fps is not None and multi_fps is not None
-        assert binary_fps[0] == multi_fps[1]  # the fact-d2 step
+    def test_step_fingerprint_is_position_insensitive(self):
+        # The step recorded when the text order joins d2 last is the step
+        # the ordering pass looks up for a sequence that adds d2 first.
+        text = join_step_fingerprints(_star_multijoin())
+        flipped = join_step_fingerprints(_star_multijoin(order=[0, 2, 1]))
+        assert text[1] == flipped[0] and text[0] == flipped[1]
 
     def test_edge_fingerprint_is_side_insensitive(self):
         leaf_fps = ["fpA", "fpB"]
@@ -170,13 +177,6 @@ class TestJoinFingerprints:
         swapped = join_edge_fingerprint(["fpB", "fpA"],
                                         [JoinEdge(0, 1, "b.k", "a.k")])
         assert forward == swapped
-
-    def test_nested_binary_step_uses_only_its_own_keys(self):
-        tree = _star_tree()
-        inner_fps = join_step_fingerprints(tree.left)
-        outer_fps = join_step_fingerprints(tree)
-        assert inner_fps is not None and outer_fps is not None
-        assert inner_fps[0] != outer_fps[0]
 
 
 # ---------------------------------------------------------------------------
@@ -206,50 +206,47 @@ def _observe_step(store: FeedbackStore, leaves, edges, rows_left: int,
 class TestJoinOrderDecision:
     def test_observed_cardinalities_flip_the_order(self):
         store = FeedbackStore()
-        tree = _star_tree()
-        region = join_region(tree)
-        fact, d1, d2 = region.leaves
+        tree = _star_multijoin()
+        fact, d1, d2 = tree.inputs
         _observe_rows(store, fact, 10_000)
         _observe_rows(store, d1, 8_000)
         _observe_rows(store, d2, 8_000)
         # Joining d2 first is observably tiny; d1 first keeps everything.
-        _observe_step(store, region.leaves,
+        _observe_step(store, tree.inputs,
                       [JoinEdge(0, 2, "fact.k2", "d2.k2")], 10_000, 8_000, 50)
-        _observe_step(store, region.leaves,
+        _observe_step(store, tree.inputs,
                       [JoinEdge(0, 1, "fact.k1", "d1.k1")], 10_000, 8_000,
                       10_000)
         assert plan_join_order(tree, store) == [0, 2, 1]
 
     def test_no_observations_and_no_catalog_keeps_text_order(self):
-        assert plan_join_order(_star_tree(), FeedbackStore()) is None
+        assert plan_join_order(_star_multijoin(), FeedbackStore()) is None
 
-    def test_two_way_joins_are_left_to_build_side(self):
-        store = FeedbackStore()
-        two = Join(Scan("a"), Scan("b"), ["a.k"], ["b.k"])
-        assert plan_join_order(two, store) is None
+    def test_two_way_region_has_one_sequence(self):
+        two = lower_joins(Join(Scan("a"), Scan("b"), ["a.k"], ["b.k"]))
+        assert isinstance(two, MultiJoin)
+        assert plan_join_order(two, FeedbackStore()) is None
 
     def test_hysteresis_requires_modeled_gain(self):
         store = FeedbackStore()
-        tree = _star_tree()
-        region = join_region(tree)
-        for leaf in region.leaves:
+        tree = _star_multijoin()
+        for leaf in tree.inputs:
             _observe_rows(store, leaf, 1_000)
         # Both candidate steps produce identical outputs: no modeled win,
         # so the written order stays.
-        for edge in region.edges:
-            _observe_step(store, region.leaves, [edge], 1_000, 1_000, 500)
+        for edge in tree.edges:
+            _observe_step(store, tree.inputs, [edge], 1_000, 1_000, 500)
         assert plan_join_order(tree, store) is None
 
     def test_fixed_point_after_reorder(self):
         store = FeedbackStore()
-        tree = _star_tree()
-        region = join_region(tree)
-        _observe_rows(store, region.leaves[0], 10_000)
-        _observe_rows(store, region.leaves[1], 8_000)
-        _observe_rows(store, region.leaves[2], 8_000)
-        _observe_step(store, region.leaves,
+        tree = _star_multijoin()
+        _observe_rows(store, tree.inputs[0], 10_000)
+        _observe_rows(store, tree.inputs[1], 8_000)
+        _observe_rows(store, tree.inputs[2], 8_000)
+        _observe_step(store, tree.inputs,
                       [JoinEdge(0, 2, "fact.k2", "d2.k2")], 10_000, 8_000, 50)
-        _observe_step(store, region.leaves,
+        _observe_step(store, tree.inputs,
                       [JoinEdge(0, 1, "fact.k1", "d1.k1")], 10_000, 8_000,
                       10_000)
         rewritten, changed, info = apply_feedback(tree, store, 10_000)
@@ -262,14 +259,13 @@ class TestJoinOrderDecision:
     def test_reorder_back_to_text_order_drops_annotation(self):
         store = FeedbackStore()
         node = _star_multijoin(order=[0, 2, 1])
-        region = join_region(node)
-        _observe_rows(store, region.leaves[0], 10_000)
-        _observe_rows(store, region.leaves[1], 8_000)
-        _observe_rows(store, region.leaves[2], 8_000)
+        _observe_rows(store, node.inputs[0], 10_000)
+        _observe_rows(store, node.inputs[1], 8_000)
+        _observe_rows(store, node.inputs[2], 8_000)
         # Feedback now says the *written* order is the cheap one.
-        _observe_step(store, region.leaves,
+        _observe_step(store, node.inputs,
                       [JoinEdge(0, 1, "fact.k1", "d1.k1")], 10_000, 8_000, 50)
-        _observe_step(store, region.leaves,
+        _observe_step(store, node.inputs,
                       [JoinEdge(0, 2, "fact.k2", "d2.k2")], 10_000, 8_000,
                       10_000)
         assert plan_join_order(node, store) == [0, 1, 2]
@@ -407,26 +403,59 @@ class TestMultiJoinExecution:
 
 
 # ---------------------------------------------------------------------------
-# Selection-vector-aware binary joins
+# Selection-vector-aware binary joins; the kernel picks its own sort side
 # ---------------------------------------------------------------------------
+
+def _nested_loop_join(left, right, how):
+    """Reference equi-join: left-major pairs, ascending right row per
+    left row; for a left outer join the unmatched left rows."""
+    pairs = [(i, j) for i, lk in enumerate(left)
+             for j, rk in enumerate(right) if lk == rk]
+    matched = {i for i, _ in pairs}
+    unmatched = [i for i in range(len(left)) if i not in matched] \
+        if how == "left" else []
+    return ([i for i, _ in pairs], [j for _, j in pairs], unmatched)
+
 
 class TestSelectionVectorJoins:
     @pytest.mark.parametrize("how", ["inner", "left"])
-    @pytest.mark.parametrize("build", [None, "left", "right"])
-    def test_filtered_sides_join_correctly(self, star_catalog, how, build):
+    @pytest.mark.parametrize("sizes", [(50, 400), (400, 50), (90, 100),
+                                       (0, 7), (7, 0), (0, 0)])
+    def test_kernel_matches_nested_loop_on_either_sort_side(self, rng, how,
+                                                            sizes):
+        # (50, 400) sorts the left side and restores left-major order,
+        # (400, 50) and (90, 100) sort the right; duplicates on both sides.
+        left = rng.integers(0, 30, sizes[0])
+        right = rng.integers(0, 30, sizes[1])
+        expected = _nested_loop_join(left.tolist(), right.tolist(), how)
+        actual = _join_indices(left, right, how)
+        for want, got in zip(expected, actual):
+            assert got.dtype.kind == "i"
+            assert got.tolist() == want
+
+    @pytest.mark.parametrize("how", ["inner", "left"])
+    @pytest.mark.parametrize("smaller", ["left", "right"])
+    def test_filtered_sides_join_correctly(self, star_catalog, how, smaller):
         # Oracle: materialize the filtered inputs into base tables first,
-        # then join those — the pre-late-materialization semantics.
+        # then join those — the pre-late-materialization semantics. The
+        # smaller side (>= 4x gap, so it is the one sorted) on either side.
         executor = Executor(star_catalog)
-        left = Filter(Scan("fact"), col("fact.fv").gt(lit(0.0)))
-        right = Filter(Scan("d1"), col("d1.k1").gt(lit(4)))
+        big = Filter(Scan("fact"), col("fact.fv").gt(lit(-1.0)))
+        small = Filter(Scan("d1"), col("d1.k1").gt(lit(12)))
+        left, right, left_key, right_key = \
+            (small, big, "d1.k1", "fact.k1") if smaller == "left" \
+            else (big, small, "fact.k1", "d1.k1")
         star_catalog.add_table("mat_left", executor.execute(left))
         star_catalog.add_table("mat_right", executor.execute(right))
+        rows = (star_catalog.table("mat_left").num_rows,
+                star_catalog.table("mat_right").num_rows)
+        assert min(rows) * 4 < max(rows)
         expected = executor.execute(Join(
             Scan("mat_left", alias="pre"), Scan("mat_right", alias="dim"),
-            ["pre.fact.k1"], ["dim.d1.k1"], how, build_side=build))
-        actual = executor.execute(Join(left, right, ["fact.k1"], ["d1.k1"],
-                                       how, build_side=build))
-        assert expected.num_rows == actual.num_rows
+            [f"pre.{left_key}"], [f"dim.{right_key}"], how))
+        actual = executor.execute(Join(left, right, [left_key], [right_key],
+                                       how))
+        assert expected.num_rows == actual.num_rows > 0
         for pre_name, name in zip(expected.column_names, actual.column_names):
             assert expected.array(pre_name).tobytes() \
                 == actual.array(name).tobytes()
@@ -465,38 +494,196 @@ class TestSelectionVectorJoins:
         assert result.num_rows == 300  # every fact row null-extended
         assert np.isnan(result.array("d1.av")).all()
 
-
-# ---------------------------------------------------------------------------
-# build_side hint validation (satellite: no silent fallbacks)
-# ---------------------------------------------------------------------------
-
-class TestBuildSideValidation:
     def test_unsupported_join_types_rejected_at_construction(self):
         for how in ("full", "right", "cross"):
             with pytest.raises(PlanError):
                 Join(Scan("a"), Scan("b"), ["a.k"], ["b.k"], how=how)
-        with pytest.raises(PlanError):
-            Join(Scan("a"), Scan("b"), ["a.k"], ["b.k"], build_side="middle")
 
-    def test_executor_rejects_bogus_build_side_loudly(self, star_catalog):
-        plan = Join(Scan("fact"), Scan("d1"), ["fact.k1"], ["d1.k1"])
-        plan.build_side = "hash"  # bypass constructor validation
-        with pytest.raises(ExecutionError, match="unsupported join execution"):
-            Executor(star_catalog).execute(plan)
 
-    def test_adaptive_only_annotates_supported_combinations(self):
-        store = FeedbackStore()
-        outer = Join(Scan("l"), Scan("r"), ["l.k"], ["r.k"], how="left")
-        for rows, child in ((100, outer.left), (100_000, outer.right)):
-            store.record_profile(OperatorProfile(
-                operator="Scan", fingerprint=plan_fingerprint(child),
-                calls=1, rows_in=rows, rows_out=rows, seconds=0.0))
-        # Left-outer joins support build-left; the decision fires and the
-        # executor accepts it (covered by the differential above). Every
-        # annotation the pass can emit is in the executor's support table.
-        assert plan_build_side(outer, store) == "left"
-        from repro.relational.executor import Executor as _Executor
-        assert ("left", "left") in _Executor._SUPPORTED_JOINS
+# ---------------------------------------------------------------------------
+# The join differential: the written binary tree (what an unoptimized
+# session runs) is the reference for the lowered MultiJoin in text order,
+# in every reordered sequence, with the output sort skipped, flat and
+# fanned out over partitions — bit for bit, row order included.
+# ---------------------------------------------------------------------------
+
+def _differential_tables():
+    rng = np.random.default_rng(11)
+    n = 600
+    return {
+        # Every key column has duplicates on both sides of its joins.
+        "f": Table.from_arrays(
+            k1=rng.integers(0, 20, n), k2=rng.integers(0, 15, n),
+            s=rng.choice([f"r{i}" for i in range(8)], n),
+            v=rng.normal(0, 1, n)),
+        "a": Table.from_arrays(
+            k1=rng.integers(0, 20, 200), j=rng.integers(0, 6, 200),
+            av=rng.normal(0, 1, 200)),
+        "b": Table.from_arrays(
+            k2=rng.integers(0, 15, 40), bv=rng.choice(["x", "y", "z"], 40)),
+        "c": Table.from_arrays(
+            j=rng.integers(0, 6, 12), cv=rng.normal(0, 1, 12)),
+        "d": Table.from_arrays(
+            k1=rng.integers(0, 20, 80), k2=rng.integers(0, 15, 80),
+            dv=rng.normal(0, 1, 80)),
+        "e": Table.from_arrays(
+            s=np.asarray(["r1", "r3", "r5", "r5", "zz"]),
+            ev=np.arange(5, dtype=np.float64)),
+    }
+
+
+_STAR = ("SELECT f.v, a.av, b.bv FROM f JOIN a ON f.k1 = a.k1 "
+         "JOIN b ON f.k2 = b.k2")
+JOIN_SHAPES = {
+    "two_way": "SELECT f.v, a.av FROM f JOIN a ON f.k1 = a.k1",
+    "star": _STAR,
+    "chain": ("SELECT f.v, a.av, c.cv FROM f JOIN a ON f.k1 = a.k1 "
+              "JOIN c ON a.j = c.j"),
+    "two_key_edge": ("SELECT f.v, d.dv, b.bv FROM f "
+                     "JOIN d ON f.k1 = d.k1 AND f.k2 = d.k2 "
+                     "JOIN b ON f.k2 = b.k2"),
+    # ~40 fact rows against ~195 of a: the held side is the sorted one.
+    "both_sides_filtered": _STAR + " WHERE f.v > 1.5 AND a.av > -2.0",
+    "empty_probe_side": _STAR + " WHERE f.v > 1000000.0",
+    "empty_build_side": _STAR + " WHERE a.av > 1000000.0",
+    "duplicate_keys": "SELECT f.v, d.dv FROM f JOIN d ON f.k2 = d.k2",
+    "string_keys": ("SELECT f.v, e.ev, a.av FROM f JOIN e ON f.s = e.s "
+                    "JOIN a ON f.k1 = a.k1"),
+}
+
+
+def _connected_orders(multi: MultiJoin):
+    for order in itertools.permutations(range(len(multi.inputs))):
+        try:
+            MultiJoin(multi.inputs, multi.edges, list(order))
+        except PlanError:
+            continue  # would need a cross product
+        yield list(order)
+
+
+def _row_multiset(table):
+    order = np.lexsort([table.array(name) for name in table.column_names])
+    return [table.array(name)[order].tobytes()
+            for name in table.column_names]
+
+
+@pytest.fixture(scope="module")
+def differential_sessions():
+    tables = _differential_tables()
+    sessions = {}
+    for layout, dop in (("flat", 1), ("partitioned", 4)):
+        for optimized in (False, True):
+            session = RavenSession(enable_optimizations=optimized, dop=dop)
+            for name, table in tables.items():
+                if name == "f" and layout == "partitioned":
+                    table = PartitionedTable.from_table(table,
+                                                        num_partitions=4)
+                session.register_table(name, table)
+            sessions[layout, optimized] = session
+    return sessions
+
+
+class TestJoinDifferential:
+    @pytest.mark.parametrize("layout", ["flat", "partitioned"])
+    @pytest.mark.parametrize("shape", sorted(JOIN_SHAPES))
+    def test_every_execution_matches_the_written_tree(
+            self, differential_sessions, shape, layout):
+        query = JOIN_SHAPES[shape]
+        written = differential_sessions["flat", False]
+        written_plan, _ = written.optimize(query)
+        assert not [n for n in walk(written_plan) if isinstance(n, MultiJoin)]
+        expected = written.sql(query)
+        if not shape.startswith("empty"):
+            assert expected.num_rows > 0
+        # The written tree, fanned out.
+        assert tables_equal_bitwise(
+            expected, differential_sessions[layout, False].sql(query))
+
+        session = differential_sessions[layout, True]
+        lowered, _ = session.optimize(query)
+        assert not [n for n in walk(lowered)
+                    if isinstance(n, Join) and n.how == "inner"]
+        (multi,) = [n for n in walk(lowered) if isinstance(n, MultiJoin)]
+        # Whatever sequence feedback has settled on by now.
+        assert tables_equal_bitwise(expected, session.sql(query))
+        orders = list(_connected_orders(multi))
+        assert list(range(len(multi.inputs))) in orders
+        for order in orders:
+            for order_insensitive in (False, True):
+                plan = transform_plan(lowered, lambda n: MultiJoin(
+                    n.inputs, n.edges, order,
+                    order_insensitive=order_insensitive)
+                    if isinstance(n, MultiJoin) else None)
+                actual = session.execute_plan(plan)
+                label = f"order={order} insensitive={order_insensitive}"
+                if order_insensitive:
+                    # The only cells whose row order is unspecified.
+                    assert _row_multiset(actual) == _row_multiset(expected), \
+                        label
+                else:
+                    assert tables_equal_bitwise(expected, actual), label
+
+
+class TestJoinCountPins:
+    """Two counts that repeat exactly: an optimized star PREDICT query has
+    no inner ``Join``, and running it gathers each scanned column once."""
+
+    QUERY = """
+    WITH joined AS (
+      SELECT * FROM fact AS f
+      JOIN profiles AS p ON f.uid = p.uid
+      JOIN segments AS s ON f.sid = s.sid
+    )
+    SELECT d.uid, pr.score
+    FROM PREDICT(MODEL = risk, DATA = joined AS d) WITH (score FLOAT) AS pr
+    """
+
+    @pytest.fixture()
+    def session(self, rng):
+        from repro.learn import DecisionTreeClassifier, make_standard_pipeline
+
+        n = 400
+        features = ["fv", "pv", "sv"]
+        frame = Table.from_arrays(
+            **{name: rng.normal(0, 1, n) for name in features})
+        pipeline = make_standard_pipeline(
+            DecisionTreeClassifier(max_depth=4), features, [])
+        pipeline.fit(frame, (frame.array("fv") + frame.array("pv")
+                             + frame.array("sv") > 0).astype(int))
+        session = RavenSession()
+        session.register_table("fact", Table.from_arrays(
+            uid=np.arange(n), sid=rng.integers(0, 50, n),
+            fv=rng.normal(0, 1, n), unused=rng.normal(0, 1, n)))
+        session.register_table("profiles", Table.from_arrays(
+            uid=np.arange(n), pv=rng.normal(0, 1, n)))
+        session.register_table("segments", Table.from_arrays(
+            sid=np.arange(50), sv=rng.normal(0, 1, 50)))
+        session.register_model("risk", pipeline)
+        return session
+
+    @pytest.mark.parametrize("adaptive", [True, False])
+    def test_optimized_star_has_no_inner_join(self, session, adaptive):
+        session.adaptive = adaptive
+        for plan in (session.optimize(self.QUERY)[0],
+                     session._optimize_stmt(parse(self.QUERY),
+                                            static=True)[0]):
+            assert [n for n in walk(plan) if isinstance(n, MultiJoin)]
+            assert not [n for n in walk(plan)
+                        if isinstance(n, Join) and n.how == "inner"]
+
+    def test_each_scanned_column_is_gathered_once(self, session,
+                                                  monkeypatch):
+        plan, _ = session.optimize(self.QUERY)
+        scans = [n for n in walk(plan) if isinstance(n, Scan)]
+        assert len(scans) == 3
+        scanned = sum(len(scan.columns) for scan in scans)
+        takes = []
+        original = Column.take
+        monkeypatch.setattr(
+            Column, "take",
+            lambda self, indices: takes.append(1) or original(self, indices))
+        assert session.execute_plan(plan).num_rows == 400
+        assert len(takes) == scanned
 
 
 # ---------------------------------------------------------------------------
@@ -565,17 +752,16 @@ class TestAdaptiveStarJoinSession:
         # an absolute fast-vs-slow divergence can never reach the 0.25
         # threshold, so drift for joinstep entries is scale-relative.
         store = FeedbackStore()
-        tree = _star_tree()
-        region = join_region(tree)
+        leaves = _star_multijoin().inputs
         edge = [JoinEdge(0, 2, "fact.k2", "d2.k2")]
         fingerprint = join_edge_fingerprint(
-            [plan_fingerprint(leaf) for leaf in region.leaves], edge)
+            [plan_fingerprint(leaf) for leaf in leaves], edge)
         for _ in range(20):  # long stable history: sel = 1e-5
-            _observe_step(store, region.leaves, edge, 100_000, 100_000,
+            _observe_step(store, leaves, edge, 100_000, 100_000,
                           100_000)
         assert not store.has_drifted(fingerprint)
         for _ in range(4):   # recent behaviour: sel = 1e-6 (10x shift)
-            _observe_step(store, region.leaves, edge, 100_000, 100_000,
+            _observe_step(store, leaves, edge, 100_000, 100_000,
                           10_000)
         assert store.drift_score(fingerprint) > 0.25
         assert store.has_drifted(fingerprint)

@@ -142,9 +142,10 @@ class TestMorselRestriction:
         table = make_events(600, buckets=3)
         catalog = Catalog()
         catalog.add_table("events", table, partition_column="bucket")
+        scan = Scan("events")
         executor = Executor(
-            catalog, scan_restrictions={"events": Morsel(1, 50, 120)})
-        out = executor.execute(Scan("events"))
+            catalog, scan_restrictions={scan: Morsel(1, 50, 120)})
+        out = executor.execute(scan)
         expected = catalog.table("events").data.partitions[1] \
             .table.slice(50, 120)
         # Scan qualifies output names with the table name; compare data.
@@ -467,6 +468,86 @@ class TestRuntimeSkipping:
 # ---------------------------------------------------------------------------
 # Skew-aware scheduling
 # ---------------------------------------------------------------------------
+
+class TestSelfJoinPruning:
+    """Partition restrictions and the driven morsel belong to one
+    ``Scan`` node: a self-join filtered on one alias must not prune the
+    other alias's scan, and an alias reused by two subqueries (or CTEs)
+    names two scans, possibly of different tables."""
+
+    FILTERS = {
+        "a_only": "a.g = 0",            # parent: 0 rows (b pruned to g=0)
+        "b_only": "b.g = 3",
+        "both": "a.g = 0 AND b.g = 2",  # a.k in [0,250) matches b.m in g=2
+    }
+
+    @pytest.mark.parametrize("dop", [1, 4])
+    @pytest.mark.parametrize("filtered", sorted(FILTERS))
+    def test_each_alias_prunes_only_its_own_scan(self, filtered, dop):
+        k = np.arange(1000)
+        table = Table.from_arrays(k=k, m=(k + 500) % 1000, g=k // 250,
+                                  v=k.astype(np.float64))
+        query = ("SELECT a.k, b.v FROM t AS a JOIN t AS b ON a.k = b.m "
+                 f"WHERE {self.FILTERS[filtered]}")
+        flat = RavenSession()
+        flat.register_table("t", table)
+        expected = flat.sql(query)
+        assert expected.num_rows == 250
+        partitioned = RavenSession(dop=dop)
+        partitioned.register_table("t", table, partition_column="g")
+        assert tables_equal_bitwise(expected, partitioned.sql(query))
+        counters = partitioned.telemetry.metrics.snapshot()["counters"]
+        assert counters["partitions_skipped"] == \
+            3 * (2 if filtered == "both" else 1)
+
+    REUSED = {
+        "subquery": "SELECT p.k, q.v FROM "
+                    "(SELECT x.k AS k FROM t1 AS x{where}) AS p JOIN "
+                    "(SELECT x.k AS k, x.v AS v FROM t2 AS x) AS q "
+                    "ON p.k = q.k",
+        "cte": "WITH p AS (SELECT x.k AS k FROM t1 AS x{where}), "
+               "q AS (SELECT x.k AS k, x.v AS v FROM t2 AS x) "
+               "SELECT p.k, q.v FROM p JOIN q ON p.k = q.k",
+    }
+
+    @pytest.mark.parametrize("dop", [1, 4])
+    @pytest.mark.parametrize("t2_partitioned", [True, False])
+    @pytest.mark.parametrize("where", ["", " WHERE x.g = 0"])
+    @pytest.mark.parametrize("spelling", sorted(REUSED))
+    def test_alias_reused_across_subqueries(self, spelling, where,
+                                            t2_partitioned, dop):
+        k = np.arange(1000)
+        t1 = Table.from_arrays(k=k, g=k // 250)
+        t2 = Table.from_arrays(k=k[::-1].copy(), g=k // 500,
+                               v=k.astype(np.float64))
+        query = self.REUSED[spelling].format(where=where)
+        flat = RavenSession()
+        flat.register_table("t1", t1)
+        flat.register_table("t2", t2)
+        expected = flat.sql(query)
+        assert expected.num_rows == (250 if where else 1000)
+        partitioned = RavenSession(dop=dop)
+        partitioned.register_table("t1", t1, partition_column="g")
+        partitioned.register_table(
+            "t2", t2, partition_column="g" if t2_partitioned else None)
+        assert tables_equal_bitwise(expected, partitioned.sql(query))
+
+    @pytest.mark.parametrize("dop", [1, 4])
+    def test_cte_referenced_twice(self, dop):
+        k = np.arange(1000)
+        table = Table.from_arrays(k=k, m=(k + 500) % 1000, g=k // 250,
+                                  v=k.astype(np.float64))
+        query = ("WITH c AS (SELECT x.k AS k, x.m AS m, x.g AS g, x.v AS v "
+                 "FROM t AS x) SELECT a.k, b.v FROM c AS a JOIN c AS b "
+                 "ON a.k = b.m WHERE a.g = 0")
+        flat = RavenSession()
+        flat.register_table("t", table)
+        expected = flat.sql(query)
+        assert expected.num_rows == 250
+        partitioned = RavenSession(dop=dop)
+        partitioned.register_table("t", table, partition_column="g")
+        assert tables_equal_bitwise(expected, partitioned.sql(query))
+
 
 class TestScheduling:
     def test_warm_feedback_orders_by_observed_cost(self):

@@ -8,6 +8,8 @@ from repro.core.binder import Binder
 from repro.core.parser import parse
 from repro.datasets import hospital
 from repro.learn import DecisionTreeClassifier
+from repro.relational.expressions import BinaryOp, col, lit
+from repro.relational.logical import Filter, Join, Scan
 from repro.relational.optimizer import RelationalOptimizer
 from repro.relational.skipping import plan_partition_restrictions
 from repro.storage import Catalog
@@ -32,7 +34,9 @@ def partitioned_catalog():
 def _restrictions(catalog, sql):
     plan = Binder(catalog).bind(parse(sql))
     plan = RelationalOptimizer(catalog).optimize(plan)
-    return plan_partition_restrictions(plan, catalog)
+    # Keyed by Scan node; these single-SELECT cases read better by alias.
+    return {scan.alias: kept for scan, kept
+            in plan_partition_restrictions(plan, catalog).items()}
 
 
 class TestRestrictionAnalysis:
@@ -40,13 +44,13 @@ class TestRestrictionAnalysis:
         catalog, _ = partitioned_catalog
         restrictions = _restrictions(
             catalog, "SELECT value FROM events AS e WHERE e.bucket = 3")
-        assert restrictions == {"events": [3]}
+        assert restrictions == {"e": [3]}
 
     def test_range_keeps_prefix(self, partitioned_catalog):
         catalog, _ = partitioned_catalog
         restrictions = _restrictions(
             catalog, "SELECT value FROM events AS e WHERE e.bucket < 2")
-        assert restrictions == {"events": [0, 1]}
+        assert restrictions == {"e": [0, 1]}
 
     def test_string_partitioning(self):
         rng = np.random.default_rng(0)
@@ -58,7 +62,7 @@ class TestRestrictionAnalysis:
         catalog.add_table("t", table, partition_column="region")
         restrictions = _restrictions(
             catalog, "SELECT v FROM t AS x WHERE x.region = 'north'")
-        (kept,) = restrictions["t"]
+        (kept,) = restrictions["x"]
         assert catalog.table("t").data.partitions[kept].key == "north"
 
     def test_in_list_over_strings(self):
@@ -69,15 +73,14 @@ class TestRestrictionAnalysis:
         catalog.add_table("t", table, partition_column="region")
         restrictions = _restrictions(
             catalog, "SELECT v FROM t AS x WHERE x.region IN ('east', 'west')")
-        assert len(restrictions["t"]) == 2
+        assert len(restrictions["x"]) == 2
 
     def test_predicate_on_other_column_keeps_all(self, partitioned_catalog):
         catalog, _ = partitioned_catalog
         restrictions = _restrictions(
             catalog, "SELECT value FROM events AS e WHERE e.value > 0")
         # value spans every partition -> no skipping entry.
-        assert "events" not in restrictions or \
-            len(restrictions["events"]) == 6
+        assert restrictions == {}
 
     def test_unpartitioned_table_untouched(self):
         catalog = Catalog()
@@ -90,7 +93,19 @@ class TestRestrictionAnalysis:
         catalog, _ = partitioned_catalog
         restrictions = _restrictions(
             catalog, "SELECT value FROM events AS e WHERE e.bucket = 99")
-        assert restrictions == {"events": []}
+        assert restrictions == {"e": []}
+
+    def test_scan_node_reached_twice_is_not_restricted(
+            self, partitioned_catalog):
+        # A bound CTE referenced twice shares its subtree: a filter over
+        # one reference proves nothing about the other.
+        catalog, _ = partitioned_catalog
+        shared = Scan("events", "e")
+        filtered = Filter(shared, BinaryOp("=", col("e.bucket"), lit(3)))
+        assert plan_partition_restrictions(filtered, catalog) == \
+            {shared: [3]}
+        plan = Join(filtered, shared, ["e.id"], ["e.id"])
+        assert plan_partition_restrictions(plan, catalog) == {}
 
 
 class TestSkippingExecution:

@@ -57,7 +57,9 @@ from repro.relational.logical import (
     Project,
     Scan,
     Sort,
+    walk,
 )
+from repro.relational.optimizer import RelationalOptimizer
 from repro.storage.catalog import Catalog
 from repro.storage.column import DataType
 from repro.storage.statistics import ColumnStats, TableStats
@@ -170,7 +172,7 @@ def _plans(dt_pipeline):
                          ("age2", col("d.age") * lit(2.0))])
     yield Join(Scan("l"), Scan("r"), ["l.k"], ["r.k"], how="left")
     yield Join(Scan("l"), Scan("r"), ["l.k", "l.j"], ["r.k", "r.j"],
-               how="inner", build_side="left")
+               how="inner")
     yield _multijoin()
     yield Aggregate(scan, ["d.id"], [AggregateSpec("n", "count"),
                                      AggregateSpec("m", "avg", "d.age")])
@@ -196,7 +198,7 @@ class TestPlanCodec:
     def test_annotations_survive(self, dt_pipeline):
         plans = list(_plans(dt_pipeline))
         join = plan_from_dict(plan_to_dict(plans[4]))
-        assert join.build_side == "left" and join.how == "inner"
+        assert join.how == "inner" and join.left_keys == ["l.k", "l.j"]
         multi = plan_from_dict(plan_to_dict(plans[5]))
         assert multi.order == [1, 0, 2]
         assert multi.edges == _multijoin().edges
@@ -204,6 +206,38 @@ class TestPlanCodec:
         assert predict.batch_rows == 4096
         assert predict.mode is PredictMode.ML_RUNTIME
         assert predict.keep_columns == ["d.id"]
+
+    def test_parent_written_join_payload_still_loads(self, session):
+        # What the previous writer emitted for an optimized plan: a tree
+        # of inner joins, each carrying the since-removed planned sort
+        # side. The key is ignored, nothing is re-emitted, and the tree
+        # runs through the binary path to the lowered plan's result.
+        query = ("SELECT pi.age, pt.bpm FROM patient_info AS pi "
+                 "JOIN pulmonary_test AS pt ON pi.id = pt.id "
+                 "WHERE pt.bpm > 80.0")
+        written = RelationalOptimizer(session.catalog).optimize(
+            session.plan(query))
+        payload = json.loads(json.dumps(plan_to_dict(written)))
+
+        def stamp(node):
+            if node.get("t") == "join":
+                assert "build_side" not in node  # the writer stopped
+                node["build_side"] = "left"
+            for value in node.values():
+                for child in value if isinstance(value, list) else [value]:
+                    if isinstance(child, dict):
+                        stamp(child)
+
+        stamp(payload["root"])
+        assert '"build_side": "left"' in json.dumps(payload)
+        rebuilt = plan_from_dict(payload)
+        assert [n for n in walk(rebuilt) if isinstance(n, Join)]
+        assert plan_to_dict(rebuilt) == plan_to_dict(written)
+        lowered, _ = session.optimize(query)
+        assert not [n for n in walk(lowered) if isinstance(n, Join)]
+        expected = session.execute_plan(lowered)
+        assert expected.num_rows > 0
+        assert tables_equal_bitwise(session.execute_plan(rebuilt), expected)
 
     def test_plannode_convenience_methods(self):
         plan = Filter(Scan("t"), col("t.a").gt(lit(1)))

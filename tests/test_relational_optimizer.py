@@ -166,24 +166,6 @@ class TestPushdown:
         optimized = push_down_filters(kept_above, catalog)
         assert isinstance(optimized, Filter)  # the pass never pushes it
 
-    def test_pushdown_preserves_build_side_annotation(self, catalog):
-        plan = Filter(
-            Join(Scan("fact"), Scan("dim"), ["fact.key"], ["dim.key"],
-                 build_side="left"),
-            col("fact.a").gt(0.0))
-        optimized = push_down_filters(plan, catalog)
-        join = next(n for n in walk(optimized) if isinstance(n, Join))
-        assert join.build_side == "left"
-
-    def test_pruning_preserves_build_side_annotation(self, catalog):
-        plan = Project(
-            Join(Scan("fact"), Scan("dim"), ["fact.key"], ["dim.key"],
-                 build_side="left"),
-            [("c", col("dim.c"))])
-        pruned = prune_columns(plan, catalog)
-        join = next(n for n in walk(pruned) if isinstance(n, Join))
-        assert join.build_side == "left"
-
 
 class TestFilterHelpers:
     def test_merge_filters(self, catalog):

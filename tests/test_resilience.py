@@ -597,7 +597,10 @@ class TestChaosBackpressure:
         original = session.sql_with_stats
 
         def slow(query, **kwargs):
-            release.wait(timeout=10.0)
+            # Long enough to hold the only slot while the second query is
+            # admitted (immediately, in the submitting thread); abort-mode
+            # serve drains this worker before raising, so not longer.
+            release.wait(timeout=0.2)
             return original(query, **kwargs)
 
         session.sql_with_stats = slow

@@ -95,7 +95,8 @@ class TestZoneMapsOverNulls:
                           partition_column="bucket")
         plan = Binder(catalog).bind(
             parse("SELECT v.x FROM t AS v WHERE v.x < 100.0"))
-        assert plan_partition_restrictions(plan, catalog) == {"t": [1]}
+        ((scan, kept),) = plan_partition_restrictions(plan, catalog).items()
+        assert (scan.alias, kept) == ("v", [1])
 
 
 class TestTableStats:
