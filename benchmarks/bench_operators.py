@@ -3,9 +3,11 @@
 Ablation-style timings (DESIGN.md §4, "ablation benches"): the same trained
 pipeline scored through the ML runtime, the compiled SQL expressions, and
 the two tensor strategies — plus the relational primitives (scan, join)
-underneath every prediction query.
+underneath every prediction query. The four scoring paths must agree:
+each asserts its ``score`` equals the ML runtime's within 1e-9.
 """
 
+import numpy as np
 import pytest
 
 from repro.bench.workloads import build_workload, load_dataset
@@ -31,6 +33,17 @@ def scoring_setup(hospital_workload):
     return frame, graph, inputs
 
 
+@pytest.fixture(scope="module")
+def reference_score(scoring_setup):
+    _frame, graph, inputs = scoring_setup
+    return InferenceSession(graph).run(inputs, ["score"])["score"]
+
+
+def assert_agrees(score, reference_score):
+    assert np.allclose(np.ravel(score), np.ravel(reference_score),
+                       rtol=0.0, atol=1e-9)
+
+
 def test_scan_throughput(benchmark, hospital_workload):
     session = hospital_workload.make_session(enable_optimizations=False)
     executor = Executor(session.catalog)
@@ -49,25 +62,28 @@ def test_hash_join_throughput(benchmark):
     benchmark(lambda: executor.execute(plan))
 
 
-def test_score_ml_runtime(benchmark, scoring_setup):
+def test_score_ml_runtime(benchmark, scoring_setup, reference_score):
     _frame, graph, inputs = scoring_setup
     session = InferenceSession(graph)
-    benchmark(lambda: session.run(inputs, ["score"]))
+    outputs = benchmark(lambda: session.run(inputs, ["score"]))
+    assert_agrees(outputs["score"], reference_score)
 
 
-def test_score_sql_expressions(benchmark, scoring_setup):
+def test_score_sql_expressions(benchmark, scoring_setup, reference_score):
     frame, graph, inputs = scoring_setup
     expressions = graph_to_expressions(graph, {n: n for n in inputs})
     score = expressions["score"]
-    benchmark(lambda: score.evaluate(frame))
+    assert_agrees(benchmark(lambda: score.evaluate(frame)), reference_score)
 
 
 @pytest.mark.parametrize("strategy", ["gemm", "traversal"])
-def test_score_tensor_strategies(benchmark, scoring_setup, strategy):
+def test_score_tensor_strategies(benchmark, scoring_setup, reference_score,
+                                 strategy):
     _frame, graph, inputs = scoring_setup
     program = compile_graph(graph, tree_strategy=strategy)
     device = CpuDevice()
-    benchmark(lambda: device.run(program, inputs))
+    result = benchmark(lambda: device.run(program, inputs))
+    assert_agrees(result.outputs["score"], reference_score)
 
 
 def test_optimizer_pass_latency(benchmark, hospital_workload):

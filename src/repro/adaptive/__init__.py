@@ -10,8 +10,8 @@ Closes the optimize → execute loop the static optimizer leaves open:
   selectivities, cardinalities, per-row costs and EWMA drift signals;
 * :mod:`~repro.adaptive.reopt` — the optimizer consumes the store:
   conjunct reordering by observed selectivity/cost rank, join ordering
-  by observed cardinalities and join selectivities, predict batch sizing
-  by observed per-row model cost. The serving plan cache marks entries stale when
+  by observed cardinalities and join selectivities. The serving plan
+  cache marks entries stale when
   feedback diverges from what a cached plan encodes, re-optimizing them
   through the existing single-flight path.
 

@@ -8,7 +8,7 @@ consume:
   individual conjuncts);
 * **cardinality** — EWMA of output rows (join-side sizing);
 * **cost** — EWMA of self-seconds per input row (conjunct ordering by
-  rank, predict batch sizing);
+  rank);
 * **drift** — a fast EWMA tracks recent behaviour, a slow EWMA the
   long-run average; their divergence (:meth:`FeedbackStore.drift_score`)
   signals that what the optimizer assumed no longer matches what the
@@ -16,8 +16,8 @@ consume:
 
 Per-*model* predict costs are recorded separately (by the
 :class:`~repro.core.executor.PredictRuntime`, which times the actual
-model invocation) so the serving micro-batcher and the predict
-batch-sizing pass share one number that excludes relational overhead.
+model invocation) so the serving micro-batcher sizes its coalesced
+batches from a number that excludes relational overhead.
 
 All methods are thread-safe; the store is shared by every execution of a
 session and consulted by the optimizer under the plan cache's
@@ -127,8 +127,7 @@ class OperatorFeedback:
         would overcount them by the number of morsels. The cardinality
         EWMA therefore tracks the **per-call mean** — the size each
         operator instance actually saw, which is also what the join-order
-        and batch-sizing decisions need (each morsel's join/predict runs
-        against per-call inputs).
+        decisions need (each morsel's join runs against per-call inputs).
         Selectivity and per-row cost are ratios of the totals, which are
         scale-free either way.
         """

@@ -16,8 +16,8 @@ identities, so observations survive re-optimization: a re-optimized plan
 whose subtrees are structurally identical keeps accumulating into the
 same feedback keys. Fingerprints are cached on the plan nodes themselves
 (the same per-plan-node caching pattern the compiled-expression programs
-use), deliberately ignore pure execution annotations (join order,
-predict batch size), and treat AND-conjunctions as order-insensitive —
+use), deliberately ignore pure execution annotations (join order and
+the order-insensitive mark), and treat AND-conjunctions as order-insensitive —
 reordering a filter's conjuncts must not orphan its history.
 
 Overhead is two ``perf_counter()`` calls and one dict update per operator
@@ -57,8 +57,9 @@ def plan_fingerprint(node: PlanNode) -> str:
     Cached on the node (``node._adaptive_fp``). Two properties matter for
     feedback aggregation:
 
-    * execution *annotations* (``MultiJoin.order``, ``Predict.batch_rows``)
-      are excluded — they change how a node runs, not what it computes;
+    * execution *annotations* (``MultiJoin.order``,
+      ``MultiJoin.order_insensitive``) are excluded — they change how a
+      node runs, not what it computes;
     * a Filter's conjuncts hash as a sorted multiset — ``a AND b`` and
       ``b AND a`` share one feedback history, so reordering by observed
       selectivity does not reset the observations that drove it.

@@ -20,22 +20,16 @@ from what the :class:`~repro.adaptive.feedback.FeedbackStore` observed:
   content *and* row order bit-for-bit. (Which side of a join step gets
   sorted is not planned at all: the executor picks it from the row
   counts it sees.)
-* **Predict batch sizing** — batched model invocation amortizes dispatch
-  overhead; the per-model per-row cost observed by the runtime sizes
-  ``Predict.batch_rows`` so one batch lands near a target wall time
-  instead of the static default.
 
 Every decision carries **hysteresis** (reordering needs a >10% modeled
-win, batch sizes snap to powers of two), so a warmed plan
-reaches a fixed point instead of oscillating — the session re-optimizes
-a cached plan only while :func:`apply_feedback` still wants to change
-it, or when a fingerprint's EWMA drift signal fires.
+win), so a warmed plan reaches a fixed point instead of oscillating —
+the session re-optimizes a cached plan only while :func:`apply_feedback`
+still wants to change it, or when a fingerprint's EWMA drift signal fires.
 
 All rewrites are *result-preserving*: AND is commutative (and reordering
-is refused when any conjunct could raise on rows another one guards), the
-MultiJoin emits the canonical (written-order) row order regardless of
-its execution sequence, and model outputs are row-independent across
-batch boundaries.
+is refused when any conjunct could raise on rows another one guards), and
+the MultiJoin emits the canonical (written-order) row order regardless of
+its execution sequence.
 """
 
 from __future__ import annotations
@@ -67,8 +61,6 @@ from repro.relational.logical import (
     Limit,
     MultiJoin,
     PlanNode,
-    Predict,
-    PredictMode,
     Project,
     Scan,
     Sort,
@@ -88,11 +80,6 @@ JOIN_REORDER_MIN_GAIN = 0.10
 DEFAULT_FILTER_SELECTIVITY = 0.25
 DEFAULT_GROUP_FRACTION = 0.10
 DEFAULT_TABLE_ROWS = 1_000.0
-# Predict batch sizing: aim one batch at this wall time, snapped to a
-# power of two within [MIN, MAX] rows.
-TARGET_BATCH_SECONDS = 0.25
-MIN_BATCH_ROWS = 2_048
-MAX_BATCH_ROWS = 262_144
 
 _TOTAL_BINARY_OPS = frozenset(
     {"+", "-", "*", "and", "or", "=", "<>", "<", "<=", ">", ">="})
@@ -171,31 +158,6 @@ def plan_conjunct_order(filter_node: Filter, store: FeedbackStore
     if best >= current * (1.0 - REORDER_MIN_GAIN):
         return None  # not worth disturbing a warmed plan
     return ranks
-
-
-def plan_batch_rows(predict: Predict, store: FeedbackStore,
-                    default_batch_rows: int) -> Optional[int]:
-    """Feedback-derived batch size for a Predict node, or None for default.
-
-    Only annotates when batching actually occurs (observed input exceeds
-    the default batch size) and the derived size — snapped to a power of
-    two — differs from the default. Applies to the ML-runtime mode; the
-    tensor runtimes execute whole inputs at once.
-    """
-    if predict.mode is not PredictMode.ML_RUNTIME:
-        return None
-    per_row = store.predict_per_row_cost(predict.model_name)
-    rows = store.rows_out(plan_fingerprint(predict.child))
-    if per_row is None or rows is None or per_row <= 0.0:
-        return None
-    if rows <= default_batch_rows:
-        return None  # a single batch already; sizing is moot
-    desired = TARGET_BATCH_SECONDS / per_row
-    snapped = 1 << max(0, round(float(desired)).bit_length() - 1)
-    snapped = max(MIN_BATCH_ROWS, min(MAX_BATCH_ROWS, snapped))
-    if snapped == default_batch_rows:
-        return None
-    return snapped
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +405,7 @@ def _annotate_order_insensitive(node: PlanNode,
 # The pass
 # ---------------------------------------------------------------------------
 
-def apply_feedback(plan: PlanNode, store: FeedbackStore,
-                   default_batch_rows: int, catalog=None
+def apply_feedback(plan: PlanNode, store: FeedbackStore, catalog=None
                    ) -> Tuple[PlanNode, bool, Dict[str, object]]:
     """Rewrite ``plan`` using observed feedback.
 
@@ -461,7 +422,6 @@ def apply_feedback(plan: PlanNode, store: FeedbackStore,
         "filters_reordered": 0,
         "joins_reordered": 0,
         "joins_sort_skipped": 0,
-        "predicts_batch_sized": 0,
     }
 
     def rewrite(node: PlanNode) -> Optional[PlanNode]:
@@ -482,12 +442,6 @@ def apply_feedback(plan: PlanNode, store: FeedbackStore,
             order = None if desired == sorted(desired) else desired
             return MultiJoin(node.inputs, node.edges, order,
                              order_insensitive=node.order_insensitive)
-        if isinstance(node, Predict):
-            desired = plan_batch_rows(node, store, default_batch_rows)
-            if desired == node.batch_rows:
-                return None
-            info["predicts_batch_sized"] += int(desired is not None)
-            return node.replace(batch_rows=desired)
         return None
 
     rewritten = _annotate_order_insensitive(transform_plan(plan, rewrite))
@@ -501,19 +455,19 @@ def apply_feedback(plan: PlanNode, store: FeedbackStore,
 
 
 def feedback_divergence(plan: PlanNode, store: FeedbackStore,
-                        default_batch_rows: int, catalog=None) -> bool:
+                        catalog=None) -> bool:
     """Would :func:`apply_feedback` change ``plan`` right now?
 
     The session calls this after each profiled execution of a cached
     plan; True marks the cache entry stale so the next lookup re-optimizes
     through the single-flight path.
     """
-    _, changed, _ = apply_feedback(plan, store, default_batch_rows, catalog)
+    _, changed, _ = apply_feedback(plan, store, catalog)
     return changed
 
 
 def is_fixed_point(plan: PlanNode, store: FeedbackStore,
-                   default_batch_rows: int, catalog=None) -> bool:
+                   catalog=None) -> bool:
     """True when feedback would keep ``plan`` exactly as it is.
 
     The adaptive loop's convergence test: a cached plan at its fixed
@@ -522,4 +476,4 @@ def is_fixed_point(plan: PlanNode, store: FeedbackStore,
     persist — a warm-started worker re-optimizes only if *its* traffic
     diverges again.
     """
-    return not feedback_divergence(plan, store, default_batch_rows, catalog)
+    return not feedback_divergence(plan, store, catalog)

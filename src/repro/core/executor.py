@@ -54,9 +54,9 @@ class PredictRuntime:
         # Accumulated (modeled - measured) seconds for simulated devices.
         self.gpu_time_adjustment = 0.0
         # Optional repro.adaptive.feedback.FeedbackStore: every model
-        # invocation records (rows, seconds) so the optimizer can size
-        # predict batches and the micro-batcher can size coalesced
-        # batches from observed per-row cost. Shared by for_call() clones.
+        # invocation records (rows, seconds) so the micro-batcher can size
+        # coalesced batches from observed per-row cost. Shared by
+        # for_call() clones.
         self.feedback = None
         # Optional repro.resilience.FaultInjector (shared by clones) and
         # per-call repro.resilience.Deadline: checked before every predict
@@ -104,8 +104,7 @@ class PredictRuntime:
         started = time.perf_counter()
         if node.mode is PredictMode.ML_RUNTIME:
             outputs = self.run_graph_batched(graph, inputs, wanted,
-                                             table.num_rows,
-                                             batch_size=node.batch_rows)
+                                             table.num_rows)
         elif node.mode is PredictMode.DNN_CPU:
             outputs = self._run_tensor(self._tensor_cpu, graph, inputs, wanted)
         elif node.mode is PredictMode.DNN_GPU:
@@ -148,23 +147,22 @@ class PredictRuntime:
         return session
 
     def run_graph_batched(self, graph: Graph, inputs: Dict[str, np.ndarray],
-                          wanted: List[str], num_rows: int,
-                          batch_size: Optional[int] = None
+                          wanted: List[str], num_rows: int
                           ) -> Dict[str, np.ndarray]:
         """Batched evaluation, like Spark's vectorized UDF (10k-row batches).
 
         Also the execution path of the serving micro-batcher, which stacks
-        coalesced requests and calls this once. ``batch_size`` overrides
-        the runtime default — feedback-driven batch sizing passes the
-        Predict node's annotation through here. Chunk boundaries never
+        coalesced requests and calls this once. Every call runs in
+        :attr:`batch_size` batches — nothing overrides it per plan: the
+        tree kernel's cost per row does not depend on the batch size, so
+        a bigger batch would only hold more memory. Chunk boundaries never
         change results: every graph operator is row-independent.
         """
         session = self.session_for(graph)
-        batch_size = batch_size or self.batch_size
-        if num_rows <= batch_size:
+        if num_rows <= self.batch_size:
             return self._run_batch(session, inputs, wanted, num_rows)
         pieces: Dict[str, List[np.ndarray]] = {name: [] for name in wanted}
-        n_chunks = -(-num_rows // batch_size)
+        n_chunks = -(-num_rows // self.batch_size)
         for start, stop in chunk_ranges(num_rows, n_chunks):
             batch = {name: array[start:stop] for name, array in inputs.items()}
             result = self._run_batch(session, batch, wanted, stop - start)

@@ -68,10 +68,8 @@ class RavenOptimizer:
       to the CPU tensor runtime otherwise;
     * ``feedback`` — a :class:`repro.adaptive.feedback.FeedbackStore`;
       when given, the feedback-driven passes run last (conjunct
-      reordering, join ordering, predict batch sizing), tuning the plan
-      to observed selectivities and costs. ``predict_batch_rows`` is the
-      runtime's default predict batch size, the baseline batch sizing
-      compares against.
+      reordering, join ordering), tuning the plan to observed
+      selectivities and costs.
     """
 
     def __init__(self, catalog: Catalog,
@@ -81,11 +79,9 @@ class RavenOptimizer:
                  enable_data_induced: bool = True,
                  strategy: Optional[OptimizationStrategy | str] = None,
                  gpu_available: bool = False,
-                 feedback=None,
-                 predict_batch_rows: int = 10_000):
+                 feedback=None):
         self.catalog = catalog
         self.feedback = feedback
-        self.predict_batch_rows = predict_batch_rows
         self.enable_predicate_pruning = (
             enable_cross if enable_predicate_pruning is None
             else enable_predicate_pruning)
@@ -132,7 +128,6 @@ class RavenOptimizer:
             # executor will profile. The catalog supplies base-table
             # statistics for cold join-ordering estimates.
             plan, changed, info = apply_feedback(plan, self.feedback,
-                                                 self.predict_batch_rows,
                                                  self.catalog)
             report.record("adaptive_feedback", changed, info)
         return plan, report

@@ -646,7 +646,7 @@ class RavenSession:
     def _optimizer(self, static: bool = False) -> RavenOptimizer:
         """The session optimizer; ``static=True`` builds the degraded-mode
         variant that trusts no learned annotation (no feedback store, so
-        conjuncts stay in query-text order and batch sizing is default)."""
+        conjuncts and join regions stay in query-text order)."""
         return RavenOptimizer(
             self.catalog,
             enable_cross=self.enable_cross,
@@ -654,7 +654,6 @@ class RavenSession:
             strategy=self.strategy,
             gpu_available=self.gpu_available,
             feedback=self.feedback if self.adaptive and not static else None,
-            predict_batch_rows=self.runtime.batch_size,
         )
 
     def optimize(self, query: str):
@@ -1005,7 +1004,6 @@ class RavenSession:
         entry = record.entry
         drifted = self._drifted_fingerprints(profiles)
         if drifted or feedback_divergence(entry.plan, self.feedback,
-                                          self.runtime.batch_size,
                                           self.catalog):
             if self.plan_cache.mark_stale(record.key, entry):
                 record.event("plan.stale", drifted=len(drifted))

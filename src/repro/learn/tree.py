@@ -4,13 +4,14 @@ Exact greedy splitter with sort-and-scan candidate evaluation. Split
 semantics follow scikit-learn / ONNX ``BRANCH_LEQ``: rows with
 ``x[feature] <= threshold`` go left. The structural :class:`TreeNode`
 representation is shared with ``repro.onnxlite`` so Raven's pruning rules
-can rewrite trees directly.
+can rewrite trees directly; :class:`FlatForest` is the one kernel that
+scores trees, everywhere in the engine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -96,48 +97,105 @@ class TreeNode:
 
     # ------------------------------------------------------------------
     def predict_value(self, X: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation: (n, n_outputs) array of leaf values."""
-        n = X.shape[0]
-        if self.is_leaf:
-            return np.tile(self.value, (n, 1))
-        if n == 0:
-            width = len(next(self.iter_leaves()).value)
-            return np.empty((0, width))
-        output: Optional[np.ndarray] = None
-        # Iterative partition-based traversal: route index sets level by level.
-        stack: List[Tuple[TreeNode, np.ndarray]] = [(self, np.arange(n))]
-        while stack:
-            node, indices = stack.pop()
-            if indices.size == 0:
-                continue
-            if node.is_leaf:
-                if output is None:
-                    output = np.empty((n, len(node.value)), dtype=np.float64)
-                output[indices] = node.value
-                continue
-            goes_left = X[indices, node.feature] <= node.threshold
-            stack.append((node.left, indices[goes_left]))
-            stack.append((node.right, indices[~goes_left]))
-        assert output is not None
-        return output
+        """(n, n_outputs) array of leaf values: a thin wrapper that scores
+        this one tree with :class:`FlatForest`."""
+        return FlatForest([self]).sum_values(X)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf id (pre-order leaf index) reached by each row."""
-        leaf_ids = {id(leaf): i for i, leaf in enumerate(self.iter_leaves())}
-        n = X.shape[0]
-        output = np.zeros(n, dtype=np.int64)
-        stack: List[Tuple[TreeNode, np.ndarray]] = [(self, np.arange(n))]
-        while stack:
-            node, indices = stack.pop()
-            if indices.size == 0:
-                continue
-            if node.is_leaf:
-                output[indices] = leaf_ids[id(node)]
-                continue
-            goes_left = X[indices, node.feature] <= node.threshold
-            stack.append((node.left, indices[goes_left]))
-            stack.append((node.right, indices[~goes_left]))
-        return output
+        """Leaf id (pre-order leaf index) reached by each row: a thin
+        wrapper mapping the :class:`FlatForest` leaf slot back to it."""
+        rank = {id(leaf): i for i, leaf in enumerate(self.iter_leaves())}
+        slot_rank = np.asarray([rank.get(id(node), -1)
+                                for node in _breadth_first(self)])
+        (slots,) = FlatForest([self]).leaf_slots(X)
+        return slot_rank[slots]
+
+
+def _breadth_first(tree: TreeNode) -> List[TreeNode]:
+    """The tree's nodes in flat-slot order: breadth first, so an internal
+    node's two children take adjacent slots."""
+    slots = [tree]
+    for node in slots:  # the list grows while it is walked
+        if not node.is_leaf:
+            slots += (node.left, node.right)
+    return slots
+
+
+class FlatTree(NamedTuple):
+    """One tree's parallel node arrays (see :class:`FlatForest`)."""
+
+    feature: np.ndarray     # [M] intp (leaves: 0)
+    threshold: np.ndarray   # [M] (leaves: NaN)
+    left: np.ndarray        # [M] intp; right child = left + 1 (leaves: slot - 1)
+    value: np.ndarray       # [M, d] leaf payloads (internal nodes: 0)
+    depth: int
+
+
+class FlatForest:
+    """The engine's one tree kernel: trees flattened once into node arrays.
+
+    Each tree becomes parallel arrays over :func:`_breadth_first` slots:
+    ``feature``, ``threshold``, ``left`` (the right child is ``left + 1``)
+    and ``value`` (leaf payloads; zero rows at internal nodes). The leaf
+    mask is folded into the same arrays so leaves loop to themselves: a
+    leaf's threshold is NaN (``x <= NaN`` never holds, so every row takes
+    the right edge) and its ``left`` is its own slot minus one.
+
+    All rows of a batch walk one tree level by level — ``depth`` steps of
+    a few vectorized gathers each — with BRANCH_LEQ semantics: ``x <=
+    threshold`` goes left, NaN goes right. Leaf values are summed per tree
+    in tree order, so sums are bit-identical to adding up the trees one by
+    one, and nothing depends on the batch size. Every tree ensemble the
+    engine scores runs here: the onnxlite TreeEnsemble kernels (one flat
+    form per ``InferenceSession``), the tensor runtime's ``TreeTraversal``
+    and :meth:`TreeNode.predict_value` / :meth:`TreeNode.apply`.
+    """
+
+    def __init__(self, trees: List[TreeNode]):
+        self.trees: List[FlatTree] = []
+        for tree in trees:
+            slots = _breadth_first(tree)
+            level = [0] * len(slots)
+            feature = np.zeros(len(slots), dtype=np.intp)
+            threshold = np.full(len(slots), np.nan)
+            left = np.arange(-1, len(slots) - 1, dtype=np.intp)
+            leaves = []
+            child = 1
+            for slot, node in enumerate(slots):
+                if node.is_leaf:
+                    leaves.append(slot)
+                    continue
+                feature[slot], threshold[slot] = node.feature, node.threshold
+                left[slot] = child
+                level[child] = level[child + 1] = level[slot] + 1
+                child += 2
+            leaf_values = np.stack([slots[slot].value for slot in leaves])
+            value = np.zeros((len(slots), leaf_values.shape[1]))
+            value[leaves] = leaf_values
+            self.trees.append(FlatTree(feature, threshold, left, value,
+                                       max(level)))
+
+    def leaf_slots(self, X: np.ndarray) -> Iterator[np.ndarray]:
+        """Per tree, in tree order: the leaf slot each row of ``X`` reaches."""
+        n, width = X.shape
+        cells = X.ravel()  # C order; a copy only when X is not contiguous
+        row_start = np.arange(n, dtype=np.intp) * width
+        for tree in self.trees:
+            node = np.zeros(n, dtype=np.intp)
+            for _ in range(tree.depth):
+                goes_left = (cells.take(row_start + tree.feature.take(node))
+                             <= tree.threshold.take(node))
+                node = tree.left.take(node) + ~goes_left
+            yield node
+
+    def sum_values(self, X: np.ndarray) -> np.ndarray:
+        """(n, value width) leaf values summed over the trees in tree
+        order (the forest must have at least one tree)."""
+        total = None
+        for tree, node in zip(self.trees, self.leaf_slots(X)):
+            reached = tree.value.take(node, axis=0)
+            total = reached if total is None else total + reached
+        return total
 
 
 # ---------------------------------------------------------------------------

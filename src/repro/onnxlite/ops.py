@@ -16,20 +16,24 @@ The operator set mirrors ONNX-ML plus the Raven ``FeatureExtractor`` /
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.errors import GraphError, UnsupportedOperatorError
 from repro.learn.base import sigmoid, softmax
+from repro.learn.tree import FlatForest
 from repro.onnxlite.graph import FLOAT, INT, STRING, Graph, Node
 
 
 @dataclass
 class EvalContext:
-    """Per-run information available to kernels."""
+    """Per-call information available to kernels."""
 
     batch_size: int
+    #: What the operator's ``prepare`` hook built for this node when the
+    #: ``InferenceSession`` was constructed (the flat tree form), else None.
+    prepared: object = None
 
 
 @dataclass(frozen=True)
@@ -45,14 +49,19 @@ WidthFn = Callable[[Node, List[EdgeInfo]], List[EdgeInfo]]
 
 _KERNELS: Dict[str, KernelFn] = {}
 _WIDTHS: Dict[str, WidthFn] = {}
+_PREPARE: Dict[str, Callable[[Node], object]] = {}
 
 
-def register(op_type: str, width_fn: WidthFn):
-    """Decorator registering kernel + width rule for an operator."""
+def register(op_type: str, width_fn: WidthFn,
+             prepare: Optional[Callable[[Node], object]] = None):
+    """Decorator registering kernel + width rule (+ optional per-session
+    ``prepare`` hook, see :attr:`EvalContext.prepared`) for an operator."""
 
     def wrap(kernel: KernelFn) -> KernelFn:
         _KERNELS[op_type] = kernel
         _WIDTHS[op_type] = width_fn
+        if prepare is not None:
+            _PREPARE[op_type] = prepare
         return kernel
 
     return wrap
@@ -63,6 +72,12 @@ def kernel_for(op_type: str) -> KernelFn:
     if op_type not in _KERNELS:
         raise UnsupportedOperatorError(f"no kernel for operator {op_type!r}")
     return _KERNELS[op_type]
+
+
+def prepare_node(node: Node) -> object:
+    """The node's per-session state, built once by its ``prepare`` hook."""
+    prepare = _PREPARE.get(node.op_type)
+    return None if prepare is None else prepare(node)
 
 
 def supported_operators() -> List[str]:
@@ -84,7 +99,7 @@ def _same_width(node: Node, inputs: List[EdgeInfo]) -> List[EdgeInfo]:
 
 @register("Scaler", _same_width)
 def _scaler(node: Node, inputs: List[np.ndarray], ctx: EvalContext):
-    x = _as_matrix(inputs[0]).astype(np.float64)
+    x = _as_matrix(inputs[0]).astype(np.float64, copy=False)
     offset = np.asarray(node.attrs["offset"], dtype=np.float64)
     scale = np.asarray(node.attrs["scale"], dtype=np.float64)
     return [(x - offset) * scale]
@@ -136,8 +151,8 @@ def _one_hot(node: Node, inputs: List[np.ndarray], ctx: EvalContext):
     categories = np.asarray(node.attrs["categories"])
     column = x[:, 0]
     if categories.dtype.kind == "U" or column.dtype.kind == "U":
-        column = column.astype(np.str_)
-        categories = categories.astype(np.str_)
+        column = column.astype(np.str_, copy=False)
+        categories = categories.astype(np.str_, copy=False)
     # handle_unknown='ignore': unseen values encode to all-zeros.
     return [(column[:, None] == categories[None, :]).astype(np.float64)]
 
@@ -169,7 +184,7 @@ def _concat_width(node: Node, inputs: List[EdgeInfo]) -> List[EdgeInfo]:
 
 @register("Concat", _concat_width)
 def _concat(node: Node, inputs: List[np.ndarray], ctx: EvalContext):
-    matrices = [_as_matrix(i).astype(np.float64) for i in inputs]
+    matrices = [_as_matrix(i).astype(np.float64, copy=False) for i in inputs]
     return [np.concatenate(matrices, axis=1)]
 
 
@@ -310,39 +325,44 @@ def _linear_regressor(node: Node, inputs: List[np.ndarray], ctx: EvalContext):
     return [(x @ coefficients + intercept).reshape(-1, 1)]
 
 
-@register("TreeEnsembleClassifier", _classifier_width)
+def _flat_trees(node: Node) -> FlatForest:
+    if not node.attrs["trees"]:
+        raise GraphError("tree ensemble has no trees")
+    return FlatForest(node.attrs["trees"])
+
+
+@register("TreeEnsembleClassifier", _classifier_width, prepare=_flat_trees)
 def _tree_ensemble_classifier(node: Node, inputs: List[np.ndarray],
                               ctx: EvalContext):
-    x = _as_matrix(inputs[0]).astype(np.float64)
-    probabilities = evaluate_tree_ensemble_scores(node, x)
+    x = _as_matrix(inputs[0]).astype(np.float64, copy=False)
+    probabilities = evaluate_tree_ensemble_scores(node, ctx.prepared, x)
     classes = np.asarray(node.attrs["classes"])
     labels = classes[np.argmax(probabilities, axis=1)]
     return [labels, probabilities]
 
 
-def evaluate_tree_ensemble_scores(node: Node, x: np.ndarray) -> np.ndarray:
+def evaluate_tree_ensemble_scores(node: Node, flat: FlatForest,
+                                  x: np.ndarray) -> np.ndarray:
     """Shared ensemble math: aggregate leaf values, apply post transform.
 
-    Two layouts exist (see ``repro.onnxlite.convert``):
+    ``flat`` is the node's trees in the engine's one tree kernel,
+    :class:`~repro.learn.tree.FlatForest`, built once per
+    ``InferenceSession`` (the node's ``prepare`` hook) so its lifetime is
+    the graph's; it sums the leaf values in tree order. Two layouts exist
+    (see ``repro.onnxlite.convert``):
 
     * probability trees (DT/RF): leaves hold class-probability vectors,
       ``aggregate='AVERAGE'``, ``post_transform='NONE'``;
     * margin trees (GB): leaves hold scalar margins (learning rate baked
       in), ``aggregate='SUM'`` with ``base_values``, ``post='LOGISTIC'``.
     """
-    trees = node.attrs["trees"]
     aggregate = node.attrs.get("aggregate", "AVERAGE")
     post = node.attrs.get("post_transform", "NONE")
     base_values = np.asarray(node.attrs.get("base_values", [0.0]), dtype=np.float64)
 
-    total = None
-    for tree in trees:
-        values = tree.predict_value(x)
-        total = values if total is None else total + values
-    if total is None:
-        raise GraphError("tree ensemble has no trees")
+    total = flat.sum_values(x)
     if aggregate == "AVERAGE":
-        total = total / len(trees)
+        total = total / len(flat.trees)
     elif aggregate != "SUM":
         raise GraphError(f"bad aggregate: {aggregate!r}")
     total = total + base_values
@@ -357,21 +377,15 @@ def evaluate_tree_ensemble_scores(node: Node, x: np.ndarray) -> np.ndarray:
     raise GraphError(f"bad post_transform: {post!r}")
 
 
-@register("TreeEnsembleRegressor", _regressor_width)
+@register("TreeEnsembleRegressor", _regressor_width, prepare=_flat_trees)
 def _tree_ensemble_regressor(node: Node, inputs: List[np.ndarray],
                              ctx: EvalContext):
-    x = _as_matrix(inputs[0]).astype(np.float64)
-    trees = node.attrs["trees"]
+    x = _as_matrix(inputs[0]).astype(np.float64, copy=False)
     aggregate = node.attrs.get("aggregate", "SUM")
     base = float(np.asarray(node.attrs.get("base_values", [0.0])).ravel()[0])
-    total = None
-    for tree in trees:
-        values = tree.predict_value(x)[:, :1]
-        total = values if total is None else total + values
-    if total is None:
-        raise GraphError("tree ensemble has no trees")
+    total = ctx.prepared.sum_values(x)[:, :1]
     if aggregate == "AVERAGE":
-        total = total / len(trees)
+        total = total / len(ctx.prepared.trees)
     return [total + base]
 
 

@@ -1,8 +1,9 @@
 """The onnxlite inference runtime (stand-in for ONNX Runtime).
 
 An :class:`InferenceSession` validates and topologically orders the graph
-once (the "session initialization" cost the paper's MLtoSQL avoids), then
-evaluates batches with the registered vectorized kernels.
+and flattens its tree ensembles once (the "session initialization" cost
+the paper's MLtoSQL avoids), then evaluates batches with the registered
+vectorized kernels.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.onnxlite.graph import Graph, Node
-from repro.onnxlite.ops import EvalContext, kernel_for
+from repro.onnxlite.ops import EvalContext, kernel_for, prepare_node
 
 
 class InferenceSession:
@@ -24,6 +25,9 @@ class InferenceSession:
         self.graph = graph
         self._ordered: List[Node] = graph.topological_nodes()
         self._kernels = [kernel_for(node.op_type) for node in self._ordered]
+        # Per-node state (the flat tree form) lives exactly as long as this
+        # session and the graph it holds: nothing is cached by object id.
+        self._prepared = [prepare_node(node) for node in self._ordered]
 
     def run(self, inputs: Mapping[str, np.ndarray],
             outputs: Optional[List[str]] = None) -> Dict[str, np.ndarray]:
@@ -51,11 +55,11 @@ class InferenceSession:
             values[info.name] = array
         if batch_size is None:
             batch_size = 0
-        context = EvalContext(batch_size=batch_size)
-
-        for node, kernel in zip(self._ordered, self._kernels):
+        for node, kernel, prepared in zip(self._ordered, self._kernels,
+                                          self._prepared):
             node_inputs = [values[name] for name in node.inputs]
-            results = kernel(node, node_inputs, context)
+            results = kernel(node, node_inputs,
+                             EvalContext(batch_size, prepared))
             if len(results) != len(node.outputs):
                 raise GraphError(
                     f"{node.op_type} produced {len(results)} outputs, "

@@ -10,9 +10,8 @@ algebra, bit-for-bit:
   execution ``order``) and every expression node type has a tagged dict
   form;
 * execution *annotations* learned by the adaptive subsystem
-  (``Predict.batch_rows``, ``MultiJoin.order``, feedback-reordered
-  conjunct order) survive the round trip — they are
-  the whole point of persisting a warmed plan;
+  (``MultiJoin.order``, feedback-reordered conjunct order) survive the
+  round trip — they are the whole point of persisting a warmed plan;
 * derived per-node caches (compiled expression programs, adaptive
   fingerprints) are deliberately *not*
   serialized: they live in ``node.__dict__`` side slots and are
@@ -214,8 +213,7 @@ def _node_to_dict(node: PlanNode) -> Dict[str, Any]:
                 "keep_columns": None if node.keep_columns is None
                 else list(node.keep_columns),
                 "mode": node.mode.value,
-                "per_partition_graphs": per_partition,
-                "batch_rows": node.batch_rows}
+                "per_partition_graphs": per_partition}
     raise PersistError(f"cannot serialize plan node {type(node).__name__}")
 
 
@@ -260,6 +258,8 @@ def _node_from_dict(payload: Dict[str, Any]) -> PlanNode:
     if tag == "limit":
         return Limit(_node_from_dict(payload["child"]), payload["count"])
     if tag == "predict":
+        # Payloads written when predict batches were still sized from
+        # feedback carry a "batch_rows" key; it is not read.
         per_partition: Optional[List[Graph]] = None
         if payload["per_partition_graphs"] is not None:
             per_partition = [graph_from_dict(graph)
@@ -274,7 +274,6 @@ def _node_from_dict(payload: Dict[str, Any]) -> PlanNode:
             keep_columns=payload["keep_columns"],
             mode=PredictMode(payload["mode"]),
             per_partition_graphs=per_partition,
-            batch_rows=payload["batch_rows"],
         )
     raise PersistError(f"unknown plan node tag: {tag!r}")
 

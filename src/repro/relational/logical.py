@@ -488,8 +488,6 @@ class Predict(PlanNode):
     mode: physical runtime annotation set by runtime selection.
     per_partition_graphs: optional partition-specialized graphs installed by
         the data-induced optimization (paper §4.2).
-    batch_rows: optional execution annotation (feedback-driven predict
-        batch sizing); None uses the runtime's default batch size.
     """
 
     def __init__(self, child: PlanNode, model_name: str, graph: object,
@@ -497,8 +495,7 @@ class Predict(PlanNode):
                  output_columns: Sequence[Tuple[str, str, DataType]],
                  keep_columns: Optional[Sequence[str]] = None,
                  mode: PredictMode = PredictMode.ML_RUNTIME,
-                 per_partition_graphs: Optional[List[object]] = None,
-                 batch_rows: Optional[int] = None):
+                 per_partition_graphs: Optional[List[object]] = None):
         self.child = child
         self.model_name = model_name
         self.graph = graph
@@ -507,7 +504,6 @@ class Predict(PlanNode):
         self.keep_columns = list(keep_columns) if keep_columns is not None else None
         self.mode = mode
         self.per_partition_graphs = per_partition_graphs
-        self.batch_rows = batch_rows
 
     def children(self):
         return (self.child,)
@@ -516,14 +512,13 @@ class Predict(PlanNode):
         (child,) = children
         return Predict(child, self.model_name, self.graph, self.input_mapping,
                        self.output_columns, self.keep_columns, self.mode,
-                       self.per_partition_graphs, self.batch_rows)
+                       self.per_partition_graphs)
 
     def replace(self, **updates) -> "Predict":
         """Copy with selected attributes replaced (rules use this)."""
         node = Predict(self.child, self.model_name, self.graph,
                        self.input_mapping, self.output_columns,
-                       self.keep_columns, self.mode, self.per_partition_graphs,
-                       self.batch_rows)
+                       self.keep_columns, self.mode, self.per_partition_graphs)
         for key, value in updates.items():
             if not hasattr(node, key):
                 raise PlanError(f"Predict has no attribute {key!r}")

@@ -1,7 +1,7 @@
 """Per-fingerprint circuit breakers with static-plan degradation.
 
-A plan the adaptive subsystem annotated (learned conjunct order, build
-sides, predict batch sizing) can go bad in ways feedback never sees: a
+A plan the adaptive subsystem annotated (learned conjunct order, join
+order) can go bad in ways feedback never sees: a
 poisoned snapshot, a model whose behaviour changed under it, an operator
 that now reliably fails. Retrying such a plan fails every time and burns
 the retry budget of every caller.

@@ -4,12 +4,14 @@
   matrix pipelines (feature-selection, path, leaf-value) evaluated with
   matrix algebra. Exact for any tree; costs grow with node x leaf counts,
   so it shines on small trees.
-* :class:`TreeTraversal` — the (perfect) tree-traversal strategy: flattened
-  node arrays walked level-by-level with vectorized gathers; cost is
+* :class:`TreeTraversal` — the (perfect) tree-traversal strategy: the
+  engine's one tree kernel (:class:`~repro.learn.tree.FlatForest`, flat
+  node arrays walked level-by-level with vectorized gathers); cost is
   ``O(N * trees * depth)`` and is the right choice for large ensembles.
 
 Both produce aggregated ensemble scores identical (up to fp rounding) to
-``repro.onnxlite``'s TreeEnsemble kernels.
+``repro.onnxlite``'s TreeEnsemble kernels; the traversal shares their
+kernel, so its leaf sums are bit-identical to theirs.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.learn.base import sigmoid, softmax
-from repro.learn.tree import TreeNode
+from repro.learn.tree import FlatForest, TreeNode
 from repro.tensor.program import OpCost, TensorOp
 
 
@@ -140,88 +142,35 @@ class TreeGemm(TensorOp):
 # Tree-traversal strategy
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _FlatEnsemble:
-    """Node-array layout shared by every tree (padded to max node count)."""
-
-    features: np.ndarray     # [T, M] int (leaves: 0)
-    thresholds: np.ndarray   # [T, M]
-    lefts: np.ndarray        # [T, M] int (leaves: self)
-    rights: np.ndarray       # [T, M] int (leaves: self)
-    values: np.ndarray       # [T, M, d]
-    depth: int
-
-
-def _flatten_ensemble(trees: Sequence[TreeNode], value_dim: int) -> _FlatEnsemble:
-    flat_trees = []
-    max_nodes = 0
-    max_depth = 0
-    for tree in trees:
-        nodes = list(tree.iter_nodes())
-        max_nodes = max(max_nodes, len(nodes))
-        max_depth = max(max_depth, tree.depth())
-        flat_trees.append(nodes)
-
-    n_trees = len(trees)
-    features = np.zeros((n_trees, max_nodes), dtype=np.int64)
-    thresholds = np.zeros((n_trees, max_nodes))
-    lefts = np.zeros((n_trees, max_nodes), dtype=np.int64)
-    rights = np.zeros((n_trees, max_nodes), dtype=np.int64)
-    values = np.zeros((n_trees, max_nodes, value_dim))
-
-    for t, nodes in enumerate(flat_trees):
-        index_of = {id(node): i for i, node in enumerate(nodes)}
-        for i, node in enumerate(nodes):
-            if node.is_leaf:
-                lefts[t, i] = rights[t, i] = i  # self-loop at leaves
-                values[t, i] = node.value
-            else:
-                features[t, i] = node.feature
-                thresholds[t, i] = node.threshold
-                lefts[t, i] = index_of[id(node.left)]
-                rights[t, i] = index_of[id(node.right)]
-    return _FlatEnsemble(features, thresholds, lefts, rights, values,
-                         depth=max(max_depth, 1))
-
-
 class TreeTraversal(TensorOp):
-    """Traversal-strategy ensemble scoring with tree-group batching."""
+    """Traversal-strategy ensemble scoring on the engine's one tree kernel.
+
+    The walk is :class:`~repro.learn.tree.FlatForest` — the very kernel
+    the onnxlite runtime scores tree ensembles with — flattened once here;
+    this op adds only the aggregate, base values, post transform and the
+    cost model.
+    """
 
     def __init__(self, inputs, output, trees: Sequence[TreeNode],
                  aggregate: str, post_transform: str,
-                 base_values: np.ndarray, value_dim: int,
-                 group_size: int = 16):
+                 base_values: np.ndarray, value_dim: int):
         super().__init__(inputs, output)
         self.aggregate = aggregate
         self.post_transform = post_transform
         self.base_values = np.asarray(base_values, dtype=np.float64)
-        self.value_dim = value_dim
-        self.group_size = max(1, group_size)
-        self.flat = _flatten_ensemble(trees, value_dim)
+        # ``value_dim`` (shared signature with TreeGemm) is the leaves'
+        # width, which the flat form reads off the leaves themselves.
+        self.flat = FlatForest(trees)
         self.n_trees = len(trees)
+        self.depth = max([1] + [tree.depth for tree in self.flat.trees])
 
     def execute(self, buffers):
-        x = buffers[self.inputs[0]]
-        n = len(x)
-        flat = self.flat
-        total = np.zeros((n, self.value_dim))
-        rows = np.arange(n)[:, None]
-        for start in range(0, self.n_trees, self.group_size):
-            stop = min(start + self.group_size, self.n_trees)
-            group = np.arange(start, stop)[None, :]        # [1, G]
-            node = np.zeros((n, stop - start), dtype=np.int64)
-            for _ in range(flat.depth):
-                feature = flat.features[group, node]       # [N, G]
-                threshold = flat.thresholds[group, node]
-                goes_left = x[rows, feature] <= threshold
-                node = np.where(goes_left, flat.lefts[group, node],
-                                flat.rights[group, node])
-            total += flat.values[group, node].sum(axis=1)
+        total = self.flat.sum_values(buffers[self.inputs[0]])
         if self.aggregate == "AVERAGE":
-            total /= self.n_trees
+            total = total / self.n_trees
         total = total + self.base_values
         return _apply_post(total, self.post_transform)
 
     def cost(self, batch_size):
-        work = batch_size * self.n_trees * self.flat.depth
+        work = batch_size * self.n_trees * self.depth
         return OpCost(flops=3.0 * work, bytes_moved=40.0 * work)

@@ -23,14 +23,12 @@ from repro.adaptive.profile import (
 )
 from repro.adaptive.reopt import (
     apply_feedback,
-    plan_batch_rows,
     plan_conjunct_order,
 )
 from repro.errors import BackpressureError
 from repro.relational.expressions import BinaryOp, col, lit
 from repro.relational.logical import (
     Filter,
-    Predict,
     Scan,
     walk,
 )
@@ -39,7 +37,6 @@ from repro.serving.batcher import (
     DEFAULT_MAX_BATCH_ROWS,
     MicroBatcher,
 )
-from repro.storage.column import DataType
 
 
 def tables_equal_bitwise(a, b) -> bool:
@@ -297,37 +294,16 @@ class TestFeedbackDecisions:
         assert dim_feedback is not None
         assert dim_feedback.rows_out_ewma == pytest.approx(100)
 
-    def test_predict_batch_rows_from_observed_cost(self):
-        store = FeedbackStore()
-        child = Scan("t")
-        node = Predict(child, "m", graph=object(), input_mapping={},
-                       output_columns=[("score", "score", DataType.FLOAT)])
-        default = 10_000
-        assert plan_batch_rows(node, store, default) is None
-        store.record_predict("m", rows=10_000, seconds=0.5)  # 5e-5 s/row
-        store.record_profile(OperatorProfile(
-            operator="Scan", fingerprint=plan_fingerprint(child),
-            calls=1, rows_in=50_000, rows_out=50_000, seconds=0.0))
-        derived = plan_batch_rows(node, store, default)
-        assert derived == 4096  # 0.25s / 5e-5 = 5000 -> snapped down
-        # Small inputs never annotate: one batch already.
-        store2 = FeedbackStore()
-        store2.record_predict("m", rows=1_000, seconds=0.05)
-        store2.record_profile(OperatorProfile(
-            operator="Scan", fingerprint=plan_fingerprint(child),
-            calls=1, rows_in=1_000, rows_out=1_000, seconds=0.0))
-        assert plan_batch_rows(node, store2, default) is None
-
     def test_apply_feedback_reaches_fixed_point(self):
         store = FeedbackStore()
         pred = BinaryOp("and", col("t.a").gt(lit(0.0)),
                         col("t.b").lt(lit(0.5)))
         plan = Filter(Scan("t"), pred)
         _observe_conjuncts(store, plan, [0.99, 0.01])
-        rewritten, changed, info = apply_feedback(plan, store, 10_000)
+        rewritten, changed, info = apply_feedback(plan, store)
         assert changed and info["filters_reordered"] == 1
         # The rewritten plan now encodes the feedback: no further change.
-        _, changed_again, _ = apply_feedback(rewritten, store, 10_000)
+        _, changed_again, _ = apply_feedback(rewritten, store)
         assert not changed_again
 
 

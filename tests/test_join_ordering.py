@@ -249,11 +249,11 @@ class TestJoinOrderDecision:
         _observe_step(store, tree.inputs,
                       [JoinEdge(0, 1, "fact.k1", "d1.k1")], 10_000, 8_000,
                       10_000)
-        rewritten, changed, info = apply_feedback(tree, store, 10_000)
+        rewritten, changed, info = apply_feedback(tree, store)
         assert changed and info["joins_reordered"] == 1
         multi = next(n for n in walk(rewritten) if isinstance(n, MultiJoin))
         assert multi.order == [0, 2, 1]
-        _, changed_again, _ = apply_feedback(rewritten, store, 10_000)
+        _, changed_again, _ = apply_feedback(rewritten, store)
         assert not changed_again
 
     def test_reorder_back_to_text_order_drops_annotation(self):
@@ -269,7 +269,7 @@ class TestJoinOrderDecision:
                       [JoinEdge(0, 2, "fact.k2", "d2.k2")], 10_000, 8_000,
                       10_000)
         assert plan_join_order(node, store) == [0, 1, 2]
-        rewritten, changed, _ = apply_feedback(node, store, 10_000)
+        rewritten, changed, _ = apply_feedback(node, store)
         assert changed
         multi = next(n for n in walk(rewritten) if isinstance(n, MultiJoin))
         assert multi.order is None

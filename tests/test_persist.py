@@ -180,8 +180,7 @@ def _plans(dt_pipeline):
     yield Limit(scan, 7)
     yield Predict(scan, "risk", graph,
                   {"age": "d.age"}, [("score", "probability", DataType.FLOAT)],
-                  keep_columns=["d.id"], mode=PredictMode.ML_RUNTIME,
-                  batch_rows=4096)
+                  keep_columns=["d.id"], mode=PredictMode.ML_RUNTIME)
 
 
 class TestPlanCodec:
@@ -203,9 +202,42 @@ class TestPlanCodec:
         assert multi.order == [1, 0, 2]
         assert multi.edges == _multijoin().edges
         predict = plan_from_dict(plan_to_dict(plans[9]))
-        assert predict.batch_rows == 4096
         assert predict.mode is PredictMode.ML_RUNTIME
         assert predict.keep_columns == ["d.id"]
+
+    def test_parent_written_predict_batch_rows_still_loads(
+            self, patients_table, pulmonary_table, dt_pipeline, covid_query):
+        # What the previous writer emitted for a feedback-sized Predict:
+        # the since-removed "batch_rows" annotation. The key is ignored,
+        # nothing is re-emitted, and the plan scores in the runtime's
+        # fixed batches to the same result.
+        session = RavenSession(strategy="none", batch_size=64)
+        session.register_table("patient_info", patients_table)
+        session.register_table("pulmonary_test", pulmonary_table)
+        session.register_model("covid_risk", dt_pipeline)
+        written, _ = session.optimize(covid_query)
+        payload = json.loads(json.dumps(plan_to_dict(written)))
+        predicts = [node for node in walk(written)
+                    if isinstance(node, Predict)]
+        assert predicts and all(node.mode is PredictMode.ML_RUNTIME
+                                for node in predicts)
+
+        def stamp(node):
+            if node.get("t") == "predict":
+                assert "batch_rows" not in node  # the writer stopped
+                node["batch_rows"] = 4096
+            for value in node.values():
+                for child in value if isinstance(value, list) else [value]:
+                    if isinstance(child, dict):
+                        stamp(child)
+
+        stamp(payload["root"])
+        assert '"batch_rows": 4096' in json.dumps(payload)
+        rebuilt = plan_from_dict(payload)
+        assert plan_to_dict(rebuilt) == plan_to_dict(written)
+        expected = session.execute_plan(written)
+        assert expected.num_rows > 64  # more than one predict batch
+        assert tables_equal_bitwise(session.execute_plan(rebuilt), expected)
 
     def test_parent_written_join_payload_still_loads(self, session):
         # What the previous writer emitted for an optimized plan: a tree
