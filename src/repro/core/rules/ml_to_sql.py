@@ -27,11 +27,13 @@ from repro.errors import UnsupportedOperatorError
 from repro.learn.tree import TreeNode
 from repro.onnxlite.graph import Graph, Node
 from repro.relational.expressions import (
+    BinaryOp,
     CaseWhen,
     ColumnRef,
     Expression,
     FunctionCall,
     Literal,
+    UnaryOp,
     fold_constants,
 )
 from repro.relational.logical import PlanNode, Predict, Project
@@ -294,14 +296,49 @@ def _compile_linear_regressor(node: Node, edges) -> None:
 
 def tree_to_expression(tree: TreeNode, features: List[Expression],
                        value_index: int) -> Expression:
-    """Depth-first nested CASE WHEN for one tree (paper §5.1's example)."""
+    """Depth-first nested CASE WHEN for one tree (paper §5.1's example).
+
+    A split whose condition folds to a constant (see
+    :func:`_split_condition`) emits only the subtree it always takes.
+    """
     if tree.is_leaf:
         return Literal(float(tree.value[value_index]))
-    condition = features[tree.feature].le(Literal(float(tree.threshold)))
+    condition = _split_condition(features[tree.feature],
+                                 float(tree.threshold))
+    if isinstance(condition, Literal):
+        taken = tree.left if condition.value else tree.right
+        return tree_to_expression(taken, features, value_index)
     return CaseWhen(
         [(condition, tree_to_expression(tree.left, features, value_index))],
         tree_to_expression(tree.right, features, value_index),
     )
+
+
+def _split_condition(feature: Expression, threshold: float) -> Expression:
+    """``feature <= threshold``, folded when the feature is an indicator.
+
+    An indicator ``CASE WHEN p THEN a ELSE b END`` with numeric literals
+    ``a``/``b`` (a one-hot category, a binarized column) is ``<= t``
+    exactly where ``p``'s truth table says: a constant when ``a`` and
+    ``b`` fall on the same side of ``t``, ``p`` when only ``a`` does, and
+    ``NOT p`` when only ``b`` does — written ``col <> v`` for
+    ``p = (col = v)``, which agrees with ``NOT p`` even on NaN. Any other
+    ``NOT p`` stays as it is: ``NOT (x > t)`` is not ``x <= t`` on NaN.
+    """
+    if isinstance(feature, CaseWhen) and len(feature.branches) == 1:
+        (predicate, when_true), when_false = (feature.branches[0],
+                                              feature.default)
+        if all(isinstance(value, Literal) and value.dtype.is_numeric
+               for value in (when_true, when_false)):
+            true_side = when_true.value <= threshold
+            if true_side == (when_false.value <= threshold):
+                return Literal(true_side)
+            if true_side:
+                return predicate
+            if isinstance(predicate, BinaryOp) and predicate.op == "=":
+                return predicate.left.ne(predicate.right)
+            return UnaryOp("not", predicate)
+    return feature.le(Literal(threshold))
 
 
 def _sum_expressions(parts: List[Expression]) -> Expression:

@@ -21,11 +21,25 @@ vectorized instructions:
   the guarded-out rows.
 * **Constant folding** — literal-only subtrees are evaluated once at
   compile time and broadcast (zero-copy) at run time.
+* **String predicates on codes** — ``col op 'lit'`` (either operand
+  order, any of ``= <> < <= > >=``), ``col IN ('a', ...)`` and
+  ``col BETWEEN 'a' AND 'b'`` over a STRING column compile to one
+  ``strcmp`` instruction over the column's dictionary codes (see
+  :mod:`repro.storage.column`). Each run binds the literal to the
+  column's sorted dictionary with ``searchsorted`` — a literal absent
+  from it makes ``=`` constant false and ``<>`` constant true — so the
+  program itself stays data-independent and plans cached across
+  catalog versions stay valid. A column without codes (a string
+  ``CASE`` result, a spilled column) is compared as strings.
+* **Pass-through outputs** — an output that is a bare column reference
+  is the source :class:`~repro.storage.column.Column` itself
+  (:meth:`CompiledProgram.run_columns`), so coded strings stay coded.
 
 Programs are bit-for-bit equivalent to the interpreted path (which stays
 available as the differential-testing oracle behind the session flag
-``compile_expressions=False``): every instruction applies the exact numpy
-ops :meth:`Expression.evaluate` would, just on fewer rows.
+``compile_expressions=False``, and always compares decoded strings):
+every instruction applies the exact numpy ops :meth:`Expression.evaluate`
+would, just on fewer rows — or, for strings, the same order on codes.
 """
 
 from __future__ import annotations
@@ -50,7 +64,7 @@ from repro.relational.expressions import (
     UnaryOp,
     _one_row_table,
 )
-from repro.storage.column import DataType
+from repro.storage.column import Column, DataType
 from repro.storage.table import Schema
 
 _NP_DTYPES = {
@@ -58,6 +72,55 @@ _NP_DTYPES = {
     DataType.INT: np.int64,
     DataType.BOOL: np.bool_,
 }
+
+#: ``lit op col`` is ``col FLIPPED[op] lit``.
+_FLIPPED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _compare_strings(values: np.ndarray, op: str, literal) -> np.ndarray:
+    """A ``strcmp`` over ``<U`` values: the interpreted path's numpy ops."""
+    if op == "in":
+        return np.isin(values, literal)
+    if op == "between":
+        low, high = literal
+        return np.logical_and(values >= low, values <= high)
+    return _COMPARE_FUNCS[op](values, literal)
+
+
+def _bind_codes(dictionary: np.ndarray, op: str, literal):
+    """Bind a ``strcmp`` literal to a sorted dictionary: returns the
+    predicate over codes that ``_compare_strings`` computes over strings."""
+    size = len(dictionary)
+    if op == "in":
+        positions = np.minimum(np.searchsorted(dictionary, literal), size - 1)
+        present = positions[dictionary[positions] == literal] if size \
+            else positions[:0]
+        return lambda codes: np.isin(codes, present.astype(codes.dtype))
+
+    def bound(value, side):
+        return int(np.searchsorted(dictionary, value, side))
+
+    # The codes in [lo, hi) are the strings that pass (for `<>`: that fail).
+    negate = op == "<>"
+    if op == "between":
+        lo, hi = bound(literal[0], "left"), bound(literal[1], "right")
+    elif op in ("=", "<>"):
+        lo, hi = bound(literal, "left"), bound(literal, "right")
+    elif op in ("<", "<="):
+        lo, hi = 0, bound(literal, "left" if op == "<" else "right")
+    else:
+        lo, hi = bound(literal, "right" if op == ">" else "left"), size
+    # lo/hi are Python ints, so each compare runs at the codes' own
+    # (narrow) width. A `<>` range is one code or none (the dictionary
+    # has no duplicates).
+    if lo >= hi or (lo <= 0 and hi >= size):
+        constant = (lo < hi) != negate
+        return lambda codes: np.full(len(codes), constant)
+    if negate:
+        return lambda codes: codes != lo
+    if hi - lo == 1:
+        return lambda codes: codes == lo
+    return lambda codes: (codes >= lo) & (codes < hi)
 
 
 class _Instr:
@@ -77,24 +140,26 @@ class _Instr:
 
 
 class _RunContext:
-    """Per-run mutable state: source columns and the full-row value memo."""
+    """Per-run mutable state: source columns, the full-row value memo and
+    the string literals bound to this run's dictionaries."""
 
-    __slots__ = ("source", "num_rows", "columns", "full")
+    __slots__ = ("source", "num_rows", "columns", "full", "bound")
 
     def __init__(self, source):
         self.source = source
         self.num_rows = source.num_rows
-        self.columns: Dict[str, np.ndarray] = {}
+        self.columns: Dict[str, Column] = {}
         # slot -> value over ALL rows of the source; masked evaluations
         # gather from here instead of recomputing.
         self.full: Dict[int, np.ndarray] = {}
+        # strcmp instruction -> its predicate over codes.
+        self.bound: Dict[_Instr, object] = {}
 
-    def column(self, name: str) -> np.ndarray:
-        array = self.columns.get(name)
-        if array is None:
-            array = self.source.array(name)
-            self.columns[name] = array
-        return array
+    def column(self, name: str) -> Column:
+        column = self.columns.get(name)
+        if column is None:
+            column = self.columns[name] = self.source.column(name)
+        return column
 
 
 class CompiledProgram:
@@ -137,23 +202,34 @@ class CompiledProgram:
 
     # ------------------------------------------------------------------
     def run(self, source) -> Dict[str, np.ndarray]:
-        """Evaluate all outputs over a Table or TableView.
+        """Evaluate all outputs over a Table or TableView, as arrays
+        (see :meth:`run_columns`)."""
+        return {name: column.data for name, column in self.run_columns(source)}
 
-        Outputs match the interpreted path's contract: each is a fresh,
-        writable array — constant broadcasts (read-only, 0-stride) and
-        slots shared between outputs are copied on the way out so no two
-        result columns alias each other.
+    def run_columns(self, source) -> List[Tuple[str, Column]]:
+        """Evaluate all outputs as the columns a Project emits.
+
+        Outputs match the interpreted path's contract: a bare column
+        reference is the source column itself (coded strings stay coded,
+        nothing is copied); every other output is a fresh, writable array
+        — constant broadcasts (read-only, 0-stride) and slots shared
+        between outputs are copied on the way out so no two computed
+        columns alias each other.
         """
         ctx = _RunContext(source)
-        results: Dict[str, np.ndarray] = {}
-        emitted: Dict[int, str] = {}
-        for name, slot, _ in self.outputs:
+        emitted = set()
+        columns = []
+        for name, slot, dtype in self.outputs:
+            instr = self.instructions[slot]
+            if instr.kind == "col":
+                columns.append((name, ctx.column(instr.payload)))
+                continue
             value = self._eval(slot, ctx, None, ctx.full)
             if not value.flags.writeable or slot in emitted:
                 value = value.copy()
-            emitted[slot] = name
-            results[name] = value
-        return results
+            emitted.add(slot)
+            columns.append((name, Column(value, dtype)))
+        return columns
 
     def run_single(self, source) -> np.ndarray:
         """Evaluate a single-output program (Filter predicates)."""
@@ -191,7 +267,13 @@ class CompiledProgram:
         return np.broadcast_to(instr.payload, (self._n(ctx, active),))
 
     def _eval_col(self, instr, ctx, active, memo):
-        array = ctx.column(instr.payload)
+        array = ctx.column(instr.payload).data
+        return array if active is None else array[active]
+
+    def _eval_codes(self, instr, ctx, active, memo):
+        # A string column's codes; its strings when it carries none.
+        column = ctx.column(instr.payload)
+        array = column.data if column.codes is None else column.codes
         return array if active is None else array[active]
 
     # -- pointwise -----------------------------------------------------
@@ -199,6 +281,17 @@ class CompiledProgram:
         left = self._eval(instr.args[0], ctx, active, memo)
         right = self._eval(instr.args[1], ctx, active, memo)
         return instr.payload(left, right)
+
+    def _eval_strcmp(self, instr, ctx, active, memo):
+        values = self._eval(instr.args[0], ctx, active, memo)
+        name, op, literal = instr.payload
+        if values.dtype.kind == "U":
+            return _compare_strings(values, op, literal)
+        predicate = ctx.bound.get(instr)
+        if predicate is None:
+            predicate = ctx.bound[instr] = _bind_codes(
+                ctx.column(name).dictionary, op, literal)
+        return predicate(values)
 
     def _eval_arith(self, instr, ctx, active, memo):
         left = self._eval(instr.args[0], ctx, active, memo)
@@ -349,20 +442,24 @@ class _Compiler:
         self.schema = schema
         self.instructions: List[_Instr] = []
         self.uses: List[int] = []
-        # Structural-hash CSE: one slot per distinct subtree.
-        self._slots: Dict[Expression, int] = {}
+        # Structural-hash CSE: one slot per distinct subtree (and one per
+        # column's codes, keyed ("codes", name)).
+        self._slots: Dict[object, int] = {}
 
     # ------------------------------------------------------------------
     def lower(self, expr: Expression) -> int:
-        slot = self._slots.get(expr)
+        return self._intern(expr, self._lower_new)
+
+    def _intern(self, key, build) -> int:
+        slot = self._slots.get(key)
         if slot is not None:
             self.uses[slot] += 1
             return slot
-        instr = self._lower_new(expr)
+        instr = build(key)
         slot = len(self.instructions)
         self.instructions.append(instr)
         self.uses.append(1)
-        self._slots[expr] = slot
+        self._slots[key] = slot
         return slot
 
     # ------------------------------------------------------------------
@@ -371,6 +468,9 @@ class _Compiler:
             return self._const_instr(expr)
         if isinstance(expr, ColumnRef):
             return _Instr("col", payload=expr.name)
+        strcmp = self._string_predicate(expr)
+        if strcmp is not None:
+            return strcmp
         children = tuple(self.lower(child) for child in expr.children())
         folded = self._try_fold(expr, children)
         if folded is not None:
@@ -400,6 +500,37 @@ class _Compiler:
         )
 
     # ------------------------------------------------------------------
+    def _string_predicate(self, expr: Expression) -> Optional[_Instr]:
+        """A ``strcmp`` over a STRING column's codes, when ``expr`` compares
+        that column with string literals only."""
+        if isinstance(expr, BinaryOp) and expr.op in _COMPARE_FUNCS:
+            column, literal, op = expr.left, expr.right, expr.op
+            if isinstance(column, Literal):
+                column, literal, op = literal, column, _FLIPPED[op]
+            bounds = (literal,)
+        elif isinstance(expr, Between):
+            column, op, bounds = expr.operand, "between", (expr.low, expr.high)
+        elif isinstance(expr, InList) \
+                and all(isinstance(value, str) for value in expr.values):
+            column, op, bounds = expr.operand, "in", ()
+        else:
+            return None
+        if not (isinstance(column, ColumnRef) and column.name in self.schema
+                and self.schema.dtype_of(column.name) is DataType.STRING
+                and all(isinstance(bound, Literal)
+                        and bound.dtype is DataType.STRING
+                        for bound in bounds)):
+            return None
+        if op == "in":
+            literal = np.asarray(expr.values)
+        elif op == "between":
+            literal = (expr.low.value, expr.high.value)
+        else:
+            literal = bounds[0].value
+        codes = self._intern(("codes", column.name),
+                             lambda key: _Instr("codes", payload=key[1]))
+        return _Instr("strcmp", (codes,), (column.name, op, literal))
+
     def _const_instr(self, literal: Literal) -> _Instr:
         np_dtype = _NP_DTYPES.get(literal.dtype)
         if np_dtype is None:  # string: let numpy size the unicode width

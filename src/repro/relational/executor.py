@@ -23,7 +23,11 @@ expressions are lowered to
 masked CASE routing + constant folding), cached per plan node so plans
 held by the serving cache skip compilation on warm executions; the
 interpreted path remains available (``compile_expressions=False``) as the
-differential-testing oracle.
+differential-testing oracle. Registered string columns arrive as
+dictionary codes (:mod:`repro.storage.column`) and stay codes through
+every gather; sort, group-by and join keys read the codes (the sorted
+dictionary makes code order string order; two dictionaries meet on
+their union).
 
 Resilience (see :mod:`repro.resilience`): a ``deadline`` is checked
 cooperatively before every operator — which covers every pipeline
@@ -72,7 +76,7 @@ from repro.relational.logical import (
     Sort,
 )
 from repro.storage.catalog import Catalog
-from repro.storage.column import Column, DataType
+from repro.storage.column import Column, DataType, same_dictionary
 from repro.storage.table import Table, TableView, concat_tables
 
 # predict_executor(node, input_table, partition) -> Table of the node's
@@ -385,22 +389,16 @@ class Executor:
 
     def _exec_project(self, node: Project) -> Table:
         view = self._run(node.child)
-        columns: List[Tuple[str, Column]] = []
         if self.compile_expressions:
             try:
                 program = self._program_for(node, view.schema)
-                arrays = program.run(view)
-                for name, dtype in program.output_dtypes():
-                    columns.append((name, Column(arrays[name], dtype)))
-                return Table(columns)
+                return Table(program.run_columns(view))
             except BaseException as error:
                 self._fall_back(error)
-                columns = []
         schema = view.schema
-        for name, expr in node.outputs:
-            dtype = expr.output_dtype(schema)
-            columns.append((name, Column(expr.evaluate(view), dtype)))
-        return Table(columns)
+        return Table([(name, Column(expr.evaluate(view),
+                                    expr.output_dtype(schema)))
+                      for name, expr in node.outputs])
 
     def _exec_limit(self, node: Limit) -> TableView:
         return self._run(node.child).head(node.count)
@@ -410,10 +408,11 @@ class Executor:
         if table.num_rows == 0:
             return table
         # np.lexsort sorts by the *last* key first, ascending; encode
-        # descending order by negating factorized codes.
+        # descending order by negating factorized codes (a coded string
+        # column's own codes are in string order already).
         sort_keys = []
         for name, ascending in reversed(node.keys):
-            data = table.array(name)
+            data = _key(table.column(name))[0]
             if data.dtype.kind == "U":
                 _, codes = np.unique(data, return_inverse=True)
                 data = codes
@@ -498,10 +497,10 @@ class Executor:
                 else:
                     held, held_key = edge.right_input, edge.right_key
                     target_key = edge.left_key
-                held_values = views[held].array(held_key)[matched[held]]
-                target_values = views[target].array(target_key)
-                held_codes, new_codes = _factorize_pair(held_values,
-                                                        target_values)
+                held_values, dictionary = _key(views[held].column(held_key))
+                held_codes, new_codes = _factorize_pair(
+                    (held_values[matched[held]], dictionary),
+                    _key(views[target].column(target_key)))
                 radix = int(max(held_codes.max(initial=0),
                                 new_codes.max(initial=0))) + 1
                 current_codes = current_codes * radix + held_codes
@@ -584,8 +583,32 @@ def _gather_columns(view: TableView,
             for name in view.column_names]
 
 
-def _factorize_pair(left: np.ndarray, right: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Map two arrays onto shared integer codes (joint dictionary)."""
+def _key(column: Column) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """What sorting, grouping and joining read of a column: a coded
+    string column's codes and dictionary (the codes order and compare
+    like the strings), else its data and None."""
+    if column.codes is None:
+        return column.data, None
+    return column.codes, column.dictionary
+
+
+def _factorize_pair(left: Tuple[np.ndarray, Optional[np.ndarray]],
+                    right: Tuple[np.ndarray, Optional[np.ndarray]]
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """Map two :func:`_key` s onto shared integer codes: equal codes
+    exactly where the values are equal."""
+    (left, left_dictionary), (right, right_dictionary) = left, right
+    if left_dictionary is not None and right_dictionary is not None:
+        if same_dictionary(left_dictionary, right_dictionary):
+            return left, right
+        # Two dictionaries: code both sides against their union.
+        union = np.union1d(left_dictionary, right_dictionary)
+        return (np.searchsorted(union, left_dictionary)[left],
+                np.searchsorted(union, right_dictionary)[right])
+    if left_dictionary is not None:
+        left = left_dictionary[left]
+    if right_dictionary is not None:
+        right = right_dictionary[right]
     if left.dtype.kind == "U" or right.dtype.kind == "U":
         left = left.astype(np.str_)
         right = right.astype(np.str_)
@@ -605,7 +628,8 @@ def _composite_codes(left: Union[Table, TableView], right: Union[Table, TableVie
     left_codes = np.zeros(left.num_rows, dtype=np.int64)
     right_codes = np.zeros(right.num_rows, dtype=np.int64)
     for lkey, rkey in zip(left_keys, right_keys):
-        lcol, rcol = _factorize_pair(left.array(lkey), right.array(rkey))
+        lcol, rcol = _factorize_pair(_key(left.column(lkey)),
+                                     _key(right.column(rkey)))
         radix = int(max(lcol.max(initial=0), rcol.max(initial=0))) + 1
         left_codes = left_codes * radix + lcol
         right_codes = right_codes * radix + rcol
@@ -723,13 +747,13 @@ def _global_aggregate(table: Table, node: Aggregate) -> Table:
 
 
 def _grouped_aggregate(table: Table, node: Aggregate) -> Table:
-    # Factorize composite group keys into dense codes 0..G-1.
+    # Factorize composite group keys into dense codes 0..G-1 (string keys
+    # factorize their codes: the same ranks as the strings').
     codes = np.zeros(table.num_rows, dtype=np.int64)
-    key_uniques: List[np.ndarray] = []
     for key in node.group_by:
-        uniques, key_codes = np.unique(table.array(key), return_inverse=True)
+        uniques, key_codes = np.unique(_key(table.column(key))[0],
+                                       return_inverse=True)
         codes = codes * len(uniques) + key_codes
-        key_uniques.append(uniques)
     group_codes, codes = np.unique(codes, return_inverse=True)
     n_groups = len(group_codes)
     # Representative row per group, to recover key values.

@@ -122,11 +122,16 @@ class Catalog:
         ``partition_column`` re-partitions a plain table by that column's
         distinct values (what a user-specified partitioning scheme does in
         Spark/Parquet, paper §4.2).
+
+        String columns are registered dictionary-coded, one dictionary
+        per column across partitions (:meth:`Table.encoded`); the
+        caller's table is not modified and its arrays are shared.
         """
         if isinstance(table, Table):
-            data = PartitionedTable.from_table(table, partition_column)
+            data = PartitionedTable.from_table(table.encoded(),
+                                               partition_column)
         else:
-            data = table
+            data = table.encoded()
         schema = data.partitions[0].table.schema
         if primary_key:
             for key in primary_key:

@@ -16,6 +16,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.errors import SchemaError
+from repro.storage.column import DataType, encode_columns
 from repro.storage.statistics import TableStats
 from repro.storage.table import Table, concat_tables
 
@@ -94,16 +95,35 @@ class PartitionedTable:
             raise SchemaError(
                 f"partition column {partition_column!r} is not in the "
                 f"schema; available columns: {table.column_names}")
-        values = table.array(partition_column)
-        uniques = np.unique(values)
-        partitions = []
-        for value in uniques:
-            fragment = table.mask(values == value)
-            key = value.item() if hasattr(value, "item") else value
-            if isinstance(value, np.str_):
-                key = str(value)
-            partitions.append(_make_partition(fragment, key))
+        column = table.column(partition_column)
+        if column.codes is not None:
+            # One fragment per code present; the dictionary is sorted, so
+            # fragments come in the order of the distinct strings.
+            values = column.codes
+            uniques = np.flatnonzero(np.bincount(values))
+            keys = column.dictionary[uniques]
+        else:
+            values = column.data
+            uniques = keys = np.unique(values)
+        partitions = [_make_partition(table.mask(values == value), key.item())
+                      for value, key in zip(uniques, keys)]
         return cls(partitions, partition_column=partition_column)
+
+    def encoded(self) -> "PartitionedTable":
+        """A twin whose string columns carry dictionary codes, with one
+        dictionary per column across all partitions (so fragments
+        concatenate as codes); arrays, statistics and keys are shared."""
+        names = self.partitions[0].table.column_names
+        coded = {}
+        for name in names:
+            pieces = [part.table.column(name) for part in self.partitions]
+            coded[name] = encode_columns(pieces) \
+                if pieces[0].dtype is DataType.STRING else pieces
+        return PartitionedTable(
+            [Partition(Table([(name, coded[name][index]) for name in names]),
+                       part.stats, part.key)
+             for index, part in enumerate(self.partitions)],
+            self.partition_column)
 
     # ------------------------------------------------------------------
     # Views

@@ -45,9 +45,9 @@ class ColumnStats:
 
     @classmethod
     def collect(cls, name: str, column: Column) -> "ColumnStats":
-        data = column.data
-        n = len(data)
+        n = len(column)
         if column.dtype.is_numeric or column.dtype is DataType.BOOL:
+            data = column.data
             if n == 0:
                 return cls(name, column.dtype, 0, null_count=0)
             nulls = int(np.isnan(data).sum()) \
@@ -69,7 +69,15 @@ class ColumnStats:
                 null_count=nulls,
             )
         # String column: record distinct values when the domain is small.
-        uniques = np.unique(data) if n else np.asarray([], dtype=np.str_)
+        if column.codes is not None:
+            # The dictionary is sorted: the codes present pick out exactly
+            # np.unique's answer without sorting a single string.
+            present = np.bincount(column.codes,
+                                  minlength=len(column.dictionary))
+            uniques = column.dictionary[np.flatnonzero(present)]
+        else:
+            uniques = np.unique(column.data) if n \
+                else np.asarray([], dtype=np.str_)
         categories = None
         if len(uniques) <= cls.MAX_TRACKED_CATEGORIES:
             categories = tuple(str(u) for u in uniques)

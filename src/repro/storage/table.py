@@ -13,7 +13,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from repro.errors import SchemaError
-from repro.storage.column import Column, DataType
+from repro.storage.column import Column, DataType, concat_columns
 
 
 class Schema:
@@ -216,6 +216,11 @@ class Table:
         """Qualify all column names, e.g. ``pi.id`` for joins."""
         return Table([(f"{prefix}.{n}", c) for n, c in self.columns.items()])
 
+    def encoded(self) -> "Table":
+        """A twin whose string columns carry dictionary codes (see
+        :meth:`Column.encoded`); every array of this table is shared."""
+        return Table([(n, c.encoded()) for n, c in self.columns.items()])
+
 
 class TableView:
     """A zero-copy, row-subset view over a :class:`Table`.
@@ -227,7 +232,8 @@ class TableView:
     against the view (it exposes the same ``array``/``num_rows``/
     ``schema`` surface :meth:`Expression.evaluate` needs); the gather
     happens once per referenced column, at a pipeline breaker
-    (:meth:`materialize`) or on first access (memoized).
+    (:meth:`materialize`) or on first access (memoized). A coded string
+    column is gathered as codes (:meth:`Column.take`).
     """
 
     __slots__ = ("table", "selection", "_gathered")
@@ -236,7 +242,7 @@ class TableView:
         self.table = table
         # None = all rows; else absolute int64 row indices into `table`.
         self.selection = selection
-        self._gathered: Dict[str, np.ndarray] = {}
+        self._gathered: Dict[str, Column] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -261,16 +267,16 @@ class TableView:
     # ------------------------------------------------------------------
     def array(self, name: str) -> np.ndarray:
         """The column restricted to this view's rows (gather memoized)."""
-        if self.selection is None:
-            return self.table.array(name)
-        cached = self._gathered.get(name)
-        if cached is None:
-            cached = self.table.array(name)[self.selection]
-            self._gathered[name] = cached
-        return cached
+        return self.column(name).data
 
     def column(self, name: str) -> Column:
-        return Column(self.array(name), self.table.column(name).dtype)
+        if self.selection is None:
+            return self.table.column(name)
+        cached = self._gathered.get(name)
+        if cached is None:
+            cached = self.table.column(name).take(self.selection)
+            self._gathered[name] = cached
+        return cached
 
     # ------------------------------------------------------------------
     def refine(self, keep: np.ndarray) -> "TableView":
@@ -312,8 +318,5 @@ def concat_tables(tables: Sequence[Table]) -> Table:
             raise SchemaError("concat_tables requires identical column names")
     if len(tables) == 1:
         return first
-    out = []
-    for name in first.column_names:
-        pieces = [t.column(name).data for t in tables]
-        out.append((name, Column(np.concatenate(pieces), first.column(name).dtype)))
-    return Table(out)
+    return Table([(name, concat_columns([t.column(name) for t in tables]))
+                  for name in first.column_names])

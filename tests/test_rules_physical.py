@@ -1,5 +1,7 @@
 """Tests for MLtoSQL, MLtoDNN, and the data-induced optimization."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,8 +22,13 @@ from repro.learn import (
     RandomForestClassifier,
     make_standard_pipeline,
 )
+from repro.learn.tree import TreeNode
 from repro.onnxlite import convert_model, convert_pipeline, run_graph
+from repro.persist.plan_codec import plan_from_dict, plan_to_dict
 from repro.relational import PredictMode, find_predict_nodes
+from repro.relational.compile import compile_outputs
+from repro.relational.expressions import CaseWhen, col, lit
+from repro.relational.logical import Project, Scan
 from repro.relational.sqlgen import expression_to_sql
 from repro.storage import Table
 
@@ -271,3 +278,101 @@ def test_mltosql_equivalence_random_pipelines(seed):
     expressions = graph_to_expressions(graph, {k: k for k in inputs})
     assert np.allclose(expressions["score"].evaluate(table),
                        reference["score"][:, 0], atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Indicator splits fold: CASE WHEN p THEN a ELSE b END <= t is p's truth
+# table, held bit for bit to the plain CASE form
+# ---------------------------------------------------------------------------
+
+def _unfolded(tree, features, value_index):
+    """Every split as ``feature <= t``: the plain, unfolded CASE form."""
+    if tree.is_leaf:
+        return lit(float(tree.value[value_index]))
+    return CaseWhen(
+        [(features[tree.feature].le(lit(float(tree.threshold))),
+          _unfolded(tree.left, features, value_index))],
+        _unfolded(tree.right, features, value_index))
+
+
+def _indicator_features():
+    return [
+        CaseWhen([(col("c").eq(lit("u")), lit(1.0))], lit(0.0)),   # one-hot
+        CaseWhen([(col("x").gt(lit(0.25)), lit(1.0))], lit(0.0)),  # binarizer
+        CaseWhen([(col("x").eq(lit(0.5)), lit(0.0))], lit(2.0)),
+        CaseWhen([(col("c").eq(lit("w")), lit(float("nan")))], lit(0.0)),
+        col("x"),
+    ]
+
+
+def _random_tree(rng, depth, n_features):
+    if depth == 0:
+        return TreeNode(value=np.asarray([0.0, float(rng.random())]))
+    return TreeNode(feature=int(rng.integers(0, n_features)),
+                    threshold=float(rng.choice([-0.5, 0.5, 1.0, 2.5])),
+                    left=_random_tree(rng, depth - 1, n_features),
+                    right=_random_tree(rng, depth - 1, n_features))
+
+
+class TestIndicatorSplitFold:
+    def _split(self, feature, threshold):
+        tree = TreeNode(feature=0, threshold=threshold,
+                        left=TreeNode(value=np.asarray([0.0, 1.0])),
+                        right=TreeNode(value=np.asarray([0.0, 2.0])))
+        return expression_to_sql(tree_to_expression(tree, [feature], 1))
+
+    def test_truth_table(self):
+        one_hot, binarizer, inverted, nan_case, _ = _indicator_features()
+        # b <= t < a with p = (col = v): col <> v.
+        assert self._split(one_hot, 0.5) == \
+            "CASE WHEN ([c] <> 'u') THEN 1.0 ELSE 2.0 END"
+        # Both sides agree: the split is gone, one subtree remains.
+        assert self._split(one_hot, 1.5) == "1.0"
+        assert self._split(one_hot, -0.5) == "2.0"
+        # a <= t < b: p itself.
+        assert self._split(inverted, 1.0) == \
+            "CASE WHEN ([x] = 0.5) THEN 1.0 ELSE 2.0 END"
+        # Any other p is NOT p — never x <= t, which differs on NaN.
+        assert self._split(binarizer, 0.5) == \
+            "CASE WHEN (NOT ([x] > 0.25)) THEN 1.0 ELSE 2.0 END"
+        # A NaN leaf value is never <= t.
+        assert self._split(nan_case, 0.5) == \
+            "CASE WHEN ([c] <> 'w') THEN 1.0 ELSE 2.0 END"
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_folded_equals_case_form(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 200
+        x = rng.choice([0.0, 0.25, 0.5, 1.0, np.nan], n)
+        table = Table.from_arrays(x=x, c=rng.choice(["u", "v", "w"], n))
+        features = _indicator_features()
+        tree = _random_tree(rng, int(rng.integers(1, 6)), len(features))
+        folded = tree_to_expression(tree, features, 1)
+        want = _unfolded(tree, features, 1).evaluate(table)
+        coded = table.encoded()
+        for got in (folded.evaluate(table),
+                    compile_outputs([("s", folded)],
+                                    coded.schema).run(coded)["s"]):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want, equal_nan=True)
+
+    def test_case_form_plan_payload_still_loads(self, training_frame):
+        # A repro-plan-v1 payload holding the unfolded CASE form (what
+        # snapshots from before the fold carry) loads and returns what the
+        # folded plan returns.
+        table, _ = training_frame
+        rng = np.random.default_rng(3)
+        features = [CaseWhen([(col("t.c").eq(lit("u")), lit(1.0))],
+                             lit(0.0)), col("t.a")]
+        tree = _random_tree(rng, 5, len(features))
+        session = RavenSession()
+        session.register_table("t", table)
+        results = []
+        for expr in (tree_to_expression(tree, features, 1),
+                     _unfolded(tree, features, 1)):
+            plan = Project(Scan("t", alias="t"), [("score", expr)])
+            loaded = plan_from_dict(json.loads(json.dumps(plan_to_dict(plan))))
+            results.append(session.execute_plan(loaded).array("score"))
+        assert np.array_equal(results[0], results[1])
+
