@@ -1,6 +1,6 @@
-"""Partition-native execution benchmark: skipping, morsels, spill.
+"""Partition-native execution benchmark: zone-map skipping and spill.
 
-Three workloads over the same partitioned events table, each timed
+Two workloads over the same partitioned events table, each timed
 against the serial in-memory oracle and verified bit-for-bit first:
 
 * **Zone-map skipping** — a selective range predicate over a column
@@ -8,19 +8,14 @@ against the serial in-memory oracle and verified bit-for-bit first:
   min/max statistics prove all but one partition empty. The partitioned
   session reads 1/16th of the data; the flat session (same rows, no
   partition column) must scan everything.
-* **Morsel-driven parallel scan** — an unselective polynomial filter
-  (keeps ~all rows, so skipping cannot help) where a ``dop=4`` session
-  splits partitions into cache-sized morsels executed by a work-stealing
-  pool and merges results back into canonical order.
 * **Spill-to-disk columns** — the same table with every partition
   spilled to memory-mapped files; warmed queries must stay correct and
   (page cache warm) must not be materially slower than resident columns.
 
 Acceptance gates (also run by the CI bench-smoke job): skipping >= 2x
-and morsel dop=4 >= 1.5x at full scale (>= 6M rows); at reduced scale
-both paths are fixed-cost-bound, so only a gross-regression floor
-applies. The spill slowdown ratio must stay under 1.25x at every
-scale. Results are persisted to ``benchmarks/results/
+at full scale (>= 6M rows); at reduced scale the scans are
+fixed-cost-bound, so only a gross-regression floor applies. The spill
+slowdown ratio must stay under 1.25x at every scale. Results are persisted to ``benchmarks/results/
 bench_partitions.json`` at full scale for the perf-trajectory gates.
 """
 
@@ -41,35 +36,27 @@ ROWS = scaled(6_400_000, minimum=80_000)
 PARTITIONS = 16
 JSON_PATH = RESULTS_DIR / "bench_partitions.json"
 
-# Full-scale acceptance: skipping >= 2x (it reads 1/16th of the rows),
-# morsel dop=4 >= 1.5x (four workers on GIL-releasing numpy kernels).
+# Full-scale acceptance: skipping >= 2x (it reads 1/16th of the rows).
 # At smoke scale (RAVEN_SCALE << 1) the scans are fixed-cost-bound and
-# the ratios jitter around 1.0 (observed 0.8-1.2 at CI's 0.02 scale),
-# so the floor there only catches gross regressions — a partitioned or
-# morselized path that went structurally slower than serial.
+# the ratio jitters around 1.0 (observed 0.8-1.2 at CI's 0.02 scale),
+# so the floor there only catches gross regressions — a partitioned
+# path that went structurally slower than serial.
 FULL_SCALE_ROWS = 6_000_000
 FULL_SCALE_SKIPPING_SPEEDUP = 2.0
-FULL_SCALE_MORSEL_SPEEDUP = 1.5
 SMOKE_FLOOR_SPEEDUP = 0.7
 SPILL_SLOWDOWN_CEILING = 1.25
-MORSEL_DOP = 4
 
 # Selective predicate: key is bucket-aligned, so `key < span` survives
 # zone maps in exactly one of the 16 partitions.
 SKIP_QUERY = ("SELECT e.key, e.x FROM events AS e "
               "WHERE e.key >= 0.0 AND e.key < {span!r}")
-# Unselective predicate: the quartic keeps ~99% of rows, so the win can
-# only come from executing morsels in parallel, never from skipping.
-MORSEL_QUERY = ("SELECT e.id, e.x FROM events AS e "
-                "WHERE e.x * e.x * e.x * e.x + 3.0 * e.x * e.x * e.x "
-                "+ 2.0 * e.x * e.x + e.x < {threshold!r}")
 # Spill probe: a cheap bandwidth-bound scan that touches every spilled
 # page, so the ratio isolates memmap read cost rather than filter math.
 SPILL_QUERY = "SELECT e.id, e.x FROM events AS e WHERE e.x > 0.25"
 
 
 def _build_table():
-    """Events with a partition-aligned key column and a compute column."""
+    """Events with a partition-aligned key column and a payload column."""
     rng = np.random.default_rng(23)
     bucket = np.repeat(np.arange(PARTITIONS), ROWS // PARTITIONS)
     rows = len(bucket)
@@ -79,14 +66,11 @@ def _build_table():
     table = Table.from_arrays(id=np.arange(rows),
                               bucket=bucket.astype(np.int64),
                               key=key, x=x)
-    poly = x * x * x * x + 3.0 * x * x * x + 2.0 * x * x + x
-    threshold = float(np.quantile(poly, 0.99))
-    return table, span, threshold
+    return table, span
 
 
-def _make_session(table: Table, partitioned: bool = True,
-                  dop: int = 1) -> RavenSession:
-    session = RavenSession(dop=dop)
+def _make_session(table: Table, partitioned: bool = True) -> RavenSession:
+    session = RavenSession()
     session.register_table(
         "events", table,
         partition_column="bucket" if partitioned else None)
@@ -125,9 +109,8 @@ def _assert_bit_for_bit(actual: Table, expected: Table, label: str):
 
 
 def _partitions_report() -> ReportTable:
-    table, span, threshold = _build_table()
+    table, span = _build_table()
     skip_query = SKIP_QUERY.format(span=span)
-    morsel_query = MORSEL_QUERY.format(threshold=threshold)
     full_scale = ROWS >= FULL_SCALE_ROWS
 
     report = ReportTable(
@@ -163,36 +146,6 @@ def _partitions_report() -> ReportTable:
                note=f"{PARTITIONS - 1}/{PARTITIONS} partitions pruned "
                     "per query")
 
-    # --- morsel-driven parallel scan: dop=4 vs serial oracle ----------
-    serial = _make_session(table, dop=1)
-    morsel = _make_session(table, dop=MORSEL_DOP)
-    expected = _warm(serial, morsel_query)
-    actual = _warm(morsel, morsel_query)
-    _assert_bit_for_bit(actual, expected, "morsel")
-    executed = morsel.telemetry.metrics.snapshot()["counters"] \
-        .get("morsels_executed", 0)
-    assert executed >= PARTITIONS, (
-        f"morsel executor only ran {executed} morsels over "
-        f"{PARTITIONS} partitions"
-    )
-    # The flat session (one whole-plan executor run over the whole
-    # table) is timed alongside for reference only; the gate compares
-    # the two partitioned sessions.
-    _warm(flat, morsel_query)
-    serial_seconds, morsel_seconds, flat_morsel_seconds = _timed_interleaved(
-        [lambda: serial.sql(morsel_query), lambda: morsel.sql(morsel_query),
-         lambda: flat.sql(morsel_query)])
-    morsel_speedup = serial_seconds / max(morsel_seconds, 1e-12)
-    report.add(workload="morsel scan", variant="flat (dop=1)",
-               rows=ROWS, wall_ms=flat_morsel_seconds * 1e3,
-               note="no partition column, one executor run (not gated)")
-    report.add(workload="morsel scan", variant="serial (dop=1)",
-               rows=ROWS, wall_ms=serial_seconds * 1e3,
-               note="unselective quartic filter, ~99% kept")
-    report.add(workload="morsel scan", variant=f"morsels (dop={MORSEL_DOP})",
-               rows=ROWS, wall_ms=morsel_seconds * 1e3,
-               note="work-stealing pool, canonical-order merge")
-
     # --- spill-to-disk columns: memmap-backed vs resident -------------
     with tempfile.TemporaryDirectory() as spill_dir:
         spilled = _make_session(table, partitioned=True)
@@ -215,12 +168,8 @@ def _partitions_report() -> ReportTable:
 
     required_skip = FULL_SCALE_SKIPPING_SPEEDUP if full_scale \
         else SMOKE_FLOOR_SPEEDUP
-    required_morsel = FULL_SCALE_MORSEL_SPEEDUP if full_scale \
-        else SMOKE_FLOOR_SPEEDUP
     report.note(f"skipping speedup {skipping_speedup:.1f}x "
                 f"(acceptance: >= {required_skip:.1f}x at {ROWS} rows)")
-    report.note(f"morsel dop={MORSEL_DOP} speedup {morsel_speedup:.1f}x "
-                f"(acceptance: >= {required_morsel:.1f}x at {ROWS} rows)")
     report.note(f"spill slowdown {spill_slowdown:.2f}x "
                 f"(acceptance: <= {SPILL_SLOWDOWN_CEILING:.2f}x)")
     report.note("all variants verified bit-for-bit against the serial "
@@ -228,10 +177,6 @@ def _partitions_report() -> ReportTable:
     assert skipping_speedup >= required_skip, (
         f"zone-map skipping only {skipping_speedup:.2f}x vs full scan "
         f"(required >= {required_skip:.1f}x at {ROWS} rows)"
-    )
-    assert morsel_speedup >= required_morsel, (
-        f"morsel dop={MORSEL_DOP} only {morsel_speedup:.2f}x vs serial "
-        f"(required >= {required_morsel:.1f}x at {ROWS} rows)"
     )
     assert spill_slowdown <= SPILL_SLOWDOWN_CEILING, (
         f"spilled columns {spill_slowdown:.2f}x slower than resident "
@@ -247,10 +192,6 @@ def _partitions_report() -> ReportTable:
         "flat_seconds": flat_seconds,
         "skipping_seconds": skip_seconds,
         "skipping_speedup": skipping_speedup,
-        "serial_seconds": serial_seconds,
-        "morsel_seconds": morsel_seconds,
-        "morsel_speedup": morsel_speedup,
-        "morsel_dop": MORSEL_DOP,
         "resident_seconds": resident_seconds,
         "spilled_seconds": spilled_seconds,
         "spill_slowdown": spill_slowdown,

@@ -38,31 +38,6 @@ def test_committed_results_are_full_scale():
     )
 
 
-def test_committed_load_curve_is_renderable():
-    # The report's "Serving response curve" section renders straight out
-    # of bench_load.json; a malformed curve would silently render an
-    # empty section, so pin its shape here.
-    results, _ = load_results(RESULTS_DIR)
-    payload = results.get("load")
-    if payload is None:  # already failed test_committed_results_validate
-        return
-    curve = payload["curve"]
-    steps = curve["steps"]
-    assert steps, "committed load curve has no steps"
-    assert 0 <= curve["knee_index"] < len(steps)
-    offered = [step["offered"] for step in steps]
-    assert offered == sorted(offered), "curve steps must ascend in load"
-    for step in steps:
-        for field in ("offered", "achieved_qps", "p50_seconds",
-                      "p99_seconds", "error_rate", "requests"):
-            assert isinstance(step[field], (int, float)), (
-                f"curve step field {field!r} missing or non-numeric")
-    knee = steps[curve["knee_index"]]
-    assert payload["peak_qps"] == knee["achieved_qps"]
-    assert curve["knee_offered"] == knee["offered"]
-    assert payload["p99_at_70pct_seconds"] > 0
-
-
 def test_committed_ledger_parses_and_covers_gated_benches():
     ledger = Ledger.load(RESULTS_DIR / LEDGER_NAME)  # strict: raises on torn
     assert len(ledger) > 0, "committed ledger is empty"

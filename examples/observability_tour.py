@@ -15,11 +15,6 @@ What a production prediction-serving deployment gets for free from
    cache/breaker state and compile-vs-reuse counts.
 4. **A slow-query log** — full trace + plan fingerprint for every query
    over a threshold, dumped crash-safely alongside the trace ring.
-5. **Load generation + live sampling** — seeded closed-loop and
-   open-loop (Poisson) generators from ``repro.loadgen`` drive the
-   serving path to its response-curve knee while a ``MetricsSampler``
-   turns the cumulative registry into windowed QPS / error-rate /
-   interval-quantile time series.
 
 Run with: ``python examples/observability_tour.py``
 """
@@ -30,8 +25,6 @@ import numpy as np
 
 from repro import RavenSession, Table, Telemetry
 from repro.learn import DecisionTreeClassifier, make_standard_pipeline
-from repro.loadgen import OpenLoopLoad, QueryMix, closed_loop_sweep, \
-    session_target
 
 QUERY = """
 WITH data AS (
@@ -149,45 +142,6 @@ def main() -> None:
         for surface, path in sorted(paths.items()):
             print(f"{surface}: {path}")
         print("(trace_events.json loads in chrome://tracing / Perfetto)")
-
-    # --- 5. Load sweep: find the response-curve knee, sample live ------
-    # A closed-loop sweep steps fixed concurrency over a seeded query
-    # schedule until throughput plateaus while p99 blows up — the knee.
-    # (benchmarks/bench_load.py runs the gated version of this.)
-    mix = QueryMix([FILTER_QUERY, QUERY], weights=[3, 1])
-    target = session_target(session)
-    curve = closed_loop_sweep(target, mix, concurrencies=[1, 2, 4],
-                              requests_per_step=30, seed=7)
-    print("\n=== closed-loop response curve ===")
-    for index, step in enumerate(curve.steps):
-        marker = "  <- knee" if index == curve.knee_index else ""
-        print(f"concurrency {int(step.offered)}: "
-              f"{step.achieved_qps:6.1f} QPS  "
-              f"p99={step.p99_seconds * 1e3:7.2f}ms{marker}")
-    print(f"peak sustained: {curve.peak_sustained_qps:.1f} QPS")
-
-    # An open-loop run at ~70% of the peak offers *Poisson* arrivals
-    # from a precomputed seeded schedule; latency counts from the
-    # scheduled arrival, so queue wait is never coordinate-omitted. The
-    # sampler watches the same run and reports windowed interval
-    # quantiles diffed out of the cumulative histograms.
-    sampler = session.telemetry.sampler()
-    sampler.sample()  # baseline
-    open_result = OpenLoopLoad(target, mix,
-                               rate=max(1.0, 0.7 * curve.peak_sustained_qps),
-                               requests=40, seed=7).run()
-    window = sampler.sample()
-    print("\n=== open-loop run @ ~70% of peak, sampler window ===")
-    print(f"harness: {open_result.achieved_qps:.1f} QPS, "
-          f"p99={open_result.quantile(0.99) * 1e3:.2f}ms "
-          f"(from scheduled arrival)")
-    seconds = window["histograms"]["query_seconds"]
-    print(f"sampler window: qps={window['qps']:.1f} "
-          f"error_rate={window['error_rate']:.0%} "
-          f"interval p50={seconds['p50'] * 1e3:.2f}ms "
-          f"p99={seconds['p99'] * 1e3:.2f}ms over {window['interval']:.2f}s")
-    print(f"queries_in_flight now: "
-          f"{session.serving_stats.queries_in_flight}")
 
 
 if __name__ == "__main__":

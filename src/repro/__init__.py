@@ -17,16 +17,14 @@ Quickstart::
         "WITH (score FLOAT) AS p WHERE d.asthma = 1"
     )
 
-See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
-paper-versus-measured experiment index.
+See ROADMAP.md for the system inventory and open work, and
+benchmarks/README.md for the benchmarks and their gates.
 """
 
 from repro.adaptive import FeedbackStore, OperatorProfile
 from repro.core.optimizer import OptimizationReport, RavenOptimizer
 from repro.core.session import RavenSession, RunStats, ServingStats
 from repro.errors import DeadlineExceededError, RavenError
-from repro.loadgen import ClosedLoopLoad, OpenLoopLoad, QueryMix, \
-    ResponseCurve
 from repro.persist import Snapshot, SnapshotStore
 from repro.resilience import (
     CircuitBreakerBoard,
@@ -35,26 +33,20 @@ from repro.resilience import (
     QueryOutcome,
     RetryPolicy,
 )
-from repro.serving import MicroBatcher, PlanCache, ShardRouter
+from repro.serving import MicroBatcher, PlanCache
 from repro.storage.catalog import Catalog
 from repro.storage.partition import PartitionedTable
 from repro.storage.table import Schema, Table
-from repro.telemetry import MetricsRegistry, MetricsSampler, SlowQueryLog, \
-    Telemetry, Tracer
+from repro.telemetry import MetricsRegistry, SlowQueryLog, Telemetry, Tracer
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Catalog", "CircuitBreakerBoard", "ClosedLoopLoad", "Deadline",
-    "DeadlineExceededError",
-    "FaultInjector", "FeedbackStore", "MetricsRegistry", "MetricsSampler",
-    "MicroBatcher",
-    "OpenLoopLoad", "OperatorProfile", "OptimizationReport",
-    "PartitionedTable", "PlanCache",
-    "QueryMix", "QueryOutcome", "RavenError", "RavenOptimizer",
-    "RavenSession", "ResponseCurve",
-    "RetryPolicy", "RunStats", "Schema", "ServingStats", "ShardRouter",
-    "SlowQueryLog",
+    "Catalog", "CircuitBreakerBoard", "Deadline", "DeadlineExceededError",
+    "FaultInjector", "FeedbackStore", "MetricsRegistry", "MicroBatcher",
+    "OperatorProfile", "OptimizationReport", "PartitionedTable", "PlanCache",
+    "QueryOutcome", "RavenError", "RavenOptimizer", "RavenSession",
+    "RetryPolicy", "RunStats", "Schema", "ServingStats", "SlowQueryLog",
     "Snapshot", "SnapshotStore", "Table", "Telemetry", "Tracer",
     "__version__",
 ]

@@ -270,9 +270,8 @@ class ServingStats(CounterStats):
 
     ``queries_in_flight`` is the one non-monotonic member: a gauge of
     queries currently inside ``sql()`` (incremented on entry, decremented
-    in a ``finally`` so error paths can never wedge it high), giving the
-    metrics sampler live concurrency next to queue depth. It is carried
-    by snapshots and the repr but is not part of equality.
+    in a ``finally`` so error paths can never wedge it high). It is
+    carried by snapshots and the repr but is not part of equality.
     """
 
     PREFIX = "serving"

@@ -143,7 +143,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         return 1
     outcomes = check_results(results, ledger, DEFAULT_GATES,
                              tolerance=args.tolerance, window=args.window)
-    text = render_report(results, ledger, outcomes,
+    text = render_report(ledger, outcomes,
                          figure_tables=load_figure_tables(args.results))
     output: Path = args.output
     if args.check:

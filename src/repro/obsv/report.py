@@ -102,86 +102,6 @@ def _gate_section(results: Sequence[GateResult]) -> List[str]:
     return lines
 
 
-SPARK_CHARS = "▁▂▃▄▅▆▇█"
-
-
-def sparkline(values: Sequence[float]) -> str:
-    """A fixed-alphabet unicode sparkline (deterministic: min→▁, max→█,
-    linear in between; a constant series renders mid-height)."""
-    values = [float(v) for v in values]
-    if not values:
-        return ""
-    low, high = min(values), max(values)
-    if high <= low:
-        return SPARK_CHARS[3] * len(values)
-    span = len(SPARK_CHARS) - 1
-    return "".join(
-        SPARK_CHARS[int((v - low) / (high - low) * span + 0.5)]
-        for v in values)
-
-
-def _response_curve_section(
-        results: Mapping[str, Mapping[str, object]]) -> List[str]:
-    """QPS–latency response curve from the committed ``load`` bench
-    payload: one row per offered-load step, the knee marked, headline
-    numbers (peak sustained QPS, p99 at 70% of the knee) below."""
-    lines = ["## Serving response curve", ""]
-    payload = results.get("load")
-    curve = payload.get("curve") if payload else None
-    if not curve or not curve.get("steps"):
-        lines.append("No load bench artifact committed — run "
-                     "`benchmarks/bench_load.py` at full scale, then "
-                     "`python -m repro.obsv record` + `report`.")
-        lines.append("")
-        return lines
-    steps = curve["steps"]
-    knee_index = curve.get("knee_index")
-    offered_label = ("concurrency" if curve.get("mode") == "closed"
-                     else "offered QPS")
-    rows = []
-    for index, step in enumerate(steps):
-        rows.append([
-            fmt(step.get("offered")),
-            fmt(step.get("achieved_qps")),
-            fmt_ms(step.get("p50_seconds")),
-            fmt_ms(step.get("p99_seconds")),
-            fmt_rate(step.get("error_rate")),
-            "◀ knee" if index == knee_index else "",
-        ])
-    lines.extend(_markdown_table(
-        [offered_label, "achieved QPS", "p50 (ms)", "p99 (ms)",
-         "errors", ""],
-        rows))
-    lines.append("")
-    lines.append("```text")
-    lines.append("achieved QPS  " +
-                 sparkline([s.get("achieved_qps", 0.0) for s in steps]))
-    lines.append("p99 latency   " +
-                 sparkline([s.get("p99_seconds", 0.0) for s in steps]))
-    lines.append("```")
-    lines.append("")
-    headline = []
-    if payload.get("peak_qps") is not None:
-        headline.append(f"peak sustained **{fmt(payload['peak_qps'])} QPS** "
-                        f"at {offered_label} {fmt(curve.get('knee_offered'))}")
-    if payload.get("p99_at_70pct_seconds") is not None:
-        headline.append(f"p99 at ~70% of the knee "
-                        f"**{fmt_ms(payload['p99_at_70pct_seconds'])} ms** "
-                        f"(open-loop Poisson arrivals)")
-    if headline:
-        lines.append("Headline: " + "; ".join(headline) + ".")
-        lines.append("")
-    return lines
-
-
-def fmt_ms(seconds: Optional[float]) -> str:
-    return "—" if seconds is None else fmt(seconds * 1e3)
-
-
-def fmt_rate(rate: Optional[float]) -> str:
-    return "—" if rate is None else f"{rate:.2%}"
-
-
 def _bench_metrics(bench: str, ledger: Ledger,
                    gates: Sequence[Gate]) -> List[str]:
     """Trajectory columns for one bench: gated metrics, else a stable few."""
@@ -263,14 +183,12 @@ def _figure_tables_section(tables: Mapping[str, str]) -> List[str]:
     return lines
 
 
-def render_report(results: Mapping[str, Mapping[str, object]], ledger: Ledger,
-                  gate_results: Sequence[GateResult],
+def render_report(ledger: Ledger, gate_results: Sequence[GateResult],
                   figure_tables: Optional[Mapping[str, str]] = None,
                   gates: Sequence[Gate] = DEFAULT_GATES) -> str:
     """Render the full markdown report (ends with one trailing newline)."""
     lines: List[str] = [HEADER]
     lines.extend(_gate_section(list(gate_results)))
-    lines.extend(_response_curve_section(results))
     lines.extend(_trajectory_section(ledger, gates))
     lines.extend(_figure_tables_section(dict(figure_tables or {})))
     text = "\n".join(lines)

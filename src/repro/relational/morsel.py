@@ -34,7 +34,9 @@ Properties the rest of the system relies on:
 * **Nothing to fan out, nothing added.** When the morsel plan is a
   single morsel spanning the whole driven table (``dop=1`` over an
   unpartitioned table), or the plan cannot fan out (the driven table is
-  scanned twice), the plan runs as one whole-plan ``Executor`` call.
+  scanned twice, is not the leftmost scan, or sits in a body with a
+  subquery's aggregate, sort or limit), the plan runs as one whole-plan
+  ``Executor`` call.
 """
 
 from __future__ import annotations
@@ -232,14 +234,23 @@ class MorselExecutor:
     # ------------------------------------------------------------------
     def _driven_scan(self, body: PlanNode) -> Optional[Scan]:
         """The scan to fan out over, or None when the body cannot fan out
-        (no scan, or the driven table is scanned more than once)."""
+        (no scan, or the driven table is scanned more than once).
+
+        Without a per-partition ``Predict`` the body also runs whole when
+        concatenated morsel outputs would not be its output: the driven
+        scan is not the leftmost scan (a join's rows follow its leftmost
+        input), or an ``Aggregate``/``Sort``/``Limit`` sits in the body
+        (a subquery's; those at the plan root are the serial tail)."""
         scans: List[Scan] = []
         predict: Optional[Predict] = None
+        row_wise = True
         for node in walk(body):
             if isinstance(node, Scan):
                 scans.append(node)
             elif isinstance(node, Predict) and node.per_partition_graphs:
                 predict = node
+            elif isinstance(node, (Aggregate, Sort, Limit)):
+                row_wise = False
         if predict is not None:
             driven = self._specialized_source(predict)
         else:
@@ -247,6 +258,9 @@ class MorselExecutor:
             driven = max(
                 scans, default=None, key=lambda scan:
                 self.catalog.table(scan.table_name).stats.row_count)
+            if driven is not None and (driven is not scans[0]
+                                       or not row_wise):
+                return None
         if driven is None or sum(scan.table_name == driven.table_name
                                  for scan in scans) != 1:
             return None

@@ -27,11 +27,9 @@ from repro.serving.plan_cache import (
     PlanCacheStats,
     dependency_versions,
 )
-from repro.serving.router import ShardRouter, shard_origin
 
 __all__ = [
     "BatcherStats", "CachedPlan", "MicroBatcher", "NormalizedQuery",
-    "PlanCache", "PlanCacheStats", "QueryDependencies", "ShardRouter",
+    "PlanCache", "PlanCacheStats", "QueryDependencies",
     "dependency_versions", "normalize_query", "query_dependencies",
-    "shard_origin",
 ]

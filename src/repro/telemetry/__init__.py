@@ -35,9 +35,8 @@ from __future__ import annotations
 import os
 from typing import Dict, Optional
 
-from .metrics import Counter, Gauge, Histogram, HistogramState, \
-    MetricsRegistry, geometric_bounds, quantile_from_counts
-from .sampler import TIMESERIES_SCHEMA, MetricsSampler
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry, \
+    geometric_bounds
 from .slowlog import DEFAULT_THRESHOLD_SECONDS, SlowQueryLog
 from .trace import SITE_TELEMETRY_DUMP, Span, Trace, Tracer
 
@@ -45,18 +44,14 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "HistogramState",
     "MetricsRegistry",
-    "MetricsSampler",
     "SITE_TELEMETRY_DUMP",
     "SlowQueryLog",
     "Span",
-    "TIMESERIES_SCHEMA",
     "Telemetry",
     "Trace",
     "Tracer",
     "geometric_bounds",
-    "quantile_from_counts",
 ]
 
 
@@ -138,11 +133,6 @@ class Telemetry:
         self.slow_log.record(record)
 
     # ------------------------------------------------------------------
-    def sampler(self, **kwargs) -> MetricsSampler:
-        """A fresh :class:`MetricsSampler` over this session's registry
-        (windowed QPS/error-rate/interval-quantile time series)."""
-        return MetricsSampler(self.metrics, **kwargs)
-
     def metrics_snapshot(self) -> Dict[str, Dict[str, object]]:
         """The registry's full JSON snapshot (counters, gauges, and
         histograms with p50/p95/p99 estimates)."""

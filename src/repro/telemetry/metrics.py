@@ -140,86 +140,6 @@ def geometric_bounds(start: float, growth: float,
     return bounds
 
 
-def quantile_from_counts(bounds: Sequence[float], counts: Sequence[int],
-                         total: int, q: float,
-                         observed_min: Optional[float] = None,
-                         observed_max: Optional[float] = None,
-                         ) -> Optional[float]:
-    """Estimated q-quantile from per-bucket counts (``counts[i]`` is the
-    number of observations with ``value <= bounds[i]`` not in an earlier
-    bucket; ``counts[len(bounds)]`` is the overflow bucket).
-
-    This is the one quantile implementation: ``Histogram.quantile`` calls
-    it on its live counts, and :class:`~repro.telemetry.sampler
-    .MetricsSampler` calls it on *bucket-count diffs* between snapshots —
-    so a windowed interval quantile carries exactly the same one-growth-
-    factor error bound as a cumulative one. Interpolation inside the
-    landing bucket is geometric (log-linear, matching the bucket layout);
-    when the observed min/max are known the estimate is clamped to them.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("quantile must be in [0, 1]")
-    if total <= 0:
-        return None
-    target = q * total
-    cumulative = 0.0
-    estimate: Optional[float] = None
-    for index, bucket_count in enumerate(counts):
-        if bucket_count == 0:
-            continue
-        if cumulative + bucket_count >= target:
-            if index >= len(bounds):
-                # Overflow bucket: the best point estimate is the max if
-                # we have it, else the last finite bound.
-                estimate = (observed_max if observed_max is not None
-                            else bounds[-1])
-                break
-            high = bounds[index]
-            low = bounds[index - 1] if index > 0 else high / DEFAULT_GROWTH
-            fraction = max(0.0, min(
-                1.0, (target - cumulative) / bucket_count))
-            if low > 0 and high > low:
-                estimate = low * (high / low) ** fraction
-            else:
-                estimate = low + (high - low) * fraction
-            break
-        cumulative += bucket_count
-    if estimate is None:
-        estimate = observed_max if observed_max is not None else bounds[-1]
-    # Clamp to the observed range when known: a quantile can never fall
-    # outside [min, max], whatever the bucket bounds say.
-    if observed_min is not None:
-        estimate = max(observed_min, estimate)
-    if observed_max is not None:
-        estimate = min(observed_max, estimate)
-    return estimate
-
-
-class HistogramState:
-    """An immutable point-in-time capture of a histogram's raw buckets.
-
-    ``counts`` are per-bucket (not cumulative), aligned with ``bounds``
-    plus one trailing overflow slot — the shape ``quantile_from_counts``
-    consumes. Two states from the same histogram diff into a *window*:
-    per-bucket count deltas are non-negative because bucket counts only
-    ever grow.
-    """
-
-    __slots__ = ("bounds", "counts", "count", "sum", "min", "max")
-
-    def __init__(self, bounds, counts, count, total, low, high):
-        self.bounds = bounds
-        self.counts = counts
-        self.count = count
-        self.sum = total
-        self.min = low
-        self.max = high
-
-    def quantile(self, q: float) -> Optional[float]:
-        return quantile_from_counts(self.bounds, self.counts, self.count, q,
-                                    self.min, self.max)
-
-
 class Histogram:
     """A log-bucketed distribution with quantile estimation.
 
@@ -281,17 +201,31 @@ class Histogram:
 
     def quantile(self, q: float) -> Optional[float]:
         """Estimated q-quantile (q in [0, 1]); None when empty."""
+        if not 0.0 <= q <= 1.0:
+            raise ValueError("quantile must be in [0, 1]")
         with self._lock:
-            return quantile_from_counts(self._bounds, self._counts,
-                                        self._count, q, self._min, self._max)
-
-    def state(self) -> HistogramState:
-        """Consistent point-in-time capture of the raw per-bucket counts
-        (one lock acquire; the returned state is detached)."""
-        with self._lock:
-            return HistogramState(tuple(self._bounds), tuple(self._counts),
-                                  self._count, self._sum,
-                                  self._min, self._max)
+            if not self._count:
+                return None
+            target = q * self._count
+            cumulative = 0
+            for index, bucket_count in enumerate(self._counts):
+                if bucket_count and cumulative + bucket_count >= target:
+                    break
+                cumulative += bucket_count
+            low_seen, high_seen = self._min, self._max
+        if index == len(self._bounds):
+            # Overflow bucket: the max is the best point estimate.
+            return high_seen
+        high = self._bounds[index]
+        low = self._bounds[index - 1] if index else high / DEFAULT_GROWTH
+        fraction = min(1.0, (target - cumulative) / bucket_count)
+        if low > 0 and high > low:
+            estimate = low * (high / low) ** fraction
+        else:
+            estimate = low + (high - low) * fraction
+        # A quantile never falls outside [min, max], whatever the bucket
+        # bounds say.
+        return min(high_seen, max(low_seen, estimate))
 
     def snapshot(self) -> Dict[str, object]:
         with self._lock:

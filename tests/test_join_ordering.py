@@ -549,6 +549,9 @@ JOIN_SHAPES = {
     "duplicate_keys": "SELECT f.v, d.dv FROM f JOIN d ON f.k2 = d.k2",
     "string_keys": ("SELECT f.v, e.ev, a.av FROM f JOIN e ON f.s = e.s "
                     "JOIN a ON f.k1 = a.k1"),
+    # The fact table (the one a dop>1 session would fan out over) is not
+    # the leftmost join input, so its row order is not the output's.
+    "fact_not_first": "SELECT a.av, f.v FROM a JOIN f ON a.k1 = f.k1",
 }
 
 

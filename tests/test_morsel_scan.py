@@ -252,6 +252,14 @@ SHAPES = {
         "GROUP BY e.bucket ORDER BY bucket LIMIT 3",
         "SELECT e.id, e.x FROM events AS e WHERE e.x > 1.5 "
         "ORDER BY id LIMIT 40",
+        # A subquery's aggregate / sort+limit is not the serial tail:
+        # per-morsel groups or limits would not merge into its output.
+        "SELECT s.bucket, s.c FROM (SELECT e.bucket AS bucket, "
+        "COUNT(*) AS c FROM events AS e GROUP BY e.bucket) AS s "
+        "WHERE s.c > 5",
+        "SELECT s.id, b.weight FROM (SELECT e.id AS id, e.bucket AS bucket "
+        "FROM events AS e ORDER BY id LIMIT 40) AS s "
+        "JOIN buckets AS b ON s.bucket = b.bucket",
         _grouped_aggregate_plan,
         _sort_limit_plan,
     ]),

@@ -304,23 +304,23 @@ def synthetic_world():
     gates = [GATE_HIB]
     outcomes = check_results(results, ledger, gates)
     tables = {"bench_adaptive": "== table ==\na  b\n"}
-    return results, ledger, outcomes, tables, gates
+    return ledger, outcomes, tables, gates
 
 
 class TestReport:
     def test_same_inputs_render_byte_identical(self):
-        first = render_report(*synthetic_world()[:3],
-                              figure_tables=synthetic_world()[3],
-                              gates=synthetic_world()[4])
-        second = render_report(*synthetic_world()[:3],
-                              figure_tables=synthetic_world()[3],
-                              gates=synthetic_world()[4])
+        first = render_report(*synthetic_world()[:2],
+                              figure_tables=synthetic_world()[2],
+                              gates=synthetic_world()[3])
+        second = render_report(*synthetic_world()[:2],
+                               figure_tables=synthetic_world()[2],
+                               gates=synthetic_world()[3])
         assert first == second
         assert first.endswith("\n") and not first.endswith("\n\n")
 
     def test_report_contains_trajectory_gates_and_tables(self):
-        results, ledger, outcomes, tables, gates = synthetic_world()
-        text = render_report(results, ledger, outcomes,
+        ledger, outcomes, tables, gates = synthetic_world()
+        text = render_report(ledger, outcomes,
                              figure_tables=tables, gates=gates)
         assert "## Gate status" in text
         assert "`adaptive:speedup`" in text
@@ -333,73 +333,12 @@ class TestReport:
         assert "== table ==" in text
 
     def test_failing_gate_renders_fail_with_detail(self):
-        results, ledger, _, tables, gates = synthetic_world()
+        ledger, _, tables, gates = synthetic_world()
         regressed = {"adaptive": make_bench_json(sha="c" * 40, speedup=2.0)}
         outcomes = check_results(regressed, ledger, gates)
-        text = render_report(regressed, ledger, outcomes,
+        text = render_report(ledger, outcomes,
                              figure_tables=tables, gates=gates)
         assert "FAIL" in text and "1 gate(s) failing" in text
-
-
-def make_load_payload():
-    steps = [
-        {"offered": 1.0, "achieved_qps": 8.6, "p50_seconds": 0.115,
-         "p99_seconds": 0.130, "error_rate": 0.0, "requests": 150},
-        {"offered": 2.0, "achieved_qps": 8.0, "p50_seconds": 0.240,
-         "p99_seconds": 0.330, "error_rate": 0.0, "requests": 150},
-        {"offered": 4.0, "achieved_qps": 7.9, "p50_seconds": 0.500,
-         "p99_seconds": 0.700, "error_rate": 0.0, "requests": 150},
-    ]
-    return make_bench_json(
-        bench="load", sha="b" * 40,
-        peak_qps=8.0, p99_at_70pct_seconds=0.150,
-        curve={"mode": "closed", "knee_index": 1, "peak_sustained_qps": 8.0,
-               "knee_offered": 2.0, "steps": steps})
-
-
-class TestResponseCurveSection:
-    def test_sparkline_is_deterministic_and_scaled(self):
-        from repro.obsv.report import SPARK_CHARS, sparkline
-        assert sparkline([]) == ""
-        assert sparkline([3.0, 3.0, 3.0]) == SPARK_CHARS[3] * 3
-        line = sparkline([1.0, 2.0, 4.0, 8.0])
-        assert line[0] == SPARK_CHARS[0] and line[-1] == SPARK_CHARS[-1]
-        assert sparkline([1.0, 2.0, 4.0, 8.0]) == line
-        # Monotone input renders a monotone line.
-        ranks = [SPARK_CHARS.index(ch) for ch in line]
-        assert ranks == sorted(ranks)
-
-    def test_section_renders_table_knee_and_headline(self):
-        results, ledger, outcomes, tables, gates = synthetic_world()
-        results = dict(results, load=make_load_payload())
-        text = render_report(results, ledger, outcomes,
-                             figure_tables=tables, gates=gates)
-        assert "## Serving response curve" in text
-        assert "| concurrency | achieved QPS |" in text
-        assert "◀ knee" in text
-        # p50/p99 render in milliseconds, errors as percentages.
-        assert "| 115 |" in text and "0.00%" in text
-        assert "achieved QPS  " in text and "p99 latency   " in text
-        assert "peak sustained **8 QPS** at concurrency 2" in text
-        assert "p99 at ~70% of the knee **150 ms**" in text
-        # The knee marker sits on exactly one row.
-        assert text.count("◀ knee") == 1
-
-    def test_open_loop_sections_label_offered_qps(self):
-        results, ledger, outcomes, tables, gates = synthetic_world()
-        payload = make_load_payload()
-        payload["curve"]["mode"] = "open"
-        results = dict(results, load=payload)
-        text = render_report(results, ledger, outcomes,
-                             figure_tables=tables, gates=gates)
-        assert "| offered QPS | achieved QPS |" in text
-
-    def test_missing_artifact_renders_pointer_not_crash(self):
-        results, ledger, outcomes, tables, gates = synthetic_world()
-        text = render_report(results, ledger, outcomes,
-                             figure_tables=tables, gates=gates)
-        assert "## Serving response curve" in text
-        assert "No load bench artifact committed" in text
 
 
 # ---------------------------------------------------------------------------

@@ -423,15 +423,14 @@ class TestPinnedSurface:
 
     def test_package_exports(self):
         assert sorted(repro.__all__) == [
-            "Catalog", "CircuitBreakerBoard", "ClosedLoopLoad", "Deadline",
+            "Catalog", "CircuitBreakerBoard", "Deadline",
             "DeadlineExceededError", "FaultInjector", "FeedbackStore",
-            "MetricsRegistry", "MetricsSampler", "MicroBatcher",
-            "OpenLoopLoad", "OperatorProfile", "OptimizationReport",
-            "PartitionedTable", "PlanCache", "QueryMix", "QueryOutcome",
-            "RavenError", "RavenOptimizer", "RavenSession", "ResponseCurve",
+            "MetricsRegistry", "MicroBatcher", "OperatorProfile",
+            "OptimizationReport", "PartitionedTable", "PlanCache",
+            "QueryOutcome", "RavenError", "RavenOptimizer", "RavenSession",
             "RetryPolicy", "RunStats", "Schema", "ServingStats",
-            "ShardRouter", "SlowQueryLog", "Snapshot", "SnapshotStore",
-            "Table", "Telemetry", "Tracer", "__version__"]
+            "SlowQueryLog", "Snapshot", "SnapshotStore", "Table",
+            "Telemetry", "Tracer", "__version__"]
 
     def test_wall_seconds_is_a_read_only_alias(self, session):
         _table, stats = session.sql_with_stats(FILTER_QUERY)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -23,13 +22,10 @@ from repro.resilience import CircuitBreakerBoard, FaultInjector
 from repro.serving.batcher import MicroBatcher
 from repro.serving.plan_cache import PlanCacheStats
 from repro.telemetry import (
-    TIMESERIES_SCHEMA,
     MetricsRegistry,
-    MetricsSampler,
     SlowQueryLog,
     Tracer,
     geometric_bounds,
-    quantile_from_counts,
 )
 from repro.telemetry.metrics import DEFAULT_GROWTH
 from repro.telemetry import trace as trace_module
@@ -150,97 +146,59 @@ class TestHistogramQuantiles:
 
 
 class TestHistogramEdgeCases:
-    """The corners the sampler's windowed-delta math leans on:
-    boundary interpolation, tiny windows, and state-diff monotonicity."""
+    """The corners of the quantile estimate: boundary buckets,
+    interpolation inside the landing bucket, bucket 0's low edge, the
+    overflow bucket, and tiny histograms."""
 
     BOUNDS = (1.0, 2.0, 4.0)
+
+    def _hist(self, *values):
+        hist = MetricsRegistry().histogram("h", bounds=self.BOUNDS)
+        for value in values:
+            hist.observe(value)
+        return hist
 
     def test_boundary_observation_lands_in_its_bucket(self):
         # bisect_left gives "value <= bound" buckets: an observation
         # exactly on a bound belongs to that bound's bucket.
-        hist = MetricsRegistry().histogram("h", bounds=self.BOUNDS)
-        hist.observe(2.0)
-        assert hist.state().counts == (0, 1, 0, 0)
+        hist = self._hist(2.0)
+        assert hist.bucket_counts() == [(1.0, 0), (2.0, 1), (4.0, 1),
+                                        (float("inf"), 1)]
         # Clamping to observed min/max makes the report exact anyway.
         assert hist.quantile(0.5) == pytest.approx(2.0)
 
     def test_interpolation_stays_inside_the_landing_bucket(self):
         # All mass in bucket (1, 2]: geometric interpolation never
         # leaves it — q→0 approaches the lower edge, q=1 hits the bound.
-        counts = (0, 10, 0, 0)
-        assert quantile_from_counts(self.BOUNDS, counts, 10, 1.0) == \
-            pytest.approx(2.0)
-        assert quantile_from_counts(self.BOUNDS, counts, 10, 0.0) == \
-            pytest.approx(1.0)
-        p50 = quantile_from_counts(self.BOUNDS, counts, 10, 0.5)
+        hist = self._hist(1.0 + 1e-9, *[1.5] * 8, 2.0)
+        assert hist.quantile(1.0) == pytest.approx(2.0)
+        assert hist.quantile(0.0) == pytest.approx(1.0)
+        p50 = hist.quantile(0.5)
         assert 1.0 < p50 < 2.0
         assert p50 == pytest.approx(2.0 ** 0.5)  # log-linear midpoint
 
     def test_first_bucket_uses_synthetic_low_edge(self):
         # Bucket 0 has no lower bound; the interpolation treats it as
         # one growth factor below, so estimates stay within the bound.
-        counts = (4, 0, 0, 0)
-        low = quantile_from_counts(self.BOUNDS, counts, 4, 0.0)
-        assert low == pytest.approx(1.0 / DEFAULT_GROWTH)
-        assert quantile_from_counts(self.BOUNDS, counts, 4, 1.0) == \
-            pytest.approx(1.0)
+        hist = self._hist(0.01, 0.5, 0.9, 1.0)
+        assert hist.quantile(0.0) == pytest.approx(1.0 / DEFAULT_GROWTH)
+        assert hist.quantile(1.0) == pytest.approx(1.0)
 
     def test_overflow_bucket_reports_max_or_last_bound(self):
-        counts = (0, 0, 0, 2)
-        assert quantile_from_counts(self.BOUNDS, counts, 2, 0.5) == \
-            pytest.approx(4.0)
-        assert quantile_from_counts(self.BOUNDS, counts, 2, 0.5,
-                                    observed_max=7.5) == pytest.approx(7.5)
+        # Past the last bound the best point estimate is the observed max.
+        assert self._hist(5.0, 7.5).quantile(0.5) == pytest.approx(7.5)
 
     def test_empty_and_single_observation_windows(self):
-        assert quantile_from_counts(self.BOUNDS, (0, 0, 0, 0), 0, 0.5) is None
+        assert self._hist().quantile(0.5) is None
         hist = MetricsRegistry().histogram("h")
         hist.observe(0.0125)
-        state = hist.state()
-        # A one-observation state reports that value exactly, any q.
+        # A one-observation histogram reports that value exactly, any q.
         for q in (0.0, 0.5, 0.99, 1.0):
-            assert state.quantile(q) == pytest.approx(0.0125)
+            assert hist.quantile(q) == pytest.approx(0.0125)
 
     def test_quantile_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            quantile_from_counts(self.BOUNDS, (1, 0, 0, 0), 1, 1.5)
-
-    def test_state_diffs_stay_non_negative_under_concurrent_observes(self):
-        # Bucket counts only grow, so diffs between any two captures
-        # taken mid-storm are well-formed window histograms.
-        hist = MetricsRegistry().histogram("h")
-        rng = np.random.default_rng(3)
-        values = rng.lognormal(mean=-6.0, sigma=1.0, size=4_000)
-        states = []
-
-        def storm(chunk):
-            for value in chunk:
-                hist.observe(float(value))
-
-        threads = [threading.Thread(target=storm, args=(values[i::4],))
-                   for i in range(4)]
-        for thread in threads:
-            thread.start()
-        while any(thread.is_alive() for thread in threads):
-            states.append(hist.state())
-        for thread in threads:
-            thread.join()
-        states.append(hist.state())
-
-        for before, after in zip(states, states[1:]):
-            assert after.count >= before.count
-            assert after.sum >= before.sum - 1e-12
-            diffs = [now - prior for now, prior
-                     in zip(after.counts, before.counts)]
-            assert all(diff >= 0 for diff in diffs)
-            assert sum(diffs) == after.count - before.count
-        assert states[-1].count == len(values)
-        # The final diff-vs-zero is the cumulative histogram itself.
-        window_p50 = quantile_from_counts(states[-1].bounds,
-                                          states[-1].counts,
-                                          states[-1].count, 0.5)
-        truth = float(np.quantile(values, 0.5))
-        assert truth / DEFAULT_GROWTH <= window_p50 <= truth * DEFAULT_GROWTH
+            self._hist(0.5).quantile(1.5)
 
 
 class TestExporterGoldens:
@@ -683,177 +641,6 @@ class TestBatcherInstrumentation:
         assert trace.root.attributes["requests"] == 4
         assert trace.root.attributes["rows"] == 4
         assert trace.root.find("predict.batch") is not None
-
-
-# ---------------------------------------------------------------------------
-# Metrics sampler: windowed deltas over the registry
-# ---------------------------------------------------------------------------
-
-class FakeClock:
-    """A manually-advanced clock, so window intervals are exact."""
-
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
-
-
-class TestMetricsSampler:
-    def _sampler(self):
-        registry = MetricsRegistry()
-        clock = FakeClock()
-        return registry, clock, MetricsSampler(registry, clock=clock)
-
-    def test_first_sample_is_baseline(self):
-        _, _, sampler = self._sampler()
-        assert sampler.sample() is None
-        assert len(sampler) == 0
-
-    def test_window_diffs_counters_histograms_and_copies_gauges(self):
-        registry, clock, sampler = self._sampler()
-        ok = registry.counter("queries", {"outcome": "ok"})
-        errors = registry.counter("queries", {"outcome": "error"})
-        hist = registry.histogram("query_seconds")
-        depth = registry.gauge("batcher_queue_depth")
-        sampler.sample()
-
-        for _ in range(8):
-            ok.inc()
-            hist.observe(0.010)
-        for _ in range(2):
-            errors.inc()
-            hist.observe(0.100)
-        depth.set(5)
-        clock.advance(2.0)
-        window = sampler.sample()
-
-        assert window["t"] == pytest.approx(2.0)
-        assert window["interval"] == pytest.approx(2.0)
-        assert window["qps"] == pytest.approx(5.0)  # 10 finished / 2s
-        assert window["error_rate"] == pytest.approx(0.2)
-        assert window["counters"]["queries{outcome=ok}"] == 8
-        assert window["rates"]["queries{outcome=ok}"] == pytest.approx(4.0)
-        assert window["gauges"]["batcher_queue_depth"] == 5
-        seconds = window["histograms"]["query_seconds"]
-        assert seconds["count"] == 10
-        assert seconds["sum"] == pytest.approx(0.28)
-        assert 0.010 / DEFAULT_GROWTH <= seconds["p50"] <= \
-            0.010 * DEFAULT_GROWTH
-        assert 0.100 / DEFAULT_GROWTH <= seconds["p99"] <= \
-            0.100 * DEFAULT_GROWTH
-        assert len(sampler) == 1
-
-    def test_window_quantiles_ignore_prior_history(self):
-        # The whole point of per-bucket diffs: a window's p50 reflects
-        # only that window's observations, not the cumulative past.
-        registry, clock, sampler = self._sampler()
-        hist = registry.histogram("query_seconds")
-        for _ in range(100):
-            hist.observe(0.001)
-        sampler.sample()  # baseline *after* the fast history
-        for _ in range(5):
-            hist.observe(1.0)
-        clock.advance(1.0)
-        window = sampler.sample()
-        seconds = window["histograms"]["query_seconds"]
-        assert seconds["count"] == 5
-        assert seconds["p50"] >= 1.0 / DEFAULT_GROWTH
-        # The cumulative estimate still sits near the fast mode.
-        assert hist.quantile(0.5) < 0.01
-
-    def test_idle_window_is_all_zeros(self):
-        registry, clock, sampler = self._sampler()
-        registry.counter("queries", {"outcome": "ok"}).inc(3)
-        hist = registry.histogram("query_seconds")
-        hist.observe(0.01)
-        sampler.sample()
-        clock.advance(1.0)
-        window = sampler.sample()
-        assert window["qps"] == 0.0
-        assert window["counters"]["queries{outcome=ok}"] == 0
-        assert window["histograms"]["query_seconds"]["count"] == 0
-        assert window["histograms"]["query_seconds"]["p50"] is None
-
-    def test_instrument_appearing_mid_window_reports_full_state(self):
-        registry, clock, sampler = self._sampler()
-        sampler.sample()
-        late = registry.histogram("late_seconds")
-        late.observe(0.25)
-        clock.advance(1.0)
-        window = sampler.sample()
-        assert window["histograms"]["late_seconds"]["count"] == 1
-
-    def test_clear_resets_the_series_and_baseline(self):
-        registry, clock, sampler = self._sampler()
-        counter = registry.counter("queries", {"outcome": "ok"})
-        sampler.sample()
-        counter.inc(4)
-        clock.advance(1.0)
-        sampler.sample()
-        assert len(sampler) == 1
-        sampler.clear()
-        assert len(sampler) == 0
-        counter.inc(2)
-        clock.advance(1.0)
-        assert sampler.sample() is None  # fresh baseline again
-        clock.advance(1.0)
-        counter.inc(1)
-        window = sampler.sample()
-        assert window["counters"]["queries{outcome=ok}"] == 1
-
-    def test_dump_writes_timeseries_schema(self, tmp_path):
-        registry, clock, sampler = self._sampler()
-        registry.counter("queries", {"outcome": "ok"}).inc(1)
-        sampler.sample()
-        clock.advance(1.0)
-        registry.counter("queries", {"outcome": "ok"}).inc(1)
-        sampler.sample()
-        path = tmp_path / "timeseries.json"
-        sampler.dump(path)
-        doc = json.loads(path.read_text())
-        assert doc["schema"] == TIMESERIES_SCHEMA
-        assert len(doc["samples"]) == 1
-        assert doc["samples"][0]["counters"]["queries{outcome=ok}"] == 1
-
-    def test_background_mode_samples_until_stopped(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("queries", {"outcome": "ok"})
-        sampler = MetricsSampler(registry)
-        sampler.start(interval=0.01)
-        with pytest.raises(RuntimeError):
-            sampler.start(interval=0.01)
-        deadline = time.perf_counter() + 5.0
-        while len(sampler) < 2:
-            counter.inc()
-            assert time.perf_counter() < deadline
-        sampler.stop()
-        count = len(sampler)
-        assert count >= 2  # interval windows plus the final flush
-        sampler.stop()  # idempotent
-        assert len(sampler) == count
-        total = sum(w["counters"]["queries{outcome=ok}"]
-                    for w in sampler.samples())
-        assert total == counter.value
-
-    def test_invalid_interval_rejected(self):
-        _, _, sampler = self._sampler()
-        with pytest.raises(ValueError):
-            sampler.start(interval=0.0)
-
-    def test_session_facade_sampler_sees_serving_traffic(
-            self, traced_session, covid_query):
-        sampler = traced_session.telemetry.sampler()
-        assert sampler.registry is traced_session.telemetry.metrics
-        sampler.sample()
-        traced_session.sql(covid_query)
-        window = sampler.sample()
-        assert window["counters"]["queries{outcome=ok}"] == 1
-        assert window["histograms"]["query_seconds"]["count"] == 1
-        assert window["gauges"]["serving_queries_in_flight"] == 0
 
 
 # ---------------------------------------------------------------------------
