@@ -1,55 +1,24 @@
 """Shared helpers for the benchmark suite.
 
 Every benchmark runs its report generator under ``benchmark.pedantic`` (so
-``pytest benchmarks/ --benchmark-only`` times it) and persists the
-paper-style table under ``benchmarks/results/`` for inspection.
-
-Machine-readable results go through :func:`write_bench_json`, the single
-writer that stamps every artifact with the ``repro-bench-v1`` schema and
-a provenance block (commit SHA, timestamp, python/numpy versions, host
-hints, smoke-vs-full scale class) for the perf-trajectory observatory
-(``python -m repro.obsv``, see ``benchmarks/README.md``):
-
-* **full-scale** runs write the committed ``results/bench_*.json``
-  artifacts that the regression gates compare against ledger history;
-* **smoke** runs (reduced ``RAVEN_SCALE``, e.g. CI) write to the
-  uncommitted ``results/smoke/`` directory instead, so tiny-row noise
-  never clobbers the committed trajectory but is still recorded into
-  the CI run's ledger for visibility.
+``pytest benchmarks/ --benchmark-only`` times it) and writes the
+paper-style table to ``benchmarks/results/<name>.txt`` for inspection.
+Nothing under ``results/`` is committed.
 """
 
 from __future__ import annotations
 
-import json
-from datetime import datetime, timezone
 from pathlib import Path
 
-from repro.bench.harness import env_scale
-from repro.obsv.schema import (
-    BENCH_SCHEMA,
-    SCALE_FULL,
-    SCALE_SMOKE,
-    collect_provenance,
-)
-
 RESULTS_DIR = Path(__file__).parent / "results"
-SMOKE_DIR = RESULTS_DIR / "smoke"
 
 
 def save_report(table, name: str) -> None:
-    """Print the report and persist it under benchmarks/results/.
-
-    The text tables are committed report inputs (REPORT.md embeds them),
-    so they follow the same routing as the JSON artifacts: reduced-scale
-    runs (``RAVEN_SCALE < 1``) write to the uncommitted smoke directory.
-    Regenerating the committed tables therefore means running at full
-    scale.
-    """
-    directory = RESULTS_DIR if env_scale() >= 1.0 else SMOKE_DIR
-    directory.mkdir(parents=True, exist_ok=True)
+    """Print the report and write it to ``benchmarks/results/<name>.txt``."""
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     text = table.render()
     print("\n" + text)
-    (directory / f"{name}.txt").write_text(text + "\n")
+    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
 
 
 def run_report(benchmark, fn, name: str):
@@ -61,27 +30,3 @@ def run_report(benchmark, fn, name: str):
     else:
         save_report(result, name)
     return result
-
-
-def write_bench_json(bench: str, payload: dict, full_scale: bool) -> Path:
-    """Write one provenance-stamped bench artifact and return its path.
-
-    ``bench`` is the short bench name (``"adaptive"``); the file is
-    ``bench_<bench>.json``. ``full_scale`` routes between the committed
-    results directory and the uncommitted smoke directory — callers pass
-    their own row-count judgement (e.g. ``ROWS >= FULL_SCALE_ROWS``) so
-    a reduced-scale run can never overwrite the committed trajectory.
-    """
-    scale = SCALE_FULL if full_scale else SCALE_SMOKE
-    timestamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    doc = {
-        "schema": BENCH_SCHEMA,
-        "bench": bench,
-        **payload,
-        "provenance": collect_provenance(scale, env_scale(), timestamp),
-    }
-    directory = RESULTS_DIR if full_scale else SMOKE_DIR
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"bench_{bench}.json"
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    return path

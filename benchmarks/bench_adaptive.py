@@ -12,13 +12,12 @@ selective conjunct first.
 Acceptance gate (also run by the CI bench-smoke job): the warmed adaptive
 plan must never be slower than the warmed static plan, and at full scale
 (>= 50k rows) must be >= 2x faster. Results are verified bit-for-bit
-between both sessions before timing, and persisted to
-``benchmarks/results/bench_adaptive.json`` at full scale.
+between both sessions before timing.
 """
 
 import numpy as np
 
-from benchmarks._util import RESULTS_DIR, run_report, write_bench_json
+from benchmarks._util import run_report
 from repro import RavenSession, Table
 from repro.bench.harness import ReportTable, scaled, timed
 
@@ -26,7 +25,6 @@ from repro.bench.harness import ReportTable, scaled, timed
 # comparable to fixed per-call costs (cache lookup, profiling) and the
 # never-slower smoke gate would measure noise instead of the subsystem.
 ROWS = scaled(200_000, minimum=20_000)
-JSON_PATH = RESULTS_DIR / "bench_adaptive.json"
 
 # Full-scale acceptance: adaptive >= 2x on the misestimated workload; at
 # smoke scale (RAVEN_SCALE << 1) only "never slower" is required.
@@ -129,23 +127,6 @@ def _adaptive_report() -> ReportTable:
         f"warmed adaptive plan only {speedup:.2f}x vs static "
         f"(required >= {required:.1f}x at {ROWS} rows)"
     )
-
-    # Full-scale runs update the committed perf-trajectory artifact; CI
-    # smoke runs write to results/smoke/ instead (tiny-row noise must
-    # not clobber the committed trajectory).
-    full_scale = ROWS >= FULL_SCALE_ROWS
-    write_bench_json("adaptive", {
-        "rows": ROWS,
-        "target_selectivities": list(TARGET_SELECTIVITIES),
-        "static_seconds": static_seconds,
-        "adaptive_seconds": adaptive_seconds,
-        "speedup": speedup,
-        "reoptimizations": reoptimizations,
-        "warm_rounds": warm_rounds,
-    }, full_scale=full_scale)
-    if not full_scale:
-        report.note(f"reduced scale ({ROWS} rows): smoke record written, "
-                    f"{JSON_PATH.name} left untouched")
     return report
 
 

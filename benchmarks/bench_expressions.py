@@ -14,15 +14,11 @@ Measures the two workloads the compiled engine (CSE + masked CASE routing
 Acceptance gate (also run by the CI bench-smoke job): compiled must never
 be slower than interpreted on the deep-tree workload, and at full scale
 (>= 50k rows) must be >= 3x faster.
-
-Results are persisted both as the usual text table and as
-``benchmarks/results/bench_expressions.json`` — the first machine-readable
-BENCH artifact, so later PRs can track the perf trajectory.
 """
 
 import numpy as np
 
-from benchmarks._util import RESULTS_DIR, run_report, write_bench_json
+from benchmarks._util import run_report
 from repro.bench.harness import ReportTable, scaled, timed
 from repro.core.rules.ml_to_sql import tree_to_expression
 from repro.learn.tree import TreeNode
@@ -35,7 +31,6 @@ from repro.storage.table import Table
 ROWS = scaled(100_000)
 TREE_DEPTH = 8
 WIDE_OUTPUTS = 32
-JSON_PATH = RESULTS_DIR / "bench_expressions.json"
 
 # Full-scale acceptance: compiled >= 3x on the deep tree; at smoke scale
 # (RAVEN_SCALE << 1) only "never slower" is required.
@@ -143,19 +138,6 @@ def _expression_report() -> ReportTable:
         f"compiled deep-tree evaluation only {deep['speedup']:.2f}x vs "
         f"interpreted (required >= {required:.1f}x at {deep['rows']} rows)"
     )
-
-    # Full-scale runs update the committed perf-trajectory artifact; CI
-    # smoke / reduced-RAVEN_SCALE runs write to results/smoke/ instead so
-    # tiny-row noise never clobbers the committed trajectory.
-    full_scale = deep["rows"] >= FULL_SCALE_ROWS
-    write_bench_json("expressions", {
-        "tree_depth": TREE_DEPTH,
-        "wide_outputs": WIDE_OUTPUTS,
-        "workloads": results,
-    }, full_scale=full_scale)
-    if not full_scale:
-        report.note(f"reduced scale ({deep['rows']} rows): smoke record "
-                    f"written, {JSON_PATH.name} left untouched")
     return report
 
 

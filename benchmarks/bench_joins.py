@@ -17,21 +17,16 @@ reordering saves is the index shuffling and key lookups of the wide 1:1
 step at full cardinality.
 
 Acceptance gate (also run by the CI bench-smoke job): the warmed adaptive
-plan must never be slower than the warmed static plan. Its absolute
-warmed time is gated at full scale (>= 50k fact rows) against the perf
-ledger's history (``joins:adaptive_seconds`` in
-``repro.obsv.gates.DEFAULT_GATES``): the ratio against the static plan
-used to be the full-scale gate, but it shrank when the static plan
-stopped copying every column at every join step, and an absolute number
-does not move with the baseline. Results are verified
-bit-for-bit between both sessions before timing (the MultiJoin's
-canonical output order makes reordering invisible), and persisted to
-``benchmarks/results/bench_joins.json`` at full scale.
+plan must never be slower than the warmed static plan, at every scale.
+The absolute time of a warmed star join is measured by the repository
+benchmark (``benchmarks/e2e``, workload ``join_tree``), not here.
+Results are verified bit-for-bit between both sessions before timing
+(the MultiJoin's canonical output order makes reordering invisible).
 """
 
 import numpy as np
 
-from benchmarks._util import RESULTS_DIR, run_report, write_bench_json
+from benchmarks._util import run_report
 from repro import RavenSession, Table
 from repro.bench.harness import ReportTable, scaled, timed
 from repro.learn import LogisticRegression, make_standard_pipeline
@@ -41,9 +36,6 @@ from repro.relational.logical import MultiJoin, walk
 # comparable to fixed per-call costs and the never-slower smoke gate
 # would measure noise instead of the subsystem.
 ROWS = scaled(200_000, minimum=20_000)
-JSON_PATH = RESULTS_DIR / "bench_joins.json"
-
-FULL_SCALE_ROWS = 50_000
 
 # Fraction of fact keys present in the sparse dimension (the misestimate:
 # statistics see equal-size dimensions with unique keys either way).
@@ -166,10 +158,6 @@ def _joins_report() -> ReportTable:
                note=f"reoptimizations={reoptimizations}, "
                     f"warm_rounds={warm_rounds}")
 
-    # Full-scale runs update the committed perf-trajectory artifact; CI
-    # smoke runs write to results/smoke/ instead (tiny-row noise must
-    # not clobber the committed trajectory).
-    full_scale = ROWS >= FULL_SCALE_ROWS
     report.note(f"adaptive speedup {speedup:.1f}x "
                 "(acceptance: never slower, >= 1.0x)")
     report.note("results verified bit-for-bit against the static oracle "
@@ -178,19 +166,6 @@ def _joins_report() -> ReportTable:
         f"warmed adaptive join order is slower than text order "
         f"({speedup:.2f}x at {ROWS} fact rows)"
     )
-    write_bench_json("joins", {
-        "fact_rows": ROWS,
-        "sparse_match_fraction": SPARSE_MATCH_FRACTION,
-        "static_seconds": static_seconds,
-        "adaptive_seconds": adaptive_seconds,
-        "speedup": speedup,
-        "join_order": list(order),
-        "reoptimizations": reoptimizations,
-        "warm_rounds": warm_rounds,
-    }, full_scale=full_scale)
-    if not full_scale:
-        report.note(f"reduced scale ({ROWS} fact rows): smoke record "
-                    f"written, {JSON_PATH.name} left untouched")
     return report
 
 

@@ -18,8 +18,6 @@ Acceptance gates (also run by the CI bench-smoke job):
   re-optimizations — plan and feedback were reused, not re-learned;
 * warm results are bit-for-bit identical to a fresh
   ``RavenSession(adaptive=False)`` oracle.
-
-Full-scale runs persist ``benchmarks/results/bench_persist.json``.
 """
 
 import tempfile
@@ -28,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from benchmarks._util import RESULTS_DIR, run_report, write_bench_json
+from benchmarks._util import run_report
 from repro import RavenSession, Table
 from repro.bench.harness import ReportTable, scaled
 
@@ -36,7 +34,6 @@ from repro.bench.harness import ReportTable, scaled
 # the learned ordering saves is comparable to fixed per-call costs and the
 # smoke gate would measure noise.
 ROWS = scaled(200_000, minimum=20_000)
-JSON_PATH = RESULTS_DIR / "bench_persist.json"
 
 FULL_SCALE_ROWS = 50_000
 FULL_SCALE_SPEEDUP = 1.5
@@ -167,21 +164,6 @@ def _persist_report() -> ReportTable:
         f"warm-started first call only {speedup:.2f}x vs cold "
         f"(required >= {required:.1f}x at {ROWS} rows)"
     )
-
-    # Full-scale runs update the committed perf-trajectory artifact; CI
-    # smoke runs write to results/smoke/ instead (tiny-row noise must
-    # not clobber the committed trajectory).
-    full_scale = ROWS >= FULL_SCALE_ROWS
-    write_bench_json("persist", {
-        "rows": ROWS,
-        "target_selectivities": list(TARGET_SELECTIVITIES),
-        "cold_first_call_seconds": cold_seconds,
-        "warm_first_call_seconds": warm_seconds,
-        "speedup": speedup,
-    }, full_scale=full_scale)
-    if not full_scale:
-        report.note(f"reduced scale ({ROWS} rows): smoke record written, "
-                    f"{JSON_PATH.name} left untouched")
     return report
 
 

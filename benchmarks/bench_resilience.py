@@ -23,24 +23,18 @@ Acceptance gates (also run by the CI bench-smoke job):
 * p99 latency under faults+retry stays within an order of magnitude of
   the clean p99 at smoke scale (retries on 1% of traffic must not blow
   up the tail).
-
-Full-scale runs persist ``benchmarks/results/bench_resilience.json``;
-the observatory gates availability (never below 1.0 minus tolerance)
-and p99 against ledger history.
 """
 
 import time
 
 import numpy as np
 
-from benchmarks._util import RESULTS_DIR, run_report, write_bench_json
+from benchmarks._util import run_report
 from repro import FaultInjector, RavenSession, RetryPolicy, Table
 from repro.bench.harness import ReportTable, scaled
 
 ROWS = scaled(60_000, minimum=4_000)
-JSON_PATH = RESULTS_DIR / "bench_resilience.json"
 
-FULL_SCALE_ROWS = 60_000
 QUERIES = 40
 FAULT_PROBABILITY = 0.01
 SEED = 20260808
@@ -203,23 +197,6 @@ def _resilience_report() -> ReportTable:
         f"retried p99 {retried_p99 * 1e3:.2f}ms is {p99_ratio:.1f}x the "
         f"clean p99 {clean_p99 * 1e3:.2f}ms (limit {P99_BLOWUP_LIMIT:.0f}x)"
     )
-
-    full_scale = ROWS >= FULL_SCALE_ROWS
-    write_bench_json("resilience", {
-        "rows": ROWS,
-        "queries": QUERIES,
-        "fault_probability": FAULT_PROBABILITY,
-        "availability": availability,
-        "availability_no_retry": bare_availability,
-        "clean_p99_seconds": clean_p99,
-        "faulty_p99_seconds": retried_p99,
-        "p99_blowup": p99_ratio,
-        "retries": retried.serving_stats.retries,
-        "injected_fires": retried.faults.fires(),
-    }, full_scale=full_scale)
-    if not full_scale:
-        report.note(f"reduced scale ({ROWS} rows): smoke record written, "
-                    f"{JSON_PATH.name} left untouched")
     return report
 
 

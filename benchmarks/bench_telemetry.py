@@ -16,7 +16,7 @@ rounds (so clock drift and cache effects hit every variant equally):
 * ``tracing_overhead`` — tracing on vs default; gated ≤ 10% at full
   scale.
 
-It also records the serve-path p50/p99 **as the telemetry layer itself
+It also reports the serve-path p50/p99 **as the telemetry layer itself
 measured them** (``telemetry.metrics_snapshot()``), which doubles as an
 end-to-end check that the histograms see every query.
 """
@@ -24,7 +24,7 @@ end-to-end check that the histograms see every query.
 import statistics
 import time
 
-from benchmarks._util import run_report, write_bench_json
+from benchmarks._util import run_report
 from repro.bench.harness import ReportTable, env_scale
 from repro.bench.workloads import build_workload
 
@@ -107,8 +107,7 @@ def _telemetry_report() -> ReportTable:
                f"tracing <= {TRACING_OVERHEAD_LIMIT:.2f}x default "
                f"(enforced at full scale)")
 
-    full_scale = env_scale() >= 1.0
-    if full_scale:
+    if env_scale() >= 1.0:
         assert disabled_overhead <= DISABLED_OVERHEAD_LIMIT, (
             f"default telemetry costs {disabled_overhead:.3f}x the "
             f"disabled path (limit {DISABLED_OVERHEAD_LIMIT:.2f}x)")
@@ -118,19 +117,6 @@ def _telemetry_report() -> ReportTable:
     else:
         table.note("reduced scale: overhead ceilings reported, not "
                    "enforced (tiny per-query work inflates the ratios)")
-
-    write_bench_json("telemetry", {
-        "rounds": ROUNDS,
-        "queries_per_round": QUERIES_PER_ROUND,
-        "baseline_query_seconds": baseline_s,
-        "default_query_seconds": default_s,
-        "traced_query_seconds": traced_s,
-        "disabled_overhead": disabled_overhead,
-        "tracing_overhead": tracing_overhead,
-        "telemetry_p50_seconds": query_hist["p50"],
-        "telemetry_p99_seconds": query_hist["p99"],
-        "telemetry_query_count": query_hist["count"],
-    }, full_scale=full_scale)
     return table
 
 

@@ -18,7 +18,7 @@ Quickstart::
     )
 
 See ROADMAP.md for the system inventory and open work, and
-benchmarks/README.md for the benchmarks and their gates.
+benchmarks/README.md for the end-to-end benchmark and acceptance checks.
 """
 
 from repro.adaptive import FeedbackStore, OperatorProfile

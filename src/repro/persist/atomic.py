@@ -1,10 +1,10 @@
-"""Crash-safe file writes shared by the persistence and obsv layers.
+"""Crash-safe file writes for snapshots, spill files and telemetry exports.
 
 The durability contract: after :func:`atomic_write_text` returns, the
 target holds the complete new content and has been fsynced; if the
 process dies at any earlier point — including mid-write — the target
 still holds its previous complete content (or does not exist). That is
-what snapshot warm starts and the perf ledger's strict loader rely on.
+what snapshot warm starts rely on.
 
 The recipe is the classic one: write a scratch file *in the same
 directory* (so the final rename never crosses filesystems), flush and
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 from repro.errors import InjectedFaultError
 
@@ -60,24 +60,3 @@ def atomic_write_text(path: Union[str, Path], text: str,
     os.replace(scratch, path)
     fsync_directory(path.parent)
     return path
-
-
-def atomic_append_line(path: Union[str, Path], line: str,
-                       faults=None, site: str = "ledger.append",
-                       existing: Optional[str] = None) -> Path:
-    """Durably append one line to ``path`` via full rewrite-and-rename.
-
-    Append-only files (the obsv ledger) get the same crash safety as
-    snapshots: the current content plus the new line is written to a
-    scratch file and atomically renamed over the original, so a crash
-    mid-append can never leave a torn trailing line for the strict
-    loader to choke on. ``existing`` lets callers that already read the
-    file skip the re-read.
-    """
-    path = Path(path)
-    if existing is None:
-        existing = path.read_text() if path.exists() else ""
-    if existing and not existing.endswith("\n"):
-        existing += "\n"
-    return atomic_write_text(path, existing + line.rstrip("\n") + "\n",
-                             faults=faults, site=site)

@@ -36,7 +36,6 @@ from repro.resilience.faults import (
     SITE_BATCHER_EXECUTE,
     SITE_EXECUTOR_COMPILE,
     SITE_EXECUTOR_OPERATOR,
-    SITE_LEDGER_APPEND,
     SITE_PLAN_OPTIMIZE,
     SITE_PREDICT_RUN,
     SITE_SNAPSHOT_WRITE,
@@ -62,7 +61,7 @@ __all__ = [
     "STATE_CLOSED", "STATE_OPEN",
     "DEGRADED_INTERPRETED", "DEGRADED_RETRIED", "DEGRADED_STATIC_PLAN",
     "SITES", "SITE_BATCHER_EXECUTE", "SITE_EXECUTOR_COMPILE",
-    "SITE_EXECUTOR_OPERATOR", "SITE_LEDGER_APPEND", "SITE_PLAN_OPTIMIZE",
+    "SITE_EXECUTOR_OPERATOR", "SITE_PLAN_OPTIMIZE",
     "SITE_PREDICT_RUN", "SITE_SNAPSHOT_WRITE",
     "raven_typed",
 ]

@@ -24,7 +24,6 @@ Registered sites:
 ``snapshot.write``         SnapshotStore/Snapshot file writes
                            (``torn`` = crash mid-write leaving a partial
                            temp file)
-``ledger.append``          obsv perf-ledger appends (``torn`` likewise)
 ``telemetry.dump``         trace-ring / slow-query-log / metrics disk dumps
                            (``torn`` = crash mid-dump; serving continues and
                            the previous dump stays intact)
@@ -56,7 +55,6 @@ SITE_PREDICT_RUN = "predict.run"
 SITE_PLAN_OPTIMIZE = "plan_cache.optimize"
 SITE_BATCHER_EXECUTE = "batcher.execute"
 SITE_SNAPSHOT_WRITE = "snapshot.write"
-SITE_LEDGER_APPEND = "ledger.append"
 SITE_TELEMETRY_DUMP = "telemetry.dump"
 SITE_SPILL_WRITE = "spill.write"
 
@@ -70,7 +68,6 @@ SITES = frozenset({
     SITE_PLAN_OPTIMIZE,
     SITE_BATCHER_EXECUTE,
     SITE_SNAPSHOT_WRITE,
-    SITE_LEDGER_APPEND,
     SITE_TELEMETRY_DUMP,
     SITE_SPILL_WRITE,
 })

@@ -22,8 +22,6 @@ from repro.errors import (
     InjectedFaultError,
     RavenError,
 )
-from repro.obsv.ledger import Ledger
-from repro.obsv.schema import BenchRecord
 from repro.persist import SnapshotStore
 from repro.resilience import (
     DEGRADED_INTERPRETED,
@@ -294,8 +292,8 @@ class TestFaultInjector:
         assert faults.tear("snapshot.write") is True
         assert faults.tear("snapshot.write") is False
         # error rules never fire through tear()
-        faults.inject("ledger.append")
-        assert faults.tear("ledger.append") is False
+        faults.inject("spill.write")
+        assert faults.tear("spill.write") is False
 
 
 # ---------------------------------------------------------------------------
@@ -682,24 +680,6 @@ class TestChaosCrashSafeIO:
         second = store.save(session)
         assert store.latest() == second
 
-    def test_torn_ledger_append_never_tears_history(self, tmp_path):
-        path = tmp_path / "ledger.jsonl"
-        faults = FaultInjector(seed=15)
-        ledger = Ledger()
-        first = _record("bench_a", "aaaa111")
-        assert ledger.append_to_file(path, first, faults=faults)
-        faults.inject("ledger.append", mode="torn",
-                      on_hits=[faults.hits("ledger.append") + 1])
-        second = _record("bench_a", "bbbb222")
-        with pytest.raises(InjectedFaultError):
-            ledger.append_to_file(path, second, faults=faults)
-        # Strict load still parses: history has exactly the first record.
-        loaded = Ledger.load(path)
-        assert len(loaded) == 1 and loaded.records[0].sha == "aaaa111"
-        # The failed append rolled back in memory, so the retry appends.
-        assert ledger.append_to_file(path, second, faults=faults)
-        assert len(Ledger.load(path)) == 2
-
 
 @pytest.mark.chaos
 class TestChaosEverySite:
@@ -722,7 +702,6 @@ class TestChaosEverySite:
             faults.inject("plan_cache.optimize", probability=0.1),
             faults.inject("batcher.execute", probability=0.1),
             faults.inject("snapshot.write", mode="torn", probability=0.5),
-            faults.inject("ledger.append", mode="torn", probability=0.5),
             faults.inject("telemetry.dump", mode="torn", probability=0.5),
             faults.inject("spill.write", mode="torn", probability=0.5),
         ]
@@ -752,9 +731,3 @@ class TestChaosEverySite:
 def _one_row_inputs(_session):
     return {"age": 61.0, "bmi": 27.5, "bpm": 78.0, "fev": 2.8,
             "asthma": 1, "smoker": "yes", "hypertension": "mild"}
-
-
-def _record(bench, sha):
-    return BenchRecord(bench=bench, sha=sha, scale="smoke",
-                       timestamp="2026-08-08T00:00:00Z",
-                       metrics={"wall_seconds": 1.0})
