@@ -7,8 +7,10 @@ unmarked classes unit-test the policy objects themselves.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,22 +22,29 @@ from repro.errors import (
     DeadlineExceededError,
     ExecutionError,
     InjectedFaultError,
+    ParseError,
     RavenError,
 )
 from repro.persist import SnapshotStore
+from repro.persist.atomic import atomic_write_text, fsync_directory
 from repro.resilience import (
     DEGRADED_INTERPRETED,
     DEGRADED_RETRIED,
     DEGRADED_STATIC_PLAN,
+    EVENT_CLOSED,
+    EVENT_TRIPPED,
     ROUTE_ADAPTIVE,
     ROUTE_DEGRADED,
     ROUTE_TRIAL,
     SITES,
+    STATE_OPEN,
     CircuitBreakerBoard,
     Deadline,
     FaultInjector,
+    FiredFault,
     QueryOutcome,
     RetryPolicy,
+    raven_typed,
 )
 from repro.serving.batcher import MicroBatcher
 from repro.serving.plan_cache import PlanCache
@@ -101,6 +110,41 @@ class TestDeadline:
         with pytest.raises(ValueError):
             Deadline(-1.0)
 
+    def test_check_raises_at_exact_expiry(self):
+        now = [0.0]
+        deadline = Deadline(1.0, clock=lambda: now[0])
+        now[0] = 1.0
+        assert deadline.expired
+        with pytest.raises(DeadlineExceededError) as info:
+            deadline.check()
+        assert info.value.overrun_seconds == 0.0
+
+    def test_zero_budget_is_already_expired(self):
+        deadline = Deadline(0.0, clock=lambda: 5.0)
+        assert deadline.expired
+        assert deadline.bound(1.0) == 0.0
+
+    def test_after_is_constructor_alias(self):
+        deadline = Deadline.after(3.0, clock=lambda: 10.0)
+        assert deadline.expires_at == pytest.approx(13.0)
+        assert deadline.remaining() == pytest.approx(3.0)
+
+    def test_coerce_numeric_budget(self):
+        deadline = Deadline.coerce(2)
+        assert isinstance(deadline, Deadline)
+        assert 0.0 < deadline.remaining() <= 2.0
+
+    def test_error_message_names_checkpoint(self):
+        assert str(DeadlineExceededError()) == "deadline exceeded"
+        error = DeadlineExceededError(where="predict batch 3")
+        assert str(error) == "deadline exceeded (at predict batch 3)"
+        assert error.where == "predict batch 3"
+        assert isinstance(error, RavenError)
+
+    def test_repr_shows_remaining(self):
+        deadline = Deadline(1.5, clock=lambda: 0.0)
+        assert repr(deadline) == "Deadline(remaining=1.5000s)"
+
 
 # ---------------------------------------------------------------------------
 # Unit: RetryPolicy / QueryOutcome
@@ -145,6 +189,71 @@ class TestRetryPolicy:
         assert not bad.ok
         with pytest.raises(ExecutionError):
             bad.result()
+
+    def test_custom_retryable_never_covers_deadline_or_backpressure(self):
+        policy = RetryPolicy(retryable=(RavenError,))
+        assert policy.is_retryable(ParseError("flaky"))
+        assert not policy.is_retryable(DeadlineExceededError())
+        assert not policy.is_retryable(BackpressureError("full"))
+
+    def test_jitter_stays_within_band(self):
+        policy = RetryPolicy(base_delay=0.01, multiplier=2.0, max_delay=1.0,
+                             jitter=0.5, seed=3)
+        rng = policy.rng(0)
+        for attempt in range(1, 8):
+            raw = min(0.01 * 2.0 ** (attempt - 1), 1.0)
+            delay = policy.delay_for(attempt, rng)
+            assert raw * 0.5 <= delay <= raw
+
+    def test_jitter_differs_across_seeds(self):
+        a = RetryPolicy(jitter=1.0, seed=1)
+        b = RetryPolicy(jitter=1.0, seed=2)
+        assert ([a.delay_for(k, a.rng(0)) for k in (1, 2, 3)]
+                != [b.delay_for(k, b.rng(0)) for k in (1, 2, 3)])
+
+    def test_negative_delays_rejected(self):
+        with pytest.raises(ValueError):
+            RetryPolicy(base_delay=-0.1)
+        with pytest.raises(ValueError):
+            RetryPolicy(max_delay=-0.1)
+
+    def test_policy_is_immutable(self):
+        policy = RetryPolicy()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            policy.max_attempts = 5
+
+    def test_degraded_reads_stats_and_attempts(self):
+        stats = SimpleNamespace(static_plan=True, expression_fallbacks=2)
+        outcome = QueryOutcome(query="q", table="T", stats=stats, attempts=2)
+        assert outcome.degraded == (DEGRADED_STATIC_PLAN,
+                                    DEGRADED_INTERPRETED, DEGRADED_RETRIED)
+        clean = SimpleNamespace(static_plan=False, expression_fallbacks=0)
+        assert QueryOutcome(query="q", table="T", stats=clean,
+                            attempts=1).degraded == ()
+
+    def test_failed_outcome_is_never_degraded(self):
+        outcome = QueryOutcome(query="q", error=ExecutionError("x"),
+                               attempts=3)
+        assert outcome.degraded == ()
+
+    def test_outcome_repr(self):
+        ok = QueryOutcome(query="SELECT 1", table="T", attempts=2)
+        assert repr(ok) == ("QueryOutcome(ok, attempts=2, "
+                            "degraded=['retried'], query='SELECT 1')")
+        bad = QueryOutcome(query="x" * 60, error=BackpressureError("full"))
+        assert repr(bad) == (f"QueryOutcome(BackpressureError, attempts=0, "
+                             f"query={'x' * 40!r})")
+
+    def test_raven_typed_passes_library_errors_through(self):
+        error = CompileError("no sql")
+        assert raven_typed(error) is error
+
+    def test_raven_typed_wraps_foreign_errors_with_cause(self):
+        foreign = ZeroDivisionError("division by zero")
+        wrapped = raven_typed(foreign)
+        assert isinstance(wrapped, ExecutionError)
+        assert wrapped.__cause__ is foreign
+        assert "ZeroDivisionError: division by zero" in str(wrapped)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +333,90 @@ class TestCircuitBreaker:
         with pytest.raises(ValueError):
             CircuitBreakerBoard(recovery_seconds=-1)
 
+    def test_open_breaker_ignores_further_failures(self):
+        board, _ = self.make_board()
+        key = ("q",)
+        for _ in range(3):
+            board.record_failure(key)
+        assert board.record_failure(key) is None
+        assert board.record_failure(key) is None
+        assert board.stats.trips == 1
+
+    def test_trial_waits_for_full_recovery_interval(self):
+        board, now = self.make_board()
+        key = ("q",)
+        for _ in range(3):
+            board.record_failure(key)
+        now[0] = 9.99
+        assert board.acquire(key) == ROUTE_DEGRADED
+        now[0] = 10.0
+        assert board.acquire(key) == ROUTE_TRIAL
+
+    def test_zero_recovery_admits_immediate_trial(self):
+        board, _ = self.make_board(failure_threshold=1, recovery_seconds=0.0)
+        key = ("q",)
+        assert board.record_failure(key) == EVENT_TRIPPED
+        assert board.acquire(key) == ROUTE_TRIAL
+
+    def test_success_on_untracked_key_is_a_no_op(self):
+        board, _ = self.make_board()
+        assert board.record_success(("never-failed",)) is None
+        assert board.record_success(("never-failed",), trial=True) is None
+        assert len(board) == 0 and board.stats.closes == 0
+
+    def test_static_entry_is_version_validated(self):
+        board, _ = self.make_board()
+        key = ("q",)
+        entry = SimpleNamespace(current=True)
+        entry.is_current = lambda catalog: entry.current
+        assert board.static_entry(key, catalog=None) is None
+        board.set_static_entry(key, entry)
+        assert board.static_entry(key, catalog=None) is entry
+        entry.current = False
+        assert board.static_entry(key, catalog=None) is None
+        # A stale entry is dropped, not resurrected once it looks current.
+        entry.current = True
+        assert board.static_entry(key, catalog=None) is None
+
+    def test_successful_trial_drops_static_entry(self):
+        board, now = self.make_board()
+        key = ("q",)
+        for _ in range(3):
+            board.record_failure(key)
+        entry = SimpleNamespace(is_current=lambda catalog: True)
+        board.set_static_entry(key, entry)
+        now[0] = 11.0
+        assert board.acquire(key) == ROUTE_TRIAL
+        assert board.record_success(key, trial=True) == EVENT_CLOSED
+        assert board.static_entry(key, catalog=None) is None
+
+    def test_open_count_and_repr(self):
+        board, _ = self.make_board(failure_threshold=1)
+        board.record_failure(("a",))
+        board.record_failure(("b",))
+        assert board.state(("a",)) == STATE_OPEN
+        assert board.open_count() == 2
+        assert repr(board) == ("CircuitBreakerBoard(tracked=2, open=2, "
+                               "trips=2, reopens=0, closes=0)")
+
+    def test_stats_snapshot_is_a_copy(self):
+        board, _ = self.make_board(failure_threshold=1)
+        before = board.stats.snapshot()
+        board.record_failure(("a",))
+        assert before.trips == 0
+        assert board.stats.snapshot().trips == 1
+
+    def test_lru_keeps_recently_touched_keys(self):
+        board, _ = self.make_board(max_tracked=2)
+        board.record_failure(("a",))
+        board.record_failure(("b",))
+        board.record_failure(("a",))  # touch: "b" is now least recent
+        board.record_failure(("c",))
+        assert len(board) == 2
+        board.record_failure(("a",))  # third consecutive failure for "a"
+        assert board.state(("a",)) == STATE_OPEN
+        assert board.state(("b",)) == "closed"
+
 
 # ---------------------------------------------------------------------------
 # Unit: FaultInjector
@@ -294,6 +487,192 @@ class TestFaultInjector:
         # error rules never fire through tear()
         faults.inject("spill.write")
         assert faults.tear("spill.write") is False
+
+    def test_torn_rules_never_fire_through_fire(self):
+        faults = FaultInjector()
+        faults.inject("telemetry.dump", mode="torn")
+        faults.fire("telemetry.dump")  # no raise, no sleep
+        assert faults.fires("telemetry.dump") == 0
+        assert faults.tear("telemetry.dump") is True
+
+    @pytest.mark.parametrize("site", sorted(SITES))
+    def test_every_registered_site_accepts_rules(self, site):
+        faults = FaultInjector()
+        rule = faults.inject(site, on_hits=[1])
+        assert rule.site == site
+        with pytest.raises(InjectedFaultError) as info:
+            faults.fire(site, detail="probe")
+        assert site in str(info.value) and "[probe]" in str(info.value)
+        assert faults.hits(site) == 1 and faults.fires(site) == 1
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError):
+            FaultInjector().inject("predict.run", mode="explode")
+
+    def test_probability_out_of_range_rejected(self):
+        faults = FaultInjector()
+        with pytest.raises(ValueError):
+            faults.inject("predict.run", probability=1.5)
+        with pytest.raises(ValueError):
+            faults.inject("predict.run", probability=-0.1)
+
+    def test_delay_mode_requires_positive_delay(self):
+        with pytest.raises(ValueError):
+            FaultInjector().inject("executor.operator", mode="delay")
+
+    def test_string_error_carries_detail(self):
+        faults = FaultInjector()
+        faults.inject("batcher.execute", error="batch lost")
+        with pytest.raises(InjectedFaultError, match=r"batch lost \[b7\]"):
+            faults.fire("batcher.execute", detail="b7")
+
+    def test_error_instance_raised_as_is(self):
+        faults = FaultInjector()
+        error = ExecutionError("exact instance")
+        faults.inject("executor.operator", error=error)
+        with pytest.raises(ExecutionError) as info:
+            faults.fire("executor.operator")
+        assert info.value is error
+
+    def test_hits_counted_when_nothing_fires(self):
+        faults = FaultInjector()
+        for _ in range(3):
+            faults.fire("predict.run")
+        assert faults.tear("snapshot.write") is False
+        assert faults.hits("predict.run") == 3
+        assert faults.hits("snapshot.write") == 1
+        assert faults.fires() == 0
+
+    def test_on_hits_or_probability_compose(self):
+        faults = FaultInjector()
+        faults.inject("predict.run", on_hits=[2], probability=0.0)
+        fired = []
+        for _ in range(4):
+            try:
+                faults.fire("predict.run")
+                fired.append(False)
+            except InjectedFaultError:
+                fired.append(True)
+        assert fired == [False, True, False, False]
+
+    def test_first_matching_rule_wins_and_is_logged(self):
+        faults = FaultInjector()
+        faults.inject("executor.operator", error="first", max_fires=1)
+        faults.inject("executor.operator", error="second")
+        with pytest.raises(InjectedFaultError, match="first"):
+            faults.fire("executor.operator", detail="Scan")
+        with pytest.raises(InjectedFaultError, match="second"):
+            faults.fire("executor.operator", detail="Filter")
+        assert faults.log.fired == [
+            FiredFault("executor.operator", 1, "error", "Scan"),
+            FiredFault("executor.operator", 2, "error", "Filter"),
+        ]
+
+    def test_clear_one_site_keeps_other_rules_and_counters(self):
+        faults = FaultInjector()
+        faults.inject("predict.run")
+        faults.inject("executor.operator")
+        with pytest.raises(InjectedFaultError):
+            faults.fire("predict.run")
+        faults.clear("predict.run")
+        faults.fire("predict.run")
+        with pytest.raises(InjectedFaultError):
+            faults.fire("executor.operator")
+        assert faults.hits("predict.run") == 2
+        assert faults.fires("predict.run") == 1
+
+    def test_clear_all_sites(self):
+        faults = FaultInjector()
+        faults.inject("predict.run")
+        faults.inject("spill.write", mode="torn")
+        faults.clear()
+        faults.fire("predict.run")
+        assert faults.tear("spill.write") is False
+
+    def test_fires_counts_per_site_and_in_total(self):
+        faults = FaultInjector()
+        faults.inject("predict.run")
+        faults.inject("snapshot.write", mode="torn")
+        for _ in range(2):
+            with pytest.raises(InjectedFaultError):
+                faults.fire("predict.run")
+        assert faults.tear("snapshot.write") is True
+        assert faults.fires("predict.run") == 2
+        assert faults.fires("snapshot.write") == 1
+        assert faults.fires() == 3
+
+    def test_repr_counts_rules_hits_and_fires(self):
+        faults = FaultInjector(seed=9)
+        faults.inject("predict.run", on_hits=[1])
+        faults.inject("spill.write", mode="torn")
+        with pytest.raises(InjectedFaultError):
+            faults.fire("predict.run")
+        faults.fire("predict.run")
+        assert repr(faults) == ("FaultInjector(seed=9, rules=2, hits=2, "
+                                "fires=1)")
+
+
+# ---------------------------------------------------------------------------
+# Unit: crash-safe atomic writes
+# ---------------------------------------------------------------------------
+
+class TestAtomicWrite:
+    def test_writes_and_creates_parent_directories(self, tmp_path):
+        target = tmp_path / "a" / "b" / "state.json"
+        returned = atomic_write_text(str(target), "{}")
+        assert returned == target and isinstance(returned, type(target))
+        assert target.read_text() == "{}"
+
+    def test_replaces_content_and_leaves_no_scratch(self, tmp_path):
+        target = tmp_path / "state.json"
+        atomic_write_text(target, "old")
+        atomic_write_text(target, "new")
+        assert target.read_text() == "new"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json"]
+
+    def test_torn_write_preserves_previous_content(self, tmp_path):
+        target = tmp_path / "state.json"
+        atomic_write_text(target, "previous")
+        faults = FaultInjector()
+        faults.inject("snapshot.write", mode="torn")
+        with pytest.raises(InjectedFaultError, match="state.json"):
+            atomic_write_text(target, "0123456789", faults=faults)
+        assert target.read_text() == "previous"
+        assert (tmp_path / "state.json.tmp").read_text() == "01234"
+
+    def test_torn_first_write_leaves_no_target(self, tmp_path):
+        target = tmp_path / "state.json"
+        faults = FaultInjector()
+        faults.inject("snapshot.write", mode="torn")
+        with pytest.raises(InjectedFaultError):
+            atomic_write_text(target, "payload", faults=faults)
+        assert not target.exists()
+
+    def test_write_after_torn_write_recovers(self, tmp_path):
+        target = tmp_path / "state.json"
+        faults = FaultInjector()
+        faults.inject("snapshot.write", mode="torn", on_hits=[1])
+        with pytest.raises(InjectedFaultError):
+            atomic_write_text(target, "first", faults=faults)
+        atomic_write_text(target, "second", faults=faults)
+        assert target.read_text() == "second"
+        assert not (tmp_path / "state.json.tmp").exists()
+
+    def test_site_and_suffix_are_honoured(self, tmp_path):
+        target = tmp_path / "trace.json"
+        faults = FaultInjector()
+        faults.inject("telemetry.dump", mode="torn")
+        # A torn rule at another site never tears this write.
+        atomic_write_text(target, "kept", faults=faults)
+        with pytest.raises(InjectedFaultError, match="telemetry.dump"):
+            atomic_write_text(target, "lost", faults=faults,
+                              site="telemetry.dump", suffix=".part")
+        assert target.read_text() == "kept"
+        assert (tmp_path / "trace.json.part").exists()
+
+    def test_fsync_directory_tolerates_missing_directory(self, tmp_path):
+        fsync_directory(tmp_path / "does-not-exist")
+        fsync_directory(tmp_path)
 
 
 # ---------------------------------------------------------------------------
