@@ -4,7 +4,8 @@ Ablation-style timings (DESIGN.md §4, "ablation benches"): the same trained
 pipeline scored through the ML runtime, the compiled SQL expressions, and
 the two tensor strategies — plus the relational primitives (scan, join)
 underneath every prediction query. The four scoring paths must agree:
-each asserts its ``score`` equals the ML runtime's within 1e-9.
+each asserts its ``score`` equals the ML runtime's within 1e-9, and the
+ML runtime fed dictionary codes equals it bit for bit.
 """
 
 import numpy as np
@@ -67,6 +68,20 @@ def test_score_ml_runtime(benchmark, scoring_setup, reference_score):
     session = InferenceSession(graph)
     outputs = benchmark(lambda: session.run(inputs, ["score"]))
     assert_agrees(outputs["score"], reference_score)
+
+
+def test_score_ml_runtime_coded(benchmark, hospital_workload, scoring_setup,
+                                reference_score):
+    """The ML runtime fed dictionary codes, as a registered table feeds it:
+    bit for bit the scores of the string-fed run."""
+    frame, graph, inputs = scoring_setup
+    coded, dictionaries = dict(inputs), {}
+    for name in hospital_workload.dataset.categorical_inputs:
+        column = frame.column(name).encoded()
+        coded[name], dictionaries[name] = column.codes, column.dictionary
+    session = InferenceSession(graph)
+    outputs = benchmark(lambda: session.run(coded, ["score"], dictionaries))
+    assert np.array_equal(outputs["score"], reference_score)
 
 
 def test_score_sql_expressions(benchmark, scoring_setup, reference_score):

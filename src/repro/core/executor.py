@@ -5,7 +5,8 @@ Predict nodes. It mirrors the paper's Spark integration (§6): inputs arrive
 as columnar batches (10k rows by default, like Spark's vectorized Python
 UDF), the inference session is cached per model to amortize initialization,
 and the chosen physical mode routes to the onnxlite runtime or the tensor
-runtime (CPU / simulated GPU).
+runtime (CPU / simulated GPU). The onnxlite runtime reads string columns
+as dictionary codes; the tensor runtime reads decoded strings.
 
 Because the GPU is simulated, runs through the GPU device *measure* numpy
 time but *report* modeled time; the runtime accumulates the difference so
@@ -93,18 +94,24 @@ class PredictRuntime:
     def __call__(self, node: Predict, table: Table,
                  partition: Optional[int] = None) -> Table:
         """Score ``table``; ``partition`` selects the partition-specialized
-        graph (data-induced optimization) when the node carries them."""
+        graph (data-induced optimization) when the node carries them.
+
+        The ML runtime is handed a coded STRING column as its codes plus
+        its dictionary (see :meth:`InferenceSession.run`), so its
+        featurizers gather by code and nothing here decodes strings; the
+        tensor (DNN) modes get decoded arrays.
+        """
         graph = (node.per_partition_graphs[partition]
                  if node.per_partition_graphs and partition is not None
                  else node.graph)
-        inputs = {name: table.array(column)
-                  for name, column in node.input_mapping.items()}
         wanted = [graph_output for _, graph_output, _ in node.output_columns]
 
         started = time.perf_counter()
+        inputs, dictionaries = _model_inputs(
+            node, table, coded=node.mode is PredictMode.ML_RUNTIME)
         if node.mode is PredictMode.ML_RUNTIME:
             outputs = self.run_graph_batched(graph, inputs, wanted,
-                                             table.num_rows)
+                                             table.num_rows, dictionaries)
         elif node.mode is PredictMode.DNN_CPU:
             outputs = self._run_tensor(self._tensor_cpu, graph, inputs, wanted)
         elif node.mode is PredictMode.DNN_GPU:
@@ -147,7 +154,8 @@ class PredictRuntime:
         return session
 
     def run_graph_batched(self, graph: Graph, inputs: Dict[str, np.ndarray],
-                          wanted: List[str], num_rows: int
+                          wanted: List[str], num_rows: int,
+                          dictionaries: Optional[Dict[str, np.ndarray]] = None
                           ) -> Dict[str, np.ndarray]:
         """Batched evaluation, like Spark's vectorized UDF (10k-row batches).
 
@@ -157,28 +165,32 @@ class PredictRuntime:
         tree kernel's cost per row does not depend on the batch size, so
         a bigger batch would only hold more memory. Chunk boundaries never
         change results: every graph operator is row-independent.
+        ``dictionaries`` marks coded inputs, as in
+        :meth:`InferenceSession.run`; their codes are what gets chunked.
         """
         session = self.session_for(graph)
         if num_rows <= self.batch_size:
-            return self._run_batch(session, inputs, wanted, num_rows)
+            return self._run_batch(session, inputs, wanted, num_rows,
+                                   dictionaries)
         pieces: Dict[str, List[np.ndarray]] = {name: [] for name in wanted}
         n_chunks = -(-num_rows // self.batch_size)
         for start, stop in chunk_ranges(num_rows, n_chunks):
             batch = {name: array[start:stop] for name, array in inputs.items()}
-            result = self._run_batch(session, batch, wanted, stop - start)
+            result = self._run_batch(session, batch, wanted, stop - start,
+                                     dictionaries)
             for name in wanted:
                 pieces[name].append(result[name])
         return {name: np.concatenate(chunks) for name, chunks in pieces.items()}
 
     def _run_batch(self, session: InferenceSession,
                    batch: Dict[str, np.ndarray], wanted: List[str],
-                   rows: int) -> Dict[str, np.ndarray]:
+                   rows: int, dictionaries) -> Dict[str, np.ndarray]:
         """One inference batch, under a ``predict.batch`` span if traced."""
         self._pre_batch(detail=f"rows={rows}")
         if self.span is None:
-            return session.run(batch, wanted)
+            return session.run(batch, wanted, dictionaries)
         with self.span.child("predict.batch", category="predict", rows=rows):
-            return session.run(batch, wanted)
+            return session.run(batch, wanted, dictionaries)
 
     def _run_tensor(self, runtime: TensorRuntime, graph: Graph,
                     inputs: Dict[str, np.ndarray],
@@ -199,6 +211,20 @@ class PredictRuntime:
         if missing:
             raise ExecutionError(f"tensor program lacks outputs: {missing}")
         return result.outputs
+
+
+def _model_inputs(node: Predict, table: Table, coded: bool):
+    """``(inputs, dictionaries)`` for the graph: with ``coded``, a coded
+    STRING column goes in as its codes, its dictionary in the second map;
+    otherwise every column goes in as its (decoded) data."""
+    inputs, dictionaries = {}, {}
+    for name, column_name in node.input_mapping.items():
+        column = table.column(column_name)
+        if coded and column.codes is not None:
+            inputs[name], dictionaries[name] = column.codes, column.dictionary
+        else:
+            inputs[name] = column.data
+    return inputs, dictionaries
 
 
 def _to_column(array: np.ndarray, dtype: DataType) -> Column:

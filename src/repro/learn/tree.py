@@ -176,14 +176,22 @@ class FlatForest:
                                        max(level)))
 
     def leaf_slots(self, X: np.ndarray) -> Iterator[np.ndarray]:
-        """Per tree, in tree order: the leaf slot each row of ``X`` reaches."""
-        n, width = X.shape
-        cells = X.ravel()  # C order; a copy only when X is not contiguous
-        row_start = np.arange(n, dtype=np.intp) * width
+        """Per tree, in tree order: the leaf slot each row of ``X`` reaches.
+
+        ``X`` is read in its own memory order, C or F (feature-major, where
+        the rows at one node read one feature's cells close together); any
+        other layout is made C-contiguous first.
+        """
+        if not (X.flags.c_contiguous or X.flags.f_contiguous):
+            X = np.ascontiguousarray(X)
+        cells = X.ravel(order="K")  # a view in memory order
+        row_step, feature_step = (stride // X.itemsize for stride in X.strides)
+        row_start = np.arange(X.shape[0], dtype=np.intp) * row_step
         for tree in self.trees:
-            node = np.zeros(n, dtype=np.intp)
+            feature_start = tree.feature * feature_step
+            node = np.zeros(X.shape[0], dtype=np.intp)
             for _ in range(tree.depth):
-                goes_left = (cells.take(row_start + tree.feature.take(node))
+                goes_left = (cells.take(row_start + feature_start.take(node))
                              <= tree.threshold.take(node))
                 node = tree.left.take(node) + ~goes_left
             yield node

@@ -3,8 +3,11 @@
 Each operator registers two functions:
 
 * a **kernel** ``fn(node, inputs, ctx) -> [outputs]`` over numpy arrays —
-  feature edges are 2-D ``[N, width]`` float arrays, raw input columns are
-  ``[N, 1]`` (strings allowed), classifier labels are 1-D ``[N]``;
+  feature edges are 2-D ``[N, width]`` float arrays, classifier labels are
+  1-D ``[N]``, and a raw input column is an ``[N, 1]`` array of numbers or
+  ``<U`` strings, or — for a dictionary-coded string input that only
+  :data:`READS_CODES` kernels read — a :class:`Coded` (codes + sorted
+  dictionary);
 * a **width rule** used by ``infer_edge_info`` so optimizer rules can track
   feature positions through Concat/Scaler/OneHotEncoder without running
   the model.
@@ -16,7 +19,7 @@ The operator set mirrors ONNX-ML plus the Raven ``FeatureExtractor`` /
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -25,6 +28,26 @@ from repro.learn.base import sigmoid, softmax
 from repro.learn.tree import FlatForest
 from repro.onnxlite.graph import FLOAT, INT, STRING, Graph, Node
 
+#: Operators whose kernels take a coded string input as a :class:`Coded`.
+READS_CODES = frozenset({"OneHotEncoder", "LabelEncoder"})
+#: Operators whose kernels read a feature matrix in either memory order
+#: (the tree kernel, :meth:`FlatForest.leaf_slots`). Every other kernel
+#: is handed C-ordered matrices: an F-ordered ``X @ w`` can differ from
+#: the C-ordered one in the last bit.
+READS_ANY_ORDER = frozenset({"TreeEnsembleClassifier", "TreeEnsembleRegressor"})
+
+
+class Coded(NamedTuple):
+    """A dictionary-coded string column: row ``i`` is ``dictionary[codes[i]]``
+    (``dictionary`` sorted and distinct, as registration builds it)."""
+
+    codes: np.ndarray
+    dictionary: np.ndarray
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.dictionary.dtype
+
 
 @dataclass
 class EvalContext:
@@ -32,8 +55,12 @@ class EvalContext:
 
     batch_size: int
     #: What the operator's ``prepare`` hook built for this node when the
-    #: ``InferenceSession`` was constructed (the flat tree form), else None.
+    #: ``InferenceSession`` was constructed (the flat tree form, a
+    #: featurizer's lookup table), else None.
     prepared: object = None
+    #: Emit the output F-contiguous (Concat only; set by the session when
+    #: every reader of the output is in :data:`READS_ANY_ORDER`).
+    feature_major: bool = False
 
 
 @dataclass(frozen=True)
@@ -87,6 +114,34 @@ def supported_operators() -> List[str]:
 
 def _as_matrix(array: np.ndarray) -> np.ndarray:
     return array.reshape(-1, 1) if array.ndim == 1 else array
+
+
+class _Lookup(NamedTuple):
+    """A featurizer as a table: ``rows[i]`` is the output for the sorted,
+    distinct ``keys[i]``; the last row is the output for any other value."""
+
+    keys: np.ndarray
+    rows: np.ndarray
+
+    def gather(self, column, dtype=None) -> np.ndarray:
+        """The output rows of a 1-D column or a :class:`Coded`, whose values
+        are first cast to ``dtype`` when given. A coded column looks up its
+        dictionary (a few entries), then gathers its rows by code."""
+        if isinstance(column, Coded):
+            table = self.rows.take(self._positions(column.dictionary, dtype),
+                                   axis=0)
+            return table.take(column.codes, axis=0)
+        return self.rows.take(self._positions(column, dtype), axis=0)
+
+    def _positions(self, values: np.ndarray, dtype) -> np.ndarray:
+        """Each value's index in ``keys``; ``len(keys)`` where it is absent."""
+        if dtype is not None:
+            values = values.astype(dtype, copy=False)
+        if len(self.keys) == 0:
+            return np.zeros(len(values), dtype=np.intp)
+        at = np.searchsorted(self.keys, values)
+        np.minimum(at, len(self.keys) - 1, out=at)
+        return np.where(self.keys[at] == values, at, len(self.keys))
 
 
 # ---------------------------------------------------------------------------
@@ -143,39 +198,61 @@ def _ohe_width(node: Node, inputs: List[EdgeInfo]) -> List[EdgeInfo]:
     return [EdgeInfo(FLOAT, len(node.attrs["categories"]))]
 
 
-@register("OneHotEncoder", _ohe_width)
-def _one_hot(node: Node, inputs: List[np.ndarray], ctx: EvalContext):
-    x = _as_matrix(inputs[0])
-    if x.shape[1] != 1:
-        raise GraphError("OneHotEncoder expects a single input column")
+def _indicators(categories: np.ndarray) -> _Lookup:
+    """One-hot rows: a value's row has 1.0 wherever a category equals it
+    (duplicates included); a value equal to none — unseen, or NaN — gets
+    all zeros (handle_unknown='ignore')."""
+    keys = np.unique(categories)
+    return _Lookup(keys, np.vstack([keys[:, None] == categories,
+                                    np.zeros((1, len(categories)))]))
+
+
+def _one_hot_lookups(node: Node):
+    """``(native, as_str)``: lookups over the categories as given and cast
+    to str; ``native`` is None when the categories are strings already."""
     categories = np.asarray(node.attrs["categories"])
-    column = x[:, 0]
-    if categories.dtype.kind == "U" or column.dtype.kind == "U":
-        column = column.astype(np.str_, copy=False)
-        categories = categories.astype(np.str_, copy=False)
-    # handle_unknown='ignore': unseen values encode to all-zeros.
-    return [(column[:, None] == categories[None, :]).astype(np.float64)]
+    as_str = _indicators(categories.astype(np.str_))
+    if categories.dtype.kind == "U":
+        return None, as_str
+    return _indicators(categories), as_str
+
+
+@register("OneHotEncoder", _ohe_width, prepare=_one_hot_lookups)
+def _one_hot(node: Node, inputs: List[np.ndarray], ctx: EvalContext):
+    column = inputs[0]
+    if not isinstance(column, Coded):
+        x = _as_matrix(column)
+        if x.shape[1] != 1:
+            raise GraphError("OneHotEncoder expects a single input column")
+        column = x[:, 0]
+    native, as_str = ctx.prepared
+    # String input or string categories: both sides compare as str.
+    if native is None or column.dtype.kind == "U":
+        return [as_str.gather(column, np.str_)]
+    return [native.gather(column)]
 
 
 def _label_encoder_width(node: Node, inputs: List[EdgeInfo]) -> List[EdgeInfo]:
     return [EdgeInfo(FLOAT, 1)]
 
 
-@register("LabelEncoder", _label_encoder_width)
-def _label_encoder(node: Node, inputs: List[np.ndarray], ctx: EvalContext):
-    x = _as_matrix(inputs[0])[:, 0]
-    keys = np.asarray(node.attrs["keys"])
+def _label_lookup(node: Node) -> _Lookup:
+    """A key's row holds the value of its first occurrence in ``keys``;
+    any other value gets ``default``."""
+    keys, first = np.unique(np.asarray(node.attrs["keys"]), return_index=True)
     values = np.asarray(node.attrs["values"], dtype=np.float64)
     default = float(node.attrs.get("default", -1.0))
-    if keys.dtype.kind == "U":
-        x = x.astype(np.str_)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys, sorted_values = keys[order], values[order]
-    positions = np.searchsorted(sorted_keys, x)
-    positions = np.clip(positions, 0, len(sorted_keys) - 1)
-    matched = sorted_keys[positions] == x
-    out = np.where(matched, sorted_values[positions], default)
-    return [out.reshape(-1, 1)]
+    return _Lookup(keys, np.append(values[first], default).reshape(-1, 1))
+
+
+@register("LabelEncoder", _label_encoder_width, prepare=_label_lookup)
+def _label_encoder(node: Node, inputs: List[np.ndarray], ctx: EvalContext):
+    column = inputs[0]
+    if not isinstance(column, Coded):
+        column = _as_matrix(column)[:, 0]
+    lookup: _Lookup = ctx.prepared
+    return [lookup.gather(
+        column, np.str_ if lookup.keys.dtype.kind == "U" else None)]
 
 
 def _concat_width(node: Node, inputs: List[EdgeInfo]) -> List[EdgeInfo]:
@@ -185,6 +262,12 @@ def _concat_width(node: Node, inputs: List[EdgeInfo]) -> List[EdgeInfo]:
 @register("Concat", _concat_width)
 def _concat(node: Node, inputs: List[np.ndarray], ctx: EvalContext):
     matrices = [_as_matrix(i).astype(np.float64, copy=False) for i in inputs]
+    if ctx.feature_major:
+        # The blocks' transposes stacked into a C-ordered (width, n) array,
+        # whose transpose is the F-contiguous (n, width) feature matrix.
+        stacked = np.empty((sum(m.shape[1] for m in matrices),
+                            len(matrices[0])))
+        return [np.concatenate([m.T for m in matrices], out=stacked).T]
     return [np.concatenate(matrices, axis=1)]
 
 

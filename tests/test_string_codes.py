@@ -19,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 from repro import RavenSession, Table
 from repro.datasets import DATASET_GENERATORS
 from repro.datasets.synth import categorical_column
-from repro.learn import DecisionTreeClassifier
-from repro.relational.logical import Predict, walk
+from repro.learn import DecisionTreeClassifier, RandomForestClassifier
+from repro.relational.logical import Predict, PredictMode, walk
 from repro.storage.column import Column, concat_columns, encode_columns
 from repro.storage.statistics import ColumnStats
 
@@ -353,6 +353,27 @@ def _benchmark_shaped(dataset_name, rows, **kwargs):
     return session, dataset.prediction_query("m")
 
 
+def _ml_runtime_shaped(shape, rows):
+    """A forest kept in the ML runtime (strategy ``none``) over hospital
+    (a scan) or expedia (a star join), in one plan shape."""
+    name, kwargs = (("expedia", {"cardinality_scale": 0.08})
+                    if shape == "join_fed" else ("hospital", {}))
+    generate = DATASET_GENERATORS[name]
+    if shape == "dop2":
+        rows = 20_000        # a scan fans out over 8192-row morsels
+    dataset = generate(rows, seed=0, **kwargs)
+    pipeline = generate(600, seed=0, **kwargs).train_pipeline(
+        RandomForestClassifier(n_estimators=3, max_depth=6, random_state=0))
+    session = RavenSession(strategy="none", dop=2 if shape in (
+        "dop2", "per_partition_graphs") else 1)
+    dataset.register(session, partition_column=(
+        "gender" if shape == "per_partition_graphs" else None))
+    session.register_model("m", pipeline)
+    # Filtered rows reach the predict as gathered codes (no <U array).
+    where = "d.gender = 'F'" if shape in ("filtered", "dop2") else None
+    return session, dataset.prediction_query("m", where=where)
+
+
 class TestStringCodePins:
     @pytest.mark.parametrize("dataset_name, kwargs", [
         ("hospital", {}), ("expedia", {"cardinality_scale": 0.08})])
@@ -369,6 +390,34 @@ class TestStringCodePins:
         result = session.sql(query)
         assert result.num_rows == 2_000
         assert decoded == []
+
+    @pytest.mark.parametrize("shape", ["filtered", "join_fed", "dop2",
+                                       "per_partition_graphs"])
+    def test_ml_runtime_predicts_decode_no_input(self, monkeypatch, shape):
+        # The ML runtime reads a coded column's codes and dictionary.
+        session, query = _ml_runtime_shaped(shape, 2_000)
+        plan, _ = session.optimize(query)
+        (predict,) = [n for n in walk(plan) if isinstance(n, Predict)]
+        assert predict.mode is PredictMode.ML_RUNTIME
+        assert bool(predict.per_partition_graphs) == (
+            shape == "per_partition_graphs")
+        want = session.sql(query)
+        decoded = _spy_decodes(monkeypatch)
+        got = session.sql(query)
+        assert decoded == []
+        assert_same_tables(got, want, shape)
+
+    def test_forest_scores_coded_equal_spilled(self, tmp_path):
+        # The same forest over the registered (coded) tables and over
+        # their spilled copies (plain <U strings): bit-identical scores.
+        results = []
+        for spill in (False, True):
+            session, query = _ml_runtime_shaped("scan", 3_000)
+            if spill:
+                for name in session.catalog.table_names:
+                    session.spill_table(name, tmp_path / name)
+            results.append(session.sql(query))
+        assert_same_tables(results[0], results[1])
 
     def test_len_never_decodes(self, monkeypatch):
         column = Column.strings(["a", "b", "c"] * 10).encoded()

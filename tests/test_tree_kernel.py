@@ -33,7 +33,7 @@ from repro.learn import (
     make_standard_pipeline,
 )
 from repro.learn.base import sigmoid, softmax
-from repro.learn.tree import TreeNode
+from repro.learn.tree import FlatForest, TreeNode
 from repro.onnxlite import convert_pipeline
 from repro.onnxlite.graph import Graph, Node, TensorInfo
 from repro.onnxlite.runtime import InferenceSession
@@ -222,6 +222,109 @@ class TestKernelDifferential:
             assert np.array_equal(tree.predict_value(X),
                                   reference_sum([tree], X))
             assert np.array_equal(tree.apply(X), reference_leaf_ids(tree, X))
+
+    @settings(max_examples=30, deadline=None)
+    @given(case)
+    def test_every_memory_layout(self, params):
+        _, trees, X = make_case(params)
+        flat = FlatForest(trees)
+        want = reference_sum(trees, X)
+        for layout, matrix in _layouts(X):
+            assert np.array_equal(flat.sum_values(matrix), want), layout
+        reversed_rows = X[::-1]
+        assert np.array_equal(flat.sum_values(reversed_rows),
+                              reference_sum(trees, reversed_rows))
+
+    @pytest.mark.parametrize("rows", [0, 1, 2])
+    def test_every_memory_layout_tiny_batches(self, rows):
+        for seed in range(5):
+            _, trees, X = make_case({"seed": seed, "depths": [0, 3, 9],
+                                     "value_dim": 2, "rows": rows})
+            flat = FlatForest(trees)
+            want = reference_sum(trees, X)
+            for layout, matrix in _layouts(X):
+                assert np.array_equal(flat.sum_values(matrix), want), layout
+                assert flat.sum_values(matrix).shape == (rows, 2)
+
+    def test_concat_feeding_trees_is_feature_major(self):
+        rng, trees, X = make_case({"seed": 3, "depths": [6, 4],
+                                   "value_dim": 2, "rows": 500})
+        attrs = _classifier_attrs(next(classifier_configs(rng, trees, 2)),
+                                  trees, 2)
+        graph = _split_graph(("TreeEnsembleClassifier", attrs,
+                              ["label", "probabilities"]))
+        out = InferenceSession(graph).run(
+            {"a": X[:, :1], "b": X[:, 1:]}, ["features", "probabilities"])
+        assert out["features"].flags.f_contiguous
+        assert not out["features"].flags.c_contiguous
+        assert np.array_equal(out["probabilities"],
+                              reference_scores(attrs, X))
+
+
+def _layouts(X: np.ndarray):
+    """X as C-contiguous, F-contiguous and a strided (non-contiguous) view."""
+    wide = np.zeros((X.shape[0], 2 * X.shape[1]))
+    wide[:, ::2] = X
+    yield "C", np.ascontiguousarray(X)
+    yield "F", np.asfortranarray(X)
+    yield "strided", wide[:, ::2]
+
+
+def _split_graph(*readers) -> Graph:
+    """Inputs ``a`` (1 wide) and ``b`` (the rest) concatenated into
+    ``features``, which every ``(op_type, attrs, outputs)`` reader reads."""
+    nodes = [Node("Concat", ["a", "b"], ["features"])]
+    outputs = []
+    for op_type, attrs, reader_outputs in readers:
+        nodes.append(Node(op_type, ["features"], reader_outputs, attrs))
+        outputs += reader_outputs
+    return Graph("split", [TensorInfo("a", width=1),
+                           TensorInfo("b", width=N_FEATURES - 1)],
+                 outputs, nodes)
+
+
+class TestLinearLayoutPin:
+    """A Concat any non-tree kernel reads stays C-ordered, so linear
+    scores are the C-ordered matrix product, bit for bit (an F-ordered
+    ``X @ w`` can differ in the last bit)."""
+
+    def _data(self):
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(2_000, N_FEATURES)) * 1e3
+        return rng, X, {"a": X[:, :1], "b": X[:, 1:]}
+
+    def test_linear_classifier(self):
+        rng, X, inputs = self._data()
+        coefficients = rng.normal(size=(1, N_FEATURES))
+        intercepts = rng.normal(size=1)
+        attrs = {"coefficients": coefficients, "intercepts": intercepts,
+                 "classes": np.arange(2), "post_transform": "LOGISTIC"}
+        graph = _split_graph(("LinearClassifier", attrs,
+                              ["label", "probabilities"]))
+        out = InferenceSession(graph).run(inputs,
+                                          ["features", "probabilities"])
+        assert out["features"].flags.c_contiguous
+        positive = sigmoid((np.ascontiguousarray(X) @ coefficients.T
+                            + intercepts)[:, 0])
+        assert np.array_equal(out["probabilities"],
+                              np.column_stack([1.0 - positive, positive]))
+
+    def test_matmul_next_to_a_tree(self):
+        # One tree reader is not enough: the MatMul reads the same edge.
+        rng, X, inputs = self._data()
+        weight = rng.normal(size=(N_FEATURES, 3))
+        _, trees, _ = make_case({"seed": 4, "depths": [5], "value_dim": 2,
+                                 "rows": 0})
+        attrs = {"trees": trees, "aggregate": "AVERAGE",
+                 "base_values": np.zeros(1)}
+        graph = _split_graph(("MatMul", {"weight": weight}, ["product"]),
+                             ("TreeEnsembleRegressor", attrs, ["score"]))
+        out = InferenceSession(graph).run(inputs,
+                                          ["features", "product", "score"])
+        assert out["features"].flags.c_contiguous
+        assert np.array_equal(out["product"],
+                              np.ascontiguousarray(X) @ weight)
+        assert np.array_equal(out["score"], reference_sum(trees, X)[:, :1])
 
 
 def _binary_data(seed: int, n: int = 300):
