@@ -1,4 +1,4 @@
-"""Warm-starting a serving worker from a fleet snapshot.
+"""Warm-starting a restarted serving worker from its own checkpoints.
 
 Run with: ``python examples/warm_start_serving.py``
 
@@ -12,9 +12,9 @@ persist subsystem closing that gap:
    and reaches a fixed point;
 2. worker A checkpoints into a :class:`~repro.persist.SnapshotStore`
    (the auto-checkpoint hook writes one on every re-optimization here);
-3. a brand-new worker B warm-starts from the store: its *first* call is
-   a plan-cache hit running the already-reoptimized plan — warmed-plan
-   latency with zero re-learning.
+3. worker B — worker A restarted — warm-starts from the store's newest
+   checkpoint: its *first* call is a plan-cache hit running the
+   already-reoptimized plan — warmed-plan latency with zero re-learning.
 """
 
 import tempfile
@@ -87,9 +87,9 @@ def main() -> None:
               "re-learns):")
         cold_ms = first_call_ms(RavenSession(), table, query)
 
-        # --- worker B: warm-starts from the fleet's checkpoints ------
+        # --- worker B: worker A restarted, from its newest checkpoint -
         print("\nworker B (warm-started from the snapshot store):")
-        warm = RavenSession(warm_start=store.load_merged())
+        warm = RavenSession(warm_start=store.load_latest())
         warm_ms = first_call_ms(warm, table, query)
 
         print(f"\nwarm-start speedup on the first call: "

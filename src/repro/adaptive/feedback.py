@@ -14,27 +14,16 @@ consume:
   signals that what the optimizer assumed no longer matches what the
   executor sees.
 
-Per-*model* predict costs are recorded separately (by the
-:class:`~repro.core.executor.PredictRuntime`, which times the actual
-model invocation) so the serving micro-batcher sizes its coalesced
-batches from a number that excludes relational overhead.
-
 All methods are thread-safe; the store is shared by every execution of a
 session and consulted by the optimizer under the plan cache's
 single-flight, so reads must never block on a long write (updates are a
 few float ops under a lock).
 
-**Persistence & merging** (see :mod:`repro.persist`): a store exports its
-complete state as a versioned dict (:meth:`FeedbackStore.export_state`)
-and folds another store's exported state back in
-(:meth:`FeedbackStore.merge_state` / :meth:`FeedbackStore.merge`). The
-merge is *commutative* — totals add, EWMA fields combine as call-weighted
-means, and float addition is commutative bit-for-bit — so N serving
-workers can export snapshots in any order and a new worker warm-starts
-from their union. It is also *drift-safe*: merging stores whose fast and
-slow selectivity EWMAs agree (converged workers) can never manufacture a
-drift signal, because both EWMAs merge through the identical weighted
-mean.
+**Persistence** (see :mod:`repro.persist`): a store exports its complete
+state as a versioned dict (:meth:`FeedbackStore.export_state`) and loads
+one back (:meth:`FeedbackStore.load_state`). Loading *replaces* the
+resident entry of every fingerprint it carries, so loading one session's
+checkpoint twice leaves the store as loading it once did.
 """
 
 from __future__ import annotations
@@ -47,7 +36,7 @@ from typing import Dict, Optional
 from repro.adaptive.profile import OperatorProfile, partition_fingerprint
 from repro.errors import PersistError
 
-# Versioned wire format of export_state()/merge_state() payloads.
+# Versioned wire format of export_state()/load_state() payloads.
 FEEDBACK_FORMAT = "repro-feedback-v1"
 
 # EWMA smoothing: alpha for the responsive estimate and the long-run one.
@@ -57,11 +46,10 @@ SLOW_ALPHA = 0.05
 DRIFT_THRESHOLD = 0.25
 # Observations required before a drift signal is trusted.
 MIN_DRIFT_CALLS = 8
-# LRU bounds: serving traffic with churning literals mints a new set of
+# LRU bound: serving traffic with churning literals mints a new set of
 # fingerprints per literal signature; a long-lived session must not pin
 # feedback for every plan it ever ran. Eviction only costs re-learning.
 MAX_OPERATOR_ENTRIES = 4_096
-MAX_MODEL_ENTRIES = 512
 
 
 def _ewma(current: Optional[float], observed: float, alpha: float) -> float:
@@ -70,38 +58,16 @@ def _ewma(current: Optional[float], observed: float, alpha: float) -> float:
     return alpha * observed + (1.0 - alpha) * current
 
 
-def _weighted_mean(a: Optional[float], weight_a: float,
-                   b: Optional[float], weight_b: float) -> Optional[float]:
-    """Merge two estimates by weight; None means "no observation".
-
-    Symmetric in its argument pairs (and float ``+`` is commutative), so
-    ``merge(a, b) == merge(b, a)`` bit-for-bit — the property the
-    snapshot-union warm start relies on.
-    """
-    if b is None:
-        return a
-    if a is None:
-        return b
-    total = weight_a + weight_b
-    if total <= 0.0:
-        return (a + b) / 2.0
-    return (weight_a * a + weight_b * b) / total
-
-
 @dataclass
 class FeedbackStoreStats:
     """Monotonic counters for one :class:`FeedbackStore`.
 
     ``operator_evictions`` counts operator-fingerprint entries dropped by
     the LRU bound (serving traffic with churning literals mints unbounded
-    fingerprints; eviction only costs re-learning), ``model_evictions``
-    the same for per-model predict costs, and ``merges`` how many exported
-    states were folded in (warm starts and fleet unions).
+    fingerprints; eviction only costs re-learning).
     """
 
     operator_evictions: int = 0
-    model_evictions: int = 0
-    merges: int = 0
 
 
 @dataclass
@@ -146,30 +112,6 @@ class OperatorFeedback:
                                           SLOW_ALPHA)
             self.seconds_per_row_ewma = _ewma(self.seconds_per_row_ewma,
                                               seconds / rows_in, FAST_ALPHA)
-
-    def fold(self, other: "OperatorFeedback") -> None:
-        """Merge another store's accumulated entry into this one.
-
-        Totals add; EWMA estimates combine as call-weighted means (the
-        weights are the calls *before* folding, captured first). Additive
-        and symmetric per field, so folding is commutative and — up to
-        float re-association — associative.
-        """
-        self.selectivity_fast = _weighted_mean(
-            self.selectivity_fast, self.calls,
-            other.selectivity_fast, other.calls)
-        self.selectivity_slow = _weighted_mean(
-            self.selectivity_slow, self.calls,
-            other.selectivity_slow, other.calls)
-        self.rows_out_ewma = _weighted_mean(
-            self.rows_out_ewma, self.calls, other.rows_out_ewma, other.calls)
-        self.seconds_per_row_ewma = _weighted_mean(
-            self.seconds_per_row_ewma, self.calls,
-            other.seconds_per_row_ewma, other.calls)
-        self.calls += other.calls
-        self.rows_in += other.rows_in
-        self.rows_out += other.rows_out
-        self.seconds += other.seconds
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -229,40 +171,17 @@ def _opt_float(value) -> Optional[float]:
     return None if value is None else float(value)
 
 
-@dataclass
-class _ModelCost:
-    calls: int = 0
-    rows: int = 0
-    seconds: float = 0.0
-    seconds_per_row_ewma: Optional[float] = None
-
-    def fold(self, other: "_ModelCost") -> None:
-        self.seconds_per_row_ewma = _weighted_mean(
-            self.seconds_per_row_ewma, self.calls,
-            other.seconds_per_row_ewma, other.calls)
-        self.calls += other.calls
-        self.rows += other.rows
-        self.seconds += other.seconds
-
-
 class FeedbackStore:
     """Thread-safe aggregate of execution feedback for one session.
 
-    Both maps are LRU-bounded (``max_operator_entries`` /
-    ``max_model_entries``): long-lived serving sessions must not pin
-    feedback for every fingerprint they ever minted. Evictions are
-    counted in :attr:`stats`.
+    LRU-bounded at :data:`MAX_OPERATOR_ENTRIES` fingerprints: long-lived
+    serving sessions must not pin feedback for every fingerprint they
+    ever minted. Evictions are counted in :attr:`stats`.
     """
 
-    def __init__(self, max_operator_entries: int = MAX_OPERATOR_ENTRIES,
-                 max_model_entries: int = MAX_MODEL_ENTRIES):
-        if max_operator_entries < 1 or max_model_entries < 1:
-            raise ValueError("feedback store bounds must be >= 1")
+    def __init__(self):
         self._lock = threading.Lock()
         self._operators: "OrderedDict[str, OperatorFeedback]" = OrderedDict()
-        self._models: "OrderedDict[str, _ModelCost]" = OrderedDict()
-        self.max_operator_entries = max_operator_entries
-        self.max_model_entries = max_model_entries
         self.profiles_recorded = 0
         self.stats = FeedbackStoreStats()
 
@@ -316,32 +235,9 @@ class FeedbackStore:
         feedback.observe(rows_in, rows_out, seconds, calls)
 
     def _bound_operators_locked(self) -> None:
-        while len(self._operators) > self.max_operator_entries:
+        while len(self._operators) > MAX_OPERATOR_ENTRIES:
             self._operators.popitem(last=False)
             self.stats.operator_evictions += 1
-
-    def _bound_models_locked(self) -> None:
-        while len(self._models) > self.max_model_entries:
-            self._models.popitem(last=False)
-            self.stats.model_evictions += 1
-
-    def record_predict(self, model_name: str, rows: int,
-                       seconds: float) -> None:
-        """Record one model invocation (called by the predict runtime)."""
-        if rows <= 0:
-            return
-        with self._lock:
-            cost = self._models.get(model_name)
-            if cost is None:
-                cost = self._models[model_name] = _ModelCost()
-                self._bound_models_locked()
-            else:
-                self._models.move_to_end(model_name)
-            cost.calls += 1
-            cost.rows += rows
-            cost.seconds += seconds
-            cost.seconds_per_row_ewma = _ewma(cost.seconds_per_row_ewma,
-                                              seconds / rows, FAST_ALPHA)
 
     # ------------------------------------------------------------------
     # Lookups (None = no observations yet; optimizer falls back to static)
@@ -372,11 +268,6 @@ class FeedbackStore:
         """Observed per-scanned-row cost of one partition's segment."""
         return self.seconds_per_row(
             partition_fingerprint(fingerprint, partition))
-
-    def predict_per_row_cost(self, model_name: str) -> Optional[float]:
-        with self._lock:
-            cost = self._models.get(model_name)
-            return cost.seconds_per_row_ewma if cost else None
 
     def drift_score(self, fingerprint: str) -> float:
         """Drift for one fingerprint; 0.0 until enough calls accumulated.
@@ -411,7 +302,7 @@ class FeedbackStore:
                 feedback.selectivity_slow = feedback.selectivity_fast
 
     # ------------------------------------------------------------------
-    # Persistence & merging (repro.persist)
+    # Persistence (repro.persist)
     # ------------------------------------------------------------------
     def export_state(self) -> Dict[str, object]:
         """Complete store state as a versioned, JSON-compatible dict.
@@ -426,73 +317,43 @@ class FeedbackStore:
                 "operators": {fingerprint: feedback.to_dict()
                               for fingerprint, feedback
                               in self._operators.items()},
-                "models": {name: {
-                    "calls": cost.calls,
-                    "rows": cost.rows,
-                    "seconds": cost.seconds,
-                    "seconds_per_row_ewma": cost.seconds_per_row_ewma,
-                } for name, cost in self._models.items()},
             }
 
-    def merge_state(self, state: Dict[str, object]) -> None:
-        """Fold an exported state into this store (commutative union).
+    def load_state(self, state: Dict[str, object]) -> None:
+        """Load an exported state: each entry replaces the resident one.
 
-        Per fingerprint, totals add and EWMA estimates combine as
-        call-weighted means — see :meth:`OperatorFeedback.fold`. New
+        A snapshot is a session's cumulative checkpoint, so an incoming
+        entry supersedes whatever this store holds for its fingerprint,
+        and ``profiles_recorded`` becomes the larger of the two counts —
+        loading the same state twice equals loading it once. New
         fingerprints respect the LRU bound (oldest resident entries are
-        evicted and counted, never the incoming observations).
+        evicted and counted). Keys of older writers (``models``) are
+        ignored.
 
         All-or-nothing: the entire payload is decoded and validated
-        *before* anything folds in, so a malformed state raises
+        *before* anything is replaced, so a malformed state raises
         :class:`~repro.errors.PersistError` without partially mutating
-        the store (a retry after a partial fold would double-count).
+        the store.
         """
         if state.get("format") != FEEDBACK_FORMAT:
             raise PersistError(
                 f"not a {FEEDBACK_FORMAT} payload: {state.get('format')!r}")
         try:
             profiles = int(state.get("profiles_recorded", 0))
-            incoming_operators = {
+            incoming = {
                 fingerprint: OperatorFeedback.from_dict(payload)
                 for fingerprint, payload
                 in dict(state.get("operators", {})).items()
-            }
-            incoming_models = {
-                name: _ModelCost(
-                    calls=int(payload["calls"]),
-                    rows=int(payload["rows"]),
-                    seconds=float(payload["seconds"]),
-                    seconds_per_row_ewma=_opt_float(
-                        payload.get("seconds_per_row_ewma")),
-                )
-                for name, payload in dict(state.get("models", {})).items()
             }
         except (KeyError, TypeError, AttributeError, ValueError) as error:
             raise PersistError(
                 f"malformed {FEEDBACK_FORMAT} payload: {error}") from error
         with self._lock:
-            self.profiles_recorded += profiles
-            for fingerprint, incoming in incoming_operators.items():
-                feedback = self._operators.get(fingerprint)
-                if feedback is None:
-                    self._operators[fingerprint] = incoming
-                    self._bound_operators_locked()
-                else:
-                    self._operators.move_to_end(fingerprint)
-                    feedback.fold(incoming)
-            for name, incoming_cost in incoming_models.items():
-                cost = self._models.get(name)
-                if cost is None:
-                    self._models[name] = incoming_cost
-                    self._bound_models_locked()
-                else:
-                    self._models.move_to_end(name)
-                    cost.fold(incoming_cost)
-            self.stats.merges += 1
-
-    def merge(self, other: "FeedbackStore") -> None:
-        """Fold another live store in (snapshot taken atomically first)."""
-        self.merge_state(other.export_state())
+            self.profiles_recorded = max(self.profiles_recorded, profiles)
+            for fingerprint, feedback in incoming.items():
+                self._operators[fingerprint] = feedback
+                self._operators.move_to_end(fingerprint)
+            self._bound_operators_locked()
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -502,5 +363,4 @@ class FeedbackStore:
     def __repr__(self) -> str:
         with self._lock:
             return (f"FeedbackStore(operators={len(self._operators)}, "
-                    f"models={len(self._models)}, "
                     f"profiles={self.profiles_recorded})")

@@ -464,16 +464,3 @@ def feedback_divergence(plan: PlanNode, store: FeedbackStore,
     """
     _, changed, _ = apply_feedback(plan, store, catalog)
     return changed
-
-
-def is_fixed_point(plan: PlanNode, store: FeedbackStore,
-                   catalog=None) -> bool:
-    """True when feedback would keep ``plan`` exactly as it is.
-
-    The adaptive loop's convergence test: a cached plan at its fixed
-    point is eligible for sampled re-profiling
-    (``RavenSession(profile_sample_rate=...)``) and is what snapshots
-    persist — a warm-started worker re-optimizes only if *its* traffic
-    diverges again.
-    """
-    return not feedback_divergence(plan, store, catalog)

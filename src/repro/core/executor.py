@@ -54,11 +54,6 @@ class PredictRuntime:
         self._tensor_gpu = TensorRuntime(SimulatedGpuDevice(gpu_spec))
         # Accumulated (modeled - measured) seconds for simulated devices.
         self.gpu_time_adjustment = 0.0
-        # Optional repro.adaptive.feedback.FeedbackStore: every model
-        # invocation records (rows, seconds) so the micro-batcher can size
-        # coalesced batches from observed per-row cost. Shared by
-        # for_call() clones.
-        self.feedback = None
         # Optional repro.resilience.FaultInjector (shared by clones) and
         # per-call repro.resilience.Deadline: checked before every predict
         # batch so a long chunked inference can't sail past its deadline.
@@ -106,7 +101,6 @@ class PredictRuntime:
                  else node.graph)
         wanted = [graph_output for _, graph_output, _ in node.output_columns]
 
-        started = time.perf_counter()
         inputs, dictionaries = _model_inputs(
             node, table, coded=node.mode is PredictMode.ML_RUNTIME)
         if node.mode is PredictMode.ML_RUNTIME:
@@ -118,9 +112,6 @@ class PredictRuntime:
             outputs = self._run_tensor(self._tensor_gpu, graph, inputs, wanted)
         else:  # pragma: no cover - exhaustive over PredictMode
             raise ExecutionError(f"unknown predict mode: {node.mode}")
-        if self.feedback is not None:
-            self.feedback.record_predict(node.model_name, table.num_rows,
-                                         time.perf_counter() - started)
 
         columns = []
         for exposed, graph_output, dtype in node.output_columns:

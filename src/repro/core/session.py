@@ -42,20 +42,18 @@ Around that core: sessions are safe for concurrent ``sql()`` calls, keep
 a normalized plan cache (:mod:`repro.serving`) and dispatch batches over
 a thread pool with optional backpressure (:meth:`RavenSession.serve`);
 ``RavenSession(adaptive=False)`` turns profiling and the feedback loop
-off and must produce bit-for-bit identical results;
-``profile_sample_rate=N`` throttles profiling of fixed-point cached
-plans to every Nth execution; and the warm state — optimized plans,
-learned feedback, catalog statistics — survives the process through
+off and must produce bit-for-bit identical results (an adaptive session
+profiles every run); and the session's warm state — optimized plans,
+learned feedback, catalog statistics — survives a restart through
 :mod:`repro.persist` (``save_snapshot`` / ``warm_start=`` / an attached
 :class:`~repro.persist.SnapshotStore` checkpointing every K
-re-optimizations).
+re-optimizations, whose newest file ``store.load_latest()`` reads back).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-import uuid
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
@@ -330,7 +328,6 @@ class RavenSession:
                  compile_expressions: bool = True,
                  adaptive: bool = True,
                  warm_start: Union[str, Path, Snapshot, None] = None,
-                 profile_sample_rate: Optional[int] = None,
                  breakers: Union[CircuitBreakerBoard, bool] = True,
                  faults: Optional[FaultInjector] = None,
                  telemetry: Union[Telemetry, bool, None] = None):
@@ -360,7 +357,6 @@ class RavenSession:
         self.gpu_available = gpu_available
         self.dop = dop
         self.runtime = PredictRuntime(batch_size=batch_size)
-        self.runtime.feedback = self.feedback
         self.last_run: Optional[RunStats] = None
         self.serving_stats = ServingStats(registry=self.telemetry.metrics)
         # Fault injection (repro.resilience): when set, every registered
@@ -389,23 +385,8 @@ class RavenSession:
             # one snapshot sees cache + serving + latency together.
             self.plan_cache.stats.bind(self.telemetry.metrics)
         self._stats_lock = threading.Lock()
-        # Sampled re-profiling: with a rate N, a *fixed-point* cached plan
-        # is profiled on every Nth hit instead of every call (fresh and
-        # still-converging plans always profile, so the feedback loop
-        # converges at full speed; drift detection fires on the sampled
-        # profiles).
-        if profile_sample_rate is not None and profile_sample_rate < 1:
-            raise ValueError("profile_sample_rate must be >= 1")
-        self.profile_sample_rate = profile_sample_rate
         # Warm start (repro.persist): plans/statistics from a snapshot
-        # install lazily as their dependencies get registered. The origin
-        # id identifies this session's snapshots across its checkpoints
-        # (a fleet union merges only the newest snapshot per origin).
-        self._persist_origin = uuid.uuid4().hex[:12]
-        # Origins whose feedback this session imported (warm starts):
-        # exported in snapshots so a fleet merge never counts an
-        # ancestor's observations twice through a warm-started child.
-        self._persist_ancestors: set = set()
+        # install lazily as their dependencies get registered.
         self._warm_lock = threading.Lock()
         self._warm_install_lock = threading.Lock()
         self._warm_plans: List[dict] = []
@@ -482,8 +463,9 @@ class RavenSession:
     def load_snapshot(self, snapshot: Union[str, Path, Snapshot]) -> Dict[str, int]:
         """Warm-start this session from a snapshot (or a path to one).
 
-        Feedback merges into the session's store immediately (commutative
-        union — call once per fleet snapshot to merge several). Plan
+        Feedback loads into the session's store immediately: each loaded
+        entry replaces the resident one for its fingerprint, so loading
+        the same snapshot twice equals loading it once. Plan
         entries and table statistics whose dependencies are already
         registered install now; the rest stay pending and install
         automatically as matching tables/models are registered. Entries
@@ -499,17 +481,14 @@ class RavenSession:
                    "plans_dropped": 0, "feedback_operators": 0,
                    "tables_with_stats": 0}
         if snapshot.feedback is not None and self.feedback is not None:
-            # merge_state validates the whole payload before folding
-            # anything in (all-or-nothing), so a malformed feedback
-            # export degrades to "no feedback" — plans and statistics
-            # still load — instead of crashing the constructor.
+            # load_state validates the whole payload before replacing
+            # anything (all-or-nothing), so a malformed feedback export
+            # degrades to "no feedback" — plans and statistics still
+            # load — instead of crashing the constructor.
             try:
-                self.feedback.merge_state(snapshot.feedback)
+                self.feedback.load_state(snapshot.feedback)
                 summary["feedback_operators"] = len(
                     snapshot.feedback.get("operators", {}))
-                if snapshot.origin:
-                    self._persist_ancestors.add(snapshot.origin)
-                self._persist_ancestors.update(snapshot.ancestors)
             except PersistError:
                 pass
         summary["tables_with_stats"] = len(snapshot.table_stats)
@@ -896,8 +875,7 @@ class RavenSession:
             # the adaptive path the half-open trial will retest. EXPLAIN
             # ANALYZE profiles even for adaptive=False sessions.
             record.profile = record.route == ROUTE_EXPLAIN or (
-                self.adaptive and record.route != ROUTE_DEGRADED
-                and self._should_profile(record.entry, record.cache_hit))
+                self.adaptive and record.route != ROUTE_DEGRADED)
             table = self._execute(record, deadline)
         except BaseException as error:
             self._breaker_outcome(guarded, record, error)
@@ -927,20 +905,6 @@ class RavenSession:
             return
         if event is not None:
             record.event(f"breaker.{event}")
-
-    def _should_profile(self, entry, cache_hit: bool) -> bool:
-        """Sampled re-profiling gate (True = profile this execution).
-
-        Without a ``profile_sample_rate``, every adaptive execution
-        profiles (the PR-3 behaviour). With one, only *fixed-point*
-        cached plans are throttled — every Nth hit still profiles, so
-        EWMA drift detection keeps firing, just on a sample.
-        """
-        rate = self.profile_sample_rate
-        if (rate is None or rate <= 1 or entry is None or not cache_hit
-                or not entry.fixed_point):
-            return True
-        return entry.hits % rate == 0
 
     def _execute(self, record: RunStats,
                  deadline: Optional[Deadline]) -> Table:
@@ -1008,13 +972,10 @@ class RavenSession:
                 record.event("plan.stale", drifted=len(drifted))
             for fingerprint in drifted:
                 self.feedback.consume_drift(fingerprint)
-            entry.fixed_point = False
         else:
-            # Converged: eligible for sampled re-profiling, and what
-            # a snapshot records as this plan's adaptive state. Also
-            # the right moment to auto-checkpoint — the cache holds
-            # the *replacement* plan, not the just-dropped stale one.
-            entry.fixed_point = True
+            # Converged: the right moment to auto-checkpoint — the cache
+            # holds the *replacement* plan, not the just-dropped stale
+            # one.
             self._maybe_checkpoint()
 
     def _drifted_fingerprints(self, root: OperatorProfile) -> List[str]:

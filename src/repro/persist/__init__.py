@@ -1,10 +1,10 @@
-"""Persistence & warm start: durable plans, mergeable feedback, stats.
+"""Persistence & warm start: durable plans, feedback and statistics.
 
 A :class:`~repro.core.session.RavenSession` used to start cold: the
 PlanCache, the FeedbackStore's learned selectivities/costs and the
-catalog statistics all died with the process, so every restarted serving
-worker re-paid optimization and re-learned what the fleet already knew.
-This package makes the warm state a durable, shareable asset:
+catalog statistics all died with the process, so a restarted serving
+session re-paid optimization and re-learned what it already knew. This
+package makes one session's warm state durable:
 
 * :mod:`~repro.persist.plan_codec` — schema-versioned plan ⇄ dict round
   trip covering the whole logical algebra (every operator and expression
@@ -12,9 +12,9 @@ This package makes the warm state a durable, shareable asset:
 * :mod:`~repro.persist.snapshot` — :class:`Snapshot` bundles plan-cache
   entries (content-digest validated against the live catalog on load),
   the FeedbackStore's exported state, and per-table statistics;
-* :mod:`~repro.persist.store` — :class:`SnapshotStore`, a rotating
-  checkpoint directory serving workers save into and new workers
-  warm-start from (``load_merged`` unions the fleet's snapshots).
+* :mod:`~repro.persist.store` — :class:`SnapshotStore`, one session's
+  rotating checkpoint directory; a restarted session warm-starts from
+  its newest readable file (``load_latest``).
 
 Entry points on the session::
 
@@ -22,6 +22,7 @@ Entry points on the session::
     fresh = RavenSession(warm_start="warm.json")   # or a Snapshot
     store = SnapshotStore("checkpoints/")
     store.attach(session, every_reoptimizations=8)
+    restarted = RavenSession(warm_start=store.load_latest())
 """
 
 from repro.persist.plan_codec import (

@@ -3,8 +3,8 @@
 The paper's premise is that a prediction query is optimized once and
 executed millions of times — but a process restart used to throw the
 "once" away. A :class:`Snapshot` captures the warm state of a
-:class:`~repro.core.session.RavenSession` so a new worker starts where
-the fleet left off:
+:class:`~repro.core.session.RavenSession` so a restarted session starts
+where the previous one left off:
 
 * **optimized plans** from the :class:`~repro.serving.PlanCache`, each
   with its normalized key and a *content digest* per dependency (table
@@ -15,9 +15,9 @@ the fleet left off:
   the snapshot analogue of the cache's version invalidation. Installed
   entries are re-stamped with *live* dependency versions, so the
   existing eager/on-lookup invalidation machinery keeps governing them.
-* **the FeedbackStore** (learned selectivities, cardinalities, model
-  costs), exported via its commutative state codec — snapshots from N
-  workers merge into one warm store in any order.
+* **the FeedbackStore** (learned selectivities, cardinalities, per-row
+  costs), exported via its versioned state codec; loading replaces the
+  entries it carries, so loading a snapshot twice equals loading it once.
 * **TableStats** per registered table, so a warm-started session's
   cold-start join ordering sees real NDVs immediately (live collection
   skips distinct counts above a size cutoff; persisted ones fill the
@@ -25,7 +25,10 @@ the fleet left off:
 
 Loading never recomputes derived caches eagerly: compiled expression
 programs and adaptive fingerprints live in
-plan-node side slots and are rebuilt lazily on first execution.
+plan-node side slots and are rebuilt lazily on first execution. Keys
+that older writers emitted and nothing reads any more (a snapshot's
+writer identity and provenance, a plan's convergence flag, the
+feedback's per-model costs) are ignored.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from repro.errors import PersistError, RavenError
 from repro.onnxlite.serialize import graph_to_dict
 from repro.persist.plan_codec import plan_from_dict, plan_to_dict
 from repro.serving.plan_cache import CachedPlan, dependency_versions
-from repro.storage.statistics import TableStats
 
 SNAPSHOT_FORMAT = "repro-snapshot-v1"
 
@@ -108,32 +110,17 @@ def report_from_dict(payload: dict):
 class Snapshot:
     """A point-in-time export of a session's warm state.
 
-    ``origin`` identifies the *session* that produced the snapshot
-    (stable across that session's checkpoints): successive checkpoints
-    of one worker are cumulative, so a fleet union must merge only the
-    newest snapshot per origin — merging two checkpoints of the same
-    store would double-count every observation.
-
-    ``ancestors`` lists the origins whose feedback this session already
-    *imported* (warm start provenance): a worker warm-started from
-    worker A's snapshot re-exports A's observations as part of its own,
-    so a union that included both would double-count A. The fleet merge
-    therefore skips any snapshot whose origin appears in another
-    included snapshot's ancestry — "less warm" (losing A's post-fork
-    delta) over wrong weights.
+    Successive snapshots of one session are cumulative: the newest holds
+    everything the older ones did.
     """
 
     feedback: Optional[dict] = None
     plans: List[dict] = field(default_factory=list)
     table_stats: Dict[str, dict] = field(default_factory=dict)
-    origin: Optional[str] = None
-    ancestors: List[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
             "format": SNAPSHOT_FORMAT,
-            "origin": self.origin,
-            "ancestors": self.ancestors,
             "feedback": self.feedback,
             "plans": self.plans,
             "table_stats": self.table_stats,
@@ -148,8 +135,6 @@ class Snapshot:
             feedback=payload.get("feedback"),
             plans=list(payload.get("plans", [])),
             table_stats=dict(payload.get("table_stats", {})),
-            origin=payload.get("origin"),
-            ancestors=list(payload.get("ancestors", [])),
         )
 
     def save(self, path: Union[str, Path], faults=None) -> Path:
@@ -183,10 +168,7 @@ def build_snapshot(session) -> Snapshot:
     plans carry unserializable payloads, are skipped — a snapshot is a
     best-effort warm-state export, never a correctness requirement.
     """
-    snapshot = Snapshot(
-        origin=getattr(session, "_persist_origin", None),
-        ancestors=sorted(getattr(session, "_persist_ancestors", ())),
-    )
+    snapshot = Snapshot()
     catalog = session.catalog
     digests = _DigestCache(catalog)
     if getattr(session, "feedback", None) is not None:
@@ -241,7 +223,6 @@ def build_snapshot(session) -> Snapshot:
             "tables": sorted(entry.tables),
             "models": sorted(entry.models),
             "dependencies": dependencies,
-            "fixed_point": bool(entry.fixed_point),
         })
     return snapshot
 
@@ -324,7 +305,6 @@ def entry_from_payload(payload: dict, catalog) -> CachedPlan:
         tables=tables,
         models=models,
         versions=dependency_versions(catalog, tables, models),
-        fixed_point=bool(payload.get("fixed_point", False)),
     )
 
 

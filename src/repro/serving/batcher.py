@@ -26,17 +26,12 @@ Two operating modes:
 * **manual** — call :meth:`flush` to drain synchronously (deterministic;
   what the tests use);
 * **background** — :meth:`start` a worker thread that flushes when the
-  oldest pending request has waited ``max_delay`` seconds or a batch
-  reaches ``max_batch_rows``.
+  oldest pending request has waited ``max_delay`` seconds or a model's
+  pending rows reach ``max_batch_rows`` (default
+  :data:`DEFAULT_MAX_BATCH_ROWS`).
 
-``max_batch_rows=None`` (the default) sizes batches **adaptively**: the
-session's :class:`~repro.adaptive.feedback.FeedbackStore` knows each
-model's observed per-row predict cost (recorded by the runtime on every
-invocation, batched or served), and the batcher caps a model's coalesced
-batch at the rows that fit :data:`ADAPTIVE_TARGET_SECONDS` of model time
-— cheap models coalesce more aggressively, expensive models flush sooner
-so tail latency stays bounded. Without feedback (or with
-``adaptive=False`` sessions) the static default applies.
+A flush writes nothing to the session's feedback store: that store
+learns from profiled query runs only.
 """
 
 from __future__ import annotations
@@ -51,13 +46,8 @@ import numpy as np
 
 from repro.errors import ExecutionError
 
-# Static fallback batch cap (rows) when no feedback is available.
+# Pending rows of one model that make the background worker flush early.
 DEFAULT_MAX_BATCH_ROWS = 4096
-# Adaptive sizing: cap a coalesced batch at the rows whose observed model
-# time fits this budget, clamped to [MIN, MAX].
-ADAPTIVE_TARGET_SECONDS = 0.005
-ADAPTIVE_MIN_BATCH_ROWS = 256
-ADAPTIVE_MAX_BATCH_ROWS = 65_536
 
 
 @dataclass
@@ -87,14 +77,11 @@ class _Request:
 class MicroBatcher:
     """Coalesces small predict requests into vectorized executions."""
 
-    def __init__(self, session, max_batch_rows: Optional[int] = None,
+    def __init__(self, session, max_batch_rows: int = DEFAULT_MAX_BATCH_ROWS,
                  max_delay: float = 0.002):
-        if max_batch_rows is not None and max_batch_rows < 1:
+        if max_batch_rows < 1:
             raise ValueError("max_batch_rows must be >= 1")
         self.session = session
-        # None = adaptive: per-model caps derived from the feedback
-        # store's observed per-row predict cost (see
-        # effective_max_batch_rows); an explicit value pins the cap.
         self.max_batch_rows = max_batch_rows
         self.max_delay = max_delay
         self.stats = BatcherStats()
@@ -153,25 +140,6 @@ class MicroBatcher:
                     self._auto_resolved.add(name)
                 graph = self._graphs[name]
         return graph
-
-    def effective_max_batch_rows(self, model: str) -> int:
-        """The batch-row cap in force for ``model``.
-
-        Explicit ``max_batch_rows`` wins; otherwise the cap is derived
-        from the feedback store's observed per-row cost for the model
-        (``ADAPTIVE_TARGET_SECONDS`` worth of model time, clamped), and
-        the static default applies until a cost has been observed.
-        """
-        if self.max_batch_rows is not None:
-            return self.max_batch_rows
-        feedback = getattr(self.session, "feedback", None)
-        per_row = (feedback.predict_per_row_cost(model)
-                   if feedback is not None else None)
-        if per_row is None or per_row <= 0.0:
-            return DEFAULT_MAX_BATCH_ROWS
-        rows = int(ADAPTIVE_TARGET_SECONDS / per_row)
-        return max(ADAPTIVE_MIN_BATCH_ROWS,
-                   min(ADAPTIVE_MAX_BATCH_ROWS, rows))
 
     def _on_catalog_change(self, kind: str, name: str) -> None:
         """Invalidation hook: drop catalog-resolved graphs on model DDL."""
@@ -282,14 +250,7 @@ class MicroBatcher:
             # One vectorized execution for the whole coalesced batch;
             # run_graph_batched re-chunks internally (chunk_ranges) if the
             # stack exceeds the runtime's vectorization batch size.
-            started = time.perf_counter()
             outputs = runtime.run_graph_batched(graph, stacked, wanted, total)
-            # Feed the per-model cost back so adaptive sizing learns from
-            # the batcher's own traffic, not just the sql() path.
-            feedback = getattr(self.session, "feedback", None)
-            if feedback is not None:
-                feedback.record_predict(model, total,
-                                        time.perf_counter() - started)
         except BaseException as error:  # noqa: B036 - propagate to waiters
             if trace is not None:
                 telemetry.tracer.finish(trace, status="error", error=error)
@@ -405,9 +366,8 @@ class MicroBatcher:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         break
-                    if any(sum(r.rows for r in reqs)
-                           >= self.effective_max_batch_rows(model)
-                           for model, reqs in self._queues.items() if reqs):
+                    if any(sum(r.rows for r in reqs) >= self.max_batch_rows
+                           for reqs in self._queues.values()):
                         break
                     self._condition.wait(timeout=remaining)
             self.flush()

@@ -95,12 +95,6 @@ class CachedPlan:
     tables: FrozenSet[str] = frozenset()
     models: FrozenSet[str] = frozenset()
     versions: DependencyVersions = field(default_factory=dict)
-    hits: int = 0
-    # True once a profiled execution found no feedback divergence: the
-    # plan reached its adaptive fixed point. Sampled re-profiling
-    # (``RavenSession(profile_sample_rate=...)``) only throttles profiling
-    # for fixed-point entries, so convergence stays at full speed.
-    fixed_point: bool = False
 
     def depends_on(self, kind: str, name: str) -> bool:
         names = self.tables if kind == "table" else self.models
@@ -170,7 +164,6 @@ class PlanCache:
             return None
         self._entries.move_to_end(key)
         self._stats.hits += 1
-        entry.hits += 1
         return entry
 
     def get(self, key: Tuple, catalog: Catalog) -> Optional[CachedPlan]:
@@ -282,7 +275,6 @@ class PlanCache:
                 return None
             self._entries.move_to_end(flight.key)
             self._stats.coalesced += 1
-            entry.hits += 1
             return entry
 
     # ------------------------------------------------------------------

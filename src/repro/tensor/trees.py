@@ -67,16 +67,16 @@ def _build_gemm_tree(tree: TreeNode, value_dim: int) -> _GemmTree:
     paths = np.zeros((max(n_internal, 1), n_leaves))
     left_counts = np.zeros(n_leaves)
 
-    def mark(node: TreeNode, ancestors: List[Tuple[int, int]]):
+    def mark(node: TreeNode, route: List[Tuple[int, int]]):
         if node.is_leaf:
             leaf = leaf_of[id(node)]
-            for internal_index, sign in ancestors:
+            for internal_index, sign in route:
                 paths[internal_index, leaf] = sign
-            left_counts[leaf] = sum(1 for _, sign in ancestors if sign > 0)
+            left_counts[leaf] = sum(1 for _, sign in route if sign > 0)
             return
         me = index_of[id(node)]
-        mark(node.left, ancestors + [(me, +1)])
-        mark(node.right, ancestors + [(me, -1)])
+        mark(node.left, route + [(me, +1)])
+        mark(node.right, route + [(me, -1)])
 
     mark(tree, [])
     leaf_values = np.stack([leaf.value for leaf in leaves]).reshape(n_leaves, value_dim)

@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+import repro.adaptive.feedback as feedback_module
 from repro import FeedbackStore, RavenSession, Table
 from repro.adaptive.profile import (
     OperatorProfile,
@@ -29,14 +30,11 @@ from repro.errors import BackpressureError
 from repro.relational.expressions import BinaryOp, col, lit
 from repro.relational.logical import (
     Filter,
+    Predict,
     Scan,
     walk,
 )
-from repro.serving.batcher import (
-    ADAPTIVE_MAX_BATCH_ROWS,
-    DEFAULT_MAX_BATCH_ROWS,
-    MicroBatcher,
-)
+from repro.serving.batcher import DEFAULT_MAX_BATCH_ROWS, MicroBatcher
 
 
 def tables_equal_bitwise(a, b) -> bool:
@@ -198,28 +196,17 @@ class TestFeedbackStore:
         assert store.drift_score(fp) > 0.25
         assert store.has_drifted(fp)
 
-    def test_store_is_lru_bounded(self):
-        store = FeedbackStore(max_operator_entries=4, max_model_entries=2)
+    def test_store_is_lru_bounded(self, monkeypatch):
+        monkeypatch.setattr(feedback_module, "MAX_OPERATOR_ENTRIES", 4)
+        store = FeedbackStore()
         for index in range(10):
             store.record_profile(OperatorProfile(
                 operator="Scan", fingerprint=f"fp{index}", calls=1,
                 rows_in=10, rows_out=10, seconds=0.0))
-            store.record_predict(f"m{index}", rows=10, seconds=0.1)
         assert len(store) <= 4
         assert store.observed("fp9") is not None
         assert store.observed("fp0") is None
-        assert store.predict_per_row_cost("m9") is not None
-        assert store.predict_per_row_cost("m0") is None
         assert store.stats.operator_evictions == 6
-        assert store.stats.model_evictions == 8
-
-    def test_predict_cost_tracking(self):
-        store = FeedbackStore()
-        assert store.predict_per_row_cost("m") is None
-        store.record_predict("m", rows=1000, seconds=0.01)
-        assert store.predict_per_row_cost("m") == pytest.approx(1e-5)
-        store.record_predict("m", rows=0, seconds=1.0)  # ignored
-        assert store.predict_per_row_cost("m") == pytest.approx(1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -489,55 +476,54 @@ class TestBackpressure:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive micro-batcher sizing
+# Micro-batcher row cap and feedback isolation
 # ---------------------------------------------------------------------------
+
+ONE_ROW_REQUEST = {"age": 50.0, "bmi": 25.0, "bpm": 72.0, "fev": 3.0,
+                   "asthma": 1, "smoker": "no", "hypertension": "none"}
+
 
 class TestAdaptiveBatcher:
     def test_static_cap_without_feedback(self, session):
-        batcher = MicroBatcher(session, max_batch_rows=None)
-        assert (batcher.effective_max_batch_rows("covid_risk")
-                == DEFAULT_MAX_BATCH_ROWS)
-
-    def test_cap_derives_from_observed_cost(self, session):
         batcher = MicroBatcher(session)
-        # Fast model: 1e-6 s/row -> 5ms budget / 1e-6 = 5000 rows.
-        session.feedback.record_predict("covid_risk", rows=1_000_000,
-                                        seconds=1.0)
-        assert batcher.effective_max_batch_rows("covid_risk") == 5000
-        # Very fast models clamp at the ceiling.
-        store2 = session.feedback
-        for _ in range(20):
-            store2.record_predict("covid_risk", rows=10_000_000, seconds=0.01)
-        assert (batcher.effective_max_batch_rows("covid_risk")
-                == ADAPTIVE_MAX_BATCH_ROWS)
-
-    def test_explicit_cap_wins(self, session):
-        batcher = MicroBatcher(session, max_batch_rows=128)
-        session.feedback.record_predict("covid_risk", rows=1_000_000,
-                                        seconds=1.0)
-        assert batcher.effective_max_batch_rows("covid_risk") == 128
-
-    def test_batcher_traffic_feeds_its_own_sizing(self, session):
-        # With no sql() warm-up, the batcher's own executions must record
-        # the model cost that drives its adaptive cap.
-        assert session.feedback.predict_per_row_cost("covid_risk") is None
-        batcher = MicroBatcher(session)
-        request = {"age": 50.0, "bmi": 25.0, "bpm": 72.0, "fev": 3.0,
-                   "asthma": 1, "smoker": "no", "hypertension": "none"}
-        future = batcher.predict("covid_risk", request)
+        assert batcher.max_batch_rows == DEFAULT_MAX_BATCH_ROWS == 4096
+        # Served traffic leaves the cap alone: it is a plain int.
+        future = batcher.predict("covid_risk", ONE_ROW_REQUEST)
         batcher.flush()
         future.result(timeout=5)
-        cost = session.feedback.predict_per_row_cost("covid_risk")
-        assert cost is not None and cost > 0.0
-        from repro.serving.batcher import ADAPTIVE_MIN_BATCH_ROWS
-        cap = batcher.effective_max_batch_rows("covid_risk")
-        assert ADAPTIVE_MIN_BATCH_ROWS <= cap <= ADAPTIVE_MAX_BATCH_ROWS
+        assert batcher.max_batch_rows == DEFAULT_MAX_BATCH_ROWS
 
-    def test_noopt_session_predict_cost_recorded(self, noopt_session,
-                                                 covid_query):
-        # Predict cost is recorded by the runtime on the ordinary sql()
-        # path whenever a Predict survives optimization (the no-opt
-        # session keeps its Predict node).
+    def test_explicit_cap_wins(self, session):
+        assert MicroBatcher(session, max_batch_rows=128).max_batch_rows == 128
+        with pytest.raises(ValueError):
+            MicroBatcher(session, max_batch_rows=0)
+
+    def test_background_worker_flushes_at_the_cap(self, session):
+        # Two queued rows reach a cap of 2 long before the minute-long
+        # max_delay runs out, so the worker flushes them as one batch.
+        with MicroBatcher(session, max_batch_rows=2,
+                          max_delay=60.0) as batcher:
+            futures = [batcher.predict("covid_risk", ONE_ROW_REQUEST)
+                       for _ in range(2)]
+            for future in futures:
+                future.result(timeout=10)
+            assert batcher.stats.batches == 1
+
+    def test_predicts_write_feedback_only_through_profiles(
+            self, noopt_session, covid_query, monkeypatch):
+        # Neither an sql() Predict (the no-opt session keeps its Predict
+        # node) nor a batcher flush writes to the feedback store; the
+        # only write is the run's profile, folded once.
+        store = noopt_session.feedback
+        profiles = []
+        monkeypatch.setattr(store, "record_profile", profiles.append)
+        before = store.export_state()
         noopt_session.sql(covid_query)
-        cost = noopt_session.feedback.predict_per_row_cost("covid_risk")
-        assert cost is not None and cost > 0.0
+        assert any(isinstance(node, Predict)
+                   for node in walk(noopt_session.last_run.plan))
+        batcher = MicroBatcher(noopt_session)
+        future = batcher.predict("covid_risk", ONE_ROW_REQUEST)
+        assert batcher.flush() == 1
+        future.result(timeout=5)
+        assert len(profiles) == 1
+        assert store.export_state() == before

@@ -1,19 +1,19 @@
-"""Persistence & warm start: codecs, snapshots, merges, sessions.
+"""Persistence & warm start: codecs, snapshots, feedback state, sessions.
 
-Covers the PR-5 guarantees:
+Covers:
 
 * plan ⇄ dict round-trips every logical node and expression type
   bit-for-bit (structure, annotations, fingerprints);
 * optimize → save → load → execute is bit-for-bit identical to a fresh
   optimize → execute, with ``adaptive=False`` as the oracle;
-* ``FeedbackStore.merge`` is commutative (exactly) and associative (up
-  to float re-association), drift-safe, and LRU-bounded with observable
-  eviction counters;
+* ``FeedbackStore.load_state`` round-trips an export, replaces instead
+  of summing (loading twice equals loading once), is all-or-nothing and
+  LRU-bounded with observable eviction counters;
 * a warm-started session serves a previously-learned plan on its first
   call (cache hit, zero re-optimizations) and drops stale entries whose
-  catalog dependencies changed;
-* sampled re-profiling throttles fixed-point plans only;
-* ``SnapshotStore`` rotates, merges and auto-checkpoints.
+  catalog dependencies changed; keys older writers emitted are ignored;
+* ``SnapshotStore`` rotates, continues its numbering across store
+  handles, skips unreadable newest files and auto-checkpoints.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import json
 
 import pytest
 
+import repro.adaptive.feedback as feedback_module
 from repro import RavenSession, Snapshot, SnapshotStore, Table
 from repro.adaptive.feedback import FEEDBACK_FORMAT, FeedbackStore
 from repro.adaptive.profile import OperatorProfile, plan_fingerprint
@@ -96,7 +97,7 @@ def learned_session(readings_table, max_rounds: int = 12) -> RavenSession:
     """An adaptive session whose misestimated plan reached a fixed point.
 
     Converged = a cache-hit execution whose own profile produced no new
-    re-optimization (the entry survived, ``fixed_point`` set) — merely
+    re-optimization (the entry survived) — merely
     hitting the cache is not enough, since per-conjunct cost timings are
     noisy at test scale and can re-diverge a plan for a round or two.
     """
@@ -305,7 +306,7 @@ class TestPlanCodec:
 
 
 # ---------------------------------------------------------------------------
-# Feedback export / merge
+# Feedback export / load
 # ---------------------------------------------------------------------------
 
 def _store_with(observations) -> FeedbackStore:
@@ -318,116 +319,62 @@ def _store_with(observations) -> FeedbackStore:
     return store
 
 
-def _stores():
-    a = _store_with([("shared", 1000, 100, 0.010), ("only_a", 500, 5, 0.004)])
-    b = _store_with([("shared", 1000, 900, 0.020), ("only_b", 300, 30, 0.001)])
-    c = _store_with([("shared", 2000, 1000, 0.015), ("only_b", 300, 3, 0.002)])
-    for store in (b, c):
-        store.record_predict("model", rows=100, seconds=0.05)
-    return a, b, c
-
-
-def _operators(state) -> dict:
-    return state["operators"]
+OBSERVATIONS = [("shared", 1000, 100, 0.010), ("only_a", 500, 5, 0.004)]
 
 
 class TestFeedbackMerge:
     def test_export_import_round_trip(self):
-        a, _, _ = _stores()
+        a = _store_with(OBSERVATIONS)
         fresh = FeedbackStore()
-        fresh.merge_state(a.export_state())
-        assert _operators(fresh.export_state()) == _operators(a.export_state())
+        fresh.load_state(a.export_state())
+        assert fresh.export_state() == a.export_state()
         assert fresh.profiles_recorded == a.profiles_recorded
 
-    def test_merge_is_commutative_bit_for_bit(self):
-        a, b, _ = _stores()
-        ab = FeedbackStore()
-        ab.merge(a)
-        ab.merge(b)
-        ba = FeedbackStore()
-        ba.merge(b)
-        ba.merge(a)
-        state_ab, state_ba = ab.export_state(), ba.export_state()
-        assert _operators(state_ab) == _operators(state_ba)  # exact floats
-        assert state_ab["models"] == state_ba["models"]
+    def test_load_replaces_resident_entries(self):
+        resident = _store_with([("shared", 1000, 900, 0.020)] * 3)
+        incoming = _store_with(OBSERVATIONS)
+        resident.load_state(incoming.export_state())
+        resident.load_state(incoming.export_state())
+        # Per fingerprint the incoming entry wins whole, and loading it
+        # again changes nothing: no call, row or profile count adds up.
+        assert resident.observed("shared") == incoming.observed("shared")
+        assert resident.observed("only_a") == incoming.observed("only_a")
+        assert resident.profiles_recorded == 3
 
-    def test_merge_is_associative_up_to_float_rounding(self):
-        a, b, c = _stores()
-        left = FeedbackStore()   # (a ⊕ b) ⊕ c
-        left.merge(a)
-        left.merge(b)
-        left.merge(c)
-        right = FeedbackStore()  # a ⊕ (b ⊕ c)
-        bc = FeedbackStore()
-        bc.merge(b)
-        bc.merge(c)
-        right.merge(a)
-        right.merge(bc)
-        ops_left = _operators(left.export_state())
-        ops_right = _operators(right.export_state())
-        assert set(ops_left) == set(ops_right)
-        for fingerprint, entry in ops_left.items():
-            other = ops_right[fingerprint]
-            for field, value in entry.items():
-                if isinstance(value, float):
-                    assert other[field] == pytest.approx(value), field
-                else:
-                    assert other[field] == value, field
-
-    def test_merge_identity(self):
-        a, _, _ = _stores()
-        before = _operators(a.export_state())
-        a.merge(FeedbackStore())
-        assert _operators(a.export_state()) == before
-
-    def test_merge_is_drift_safe(self):
-        # Converged workers (fast == slow everywhere) must merge into a
-        # converged union: the merge can never manufacture drift.
-        a = _store_with([("shared", 1000, 100, 0.010)])
-        b = _store_with([("shared", 1000, 500, 0.020)])
-        for store in (a, b):
-            for entry in _operators(store.export_state()).values():
-                assert entry["selectivity_fast"] == entry["selectivity_slow"]
-        a.merge(b)
-        entry = _operators(a.export_state())["shared"]
-        assert entry["selectivity_fast"] == entry["selectivity_slow"]
-        assert a.drift_score("shared") == 0.0
-
-    def test_merge_weighted_by_calls(self):
-        heavy = _store_with([("fp", 1000, 100, 0.01)] * 9)  # sel 0.1, 9 calls
-        light = _store_with([("fp", 1000, 900, 0.01)])      # sel 0.9, 1 call
-        heavy.merge(light)
-        merged = heavy.observed("fp")
-        # EWMA states merge by calls: 9 parts converged-at-0.1, 1 at 0.9.
-        assert merged.calls == 10
-        assert merged.selectivity_fast == pytest.approx(
-            (9 * 0.1 + 1 * 0.9) / 10)
-
-    def test_merge_respects_lru_bound_and_counts_evictions(self):
-        small = FeedbackStore(max_operator_entries=3)
+    def test_merge_respects_lru_bound_and_counts_evictions(self,
+                                                           monkeypatch):
         big = _store_with([(f"fp{i}", 100, 10, 0.001) for i in range(8)])
-        small.merge(big)
-        assert len(small) <= 3
-        assert small.stats.operator_evictions >= 5
-        assert small.stats.merges == 1
+        monkeypatch.setattr(feedback_module, "MAX_OPERATOR_ENTRIES", 3)
+        small = FeedbackStore()
+        small.load_state(big.export_state())
+        assert len(small) == 3
+        assert small.observed("fp7") is not None
+        assert small.stats.operator_evictions == 5
+
+    def test_parent_written_models_key_is_ignored(self):
+        state = _store_with(OBSERVATIONS).export_state()
+        state["models"] = {"risk": {"calls": 1, "rows": 10, "seconds": 0.1,
+                                    "seconds_per_row_ewma": 0.01}}
+        store = FeedbackStore()
+        store.load_state(state)
+        assert len(store) == len(OBSERVATIONS)
+        assert "models" not in store.export_state()
 
     def test_bad_format_rejected(self):
         with pytest.raises(PersistError):
-            FeedbackStore().merge_state({"format": "nope"})
+            FeedbackStore().load_state({"format": "nope"})
         with pytest.raises(PersistError, match=FEEDBACK_FORMAT):
-            FeedbackStore().merge_state({})
+            FeedbackStore().load_state({})
 
     def test_malformed_payload_is_all_or_nothing(self):
-        a, _, _ = _stores()
-        state = a.export_state()
+        state = _store_with(OBSERVATIONS).export_state()
         state["operators"]["broken"] = {"operator": "Filter"}  # missing calls
         target = FeedbackStore()
         with pytest.raises(PersistError):
-            target.merge_state(state)
-        # Nothing folded in before the malformed entry was found.
+            target.load_state(state)
+        # Nothing loaded before the malformed entry was found.
         assert len(target) == 0
         assert target.profiles_recorded == 0
-        assert target.stats.merges == 0
 
     def test_malformed_feedback_degrades_warm_start(self, tmp_path):
         session = RavenSession()
@@ -533,7 +480,6 @@ class TestWarmStart:
         fresh, _ = session.optimize(MISESTIMATED_QUERY)  # feedback-aware
         assert entry.plan.pretty(warm.catalog) == \
             fresh.pretty(session.catalog)
-        assert entry.fixed_point
 
     def test_schema_change_drops_stale_entries(self, readings_table, rng):
         session = learned_session(readings_table)
@@ -589,14 +535,16 @@ class TestWarmStart:
         assert not stats.cache_hit
         assert result.num_rows >= 0
 
-    def test_feedback_merges_from_two_workers(self, readings_table):
-        worker_a = learned_session(readings_table)
-        worker_b = learned_session(readings_table)
-        fresh = RavenSession()
-        fresh.load_snapshot(worker_a.snapshot())
-        fresh.load_snapshot(worker_b.snapshot())
-        assert fresh.feedback.stats.merges == 2
-        assert len(fresh.feedback) > 0
+    def test_loading_a_snapshot_twice_equals_loading_it_once(
+            self, readings_table):
+        snapshot = learned_session(readings_table).snapshot()
+        once = RavenSession()
+        once.load_snapshot(snapshot)
+        twice = RavenSession()
+        twice.load_snapshot(snapshot)
+        twice.load_snapshot(snapshot)
+        assert once.feedback.export_state() == snapshot.feedback
+        assert twice.feedback.export_state() == once.feedback.export_state()
 
     def test_snapshot_restored_entries_obey_invalidation(self, readings_table):
         session = learned_session(readings_table)
@@ -607,46 +555,6 @@ class TestWarmStart:
         assert len(warm.plan_cache) == 0  # eager invalidation dropped it
 
 
-class TestSampledReprofiling:
-    def test_rate_must_be_positive(self):
-        with pytest.raises(ValueError):
-            RavenSession(profile_sample_rate=0)
-
-    def test_fixed_point_plans_profile_every_nth_call(self, readings_table):
-        session = RavenSession(profile_sample_rate=4)
-        session.register_table("readings", readings_table)
-        query = "SELECT t.a FROM readings AS t WHERE t.a < 0.5"
-        profiled = []
-        for _ in range(10):
-            _, stats = session.sql_with_stats(query)
-            profiled.append(stats.operator_profiles is not None)
-        # Call 1 (miss) profiles and reaches the fixed point; hits then
-        # profile only when entry.hits % 4 == 0 (hits 4 and 8).
-        assert profiled == [True, False, False, False, True,
-                            False, False, False, True, False]
-        assert session.feedback.profiles_recorded == 3
-
-    def test_converging_plans_always_profile(self, readings_table):
-        session = RavenSession(profile_sample_rate=1000)
-        session.register_table("readings", readings_table)
-        for _ in range(4):
-            session.sql_with_stats(MISESTIMATED_QUERY)
-        # The misestimated plan must still re-optimize promptly: sampling
-        # never throttles a plan that has not reached its fixed point.
-        assert session.plan_cache.stats.reoptimizations >= 1
-
-    def test_drift_fires_on_sampled_profiles(self, readings_table):
-        session = RavenSession(profile_sample_rate=2)
-        session.register_table("readings", readings_table)
-        query = "SELECT t.a FROM readings AS t WHERE t.a < 0.5"
-        for _ in range(6):
-            session.sql_with_stats(query)
-        profiles_before = session.feedback.profiles_recorded
-        for _ in range(4):
-            session.sql_with_stats(query)
-        assert session.feedback.profiles_recorded > profiles_before
-
-
 class TestSnapshotStore:
     def test_rotation_keeps_newest(self, tmp_path, readings_table):
         session = learned_session(readings_table)
@@ -654,94 +562,52 @@ class TestSnapshotStore:
         for _ in range(3):
             store.save(session)
         paths = store.paths()
-        assert len(paths) == 2
-        assert paths[-1].name.endswith("-000003.json")
+        assert [path.name for path in paths] == [
+            "snapshot-000002.json", "snapshot-000003.json"]
         assert store.latest() == paths[-1]
         assert len(store.load_latest().plans) == 1
 
-    def test_load_merged_unions_workers(self, tmp_path, readings_table):
-        store = SnapshotStore(tmp_path / "checkpoints")
-        store.save(learned_session(readings_table))
-        store.save(learned_session(readings_table))
-        merged = store.load_merged()
-        assert len(merged.plans) == 1  # same key: deduplicated
-        assert merged.feedback is not None
-        warm = RavenSession(warm_start=merged)
-        warm.register_table("readings", readings_table)
-        _, stats = warm.sql_with_stats(MISESTIMATED_QUERY)
-        assert stats.cache_hit
-        assert warm.plan_cache.stats.reoptimizations == 0
+    def test_second_store_continues_the_sequence(self, tmp_path,
+                                                 readings_table):
+        # A restarted session opens a new store on the same directory:
+        # it numbers on from the files there, and rotation still keeps
+        # the newest ``keep`` of them.
+        session = learned_session(readings_table)
+        first = SnapshotStore(tmp_path / "restarts", keep=3)
+        paths = [first.save(session) for _ in range(2)]
+        second = SnapshotStore(tmp_path / "restarts", keep=3)
+        paths += [second.save(session) for _ in range(3)]
+        assert [path.name for path in paths] == [
+            f"snapshot-{sequence:06d}.json" for sequence in range(1, 6)]
+        assert second.paths() == paths[-3:]
+        assert first.latest() == second.latest() == paths[-1]
 
     def test_cumulative_checkpoints_do_not_double_count(self, tmp_path,
                                                         readings_table):
-        # Successive checkpoints of ONE worker are cumulative; the fleet
-        # union must take its newest snapshot only, or every observation
-        # (calls, profiles_recorded) would be counted once per retained
-        # checkpoint.
+        # Successive checkpoints of one session are cumulative: a restart
+        # warm-starts from the newest alone, so every observation counts
+        # once however many checkpoints are retained.
         session = learned_session(readings_table)
-        store = SnapshotStore(tmp_path / "one-worker")
+        store = SnapshotStore(tmp_path / "one-session")
         store.save(session)
         session.sql(MISESTIMATED_QUERY)  # a little more traffic
         store.save(session)
         assert len(store.paths()) == 2
-        merged = store.load_merged()
-        latest = store.load_latest()
-        assert merged.feedback["profiles_recorded"] \
-            == latest.feedback["profiles_recorded"]
-        assert merged.feedback["operators"] == latest.feedback["operators"]
+        warm = RavenSession(warm_start=store.load_latest())
+        assert warm.feedback.export_state() == session.feedback.export_state()
 
-    def test_concurrent_workers_never_clobber_checkpoints(self, tmp_path,
-                                                          readings_table):
-        # Origins are embedded in the file names, so two worker processes
-        # saving "the next sequence" can never overwrite each other.
-        store = SnapshotStore(tmp_path / "fleet")
-        path_a = store.save(learned_session(readings_table))
-        path_b = store.save(learned_session(readings_table))
-        assert path_a != path_b
-        assert path_a.exists() and path_b.exists()
-        assert len(store.paths()) == 2
-        # Rotation is per origin: worker A's churn keeps B's checkpoint.
-        chatty = learned_session(readings_table)
-        for _ in range(store.keep + 2):
-            store.save(chatty)
-        assert path_b.exists()
-
-    def test_load_merged_skips_corrupt_checkpoints(self, tmp_path,
+    def test_load_latest_skips_corrupt_checkpoints(self, tmp_path,
                                                    readings_table):
         store = SnapshotStore(tmp_path / "torn")
         good = store.save(learned_session(readings_table))
         torn = good.with_name(good.name.replace("-000001", "-000002"))
-        torn.write_text("{half a json")  # worker killed mid-write
-        merged = store.load_merged()     # newest-per-origin is the torn one
-        # Degraded (the torn checkpoint contributes nothing), not a crash.
-        assert merged is not None
-        assert merged.plans == [] and merged.feedback is None
-
-    def test_foreign_origins_are_sanitized_into_the_filename_grammar(
-            self, tmp_path):
-        # A hand-set origin that doesn't fit the filename pattern must
-        # still produce files the store can see (scan/rotate/merge) —
-        # and deterministically, so its own checkpoints still dedup.
-        store = SnapshotStore(tmp_path / "foreign")
-        first = store.save(Snapshot(origin="Worker-A!"))
-        second = store.save(Snapshot(origin="Worker-A!"))
-        assert store.paths() == [first, second]
-        assert first.name != second.name           # sequenced, not clobbered
-        assert first.name.split("-")[1] == second.name.split("-")[1]
-        assert store.load_merged() is not None
-
-    def test_latest_is_by_write_time_not_cross_origin_sequence(
-            self, tmp_path, readings_table):
-        import os
-        store = SnapshotStore(tmp_path / "fleet")
-        veteran = learned_session(readings_table)
-        old_paths = [store.save(veteran) for _ in range(3)]  # seq up to 3
-        fresh_path = store.save(learned_session(readings_table))  # seq 1
-        past = 1_000_000_000
-        for index, path in enumerate(old_paths):
-            os.utime(path, (past + index, past + index))  # decommissioned
-        # Sequence 3 < 1 across origins: recency is write time.
-        assert store.latest() == fresh_path
+        torn.write_text("{half a json")  # writer killed mid-write
+        other = good.with_name(good.name.replace("-000001", "-000003"))
+        other.write_text(json.dumps({"format": "repro-snapshot-v0"}))
+        assert store.latest() == other
+        # Degraded to the newest readable checkpoint, not a crash.
+        snapshot = store.load_latest()
+        assert snapshot is not None and len(snapshot.plans) == 1
 
     def test_checkpoint_write_failure_never_fails_the_query(
             self, tmp_path, readings_table):
@@ -756,61 +622,48 @@ class TestSnapshotStore:
         assert session.plan_cache.stats.reoptimizations >= 1
         assert store.paths() == []
 
-    def test_load_merged_skips_non_dict_json(self, tmp_path, readings_table):
+    def test_load_latest_skips_non_dict_json(self, tmp_path, readings_table):
         store = SnapshotStore(tmp_path / "odd")
         good = store.save(learned_session(readings_table))
-        bad = good.with_name(good.name.replace(good.name.split("-")[1],
-                                               "deadbeef"))
-        bad.write_text("[]")  # valid JSON, wrong shape, distinct origin
-        merged = store.load_merged()
-        assert merged is not None and len(merged.plans) == 1
-
-    def test_warm_started_generations_do_not_double_count(self, tmp_path,
-                                                          readings_table):
-        # Worker A checkpoints; worker B warm-starts from the merged view
-        # and checkpoints into the same store. B's snapshot re-exports
-        # A's observations, so the union must include B's snapshot ONLY —
-        # counting A's again would double its weight in every merge.
-        store = SnapshotStore(tmp_path / "generations")
-        worker_a = learned_session(readings_table)
-        store.save(worker_a)
-        baseline = store.load_merged().feedback["profiles_recorded"]
-
-        worker_b = RavenSession(warm_start=store.load_merged())
-        worker_b.register_table("readings", readings_table)
-        store.save(worker_b)
-        assert len(store.paths()) == 2  # both generations retained
-
-        merged = store.load_merged()
-        # B's snapshot (= A's knowledge, zero new traffic) is the only
-        # contribution; A's file is covered by B's ancestry.
-        assert merged.feedback["profiles_recorded"] == baseline
-        assert merged.ancestors  # provenance survives another generation
-
-    def test_file_with_malformed_plans_contributes_nothing(self, tmp_path,
-                                                           readings_table):
-        import json as json_module
-        store = SnapshotStore(tmp_path / "allornothing")
-        good = store.save(learned_session(readings_table))
-        payload = json_module.loads(good.read_text())
-        payload["origin"] = "deadbeef"  # a distinct (corrupt) worker
-        payload["plans"][0].pop("template")
-        bad = good.with_name(good.name.replace(good.name.split("-")[1],
-                                               "deadbeef"))
-        bad.write_text(json_module.dumps(payload))
-        merged = store.load_merged()
-        # The corrupt file is excluded wholly — its feedback must not
-        # ride in while its plans are dropped.
-        assert len(merged.plans) == 1
-        good_profiles = json_module.loads(
-            good.read_text())["feedback"]["profiles_recorded"]
-        assert merged.feedback["profiles_recorded"] == good_profiles
+        bad = good.with_name(good.name.replace("-000001", "-000002"))
+        bad.write_text("[]")  # valid JSON, wrong shape
+        assert store.latest() == bad
+        snapshot = store.load_latest()
+        assert snapshot is not None and len(snapshot.plans) == 1
 
     def test_empty_store(self, tmp_path):
         store = SnapshotStore(tmp_path / "nothing")
         assert store.paths() == []
         assert store.latest() is None
-        assert store.load_merged() is None
+        assert store.load_latest() is None
+
+    def test_nothing_readable_loads_none(self, tmp_path):
+        store = SnapshotStore(tmp_path / "unreadable")
+        store.directory.mkdir()
+        (store.directory / "snapshot-000001.json").write_text("{torn")
+        (store.directory / "snapshot-000002.json").write_text("[]")
+        assert len(store.paths()) == 2
+        assert store.load_latest() is None
+
+    def test_other_files_are_not_snapshots(self, tmp_path):
+        # A torn write's scratch file and files of other names are
+        # neither listed, nor numbered past, nor pruned.
+        store = SnapshotStore(tmp_path / "mixed", keep=1)
+        store.directory.mkdir()
+        strays = [store.directory / name for name in (
+            "snapshot-000009.json.tmp", "snapshot-7.json", "notes.txt")]
+        for stray in strays:
+            stray.write_text("{}")
+        first = store.save(Snapshot())
+        second = store.save(Snapshot())
+        assert (first.name, second.name) == (
+            "snapshot-000001.json", "snapshot-000002.json")
+        assert store.paths() == [second]
+        assert all(stray.exists() for stray in strays)
+
+    def test_keep_must_be_positive(self, tmp_path):
+        with pytest.raises(ValueError):
+            SnapshotStore(tmp_path, keep=0)
 
     def test_auto_checkpoint_every_reoptimization(self, tmp_path,
                                                   readings_table):
@@ -878,6 +731,38 @@ class TestSnapshotFormat:
             warm.register_table("readings", readings_table)
             result, stats = warm.sql_with_stats(MISESTIMATED_QUERY)
             assert result.num_rows >= 0  # session fully functional
+
+    def test_parent_written_snapshot_keys_still_load(self, readings_table):
+        # What the previous writer also emitted: the snapshot's origin and
+        # ancestry, the feedback's per-model costs and a per-plan
+        # fixed-point flag. The keys are ignored, nothing re-emits them,
+        # and the warm first call is a cache hit matching the oracle.
+        session = learned_session(readings_table)
+        payload = json.loads(json.dumps(session.snapshot().to_dict()))
+        assert "origin" not in payload and "ancestors" not in payload
+        assert "models" not in payload["feedback"]
+        assert all("fixed_point" not in plan for plan in payload["plans"])
+        payload["origin"] = "0123456789ab"
+        payload["ancestors"] = ["fedcba987654"]
+        payload["feedback"]["models"] = {"risk": {
+            "calls": 3, "rows": 300, "seconds": 0.03,
+            "seconds_per_row_ewma": 1e-4}}
+        for plan in payload["plans"]:
+            plan["fixed_point"] = True
+
+        warm = RavenSession(warm_start=Snapshot.from_dict(payload))
+        warm.register_table("readings", readings_table)
+        assert warm.plan_cache.stats.restored == 1
+        result, stats = warm.sql_with_stats(MISESTIMATED_QUERY)
+        assert stats.cache_hit
+        assert warm.plan_cache.stats.reoptimizations == 0
+        oracle = RavenSession(adaptive=False)
+        oracle.register_table("readings", readings_table)
+        assert tables_equal_bitwise(result, oracle.sql(MISESTIMATED_QUERY))
+        rewritten = warm.snapshot().to_dict()
+        assert "origin" not in rewritten and "ancestors" not in rewritten
+        assert "models" not in rewritten["feedback"]
+        assert all("fixed_point" not in plan for plan in rewritten["plans"])
 
     def test_install_plans_helper_reports_pending(self, readings_table):
         session = learned_session(readings_table)

@@ -15,7 +15,7 @@ from collections import Counter
 import pytest
 
 import repro
-from repro import RavenSession, Telemetry
+from repro import MicroBatcher, RavenSession, Telemetry
 from repro.adaptive.feedback import FeedbackStore
 from repro.adaptive.profile import PlanProfiler
 from repro.core.session import ROUTE_EXPLAIN, ServingStats
@@ -419,7 +419,15 @@ class TestPinnedSurface:
             "enable_optimizations", "enable_cross", "enable_data_induced",
             "strategy", "gpu_available", "dop", "batch_size", "plan_cache",
             "compile_expressions", "adaptive", "warm_start",
-            "profile_sample_rate", "breakers", "faults", "telemetry"]
+            "breakers", "faults", "telemetry"]
+
+    def test_feedback_store_and_batcher_constructor_parameters(self):
+        assert list(inspect.signature(FeedbackStore.__init__).parameters) \
+            == ["self"]
+        parameters = inspect.signature(MicroBatcher.__init__).parameters
+        assert list(parameters) == [
+            "self", "session", "max_batch_rows", "max_delay"]
+        assert parameters["max_batch_rows"].default == 4096
 
     def test_package_exports(self):
         assert sorted(repro.__all__) == [
