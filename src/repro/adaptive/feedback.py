@@ -50,6 +50,16 @@ MIN_DRIFT_CALLS = 8
 # fingerprints per literal signature; a long-lived session must not pin
 # feedback for every plan it ever ran. Eviction only costs re-learning.
 MAX_OPERATOR_ENTRIES = 4_096
+# An entry's label keeps at most this many characters of operator or
+# expression text (a translated model's CASE Project renders to
+# kilobytes); the kind prefix and a partition index are kept whole.
+MAX_LABEL_CHARS = 120
+
+
+def _capped(text: str) -> str:
+    if len(text) <= MAX_LABEL_CHARS:
+        return text
+    return text[:MAX_LABEL_CHARS - 1] + "…"
 
 
 def _ewma(current: Optional[float], observed: float, alpha: float) -> float:
@@ -195,12 +205,14 @@ class FeedbackStore:
             for profile in root.walk():
                 if profile.calls == 0:
                     continue
-                self._observe(profile.fingerprint, lambda: profile.operator,
+                self._observe(profile.fingerprint,
+                              lambda: _capped(profile.operator),
                               profile.rows_in, profile.rows_out,
                               profile.self_seconds, profile.calls)
                 for part in profile.conjuncts:
                     self._observe(part.fingerprint,
-                                  lambda: f"conjunct:{part.expression}",
+                                  lambda: "conjunct:"
+                                          + _capped(part.expression),
                                   part.rows_in, part.rows_out, part.seconds,
                                   part.calls)
                 for step in profile.joins:
@@ -210,12 +222,13 @@ class FeedbackStore:
                     # joins already reduced either side, which is what the
                     # ordering pass needs to cost any candidate sequence.
                     self._observe(step.fingerprint,
-                                  lambda: f"joinstep:{step.detail}",
+                                  lambda: "joinstep:" + _capped(step.detail),
                                   step.cross_rows, step.rows_out,
                                   step.seconds, step.calls)
                 for part in profile.partitions:
                     self._observe(part.fingerprint,
-                                  lambda: f"partition:{profile.operator}"
+                                  lambda: "partition:"
+                                          f"{_capped(profile.operator)}"
                                           f":{part.partition}",
                                   part.rows_in, part.rows_out, part.seconds,
                                   part.calls)

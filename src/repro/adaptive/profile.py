@@ -359,7 +359,8 @@ class PlanProfiler:
         self.profile = True
         self.span = None
         # Compiled-expression engine reuse: programs compiled this run vs
-        # fetched from the per-plan cache, and operators that fell back
+        # found on the plan node or in the session's program table, and
+        # operators that fell back
         # from the compiled engine to the interpreted oracle.
         self.programs_compiled = 0
         self.programs_reused = 0

@@ -35,6 +35,13 @@ vectorized instructions:
   is the source :class:`~repro.storage.column.Column` itself
   (:meth:`CompiledProgram.run_columns`), so coded strings stay coded.
 
+Programs depend only on the expressions and the input schema — never on
+the data — so one program serves every plan node with the same
+structure. A session compiles each distinct (expressions, schema) pair
+once and keeps it in its :class:`ProgramTable`: a cold query whose
+literal changed only its ``WHERE`` clause reuses the Project's program
+(the MLtoSQL ``CASE`` tree) compiled for an earlier query.
+
 Programs are bit-for-bit equivalent to the interpreted path (which stays
 available as the differential-testing oracle behind the session flag
 ``compile_expressions=False``, and always compares decoded strings):
@@ -44,7 +51,8 @@ would, just on fewer rows — or, for strings, the same order on codes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import threading
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -165,10 +173,13 @@ class _RunContext:
 class CompiledProgram:
     """A compiled DAG of vectorized instructions for named outputs.
 
-    Immutable after construction and therefore safe to share across
-    threads (each :meth:`run` call builds its own :class:`_RunContext`);
-    the relational executor caches one program per plan node, so plans
-    held by the serving PlanCache skip compilation entirely on warm hits.
+    Immutable after construction and data-independent (dictionary codes
+    are bound per run), therefore safe to share across threads and plan
+    nodes: each :meth:`run` call builds its own :class:`_RunContext`. The
+    relational executor stashes the program on the plan node (warm hits
+    of plans held by the serving PlanCache skip even the lookup) and
+    shares it through the session's :class:`ProgramTable` with every
+    other node of the same structure.
     """
 
     __slots__ = ("instructions", "uses", "outputs")
@@ -570,3 +581,50 @@ def compile_outputs(outputs: Sequence[Tuple[str, Expression]],
 def compile_predicate(expr: Expression, schema: Schema) -> CompiledProgram:
     """Compile a Filter predicate into a single-output program."""
     return compile_outputs([("__pred__", expr)], schema)
+
+
+# ---------------------------------------------------------------------------
+# One session's programs
+# ---------------------------------------------------------------------------
+
+#: Distinct programs a session keeps; the least recently used goes first.
+MAX_SESSION_PROGRAMS = 256
+
+
+class ProgramTable:
+    """A session's compiled programs, keyed by structure.
+
+    Keys are ``("filter", predicate, schema fields)`` or ``("project",
+    outputs, schema fields)`` — everything a program is compiled from, so
+    equal keys compile to equal programs. Thread-safe (concurrent queries
+    and the morsel driver's executors share one table) and LRU-bounded
+    at :data:`MAX_SESSION_PROGRAMS` entries.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        # A plain dict in recency order (oldest first). Finding a key
+        # compares expression trees node by node; an OrderedDict's pop or
+        # move_to_end looks the key up twice, a dict's pop once.
+        self._programs: Dict[tuple, CompiledProgram] = {}
+
+    def __len__(self) -> int:
+        return len(self._programs)
+
+    def lookup(self, key: tuple, build: Callable[[], CompiledProgram]
+               ) -> Tuple[CompiledProgram, bool]:
+        """The program under ``key``, built on a miss (outside the lock);
+        also returns whether this call built it."""
+        with self._lock:
+            program = self._programs.pop(key, None)
+            if program is not None:
+                self._programs[key] = program  # now the most recent
+                return program, False
+        program = build()
+        with self._lock:
+            # A concurrent miss may have won the race: keep one copy.
+            program = self._programs.pop(key, program)
+            self._programs[key] = program
+            while len(self._programs) > MAX_SESSION_PROGRAMS:
+                del self._programs[next(iter(self._programs))]
+        return program, True

@@ -20,8 +20,10 @@ gets sorted is decided from the row counts the step sees. The binary
 session runs as the reference) gathers both sides at every step. Scalar
 expressions are lowered to
 :class:`~repro.relational.compile.CompiledProgram` instructions (CSE +
-masked CASE routing + constant folding), cached per plan node so plans
-held by the serving cache skip compilation on warm executions; the
+masked CASE routing + constant folding), stashed on the plan node so
+plans held by the serving cache skip compilation on warm executions, and
+shared by structure within a session so a freshly optimized plan reuses
+the programs of any earlier plan with the same expressions; the
 interpreted path remains available (``compile_expressions=False``) as the
 differential-testing oracle. Registered string columns arrive as
 dictionary codes (:mod:`repro.storage.column`) and stay codes through
@@ -58,6 +60,7 @@ import numpy as np
 from repro.errors import CompileError, ExecutionError, PlanError, RavenError
 from repro.relational.compile import (
     CompiledProgram,
+    ProgramTable,
     compile_outputs,
     compile_predicate,
 )
@@ -105,6 +108,20 @@ class Morsel:
         return self.stop - self.start
 
 
+def session_programs(catalog: Catalog) -> ProgramTable:
+    """The structural program table of the session owning ``catalog``.
+
+    A session owns exactly one catalog, so the table lives on it: every
+    executor of the session — concurrent queries, morsel fan-out, bare
+    executors over the session's catalog — shares it, and no two
+    sessions do.
+    """
+    programs = catalog.__dict__.get("_programs")
+    if programs is None:
+        programs = catalog.__dict__.setdefault("_programs", ProgramTable())
+    return programs
+
+
 def unobserved_record():
     """The record of a run nobody reads: what a bare executor writes to."""
     # Lazy import: repro.adaptive imports the relational layer.
@@ -148,6 +165,7 @@ class Executor:
         # executor.compile). Both default off with zero hot-path cost.
         self.deadline = deadline
         self.faults = faults
+        self.programs = session_programs(catalog)
         # Each Executor instance runs its plan on one thread (the morsel
         # driver builds one Executor per morsel), so a plain list works
         # as the span stack and a plain attribute as the running count of
@@ -240,11 +258,17 @@ class Executor:
         return result
 
     # ------------------------------------------------------------------
-    # Compiled-program cache (one program per plan node, stored on the
-    # node itself so plans kept warm by the serving PlanCache reuse it).
-    # Keyed by the child schema: reusing a plan object against a catalog
-    # whose columns changed type recompiles instead of silently running a
-    # program lowered for the old schema. Races between concurrent first
+    # Compiled programs, at two levels. (1) The node stash: a program is
+    # stored on the plan node itself, so plans kept warm by the serving
+    # PlanCache find it by identity and skip every lookup. (2) The
+    # session's structural ProgramTable: on a stash miss — a freshly
+    # optimized plan — the node's expressions and input schema are looked
+    # up structurally, so a cold query whose literal changed only its
+    # WHERE clause reuses the CASE program an earlier plan compiled; only
+    # a miss there compiles. A structural hit counts as reused. Both
+    # levels key on the child schema: a plan run against a catalog whose
+    # columns changed type compiles afresh instead of running a program
+    # lowered for the old schema. Races between concurrent first
     # executions are benign: programs are immutable and either winner is
     # correct.
     # ------------------------------------------------------------------
@@ -259,12 +283,21 @@ class Executor:
             self.record.record_program(compiled=False)
             return cached[1]
         if isinstance(node, Filter):
-            program = compile_predicate(node.predicate, schema)
+            program, compiled = self._predicate_program(
+                node.predicate, schema, fingerprint)
         else:
-            program = compile_outputs(node.outputs, schema)
+            program, compiled = self.programs.lookup(
+                ("project", tuple(node.outputs), fingerprint),
+                lambda: compile_outputs(node.outputs, schema))
         node._compiled_program = (fingerprint, program)
-        self.record.record_program(compiled=True)
+        self.record.record_program(compiled=compiled)
         return program
+
+    def _predicate_program(self, predicate, schema, fingerprint
+                           ) -> Tuple[CompiledProgram, bool]:
+        return self.programs.lookup(
+            ("filter", predicate, fingerprint),
+            lambda: compile_predicate(predicate, schema))
 
     def _fall_back(self, error: BaseException) -> None:
         """A compiled-engine failure: count a fallback to the interpreted
@@ -373,8 +406,10 @@ class Executor:
 
     def _conjunct_programs(self, node: Filter, parts,
                            schema) -> List[CompiledProgram]:
-        """Per-conjunct compiled programs, cached on the node like
-        :meth:`_program_for` (counted once per filter on the record)."""
+        """Per-conjunct compiled programs, stashed on the node and shared
+        through the session's table like :meth:`_program_for` (a conjunct
+        keys like a Filter with that predicate; counted once per filter
+        on the record, as compiled when any conjunct was)."""
         if self.faults is not None:
             self.faults.fire("executor.compile", detail="FilterCascade")
         fingerprint = tuple(schema)
@@ -382,9 +417,12 @@ class Executor:
         if cached is not None and cached[0] == fingerprint:
             self.record.record_program(compiled=False)
             return cached[1]
-        programs = [compile_predicate(part, schema) for part in parts]
+        looked_up = [self._predicate_program(part, schema, fingerprint)
+                     for part in parts]
+        programs = [program for program, _ in looked_up]
         node._conjunct_programs = (fingerprint, programs)
-        self.record.record_program(compiled=True)
+        self.record.record_program(
+            compiled=any(compiled for _, compiled in looked_up))
         return programs
 
     def _exec_project(self, node: Project) -> Table:

@@ -26,7 +26,18 @@ from repro.storage.table import Schema, Table
 
 
 class Expression:
-    """Base class for scalar expressions."""
+    """Base class for scalar expressions.
+
+    Nodes are immutable: every attribute is set in ``__init__`` and never
+    reassigned; rewrites build new nodes (:meth:`with_children`). The
+    structural hash relies on this — it is computed on first use and
+    cached in the ``_hash`` slot, so a rebuilt tree that shares subtrees
+    with its source re-hashes only the new path. String hashing is salted
+    per process, so the cached hash is never persisted. Every subclass
+    declares ``__slots__``: no node carries a ``__dict__``.
+    """
+
+    __slots__ = ("_hash",)
 
     def evaluate(self, table: Table) -> np.ndarray:
         raise NotImplementedError
@@ -51,12 +62,20 @@ class Expression:
         raise NotImplementedError
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if type(self) is not type(other):
             return NotImplemented
+        if hash(self) != hash(other):
+            return False
         return self._key() == other._key()  # type: ignore[union-attr]
 
     def __hash__(self) -> int:
-        return hash((type(self).__name__, self._key()))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((type(self).__name__, self._key()))
+            return self._hash
 
     # -- convenience builder operators (used heavily by MLtoSQL) ------------
     def __add__(self, other): return BinaryOp("+", self, _wrap(other))
@@ -142,6 +161,10 @@ class Literal(Expression):
         return set()
 
     def _key(self):
+        # 0.0 == -0.0 in Python, but they are different constants
+        # (1 / x, x * lit): a signed zero keys on its sign too.
+        if isinstance(self.value, float) and self.value == 0.0:
+            return (self.value, self.dtype, math.copysign(1.0, self.value))
         return (self.value, self.dtype)
 
     def __repr__(self):

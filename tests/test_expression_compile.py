@@ -8,6 +8,7 @@ every node type; floats are compared by raw bytes, not tolerance.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 import warnings
@@ -17,23 +18,29 @@ import pytest
 
 from repro import RavenSession, Table
 from repro.core.rules.ml_to_sql import tree_to_expression
+from repro.errors import CompileError
 from repro.learn.tree import TreeNode
+from repro.relational import compile as compile_module
 from repro.relational.compile import compile_outputs, compile_predicate
-from repro.relational.executor import Executor
+from repro.relational.executor import Executor, session_programs
 from repro.relational.expressions import (
     Between,
     BinaryOp,
     CaseWhen,
     Cast,
+    Expression,
     FunctionCall,
     InList,
     UnaryOp,
     col,
     lit,
+    substitute_columns,
 )
 from repro.relational.logical import Filter, Project, Scan
+from repro.resilience import FaultInjector
 from repro.storage.catalog import Catalog
-from repro.storage.column import DataType
+from repro.storage.column import Column, DataType
+from repro.storage.mmap_column import MmapColumn
 from repro.storage.table import TableView
 
 
@@ -410,21 +417,103 @@ class TestLateMaterialization:
 
 
 # ---------------------------------------------------------------------------
+# Expression identity: slots, cached structural hashes, equality
+# ---------------------------------------------------------------------------
+
+def _expression_classes():
+    found, pending = set(), [Expression]
+    while pending:
+        for sub in pending.pop().__subclasses__():
+            if sub not in found:
+                found.add(sub)
+                pending.append(sub)
+    return found
+
+
+class TestExpressionIdentity:
+    def test_no_node_carries_a_dict(self):
+        samples = [expr for _, expr in _every_node_type_expressions()]
+        covered = {type(expr) for expr in samples}
+        assert covered == _expression_classes()
+        for expr in samples:
+            assert not hasattr(expr, "__dict__"), type(expr).__name__
+
+    @pytest.mark.parametrize("name,expr", _every_node_type_expressions(),
+                             ids=[n for n, _ in _every_node_type_expressions()])
+    def test_cached_hash_is_the_structural_hash(self, name, expr):
+        first = hash(expr)
+        assert hash(expr) == first
+        assert first == hash((type(expr).__name__, expr._key()))
+
+    def test_separately_built_trees_are_equal(self):
+        built = [dict(_every_node_type_expressions()) for _ in range(2)]
+        for name, expr in built[0].items():
+            twin = built[1][name]
+            assert expr is not twin
+            assert expr == twin and hash(expr) == hash(twin), name
+
+    def test_a_deep_literal_breaks_equality(self):
+        def tree(leaf):
+            return CaseWhen(
+                [(col("f").gt(lit(0.0)),
+                  CaseWhen([(col("g").gt(lit(0.5)), col("f") / col("g"))],
+                           lit(leaf)))],
+                lit(0.0))
+
+        assert tree(-1.0) == tree(-1.0)
+        assert tree(-1.0) != tree(-2.0)
+        assert tree(1) != tree(1.0)  # INT vs FLOAT literal
+        assert tree(0.0) != tree(-0.0)  # different constants
+        assert lit(0.0) != lit(-0.0) and lit(-0.0) == lit(-0.0)
+
+    def test_nan_literal_keeps_identity_semantics(self):
+        # A NaN literal equals itself and a literal holding the same NaN
+        # object (tuple comparison tries identity first), and never a
+        # literal holding another NaN object.
+        nan = float("nan")
+        a, b, c = lit(nan), lit(nan), lit(float("nan"))
+        assert a == a and a == b and hash(a) == hash(b)
+        assert a != c
+        assert col("f").gt(a) == col("f").gt(b)
+        assert col("f").gt(a) != col("f").gt(c)
+
+    def test_rewrites_leave_the_source_hash_intact(self):
+        source = (col("f") + lit(1.0)) * col("g")
+        before = hash(source)
+        rewritten = substitute_columns(source, {"g": lit(2.0)})
+        assert hash(source) == before
+        assert rewritten != source
+        assert rewritten == (col("f") + lit(1.0)) * lit(2.0)
+
+
+# ---------------------------------------------------------------------------
 # Session-level: differential + per-plan program caching
 # ---------------------------------------------------------------------------
 
+LITERAL_QUERY = """
+WITH data AS (
+  SELECT * FROM patient_info AS pi
+  JOIN pulmonary_test AS pt ON pi.id = pt.id
+)
+SELECT d.id, p.score
+FROM PREDICT(MODEL = covid_risk, DATA = data AS d) WITH (score FLOAT) AS p
+WHERE d.id > {}
+"""
+
+
 class TestSessionIntegration:
+    def _session(self, patients, pulmonary, dt_pipeline, **options):
+        sess = RavenSession(**options)
+        sess.register_table("patient_info", patients, primary_key=["id"])
+        sess.register_table("pulmonary_test", pulmonary, primary_key=["id"])
+        sess.register_model("covid_risk", dt_pipeline)
+        return sess
+
     def _sessions(self, patients_table, pulmonary_table, dt_pipeline):
-        out = []
-        for flag in (True, False):
-            sess = RavenSession(compile_expressions=flag)
-            sess.register_table("patient_info", patients_table,
-                                primary_key=["id"])
-            sess.register_table("pulmonary_test", pulmonary_table,
-                                primary_key=["id"])
-            sess.register_model("covid_risk", dt_pipeline)
-            out.append(sess)
-        return out
+        """A compiled session and its interpreted oracle."""
+        return [self._session(patients_table, pulmonary_table, dt_pipeline,
+                              compile_expressions=flag)
+                for flag in (True, False)]
 
     def test_predict_query_matches_interpreted(self, patients_table,
                                                pulmonary_table, dt_pipeline,
@@ -445,6 +534,164 @@ class TestSessionIntegration:
         assert warm.cache_hit
         assert warm.programs_compiled == 0
         assert warm.programs_reused >= cold.programs_compiled
+
+    # -- the session's structural program table ---------------------------
+    @staticmethod
+    def _assert_same(actual, expected):
+        assert actual.column_names == expected.column_names
+        for name in expected.column_names:
+            assert_bitwise_equal(actual.array(name), expected.array(name),
+                                 name)
+
+    def test_new_literal_compiles_only_the_filter(
+            self, patients_table, pulmonary_table, dt_pipeline):
+        sess, oracle = self._sessions(patients_table, pulmonary_table,
+                                      dt_pipeline)
+        first, cold = sess.sql_with_stats(LITERAL_QUERY.format(100))
+        assert cold.programs_compiled > 1
+        second, stats = sess.sql_with_stats(LITERAL_QUERY.format(2500))
+        assert not stats.cache_hit
+        assert stats.programs_compiled == 1  # the Filter; the CASE is shared
+        assert stats.programs_reused >= 1
+        self._assert_same(first, oracle.sql(LITERAL_QUERY.format(100)))
+        self._assert_same(second, oracle.sql(LITERAL_QUERY.format(2500)))
+
+    def test_sessions_do_not_share_programs(
+            self, patients_table, pulmonary_table, dt_pipeline, covid_query):
+        first = self._session(patients_table, pulmonary_table, dt_pipeline)
+        _, cold = first.sql_with_stats(covid_query)
+        second = self._session(patients_table, pulmonary_table, dt_pipeline)
+        _, other = second.sql_with_stats(covid_query)
+        assert other.programs_compiled == cold.programs_compiled > 0
+        assert other.programs_reused == 0
+
+    def test_changed_column_dtype_compiles_afresh(
+            self, patients_table, pulmonary_table, dt_pipeline, covid_query):
+        sess, oracle = self._sessions(patients_table, pulmonary_table,
+                                      dt_pipeline)
+        _, cold = sess.sql_with_stats(covid_query)
+        # Same schema re-registered: a fresh plan, every program shared.
+        sess.register_table("patient_info", patients_table,
+                            primary_key=["id"], replace=True)
+        _, same = sess.sql_with_stats(covid_query)
+        assert not same.cache_hit
+        assert same.programs_compiled == 0
+        # age as INT: the structural key changes with the schema.
+        columns = dict(patients_table.columns)
+        columns["age"] = Column(patients_table.array("age").astype(np.int64))
+        retyped = Table(columns)
+        for session in (sess, oracle):
+            session.register_table("patient_info", retyped,
+                                   primary_key=["id"], replace=True)
+        actual, fresh = sess.sql_with_stats(covid_query)
+        # Programs over pulmonary_test alone keep their key.
+        assert fresh.programs_compiled > 0
+        assert (fresh.programs_compiled + fresh.programs_reused
+                == cold.programs_compiled)
+        self._assert_same(actual, oracle.sql(covid_query))
+
+    def test_shared_program_runs_over_a_spilled_table(
+            self, tmp_path, patients_table, pulmonary_table, dt_pipeline):
+        sess, oracle = self._sessions(patients_table, pulmonary_table,
+                                      dt_pipeline)
+        in_memory = sess.sql(LITERAL_QUERY.format(100))
+        sess.spill_table("patient_info", tmp_path / "spill")
+        assert isinstance(
+            sess.catalog.table("patient_info").data.partitions[0]
+            .table.column("smoker"), MmapColumn)
+        spilled, stats = sess.sql_with_stats(LITERAL_QUERY.format(2500))
+        assert stats.programs_compiled == 1 and stats.programs_reused >= 1
+        self._assert_same(in_memory, oracle.sql(LITERAL_QUERY.format(100)))
+        self._assert_same(spilled, oracle.sql(LITERAL_QUERY.format(2500)))
+
+    def test_compile_fault_falls_back_on_a_structural_hit(
+            self, patients_table, pulmonary_table, dt_pipeline):
+        faults = FaultInjector(seed=7)
+        sess = self._session(patients_table, pulmonary_table, dt_pipeline,
+                             faults=faults)
+        oracle = self._session(patients_table, pulmonary_table, dt_pipeline,
+                               compile_expressions=False)
+        sess.sql(LITERAL_QUERY.format(100))
+        faults.inject("executor.compile", error=CompileError)
+        table, stats = sess.sql_with_stats(LITERAL_QUERY.format(2500))
+        assert stats.expression_fallbacks > 0
+        assert stats.programs_compiled == stats.programs_reused == 0
+        self._assert_same(table, oracle.sql(LITERAL_QUERY.format(2500)))
+
+    def test_concurrent_distinct_literals_match_serial(
+            self, patients_table, pulmonary_table, dt_pipeline):
+        queries = [LITERAL_QUERY.format(literal)
+                   for literal in range(100, 3300, 400)]
+        served = self._session(patients_table, pulmonary_table, dt_pipeline)
+        serial = self._session(patients_table, pulmonary_table, dt_pipeline)
+        for table, query in zip(served.serve(queries, workers=4), queries):
+            self._assert_same(table, serial.sql(query))
+
+    def test_program_table_is_lru_bounded(
+            self, monkeypatch, patients_table, pulmonary_table, dt_pipeline,
+            covid_query):
+        monkeypatch.setattr(compile_module, "MAX_SESSION_PROGRAMS", 2)
+        sess = self._session(patients_table, pulmonary_table, dt_pipeline)
+        table = session_programs(sess.catalog)
+        _, cold = sess.sql_with_stats(covid_query)
+        assert cold.programs_compiled > 2
+        assert len(table) == 2
+        # Evicted programs compile again for a freshly optimized plan.
+        sess.register_table("patient_info", patients_table,
+                            primary_key=["id"], replace=True)
+        _, again = sess.sql_with_stats(covid_query)
+        assert not again.cache_hit
+        assert again.programs_compiled > 0
+        assert len(table) == 2
+
+    def test_program_table_keeps_one_copy_under_contention(
+            self, monkeypatch, expr_table):
+        # More threads than cores racing on a few keys with a tiny switch
+        # interval and a slow build, so first lookups miss together: every
+        # caller of a key must get the one stored program (a lost insert
+        # would hand out a second copy), and the table never outgrows its
+        # bound.
+        monkeypatch.setattr(compile_module, "MAX_SESSION_PROGRAMS", 4)
+        table = compile_module.ProgramTable()
+        keys = [("filter", col("f").gt(lit(float(k))),
+                 tuple(expr_table.schema)) for k in range(4)]
+
+        def build(predicate):
+            time.sleep(0.001)
+            return compile_predicate(predicate, expr_table.schema)
+
+        seen = {index: set() for index in range(len(keys))}
+        sizes, errors = [], []
+        barrier = threading.Barrier(8)
+
+        def worker(seed):
+            try:
+                barrier.wait(timeout=10)
+                rng = np.random.default_rng(seed)
+                for _ in range(300):
+                    index = int(rng.integers(len(keys)))
+                    key = keys[index]
+                    program, _ = table.lookup(key, lambda: build(key[1]))
+                    seen[index].add(id(program))
+                    sizes.append(len(table))
+            except BaseException as error:  # surfaced by the main thread
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,))
+                       for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert all(len(ids) == 1 for ids in seen.values())
+        assert max(sizes) <= 4
 
     def test_dop_chunks_share_programs(self, patients_table, pulmonary_table,
                                        dt_pipeline, covid_query):

@@ -16,7 +16,7 @@ import pytest
 
 import repro
 from repro import MicroBatcher, RavenSession, Telemetry
-from repro.adaptive.feedback import FeedbackStore
+from repro.adaptive.feedback import MAX_LABEL_CHARS, FeedbackStore
 from repro.adaptive.profile import PlanProfiler
 from repro.core.session import ROUTE_EXPLAIN, ServingStats
 from repro.errors import DeadlineExceededError, InjectedFaultError
@@ -410,6 +410,30 @@ class TestLazyLabels:
         (fingerprint,) = store._operators
         assert store.observed(fingerprint).operator == render()
         assert store.observed(fingerprint).calls == 3
+
+    def test_feedback_labels_are_capped(self, session, covid_query):
+        # The translated model's CASE Project renders to kilobytes; the
+        # store keeps a bounded label whatever the plan.
+        session.sql(covid_query)
+        with session.feedback._lock:
+            labels = [fb.operator
+                      for fb in session.feedback._operators.values()]
+        assert any(label.endswith("…") for label in labels)
+        assert any(label.startswith("joinstep:") for label in labels)
+        for label in labels:
+            assert len(label) <= len("joinstep:") + MAX_LABEL_CHARS, label
+
+    def test_partition_label_keeps_prefix_and_index(self):
+        scan = Scan("events", columns=[f"column_{i}" for i in range(40)])
+        profiler = PlanProfiler()
+        profiler.record_operator(scan, 10, 0.001)
+        profiler.record_partition(scan, 3, 10, 5, 0.001)
+        store = FeedbackStore()
+        store.record_profile(profiler.profile_tree(scan))
+        labels = sorted(fb.operator for fb in store._operators.values())
+        assert len(labels[0]) == MAX_LABEL_CHARS
+        assert labels[0].startswith("Scan(events") and labels[0][-1] == "…"
+        assert labels[1] == f"partition:{labels[0]}:3"
 
 
 class TestPinnedSurface:
