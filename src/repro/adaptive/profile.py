@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.relational.expressions import Expression, conjuncts
 from repro.relational.logical import (
@@ -161,15 +161,36 @@ def join_edge_fingerprint(leaf_fps: List[str],
     return _digest("joinstep:" + "&".join(sorted(parts)))
 
 
+def join_step_fingerprint(node: MultiJoin, joined: FrozenSet[int],
+                          target: int) -> Optional[str]:
+    """Fingerprint of the step joining input ``target`` of ``node`` to the
+    inputs ``joined``, or None when no edge connects them.
+
+    Cached on the node per ``(joined, target)``: the join-ordering model
+    asks for the same few steps after every warm execution.
+    """
+    cache = node.__dict__.get("_adaptive_edge_fps")
+    if cache is None:
+        cache = node.__dict__.setdefault("_adaptive_edge_fps", {})
+    key = (joined, target)
+    if key not in cache:
+        edges = node.edges_into(joined, target)
+        cache[key] = join_edge_fingerprint(
+            [plan_fingerprint(leaf) for leaf in node.inputs],
+            edges) if edges else None
+    return cache[key]
+
+
 def join_step_fingerprints(node: MultiJoin) -> Tuple[str, ...]:
     """One fingerprint per step of a ``MultiJoin``'s execution sequence
     (position 0 — the starting input — has no step), cached on the node."""
     cached = node.__dict__.get("_adaptive_step_fps")
     if cached is None:
-        leaf_fps = [plan_fingerprint(leaf) for leaf in node.inputs]
+        sequence = node.sequence()
         cached = node._adaptive_step_fps = tuple(
-            join_edge_fingerprint(leaf_fps, node.step_edges(position))
-            for position in range(1, len(node.inputs)))
+            join_step_fingerprint(node, frozenset(sequence[:position]),
+                                  sequence[position])
+            for position in range(1, len(sequence)))
     return cached
 
 
@@ -242,11 +263,14 @@ class JoinStepProfile:
     step kept — the classic join selectivity, invariant (under
     independence) to how much earlier steps already reduced either side,
     which is what lets observations recorded under one join order inform
-    the cost of every other order.
+    the cost of every other order. ``probe`` is how the step found its
+    matches: ``position`` or ``sorted`` through the target table's key
+    index, ``probe`` by sorting one side per execution.
     """
 
     detail: str
     fingerprint: str
+    probe: str = "probe"
     calls: int = 0
     rows_left: int = 0
     rows_right: int = 0
@@ -302,9 +326,12 @@ class OperatorProfile(_RowCounts):
         return max(0.0, self.seconds - sum(c.seconds for c in self.children))
 
     def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        """This profile and its descendants, pre-order."""
+        stack = [self]
+        while stack:
+            profile = stack.pop()
+            yield profile
+            stack.extend(reversed(profile.children))
 
     def pretty(self, indent: int = 0) -> str:
         pad = "  " * indent
@@ -320,7 +347,8 @@ class OperatorProfile(_RowCounts):
         for step in self.joins:
             lines.append(f"{pad}  [join step {step.rows_left}x"
                          f"{step.rows_right}->{step.rows_out} rows "
-                         f"{step.seconds * 1e3:.2f}ms] {step.detail}")
+                         f"{step.probe} {step.seconds * 1e3:.2f}ms] "
+                         f"{step.detail}")
         for part in self.partitions:
             psel = f"{part.selectivity:.3f}" if part.selectivity is not None \
                 else "?"
@@ -417,13 +445,14 @@ class PlanProfiler:
 
     def record_join(self, node: MultiJoin, step: int, detail: str,
                     rows_left: int, rows_right: int, rows_out: int,
-                    seconds: float) -> None:
-        """Record one step of a ``MultiJoin``."""
+                    seconds: float, probe: str) -> None:
+        """Record one step of a ``MultiJoin`` and how it probed."""
         fingerprint = join_step_fingerprints(node)[step]
         with self._lock:
             entry = self._part_locked(
                 node, "joins", step,
                 lambda: JoinStepProfile(detail=detail, fingerprint=fingerprint))
+            entry.probe = probe
             entry.calls += 1
             entry.rows_left += rows_left
             entry.rows_right += rows_right

@@ -39,7 +39,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from repro.adaptive.feedback import FeedbackStore
 from repro.adaptive.profile import (
     conjunct_fingerprint,
-    join_edge_fingerprint,
+    join_step_fingerprint,
     plan_fingerprint,
 )
 from repro.relational.expressions import (
@@ -57,7 +57,6 @@ from repro.relational.logical import (
     Aggregate,
     Filter,
     Join,
-    JoinEdge,
     Limit,
     MultiJoin,
     PlanNode,
@@ -226,19 +225,14 @@ class _JoinOrderModel:
     """Cost model over one join region: cards + step selectivities."""
 
     def __init__(self, region: MultiJoin, store: FeedbackStore, catalog):
+        self.region = region
         self.leaves = region.inputs
         self.edges = region.edges
-        self.leaf_fps = [plan_fingerprint(leaf) for leaf in self.leaves]
         self.cards = [estimated_rows(leaf, store, catalog)
                       for leaf in self.leaves]
         self.store = store
         self.catalog = catalog
         self._sel_cache: Dict[Tuple[FrozenSet[int], int], Optional[float]] = {}
-
-    def step_edges(self, joined: FrozenSet[int], target: int) -> List[JoinEdge]:
-        return [edge for edge in self.edges
-                if (edge.left_input == target and edge.right_input in joined)
-                or (edge.right_input == target and edge.left_input in joined)]
 
     def selectivity(self, joined: FrozenSet[int],
                     target: int) -> Optional[float]:
@@ -247,19 +241,18 @@ class _JoinOrderModel:
         key = (joined, target)
         if key in self._sel_cache:
             return self._sel_cache[key]
-        step = self.step_edges(joined, target)
-        if not step:
+        fingerprint = join_step_fingerprint(self.region, joined, target)
+        if fingerprint is None:
             self._sel_cache[key] = None
             return None
-        observed = self.store.selectivity(
-            join_edge_fingerprint(self.leaf_fps, step))
+        observed = self.store.selectivity(fingerprint)
         if observed is not None:
             result = min(max(float(observed), 0.0), 1.0)
         else:
             # Cold: the classic 1 / max(ndv) per key pair, with the leaf's
             # estimated cardinality standing in for an unknown ndv.
             result = 1.0
-            for edge in step:
+            for edge in self.region.edges_into(joined, target):
                 ndv_left = _key_distinct(self.leaves[edge.left_input],
                                          edge.left_key, self.catalog) \
                     or max(self.cards[edge.left_input], 1.0)
@@ -359,6 +352,21 @@ def plan_join_order(node: MultiJoin, store: FeedbackStore,
 PERMUTATION_INVARIANT_AGGS = frozenset({"count", "min", "max"})
 
 
+def _order_free_below(node: PlanNode, order_free: bool) -> bool:
+    """Whether row order is unobservable in ``node``'s inputs, given
+    whether it is in ``node``'s output (see
+    :func:`_annotate_order_insensitive`)."""
+    if isinstance(node, Aggregate):
+        return all(spec.func in PERMUTATION_INVARIANT_AGGS
+                   for spec in node.aggregates)
+    if isinstance(node, (Filter, Project)):
+        return order_free
+    # Order-sensitive consumers (Sort re-sorts but Limit/Join/Predict
+    # observe row order; being conservative costs only the sort), and a
+    # MultiJoin's own inputs.
+    return False
+
+
 def _annotate_order_insensitive(node: PlanNode,
                                 order_free: bool = False) -> PlanNode:
     """Mark MultiJoins whose canonical output sort provably cannot matter.
@@ -373,17 +381,9 @@ def _annotate_order_insensitive(node: PlanNode,
     the differential oracle for this rewrite. Identity-preserving when
     nothing changes, like every reopt pass.
     """
-    if isinstance(node, Aggregate):
-        child_free = all(spec.func in PERMUTATION_INVARIANT_AGGS
-                         for spec in node.aggregates)
-    elif isinstance(node, (Filter, Project)):
-        child_free = order_free
-    else:
-        # Order-sensitive consumers (Sort re-sorts but Limit/Join/Predict
-        # observe row order; being conservative costs only the sort).
-        child_free = False
+    child_free = _order_free_below(node, order_free)
     if isinstance(node, MultiJoin):
-        inputs = [_annotate_order_insensitive(child)
+        inputs = [_annotate_order_insensitive(child, child_free)
                   for child in node.inputs]
         changed = any(new is not old
                       for new, old in zip(inputs, node.inputs))
@@ -460,7 +460,37 @@ def feedback_divergence(plan: PlanNode, store: FeedbackStore,
 
     The session calls this after each profiled execution of a cached
     plan; True marks the cache entry stale so the next lookup re-optimizes
-    through the single-flight path.
+    through the single-flight path. It asks each Filter and MultiJoin the
+    question :func:`apply_feedback` asks it, read-only, and stops at the
+    first differing answer, so a converged plan is never rebuilt to learn
+    that nothing changes. (The answers match: every decision reads
+    structural fingerprints, which a rewritten child leaves as they
+    were.)
     """
-    _, changed, _ = apply_feedback(plan, store, catalog)
-    return changed
+    for node, order_free in _decision_sites(plan):
+        if isinstance(node, Filter):
+            if plan_conjunct_order(node, store) is not None:
+                return True
+        elif node.order_insensitive != order_free \
+                or plan_join_order(node, store, catalog) is not None:
+            return True
+    return False
+
+
+def _decision_sites(plan: PlanNode) -> Tuple[Tuple[PlanNode, bool], ...]:
+    """The Filters and MultiJoins of ``plan``, each with whether row order
+    is unobservable at its output; cached on the (immutable) root."""
+    cached = plan.__dict__.get("_adaptive_sites")
+    if cached is None:
+        sites: List[Tuple[PlanNode, bool]] = []
+
+        def visit(node: PlanNode, order_free: bool) -> None:
+            if isinstance(node, (Filter, MultiJoin)):
+                sites.append((node, order_free))
+            child_free = _order_free_below(node, order_free)
+            for child in node.children():
+                visit(child, child_free)
+
+        visit(plan, False)
+        cached = plan._adaptive_sites = tuple(sites)
+    return cached

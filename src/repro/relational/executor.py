@@ -14,10 +14,17 @@ gathered once, at pipeline breakers (aggregate, sort, predict inputs,
 final output). Joins extend this through an inner-join region: a
 ``MultiJoin`` — the form every inner equi-join region of an optimized
 plan arrives in — carries per-input row-index vectors from step to step
-and gathers each column once, after its last step; which side of a step
-gets sorted is decided from the row counts the step sees. The binary
-``Join`` (left outer joins, and the written join tree an unoptimized
-session runs as the reference) gathers both sides at every step. Scalar
+and gathers each column once, after its last step. A step that joins a
+scanned table (filtered or not) on one integer key probes that table's
+key index (:mod:`repro.storage.key_index`), which the catalog builds
+once per registered table and column — a star join's dimension is never
+sorted per query. Every other step (several keys, a computed input,
+float or string keys, a restricted scan) sorts one side and binary-
+searches it, the side decided from the row counts the step sees. The
+binary ``Join`` (left outer joins, and the written join tree an
+unoptimized session runs as the reference) always takes that sorted
+probe, so the reference shares no code with the index path it checks;
+it gathers both sides at every step. Scalar
 expressions are lowered to
 :class:`~repro.relational.compile.CompiledProgram` instructions (CSE +
 masked CASE routing + constant folding), stashed on the plan node so
@@ -69,6 +76,7 @@ from repro.relational.logical import (
     Aggregate,
     Filter,
     Join,
+    JoinEdge,
     Limit,
     Materialized,
     MultiJoin,
@@ -78,8 +86,9 @@ from repro.relational.logical import (
     Scan,
     Sort,
 )
-from repro.storage.catalog import Catalog
+from repro.storage.catalog import Catalog, TableEntry
 from repro.storage.column import Column, DataType, same_dictionary
+from repro.storage.key_index import indexable
 from repro.storage.table import Table, TableView, concat_tables
 
 # predict_executor(node, input_table, partition) -> Table of the node's
@@ -178,10 +187,15 @@ class Executor:
         # the seconds computing the subtree took.
         self._computed: Optional[Tuple[PlanNode, Materialized]] = None
         self._computed_seconds = 0.0
+        # The catalog entry each unrestricted Scan of the current run
+        # read: a join step probes that entry's key index, whose row
+        # numbers are the rows the scan returned.
+        self._scanned: Dict[Scan, TableEntry] = {}
 
     # ------------------------------------------------------------------
     def execute(self, plan: PlanNode) -> Table:
         """Run the plan; the root is the final pipeline breaker."""
+        self._scanned = {}
         return self._run(plan).materialize()
 
     def execute_above(self, plan: PlanNode, subtree: PlanNode,
@@ -334,6 +348,7 @@ class Executor:
                                        for i in restriction])
         else:
             table = entry.data.to_table()
+            self._scanned[node] = entry
         if node.columns is not None:
             table = table.select(node.columns)
         return table.prefix(node.alias)
@@ -470,7 +485,8 @@ class Executor:
     # keys cannot be attributed to one input) and the written join tree
     # an unoptimized session runs step by step — the reference the
     # MultiJoin is tested against. Both sides' columns are gathered at
-    # every step.
+    # every step, and every step takes the sorted probe, never a key
+    # index: the reference stays independent of the index path.
     # ------------------------------------------------------------------
     def _exec_join(self, node: Join) -> Table:
         left = self._run(node.left)
@@ -496,6 +512,12 @@ class Executor:
     # lexicographically by per-input row position, original input order
     # major — which is exactly what the written tree of binary joins
     # produces, so every execution `order` is bit-for-bit identical.
+    #
+    # A step joining a Scan (or a Filter chain over one) on a single
+    # integer key probes the scanned table's cached key index; any other
+    # step sorts and binary-searches one side (_sorted_step). Both emit
+    # probe-major pairs in ascending target row, so which one ran never
+    # shows in the output.
     # ------------------------------------------------------------------
     def _exec_multijoin(self, node: MultiJoin) -> Table:
         views = [self._run(child) for child in node.inputs]
@@ -524,37 +546,27 @@ class Executor:
                     f"connected-prefix property"
                 )
             rows_current = len(matched[first])
-            rows_target = views[target].num_rows
             started = time.perf_counter()
-            current_codes = np.zeros(rows_current, dtype=np.int64)
-            target_codes = np.zeros(rows_target, dtype=np.int64)
-            for edge in edges:
-                if edge.right_input == target:
-                    held, held_key = edge.left_input, edge.left_key
-                    target_key = edge.right_key
-                else:
-                    held, held_key = edge.right_input, edge.right_key
-                    target_key = edge.left_key
-                held_values, dictionary = _key(views[held].column(held_key))
-                held_codes, new_codes = _factorize_pair(
-                    (held_values[matched[held]], dictionary),
-                    _key(views[target].column(target_key)))
-                radix = int(max(held_codes.max(initial=0),
-                                new_codes.max(initial=0))) + 1
-                current_codes = current_codes * radix + held_codes
-                target_codes = target_codes * radix + new_codes
-            step_left, step_right, _ = _join_indices(
-                current_codes, target_codes, how="inner",
-                left_major=ordered_steps)
+            indexed = None
+            if len(edges) == 1:
+                indexed = self._probe_through_index(
+                    node.inputs[target], views, matched, target, edges[0])
+            if indexed is not None:
+                probe, step_left, step_right = indexed
+            else:
+                probe = "probe"
+                step_left, step_right = _sorted_step(
+                    views, matched, rows_current, target, edges,
+                    ordered_steps)
             matched = {index: rows[step_left]
                        for index, rows in matched.items()}
             matched[target] = step_right
             if self.record.profile:
                 keys = ", ".join(f"{e.left_key}={e.right_key}" for e in edges)
                 self.record.record_join(node, position - 1, keys,
-                                        rows_current, rows_target,
+                                        rows_current, views[target].num_rows,
                                         len(step_left),
-                                        time.perf_counter() - started)
+                                        time.perf_counter() - started, probe)
         if sort_output and len(matched[first]):
             # Original input 0 is the primary sort key.
             order = np.lexsort([matched[index]
@@ -564,6 +576,45 @@ class Executor:
         for index, view in enumerate(views):
             columns += _gather_columns(view, matched[index])
         return Table(columns)
+
+    def _probe_through_index(self, target_node: PlanNode,
+                             views: List[TableView],
+                             matched: Dict[int, np.ndarray], target: int,
+                             edge: JoinEdge
+                             ) -> Optional[Tuple[str, np.ndarray, np.ndarray]]:
+        """Probe a single-edge step's target through its table's key index.
+
+        Applies when the target is a Scan this run read unrestricted, or
+        a Filter chain over one, and both keys are integers. Returns the
+        index kind and the step's (held-prefix rows, target view rows),
+        or None for the sorted probe.
+        """
+        scan = target_node
+        while isinstance(scan, Filter):
+            scan = scan.child
+        entry = self._scanned.get(scan) if isinstance(scan, Scan) else None
+        if entry is None:
+            return None
+        held, held_key, target_key = _orient(edge, target)
+        held_column = views[held].column(held_key)
+        prefix = scan.alias + "."
+        if not (target_key.startswith(prefix) and indexable(held_column)):
+            return None
+        index = self.catalog.key_index(entry, target_key[len(prefix):])
+        if index is None:
+            return None
+        step_left, rows = index.probe(held_column.data[matched[held]])
+        selection = views[target].selection
+        if selection is not None:
+            # A filtered target: table rows become view rows through the
+            # inverse of its (ascending) selection, filtered-out rows -1.
+            inverse = np.full(views[target].table.num_rows, -1,
+                              dtype=np.int64)
+            inverse[selection] = np.arange(len(selection), dtype=np.int64)
+            rows = inverse[rows]
+            kept = np.flatnonzero(rows >= 0)
+            step_left, rows = step_left[kept], rows[kept]
+        return index.kind, step_left, rows
 
     # ------------------------------------------------------------------
     # Aggregate
@@ -655,6 +706,37 @@ def _factorize_pair(left: Tuple[np.ndarray, Optional[np.ndarray]],
     return codes[: len(left)], codes[len(left):]
 
 
+def _orient(edge: JoinEdge, target: int) -> Tuple[int, str, str]:
+    """(held input, held key, target key) of a step edge into ``target``."""
+    if edge.right_input == target:
+        return edge.left_input, edge.left_key, edge.right_key
+    return edge.right_input, edge.right_key, edge.left_key
+
+
+def _sorted_step(views: List[TableView], matched: Dict[int, np.ndarray],
+                 rows_current: int, target: int, edges: List[JoinEdge],
+                 ordered_steps: bool
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """A MultiJoin step by sorted probe: the keys of every edge radix-
+    combined into one code per held-prefix and per target row, then
+    :func:`_join_indices` (held-prefix major when ``ordered_steps``)."""
+    current_codes = np.zeros(rows_current, dtype=np.int64)
+    target_codes = np.zeros(views[target].num_rows, dtype=np.int64)
+    for edge in edges:
+        held, held_key, target_key = _orient(edge, target)
+        held_values, dictionary = _key(views[held].column(held_key))
+        held_codes, new_codes = _factorize_pair(
+            (held_values[matched[held]], dictionary),
+            _key(views[target].column(target_key)))
+        radix = int(max(held_codes.max(initial=0),
+                        new_codes.max(initial=0))) + 1
+        current_codes = current_codes * radix + held_codes
+        target_codes = target_codes * radix + new_codes
+    step_left, step_right, _ = _join_indices(
+        current_codes, target_codes, how="inner", left_major=ordered_steps)
+    return step_left, step_right
+
+
 def _composite_codes(left: Union[Table, TableView], right: Union[Table, TableView],
                      left_keys: List[str], right_keys: List[str]):
     """Collapse (possibly multi-column) join keys to single int code arrays.
@@ -702,7 +784,8 @@ def _sorted_probe(probe_codes: np.ndarray, build_codes: np.ndarray
 def _join_indices(left_codes: np.ndarray, right_codes: np.ndarray,
                   how: str, left_major: bool = True
                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized sorted-probe equi-join.
+    """Vectorized sorted-probe equi-join: every binary ``Join``, and each
+    MultiJoin step that cannot probe a key index (:func:`_sorted_step`).
 
     Returns (left_idx, right_idx, unmatched_left_idx). One side is sorted
     (the analogue of a hash join's build side) and probed with the other:

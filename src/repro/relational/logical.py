@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import PlanError
 from repro.relational.expressions import Expression
@@ -336,8 +336,11 @@ class MultiJoin(PlanNode):
     def step_edges(self, position: int) -> List[JoinEdge]:
         """Edges joining ``sequence()[position]`` to the inputs before it."""
         sequence = self.sequence()
-        joined = set(sequence[:position])
-        target = sequence[position]
+        return self.edges_into(set(sequence[:position]), sequence[position])
+
+    def edges_into(self, joined: AbstractSet[int],
+                   target: int) -> List[JoinEdge]:
+        """Edges joining input ``target`` to any input in ``joined``."""
         return [edge for edge in self.edges
                 if (edge.left_input == target and edge.right_input in joined)
                 or (edge.right_input == target and edge.left_input in joined)]

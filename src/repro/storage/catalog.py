@@ -7,7 +7,9 @@ The catalog plays the role of the database metadata layer. It stores:
   relational optimizer;
 * trained models (onnxlite graphs), which the ``PREDICT`` statement
   references by name — mirroring ``PREDICT(MODEL = covid_risk.onnx, ...)``
-  in the paper's Fig. 2.
+  in the paper's Fig. 2;
+* join key indexes (:mod:`repro.storage.key_index`), built from a table's
+  key column on the first join that probes it and cached on its entry.
 
 Models are stored as opaque objects to keep the storage layer independent of
 the model format.
@@ -20,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import CatalogError
+from repro.storage.key_index import KeyIndex, build_key_index
 from repro.storage.partition import PartitionedTable
 from repro.storage.statistics import TableStats
 from repro.storage.table import Schema, Table
@@ -27,13 +30,21 @@ from repro.storage.table import Schema, Table
 
 @dataclass
 class TableEntry:
-    """Catalog metadata for one registered table."""
+    """Catalog metadata for one registered table.
+
+    ``key_indexes`` caches :meth:`Catalog.key_index` per column. It needs
+    no invalidation: re-registering a table makes a new entry and
+    dropping it removes the entry, and spilling keeps every value and
+    row in place.
+    """
 
     name: str
     data: PartitionedTable
     stats: TableStats
     primary_key: Optional[List[str]] = None
     version: int = 0
+    key_indexes: Dict[str, Optional[KeyIndex]] = field(
+        default_factory=dict, repr=False, compare=False)
 
     @property
     def schema(self) -> Schema:
@@ -205,6 +216,24 @@ class Catalog:
 
     def has_table(self, name: str) -> bool:
         return name in self._tables
+
+    def key_index(self, entry: TableEntry,
+                  column: str) -> Optional[KeyIndex]:
+        """The key index of ``entry``'s ``column``, or None when the column
+        gets none (see :mod:`repro.storage.key_index`).
+
+        Built on first use from the column's rows in partition order and
+        cached on the entry. Concurrent first joins may each build one,
+        but publication is idempotent under the catalog lock, so every
+        caller gets the one stored copy.
+        """
+        cached = entry.key_indexes
+        if column in cached:
+            return cached[column]
+        index = build_key_index([part.table.column(column)
+                                 for part in entry.data.partitions])
+        with self._lock:
+            return cached.setdefault(column, index)
 
     def drop_table(self, name: str) -> None:
         with self._lock:
