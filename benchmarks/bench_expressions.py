@@ -21,7 +21,7 @@ import numpy as np
 from benchmarks._util import run_report
 from repro.bench.harness import ReportTable, scaled, timed
 from repro.core.rules.ml_to_sql import tree_to_expression
-from repro.learn.tree import TreeNode
+from repro.learn.tree import Tree
 from repro.relational.executor import Executor
 from repro.relational.expressions import FunctionCall, col, lit
 from repro.relational.logical import Project, Scan
@@ -38,17 +38,28 @@ FULL_SCALE_ROWS = 50_000
 FULL_SCALE_SPEEDUP = 3.0
 
 
-def _make_tree(depth: int, rng: np.random.Generator,
-               n_features: int) -> TreeNode:
-    if depth == 0:
-        p = float(rng.random())
-        return TreeNode(value=np.array([1.0 - p, p]))
-    return TreeNode(
-        feature=int(rng.integers(0, n_features)),
-        threshold=float(rng.normal(0.0, 1.0)),
-        left=_make_tree(depth - 1, rng, n_features),
-        right=_make_tree(depth - 1, rng, n_features),
-    )
+def _make_tree(depth: int, rng: np.random.Generator, n_features: int) -> Tree:
+    """A complete random tree of ``depth``, its nodes appended in pre-order."""
+    columns = {"feature": [], "threshold": [], "left": [], "right": [],
+               "value": []}
+
+    def grow(level: int) -> int:
+        node = len(columns["feature"])
+        if level == 0:
+            p = float(rng.random())
+            entries = (-1, 0.0, -1, -1, [1.0 - p, p])
+        else:
+            entries = (int(rng.integers(0, n_features)),
+                       float(rng.normal(0.0, 1.0)), -1, -1, [0.0, 0.0])
+        for column, entry in zip(columns.values(), entries):
+            column.append(entry)
+        if level:
+            columns["left"][node] = grow(level - 1)
+            columns["right"][node] = grow(level - 1)
+        return node
+
+    grow(depth)
+    return Tree(n_samples=[0] * len(columns["feature"]), **columns)
 
 
 def _feature_table(n_features: int, rows: int) -> Table:

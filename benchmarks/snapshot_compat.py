@@ -6,13 +6,18 @@ python process/version needs to reproduce it exactly:
 
 * ``snapshot.json``   — the session snapshot (plans + feedback + stats);
 * ``tables.npz``      — the raw table data (bit-exact, no RNG replay);
-* ``model.ronnx``     — the registered model graph (the serialized form
-  is the registration source on both sides, so content digests match
-  without retraining);
-* ``manifest.json``   — the queries plus the writer's python version.
+* ``model.ronnx``, ``boosted.ronnx`` — the registered model graphs: a
+  decision tree (``risk``) and a gradient-boosted ensemble (``boosted``,
+  whose ``trees`` attribute holds learning-rate-scaled leaf values). The
+  serialized form is the registration source on both sides, so content
+  digests match without retraining;
+* ``manifest.json``   — the queries, the models (name -> file) plus the
+  writer's python version.
 
 ``check <dir>`` (run under a different interpreter) registers the same
-tables/model, warm-starts from the snapshot, and asserts:
+tables and the manifest's models (``risk`` alone for a manifest that
+names none, as written before the ensemble was added), warm-starts from
+the snapshot, and asserts:
 
 * every persisted plan installs (nothing dropped as stale);
 * the first call of each query is a plan-cache hit with zero
@@ -47,7 +52,16 @@ QUERIES = [
     "SELECT d.a, p.score "
     "FROM PREDICT(MODEL = risk, DATA = readings AS d) "
     "WITH (score FLOAT) AS p WHERE p.score > 0.5",
+    # PREDICT on a boosted ensemble: its scaled-leaf tree list rides in the
+    # model file and in the plan.
+    "SELECT d.a, p.score "
+    "FROM PREDICT(MODEL = boosted, DATA = readings AS d) "
+    "WITH (score FLOAT) AS p WHERE d.b > 0.25",
 ]
+
+#: Model name -> file, as written; a manifest without ``models`` had risk.
+MODELS = {"risk": "model.ronnx", "boosted": "boosted.ronnx"}
+LEGACY_MODELS = {"risk": "model.ronnx"}
 
 
 def _build_tables() -> dict:
@@ -65,23 +79,34 @@ def _build_tables() -> dict:
     }
 
 
-def _register(session: RavenSession, tables: dict, model_path: Path) -> None:
+def _register(session: RavenSession, tables: dict, directory: Path,
+              models: dict) -> None:
     for name, columns in tables.items():
         session.register_table(name, Table.from_arrays(**columns))
-    session.register_model("risk", load_graph(model_path))
+    for name, file_name in models.items():
+        session.register_model(name, load_graph(directory / file_name))
 
 
-def _train_model(tables: dict, model_path: Path) -> None:
-    from repro.learn import DecisionTreeClassifier, make_standard_pipeline
+def _train_models(tables: dict, directory: Path) -> None:
+    from repro.learn import (
+        DecisionTreeClassifier,
+        GradientBoostingClassifier,
+        make_standard_pipeline,
+    )
+    from repro.onnxlite.convert import convert_pipeline
 
     frame = Table.from_arrays(**tables["readings"])
     labels = (tables["readings"]["a"] > 0.6).astype(int)
-    pipeline = make_standard_pipeline(
-        DecisionTreeClassifier(max_depth=4, random_state=0), ["a", "b"], [])
-    pipeline.fit(frame, labels)
-    from repro.onnxlite.convert import convert_pipeline
-
-    save_graph(convert_pipeline(pipeline, name="risk"), model_path)
+    models = {
+        "risk": DecisionTreeClassifier(max_depth=4, random_state=0),
+        "boosted": GradientBoostingClassifier(n_estimators=12, max_depth=3,
+                                              random_state=0),
+    }
+    for name, model in models.items():
+        pipeline = make_standard_pipeline(model, ["a", "b"], [])
+        pipeline.fit(frame, labels)
+        save_graph(convert_pipeline(pipeline, name=name),
+                   directory / MODELS[name])
 
 
 def write(directory: Path) -> None:
@@ -91,11 +116,10 @@ def write(directory: Path) -> None:
              **{f"{table}.{column}": data
                 for table, columns in tables.items()
                 for column, data in columns.items()})
-    model_path = directory / "model.ronnx"
-    _train_model(tables, model_path)
+    _train_models(tables, directory)
 
     session = RavenSession()
-    _register(session, tables, model_path)
+    _register(session, tables, directory, MODELS)
     for query in QUERIES:
         # Converged = a cache-hit run that caused no new re-optimization:
         # the snapshot must capture fixed-point plans so the 3.12 loader
@@ -112,6 +136,7 @@ def write(directory: Path) -> None:
     (directory / "manifest.json").write_text(json.dumps({
         "python": sys.version,
         "queries": QUERIES,
+        "models": MODELS,
         "plans": len(session.plan_cache),
     }, indent=2))
     print(f"wrote snapshot with {len(session.plan_cache)} plans "
@@ -130,16 +155,16 @@ def _load_tables(directory: Path) -> dict:
 def check(directory: Path) -> None:
     manifest = json.loads((directory / "manifest.json").read_text())
     tables = _load_tables(directory)
-    model_path = directory / "model.ronnx"
+    models = manifest.get("models", LEGACY_MODELS)
 
     warm = RavenSession(warm_start=directory / "snapshot.json")
-    _register(warm, tables, model_path)
+    _register(warm, tables, directory, models)
     assert warm.plan_cache.stats.restored == manifest["plans"], (
         f"only {warm.plan_cache.stats.restored}/{manifest['plans']} "
         f"persisted plans installed — snapshot went stale across versions")
 
     oracle = RavenSession(adaptive=False)
-    _register(oracle, tables, model_path)
+    _register(oracle, tables, directory, models)
 
     for query in manifest["queries"]:
         result, stats = warm.sql_with_stats(query)
@@ -152,7 +177,8 @@ def check(directory: Path) -> None:
                 f"{query!r}: column {name} diverged from the oracle")
     assert warm.plan_cache.stats.reoptimizations == 0, (
         "warm-started session re-optimized a fixed-point plan")
-    print(f"checked {len(manifest['queries'])} queries bit-for-bit "
+    print(f"checked {len(manifest['queries'])} queries on models "
+          f"{sorted(models)} bit-for-bit "
           f"(snapshot written on python {manifest['python'].split()[0]}, "
           f"loaded on {sys.version.split()[0]})")
 

@@ -85,7 +85,7 @@ def main() -> None:
         print("\noptimized pipeline inputs:", graph.input_names)
         tree_node = next(n for n in graph.nodes
                          if n.op_type == "TreeEnsembleClassifier")
-        total = sum(t.node_count() for t in tree_node.attrs["trees"])
+        total = sum(len(t) for t in tree_node.attrs["trees"])
         print(f"optimized tree size: {total} nodes")
         print("\n=== unified IR, optimized ===")
         print(ir_to_text(UnifiedIR(plan, session.catalog)))

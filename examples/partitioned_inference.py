@@ -41,12 +41,12 @@ def main() -> None:
           f"{info['avg_pruned_columns']:.1f} (paper Table 2's metric)")
 
     original_nodes = sum(
-        t.node_count() for n in partitioned.catalog.model("los_model")
+        len(t) for n in partitioned.catalog.model("los_model")
         .graph.nodes if n.op_type.startswith("TreeEnsemble")
         for t in n.attrs["trees"])
     print(f"\noriginal model: {original_nodes} tree nodes; per-partition:")
     for index, graph in enumerate(predict.per_partition_graphs):
-        nodes = sum(t.node_count() for n in graph.nodes
+        nodes = sum(len(t) for n in graph.nodes
                     if n.op_type.startswith("TreeEnsemble")
                     for t in n.attrs["trees"])
         key = partitioned.catalog.table(dataset.fact_table) \

@@ -19,7 +19,7 @@ from repro.learn.ensemble import GradientBoostingClassifier, RandomForestClassif
 from repro.learn.linear import LogisticRegression
 from repro.learn.pipeline import ColumnTransformer, Pipeline
 from repro.learn.preprocessing import OneHotEncoder, StandardScaler
-from repro.learn.tree import DecisionTreeClassifier, TreeNode
+from repro.learn.tree import DecisionTreeClassifier, Tree
 from repro.storage.table import Table
 
 
@@ -92,12 +92,12 @@ class RowwisePipelineExecutor:
         raise ValueError(f"row-wise baseline lacks {type(model).__name__}")
 
 
-def _walk_tree(tree: TreeNode, features: Sequence[float]):
-    node = tree
-    while not node.is_leaf:
-        node = node.left if features[node.feature] <= node.threshold \
-            else node.right
-    value = node.value
+def _walk_tree(tree: Tree, features: Sequence[float]):
+    node = 0
+    while tree.left[node] >= 0:
+        node = tree.left[node] if features[tree.feature[node]] \
+            <= tree.threshold[node] else tree.right[node]
+    value = tree.value[node]
     if len(value) == 1:
         return float(value[0]), float(value[0])
     return float(value[0]), float(value[1])

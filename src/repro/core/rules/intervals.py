@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.learn.tree import TreeNode
+from repro.learn.tree import Tree
 from repro.onnxlite.graph import Graph, Node
 from repro.onnxlite.ops import infer_edge_info
 
@@ -305,47 +305,93 @@ def _format_number(value: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Tree pruning under interval constraints
+# Tree rewrites: per-node decisions, then one compaction
 # ---------------------------------------------------------------------------
 
-def prune_tree(tree: TreeNode, intervals: Sequence[Interval]) -> TreeNode:
+def prune_tree(tree: Tree, intervals: Sequence[Interval]) -> Tree:
     """Remove branches unreachable under the per-feature intervals.
 
     The constraint vector is *refined* while descending (taking the left
     branch implies ``x <= t``), so nested splits on the same feature prune
-    transitively. Semantics-preserving for every input row satisfying the
-    constraints. Returns a new tree (input is not mutated).
+    transitively. A split the intervals decide is replaced by the child it
+    always takes. Semantics-preserving for every input row satisfying the
+    constraints.
     """
+    feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
+    left, right = tree.left.tolist(), tree.right.tolist()
+    stand_in = list(range(len(tree)))  # the node whose subtree replaces each
+    pending = [(0, {})]
+    while pending:
+        node, bounds = pending.pop()
+        if left[node] < 0:
+            continue
+        f, t = feature[node], threshold[node]
+        interval = bounds.get(f, intervals[f] if f < len(intervals)
+                              else Interval.UNKNOWN)
+        if interval.always_leq(t):
+            stand_in[node] = left[node]
+            pending.append((left[node], bounds))
+        elif interval.never_leq(t):
+            stand_in[node] = right[node]
+            pending.append((right[node], bounds))
+        else:
+            pending.append((left[node], {**bounds, f: interval.refined_leq(t)}))
+            pending.append((right[node], {**bounds, f: interval.refined_gt(t)}))
+    for node in reversed(range(len(tree))):  # a child's id exceeds its parent's
+        stand_in[node] = stand_in[stand_in[node]]
+    return compact_tree(tree, stand_in[0],
+                        [stand_in[child] if child >= 0 else -1 for child in left],
+                        [stand_in[child] if child >= 0 else -1 for child in right],
+                        range(len(tree)))
 
-    def recurse(node: TreeNode, bounds: Dict[int, Interval]) -> TreeNode:
-        if node.is_leaf:
-            return TreeNode(value=node.value.copy(), n_samples=node.n_samples)
-        interval = bounds.get(node.feature,
-                              intervals[node.feature]
-                              if node.feature < len(intervals) else Interval.UNKNOWN)
-        if interval.always_leq(node.threshold):
-            return recurse(node.left, bounds)
-        if interval.never_leq(node.threshold):
-            return recurse(node.right, bounds)
-        left_bounds = dict(bounds)
-        left_bounds[node.feature] = interval.refined_leq(node.threshold)
-        right_bounds = dict(bounds)
-        right_bounds[node.feature] = interval.refined_gt(node.threshold)
-        return TreeNode(feature=node.feature, threshold=node.threshold,
-                        left=recurse(node.left, left_bounds),
-                        right=recurse(node.right, right_bounds),
-                        n_samples=node.n_samples)
 
-    return recurse(tree, {})
-
-
-def collapse_uniform_subtrees(tree: TreeNode) -> TreeNode:
+def collapse_uniform_subtrees(tree: Tree) -> Tree:
     """Merge sibling leaves with identical values into one leaf."""
-    if tree.is_leaf:
+    return merge_sibling_leaves(tree, np.array_equal)
+
+
+def merge_sibling_leaves(tree: Tree, mergeable) -> Tree:
+    """Bottom up, an internal node whose two children are leaves (or have
+    become leaves) with value rows that ``mergeable(left, right)`` accepts
+    becomes one leaf: the left child's value, the node's ``n_samples``."""
+    left, right = tree.left.tolist(), tree.right.tolist()
+    value_row = list(range(len(tree)))
+    for node in reversed(range(len(tree))):  # children before their parent
+        a, b = left[node], right[node]
+        if a >= 0 and left[a] < 0 and left[b] < 0 and mergeable(
+                tree.value[value_row[a]], tree.value[value_row[b]]):
+            left[node] = right[node] = -1
+            value_row[node] = value_row[a]
+    return compact_tree(tree, 0, left, right, value_row)
+
+
+def compact_tree(tree: Tree, root: int, left: Sequence[int],
+                 right: Sequence[int], value_row: Sequence[int]) -> Tree:
+    """The tree reached from ``root`` through ``left``/``right`` (children
+    per node id of ``tree``, -1 for a leaf), renumbered in pre-order.
+
+    Every node keeps its ``n_samples`` and, while it has children, its
+    split; a leaf takes the value row ``value_row[node]``. Returns
+    ``tree`` itself when every node is kept as it was.
+    """
+    order = []
+    pending = [root]
+    while pending:
+        node = pending.pop()
+        order.append(node)
+        if left[node] >= 0:
+            pending += (right[node], left[node])
+    if len(order) == len(tree):
         return tree
-    left = collapse_uniform_subtrees(tree.left)
-    right = collapse_uniform_subtrees(tree.right)
-    if left.is_leaf and right.is_leaf and np.array_equal(left.value, right.value):
-        return TreeNode(value=left.value.copy(), n_samples=tree.n_samples)
-    return TreeNode(feature=tree.feature, threshold=tree.threshold,
-                    left=left, right=right, n_samples=tree.n_samples)
+    order = np.asarray(order)
+    new_id = np.empty(len(tree), dtype=np.intp)
+    new_id[order] = np.arange(len(order))
+    left, right = np.asarray(left)[order], np.asarray(right)[order]
+    leaf = left < 0
+    return Tree(np.where(leaf, -1, tree.feature[order]),
+                np.where(leaf, 0.0, tree.threshold[order]),
+                np.where(leaf, -1, new_id[left]),
+                np.where(leaf, -1, new_id[right]),
+                np.where(leaf[:, None],
+                         tree.value[np.asarray(value_row)[order]], 0.0),
+                tree.n_samples[order])

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.rules.base import Rule, RuleResult, predict_nodes, replace_predict
 from repro.errors import UnsupportedOperatorError
-from repro.learn.tree import TreeNode
+from repro.learn.tree import Tree
 from repro.onnxlite.graph import Graph, Node
 from repro.relational.expressions import (
     BinaryOp,
@@ -294,24 +294,27 @@ def _compile_linear_regressor(node: Node, edges) -> None:
     edges[node.outputs[0]] = [_linear_margin(features, coefficients, intercept)]
 
 
-def tree_to_expression(tree: TreeNode, features: List[Expression],
+def tree_to_expression(tree: Tree, features: List[Expression],
                        value_index: int) -> Expression:
     """Depth-first nested CASE WHEN for one tree (paper §5.1's example).
 
     A split whose condition folds to a constant (see
     :func:`_split_condition`) emits only the subtree it always takes.
     """
-    if tree.is_leaf:
-        return Literal(float(tree.value[value_index]))
-    condition = _split_condition(features[tree.feature],
-                                 float(tree.threshold))
-    if isinstance(condition, Literal):
-        taken = tree.left if condition.value else tree.right
-        return tree_to_expression(taken, features, value_index)
-    return CaseWhen(
-        [(condition, tree_to_expression(tree.left, features, value_index))],
-        tree_to_expression(tree.right, features, value_index),
-    )
+    feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
+    left, right = tree.left.tolist(), tree.right.tolist()
+    leaf_values = tree.value[:, value_index].tolist()
+
+    def translate(node: int) -> Expression:
+        if left[node] < 0:
+            return Literal(leaf_values[node])
+        condition = _split_condition(features[feature[node]], threshold[node])
+        if isinstance(condition, Literal):
+            return translate(left[node] if condition.value else right[node])
+        return CaseWhen([(condition, translate(left[node]))],
+                        translate(right[node]))
+
+    return translate(0)
 
 
 def _split_condition(feature: Expression, threshold: float) -> Expression:

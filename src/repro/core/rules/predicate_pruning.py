@@ -27,9 +27,11 @@ from repro.core.rules.intervals import (
     Interval,
     StringConstraint,
     collapse_uniform_subtrees,
+    merge_sibling_leaves,
     propagate,
     prune_tree,
 )
+from repro.learn.tree import Tree
 from repro.relational.expressions import (
     Between,
     BinaryOp,
@@ -113,7 +115,7 @@ def prune_graph_with_constraints(graph: Graph,
             for tree in node.attrs["trees"]:
                 pruned = prune_tree(tree, vector)
                 pruned = collapse_uniform_subtrees(pruned)
-                if pruned.node_count() < tree.node_count():
+                if len(pruned) < len(tree):
                     info["trees_pruned"] += 1  # type: ignore[operator]
                 pruned_trees.append(pruned)
             node.attrs["trees"] = pruned_trees
@@ -180,7 +182,7 @@ def _tree_node_total(graph: Graph) -> int:
     total = 0
     for node in graph.nodes:
         if node.op_type.startswith("TreeEnsemble"):
-            total += sum(tree.node_count() for tree in node.attrs["trees"])
+            total += sum(len(tree) for tree in node.attrs["trees"])
     return total
 
 
@@ -359,15 +361,6 @@ def _graph_output_for(predict: Predict, exposed_column: str) -> Optional[str]:
     return None
 
 
-def _merge_failing_leaves(tree, fails) -> object:
+def _merge_failing_leaves(tree: Tree, fails) -> Tree:
     """Bottom-up merge of sibling leaves that both fail the predicate."""
-    from repro.learn.tree import TreeNode
-
-    if tree.is_leaf:
-        return tree
-    left = _merge_failing_leaves(tree.left, fails)
-    right = _merge_failing_leaves(tree.right, fails)
-    if left.is_leaf and right.is_leaf and fails(left.value) and fails(right.value):
-        return TreeNode(value=left.value.copy(), n_samples=tree.n_samples)
-    return TreeNode(feature=tree.feature, threshold=tree.threshold,
-                    left=left, right=right, n_samples=tree.n_samples)
+    return merge_sibling_leaves(tree, lambda a, b: fails(a) and fails(b))

@@ -89,7 +89,7 @@ def pipeline_statistics(graph: Graph) -> Dict[str, float]:
             for tree in node.attrs["trees"]:
                 depth = tree.depth()
                 leaves = tree.leaf_count()
-                nodes = tree.node_count()
+                nodes = len(tree)
                 depths.append(depth)
                 node_counts.append(nodes)
                 leaf_counts.append(leaves)

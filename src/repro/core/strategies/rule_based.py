@@ -24,20 +24,20 @@ from repro.core.strategies.base import (
     best_choice_labels,
 )
 from repro.core.strategies.features import FEATURE_NAMES, feature_vector
-from repro.learn.tree import DecisionTreeClassifier, TreeNode
+from repro.learn.tree import DecisionTreeClassifier, Tree
 from repro.onnxlite.graph import Graph
 
 
-def tree_feature_importances(tree: TreeNode, n_features: int) -> np.ndarray:
+def tree_feature_importances(tree: Tree, n_features: int) -> np.ndarray:
     """Sample-weighted split-frequency importances.
 
     Each internal node credits its split feature with the number of samples
     it routed; normalized to sum to one.
     """
-    importances = np.zeros(n_features)
-    for node in tree.iter_nodes():
-        if not node.is_leaf:
-            importances[node.feature] += node.n_samples
+    internal = tree.left >= 0
+    importances = np.bincount(tree.feature[internal],
+                              weights=tree.n_samples[internal],
+                              minlength=n_features)
     total = importances.sum()
     return importances / total if total > 0 else importances
 
@@ -88,19 +88,21 @@ class MLInformedRuleStrategy(OptimizationStrategy):
         if self.rule_tree_ is None:
             return "<unfitted rule>"
         names = [FEATURE_NAMES[i] for i in self.selected_features_]
+        tree = self.rule_tree_.tree_
 
-        def render(node: TreeNode, indent: int) -> List[str]:
+        def render(node: int, indent: int) -> List[str]:
             pad = "  " * indent
-            if node.is_leaf:
-                label = self.choices_[int(np.argmax(node.value))]
+            if tree.left[node] < 0:
+                label = self.choices_[int(np.argmax(tree.value[node]))]
                 return [f"{pad}apply {_render_choice(label)}"]
-            lines = [f"{pad}if {names[node.feature]} <= {node.threshold:g}:"]
-            lines += render(node.left, indent + 1)
+            lines = [f"{pad}if {names[tree.feature[node]]} <= "
+                     f"{tree.threshold[node]:g}:"]
+            lines += render(tree.left[node], indent + 1)
             lines.append(f"{pad}else:")
-            lines += render(node.right, indent + 1)
+            lines += render(tree.right[node], indent + 1)
             return lines
 
-        return "\n".join(render(self.rule_tree_.tree_, 0))
+        return "\n".join(render(0, 0))
 
 
 def _render_choice(choice: str) -> str:

@@ -32,7 +32,7 @@ from repro.learn.preprocessing import (
     OneHotEncoder,
     StandardScaler,
 )
-from repro.learn.tree import DecisionTreeClassifier, DecisionTreeRegressor, TreeNode
+from repro.learn.tree import DecisionTreeClassifier, DecisionTreeRegressor, Tree
 
 __all__ = [
     "AdaBoostRegressor", "BaseEstimator", "Binarizer", "ColumnTransformer", "DecisionTreeClassifier",
@@ -40,7 +40,7 @@ __all__ = [
     "GradientBoostingRegressor", "KFold", "LabelEncoder", "Lasso",
     "LinearRegression", "LogisticRegression", "MinMaxScaler", "Normalizer",
     "OneHotEncoder", "Pipeline", "RandomForestClassifier", "RandomForestRegressor", "Ridge",
-    "SimpleImputer", "StandardScaler", "StratifiedKFold", "TreeNode", "accuracy_score",
+    "SimpleImputer", "StandardScaler", "StratifiedKFold", "Tree", "accuracy_score",
     "f1_score", "log_loss", "make_standard_pipeline", "precision_score",
     "recall_score", "roc_auc_score", "sigmoid", "softmax", "train_test_split",
 ]

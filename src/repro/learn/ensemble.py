@@ -9,6 +9,7 @@ shapes those benchmarks require (20–500 estimators, depth 3–8).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List, Optional
 
 import numpy as np
@@ -22,14 +23,18 @@ from repro.learn.base import (
     check_fitted,
     sigmoid,
 )
-from repro.learn.tree import (
-    DecisionTreeClassifier,
-    DecisionTreeRegressor,
-    TreeNode,
-)
+from repro.learn.tree import DecisionTreeClassifier, DecisionTreeRegressor, Tree
 
 
-class RandomForestClassifier(BaseEstimator, ClassifierMixin):
+class _TreeEnsemble(BaseEstimator):
+    """An ensemble of fitted decision-tree estimators (``estimators_``)."""
+
+    def trees(self) -> List[Tree]:
+        check_fitted(self, "estimators_")
+        return [estimator.tree_ for estimator in self.estimators_]
+
+
+class RandomForestClassifier(_TreeEnsemble, ClassifierMixin):
     """Bagged CART trees with per-split feature subsampling."""
 
     def __init__(self, n_estimators: int = 100, max_depth: Optional[int] = None,
@@ -83,24 +88,18 @@ class RandomForestClassifier(BaseEstimator, ClassifierMixin):
             total += tree.tree_.predict_value(X)
         return total / len(self.estimators_)
 
-    def trees(self) -> List[TreeNode]:
-        check_fitted(self, "estimators_")
-        return [estimator.tree_ for estimator in self.estimators_]
-
 
 def _expand_tree_classes(tree: DecisionTreeClassifier,
                          all_classes: np.ndarray) -> None:
     """Remap a tree trained on a class subset onto the full class vector."""
     positions = np.searchsorted(all_classes, tree.classes_)
-    for node in tree.tree_.iter_nodes():
-        if node.is_leaf:
-            expanded = np.zeros(len(all_classes))
-            expanded[positions] = node.value
-            node.value = expanded
+    expanded = np.zeros((len(tree.tree_), len(all_classes)))
+    expanded[:, positions] = tree.tree_.value
+    tree.tree_ = replace(tree.tree_, value=expanded)
     tree.classes_ = all_classes
 
 
-class RandomForestRegressor(BaseEstimator, RegressorMixin):
+class RandomForestRegressor(_TreeEnsemble, RegressorMixin):
     """Bagged CART regression trees (mean-aggregated)."""
 
     def __init__(self, n_estimators: int = 100, max_depth: Optional[int] = None,
@@ -147,12 +146,8 @@ class RandomForestRegressor(BaseEstimator, RegressorMixin):
             total += tree.predict(X)
         return total / len(self.estimators_)
 
-    def trees(self) -> List[TreeNode]:
-        check_fitted(self, "estimators_")
-        return [estimator.tree_ for estimator in self.estimators_]
 
-
-class AdaBoostRegressor(BaseEstimator, RegressorMixin):
+class AdaBoostRegressor(_TreeEnsemble, RegressorMixin):
     """AdaBoost.R2-style boosting with weighted-*mean* aggregation.
 
     The original AdaBoost.R2 predicts with the weighted *median* of the
@@ -219,12 +214,8 @@ class AdaBoostRegressor(BaseEstimator, RegressorMixin):
             total += weight * tree.predict(X)
         return total / max(normalizer, 1e-12)
 
-    def trees(self) -> List[TreeNode]:
-        check_fitted(self, "estimators_")
-        return [estimator.tree_ for estimator in self.estimators_]
 
-
-class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
+class GradientBoostingClassifier(_TreeEnsemble, ClassifierMixin):
     """Binary gradient boosting with binomial deviance.
 
     Leaves store raw margin contributions; the ensemble score is
@@ -297,27 +288,24 @@ class GradientBoostingClassifier(BaseEstimator, ClassifierMixin):
         positive = sigmoid(self.decision_function(X))
         return np.column_stack([1.0 - positive, positive])
 
-    def trees(self) -> List[TreeNode]:
-        check_fitted(self, "estimators_")
-        return [estimator.tree_ for estimator in self.estimators_]
-
 
 def _newton_leaf_update(tree: DecisionTreeRegressor, X: np.ndarray,
                         residuals: np.ndarray, probabilities: np.ndarray) -> None:
     """Replace mean-residual leaf values with one Newton-Raphson step:
     ``gamma = sum(residual) / sum(p * (1 - p))`` per leaf."""
     leaf_ids = tree.tree_.apply(X)
-    leaves = list(tree.tree_.iter_leaves())
+    leaves = np.flatnonzero(tree.tree_.left < 0)
     numerator = np.bincount(leaf_ids, weights=residuals, minlength=len(leaves))
     hessian = np.bincount(leaf_ids, weights=probabilities * (1 - probabilities),
                           minlength=len(leaves))
-    for index, leaf in enumerate(leaves):
-        if hessian[index] > 1e-12:
-            leaf.value = np.asarray([numerator[index] / hessian[index]])
-        # Leaves with no sample keep their fitted mean value.
+    # Leaves with no sample keep their fitted mean value.
+    stepped = hessian > 1e-12
+    value = tree.tree_.value.copy()
+    value[leaves[stepped], 0] = numerator[stepped] / hessian[stepped]
+    tree.tree_ = replace(tree.tree_, value=value)
 
 
-class GradientBoostingRegressor(BaseEstimator, RegressorMixin):
+class GradientBoostingRegressor(_TreeEnsemble, RegressorMixin):
     """Least-squares gradient boosting (plain residual fitting)."""
 
     def __init__(self, n_estimators: int = 100, learning_rate: float = 0.1,
@@ -359,7 +347,3 @@ class GradientBoostingRegressor(BaseEstimator, RegressorMixin):
         for tree in self.estimators_:
             predictions += self.learning_rate * tree.predict(X)
         return predictions
-
-    def trees(self) -> List[TreeNode]:
-        check_fitted(self, "estimators_")
-        return [estimator.tree_ for estimator in self.estimators_]

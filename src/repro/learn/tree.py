@@ -2,16 +2,16 @@
 
 Exact greedy splitter with sort-and-scan candidate evaluation. Split
 semantics follow scikit-learn / ONNX ``BRANCH_LEQ``: rows with
-``x[feature] <= threshold`` go left. The structural :class:`TreeNode`
-representation is shared with ``repro.onnxlite`` so Raven's pruning rules
-can rewrite trees directly; :class:`FlatForest` is the one kernel that
-scores trees, everywhere in the engine.
+``x[feature] <= threshold`` go left. A :class:`Tree` (read-only parallel
+node arrays in pre-order, the ONNX-ML ``TreeEnsemble*`` layout) is the one
+tree form in the engine: graphs hold it, files store it, Raven's rules
+rewrite it, and :class:`FlatForest`, the one tree kernel, walks it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List, NamedTuple, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Iterator, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,121 +25,131 @@ from repro.learn.base import (
 )
 
 
-@dataclass
-class TreeNode:
-    """One node of a binary decision tree.
+_DTYPES = (("feature", np.intp), ("threshold", np.float64), ("left", np.intp),
+           ("right", np.intp), ("value", np.float64), ("n_samples", np.int64))
 
-    Leaves carry ``value``: a class-probability vector for classifiers or a
-    1-element array for regressors. Internal nodes carry a ``feature`` index
-    and ``threshold`` with BRANCH_LEQ semantics.
+
+@dataclass(frozen=True, eq=False)
+class Tree:
+    """One decision tree as read-only parallel node arrays, in pre-order.
+
+    The layout of ONNX-ML ``TreeEnsemble*`` attributes and scikit-learn's
+    ``tree_``: node 0 is the root, and each internal node is followed by
+    its left subtree, then its right subtree. An internal node sends
+    ``x[feature] <= threshold`` to ``left``, everything else (NaN
+    included) to ``right``. A leaf has ``feature`` -1, ``threshold`` 0.0,
+    children -1 and its payload in its ``value`` row: a class-probability
+    vector for classifiers, one number for regressors (internal rows are
+    zero). ``n_samples`` counts the training rows that reached each node.
+
+    Arrays handed in writeable are copied, read-only ones are shared, and
+    every array is read-only afterwards: trees share arrays freely, and a
+    rewrite builds a new tree.
     """
 
-    feature: int = -1
-    threshold: float = 0.0
-    left: Optional["TreeNode"] = None
-    right: Optional["TreeNode"] = None
-    value: Optional[np.ndarray] = None
-    n_samples: int = 0
+    feature: np.ndarray     # [M]
+    threshold: np.ndarray   # [M]
+    left: np.ndarray        # [M]
+    right: np.ndarray       # [M]
+    value: np.ndarray       # [M, d]
+    n_samples: np.ndarray   # [M]
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
+    def __post_init__(self):
+        for name, dtype in _DTYPES:
+            array = np.asarray(getattr(self, name), dtype=dtype)
+            if array.flags.writeable:
+                array = array.copy()
+                array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
-    # ------------------------------------------------------------------
+    def __len__(self) -> int:
+        return len(self.feature)
+
     def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
-
-    def node_count(self) -> int:
-        if self.is_leaf:
-            return 1
-        return 1 + self.left.node_count() + self.right.node_count()
+        return sum(1 for _ in _levels(self)) - 1
 
     def leaf_count(self) -> int:
-        if self.is_leaf:
-            return 1
-        return self.left.leaf_count() + self.right.leaf_count()
+        return int(np.count_nonzero(self.left < 0))
 
     def features_used(self) -> set:
         """Indices of every feature referenced by any internal node."""
-        if self.is_leaf:
-            return set()
-        return {self.feature} | self.left.features_used() | self.right.features_used()
+        return set(self.feature[self.left >= 0].tolist())
 
-    def copy(self) -> "TreeNode":
-        if self.is_leaf:
-            return TreeNode(value=None if self.value is None else self.value.copy(),
-                            n_samples=self.n_samples)
-        return TreeNode(feature=self.feature, threshold=self.threshold,
-                        left=self.left.copy(), right=self.right.copy(),
-                        n_samples=self.n_samples)
-
-    def iter_nodes(self):
-        """Yield every node, pre-order."""
-        yield self
-        if not self.is_leaf:
-            yield from self.left.iter_nodes()
-            yield from self.right.iter_nodes()
-
-    def iter_leaves(self):
-        for node in self.iter_nodes():
-            if node.is_leaf:
-                yield node
-
-    def remap_features(self, mapping: dict) -> "TreeNode":
+    def remap_features(self, mapping: dict) -> "Tree":
         """Rewrite feature indices (used when densifying models)."""
-        clone = self.copy()
-        for node in clone.iter_nodes():
-            if not node.is_leaf:
-                node.feature = mapping[node.feature]
-        return clone
+        lookup = np.full(max(mapping, default=-1) + 2, -1, dtype=np.intp)  # [-1] -> -1
+        lookup[list(mapping)] = list(mapping.values())
+        feature = lookup[self.feature]
+        if (feature[self.left >= 0] < 0).any():
+            raise KeyError("a split feature has no new index")
+        return replace(self, feature=feature)
 
     # ------------------------------------------------------------------
     def predict_value(self, X: np.ndarray) -> np.ndarray:
-        """(n, n_outputs) array of leaf values: a thin wrapper that scores
-        this one tree with :class:`FlatForest`."""
+        """(n, value width) leaf values: a thin wrapper that scores this
+        one tree with :class:`FlatForest`."""
         return FlatForest([self]).sum_values(X)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf id (pre-order leaf index) reached by each row: a thin
-        wrapper mapping the :class:`FlatForest` leaf slot back to it."""
-        rank = {id(leaf): i for i, leaf in enumerate(self.iter_leaves())}
-        slot_rank = np.asarray([rank.get(id(node), -1)
-                                for node in _breadth_first(self)])
-        (slots,) = FlatForest([self]).leaf_slots(X)
-        return slot_rank[slots]
+        wrapper mapping the :class:`FlatForest` slot back to it."""
+        forest = FlatForest([self])
+        (slots,) = forest.leaf_slots(X)
+        leaf_rank = np.cumsum(self.left < 0) - 1
+        return leaf_rank[forest.walks[0].nodes[slots]]
 
 
-def _breadth_first(tree: TreeNode) -> List[TreeNode]:
-    """The tree's nodes in flat-slot order: breadth first, so an internal
-    node's two children take adjacent slots."""
-    slots = [tree]
-    for node in slots:  # the list grows while it is walked
-        if not node.is_leaf:
-            slots += (node.left, node.right)
-    return slots
+def _levels(tree: Tree) -> Iterator[np.ndarray]:
+    """The tree's node ids level by level, breadth first: a level lists the
+    children of the previous level's internal nodes, left then right, in
+    their parents' order."""
+    level = np.zeros(1, dtype=np.intp)
+    while level.size:
+        yield level
+        parents = level[tree.left[level] >= 0]
+        level = np.stack([tree.left[parents], tree.right[parents]],
+                         axis=1).ravel()
 
 
-class FlatTree(NamedTuple):
-    """One tree's parallel node arrays (see :class:`FlatForest`)."""
+class _LevelWalk(NamedTuple):
+    """One tree laid out for :class:`FlatForest`: arrays over slots."""
 
     feature: np.ndarray     # [M] intp (leaves: 0)
     threshold: np.ndarray   # [M] (leaves: NaN)
     left: np.ndarray        # [M] intp; right child = left + 1 (leaves: slot - 1)
-    value: np.ndarray       # [M, d] leaf payloads (internal nodes: 0)
+    value: np.ndarray       # [M, d] the tree's value rows
     depth: int
+    nodes: np.ndarray       # [M] the tree's node id in each slot
+
+
+def _level_walk(tree: Tree) -> _LevelWalk:
+    levels = list(_levels(tree))
+    nodes = np.concatenate(levels)
+    slot_of = np.empty_like(nodes)
+    slot_of[nodes] = np.arange(len(nodes))
+    leaf = tree.left[nodes] < 0
+    return _LevelWalk(
+        feature=np.where(leaf, 0, tree.feature[nodes]),
+        threshold=np.where(leaf, np.nan, tree.threshold[nodes]),
+        left=np.where(leaf, np.arange(-1, len(nodes) - 1),
+                      slot_of[tree.left[nodes]]),
+        value=tree.value[nodes],
+        depth=len(levels) - 1,
+        nodes=nodes,
+    )
 
 
 class FlatForest:
-    """The engine's one tree kernel: trees flattened once into node arrays.
+    """The engine's one tree kernel: each tree laid out once for a
+    level-synchronous walk.
 
-    Each tree becomes parallel arrays over :func:`_breadth_first` slots:
-    ``feature``, ``threshold``, ``left`` (the right child is ``left + 1``)
-    and ``value`` (leaf payloads; zero rows at internal nodes). The leaf
-    mask is folded into the same arrays so leaves loop to themselves: a
-    leaf's threshold is NaN (``x <= NaN`` never holds, so every row takes
-    the right edge) and its ``left`` is its own slot minus one.
+    A :class:`Tree`'s arrays are gathered into breadth-first slots (see
+    :func:`_levels`), so an internal node's two children take adjacent
+    slots: ``left`` holds the left child's slot and the right child is
+    ``left + 1``. The leaf mask is folded into the same arrays so leaves
+    loop to themselves: a leaf's threshold is NaN (``x <= NaN`` never
+    holds, so every row takes the right edge) and its ``left`` is its own
+    slot minus one.
 
     All rows of a batch walk one tree level by level — ``depth`` steps of
     a few vectorized gathers each — with BRANCH_LEQ semantics: ``x <=
@@ -148,32 +158,11 @@ class FlatForest:
     one, and nothing depends on the batch size. Every tree ensemble the
     engine scores runs here: the onnxlite TreeEnsemble kernels (one flat
     form per ``InferenceSession``), the tensor runtime's ``TreeTraversal``
-    and :meth:`TreeNode.predict_value` / :meth:`TreeNode.apply`.
+    and :meth:`Tree.predict_value` / :meth:`Tree.apply`.
     """
 
-    def __init__(self, trees: List[TreeNode]):
-        self.trees: List[FlatTree] = []
-        for tree in trees:
-            slots = _breadth_first(tree)
-            level = [0] * len(slots)
-            feature = np.zeros(len(slots), dtype=np.intp)
-            threshold = np.full(len(slots), np.nan)
-            left = np.arange(-1, len(slots) - 1, dtype=np.intp)
-            leaves = []
-            child = 1
-            for slot, node in enumerate(slots):
-                if node.is_leaf:
-                    leaves.append(slot)
-                    continue
-                feature[slot], threshold[slot] = node.feature, node.threshold
-                left[slot] = child
-                level[child] = level[child + 1] = level[slot] + 1
-                child += 2
-            leaf_values = np.stack([slots[slot].value for slot in leaves])
-            value = np.zeros((len(slots), leaf_values.shape[1]))
-            value[leaves] = leaf_values
-            self.trees.append(FlatTree(feature, threshold, left, value,
-                                       max(level)))
+    def __init__(self, trees: Sequence[Tree]):
+        self.walks = [_level_walk(tree) for tree in trees]
 
     def leaf_slots(self, X: np.ndarray) -> Iterator[np.ndarray]:
         """Per tree, in tree order: the leaf slot each row of ``X`` reaches.
@@ -187,21 +176,21 @@ class FlatForest:
         cells = X.ravel(order="K")  # a view in memory order
         row_step, feature_step = (stride // X.itemsize for stride in X.strides)
         row_start = np.arange(X.shape[0], dtype=np.intp) * row_step
-        for tree in self.trees:
-            feature_start = tree.feature * feature_step
+        for walk in self.walks:
+            feature_start = walk.feature * feature_step
             node = np.zeros(X.shape[0], dtype=np.intp)
-            for _ in range(tree.depth):
+            for _ in range(walk.depth):
                 goes_left = (cells.take(row_start + feature_start.take(node))
-                             <= tree.threshold.take(node))
-                node = tree.left.take(node) + ~goes_left
+                             <= walk.threshold.take(node))
+                node = walk.left.take(node) + ~goes_left
             yield node
 
     def sum_values(self, X: np.ndarray) -> np.ndarray:
         """(n, value width) leaf values summed over the trees in tree
         order (the forest must have at least one tree)."""
         total = None
-        for tree, node in zip(self.trees, self.leaf_slots(X)):
-            reached = tree.value.take(node, axis=0)
+        for walk, node in zip(self.walks, self.leaf_slots(X)):
+            reached = walk.value.take(node, axis=0)
             total = reached if total is None else total + reached
         return total
 
@@ -383,7 +372,8 @@ def _best_split_all_features(X: np.ndarray, y: np.ndarray, n_classes: int,
 
 
 class _TreeBuilder:
-    """Recursive CART builder shared by the classifier and regressor."""
+    """Recursive CART builder shared by the classifier and regressor: it
+    appends each node to the pre-order arrays as it reaches it."""
 
     def __init__(self, criterion: str, max_depth: Optional[int],
                  min_samples_split: int, min_samples_leaf: int,
@@ -397,12 +387,24 @@ class _TreeBuilder:
         self.rng = rng
         self.n_classes = n_classes  # 0 for regression
 
-    def build(self, X: np.ndarray, y: np.ndarray, depth: int = 0) -> TreeNode:
+    def build(self, X: np.ndarray, y: np.ndarray) -> Tree:
+        self.nodes = {name: [] for name, _ in _DTYPES}
+        self._grow(X, y, 0)
+        return Tree(**self.nodes)
+
+    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int) -> int:
+        """Append the subtree over ``(X, y)`` as a leaf that may become a
+        split once its subtrees follow it; returns its node id."""
+        nodes = self.nodes
+        node = len(nodes["feature"])
         n, n_features = X.shape
         leaf_value = self._leaf_value(y)
+        for column, entry in zip(nodes.values(),
+                                 (-1, 0.0, -1, -1, leaf_value, n)):
+            column.append(entry)
         if (depth >= self.max_depth or n < self.min_samples_split
                 or self._is_pure(y)):
-            return TreeNode(value=leaf_value, n_samples=n)
+            return node
 
         if self.max_features is not None and self.max_features < n_features:
             candidates = np.sort(self.rng.choice(n_features, self.max_features,
@@ -417,13 +419,15 @@ class _TreeBuilder:
                 X, y, self.n_classes, self.criterion, self.min_samples_leaf)
 
         if best_gain == -np.inf:
-            return TreeNode(value=leaf_value, n_samples=n)
+            return node
 
+        nodes["feature"][node], nodes["threshold"][node] = best_feature, best_threshold
+        nodes["value"][node] = np.zeros_like(leaf_value)
         goes_left = X[:, best_feature] <= best_threshold
-        left = self.build(X[goes_left], y[goes_left], depth + 1)
-        right = self.build(X[~goes_left], y[~goes_left], depth + 1)
-        return TreeNode(feature=best_feature, threshold=best_threshold,
-                        left=left, right=right, n_samples=n)
+        nodes["left"][node] = self._grow(X[goes_left], y[goes_left], depth + 1)
+        nodes["right"][node] = self._grow(X[~goes_left], y[~goes_left],
+                                          depth + 1)
+        return node
 
     def _leaf_value(self, y: np.ndarray) -> np.ndarray:
         if self.n_classes:
@@ -432,8 +436,6 @@ class _TreeBuilder:
         return np.asarray([float(y.mean()) if len(y) else 0.0])
 
     def _is_pure(self, y: np.ndarray) -> bool:
-        if self.n_classes:
-            return bool(np.all(y == y[0])) if len(y) else True
         return bool(np.all(y == y[0])) if len(y) else True
 
 
@@ -465,7 +467,7 @@ class DecisionTreeClassifier(BaseEstimator, ClassifierMixin):
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.random_state = random_state
-        self.tree_: Optional[TreeNode] = None
+        self.tree_: Optional[Tree] = None
         self.classes_: Optional[np.ndarray] = None
         self.n_features_in_: Optional[int] = None
 
@@ -508,7 +510,7 @@ class DecisionTreeRegressor(BaseEstimator, RegressorMixin):
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.random_state = random_state
-        self.tree_: Optional[TreeNode] = None
+        self.tree_: Optional[Tree] = None
         self.n_features_in_: Optional[int] = None
 
     def fit(self, X, y) -> "DecisionTreeRegressor":

@@ -17,19 +17,16 @@ from repro.onnxlite.ops import (
 )
 from repro.onnxlite.runtime import InferenceSession, run_graph
 from repro.onnxlite.serialize import (
-    flatten_tree,
     graph_from_dict,
     graph_to_dict,
     load_graph,
     save_graph,
-    unflatten_tree,
 )
 
 __all__ = [
     "FLOAT", "INT", "STRING", "EdgeInfo", "EvalContext", "Graph",
     "InferenceSession", "Node", "TensorInfo", "convert_model",
-    "convert_pipeline", "evaluate_tree_ensemble_scores", "flatten_tree",
+    "convert_pipeline", "evaluate_tree_ensemble_scores",
     "graph_from_dict", "graph_to_dict", "infer_edge_info", "kernel_for",
     "load_graph", "run_graph", "save_graph", "supported_operators",
-    "unflatten_tree",
 ]

@@ -6,8 +6,8 @@ here the ML half is this graph format, whose operator set mirrors ONNX-ML
 (Scaler, OneHotEncoder, TreeEnsembleClassifier, LinearClassifier, ...) plus
 the FeatureExtractor node the paper's model-projection pushdown inserts.
 
-Attribute values are plain Python scalars, lists, numpy arrays, or
-:class:`repro.learn.tree.TreeNode` structures (for tree ensembles).
+Attribute values are plain Python scalars, lists, numpy arrays, or lists
+of read-only :class:`repro.learn.tree.Tree` (shared between graph copies).
 """
 
 from __future__ import annotations
@@ -66,8 +66,6 @@ class Node:
                 attrs[key] = value.copy()
             elif isinstance(value, list):
                 attrs[key] = list(value)
-            elif hasattr(value, "copy") and not isinstance(value, (str, bytes)):
-                attrs[key] = value.copy()
             else:
                 attrs[key] = value
         return Node(self.op_type, list(self.inputs), list(self.outputs),

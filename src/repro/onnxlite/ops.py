@@ -445,7 +445,7 @@ def evaluate_tree_ensemble_scores(node: Node, flat: FlatForest,
 
     total = flat.sum_values(x)
     if aggregate == "AVERAGE":
-        total = total / len(flat.trees)
+        total = total / len(flat.walks)
     elif aggregate != "SUM":
         raise GraphError(f"bad aggregate: {aggregate!r}")
     total = total + base_values
@@ -468,7 +468,7 @@ def _tree_ensemble_regressor(node: Node, inputs: List[np.ndarray],
     base = float(np.asarray(node.attrs.get("base_values", [0.0])).ravel()[0])
     total = ctx.prepared.sum_values(x)[:, :1]
     if aggregate == "AVERAGE":
-        total = total / len(ctx.prepared.trees)
+        total = total / len(ctx.prepared.walks)
     return [total + base]
 
 

@@ -1,84 +1,50 @@
 """JSON (de)serialization of onnxlite graphs — the ``.onnx`` file stand-in.
 
-Tree ensembles are flattened to ONNX-ML style parallel node arrays
-(``nodes_featureids``, ``nodes_values``, ``nodes_truenodeids``, ...) so the
-on-disk format is structurally faithful to TreeEnsembleClassifier protos.
+A tree is written as its own parallel node arrays in pre-order, under the
+ONNX-ML ``TreeEnsemble*`` attribute names (``nodes_featureids``,
+``nodes_values``, ``nodes_truenodeids``, ...), so the on-disk format is
+structurally faithful to TreeEnsembleClassifier protos. A leaf's
+``leaf_values`` entry is its value row; an internal node's is empty.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import List, Union
+from typing import Union
 
 import numpy as np
 
 from repro.errors import GraphError
-from repro.learn.tree import TreeNode
+from repro.learn.tree import Tree
 from repro.onnxlite.graph import Graph, Node, TensorInfo
 
 
 # ---------------------------------------------------------------------------
-# Tree <-> flat arrays
+# Tree <-> parallel arrays
 # ---------------------------------------------------------------------------
 
-def flatten_tree(tree: TreeNode) -> dict:
-    """Flatten a TreeNode into parallel arrays (pre-order node ids)."""
-    feature_ids: List[int] = []
-    thresholds: List[float] = []
-    true_ids: List[int] = []
-    false_ids: List[int] = []
-    modes: List[str] = []
-    values: List[List[float]] = []
-    samples: List[int] = []
-
-    def visit(node: TreeNode) -> int:
-        index = len(feature_ids)
-        feature_ids.append(node.feature)
-        thresholds.append(float(node.threshold))
-        modes.append("LEAF" if node.is_leaf else "BRANCH_LEQ")
-        values.append([] if node.value is None else [float(v) for v in node.value])
-        samples.append(int(node.n_samples))
-        true_ids.append(-1)
-        false_ids.append(-1)
-        if not node.is_leaf:
-            true_ids[index] = visit(node.left)
-            false_ids[index] = visit(node.right)
-        return index
-
-    visit(tree)
+def _tree_to_dict(tree: Tree) -> dict:
+    leaf = (tree.left < 0).tolist()
     return {
-        "nodes_featureids": feature_ids,
-        "nodes_values": thresholds,
-        "nodes_modes": modes,
-        "nodes_truenodeids": true_ids,
-        "nodes_falsenodeids": false_ids,
-        "leaf_values": values,
-        "nodes_samples": samples,
+        "nodes_featureids": tree.feature.tolist(),
+        "nodes_values": tree.threshold.tolist(),
+        "nodes_modes": ["LEAF" if is_leaf else "BRANCH_LEQ" for is_leaf in leaf],
+        "nodes_truenodeids": tree.left.tolist(),
+        "nodes_falsenodeids": tree.right.tolist(),
+        "leaf_values": [row if is_leaf else []
+                        for row, is_leaf in zip(tree.value.tolist(), leaf)],
+        "nodes_samples": tree.n_samples.tolist(),
     }
 
 
-def unflatten_tree(data: dict) -> TreeNode:
-    """Rebuild a :class:`TreeNode` from its flattened-array form."""
-    feature_ids = data["nodes_featureids"]
-    thresholds = data["nodes_values"]
-    modes = data["nodes_modes"]
-    true_ids = data["nodes_truenodeids"]
-    false_ids = data["nodes_falsenodeids"]
-    values = data["leaf_values"]
-    samples = data.get("nodes_samples", [0] * len(feature_ids))
-
-    def build(index: int) -> TreeNode:
-        if modes[index] == "LEAF":
-            return TreeNode(value=np.asarray(values[index], dtype=np.float64),
-                            n_samples=samples[index])
-        return TreeNode(feature=feature_ids[index],
-                        threshold=thresholds[index],
-                        left=build(true_ids[index]),
-                        right=build(false_ids[index]),
-                        n_samples=samples[index])
-
-    return build(0)
+def _tree_from_dict(data: dict) -> Tree:
+    rows = data["leaf_values"]
+    internal = [0.0] * max(len(row) for row in rows)
+    return Tree(data["nodes_featureids"], data["nodes_values"],
+                data["nodes_truenodeids"], data["nodes_falsenodeids"],
+                [row or internal for row in rows],
+                data.get("nodes_samples", [0] * len(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -91,10 +57,10 @@ def _encode_attr(value) -> dict:
             return {"kind": "string_array", "data": value.tolist()}
         return {"kind": "array", "data": value.tolist(),
                 "dtype": "int" if value.dtype.kind in "iu" else "float"}
-    if isinstance(value, TreeNode):
-        return {"kind": "tree", "data": flatten_tree(value)}
-    if isinstance(value, list) and value and isinstance(value[0], TreeNode):
-        return {"kind": "trees", "data": [flatten_tree(t) for t in value]}
+    if isinstance(value, Tree):
+        return {"kind": "tree", "data": _tree_to_dict(value)}
+    if isinstance(value, list) and value and isinstance(value[0], Tree):
+        return {"kind": "trees", "data": [_tree_to_dict(t) for t in value]}
     if isinstance(value, (bool, int, float, str)):
         return {"kind": "scalar", "data": value}
     if isinstance(value, list):
@@ -111,9 +77,9 @@ def _decode_attr(payload: dict):
         dtype = np.int64 if payload.get("dtype") == "int" else np.float64
         return np.asarray(data, dtype=dtype)
     if kind == "tree":
-        return unflatten_tree(data)
+        return _tree_from_dict(data)
     if kind == "trees":
-        return [unflatten_tree(t) for t in data]
+        return [_tree_from_dict(t) for t in data]
     if kind in ("scalar", "list"):
         return data
     raise GraphError(f"unknown attribute kind: {kind!r}")

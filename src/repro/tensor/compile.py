@@ -46,7 +46,7 @@ def choose_tree_strategy(trees) -> str:
     work = 0
     for tree in trees:
         leaves = tree.leaf_count()
-        internal = tree.node_count() - leaves
+        internal = len(tree) - leaves
         work += max(internal, 1) * leaves
     return "gemm" if work <= GEMM_WORK_LIMIT else "traversal"
 
@@ -195,7 +195,7 @@ def _lower_tree_classifier(node, graph, program, buffer_of, edge_info, strategy)
     trees = node.attrs["trees"]
     classes = np.asarray(node.attrs["classes"])
     post = node.attrs.get("post_transform", "NONE")
-    value_dim = len(trees[0].iter_leaves().__next__().value)
+    value_dim = trees[0].value.shape[1]
     chosen = strategy or choose_tree_strategy(trees)
     op_class = TreeGemm if chosen == "gemm" else TreeTraversal
     probabilities = program.add(op_class(

@@ -5,9 +5,9 @@
   matrix algebra. Exact for any tree; costs grow with node x leaf counts,
   so it shines on small trees.
 * :class:`TreeTraversal` — the (perfect) tree-traversal strategy: the
-  engine's one tree kernel (:class:`~repro.learn.tree.FlatForest`, flat
-  node arrays walked level-by-level with vectorized gathers); cost is
-  ``O(N * trees * depth)`` and is the right choice for large ensembles.
+  engine's one tree kernel (:class:`~repro.learn.tree.FlatForest`, the
+  trees' node arrays walked level-by-level with vectorized gathers); cost
+  is ``O(N * trees * depth)`` and is the right choice for large ensembles.
 
 Both produce aggregated ensemble scores identical (up to fp rounding) to
 ``repro.onnxlite``'s TreeEnsemble kernels; the traversal shares their
@@ -17,12 +17,12 @@ kernel, so its leaf sums are bit-identical to theirs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
 from repro.learn.base import sigmoid, softmax
-from repro.learn.tree import FlatForest, TreeNode
+from repro.learn.tree import FlatForest, Tree
 from repro.tensor.program import OpCost, TensorOp
 
 
@@ -43,7 +43,7 @@ def _apply_post(total: np.ndarray, post: str) -> np.ndarray:
 
 @dataclass
 class _GemmTree:
-    """Per-tree matrices of the GEMM formulation.
+    """Per-tree matrices of the GEMM formulation, derived from a Tree.
 
     ``feature_ids``/``thresholds`` index the internal nodes; ``paths`` is the
     {+1,-1,0} internal-node x leaf matrix; ``left_counts`` the per-leaf
@@ -57,45 +57,38 @@ class _GemmTree:
     leaf_values: np.ndarray     # [L, d]
 
 
-def _build_gemm_tree(tree: TreeNode, value_dim: int) -> _GemmTree:
-    internal: List[TreeNode] = [n for n in tree.iter_nodes() if not n.is_leaf]
-    leaves: List[TreeNode] = list(tree.iter_leaves())
-    index_of = {id(node): i for i, node in enumerate(internal)}
-    leaf_of = {id(leaf): i for i, leaf in enumerate(leaves)}
+def _build_gemm_tree(tree: Tree, value_dim: int) -> _GemmTree:
+    is_internal = tree.left >= 0
+    internal = np.flatnonzero(is_internal)
+    leaves = np.flatnonzero(~is_internal)
+    row = np.cumsum(is_internal) - 1  # internal node -> its row of ``paths``
+    parent = np.full(len(tree), -1)
+    parent[tree.left[internal]] = parent[tree.right[internal]] = internal
+    sign = np.zeros(len(tree))
+    sign[tree.left[internal]], sign[tree.right[internal]] = 1.0, -1.0
 
-    n_internal, n_leaves = len(internal), len(leaves)
-    paths = np.zeros((max(n_internal, 1), n_leaves))
-    left_counts = np.zeros(n_leaves)
-
-    def mark(node: TreeNode, route: List[Tuple[int, int]]):
-        if node.is_leaf:
-            leaf = leaf_of[id(node)]
-            for internal_index, sign in route:
-                paths[internal_index, leaf] = sign
-            left_counts[leaf] = sum(1 for _, sign in route if sign > 0)
-            return
-        me = index_of[id(node)]
-        mark(node.left, route + [(me, +1)])
-        mark(node.right, route + [(me, -1)])
-
-    mark(tree, [])
-    leaf_values = np.stack([leaf.value for leaf in leaves]).reshape(n_leaves, value_dim)
-    if n_internal == 0:
-        return _GemmTree(np.zeros(0, dtype=np.int64), np.zeros(0),
-                         np.zeros((0, n_leaves)), left_counts, leaf_values)
+    # Walk every leaf up to the root at once, one edge per step.
+    paths = np.zeros((len(internal), len(leaves)))
+    node, column = leaves, np.arange(len(leaves))
+    while node.size:
+        up = parent[node]
+        climbs = up >= 0
+        node, column, up = node[climbs], column[climbs], up[climbs]
+        paths[row[up], column] = sign[node]
+        node = up
     return _GemmTree(
-        feature_ids=np.asarray([n.feature for n in internal], dtype=np.int64),
-        thresholds=np.asarray([n.threshold for n in internal]),
+        feature_ids=tree.feature[internal].astype(np.int64),
+        thresholds=tree.threshold[internal],
         paths=paths,
-        left_counts=left_counts,
-        leaf_values=leaf_values,
+        left_counts=(paths > 0).sum(axis=0).astype(np.float64),
+        leaf_values=tree.value[leaves].reshape(len(leaves), value_dim),
     )
 
 
 class TreeGemm(TensorOp):
     """GEMM-strategy ensemble scoring (aggregate + post transform fused)."""
 
-    def __init__(self, inputs, output, trees: Sequence[TreeNode],
+    def __init__(self, inputs, output, trees: Sequence[Tree],
                  aggregate: str, post_transform: str,
                  base_values: np.ndarray, value_dim: int):
         super().__init__(inputs, output)
@@ -151,7 +144,7 @@ class TreeTraversal(TensorOp):
     cost model.
     """
 
-    def __init__(self, inputs, output, trees: Sequence[TreeNode],
+    def __init__(self, inputs, output, trees: Sequence[Tree],
                  aggregate: str, post_transform: str,
                  base_values: np.ndarray, value_dim: int):
         super().__init__(inputs, output)
@@ -162,7 +155,7 @@ class TreeTraversal(TensorOp):
         # width, which the flat form reads off the leaves themselves.
         self.flat = FlatForest(trees)
         self.n_trees = len(trees)
-        self.depth = max([1] + [tree.depth for tree in self.flat.trees])
+        self.depth = max([1] + [walk.depth for walk in self.flat.walks])
 
     def execute(self, buffers):
         total = self.flat.sum_values(buffers[self.inputs[0]])

@@ -16,10 +16,10 @@ import warnings
 import numpy as np
 import pytest
 
+import tree_reference as ref
 from repro import RavenSession, Table
 from repro.core.rules.ml_to_sql import tree_to_expression
 from repro.errors import CompileError
-from repro.learn.tree import TreeNode
 from repro.relational import compile as compile_module
 from repro.relational.compile import compile_outputs, compile_predicate
 from repro.relational.executor import Executor, session_programs
@@ -201,16 +201,15 @@ class TestDifferentialEquivalence:
 # MLtoSQL-translated decision trees, depths 2-10
 # ---------------------------------------------------------------------------
 
-def _make_tree(depth: int, rng: np.random.Generator, n_features: int) -> TreeNode:
-    if depth == 0:
-        p = float(rng.random())
-        return TreeNode(value=np.array([1.0 - p, p]))
-    return TreeNode(
-        feature=int(rng.integers(0, n_features)),
-        threshold=float(rng.normal(0.0, 1.0)),
-        left=_make_tree(depth - 1, rng, n_features),
-        right=_make_tree(depth - 1, rng, n_features),
-    )
+def _make_tree(depth: int, rng: np.random.Generator, n_features: int):
+    def build(depth):
+        if depth == 0:
+            p = float(rng.random())
+            return (1.0 - p, p), 0
+        return (int(rng.integers(0, n_features)),
+                float(rng.normal(0.0, 1.0)),
+                build(depth - 1), build(depth - 1), 0)
+    return ref.to_tree(build(depth))
 
 
 class TestTranslatedTrees:

@@ -5,6 +5,8 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import tree_reference as ref
+
 from repro.core.rules.intervals import (
     InputConstraints,
     Interval,
@@ -14,7 +16,6 @@ from repro.core.rules.intervals import (
     prune_tree,
 )
 from repro.learn import DecisionTreeClassifier
-from repro.learn.tree import TreeNode
 from repro.onnxlite import Graph, Node, TensorInfo
 
 
@@ -135,25 +136,18 @@ class TestPropagation:
         assert vectors["out"][0].is_point and vectors["out"][0].low == 2.0
 
 
-def _example_tree() -> TreeNode:
+def _example_tree():
     """The paper's Fig. 3 tree shape: root on F3, then F0/F1, F2/F3."""
     def leaf(p):
-        return TreeNode(value=np.asarray([1 - p, p]), n_samples=1)
-    return TreeNode(feature=3, threshold=0.5,
-                    left=TreeNode(feature=0, threshold=60.0,
-                                  left=TreeNode(feature=4, threshold=0.5,
-                                                left=leaf(0.9), right=leaf(0.1),
-                                                n_samples=2),
-                                  right=TreeNode(feature=5, threshold=0.5,
-                                                 left=leaf(0.2), right=leaf(0.8),
-                                                 n_samples=2),
-                                  n_samples=4),
-                    right=TreeNode(feature=1, threshold=1.0,
-                                   left=TreeNode(feature=2, threshold=0.5,
-                                                 left=leaf(0.3), right=leaf(0.7),
-                                                 n_samples=2),
-                                   right=leaf(0.95), n_samples=3),
-                    n_samples=7)
+        return (1 - p, p), 1
+    return ref.to_tree(
+        (3, 0.5,
+         (0, 60.0,
+          (4, 0.5, leaf(0.9), leaf(0.1), 2),
+          (5, 0.5, leaf(0.2), leaf(0.8), 2), 4),
+         (1, 1.0,
+          (2, 0.5, leaf(0.3), leaf(0.7), 2),
+          leaf(0.95), 3), 7))
 
 
 class TestTreePruning:
@@ -163,12 +157,12 @@ class TestTreePruning:
         intervals[3] = Interval.point(1.0)  # F3 = 1 -> right branch only
         pruned = prune_tree(tree, intervals)
         assert 3 not in pruned.features_used()
-        assert pruned.node_count() < tree.node_count()
+        assert len(pruned) < len(tree)
 
     def test_no_constraints_no_pruning(self):
         tree = _example_tree()
         pruned = prune_tree(tree, [Interval.UNKNOWN] * 6)
-        assert pruned.node_count() == tree.node_count()
+        assert len(pruned) == len(tree)
 
     def test_range_prunes_partially(self):
         tree = _example_tree()
@@ -179,31 +173,26 @@ class TestTreePruning:
 
     def test_descent_refines_same_feature(self):
         # Nested splits on one feature: outer x<=10, inner x<=20 always true.
-        inner = TreeNode(feature=0, threshold=20.0,
-                         left=TreeNode(value=np.asarray([1.0]), n_samples=1),
-                         right=TreeNode(value=np.asarray([2.0]), n_samples=1),
-                         n_samples=2)
-        tree = TreeNode(feature=0, threshold=10.0, left=inner,
-                        right=TreeNode(value=np.asarray([3.0]), n_samples=1),
-                        n_samples=3)
+        inner = (0, 20.0, ((1.0,), 1), ((2.0,), 1), 2)
+        tree = ref.to_tree((0, 10.0, inner, ((3.0,), 1), 3))
         pruned = prune_tree(tree, [Interval.UNKNOWN])
         # Left child collapses: within x<=10, x<=20 is always true.
-        assert pruned.left.is_leaf and pruned.left.value[0] == 1.0
+        left = pruned.left[0]
+        assert pruned.left[left] < 0 and pruned.value[left, 0] == 1.0
+        assert ref.from_tree(pruned) == (0, 10.0, ((1.0,), 1), ((3.0,), 1), 3)
 
     def test_input_not_mutated(self):
         tree = _example_tree()
-        before = tree.node_count()
+        before = ref.from_tree(tree)
         intervals = [Interval.point(1.0)] * 6
         prune_tree(tree, intervals)
-        assert tree.node_count() == before
+        assert ref.from_tree(tree) == before
 
     def test_collapse_uniform_subtrees(self):
-        same = np.asarray([0.5, 0.5])
-        tree = TreeNode(feature=0, threshold=1.0,
-                        left=TreeNode(value=same.copy(), n_samples=1),
-                        right=TreeNode(value=same.copy(), n_samples=1),
-                        n_samples=2)
-        assert collapse_uniform_subtrees(tree).is_leaf
+        tree = ref.to_tree((0, 1.0, ((0.5, 0.5), 1), ((0.5, 0.5), 1), 2))
+        collapsed = collapse_uniform_subtrees(tree)
+        assert len(collapsed) == 1 and collapsed.left[0] < 0
+        assert ref.from_tree(collapsed) == ((0.5, 0.5), 2)
 
 
 @given(st.integers(0, 5000),

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tree_reference as ref
+
 from repro.errors import NotFittedError
 from repro.learn import (
     DecisionTreeClassifier,
@@ -18,7 +20,7 @@ from repro.learn import (
     roc_auc_score,
 )
 from repro.learn.tree import (
-    TreeNode,
+    Tree,
     _best_split_all_features,
     _classification_split,
     _regression_split,
@@ -140,8 +142,8 @@ class TestDecisionTree:
         X, y = binary_data
         model = DecisionTreeClassifier(max_depth=12, min_samples_leaf=50,
                                        random_state=0).fit(X, y)
-        assert min(leaf.n_samples
-                   for leaf in model.tree_.iter_leaves()) >= 50
+        tree = model.tree_
+        assert tree.n_samples[tree.left < 0].min() >= 50
 
     def test_pure_node_stops(self):
         X = np.asarray([[0.0], [1.0]])
@@ -171,40 +173,62 @@ class TestDecisionTree:
             DecisionTreeClassifier(criterion="chisq")
 
 
-class TestTreeNode:
-    def _tree(self):
-        return TreeNode(feature=0, threshold=0.5,
-                        left=TreeNode(value=np.asarray([1.0, 0.0]), n_samples=5),
-                        right=TreeNode(feature=1, threshold=0.0,
-                                       left=TreeNode(value=np.asarray([0.0, 1.0]),
-                                                     n_samples=2),
-                                       right=TreeNode(value=np.asarray([0.5, 0.5]),
-                                                      n_samples=3),
-                                       n_samples=5),
-                        n_samples=10)
+def _small_tree() -> Tree:
+    """Root split on feature 0; its right child splits on feature 1."""
+    return ref.to_tree((0, 0.5, ((1.0, 0.0), 5),
+                        (1, 0.0, ((0.0, 1.0), 2), ((0.5, 0.5), 3), 5), 10))
+
+
+class TestTree:
+    def test_pre_order_arrays(self):
+        tree = _small_tree()
+        assert tree.feature.tolist() == [0, -1, 1, -1, -1]
+        assert tree.threshold.tolist() == [0.5, 0.0, 0.0, 0.0, 0.0]
+        assert tree.left.tolist() == [1, -1, 3, -1, -1]
+        assert tree.right.tolist() == [2, -1, 4, -1, -1]
+        assert tree.value.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0],
+                                       [0.0, 1.0], [0.5, 0.5]]
+        assert tree.n_samples.tolist() == [10, 5, 5, 2, 3]
 
     def test_counts(self):
-        tree = self._tree()
-        assert tree.node_count() == 5
+        tree = _small_tree()
+        assert len(tree) == 5
         assert tree.leaf_count() == 3
         assert tree.depth() == 2
         assert tree.features_used() == {0, 1}
 
-    def test_copy_is_deep(self):
-        tree = self._tree()
-        clone = tree.copy()
-        clone.left.value[0] = 99.0
-        assert tree.left.value[0] == 1.0
+    def test_arrays_are_read_only_and_owned(self):
+        value = np.asarray([[1.0]])
+        tree = Tree([-1], [0.0], [-1], [-1], value, [4])
+        value[0, 0] = 99.0  # the caller's array was copied
+        assert tree.value[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            tree.value[0, 0] = 2.0
+        with pytest.raises(AttributeError):
+            tree.value = value
 
     def test_remap_features(self):
-        remapped = self._tree().remap_features({0: 5, 1: 6})
+        tree = _small_tree()
+        remapped = tree.remap_features({0: 5, 1: 6})
         assert remapped.features_used() == {5, 6}
+        assert remapped.feature.tolist() == [5, -1, 6, -1, -1]
+        assert remapped.threshold is tree.threshold  # read-only: shared
+        with pytest.raises(KeyError):
+            tree.remap_features({0: 5})  # feature 1 would be left unmapped
 
     def test_predict_value_matches_manual_walk(self):
-        tree = self._tree()
+        tree = _small_tree()
         X = np.asarray([[0.0, 0.0], [1.0, -1.0], [1.0, 1.0]])
         out = tree.predict_value(X)
         assert out.tolist() == [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]
+        assert tree.apply(X).tolist() == [0, 1, 2]
+
+    def test_single_leaf(self):
+        tree = Tree([-1], [0.0], [-1], [-1], [[0.25, 0.75]], [3])
+        assert (len(tree), tree.depth(), tree.leaf_count()) == (1, 0, 1)
+        assert tree.features_used() == set()
+        assert tree.predict_value(np.zeros((2, 1))).tolist() == \
+            [[0.25, 0.75]] * 2
 
 
 class TestEnsembles:

@@ -1,5 +1,7 @@
 """Tests for the onnxlite graph format, ops, runtime, and serialization."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +22,8 @@ from repro.onnxlite import (
     run_graph,
     supported_operators,
 )
-from repro.onnxlite.serialize import flatten_tree, unflatten_tree
+import tree_reference as ref
+from repro.onnxlite.serialize import _decode_attr, _encode_attr
 from repro.learn import (
     DecisionTreeClassifier,
     DecisionTreeRegressor,
@@ -32,7 +35,6 @@ from repro.learn import (
     RandomForestClassifier,
     make_standard_pipeline,
 )
-from repro.learn.tree import TreeNode
 from repro.storage import Table
 
 
@@ -257,16 +259,14 @@ class TestConversionFidelity:
 
 
 class TestSerialization:
-    def test_tree_flatten_roundtrip(self):
-        tree = TreeNode(feature=1, threshold=0.5,
-                        left=TreeNode(value=np.asarray([0.2, 0.8]), n_samples=3),
-                        right=TreeNode(value=np.asarray([0.9, 0.1]), n_samples=4),
-                        n_samples=7)
-        flat = flatten_tree(tree)
-        assert flat["nodes_modes"] == ["BRANCH_LEQ", "LEAF", "LEAF"]
-        restored = unflatten_tree(flat)
+    def test_tree_arrays_roundtrip(self):
+        tree = ref.to_tree((1, 0.5, ((0.2, 0.8), 3), ((0.9, 0.1), 4), 7))
+        encoded = _encode_attr(tree)
+        assert encoded["data"]["nodes_modes"] == ["BRANCH_LEQ", "LEAF", "LEAF"]
+        restored = _decode_attr(json.loads(json.dumps(encoded)))
+        ref.assert_same_tree(restored, tree)
         X = np.asarray([[0.0, 0.0], [0.0, 1.0]])
-        assert np.allclose(restored.predict_value(X), tree.predict_value(X))
+        assert np.array_equal(restored.predict_value(X), tree.predict_value(X))
 
     def test_graph_roundtrip_all_model_types(self, dt_pipeline, lr_pipeline,
                                              gb_pipeline, rf_pipeline,
@@ -297,12 +297,107 @@ class TestSerialization:
 
 @given(st.integers(0, 5000))
 @settings(max_examples=25, deadline=None)
-def test_random_tree_flatten_roundtrip(seed):
-    """Property: serialization preserves tree predictions exactly."""
+def test_random_tree_serialize_roundtrip(seed):
+    """Property: serialization preserves every node array exactly."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(120, 3))
     y = (X[:, 0] + X[:, 1] > 0).astype(int)
     model = DecisionTreeClassifier(
         max_depth=int(rng.integers(1, 7)), random_state=seed).fit(X, y)
-    restored = unflatten_tree(flatten_tree(model.tree_))
-    assert np.allclose(restored.predict_value(X), model.tree_.predict_value(X))
+    restored = _decode_attr(json.loads(json.dumps(_encode_attr(model.tree_))))
+    ref.assert_same_tree(restored, model.tree_)
+    assert np.array_equal(restored.predict_value(X), model.tree_.predict_value(X))
+
+
+# ---------------------------------------------------------------------------
+# The file format, pinned: these strings were written for the same trees by
+# the writer of the object trees the parallel arrays replaced, so the array
+# writer is held to byte-identical files (and so to unchanged model digests).
+# ---------------------------------------------------------------------------
+
+PINNED_GRAPH = (
+    '{"format": "repro-onnxlite-v1", "name": "pinned", "inputs": [{"name": '
+    '"features", "dtype": "float", "width": 2}], "outputs": ["score"], "nod'
+    'es": [{"op_type": "TreeEnsembleRegressor", "name": "tree_0", "inputs":'
+    ' ["features"], "outputs": ["score"], "attrs": {"trees": {"kind": "tree'
+    's", "data": [{"nodes_featureids": [1, 0, -1, -1, -1], "nodes_values": '
+    '[0.1, -2.5, 0.0, 0.0, 0.0], "nodes_modes": ["BRANCH_LEQ", "BRANCH_LEQ"'
+    ', "LEAF", "LEAF", "LEAF"], "nodes_truenodeids": [1, 2, -1, -1, -1], "n'
+    'odes_falsenodeids": [4, 3, -1, -1, -1], "leaf_values": [[], [], [0.333'
+    '3333333333333], [2.5e-08], [7.0]], "nodes_samples": [9, 5, 2, 3, 4]}]}'
+    ', "aggregate": {"kind": "scalar", "data": "SUM"}, "base_values": {"kin'
+    'd": "array", "data": [0.5], "dtype": "float"}}}]}')
+PINNED_TREE = (
+    '{"kind": "tree", "data": {"nodes_featureids": [1, 0, -1, -1, -1], "nod'
+    'es_values": [0.1, -2.5, 0.0, 0.0, 0.0], "nodes_modes": ["BRANCH_LEQ", '
+    '"BRANCH_LEQ", "LEAF", "LEAF", "LEAF"], "nodes_truenodeids": [1, 2, -1,'
+    ' -1, -1], "nodes_falsenodeids": [4, 3, -1, -1, -1], "leaf_values": [[]'
+    ', [], [0.3333333333333333], [2.5e-08], [7.0]], "nodes_samples": [9, 5,'
+    ' 2, 3, 4]}}')
+PINNED_BOOSTED_TREES = (
+    '{"kind": "trees", "data": [{"nodes_featureids": [1, 0, -1, -1, -1], "n'
+    'odes_values": [0.645, 0.885, 0.0, 0.0, 0.0], "nodes_modes": ["BRANCH_L'
+    'EQ", "BRANCH_LEQ", "LEAF", "LEAF", "LEAF"], "nodes_truenodeids": [1, 2'
+    ', -1, -1, -1], "nodes_falsenodeids": [4, 3, -1, -1, -1], "leaf_values"'
+    ': [[], [], [-0.7142857142857143], [1.0], [1.0]], "nodes_samples": [60,'
+    ' 39, 35, 4, 21]}, {"nodes_featureids": [0, 1, -1, -1, 1, -1, -1], "nod'
+    'es_values": [-0.33499999999999996, 0.7849999999999999, 0.0, 0.0, -0.28'
+    '500000000000003, 0.0, 0.0], "nodes_modes": ["BRANCH_LEQ", "BRANCH_LEQ"'
+    ', "LEAF", "LEAF", "BRANCH_LEQ", "LEAF", "LEAF"], "nodes_truenodeids": '
+    '[1, 2, -1, -1, 5, -1, -1], "nodes_falsenodeids": [4, 3, -1, -1, 6, -1,'
+    ' -1], "leaf_values": [[], [], [-0.744770829778477], [0.683939720585721'
+    '2], [], [-0.38692781358230977], [0.8042321132179168]], "nodes_samples"'
+    ': [60, 24, 21, 3, 36, 11, 25]}, {"nodes_featureids": [0, 1, -1, -1, 1,'
+    ' -1, -1], "nodes_values": [-0.33499999999999996, 0.7849999999999999, 0'
+    '.0, 0.0, -0.020000000000000004, 0.0, 0.0], "nodes_modes": ["BRANCH_LEQ'
+    '", "BRANCH_LEQ", "LEAF", "LEAF", "BRANCH_LEQ", "LEAF", "LEAF"], "nodes'
+    '_truenodeids": [1, 2, -1, -1, 5, -1, -1], "nodes_falsenodeids": [4, 3,'
+    ' -1, -1, 6, -1, -1], "leaf_values": [[], [], [-0.6162277414059928], [0'
+    '.5928205795720652], [], [-0.18408380409189593], [0.6954819667875124]],'
+    ' "nodes_samples": [60, 24, 21, 3, 36, 13, 23]}]}')
+
+
+def _pinned_tree():
+    return ref.to_tree((1, 0.1, (0, -2.5, ((1 / 3,), 2), ((2.5e-08,), 3), 5),
+                        ((7.0,), 4), 9))
+
+
+def _boosted_trees():
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(60, 2)).round(2)
+    y = (X[:, 0] + X[:, 1] > 0).astype(int)
+    model = GradientBoostingClassifier(n_estimators=3, max_depth=2,
+                                       learning_rate=0.5,
+                                       random_state=0).fit(X, y)
+    graph = convert_model(model, 2)
+    return next(node for node in graph.nodes
+                if node.op_type == "TreeEnsembleClassifier").attrs["trees"]
+
+
+class TestFileFormatPin:
+    def _graph(self):
+        return Graph("pinned", [TensorInfo("features", width=2)], ["score"],
+                     [Node("TreeEnsembleRegressor", ["features"], ["score"],
+                           {"trees": [_pinned_tree()], "aggregate": "SUM",
+                            "base_values": np.asarray([0.5])}, "tree_0")])
+
+    def test_single_tree_graph(self):
+        graph = self._graph()
+        assert json.dumps(graph_to_dict(graph)) == PINNED_GRAPH
+        restored = graph_from_dict(json.loads(PINNED_GRAPH))
+        assert json.dumps(graph_to_dict(restored)) == PINNED_GRAPH
+        (tree,) = restored.nodes[0].attrs["trees"]
+        ref.assert_same_tree(tree, _pinned_tree())
+
+    def test_single_tree_attribute(self):
+        assert json.dumps(_encode_attr(_pinned_tree())) == PINNED_TREE
+        ref.assert_same_tree(_decode_attr(json.loads(PINNED_TREE)),
+                           _pinned_tree())
+
+    def test_leaf_scaled_boosted_trees(self):
+        trees = _boosted_trees()
+        assert json.dumps(_encode_attr(trees)) == PINNED_BOOSTED_TREES
+        restored = _decode_attr(json.loads(PINNED_BOOSTED_TREES))
+        assert len(restored) == 3
+        for got, want in zip(restored, trees):
+            ref.assert_same_tree(got, want)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tree_reference as ref
+
 from repro import RavenSession
 from repro.core.rules import (
     MLtoDNN,
@@ -22,7 +24,6 @@ from repro.learn import (
     RandomForestClassifier,
     make_standard_pipeline,
 )
-from repro.learn.tree import TreeNode
 from repro.onnxlite import convert_model, convert_pipeline, run_graph
 from repro.persist.plan_codec import plan_from_dict, plan_to_dict
 from repro.relational import PredictMode, find_predict_nodes
@@ -103,12 +104,7 @@ class TestGraphToExpressions:
             graph_to_expressions(graph, {"features": "features"})
 
     def test_tree_to_expression_shape(self):
-        from repro.learn.tree import TreeNode
-        from repro.relational.expressions import CaseWhen, col
-        tree = TreeNode(feature=0, threshold=1.0,
-                        left=TreeNode(value=np.asarray([0.0, 1.0]), n_samples=1),
-                        right=TreeNode(value=np.asarray([1.0, 0.0]), n_samples=1),
-                        n_samples=2)
+        tree = ref.to_tree((0, 1.0, ((0.0, 1.0), 1), ((1.0, 0.0), 1), 2))
         expr = tree_to_expression(tree, [col("f0")], value_index=1)
         assert isinstance(expr, CaseWhen)
         sql = expression_to_sql(expr)
@@ -216,12 +212,12 @@ class TestDataInduced:
         plan, _ = session.optimize(query)
         predict = find_predict_nodes(plan)[0]
         original_nodes = sum(
-            t.node_count()
+            len(t)
             for n in session.catalog.model("los").graph.nodes
             if n.op_type.startswith("TreeEnsemble") for t in n.attrs["trees"])
         for graph in predict.per_partition_graphs:
             partition_nodes = sum(
-                t.node_count() for n in graph.nodes
+                len(t) for n in graph.nodes
                 if n.op_type.startswith("TreeEnsemble")
                 for t in n.attrs["trees"])
             assert partition_nodes <= original_nodes
@@ -285,14 +281,14 @@ def test_mltosql_equivalence_random_pipelines(seed):
 # table, held bit for bit to the plain CASE form
 # ---------------------------------------------------------------------------
 
-def _unfolded(tree, features, value_index):
+def _unfolded(tree, features, value_index, node=0):
     """Every split as ``feature <= t``: the plain, unfolded CASE form."""
-    if tree.is_leaf:
-        return lit(float(tree.value[value_index]))
+    if tree.left[node] < 0:
+        return lit(float(tree.value[node, value_index]))
     return CaseWhen(
-        [(features[tree.feature].le(lit(float(tree.threshold))),
-          _unfolded(tree.left, features, value_index))],
-        _unfolded(tree.right, features, value_index))
+        [(features[tree.feature[node]].le(lit(float(tree.threshold[node]))),
+          _unfolded(tree, features, value_index, tree.left[node]))],
+        _unfolded(tree, features, value_index, tree.right[node]))
 
 
 def _indicator_features():
@@ -306,19 +302,18 @@ def _indicator_features():
 
 
 def _random_tree(rng, depth, n_features):
-    if depth == 0:
-        return TreeNode(value=np.asarray([0.0, float(rng.random())]))
-    return TreeNode(feature=int(rng.integers(0, n_features)),
-                    threshold=float(rng.choice([-0.5, 0.5, 1.0, 2.5])),
-                    left=_random_tree(rng, depth - 1, n_features),
-                    right=_random_tree(rng, depth - 1, n_features))
+    def build(depth):
+        if depth == 0:
+            return (0.0, float(rng.random())), 0
+        return (int(rng.integers(0, n_features)),
+                float(rng.choice([-0.5, 0.5, 1.0, 2.5])),
+                build(depth - 1), build(depth - 1), 0)
+    return ref.to_tree(build(depth))
 
 
 class TestIndicatorSplitFold:
     def _split(self, feature, threshold):
-        tree = TreeNode(feature=0, threshold=threshold,
-                        left=TreeNode(value=np.asarray([0.0, 1.0])),
-                        right=TreeNode(value=np.asarray([0.0, 2.0])))
+        tree = ref.to_tree((0, threshold, ((0.0, 1.0), 0), ((0.0, 2.0), 0), 0))
         return expression_to_sql(tree_to_expression(tree, [feature], 1))
 
     def test_truth_table(self):

@@ -1,11 +1,13 @@
 """The one tree kernel (``repro.learn.tree.FlatForest``), differentially.
 
 Every tree ensemble the engine scores — the onnxlite TreeEnsemble kernels,
-the tensor runtime's ``TreeTraversal``, ``TreeNode.predict_value`` /
-``apply`` — runs on one level-synchronous walk over flat node arrays. The
-reference here is a per-row walk of the ``TreeNode`` structure written in
-this file (``predict_value`` is a wrapper over the kernel under test, so
-it cannot be the oracle).
+the tensor runtime's ``TreeTraversal``, ``Tree.predict_value`` /
+``apply`` — runs on one level-synchronous walk over breadth-first slots
+laid out from a :class:`Tree`'s pre-order arrays. The reference here is a
+per-row walk down those pre-order arrays by node id, written in this file
+and sharing no code with ``FlatForest`` (``predict_value`` is a wrapper
+over the kernel under test, so it cannot be the oracle). Generated trees
+are nested tuples turned into :class:`Tree` by ``tree_reference``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tree_reference as ref
 from repro import RavenSession, Table
 from repro.core.binder import Binder
 from repro.core.parser import parse
@@ -33,7 +36,7 @@ from repro.learn import (
     make_standard_pipeline,
 )
 from repro.learn.base import sigmoid, softmax
-from repro.learn.tree import FlatForest, TreeNode
+from repro.learn.tree import FlatForest, Tree
 from repro.onnxlite import convert_pipeline
 from repro.onnxlite.graph import Graph, Node, TensorInfo
 from repro.onnxlite.runtime import InferenceSession
@@ -48,14 +51,16 @@ VALUE_DIMS = (1, 2, 5)
 
 
 # ---------------------------------------------------------------------------
-# The reference: one row at a time down the TreeNode structure
+# The reference: one row at a time down the pre-order node arrays
 # ---------------------------------------------------------------------------
 
-def walk_row(tree: TreeNode, row) -> TreeNode:
-    """BRANCH_LEQ by hand: ``x <= threshold`` goes left, NaN goes right."""
-    node = tree
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right
+def walk_row(tree: Tree, row) -> int:
+    """BRANCH_LEQ by hand: ``x <= threshold`` goes left, NaN goes right.
+    Returns the node id of the leaf reached."""
+    node = 0
+    while tree.left[node] >= 0:
+        node = (tree.left[node] if row[tree.feature[node]] <= tree.threshold[node]
+                else tree.right[node])
     return node
 
 
@@ -68,8 +73,8 @@ def reference_sum(trees, X: np.ndarray) -> np.ndarray:
     rows = distinct.view(X.dtype).reshape(-1, X.shape[1])
     total = None
     for tree in trees:
-        width = len(next(tree.iter_leaves()).value)
-        per_row = np.asarray([walk_row(tree, row).value for row in rows])
+        width = tree.value.shape[1]
+        per_row = np.asarray([tree.value[walk_row(tree, row)] for row in rows])
         values = per_row.reshape(-1, width)[inverse.ravel()]
         total = values if total is None else total + values
     return total
@@ -91,9 +96,10 @@ def reference_scores(attrs, X: np.ndarray) -> np.ndarray:
     return total
 
 
-def reference_leaf_ids(tree: TreeNode, X: np.ndarray) -> np.ndarray:
-    rank = {id(leaf): i for i, leaf in enumerate(tree.iter_leaves())}
-    return np.asarray([rank[id(walk_row(tree, row))] for row in X],
+def reference_leaf_ids(tree: Tree, X: np.ndarray) -> np.ndarray:
+    leaves = [node for node in range(len(tree)) if tree.left[node] < 0]
+    rank = {node: i for i, node in enumerate(leaves)}
+    return np.asarray([rank[walk_row(tree, row)] for row in X],
                       dtype=np.int64)
 
 
@@ -101,21 +107,20 @@ def reference_leaf_ids(tree: TreeNode, X: np.ndarray) -> np.ndarray:
 # Generated trees and batches
 # ---------------------------------------------------------------------------
 
-def random_tree(rng, depth: int, value_dim: int, thresholds) -> TreeNode:
+def random_tree(rng, depth: int, value_dim: int, thresholds) -> Tree:
     """An unbalanced tree of exactly ``depth`` (0 = a single leaf): one
     spine reaches it, side branches stop early at random. Thresholds come
     from a tiny pool, so they repeat across nodes."""
 
-    def build(level: int, spine: bool) -> TreeNode:
+    def build(level: int, spine: bool):
         if level == depth or (not spine and rng.random() < 0.6):
-            return TreeNode(value=rng.normal(size=value_dim))
+            return tuple(rng.normal(size=value_dim).tolist()), 0
         spine_left = bool(rng.random() < 0.5)
-        return TreeNode(feature=int(rng.integers(N_FEATURES)),
-                        threshold=float(rng.choice(thresholds)),
-                        left=build(level + 1, spine and spine_left),
-                        right=build(level + 1, spine and not spine_left))
+        return (int(rng.integers(N_FEATURES)), float(rng.choice(thresholds)),
+                build(level + 1, spine and spine_left),
+                build(level + 1, spine and not spine_left), 0)
 
-    return build(0, True)
+    return ref.to_tree(build(0, True))
 
 
 def random_batch(rng, rows: int, thresholds) -> np.ndarray:
@@ -216,7 +221,7 @@ class TestKernelDifferential:
 
     @settings(max_examples=30, deadline=None)
     @given(case)
-    def test_tree_node_wrappers(self, params):
+    def test_tree_wrappers(self, params):
         _, trees, X = make_case(params)
         for tree in trees:
             assert np.array_equal(tree.predict_value(X),
@@ -370,13 +375,12 @@ class TestLearnUnchanged:
         X, y = _binary_data(2)
         kernel = GradientBoostingClassifier(n_estimators=8, max_depth=4,
                                             random_state=0).fit(X, y)
-        monkeypatch.setattr(TreeNode, "predict_value", _per_row_predict_value)
-        monkeypatch.setattr(TreeNode, "apply", _per_row_apply)
+        monkeypatch.setattr(Tree, "predict_value", _per_row_predict_value)
+        monkeypatch.setattr(Tree, "apply", _per_row_apply)
         walked = GradientBoostingClassifier(n_estimators=8, max_depth=4,
                                             random_state=0).fit(X, y)
         for a, b in zip(kernel.trees(), walked.trees()):
-            assert [leaf.value.tolist() for leaf in a.iter_leaves()] == \
-                [leaf.value.tolist() for leaf in b.iter_leaves()]
+            assert a.value.tolist() == b.value.tolist()
         assert np.array_equal(kernel.predict_proba(X),
                               walked.predict_proba(X))
 
@@ -517,7 +521,7 @@ class TestFlatFormLifetime:
 
 
 def _tree_nodes(graph: Graph) -> int:
-    return sum(tree.node_count() for tree in _ensemble(graph).attrs["trees"])
+    return sum(len(tree) for tree in _ensemble(graph).attrs["trees"])
 
 
 # ---------------------------------------------------------------------------
