@@ -1,12 +1,14 @@
 """Expression engine benchmarks: interpreted vs compiled evaluation.
 
-Measures the two workloads the compiled engine (CSE + masked CASE routing
-+ zero-copy late materialization) exists for:
+Measures the two workloads the compiled engine (CSE + leaf-id CASE
+routing + zero-copy late materialization) exists for:
 
 * **deep-tree CASE** — an MLtoSQL-translated decision tree of depth 8
   (255 internal nodes / 256 leaves) over 100k rows. Interpreted
   ``np.select`` evaluates every branch on every row (O(rows x leaves));
-  masked routing restores tree-traversal cost (O(rows x depth)).
+  the compiled nest is one ``route`` instruction that splits rows node
+  by node and emits every constant leaf with one ``take`` of a per-row
+  leaf id, restoring tree-traversal cost (O(rows x depth)).
 * **wide CSE-heavy projection** — 32 projection outputs all built from
   the same handful of scaled features; one shared instruction DAG
   evaluates each distinct subexpression once.

@@ -337,7 +337,7 @@ class RavenSession:
         # telemetry=True also captures span trees; pass a configured
         # Telemetry to share a registry or tune thresholds.
         self.telemetry = Telemetry.coerce(telemetry)
-        # Compiled expression engine (CSE + masked CASE routing) for
+        # Compiled expression engine (CSE + leaf-id CASE routing) for
         # Filter/Project evaluation; False selects the interpreted
         # np.select path (the differential-testing oracle).
         self.compile_expressions = compile_expressions

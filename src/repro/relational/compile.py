@@ -1,4 +1,4 @@
-"""Compiled expression programs: CSE, constant folding, masked routing.
+"""Compiled expression programs: CSE, constant folding, leaf-id routing.
 
 The MLtoSQL transformation (paper §5.1) bets that scalar SQL expressions
 beat a model runtime — but the interpreted :meth:`Expression.evaluate`
@@ -13,14 +13,23 @@ vectorized instructions:
   distinct subtree across all outputs (the existing structural hashes of
   :class:`Expression` drive deduplication), so an MLtoSQL feature used by
   every node of a translated tree is computed once.
-* **Masked/routed evaluation** — ``CASE WHEN`` and short-circuiting
-  ``AND``/``OR`` evaluate each branch only on the rows still active for
-  it (gather → compute → scatter), skipping branches whose active set is
-  empty. This restores tree-traversal cost for translated trees and stops
-  poisoned expressions (``1/x`` guarded by ``x <> 0``) from ever touching
-  the guarded-out rows.
+* **Leaf-id routing** — a whole ``CASE WHEN`` nest (a translated
+  decision tree, however deep, or a multi-``WHEN`` chain) is one
+  ``route`` instruction: parallel node arrays (condition slot, then
+  child, else child) over a leaf table. Each node splits its rows with
+  ``nonzero`` and evaluates a condition only on the rows that reach it;
+  each row writes its leaf id once, and constant leaves come out of one
+  ``values.take(leaf_id)``. A leaf that is an expression (a guarded
+  division, a column) is evaluated on its own rows and scattered once;
+  string leaves are evaluated the same way and joined at their common
+  width. Short-circuiting ``AND``/``OR`` evaluate their right operand
+  only on the rows still undecided. This restores tree-traversal cost
+  for translated trees and stops poisoned expressions (``1/x`` guarded
+  by ``x <> 0``) from ever touching the guarded-out rows.
 * **Constant folding** — literal-only subtrees are evaluated once at
-  compile time and broadcast (zero-copy) at run time.
+  compile time. A constant stays a 0-d array that numpy broadcasts; it
+  is widened to one value per row only where an array must come out: a
+  program output, an ``AND``/``OR`` left operand, a function argument.
 * **String predicates on codes** — ``col op 'lit'`` (either operand
   order, any of ``= <> < <= > >=``), ``col IN ('a', ...)`` and
   ``col BETWEEN 'a' AND 'b'`` over a STRING column compile to one
@@ -47,11 +56,14 @@ available as the differential-testing oracle behind the session flag
 ``compile_expressions=False``, and always compares decoded strings):
 every instruction applies the exact numpy ops :meth:`Expression.evaluate`
 would, just on fewer rows — or, for strings, the same order on codes.
+Each instruction's evaluator is resolved once, when the program is
+built.
 """
 
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -142,9 +154,54 @@ class _Instr:
         self.payload = payload
 
     def __repr__(self):
+        if self.kind == "route":
+            return f"route {self.payload!r}"
         inner = ", ".join(f"%{a}" for a in self.args)
         extra = f" {self.payload!r}" if self.payload is not None else ""
         return f"{self.kind}({inner}){extra}"
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class _Route:
+    """A whole ``CASE`` nest as parallel node arrays and a leaf table.
+
+    Node ``i`` sends its rows where the condition in slot
+    ``conditions[i]`` holds to ``then[i]`` and the rest to
+    ``otherwise[i]``; a child is a node index (>= 0, the root is node 0)
+    or ``~leaf`` (< 0). A multi-``WHEN`` CASE is a chain of nodes and a
+    nested CASE value is its own subtree. Leaf ``k`` is the constant
+    ``values[k]`` when ``slots[k]`` is None, else the value in
+    ``slots[k]``, evaluated on the rows that reach it (``values[k]`` is
+    then a placeholder). A string CASE has no ``values``: every leaf is a
+    slot.
+    """
+
+    conditions: Tuple[int, ...]
+    then: Tuple[int, ...]
+    otherwise: Tuple[int, ...]
+    slots: Tuple[Optional[int], ...]
+    values: Optional[np.ndarray]  # read-only
+
+    def __repr__(self):
+        constant = sum(slot is None for slot in self.slots)
+        conditions = " ".join(f"%{slot}" for slot in dict.fromkeys(
+            self.conditions))
+        text = (f"{len(self.conditions)} nodes, {len(self.slots)} leaves "
+                f"({constant} constant); when {conditions}")
+        evaluated = [slot for slot in self.slots if slot is not None]
+        if evaluated:
+            text += "; values " + " ".join(
+                f"%{slot}" for slot in dict.fromkeys(evaluated))
+        return text
+
+
+#: The positions of "every row" of a routed set (it keeps no index).
+_ALL = slice(None)
+
+
+def _rows(value: np.ndarray, n: int) -> np.ndarray:
+    """``value`` as an array of ``n`` rows: a 0-d constant is widened."""
+    return np.full(n, value, dtype=value.dtype) if value.ndim == 0 else value
 
 
 class _RunContext:
@@ -157,8 +214,8 @@ class _RunContext:
         self.source = source
         self.num_rows = source.num_rows
         self.columns: Dict[str, Column] = {}
-        # slot -> value over ALL rows of the source; masked evaluations
-        # gather from here instead of recomputing.
+        # slot -> value over ALL rows of the source; evaluations on a row
+        # subset gather from here instead of recomputing.
         self.full: Dict[int, np.ndarray] = {}
         # strcmp instruction -> its predicate over codes.
         self.bound: Dict[_Instr, object] = {}
@@ -182,13 +239,20 @@ class CompiledProgram:
     other node of the same structure.
     """
 
-    __slots__ = ("instructions", "uses", "outputs")
+    __slots__ = ("instructions", "uses", "outputs", "_steps")
 
     def __init__(self, instructions: List[_Instr], uses: List[int],
                  outputs: List[Tuple[str, int, DataType]]):
         self.instructions = instructions
         self.uses = uses
         self.outputs = outputs
+        # Per slot, resolved once: its evaluator, its instruction and
+        # whether its value is memoized (used more than once; constants
+        # are their own memo).
+        self._steps = tuple(
+            (getattr(CompiledProgram, f"_eval_{instr.kind}"), instr,
+             uses[slot] > 1 and instr.kind != "const")
+            for slot, instr in enumerate(instructions))
 
     # ------------------------------------------------------------------
     @property
@@ -223,7 +287,7 @@ class CompiledProgram:
         Outputs match the interpreted path's contract: a bare column
         reference is the source column itself (coded strings stay coded,
         nothing is copied); every other output is a fresh, writable array
-        — constant broadcasts (read-only, 0-stride) and slots shared
+        — a constant is widened to one value per row, and slots shared
         between outputs are copied on the way out so no two computed
         columns alias each other.
         """
@@ -236,7 +300,9 @@ class CompiledProgram:
                 columns.append((name, ctx.column(instr.payload)))
                 continue
             value = self._eval(slot, ctx, None, ctx.full)
-            if not value.flags.writeable or slot in emitted:
+            if value.ndim == 0:
+                value = _rows(value, ctx.num_rows)
+            elif not value.flags.writeable or slot in emitted:
                 value = value.copy()
             emitted.add(slot)
             columns.append((name, Column(value, dtype)))
@@ -246,16 +312,20 @@ class CompiledProgram:
         """Evaluate a single-output program (Filter predicates)."""
         (name, slot, _), = self.outputs
         ctx = _RunContext(source)
-        return self._eval(slot, ctx, None, ctx.full)
+        return _rows(self._eval(slot, ctx, None, ctx.full), ctx.num_rows)
 
     # ------------------------------------------------------------------
     # Evaluation. ``active`` is None (all rows) or an int64 index array
     # into the source's row domain; ``memo`` caches values computed for
-    # exactly this active set (the top-level memo is ``ctx.full``).
+    # exactly this active set (the top-level memo is ``ctx.full``). A
+    # constant evaluates to its 0-d payload, which numpy broadcasts.
     # ------------------------------------------------------------------
     def _eval(self, slot: int, ctx: _RunContext,
               active: Optional[np.ndarray], memo: Dict[int, np.ndarray]
               ) -> np.ndarray:
+        evaluate, instr, memoize = self._steps[slot]
+        if not memoize:  # only memoized slots are ever in a memo
+            return evaluate(self, instr, ctx, active, memo)
         value = memo.get(slot)
         if value is not None:
             return value
@@ -263,10 +333,7 @@ class CompiledProgram:
             full = ctx.full.get(slot)
             if full is not None:
                 return full[active]
-        instr = self.instructions[slot]
-        value = getattr(self, f"_eval_{instr.kind}")(instr, ctx, active, memo)
-        if self.uses[slot] > 1:
-            memo[slot] = value
+        value = memo[slot] = evaluate(self, instr, ctx, active, memo)
         return value
 
     def _n(self, ctx: _RunContext, active: Optional[np.ndarray]) -> int:
@@ -274,8 +341,7 @@ class CompiledProgram:
 
     # -- leaves --------------------------------------------------------
     def _eval_const(self, instr, ctx, active, memo):
-        # payload: 0-d numpy array; broadcast is zero-copy (read-only).
-        return np.broadcast_to(instr.payload, (self._n(ctx, active),))
+        return instr.payload
 
     def _eval_col(self, instr, ctx, active, memo):
         array = ctx.column(instr.payload).data
@@ -314,8 +380,8 @@ class CompiledProgram:
             return left - right
         if op == "*":
             return left * right
-        # SQL float semantics: x/0 is IEEE inf/nan, silently (masked
-        # routing already keeps guarded rows out; unguarded divisions
+        # SQL float semantics: x/0 is IEEE inf/nan, silently (routing
+        # already keeps guarded rows out; unguarded divisions
         # must not warn either — the suite promotes warnings to errors).
         with np.errstate(divide="ignore", invalid="ignore"):
             return left.astype(np.float64) / right.astype(np.float64)
@@ -328,8 +394,11 @@ class CompiledProgram:
         return -value
 
     def _eval_func(self, instr, ctx, active, memo):
-        values = [self._eval(arg, ctx, active, memo).astype(np.float64)
-                  for arg in instr.args]
+        # Full-length arguments: ``np.power`` takes a faster, last-bit
+        # different path for a scalar exponent than the oracle's array.
+        n = self._n(ctx, active)
+        values = [_rows(self._eval(arg, ctx, active, memo), n)
+                  .astype(np.float64) for arg in instr.args]
         return instr.payload(*values)
 
     def _eval_in(self, instr, ctx, active, memo):
@@ -354,9 +423,10 @@ class CompiledProgram:
             return value.astype(np.bool_)
         return value.astype(np.str_)
 
-    # -- routed (masked) evaluation ------------------------------------
+    # -- routed evaluation ---------------------------------------------
     def _eval_and(self, instr, ctx, active, memo):
-        left = self._eval(instr.args[0], ctx, active, memo)
+        left = _rows(self._eval(instr.args[0], ctx, active, memo),
+                     self._n(ctx, active))
         out = left.astype(np.bool_, copy=True)
         need = np.nonzero(out)[0]
         if len(need) == len(out):
@@ -369,7 +439,8 @@ class CompiledProgram:
         return out
 
     def _eval_or(self, instr, ctx, active, memo):
-        left = self._eval(instr.args[0], ctx, active, memo)
+        left = _rows(self._eval(instr.args[0], ctx, active, memo),
+                     self._n(ctx, active))
         out = left.astype(np.bool_, copy=True)
         need = np.nonzero(~out)[0]
         if len(need) == len(out):
@@ -380,66 +451,84 @@ class CompiledProgram:
             out[need] = self._eval(instr.args[1], ctx, subset, {})
         return out
 
-    def _eval_case(self, instr, ctx, active, memo):
+    def _eval_route(self, instr, ctx, active, memo):
+        route = instr.payload
         n = self._n(ctx, active)
-        np_dtype = instr.payload  # None for string-valued CASE
-        pieces: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
-        out: Optional[np.ndarray] = None
-        if np_dtype is not None:
-            out = np.empty(n, dtype=np_dtype)
-        else:
-            pieces = []
-        # Remaining rows: local positions into `out` plus absolute
-        # indices into the source domain. None means "all of them".
-        rem_local: Optional[np.ndarray] = None
-        rem_abs = active
-        rem_memo = memo
-        rem_count = n
-        branches = instr.args[:-1]
-        default = instr.args[-1]
-        for i in range(0, len(branches), 2):
-            if rem_count == 0:
-                break
-            cond = self._eval(branches[i], ctx, rem_abs, rem_memo)
-            taken = np.nonzero(cond)[0]
-            if len(taken):
-                matched_local = taken if rem_local is None else rem_local[taken]
-                if len(taken) == rem_count:
-                    # Every remaining row matched: same active set, so the
-                    # branch value can reuse this set's memo.
-                    value = self._eval(branches[i + 1], ctx, rem_abs, rem_memo)
-                    self._emit(out, pieces, matched_local, value)
-                    rem_count = 0
-                    break
-                matched_abs = taken if rem_abs is None else rem_abs[taken]
-                value = self._eval(branches[i + 1], ctx, matched_abs, {})
-                self._emit(out, pieces, matched_local, value)
-                kept = np.nonzero(~cond)[0]
-                rem_local = kept if rem_local is None else rem_local[kept]
-                rem_abs = kept if rem_abs is None else rem_abs[kept]
-                rem_memo = {}
-                rem_count = len(kept)
-        if rem_count:
-            value = self._eval(default, ctx, rem_abs, rem_memo)
-            local = rem_local if rem_local is not None else slice(None)
-            self._emit(out, pieces, local, value)
-        if out is not None:
+        reached = self._route_rows(route, ctx, active, memo) if n else []
+        slots, values = route.slots, route.values
+        if values is None:
+            # String CASE: widths are only known once the pieces exist.
+            pieces = [(local, self._eval(slots[leaf], ctx, rows, rows_memo))
+                      for leaf, local, rows, rows_memo in reached]
+            if not pieces:
+                return np.empty(n, dtype="<U1")
+            out = np.empty(n, dtype=np.result_type(
+                *(value.dtype for _, value in pieces)))
+            for local, value in pieces:
+                out[local] = value
             return out
-        # String CASE: widths are only known once the pieces exist.
-        if not pieces:
-            return np.empty(n, dtype="<U1")
-        target = np.result_type(*(value.dtype for _, value in pieces))
-        out = np.empty(n, dtype=target)
-        for local, value in pieces:
-            out[local] = value
+        if any(slots[leaf] is None for leaf, _, _, _ in reached):
+            leaf_id = np.empty(n, dtype=np.int32)
+            for leaf, local, _, _ in reached:
+                leaf_id[local] = leaf
+            out = values.take(leaf_id)
+        else:
+            out = np.empty(n, dtype=values.dtype)
+        for leaf, local, rows, rows_memo in reached:
+            slot = slots[leaf]
+            if slot is not None:
+                out[local] = self._eval(slot, ctx, rows, rows_memo)
         return out
 
-    @staticmethod
-    def _emit(out, pieces, local, value):
-        if out is not None:
-            out[local] = value
-        else:
-            pieces.append((local, value))
+    def _route_rows(self, route: _Route, ctx: _RunContext,
+                    active: Optional[np.ndarray], memo: Dict[int, np.ndarray]
+                    ) -> List[tuple]:
+        """Split the active rows down the nest, depth first.
+
+        Returns one ``(leaf, local, rows, memo)`` per leaf some row
+        reaches: ``local`` are the rows' positions in the active set
+        (``_ALL``: all of them), ``rows`` their indices into the source
+        (None: all source rows) and ``memo`` the memo of that row set. A
+        split that sends every row one way keeps the set and its memo; a
+        constant condition sends every row one way.
+        """
+        conditions, then, otherwise = (route.conditions, route.then,
+                                       route.otherwise)
+        reached = []
+        pending = [(0, None, active, memo)]
+        while pending:
+            child, local, rows, rows_memo = pending.pop()
+            while child >= 0:
+                cond = self._eval(conditions[child], ctx, rows, rows_memo)
+                if cond.ndim == 0:
+                    child = then[child] if cond else otherwise[child]
+                    continue
+                taken = cond.nonzero()[0]
+                if len(taken) == len(cond):
+                    child = then[child]
+                    continue
+                if not len(taken):
+                    child = otherwise[child]
+                    continue
+                kept = (~cond).nonzero()[0]
+                pending.append((otherwise[child],
+                                *_narrow(local, rows, kept), {}))
+                local, rows = _narrow(local, rows, taken)
+                rows_memo = {}
+                child = then[child]
+            reached.append((~child, _ALL if local is None else local, rows,
+                            rows_memo))
+        return reached
+
+
+def _narrow(local: Optional[np.ndarray], rows: Optional[np.ndarray],
+            positions: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``local``/``rows`` pair of a row set's subset at ``positions``
+    (one gather while both are the same index: a top-level route)."""
+    sub_local = positions if local is None else local[positions]
+    if rows is local:
+        return sub_local, sub_local
+    return sub_local, positions if rows is None else rows[positions]
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +568,8 @@ class _Compiler:
             return self._const_instr(expr)
         if isinstance(expr, ColumnRef):
             return _Instr("col", payload=expr.name)
+        if isinstance(expr, CaseWhen):
+            return self._route(expr)
         strcmp = self._string_predicate(expr)
         if strcmp is not None:
             return strcmp
@@ -497,9 +588,6 @@ class _Compiler:
         if isinstance(expr, FunctionCall):
             _, func = _FUNCTIONS[expr.name]
             return _Instr("func", children, func)
-        if isinstance(expr, CaseWhen):
-            dtype = expr.output_dtype(self.schema)
-            return _Instr("case", children, _NP_DTYPES.get(dtype))
         if isinstance(expr, InList):
             return _Instr("in", children, np.asarray(expr.values))
         if isinstance(expr, Between):
@@ -548,12 +636,75 @@ class _Compiler:
             return _Instr("const", payload=np.asarray(literal.value))
         return _Instr("const", payload=np.asarray(literal.value, dtype=np_dtype))
 
+    def _route(self, case: CaseWhen) -> _Instr:
+        """One ``route`` for a whole CASE nest (see :class:`_Route`).
+
+        Nested CASE values are inlined as subtrees, so a translated tree
+        is one instruction whatever its depth. Constant leaves of a
+        numeric CASE go into one value array in the CASE's dtype.
+        """
+        np_dtype = _NP_DTYPES.get(case.output_dtype(self.schema))
+        conditions: List[int] = []
+        then: List[int] = []
+        otherwise: List[int] = []
+        slots: List[Optional[int]] = []
+        constants: List[Optional[np.ndarray]] = []
+
+        def leaf(value: Expression) -> int:
+            # A string CASE evaluates every leaf, its constants included.
+            if np_dtype is not None and isinstance(value, Literal):
+                slot, constant = None, self._const_instr(value).payload
+            else:
+                slot = self.lower(value)
+                instr = self.instructions[slot]
+                constant = instr.payload if instr.kind == "const" else None
+                if np_dtype is not None and constant is not None:
+                    slot = None
+            slots.append(slot)
+            constants.append(constant)
+            return ~(len(slots) - 1)
+
+        def child(value: Expression) -> int:
+            if not isinstance(value, CaseWhen):
+                return leaf(value)
+            root = previous = len(conditions)
+            for cond, branch_value in value.branches:
+                node = len(conditions)
+                conditions.append(self.lower(cond))
+                then.append(0)
+                otherwise.append(0)
+                if node != root:
+                    otherwise[previous] = node
+                then[node] = child(branch_value)
+                previous = node
+            otherwise[previous] = child(value.default)
+            return root
+
+        child(case)
+        if all(self.instructions[slot].kind == "const" for slot in conditions) \
+                and all(constant is not None for constant in constants):
+            folded = self._fold(case)
+            if folded is not None:
+                return folded
+        values = None
+        if np_dtype is not None:
+            values = np.array([0 if constant is None else constant
+                               for constant in constants], dtype=np_dtype)
+            values.flags.writeable = False
+        referenced = conditions + [slot for slot in slots if slot is not None]
+        return _Instr("route", tuple(dict.fromkeys(referenced)),
+                      _Route(tuple(conditions), tuple(then), tuple(otherwise),
+                             tuple(slots), values))
+
     def _try_fold(self, expr: Expression, children: Tuple[int, ...]
                   ) -> Optional[_Instr]:
         """Fold a subtree whose inputs are all compile-time constants."""
         if not children or any(self.instructions[slot].kind != "const"
                                for slot in children):
             return None
+        return self._fold(expr)
+
+    def _fold(self, expr: Expression) -> Optional[_Instr]:
         try:
             with np.errstate(all="ignore"):
                 value = expr.evaluate(_one_row_table())

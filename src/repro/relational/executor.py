@@ -27,7 +27,8 @@ probe, so the reference shares no code with the index path it checks;
 it gathers both sides at every step. Scalar
 expressions are lowered to
 :class:`~repro.relational.compile.CompiledProgram` instructions (CSE +
-masked CASE routing + constant folding), stashed on the plan node so
+one leaf-id ``route`` per CASE nest + constant folding), stashed on the
+plan node so
 plans held by the serving cache skip compilation on warm executions, and
 shared by structure within a session so a freshly optimized plan reuses
 the programs of any earlier plan with the same expressions; the

@@ -1,7 +1,7 @@
-"""Compiled expression engine: differential equivalence, masked routing,
-late materialization, and plan-cache single-flight.
+"""Compiled expression engine: differential equivalence, leaf-id CASE
+routing, late materialization, and plan-cache single-flight.
 
-The compiled path (CSE + masked CASE routing + constant folding) must be
+The compiled path (CSE + leaf-id CASE routing + constant folding) must be
 bit-for-bit equivalent to the interpreted ``Expression.evaluate`` oracle on
 every node type; floats are compared by raw bytes, not tolerance.
 """
@@ -15,6 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tree_reference as ref
 from repro import RavenSession, Table
@@ -134,6 +135,22 @@ def _every_node_type_expressions():
     return cases
 
 
+#: Constant operands where an array must come out of a 0-d constant.
+_CONSTANT_OPERANDS = [
+    ("true_and_x", BinaryOp("and", lit(True), col("f").gt(lit(0.0)))),
+    ("false_and_x", BinaryOp("and", lit(False), col("f").gt(lit(0.0)))),
+    ("x_or_false", BinaryOp("or", col("f").gt(lit(0.0)), lit(False))),
+    ("true_or_x", BinaryOp("or", lit(True), col("g").ne(lit(0.0)))),
+    ("case_true", CaseWhen([(lit(True), col("f"))], col("g"))),
+    ("case_false", CaseWhen([(lit(False), col("f"))], col("i"))),
+    ("case_const_chain", CaseWhen([(lit(False), lit(1.0)),
+                                   (col("b"), col("f"))], lit(2))),
+    ("case_const_in_nest", CaseWhen(
+        [(col("f").gt(lit(0.0)), CaseWhen([(lit(True), lit(3))],
+                                          col("i")))], lit(4))),
+]
+
+
 class TestDifferentialEquivalence:
     """Compiled vs interpreted on every Expression node type."""
 
@@ -169,19 +186,39 @@ class TestDifferentialEquivalence:
                                      name)
 
     def test_outputs_are_fresh_and_writable(self, expr_table):
-        # Constant outputs must not leak read-only broadcasts, and
-        # duplicate-expression outputs must not alias one buffer —
-        # matching the interpreted path's fresh-array contract.
+        # Constant outputs (0-d inside the program) are widened to one
+        # value per row, and duplicate-expression outputs must not alias
+        # one buffer — matching the interpreted path's fresh-array
+        # contract.
         program = compile_outputs(
-            [("one", lit(1.0)), ("a", col("f") + lit(1.0)),
-             ("b", col("f") + lit(1.0))], expr_table.schema)
+            [("one", lit(1.0)), ("uno", lit(1.0)), ("s", lit("beta")),
+             ("a", col("f") + lit(1.0)), ("b", col("f") + lit(1.0))],
+            expr_table.schema)
         results = program.run(expr_table)
-        for name in ("one", "a", "b"):
+        for name in ("one", "uno", "s", "a", "b"):
             assert results[name].flags.writeable, name
+        for name in ("one", "uno", "s"):
+            assert results[name].shape == (expr_table.num_rows,), name
         assert not np.shares_memory(results["a"], results["b"])
+        assert not np.shares_memory(results["one"], results["uno"])
         results["a"][0] = 123.0
         assert results["b"][0] != 123.0
         np.testing.assert_array_equal(results["one"], np.ones(expr_table.num_rows))
+        assert_bitwise_equal(results["s"], lit("beta").evaluate(expr_table))
+
+    @pytest.mark.parametrize("name,expr", _CONSTANT_OPERANDS,
+                             ids=[n for n, _ in _CONSTANT_OPERANDS])
+    def test_constant_operands_match_the_oracle(self, expr_table, name, expr):
+        # Constants stay 0-d; they are widened only where an array must
+        # come out (AND/OR left operands, route conditions, outputs).
+        for table in (expr_table, expr_table.slice(0, 0)):
+            expected = expr.evaluate(table)
+            actual = compile_outputs([(name, expr)], table.schema).run(
+                table)[name]
+            assert_bitwise_equal(actual, expected, name)
+            if expected.dtype == np.bool_:
+                keep = compile_predicate(expr, table.schema).run_single(table)
+                assert_bitwise_equal(keep, expected, name)
 
     def test_runs_identically_on_views(self, expr_table):
         selection = np.flatnonzero(expr_table.array("f") > 0.0)
@@ -248,7 +285,145 @@ class TestTranslatedTrees:
 
 
 # ---------------------------------------------------------------------------
-# Masked routing: the guarded-division hazard (regression)
+# Leaf-id routing: one `route` per CASE nest, differential against the oracle
+# ---------------------------------------------------------------------------
+
+_F, _G, _I, _B, _S = (col(c) for c in "fgibs")
+
+_ATOMS = st.one_of(
+    st.builds(lambda t: _F.le(lit(t)), st.sampled_from([-1.0, 0.0, 0.5, 2.0])),
+    st.builds(lambda t: _F.gt(lit(t)), st.sampled_from([-0.5, 1.0])),
+    st.just(_G.ne(lit(0.0))),
+    st.builds(lambda k: _I.eq(lit(k)), st.integers(-2, 2)),
+    st.just(_I.ge(lit(-100))),           # every row: one branch
+    st.just(_I.gt(lit(100))),            # no row
+    st.just(_B),
+    st.builds(lambda v: _S.eq(lit(v)), st.sampled_from(["alpha", "beta", "zeta"])),
+    st.builds(lit, st.booleans()),       # a constant condition
+)
+
+
+def _condition_over(atoms):
+    return st.recursive(atoms, lambda inner: st.one_of(
+        st.builds(lambda c: UnaryOp("not", c), inner),
+        st.builds(lambda a, b: BinaryOp("and", a, b), inner, inner),
+        st.builds(lambda a, b: BinaryOp("or", a, b), inner, inner),
+    ), max_leaves=3)
+
+
+# A CASE inside a condition routes on its parent's row subset.
+_CONDITIONS = _condition_over(st.one_of(_ATOMS, st.builds(
+    lambda c, v: CaseWhen([(c, lit(v))], _F).le(lit(0.25)),
+    _condition_over(_ATOMS), st.sampled_from([0.0, 1.0]))))
+
+_LEAVES = {
+    "float": st.one_of(
+        st.builds(lit, st.sampled_from([0.0, -0.0, 1.5, -2.25, float("nan")])),
+        st.builds(lit, st.integers(-3, 3)),              # int leaf, float CASE
+        st.just(_F),
+        st.just(_F / _G),                                # guarded or not
+        st.just(CaseWhen([(_G.ne(lit(0.0)), _F / _G)], lit(0.0))),
+    ),
+    "int": st.one_of(st.builds(lit, st.integers(-5, 5)), st.just(_I),
+                     st.just(_I + lit(1))),
+    "bool": st.one_of(st.builds(lit, st.booleans()), st.just(_B),
+                      st.just(UnaryOp("not", _B)), st.just(_F.gt(lit(0.0)))),
+    "string": st.one_of(st.builds(lit, st.sampled_from(["lo", "high", ""])),
+                        st.just(_S)),
+}
+
+
+def _case_nests(kind: str):
+    """CASE nests whose leaves are all of ``kind``: multi-WHEN chains,
+    nested CASE values (trees) and constant leaves."""
+    def case(branches, default):
+        return CaseWhen(branches, default)
+
+    def cases(values):
+        return st.builds(case, st.lists(st.tuples(_CONDITIONS, values),
+                                        min_size=1, max_size=3), values)
+
+    nests = st.recursive(_LEAVES[kind], cases, max_leaves=10)
+    return cases(nests)
+
+
+def _route_table(seed: int, rows: int) -> Table:
+    rng = np.random.default_rng(seed)
+    f = rng.normal(0.0, 1.5, rows)
+    f[rng.random(rows) < 0.2] = np.nan                  # NaN conditions
+    return Table.from_arrays(
+        f=f,
+        g=np.where(rng.random(rows) < 0.3, 0.0, rng.normal(1.0, 1.0, rows)),
+        i=rng.integers(-2, 3, rows),
+        b=rng.random(rows) < 0.5,
+        s=rng.choice(["alpha", "beta", "gamma", ""], rows),
+    )
+
+
+class TestRouteDifferential:
+    """Generated CASE nests: compiled == interpreted, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(sorted(_LEAVES)), data=st.data(),
+           seed=st.integers(0, 2**16), rows=st.integers(0, 40))
+    def test_generated_nests_match_the_oracle(self, kind, data, seed, rows):
+        expr = data.draw(_case_nests(kind), label="expr")
+        table = _route_table(seed, rows)
+        selection = np.flatnonzero(np.random.default_rng(seed).random(rows)
+                                   < 0.6)
+        view = TableView(table.encoded(), selection)
+        gathered = Table({n: table.column(n).take(selection)
+                          for n in table.column_names})
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for label, source, oracle in (("table", table, table),
+                                          ("view", view, gathered)):
+                expected = expr.evaluate(oracle)
+                program = compile_outputs([("out", expr)], source.schema)
+                assert_bitwise_equal(program.run(source)["out"], expected,
+                                     label)
+
+    def test_a_translated_tree_is_one_route(self):
+        rng = np.random.default_rng(3)
+        scaled = [(col(f"x{k}") - lit(1.0)) * lit(0.5) for k in range(3)]
+        expr = tree_to_expression(_make_tree(6, rng, 3), scaled,
+                                  value_index=1)
+        table = Table.from_arrays(
+            **{f"x{k}": rng.normal(1.0, 2.0, 300) for k in range(3)})
+        program = compile_outputs([("score", expr)], table.schema)
+        kinds = [instr.kind for instr in program.instructions]
+        assert kinds.count("route") == 1
+        assert "case" not in kinds
+        route = program.instructions[program.outputs[0][1]].payload
+        assert len(route.conditions) == 63
+        assert len(route.slots) == 64
+        assert all(slot is None for slot in route.slots)  # constant leaves
+        assert_bitwise_equal(program.run(table)["score"],
+                             expr.evaluate(table), "one route")
+
+    def test_pretty_shows_a_route(self, expr_table):
+        f, g = col("f"), col("g")
+        expr = CaseWhen(
+            [(f.gt(lit(0.0)), CaseWhen([(g.ne(lit(0.0)), f / g)], lit(1.0))),
+             (g.gt(lit(0.0)), lit(2))],
+            lit(3.0))
+        program = compile_outputs([("r", expr)], expr_table.schema)
+        assert program.pretty() == "\n".join([
+            "%0 = col() 'f'  (uses=2)",
+            "%1 = const() array(0.)  (uses=3)",
+            "%2 = cmp(%0, %1) <ufunc 'greater'>  (uses=1)",
+            "%3 = col() 'g'  (uses=3)",
+            "%4 = cmp(%3, %1) <ufunc 'not_equal'>  (uses=1)",
+            "%5 = arith(%0, %3) '/'  (uses=1)",
+            "%6 = cmp(%3, %1) <ufunc 'greater'>  (uses=1)",
+            "%7 = route 3 nodes, 4 leaves (3 constant); when %2 %4 %6; "
+            "values %5  (uses=1)",
+            "output r: %7 (float)",
+        ])
+
+
+# ---------------------------------------------------------------------------
+# CASE routing: the guarded-division hazard (regression)
 # ---------------------------------------------------------------------------
 
 GUARDED_DIV = """
@@ -279,7 +454,7 @@ class TestGuardedDivision:
 
     def test_interpreted_oracle_is_silent_too(self):
         # The np.select path still evaluates y/x on the x = 0 rows (which
-        # is why masked routing matters for cost), but division follows
+        # is why CASE routing matters for cost), but division follows
         # SQL float semantics engine-wide: x/0 is IEEE inf/nan with no
         # RuntimeWarning, so warnings-as-errors suites stay clean on both
         # paths and the values match the compiled engine bit-for-bit.
