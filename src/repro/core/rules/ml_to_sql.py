@@ -6,6 +6,14 @@ become CASE expressions, decision trees become nested CASE WHEN chains
 (depth-first, exactly the shape shown in §5.1), and logistic links expand
 to ``1/(1+EXP(-margin))``.
 
+A tree split never evaluates a scaler: a split on ``f(col) <= t``, where
+``f`` is a monotone affine chain of one column (a scaler's ``(col - m) *
+s``, ``± c``, ``* c``, ``/ c``), becomes ``col <= x*`` (``col >= x*`` when
+``f`` decreases), with ``x*`` the IEEE boundary of ``f`` as evaluated —
+so the split reads the raw column and decides every row, NaN and
+infinities included, exactly as the unfolded one (see
+:func:`_fold_thresholds`).
+
 The transformation is all-or-nothing: if any operator cannot be expressed,
 the rule raises :class:`UnsupportedOperatorError` and the optimizer keeps
 the ML-runtime plan (matching the paper: "MLtoSQL currently transforms the
@@ -18,7 +26,8 @@ evaluate — the very effect behind the paper's observation that MLtoSQL is a
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+import math
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -38,6 +47,7 @@ from repro.relational.expressions import (
 )
 from repro.relational.logical import PlanNode, Predict, Project
 from repro.storage.catalog import Catalog
+from repro.storage.column import DataType
 
 # An edge is either a vector of numeric expressions (one per feature) or a
 # single string-valued expression (raw categorical column / label output).
@@ -298,17 +308,20 @@ def tree_to_expression(tree: Tree, features: List[Expression],
                        value_index: int) -> Expression:
     """Depth-first nested CASE WHEN for one tree (paper §5.1's example).
 
-    A split whose condition folds to a constant (see
-    :func:`_split_condition`) emits only the subtree it always takes.
+    Every split's condition comes from :func:`_split_conditions`, all of
+    a tree's at once; a split whose condition folds to a constant emits
+    only the subtree it always takes.
     """
-    feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
     left, right = tree.left.tolist(), tree.right.tolist()
     leaf_values = tree.value[:, value_index].tolist()
+    internal = np.flatnonzero(tree.left >= 0)
+    conditions = dict(zip(internal.tolist(), _split_conditions(
+        features, tree.feature[internal], tree.threshold[internal])))
 
     def translate(node: int) -> Expression:
         if left[node] < 0:
             return Literal(leaf_values[node])
-        condition = _split_condition(features[feature[node]], threshold[node])
+        condition = conditions[node]
         if isinstance(condition, Literal):
             return translate(left[node] if condition.value else right[node])
         return CaseWhen([(condition, translate(left[node]))],
@@ -318,6 +331,158 @@ def tree_to_expression(tree: Tree, features: List[Expression],
 
 
 def _split_condition(feature: Expression, threshold: float) -> Expression:
+    """One split's ``feature <= threshold``, folded (see
+    :func:`_split_conditions`)."""
+    return _split_conditions([feature], np.zeros(1, dtype=np.int64),
+                             np.array([threshold], dtype=np.float64))[0]
+
+
+def _split_conditions(features: List[Expression], feature_index: np.ndarray,
+                      thresholds: np.ndarray) -> List[Expression]:
+    """``features[feature_index[k]] <= thresholds[k]`` for every split k.
+
+    A feature that is an affine chain of a column (see
+    :func:`_affine_chain`) compares the raw column with the split's
+    boundary; the boundaries of all splits whose chains have one shape
+    come from one vectorized :func:`_fold_thresholds`. A split whose
+    boundary does not fold, and every other feature, keeps
+    :func:`_unfolded_condition`.
+    """
+    indices = feature_index.tolist()
+    chains = {index: _affine_chain(features[index]) for index in set(indices)}
+    by_ops: Dict[tuple, List[int]] = {}  # chain ops -> its features
+    for index, chain in chains.items():
+        if chain is not None:
+            by_ops.setdefault(chain[1], []).append(index)
+    boundary = np.zeros(len(indices))
+    increasing = np.zeros(len(indices), dtype=bool)
+    folded = np.zeros(len(indices), dtype=bool)
+    for ops, group in by_ops.items():
+        row = np.full(max(chains) + 1, -1)
+        row[group] = np.arange(len(group))
+        splits = np.flatnonzero(row[feature_index] >= 0)
+        constants = np.array([chains[index][2] for index in group])
+        boundary[splits], increasing[splits], folded[splits] = _fold_thresholds(
+            ops, constants[row[feature_index[splits]]], thresholds[splits])
+    conditions = []
+    for index, limit, x, up, ok in zip(indices, thresholds.tolist(),
+                                       boundary.tolist(), increasing.tolist(),
+                                       folded.tolist()):
+        if not ok:
+            conditions.append(_unfolded_condition(features[index], limit))
+        elif up:
+            conditions.append(chains[index][0].le(Literal(x)))
+        else:
+            conditions.append(chains[index][0].ge(Literal(x)))
+    return conditions
+
+
+#: An affine op: ``(op, literal on the left)``.
+_AffineOp = Tuple[str, bool]
+
+#: One-ulp steps the boundary search takes before a split stays unfolded.
+_MAX_FOLD_STEPS = 64
+
+
+def _affine_chain(feature: Expression
+                  ) -> Optional[Tuple[ColumnRef, Tuple[_AffineOp, ...],
+                                      Tuple[float, ...]]]:
+    """``(column, ops, constants)``, innermost op first, when ``feature``
+    applies ``x + c``, ``x - c``, ``x * c``, ``x / c`` (or ``c + x``,
+    ``c - x``, ``c * x``) to one column, every ``c`` a finite FLOAT
+    literal, non-zero for ``*`` and ``/``.
+
+    Each such op is monotone over float64 (IEEE rounding is), sends no
+    non-NaN value to NaN, and sends ``-0.0`` and ``0.0`` to values that
+    compare equal. A FLOAT constant makes the first op promote an INT
+    column to float64, the same promotion a comparison of the column
+    with a float makes.
+    """
+    ops: List[_AffineOp] = []
+    constants: List[float] = []
+    while isinstance(feature, BinaryOp) and feature.op in ("+", "-", "*", "/"):
+        if isinstance(feature.right, Literal):
+            inner, literal, on_left = feature.left, feature.right, False
+        elif isinstance(feature.left, Literal) and feature.op != "/":
+            inner, literal, on_left = feature.right, feature.left, True
+        else:
+            return None
+        if literal.dtype is not DataType.FLOAT \
+                or not math.isfinite(literal.value) \
+                or (feature.op in ("*", "/") and literal.value == 0.0):
+            return None
+        ops.append((feature.op, on_left))
+        constants.append(literal.value)
+        feature = inner
+    if not ops or not isinstance(feature, ColumnRef):
+        return None
+    return feature, tuple(reversed(ops)), tuple(reversed(constants))
+
+
+def _apply_chain(ops: Tuple[_AffineOp, ...], constants: np.ndarray,
+                 x: np.ndarray) -> np.ndarray:
+    """The chain evaluated with the engine's float64 ops, split k's
+    constants (row k of ``constants``) on element k."""
+    for (op, on_left), c in zip(ops, constants.T):
+        if op == "+":
+            x = c + x if on_left else x + c
+        elif op == "-":
+            x = c - x if on_left else x - c
+        elif op == "*":
+            x = c * x if on_left else x * c
+        else:
+            x = x / c
+    return x
+
+
+def _fold_thresholds(ops: Tuple[_AffineOp, ...], constants: np.ndarray,
+                     thresholds: np.ndarray
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The boundaries ``x*`` of the splits ``f_k(x) <= t_k``, one numpy
+    pass for all of them: ``(boundary, increasing, folded)``.
+
+    ``f_k`` is monotone, so the ``x`` with ``f_k(x) <= t_k`` are all
+    float64 values up to ``x*`` when ``f_k`` increases (``x <= x*``) and
+    from ``x*`` on when it decreases (``x >= x*``); NaN fails both
+    forms. The search starts at the chain inverted in real arithmetic
+    (``t / s + m`` for a scaler) and steps one ulp at a time until
+    ``f_k(x*) <= t_k`` holds and fails one ulp further out. ``folded``
+    is False where a threshold or the start is not finite, or the search
+    has not converged after :data:`_MAX_FOLD_STEPS` steps (a subnormal
+    scale can put the boundary ~2^60 ulps away).
+    """
+    increasing = np.ones(len(thresholds), dtype=bool)
+    for (op, on_left), c in zip(ops, constants.T):
+        if op in ("*", "/"):
+            increasing ^= c < 0
+        elif op == "-" and on_left:
+            increasing = ~increasing
+    with np.errstate(all="ignore"):
+        x = thresholds
+        for (op, on_left), c in zip(reversed(ops), constants.T[::-1]):
+            if op == "+":
+                x = x - c
+            elif op == "-":
+                x = c - x if on_left else x + c
+            elif op == "*":
+                x = x / c
+            else:
+                x = x * c
+        startable = np.isfinite(x) & np.isfinite(thresholds)
+        x = np.where(startable, x, 0.0)
+        outward = np.where(increasing, np.inf, -np.inf)
+        for _ in range(_MAX_FOLD_STEPS):
+            holds = _apply_chain(ops, constants, x) <= thresholds
+            beyond = np.nextafter(x, outward)
+            done = holds & ~(_apply_chain(ops, constants, beyond) <= thresholds)
+            if (done | ~startable).all():
+                break
+            x = np.where(done, x, np.where(holds, beyond,
+                                           np.nextafter(x, -outward)))
+    return x, increasing, done & startable
+
+
+def _unfolded_condition(feature: Expression, threshold: float) -> Expression:
     """``feature <= threshold``, folded when the feature is an indicator.
 
     An indicator ``CASE WHEN p THEN a ELSE b END`` with numeric literals

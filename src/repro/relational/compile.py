@@ -30,16 +30,28 @@ vectorized instructions:
   compile time. A constant stays a 0-d array that numpy broadcasts; it
   is widened to one value per row only where an array must come out: a
   program output, an ``AND``/``OR`` left operand, a function argument.
+* **Column-constant comparisons** — ``col op lit`` over a FLOAT or INT
+  column with a numeric literal (either operand order, any of
+  ``= <> < <= > >=``) is one ``colcmp`` instruction: the column name,
+  the comparison ufunc and the 0-d constant in its payload, no operand
+  slots. MLtoSQL folds a scaler into its tree's thresholds
+  (:mod:`repro.core.rules.ml_to_sql`), so every numeric split of a
+  translated tree, like most Filter predicates, is one ``colcmp``.
 * **String predicates on codes** — ``col op 'lit'`` (either operand
   order, any of ``= <> < <= > >=``), ``col IN ('a', ...)`` and
   ``col BETWEEN 'a' AND 'b'`` over a STRING column compile to one
   ``strcmp`` instruction over the column's dictionary codes (see
-  :mod:`repro.storage.column`). Each run binds the literal to the
-  column's sorted dictionary with ``searchsorted`` — a literal absent
-  from it makes ``=`` constant false and ``<>`` constant true — so the
-  program itself stays data-independent and plans cached across
-  catalog versions stay valid. A column without codes (a string
-  ``CASE`` result, a spilled column) is compared as strings.
+  :mod:`repro.storage.column`). The literal is bound to the column's
+  sorted dictionary with ``searchsorted`` — a literal absent from it
+  makes ``=`` constant false and ``<>`` constant true — so the program
+  itself stays data-independent and plans cached across catalog
+  versions stay valid. A column without codes (a string ``CASE``
+  result, a spilled column) is compared as strings.
+* **Codes bound once per dictionary** — a ``strcmp`` keeps its last
+  binding next to the dictionary object it was bound to (holding a
+  reference, so the identity check cannot be fooled by a reused id),
+  and rebinds only when a different dictionary arrives: after the table
+  is registered again, or from another table's column.
 * **Pass-through outputs** — an output that is a bare column reference
   is the source :class:`~repro.storage.column.Column` itself
   (:meth:`CompiledProgram.run_columns`), so coded strings stay coded.
@@ -96,6 +108,11 @@ _NP_DTYPES = {
 #: ``lit op col`` is ``col FLIPPED[op] lit``.
 _FLIPPED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
+#: The SQL operator of a comparison ufunc (for listings).
+_COMPARE_OPS = {func: op for op, func in _COMPARE_FUNCS.items()}
+
+_NUMERIC = (DataType.FLOAT, DataType.INT)
+
 
 def _compare_strings(values: np.ndarray, op: str, literal) -> np.ndarray:
     """A ``strcmp`` over ``<U`` values: the interpreted path's numpy ops."""
@@ -144,18 +161,28 @@ def _bind_codes(dictionary: np.ndarray, op: str, literal):
 
 
 class _Instr:
-    """One SSA instruction: an opcode, input slots, and static payload."""
+    """One SSA instruction: an opcode, input slots, and static payload.
 
-    __slots__ = ("kind", "args", "payload")
+    ``bound`` is a ``strcmp``'s last binding, ``(dictionary,
+    predicate)``. It is read once and replaced whole, so a run always
+    uses a binding made for its own dictionary; two runs that race at
+    worst both bind.
+    """
+
+    __slots__ = ("kind", "args", "payload", "bound")
 
     def __init__(self, kind: str, args: Tuple[int, ...] = (), payload=None):
         self.kind = kind
         self.args = args
         self.payload = payload
+        self.bound = None
 
     def __repr__(self):
         if self.kind == "route":
             return f"route {self.payload!r}"
+        if self.kind == "colcmp":
+            name, compare, constant = self.payload
+            return f"colcmp {name!r} {_COMPARE_OPS[compare]} {constant.item()!r}"
         inner = ", ".join(f"%{a}" for a in self.args)
         extra = f" {self.payload!r}" if self.payload is not None else ""
         return f"{self.kind}({inner}){extra}"
@@ -205,10 +232,9 @@ def _rows(value: np.ndarray, n: int) -> np.ndarray:
 
 
 class _RunContext:
-    """Per-run mutable state: source columns, the full-row value memo and
-    the string literals bound to this run's dictionaries."""
+    """Per-run mutable state: source columns and the full-row value memo."""
 
-    __slots__ = ("source", "num_rows", "columns", "full", "bound")
+    __slots__ = ("source", "num_rows", "columns", "full")
 
     def __init__(self, source):
         self.source = source
@@ -217,8 +243,6 @@ class _RunContext:
         # slot -> value over ALL rows of the source; evaluations on a row
         # subset gather from here instead of recomputing.
         self.full: Dict[int, np.ndarray] = {}
-        # strcmp instruction -> its predicate over codes.
-        self.bound: Dict[_Instr, object] = {}
 
     def column(self, name: str) -> Column:
         column = self.columns.get(name)
@@ -230,13 +254,14 @@ class _RunContext:
 class CompiledProgram:
     """A compiled DAG of vectorized instructions for named outputs.
 
-    Immutable after construction and data-independent (dictionary codes
-    are bound per run), therefore safe to share across threads and plan
-    nodes: each :meth:`run` call builds its own :class:`_RunContext`. The
-    relational executor stashes the program on the plan node (warm hits
-    of plans held by the serving PlanCache skip even the lookup) and
-    shares it through the session's :class:`ProgramTable` with every
-    other node of the same structure.
+    Immutable after construction (but for each ``strcmp``'s cached
+    binding, see :class:`_Instr`) and data-independent (dictionary codes
+    are bound to whichever dictionary a run brings), therefore safe to
+    share across threads and plan nodes: each :meth:`run` call builds its
+    own :class:`_RunContext`. The relational executor stashes the program
+    on the plan node (warm hits of plans held by the serving PlanCache
+    skip even the lookup) and shares it through the session's
+    :class:`ProgramTable` with every other node of the same structure.
     """
 
     __slots__ = ("instructions", "uses", "outputs", "_steps")
@@ -359,16 +384,22 @@ class CompiledProgram:
         right = self._eval(instr.args[1], ctx, active, memo)
         return instr.payload(left, right)
 
+    def _eval_colcmp(self, instr, ctx, active, memo):
+        name, compare, constant = instr.payload
+        array = ctx.column(name).data
+        return compare(array if active is None else array[active], constant)
+
     def _eval_strcmp(self, instr, ctx, active, memo):
         values = self._eval(instr.args[0], ctx, active, memo)
         name, op, literal = instr.payload
         if values.dtype.kind == "U":
             return _compare_strings(values, op, literal)
-        predicate = ctx.bound.get(instr)
-        if predicate is None:
-            predicate = ctx.bound[instr] = _bind_codes(
-                ctx.column(name).dictionary, op, literal)
-        return predicate(values)
+        dictionary = ctx.column(name).dictionary
+        bound = instr.bound
+        if bound is None or bound[0] is not dictionary:
+            bound = instr.bound = (dictionary,
+                                   _bind_codes(dictionary, op, literal))
+        return bound[1](values)
 
     def _eval_arith(self, instr, ctx, active, memo):
         left = self._eval(instr.args[0], ctx, active, memo)
@@ -570,9 +601,9 @@ class _Compiler:
             return _Instr("col", payload=expr.name)
         if isinstance(expr, CaseWhen):
             return self._route(expr)
-        strcmp = self._string_predicate(expr)
-        if strcmp is not None:
-            return strcmp
+        predicate = self._column_predicate(expr)
+        if predicate is not None:
+            return predicate
         children = tuple(self.lower(child) for child in expr.children())
         folded = self._try_fold(expr, children)
         if folded is not None:
@@ -599,13 +630,22 @@ class _Compiler:
         )
 
     # ------------------------------------------------------------------
-    def _string_predicate(self, expr: Expression) -> Optional[_Instr]:
-        """A ``strcmp`` over a STRING column's codes, when ``expr`` compares
-        that column with string literals only."""
+    def _column_predicate(self, expr: Expression) -> Optional[_Instr]:
+        """One instruction for a predicate over a column and literals: a
+        ``colcmp`` for a FLOAT or INT column compared with a numeric
+        literal, a ``strcmp`` over a STRING column's codes when ``expr``
+        compares that column with string literals only."""
         if isinstance(expr, BinaryOp) and expr.op in _COMPARE_FUNCS:
             column, literal, op = expr.left, expr.right, expr.op
             if isinstance(column, Literal):
                 column, literal, op = literal, column, _FLIPPED[op]
+            if (isinstance(column, ColumnRef) and isinstance(literal, Literal)
+                    and literal.dtype in _NUMERIC
+                    and column.name in self.schema
+                    and self.schema.dtype_of(column.name) in _NUMERIC):
+                return _Instr("colcmp", payload=(
+                    column.name, _COMPARE_FUNCS[op],
+                    self._const_instr(literal).payload))
             bounds = (literal,)
         elif isinstance(expr, Between):
             column, op, bounds = expr.operand, "between", (expr.low, expr.high)

@@ -266,20 +266,23 @@ class TestTranslatedTrees:
         assert_bitwise_equal(actual, expected, f"tree depth {depth}")
 
     def test_shared_feature_pipeline_is_cse_deduplicated(self):
-        # The same scaled feature feeds every tree node; compiled form
-        # holds exactly one instruction for it.
+        # The same scaled feature feeds every tree node; the scaler is
+        # folded into the thresholds, so every node reads the one raw
+        # column and no instruction scales it.
         scaled = (col("x0") - lit(3.0)) * lit(0.5)
         rng = np.random.default_rng(7)
         expr = tree_to_expression(_make_tree(5, rng, 1), [scaled],
                                   value_index=1)
         table = Table.from_arrays(x0=rng.normal(3.0, 2.0, 100))
         program = compile_outputs([("score", expr)], table.schema)
-        column_loads = [ins for ins in program.instructions
-                        if ins.kind == "col"]
-        assert len(column_loads) == 1
+        columns_read = {ins.payload[0] for ins in program.instructions
+                        if ins.kind == "colcmp"}
+        assert columns_read == {"x0"}
+        assert not [ins for ins in program.instructions
+                    if ins.kind in ("col", "const")]
         scaling_ops = [ins for ins in program.instructions
                        if ins.kind == "arith"]
-        assert len(scaling_ops) == 2  # one sub, one mul — not per tree node
+        assert len(scaling_ops) == 0  # not even once: folded away
         assert_bitwise_equal(program.run(table)["score"],
                              expr.evaluate(table), "shared pipeline")
 
@@ -409,17 +412,53 @@ class TestRouteDifferential:
             lit(3.0))
         program = compile_outputs([("r", expr)], expr_table.schema)
         assert program.pretty() == "\n".join([
-            "%0 = col() 'f'  (uses=2)",
-            "%1 = const() array(0.)  (uses=3)",
-            "%2 = cmp(%0, %1) <ufunc 'greater'>  (uses=1)",
-            "%3 = col() 'g'  (uses=3)",
-            "%4 = cmp(%3, %1) <ufunc 'not_equal'>  (uses=1)",
-            "%5 = arith(%0, %3) '/'  (uses=1)",
-            "%6 = cmp(%3, %1) <ufunc 'greater'>  (uses=1)",
-            "%7 = route 3 nodes, 4 leaves (3 constant); when %2 %4 %6; "
-            "values %5  (uses=1)",
-            "output r: %7 (float)",
+            "%0 = colcmp 'f' > 0.0  (uses=1)",
+            "%1 = colcmp 'g' <> 0.0  (uses=1)",
+            "%2 = col() 'f'  (uses=1)",
+            "%3 = col() 'g'  (uses=1)",
+            "%4 = arith(%2, %3) '/'  (uses=1)",
+            "%5 = colcmp 'g' > 0.0  (uses=1)",
+            "%6 = route 3 nodes, 4 leaves (3 constant); when %0 %1 %5; "
+            "values %4  (uses=1)",
+            "output r: %6 (float)",
         ])
+
+
+# ---------------------------------------------------------------------------
+# Column-constant comparisons: one `colcmp`, either operand order
+# ---------------------------------------------------------------------------
+
+_COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
+
+
+class TestColumnCompare:
+    @settings(max_examples=150, deadline=None)
+    @given(op=st.sampled_from(_COMPARISONS), literal_first=st.booleans(),
+           column=st.sampled_from(["x", "n"]),
+           value=st.one_of(st.sampled_from([0.0, -0.0, 0.5, 2.0, float("nan"),
+                                            float("inf"), 2.0 ** 53]),
+                           st.integers(-3, 3), st.just(2 ** 53 + 1)))
+    def test_matches_the_oracle(self, op, literal_first, column, value):
+        table = Table.from_arrays(
+            x=np.array([-1.0, -0.0, 0.0, 0.5, 2.0, np.nan, np.inf, -np.inf,
+                        2.0 ** 53, 3.0]),
+            n=np.array([-3, 0, 1, 2, 3, 2 ** 53, 2 ** 53 + 1, -2 ** 53 - 1,
+                        2 ** 62, -1], dtype=np.int64))
+        operands = (lit(value), col(column))
+        expr = BinaryOp(op, *(operands if literal_first else operands[::-1]))
+        program = compile_predicate(expr, table.schema)
+        assert [instr.kind for instr in program.instructions] == ["colcmp"]
+        assert_bitwise_equal(program.run_single(table), expr.evaluate(table),
+                             repr(expr))
+
+    def test_other_operands_keep_cmp(self, expr_table):
+        for expr in (col("b").eq(lit(True)), col("f").le(col("g")),
+                     col("s").eq(lit("beta")), col("f").le(lit(True))):
+            program = compile_predicate(expr, expr_table.schema)
+            kinds = [instr.kind for instr in program.instructions]
+            assert "colcmp" not in kinds, expr
+            assert_bitwise_equal(program.run_single(expr_table),
+                                 expr.evaluate(expr_table), repr(expr))
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,6 @@ import tree_reference as ref
 
 from repro import RavenSession
 from repro.core.rules import (
-    MLtoDNN,
-    MLtoSQL,
     graph_to_expressions,
     sql_compilable_operators,
     tree_to_expression,
@@ -281,16 +279,6 @@ def test_mltosql_equivalence_random_pipelines(seed):
 # table, held bit for bit to the plain CASE form
 # ---------------------------------------------------------------------------
 
-def _unfolded(tree, features, value_index, node=0):
-    """Every split as ``feature <= t``: the plain, unfolded CASE form."""
-    if tree.left[node] < 0:
-        return lit(float(tree.value[node, value_index]))
-    return CaseWhen(
-        [(features[tree.feature[node]].le(lit(float(tree.threshold[node]))),
-          _unfolded(tree, features, value_index, tree.left[node]))],
-        _unfolded(tree, features, value_index, tree.right[node]))
-
-
 def _indicator_features():
     return [
         CaseWhen([(col("c").eq(lit("u")), lit(1.0))], lit(0.0)),   # one-hot
@@ -344,7 +332,7 @@ class TestIndicatorSplitFold:
         features = _indicator_features()
         tree = _random_tree(rng, int(rng.integers(1, 6)), len(features))
         folded = tree_to_expression(tree, features, 1)
-        want = _unfolded(tree, features, 1).evaluate(table)
+        want = ref.unfolded(tree, features, 1).evaluate(table)
         coded = table.encoded()
         for got in (folded.evaluate(table),
                     compile_outputs([("s", folded)],
@@ -365,7 +353,7 @@ class TestIndicatorSplitFold:
         session.register_table("t", table)
         results = []
         for expr in (tree_to_expression(tree, features, 1),
-                     _unfolded(tree, features, 1)):
+                     ref.unfolded(tree, features, 1)):
             plan = Project(Scan("t", alias="t"), [("score", expr)])
             loaded = plan_from_dict(json.loads(json.dumps(plan_to_dict(plan))))
             results.append(session.execute_plan(loaded).array("score"))

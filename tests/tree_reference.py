@@ -7,8 +7,9 @@ below are the recursive forms the engine's array rules
 (``repro.core.rules.intervals``, ``tree_to_expression``) must equal: each
 node is rebuilt on the way back up, with no node ids and no compaction.
 They share only :class:`Interval` (the box semantics under test are the
-same on both sides) and ``_split_condition`` (the indicator fold, pinned
-by its own tests) with the engine.
+same on both sides) and ``_split_condition`` (the indicator and threshold
+folds, pinned by their own tests) with the engine. :func:`unfolded` is
+the CASE form with neither fold, the oracle for both.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from repro.core.rules.intervals import Interval
 from repro.core.rules.ml_to_sql import _split_condition
 from repro.learn.tree import Tree
-from repro.relational.expressions import CaseWhen, Literal
+from repro.relational.expressions import CaseWhen, Literal, lit
 
 
 def is_leaf(node) -> bool:
@@ -129,3 +130,14 @@ def translate(node, features, value_index: int):
                          value_index)
     return CaseWhen([(condition, translate(left, features, value_index))],
                     translate(right, features, value_index))
+
+
+def unfolded(tree: Tree, features, value_index: int, node: int = 0):
+    """Every split of ``tree``'s arrays as ``feature <= t``: the plain CASE
+    form, with neither the indicator nor the threshold fold."""
+    if tree.left[node] < 0:
+        return lit(float(tree.value[node, value_index]))
+    return CaseWhen(
+        [(features[tree.feature[node]].le(lit(float(tree.threshold[node]))),
+          unfolded(tree, features, value_index, tree.left[node]))],
+        unfolded(tree, features, value_index, tree.right[node]))
