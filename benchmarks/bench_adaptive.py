@@ -17,9 +17,8 @@ between both sessions before timing.
 
 import numpy as np
 
-from benchmarks._util import run_report
+from benchmarks._util import ReportTable, run_report, scaled, timed
 from repro import RavenSession, Table
-from repro.bench.harness import ReportTable, scaled, timed
 
 # Floor of 20k rows: below that the filter work the reordering saves is
 # comparable to fixed per-call costs (cache lookup, profiling) and the

@@ -20,8 +20,7 @@ be slower than interpreted on the deep-tree workload, and at full scale
 
 import numpy as np
 
-from benchmarks._util import run_report
-from repro.bench.harness import ReportTable, scaled, timed
+from benchmarks._util import ReportTable, run_report, scaled, timed
 from repro.core.rules.ml_to_sql import tree_to_expression
 from repro.learn.tree import Tree
 from repro.relational.executor import Executor

@@ -33,9 +33,8 @@ verified bit-for-bit between both sessions and both plans before timing
 
 import numpy as np
 
-from benchmarks._util import run_report
+from benchmarks._util import ReportTable, run_report, scaled, timed
 from repro import RavenSession, Table
-from repro.bench.harness import ReportTable, scaled, timed
 from repro.learn import LogisticRegression, make_standard_pipeline
 from repro.relational.logical import MultiJoin, walk
 

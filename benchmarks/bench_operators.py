@@ -1,6 +1,6 @@
 """Micro-benchmarks: the individual execution paths Raven chooses between.
 
-Ablation-style timings (DESIGN.md §4, "ablation benches"): the same trained
+Ablation-style timings: the same trained
 pipeline scored through the ML runtime, the compiled SQL expressions, and
 the two tensor strategies — plus the relational primitives (scan, join)
 underneath every prediction query. The four scoring paths must agree:
@@ -11,7 +11,7 @@ ML runtime fed dictionary codes equals it bit for bit.
 import numpy as np
 import pytest
 
-from repro.bench.workloads import build_workload, load_dataset
+from benchmarks._util import build_workload, load_dataset
 from repro.core.rules.ml_to_sql import graph_to_expressions
 from repro.onnxlite import InferenceSession, convert_pipeline
 from repro.relational import Executor, Join, Scan

@@ -24,9 +24,8 @@ import time
 
 import numpy as np
 
-from benchmarks._util import run_report
+from benchmarks._util import ReportTable, run_report, scaled, timed
 from repro import RavenSession, Table
-from repro.bench.harness import ReportTable, scaled, timed
 
 # Floor of 80k rows: per-query fixed costs (parse, cache lookup,
 # telemetry) are ~0.5ms, so below ~5k rows/partition every variant is

@@ -26,9 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from benchmarks._util import run_report
+from benchmarks._util import ReportTable, run_report, scaled
 from repro import RavenSession, Table
-from repro.bench.harness import ReportTable, scaled
 
 # Same floor rationale as bench_adaptive: below ~20k rows the filter work
 # the learned ordering saves is comparable to fixed per-call costs and the

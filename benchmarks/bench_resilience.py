@@ -29,9 +29,8 @@ import time
 
 import numpy as np
 
-from benchmarks._util import run_report
+from benchmarks._util import ReportTable, run_report, scaled
 from repro import FaultInjector, RavenSession, RetryPolicy, Table
-from repro.bench.harness import ReportTable, scaled
 
 ROWS = scaled(60_000, minimum=4_000)
 

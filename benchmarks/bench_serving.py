@@ -12,9 +12,7 @@ Measures what the serving subsystem exists for:
 
 import numpy as np
 
-from benchmarks._util import run_report
-from repro.bench.harness import ReportTable
-from repro.bench.workloads import build_workload
+from benchmarks._util import ReportTable, build_workload, run_report
 
 WORKERS = (1, 2, 4, 8)
 QUERIES_PER_RUN = 24

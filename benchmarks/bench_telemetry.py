@@ -24,9 +24,7 @@ end-to-end check that the histograms see every query.
 import statistics
 import time
 
-from benchmarks._util import run_report
-from repro.bench.harness import ReportTable, env_scale
-from repro.bench.workloads import build_workload
+from benchmarks._util import ReportTable, build_workload, env_scale, run_report
 
 ROUNDS = 30
 QUERIES_PER_ROUND = 4

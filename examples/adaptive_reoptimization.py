@@ -24,10 +24,11 @@ a reordered execution sequence, bit-for-bit identical output). Then the
 EWMAs drift, and the warmed order flips back — the Hydro-style loop.
 """
 
+import time
+
 import numpy as np
 
 from repro import RavenSession, Table
-from repro.bench.harness import timed
 from repro.relational.expressions import conjuncts
 from repro.relational.logical import Filter, MultiJoin, walk
 
@@ -36,6 +37,16 @@ SELECT t.reading FROM sensors AS t
 WHERE t.reading * t.reading + t.reading < 5.9
   AND t.noise * t.noise + t.noise < 0.03
 """
+
+
+def median_seconds(fn, repeats: int = 5) -> float:
+    """Median wall time of ``fn`` over ``repeats`` calls."""
+    times = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - started)
+    return sorted(times)[repeats // 2]
 
 
 def filter_order(session: RavenSession) -> str:
@@ -164,8 +175,8 @@ def main() -> None:
     print("    " + filter_order(adaptive))
 
     static.sql(QUERY)  # warm the static plan cache too
-    static_seconds = timed(lambda: static.sql(QUERY), repeats=5)
-    adaptive_seconds = timed(lambda: adaptive.sql(QUERY), repeats=5)
+    static_seconds = median_seconds(lambda: static.sql(QUERY))
+    adaptive_seconds = median_seconds(lambda: adaptive.sql(QUERY))
     oracle = static.sql(QUERY)
     fast = adaptive.sql(QUERY)
     assert all(np.array_equal(oracle.array(c), fast.array(c))

@@ -7,8 +7,6 @@ and shows how each routes different pipelines to {none, MLtoSQL, MLtoDNN}.
 Run with: ``python examples/runtime_selection.py``
 """
 
-
-from repro.bench.reports import corpus_measurements
 from repro.core.strategies import (
     CHOICES,
     ClassificationStrategy,
@@ -17,12 +15,15 @@ from repro.core.strategies import (
     best_choice_labels,
     class_balance,
     evaluate_strategy,
+    measure_corpus_runtimes,
 )
+from repro.datasets import generate_corpus
 
 
 def main() -> None:
     print("measuring a 40-pipeline corpus under {none, sql, dnn}...")
-    features, runtimes = corpus_measurements(n_pipelines=40, seed=11)
+    corpus = generate_corpus(n_pipelines=40, seed=11, eval_rows=20_000)
+    features, runtimes = measure_corpus_runtimes(corpus)
     print("class balance (fastest choice per pipeline):",
           class_balance(runtimes))
 
@@ -61,7 +62,7 @@ def main() -> None:
         row = runtimes[i]
         print(f"{i:>9} {chosen:>8} {optimal:>8} "
               f"{row[0]:>9.4f} {row[1]:>9.4f} {row[2]:>9.4f}")
-    print("\n(t_dnn uses the simulated-GPU device model; DESIGN.md §2)")
+    print("\n(t_dnn uses the simulated-GPU device model of repro.tensor)")
 
 
 if __name__ == "__main__":

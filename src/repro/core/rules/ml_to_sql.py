@@ -516,6 +516,14 @@ def _sum_expressions(parts: List[Expression]) -> Expression:
     return total
 
 
+def _average(total: Expression, aggregate: str, n_trees: int) -> Expression:
+    """``total / n_trees`` under AVERAGE; one tree's ``x / 1.0`` is ``x``
+    bit for bit (NaN and -0.0 included), so it is left out."""
+    if aggregate == "AVERAGE" and n_trees > 1:
+        return total / Literal(float(n_trees))
+    return total
+
+
 def _compile_tree_classifier(node: Node, edges) -> None:
     classes = np.asarray(node.attrs["classes"])
     if len(classes) != 2:
@@ -531,9 +539,7 @@ def _compile_tree_classifier(node: Node, edges) -> None:
         # Probability trees (DT/RF): leaf value index 1 = P(class 1).
         parts = [tree_to_expression(tree, features, value_index=1)
                  for tree in trees]
-        score = _sum_expressions(parts)
-        if aggregate == "AVERAGE":
-            score = score / Literal(float(len(trees)))
+        score = _average(_sum_expressions(parts), aggregate, len(trees))
         label = CaseWhen([(score.gt(Literal(0.5)), _class_literal(classes, 1))],
                          _class_literal(classes, 0))
     elif post == "LOGISTIC":
@@ -541,9 +547,7 @@ def _compile_tree_classifier(node: Node, edges) -> None:
         base = float(np.asarray(node.attrs.get("base_values", [0.0])).ravel()[0])
         parts = [tree_to_expression(tree, features, value_index=0)
                  for tree in trees]
-        margin = _sum_expressions(parts)
-        if aggregate == "AVERAGE":
-            margin = margin / Literal(float(len(trees)))
+        margin = _average(_sum_expressions(parts), aggregate, len(trees))
         if base != 0.0:
             margin = margin + Literal(base)
         score = FunctionCall("sigmoid", [margin])
@@ -560,9 +564,8 @@ def _compile_tree_regressor(node: Node, edges) -> None:
     trees = node.attrs["trees"]
     base = float(np.asarray(node.attrs.get("base_values", [0.0])).ravel()[0])
     parts = [tree_to_expression(tree, features, value_index=0) for tree in trees]
-    total = _sum_expressions(parts)
-    if node.attrs.get("aggregate", "SUM") == "AVERAGE":
-        total = total / Literal(float(len(trees)))
+    total = _average(_sum_expressions(parts), node.attrs.get("aggregate", "SUM"),
+                     len(trees))
     if base != 0.0:
         total = total + Literal(base)
     edges[node.outputs[0]] = [total]

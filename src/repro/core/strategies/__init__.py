@@ -10,6 +10,7 @@ from repro.core.strategies.evaluate import (
     StrategyEvaluation,
     class_balance,
     evaluate_strategy,
+    measure_corpus_runtimes,
 )
 from repro.core.strategies.features import (
     FEATURE_NAMES,
@@ -29,5 +30,5 @@ __all__ = [
     "FixedStrategy", "MLInformedRuleStrategy", "OptimizationStrategy",
     "RegressionStrategy", "StrategyEvaluation", "best_choice_labels",
     "class_balance", "evaluate_strategy", "feature_matrix", "feature_vector",
-    "pipeline_statistics", "tree_feature_importances",
+    "measure_corpus_runtimes", "pipeline_statistics", "tree_feature_importances",
 ]

@@ -1,6 +1,8 @@
-"""Strategy evaluation protocol (paper §5.2, Fig. 4).
+"""Strategy training data and evaluation protocol (paper §5.2, Fig. 4).
 
-Stratified 5-fold cross validation repeated R times (the paper: 40 repeats
+:func:`measure_corpus_runtimes` times every corpus pipeline under each
+choice, which is what the strategies are trained on. Evaluation is
+stratified 5-fold cross validation repeated R times (the paper: 40 repeats
 for 200 total runs). Each run reports:
 
 * **accuracy** — fraction of test pipelines whose predicted transformation
@@ -12,17 +14,73 @@ for 200 total runs). Each run reports:
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.rules.ml_to_sql import graph_to_expressions
 from repro.core.strategies.base import (
     CHOICES,
     OptimizationStrategy,
     best_choice_labels,
 )
+from repro.core.strategies.features import feature_vector
+from repro.errors import UnsupportedOperatorError
 from repro.learn.model_selection import StratifiedKFold
+from repro.onnxlite.runtime import InferenceSession
+from repro.tensor.runtime import cpu_runtime, gpu_runtime
+
+
+def measure_corpus_runtimes(entries: Sequence, repeats: int = 2,
+                            gpu: bool = True) -> Tuple[np.ndarray, np.ndarray]:
+    """(feature matrix, runtimes[pipeline, choice]) over {none, sql, dnn}
+    for ``repro.datasets.corpus`` entries.
+
+    ``none`` and ``sql`` are measured on this host, as the mean of
+    ``repeats`` runs. ``dnn`` depends on the hardware the strategy is
+    being trained for (paper §5.2: "adapt to the specific hardware in
+    hand"): with ``gpu=True`` it uses the simulated-GPU device model (the
+    paper measured on P100 instances); with ``gpu=False`` it measures
+    MLtoDNN on the CPU tensor runtime, matching the paper's CPU-cluster
+    experiments where "MLtoDNN is never picked". Untranslatable pipelines
+    get +inf for that choice, as the paper's protocol excludes them from
+    that option.
+    """
+    features = np.vstack([feature_vector(entry.graph) for entry in entries])
+    runtimes = np.full((len(entries), len(CHOICES)), np.inf)
+    dnn_runtime = gpu_runtime() if gpu else cpu_runtime()
+    for index, entry in enumerate(entries):
+        inputs = {name: entry.eval_table.array(name)
+                  for name in entry.input_columns}
+        session = InferenceSession(entry.graph)
+        runtimes[index, CHOICES.index("none")] = _mean_seconds(
+            lambda: session.run(inputs, ["score"]), repeats)
+        try:
+            score = graph_to_expressions(
+                entry.graph, {name: name for name in entry.input_columns})["score"]
+            runtimes[index, CHOICES.index("sql")] = _mean_seconds(
+                lambda: score.evaluate(entry.eval_table), repeats)
+        except UnsupportedOperatorError:
+            pass
+        try:
+            if gpu:
+                seconds = dnn_runtime.run(entry.graph, inputs).seconds
+            else:
+                seconds = _mean_seconds(
+                    lambda: dnn_runtime.run(entry.graph, inputs), repeats)
+            runtimes[index, CHOICES.index("dnn")] = seconds
+        except UnsupportedOperatorError:
+            pass
+    return features, runtimes
+
+
+def _mean_seconds(fn: Callable[[], object], repeats: int) -> float:
+    started = time.perf_counter()
+    for _ in range(max(repeats, 1)):
+        fn()
+    return (time.perf_counter() - started) / max(repeats, 1)
 
 
 @dataclass

@@ -1,5 +1,5 @@
 """Synthetic datasets matching the paper's Table 1 schemas + the OpenML
-CC-18 pipeline-corpus stand-in. See DESIGN.md §2 for substitutions."""
+CC-18 pipeline-corpus stand-in (substitutions: benchmarks/SCORECARD.md)."""
 
 from repro.datasets import creditcard, expedia, flights, hospital
 from repro.datasets.corpus import CorpusEntry, generate_corpus, generate_entry

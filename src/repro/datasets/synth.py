@@ -5,7 +5,7 @@ Expedia, Flights — Table 1). Values are not public here, so each dataset
 module generates synthetic data matching the *published schema statistics*:
 number of tables, numeric/categorical input split, post-encoding feature
 counts, join arity, and the partitionable columns. Raven's gains depend on
-those shape properties, not on the actual values (DESIGN.md §2).
+those shape properties, not on the actual values.
 
 Labels are generated from hierarchical signal functions: a few strong
 feature dependencies, several medium, many weak — so that shallow trees use

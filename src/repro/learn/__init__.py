@@ -1,7 +1,7 @@
 """Mini scikit-learn: featurizers, linear models, trees, ensembles.
 
 A from-scratch stand-in for the scikit-learn subset that the paper's
-trained pipelines use — see DESIGN.md §2 for the substitution rationale.
+trained pipelines use (substitutions: benchmarks/SCORECARD.md).
 """
 
 from repro.learn.base import BaseEstimator, sigmoid, softmax

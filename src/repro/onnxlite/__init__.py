@@ -1,7 +1,7 @@
 """Mini-ONNX: operator graphs, converter, runtime and serialization.
 
-Stand-in for ONNX(-ML) + ONNX Runtime in the paper's architecture; see
-DESIGN.md §2. Graphs produced by :func:`convert_pipeline` are the "trained
+Stand-in for ONNX(-ML) + ONNX Runtime in the paper's architecture (the
+substitutions are listed in benchmarks/SCORECARD.md). Graphs produced by :func:`convert_pipeline` are the "trained
 pipelines" that Raven queries invoke and its rules rewrite.
 """
 

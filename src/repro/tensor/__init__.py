@@ -2,8 +2,8 @@
 
 Compiles onnxlite graphs to tensor programs (GEMM or tree-traversal tree
 strategies) and executes them on a CPU device or a simulated-GPU device
-with an analytic roofline timing model. See DESIGN.md §2 for the GPU
-substitution rationale.
+with an analytic roofline timing model (substitutions:
+benchmarks/SCORECARD.md).
 """
 
 from repro.tensor.compile import (

@@ -1,7 +1,7 @@
 """Execution devices for tensor programs: real CPU, simulated GPU.
 
 No GPU exists in this reproduction environment, so GPU execution is a
-*transparent analytic model* (see DESIGN.md §2): numpy computes the values,
+*transparent analytic model*: numpy computes the values,
 while the reported wall-time comes from a roofline-style device model
 
 ``time = init + H2D-transfer

@@ -1,8 +1,9 @@
-"""Tests for benchmark harness utilities and workload construction."""
+"""Tests for the bench harness (``benchmarks/_util.py``): scale, timing,
+report tables and workload construction."""
 
 import pytest
 
-from repro.bench import (
+from benchmarks._util import (
     ReportTable,
     build_workload,
     env_scale,
@@ -53,13 +54,6 @@ class TestHarness:
         assert "== demo ==" in text
         assert "note: a note" in text
         assert "1.23" in text and "100" in text
-
-    def test_report_table_markdown(self):
-        table = ReportTable("demo", ["a"])
-        table.add(a=0.5)
-        markdown = table.to_markdown()
-        assert markdown.startswith("### demo")
-        assert "| a |" in markdown
 
 
 class TestWorkloads:

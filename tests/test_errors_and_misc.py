@@ -58,16 +58,3 @@ class TestVersionAndExports:
         session = RavenSession()
         assert session.catalog.table_names == []
 
-
-class TestBenchCli:
-    def test_usage_on_bad_args(self):
-        from repro.bench.__main__ import main
-        assert main([]) == 2
-        assert main(["nope"]) == 2
-
-    def test_report_registry_complete(self):
-        from repro.bench.__main__ import REPORTS
-        expected = {"fig1", "table1", "fig4", "fig6", "fig7", "fig8",
-                    "fig9", "fig10", "fig11", "fig12", "accuracy",
-                    "coverage", "overheads"}
-        assert set(REPORTS) == expected

@@ -16,9 +16,11 @@ from repro.core.strategies import (
     evaluate_strategy,
     feature_matrix,
     feature_vector,
+    measure_corpus_runtimes,
     pipeline_statistics,
     tree_feature_importances,
 )
+from repro.datasets import generate_corpus
 from repro.learn import DecisionTreeClassifier
 from repro.onnxlite import convert_pipeline
 
@@ -153,6 +155,17 @@ class TestEvaluationProtocol:
         percentiles = evaluation.speedup_percentiles()
         assert percentiles["min"] <= percentiles["median"] <= percentiles["max"]
         assert percentiles["max"] <= 1.0 + 1e-9  # optimal is an upper bound
+
+    def test_measure_corpus_runtimes(self):
+        corpus = generate_corpus(n_pipelines=3, seed=3, train_rows=200,
+                                 eval_rows=300)
+        features, gpu = measure_corpus_runtimes(corpus, repeats=1, gpu=True)
+        _, cpu = measure_corpus_runtimes(corpus, repeats=1, gpu=False)
+        assert features.shape == (3, len(FEATURE_NAMES))
+        for runtimes in (gpu, cpu):
+            assert runtimes.shape == (3, len(CHOICES))
+            # Every choice is measurable for LR and RF pipelines.
+            assert np.all(np.isfinite(runtimes)) and np.all(runtimes > 0)
 
     def test_class_balance(self):
         runtimes = np.asarray([[1.0, 0.5, 2.0], [1.0, 2.0, 0.1],

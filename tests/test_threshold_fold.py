@@ -10,7 +10,8 @@ one ``colcmp`` instruction. Held here, bit for bit, to the unfolded form:
   and INT values beyond 2^53, through ``Expression.evaluate`` and through
   compiled programs;
 * over whole DT, RF and GBT pipelines on hospital and flights, against the
-  CASE built from the tree arrays with no fold (``tree_reference``);
+  CASE built from the tree arrays with no fold (``tree_reference``), and a
+  one-tree DT, which is not divided by 1, against the ML runtime;
 
 and a ``strcmp`` binds its literal once per dictionary, rebinding only
 when a different dictionary arrives.
@@ -280,6 +281,29 @@ class TestPipelinesMatchUnfolded:
                      node.outputs, node.child.output_schema(session.catalog)))]
         assert "colcmp" in kinds
         assert "arith" not in kinds
+
+    @pytest.mark.parametrize("dataset_name", ["hospital", "flights"])
+    def test_one_tree_is_not_divided(self, datasets, dataset_name):
+        # A one-tree average is the tree itself: no '/' in the program,
+        # and the score is the ML runtime's bit for bit.
+        data, training = datasets[dataset_name]
+        pipeline = training.train_pipeline(MODELS["dt"]())
+        query = data.prediction_query("m")
+        sessions = [RavenSession(strategy="sql"),
+                    RavenSession(enable_optimizations=False)]
+        for session in sessions:
+            data.register(session)
+            session.register_model("m", pipeline)
+        plan, _ = sessions[0].optimize(query)
+        assert not find_predict_nodes(plan)
+        kinds = [(instr.kind, instr.payload)
+                 for node in walk(plan) if isinstance(node, Project)
+                 for instr in compile_outputs(
+                     node.outputs,
+                     node.child.output_schema(sessions[0].catalog)).instructions]
+        assert ("arith", "/") not in kinds
+        got, want = (session.sql(query).array("score") for session in sessions)
+        assert np.array_equal(got, want)
 
 
 class TestScalerPins:
