@@ -2,7 +2,7 @@
 
 The serving SLO the resilience subsystem exists for: with a small rate
 of transient predict-runtime failures injected (1% of predict batches
-raise), a retrying ``serve_outcomes`` fleet must still answer **every**
+raise), a retrying ``serve`` batch must still answer **every**
 query — availability 1.0 — and the retried tail must stay bounded.
 
 Three measured variants over the same query stream:
@@ -114,7 +114,7 @@ def _run_variant(session, queries, retry):
     outcomes = []
     for query in queries:
         t0 = time.perf_counter()
-        [outcome] = session.serve_outcomes([query], workers=1, retry=retry)
+        [outcome] = session.serve([query], workers=1, retry=retry)
         per_query.append(time.perf_counter() - t0)
         outcomes.append(outcome)
     wall = time.perf_counter() - started

@@ -70,7 +70,8 @@ def _throughput_report() -> ReportTable:
     )
     for workers in WORKERS:
         started = time.perf_counter()
-        served = session.serve(queries, workers=workers)
+        served = [outcome.result()
+                  for outcome in session.serve(queries, workers=workers)]
         elapsed = time.perf_counter() - started
         matches = all(_tables_equal(expected, actual)
                       for expected, actual in zip(serial, served))

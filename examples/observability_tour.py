@@ -8,8 +8,9 @@ What a production prediction-serving deployment gets for free from
    predict batch, breaker transitions — in a bounded ring, exportable
    as JSON or Chrome trace-event format (``chrome://tracing``).
 2. **A unified metrics registry** — the serving counters, plan-cache
-   counters, batcher gauges, and per-query latency histograms all land
-   on one registry, snapshottable as JSON or a Prometheus scrape.
+   counters, the queries-in-flight gauge, and per-query latency
+   histograms all land on one registry, snapshottable as JSON or a
+   Prometheus scrape.
 3. **EXPLAIN ANALYZE** — the optimized plan annotated with *observed*
    per-operator cardinalities, selectivities, and self-times, plus
    cache/breaker state and compile-vs-reuse counts.
@@ -107,7 +108,8 @@ def main() -> None:
     print(session.explain(QUERY, analyze=True))
 
     # --- 3. A serve() burst, then the metrics the layer collected ------
-    session.serve([QUERY, FILTER_QUERY] * 10, workers=4)
+    for outcome in session.serve([QUERY, FILTER_QUERY] * 10, workers=4):
+        outcome.result()  # re-raises a failed query's error
     snapshot = session.telemetry.metrics_snapshot()
     latency = snapshot["histograms"]["query_seconds"]
     print("=== metrics snapshot after a serve() burst ===")

@@ -1,20 +1,19 @@
-"""Serving quickstart: plan cache, concurrent serve(), micro-batching.
+"""Serving quickstart: plan cache and concurrent serve().
 
 Run with: ``python examples/serving_throughput.py``
 
 Shows the serving path end to end:
 
 1. repeated queries hit the normalized plan cache (optimize once, run many);
-2. ``session.serve`` answers a batch of queries over a thread pool;
-3. ``MicroBatcher`` coalesces concurrent single-row predict requests into
-   one vectorized execution.
+2. ``session.serve`` answers a batch of queries over a thread pool, one
+   outcome per query (``outcome.result()`` is the table).
 """
 
 import time
 
 import numpy as np
 
-from repro import MicroBatcher, RavenSession, Table
+from repro import RavenSession, Table
 from repro.learn import GradientBoostingClassifier, make_standard_pipeline
 
 
@@ -71,28 +70,12 @@ def main() -> None:
     #    dispatched over 8 worker threads.
     burst = [query.replace("0.6", f"0.{k}") for k in range(3, 8)] * 8
     started = time.perf_counter()
-    results = session.serve(burst, workers=8)
+    results = [outcome.result()
+               for outcome in session.serve(burst, workers=8)]
     elapsed = time.perf_counter() - started
     print(f"\nserved {len(results)} queries in {elapsed:.2f} s "
           f"({len(results) / elapsed:.0f} queries/s, workers=8)")
     print(f"plan cache:    {session.plan_cache}")
-
-    # 3. Online single-row requests, coalesced into vectorized batches.
-    with MicroBatcher(session, max_delay=0.005) as batcher:
-        futures = [
-            batcher.predict("churn", {
-                "age": 25.0 + (i % 40), "income": 55_000.0,
-                "tenure_months": float(5 + i % 50),
-                "plan": ("basic", "plus", "premium")[i % 3],
-                "region": "north",
-            })
-            for i in range(200)
-        ]
-        scores = [future.result(timeout=10)["score"] for future in futures]
-    stats = batcher.stats
-    print(f"\nmicro-batcher: {stats.requests} requests -> {stats.batches} "
-          f"vectorized batches (largest {stats.largest_batch}); "
-          f"first score = {float(np.ravel(scores[0])[0]):.3f}")
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from repro.resilience import (
     QueryOutcome,
     RetryPolicy,
 )
-from repro.serving import MicroBatcher, PlanCache
+from repro.serving import PlanCache
 from repro.storage.catalog import Catalog
 from repro.storage.partition import PartitionedTable
 from repro.storage.table import Schema, Table
@@ -43,10 +43,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Catalog", "CircuitBreakerBoard", "Deadline", "DeadlineExceededError",
-    "FaultInjector", "FeedbackStore", "MetricsRegistry", "MicroBatcher",
-    "OperatorProfile", "OptimizationReport", "PartitionedTable", "PlanCache",
-    "QueryOutcome", "RavenError", "RavenOptimizer", "RavenSession",
-    "RetryPolicy", "RunStats", "Schema", "ServingStats", "SlowQueryLog",
-    "Snapshot", "SnapshotStore", "Table", "Telemetry", "Tracer",
-    "__version__",
+    "FaultInjector", "FeedbackStore", "MetricsRegistry", "OperatorProfile",
+    "OptimizationReport", "PartitionedTable", "PlanCache", "QueryOutcome",
+    "RavenError", "RavenOptimizer", "RavenSession", "RetryPolicy",
+    "RunStats", "Schema", "ServingStats", "SlowQueryLog", "Snapshot",
+    "SnapshotStore", "Table", "Telemetry", "Tracer", "__version__",
 ]

@@ -150,12 +150,11 @@ class PredictRuntime:
                           ) -> Dict[str, np.ndarray]:
         """Batched evaluation, like Spark's vectorized UDF (10k-row batches).
 
-        Also the execution path of the serving micro-batcher, which stacks
-        coalesced requests and calls this once. Every call runs in
-        :attr:`batch_size` batches — nothing overrides it per plan: the
-        tree kernel's cost per row does not depend on the batch size, so
-        a bigger batch would only hold more memory. Chunk boundaries never
-        change results: every graph operator is row-independent.
+        Every call runs in :attr:`batch_size` batches — nothing overrides
+        it per plan: the tree kernel's cost per row does not depend on the
+        batch size, so a bigger batch would only hold more memory. Chunk
+        boundaries never change results: every graph operator is
+        row-independent.
         ``dictionaries`` marks coded inputs, as in
         :meth:`InferenceSession.run`; their codes are what gets chunked.
         """

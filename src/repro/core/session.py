@@ -39,8 +39,9 @@ slow-query log entry, trace root attributes, and ``session.last_run``.
 ``sql_with_stats`` returns the record; EXPLAIN ANALYZE renders it.
 
 Around that core: sessions are safe for concurrent ``sql()`` calls, keep
-a normalized plan cache (:mod:`repro.serving`) and dispatch batches over
-a thread pool with optional backpressure (:meth:`RavenSession.serve`);
+a normalized plan cache (:mod:`repro.serving`) and run batches, one
+outcome per query (:meth:`RavenSession.serve`, described in
+:mod:`repro.serving.serve`);
 ``RavenSession(adaptive=False)`` turns profiling and the feedback loop
 off and must produce bit-for-bit identical results (an adaptive session
 profiles every run); and the session's warm state — optimized plans,
@@ -54,7 +55,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -98,14 +98,11 @@ from repro.resilience.breaker import (
 )
 from repro.resilience.deadline import Deadline
 from repro.resilience.faults import FaultInjector
-from repro.resilience.retry import (
-    QueryOutcome,
-    RetryPolicy,
-    raven_typed,
-)
+from repro.resilience.retry import QueryOutcome, RetryPolicy
 from repro.relational.sqlgen import plan_to_sql
 from repro.serving.normalize import normalize_query, query_dependencies
 from repro.serving.plan_cache import CachedPlan, PlanCache, dependency_versions
+from repro.serving.serve import serve
 from repro.storage.catalog import Catalog
 from repro.storage.partition import PartitionedTable
 from repro.storage.table import Table
@@ -137,7 +134,8 @@ class RunStats(PlanProfiler):
 
     def __init__(self, query: str = "", route: str = ROUTE_ADAPTIVE,
                  plan: Optional[PlanNode] = None,
-                 report: Optional[OptimizationReport] = None):
+                 report: Optional[OptimizationReport] = None,
+                 attempt: int = 1):
         super().__init__()
         # Decided once the plan is resolved (see _sql_routed).
         self.profile = False
@@ -146,7 +144,7 @@ class RunStats(PlanProfiler):
         # | explain.
         self.route = route
         # Which execution of a served query this was (1 = first try).
-        self.attempt = 1
+        self.attempt = attempt
         self.plan = plan
         self.report = report
         self.cache_hit = False
@@ -199,13 +197,6 @@ class RunStats(PlanProfiler):
             self.span = parent
         if span is not None:
             span.finish()
-
-    def mark_attempt(self, attempt: int) -> None:
-        """Stamp which serve attempt this run was (known only once the
-        retry loop sees it return), on the record and its trace root."""
-        self.attempt = attempt
-        if self.trace is not None:
-            self.trace.root.set(attempt=attempt)
 
     # -- derived views ---------------------------------------------------
     @property
@@ -740,12 +731,7 @@ class RavenSession:
         stmt = parse(query)
         deps = query_dependencies(stmt)
         versions = dependency_versions(self.catalog, deps.tables, deps.models)
-        # Pass the kwarg only when needed: callers (and tests) may wrap
-        # _optimize_stmt with a single-statement callable.
-        if static:
-            plan, report = self._optimize_stmt(stmt, static=True)
-        else:
-            plan, report = self._optimize_stmt(stmt)
+        plan, report = self._optimize_stmt(stmt, static=static)
         return CachedPlan(
             template=normalized.template,
             params=normalized.params,
@@ -827,6 +813,7 @@ class RavenSession:
         record.trace = self.telemetry.start_trace(record.query)
         if record.trace is not None:
             record.span = record.trace.root
+            record.span.set(attempt=record.attempt)
         started = time.perf_counter()
         # The live-concurrency gauge: dec in the finally so no error path
         # (breaker raise, deadline, executor fault) can wedge it high.
@@ -835,9 +822,6 @@ class RavenSession:
             return self._sql_routed(record.query, deadline, record)
         except BaseException as error:
             record.error = error
-            # The retry loop reaches a failed attempt's record through
-            # its error (sql_with_stats has nothing to return it in).
-            error.run_stats = record
             raise
         finally:
             self.serving_stats.in_flight.dec()
@@ -996,185 +980,19 @@ class RavenSession:
               max_pending: Optional[int] = None,
               backpressure: str = "block",
               retry: Optional[RetryPolicy] = None,
-              deadline: Union[Deadline, float, None] = None) -> List[Table]:
-        """Execute a batch of queries concurrently; results keep order.
+              deadline: Union[Deadline, float, None] = None
+              ) -> List[QueryOutcome]:
+        """Run a batch of queries concurrently: one
+        :class:`~repro.resilience.QueryOutcome` per query, in order.
 
-        Dispatches over a thread pool (numpy kernels release the GIL, so
-        vectorized work overlaps); each call still goes through the plan
-        cache, and large scans additionally fan out over morsels inside a
-        worker when the session's ``dop`` > 1 (via
-        :class:`repro.relational.morsel.MorselExecutor`).
-
-        ``max_pending`` bounds the pending-query depth (submitted but not
-        yet finished). When the bound is reached, ``backpressure`` decides:
-        ``"block"`` stalls admission until a worker finishes (classic
-        queue backpressure), ``"raise"`` rejects the query with
-        :class:`~repro.errors.BackpressureError` and counts it in
-        ``serving_stats.rejected``.
-
-        ``retry`` re-runs transiently-failed queries per the policy
-        (counted in ``serving_stats.retries``); ``deadline`` is a
-        per-query budget in seconds (or a shared
-        :class:`~repro.resilience.Deadline`). The first *final* failure
-        still aborts the batch — use :meth:`serve_outcomes` for per-query
-        error isolation.
+        A failing query never stops the batch; its outcome carries the
+        typed error, and ``[o.result() for o in session.serve(...)]``
+        re-raises the first one in query order. The arguments and the loop
+        are described in :mod:`repro.serving.serve`.
         """
-        return [table for table, _ in
-                self.serve_with_stats(queries, workers=workers,
-                                      max_pending=max_pending,
-                                      backpressure=backpressure,
-                                      retry=retry, deadline=deadline)]
-
-    def serve_with_stats(self, queries: Iterable[str], workers: int = 4,
-                         max_pending: Optional[int] = None,
-                         backpressure: str = "block",
-                         retry: Optional[RetryPolicy] = None,
-                         deadline: Union[Deadline, float, None] = None
-                         ) -> List[Tuple[Table, RunStats]]:
-        """:meth:`serve`, returning ``(table, stats)`` per query in order."""
-        return [(outcome.table, outcome.stats) for outcome in
-                self._serve_batch(queries, workers, max_pending,
-                                  backpressure, retry, deadline,
-                                  isolate=False)]
-
-    def serve_outcomes(self, queries: Iterable[str], workers: int = 4,
-                       max_pending: Optional[int] = None,
-                       backpressure: str = "block",
-                       retry: Optional[RetryPolicy] = None,
-                       deadline: Union[Deadline, float, None] = None
-                       ) -> List[QueryOutcome]:
-        """:meth:`serve` with per-query error isolation.
-
-        Returns one :class:`~repro.resilience.QueryOutcome` per query, in
-        order: value or typed error, attempt count, degraded-mode flags.
-        A failing query never aborts the batch — its outcome carries the
-        final error after retries exhausted (``serving_stats.failed``),
-        and under ``backpressure="raise"`` a rejected query's outcome
-        carries the :class:`~repro.errors.BackpressureError` with
-        ``attempts=0``.
-        """
-        return self._serve_batch(queries, workers, max_pending,
-                                 backpressure, retry, deadline, isolate=True)
-
-    def _serve_batch(self, queries: Iterable[str], workers: int,
-                     max_pending: Optional[int], backpressure: str,
-                     retry: Optional[RetryPolicy],
-                     deadline: Union[Deadline, float, None],
-                     isolate: bool) -> List[QueryOutcome]:
-        """Admission gate + dispatch shared by every ``serve*`` entry point.
-
-        ``isolate=False`` is the abort contract (an admission rejection or
-        the first final failure, in query order, raises); ``isolate=True``
-        turns both into per-query outcomes.
-        """
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if backpressure not in ("block", "raise"):
-            raise ValueError("backpressure must be 'block' or 'raise'")
-        if max_pending is not None and max_pending < 1:
-            raise ValueError("max_pending must be >= 1")
-        queries = list(queries)
-        gate = (threading.BoundedSemaphore(max_pending)
-                if max_pending is not None else None)
-
-        def run_one(index: int, query: str) -> QueryOutcome:
-            try:
-                return self._attempt_query(query, retry, deadline,
-                                           salt=index)
-            finally:
-                with self._stats_lock:
-                    self.serving_stats.completed += 1
-                if gate is not None:
-                    gate.release()
-
-        def dispatch(index: int, query: str, submit):
-            """Admit then submit; backpressure applies *before* submission."""
-            if gate is not None:
-                if backpressure == "block":
-                    gate.acquire()
-                elif not gate.acquire(blocking=False):
-                    with self._stats_lock:
-                        self.serving_stats.rejected += 1
-                    rejection = BackpressureError(
-                        f"pending-query depth {max_pending} exceeded "
-                        f"(policy='raise'): {query[:80]!r}")
-                    if not isolate:
-                        raise rejection
-                    return QueryOutcome(query=query, attempts=0,
-                                        error=rejection)
-            with self._stats_lock:
-                self.serving_stats.submitted += 1
-            return submit(run_one, index, query)
-
-        def settle(outcome: QueryOutcome) -> QueryOutcome:
-            if outcome.error is not None and not isolate:
-                raise outcome.error
-            return outcome
-
-        if workers == 1 or len(queries) <= 1:
-            return [settle(dispatch(index, query,
-                                    lambda fn, *args: fn(*args)))
-                    for index, query in enumerate(queries)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pending = [dispatch(index, query, pool.submit)
-                       for index, query in enumerate(queries)]
-            return [settle(entry.result() if isinstance(entry, Future)
-                           else entry) for entry in pending]
-
-    def _attempt_query(self, query: str, retry: Optional[RetryPolicy],
-                       deadline: Union[Deadline, float, None],
-                       salt: int = 0) -> QueryOutcome:
-        """Run one query under the retry policy; always returns an outcome.
-
-        A numeric ``deadline`` becomes a fresh per-query Deadline spanning
-        all attempts; a Deadline instance is used as-is (shared budget).
-        Backoff never retries past the policy's sleep budget or the
-        query's deadline, and jitter is deterministic per (policy seed,
-        salt) so a serve batch's retry schedule is reproducible.
-        """
-        if deadline is not None and not isinstance(deadline, Deadline):
-            deadline = Deadline.after(float(deadline))
-        rng = retry.rng(salt) if retry is not None else None
-        attempts = 0
-        slept = 0.0
-        while True:
-            attempts += 1
-            try:
-                # Only pass the kwarg when set: callers (and tests) may
-                # wrap sql_with_stats with a single-argument callable.
-                if deadline is not None:
-                    table, stats = self.sql_with_stats(query,
-                                                       deadline=deadline)
-                else:
-                    table, stats = self.sql_with_stats(query)
-            except Exception as error:
-                failed_run = getattr(error, "run_stats", None)
-                if failed_run is not None:
-                    failed_run.mark_attempt(attempts)
-                can_retry = (retry is not None
-                             and attempts < retry.max_attempts
-                             and retry.is_retryable(error))
-                if can_retry:
-                    delay = retry.delay_for(attempts, rng)
-                    if (retry.budget_seconds is not None
-                            and slept + delay > retry.budget_seconds):
-                        can_retry = False
-                    elif (deadline is not None
-                          and deadline.remaining() <= delay):
-                        can_retry = False
-                if not can_retry:
-                    with self._stats_lock:
-                        self.serving_stats.failed += 1
-                    return QueryOutcome(query=query, attempts=attempts,
-                                        error=raven_typed(error))
-                with self._stats_lock:
-                    self.serving_stats.retries += 1
-                time.sleep(delay)
-                slept += delay
-                continue
-            stats.mark_attempt(attempts)
-            return QueryOutcome(query=query, table=table, stats=stats,
-                                attempts=attempts)
+        return serve(self, queries, workers=workers,
+                     max_pending=max_pending, backpressure=backpressure,
+                     retry=retry, deadline=deadline)
 
     def prepare(self, query: str) -> "PreparedQuery":
         """Optimize once, execute many times (offline optimization, §7.4).

@@ -107,8 +107,8 @@ def split_serial_tail(plan: PlanNode) -> Tuple[List[PlanNode], PlanNode]:
 def chunk_ranges(num_rows: int, chunks: int) -> List[Tuple[int, int]]:
     """Split ``[0, num_rows)`` into up to ``chunks`` contiguous ranges.
 
-    Shared by morsel planning, the batched inference path in
-    :mod:`repro.core.executor`, and the serving micro-batcher.
+    Shared by morsel planning and the batched inference path in
+    :mod:`repro.core.executor`.
     """
     chunks = max(1, min(chunks, num_rows)) if num_rows else 1
     size = -(-num_rows // chunks) if num_rows else 0

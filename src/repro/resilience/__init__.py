@@ -9,18 +9,17 @@ the serving layer (and the future multi-process fleet) builds on:
   (:class:`~repro.errors.DeadlineExceededError` on overrun);
 * :class:`RetryPolicy` / :class:`QueryOutcome` — exponential-backoff
   retries with deterministic jitter, and the per-query outcome envelope
-  ``RavenSession.serve_outcomes`` returns so one failing query never
-  aborts a batch;
+  ``RavenSession.serve`` returns so one failing query never aborts a
+  batch;
 * :class:`CircuitBreakerBoard` — per-fingerprint breakers that trip a
   repeatedly-failing adaptively-annotated plan to a safe static
   re-optimization and half-open later;
 * :class:`FaultInjector` — the deterministic, seedable fault-injection
   harness wired into named sites across the executor, predict runtime,
-  plan cache, micro-batcher and snapshot IO.
+  plan cache, snapshot, telemetry and spill IO.
 """
 
 from repro.resilience.breaker import (
-    BreakerStats,
     CircuitBreakerBoard,
     EVENT_CLOSED,
     EVENT_REOPENED,
@@ -33,7 +32,6 @@ from repro.resilience.breaker import (
 )
 from repro.resilience.deadline import Deadline
 from repro.resilience.faults import (
-    SITE_BATCHER_EXECUTE,
     SITE_EXECUTOR_COMPILE,
     SITE_EXECUTOR_OPERATOR,
     SITE_PLAN_OPTIMIZE,
@@ -54,13 +52,13 @@ from repro.resilience.retry import (
 )
 
 __all__ = [
-    "BreakerStats", "CircuitBreakerBoard", "Deadline", "FaultInjector",
+    "CircuitBreakerBoard", "Deadline", "FaultInjector",
     "FaultRule", "FiredFault", "QueryOutcome", "RetryPolicy",
     "EVENT_CLOSED", "EVENT_REOPENED", "EVENT_TRIPPED",
     "ROUTE_ADAPTIVE", "ROUTE_DEGRADED", "ROUTE_TRIAL",
     "STATE_CLOSED", "STATE_OPEN",
     "DEGRADED_INTERPRETED", "DEGRADED_RETRIED", "DEGRADED_STATIC_PLAN",
-    "SITES", "SITE_BATCHER_EXECUTE", "SITE_EXECUTOR_COMPILE",
+    "SITES", "SITE_EXECUTOR_COMPILE",
     "SITE_EXECUTOR_OPERATOR", "SITE_PLAN_OPTIMIZE",
     "SITE_PREDICT_RUN", "SITE_SNAPSHOT_WRITE",
     "raven_typed",

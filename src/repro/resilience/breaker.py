@@ -28,7 +28,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 DEFAULT_FAILURE_THRESHOLD = 3
@@ -69,20 +68,6 @@ class _Breaker:
         self.static_entry = None
 
 
-@dataclass
-class BreakerStats:
-    """Monotonic transition counters for one board."""
-
-    trips: int = 0
-    reopens: int = 0
-    closes: int = 0
-    half_opens: int = 0
-
-    def snapshot(self) -> "BreakerStats":
-        return BreakerStats(self.trips, self.reopens, self.closes,
-                            self.half_opens)
-
-
 class CircuitBreakerBoard:
     """Thread-safe registry of per-fingerprint breakers for one session."""
 
@@ -98,7 +83,6 @@ class CircuitBreakerBoard:
         self.recovery_seconds = recovery_seconds
         self.clock = clock
         self.max_tracked = max_tracked
-        self.stats = BreakerStats()
         self._lock = threading.Lock()
         self._breakers: "OrderedDict[Tuple, _Breaker]" = OrderedDict()
 
@@ -119,8 +103,8 @@ class CircuitBreakerBoard:
         """Route one call: adaptive, half-open trial, or degraded.
 
         An open breaker past its recovery interval admits exactly one
-        concurrent trial (``half_opens`` counts them); everyone else
-        stays on the static plan until the trial resolves.
+        concurrent trial; everyone else stays on the static plan until
+        the trial resolves.
         """
         with self._lock:
             breaker = self._get(key)
@@ -130,7 +114,6 @@ class CircuitBreakerBoard:
                     and self.clock() - breaker.opened_at
                     >= self.recovery_seconds):
                 breaker.trial_active = True
-                self.stats.half_opens += 1
                 return ROUTE_TRIAL
             return ROUTE_DEGRADED
 
@@ -147,7 +130,6 @@ class CircuitBreakerBoard:
                 breaker.trial_active = False
                 breaker.state = STATE_OPEN
                 breaker.opened_at = self.clock()
-                self.stats.reopens += 1
                 return EVENT_REOPENED
             if breaker.state == STATE_OPEN:
                 return None
@@ -156,7 +138,6 @@ class CircuitBreakerBoard:
                 breaker.state = STATE_OPEN
                 breaker.opened_at = self.clock()
                 breaker.failures = 0
-                self.stats.trips += 1
                 return EVENT_TRIPPED
             return None
 
@@ -176,7 +157,6 @@ class CircuitBreakerBoard:
                 breaker.state = STATE_CLOSED
                 breaker.failures = 0
                 breaker.static_entry = None
-                self.stats.closes += 1
                 return EVENT_CLOSED
             if breaker.state == STATE_CLOSED:
                 breaker.failures = 0
@@ -217,7 +197,5 @@ class CircuitBreakerBoard:
         return len(self._breakers)
 
     def __repr__(self) -> str:
-        s = self.stats
         return (f"CircuitBreakerBoard(tracked={len(self)}, "
-                f"open={self.open_count()}, trips={s.trips}, "
-                f"reopens={s.reopens}, closes={s.closes})")
+                f"open={self.open_count()})")

@@ -16,11 +16,9 @@ Registered sites:
 ``executor.compile``       expression compilation in the compiled engine
                            (``error=CompileError`` exercises the
                            interpreted-oracle fallback)
-``predict.run``            per predict batch in the runtime (also the
-                           MicroBatcher's vectorized path)
+``predict.run``            per predict batch in the runtime
 ``plan_cache.optimize``    inside the single-flight owner's optimization
                            (``delay`` = wedged optimizer stranding waiters)
-``batcher.execute``        MicroBatcher coalesced-batch execution
 ``snapshot.write``         SnapshotStore/Snapshot file writes
                            (``torn`` = crash mid-write leaving a partial
                            temp file)
@@ -53,7 +51,6 @@ SITE_EXECUTOR_OPERATOR = "executor.operator"
 SITE_EXECUTOR_COMPILE = "executor.compile"
 SITE_PREDICT_RUN = "predict.run"
 SITE_PLAN_OPTIMIZE = "plan_cache.optimize"
-SITE_BATCHER_EXECUTE = "batcher.execute"
 SITE_SNAPSHOT_WRITE = "snapshot.write"
 SITE_TELEMETRY_DUMP = "telemetry.dump"
 SITE_SPILL_WRITE = "spill.write"
@@ -66,7 +63,6 @@ SITES = frozenset({
     SITE_EXECUTOR_COMPILE,
     SITE_PREDICT_RUN,
     SITE_PLAN_OPTIMIZE,
-    SITE_BATCHER_EXECUTE,
     SITE_SNAPSHOT_WRITE,
     SITE_TELEMETRY_DUMP,
     SITE_SPILL_WRITE,

@@ -1,15 +1,16 @@
 """Retry policies and per-query outcome envelopes for serving.
 
-:class:`RetryPolicy` describes how ``RavenSession.serve`` /
-``serve_with_stats`` / ``serve_outcomes`` re-run transiently-failed
-queries: which error classes are retryable, how many attempts, and an
-exponential backoff with deterministic seeded jitter bounded by a total
-sleep budget (and by the query's deadline, when one is set).
+:class:`RetryPolicy` describes how ``RavenSession.serve`` re-runs
+transiently-failed queries: which error classes are retryable, how many
+attempts, and an exponential backoff with deterministic seeded jitter
+bounded by a total sleep budget (and by the query's deadline, when one
+is set).
 
-:class:`QueryOutcome` is the per-query envelope ``serve_outcomes``
-returns: exactly one of ``table`` or ``error`` is set, alongside the
-attempt count and degraded-mode flags — so one failing query carries its
-typed error out in order instead of aborting the whole batch.
+:class:`QueryOutcome` is the per-query envelope ``serve`` returns:
+exactly one of ``table`` or ``error`` is set, alongside the last
+attempt's record, the attempt count and degraded-mode flags — so one
+failing query carries its typed error out in order instead of aborting
+the whole batch.
 """
 
 from __future__ import annotations
@@ -101,12 +102,13 @@ DEGRADED_RETRIED = "retried"
 class QueryOutcome:
     """The envelope for one served query: value *or* typed error.
 
-    ``ok`` outcomes carry ``table``/``stats`` (the final attempt's
-    :class:`~repro.core.session.RunStats`); failed outcomes carry the
+    ``stats`` is the final attempt's
+    :class:`~repro.core.session.RunStats` (``stats.attempt ==
+    attempts``); ``ok`` outcomes carry the ``table``, failed outcomes the
     final ``error`` after retries exhausted (always a typed exception —
     :class:`~repro.errors.RavenError` subclasses for library failures).
-    ``attempts`` counts executions (0 when admission itself was rejected,
-    e.g. backpressure).
+    ``attempts`` counts executions (0, and no ``stats``, when admission
+    itself was rejected, e.g. backpressure).
     """
 
     query: str

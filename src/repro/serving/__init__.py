@@ -1,4 +1,4 @@
-"""Serving layer: plan caching, concurrent execution, micro-batching.
+"""Serving layer: plan caching and the batch entry point.
 
 The paper optimizes a prediction query once and runs the optimized plan
 repeatedly; this package makes that the steady-state of a live session:
@@ -7,14 +7,10 @@ repeatedly; this package makes that the steady-state of a live session:
   optimized plans (``RavenSession`` keeps one by default);
 * :mod:`~repro.serving.normalize` — SQL normalization +
   auto-parameterization that builds the cache keys;
-* :class:`MicroBatcher` — coalesces concurrent single-row predict
-  requests into one vectorized execution.
-
-Concurrent query execution itself lives on the session:
-``RavenSession.serve(queries, workers=N)``.
+* :mod:`~repro.serving.serve` — the batch loop behind
+  ``RavenSession.serve(queries, workers=N)`` (described there).
 """
 
-from repro.serving.batcher import BatcherStats, MicroBatcher
 from repro.serving.normalize import (
     NormalizedQuery,
     QueryDependencies,
@@ -29,7 +25,7 @@ from repro.serving.plan_cache import (
 )
 
 __all__ = [
-    "BatcherStats", "CachedPlan", "MicroBatcher", "NormalizedQuery",
-    "PlanCache", "PlanCacheStats", "QueryDependencies",
-    "dependency_versions", "normalize_query", "query_dependencies",
+    "CachedPlan", "NormalizedQuery", "PlanCache", "PlanCacheStats",
+    "QueryDependencies", "dependency_versions", "normalize_query",
+    "query_dependencies",
 ]

@@ -4,8 +4,8 @@ One :class:`Telemetry` instance per :class:`~repro.core.session.RavenSession`
 bundles the three runtime-observability surfaces this package provides:
 
 * ``telemetry.metrics`` — the :class:`~repro.telemetry.metrics.MetricsRegistry`
-  every component shares (session serving stats, plan-cache stats,
-  batcher gauges, per-query latency histograms);
+  every component shares (session serving stats, plan-cache stats, the
+  queries-in-flight gauge, per-query latency histograms);
 * ``telemetry.tracer`` — the :class:`~repro.telemetry.trace.Tracer`
   producing per-query span trees into a bounded ring (off by default:
   ``Tracer.start`` returns None without allocating);
@@ -35,17 +35,15 @@ from __future__ import annotations
 import os
 from typing import Dict, Optional
 
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, \
-    geometric_bounds
+from .metrics import Histogram, MetricsRegistry, Scalar, geometric_bounds
 from .slowlog import DEFAULT_THRESHOLD_SECONDS, SlowQueryLog
 from .trace import SITE_TELEMETRY_DUMP, Span, Trace, Tracer
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "SITE_TELEMETRY_DUMP",
+    "Scalar",
     "SlowQueryLog",
     "Span",
     "Telemetry",

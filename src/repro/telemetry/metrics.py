@@ -1,15 +1,17 @@
 """A unified, thread-safe metrics registry: counters, gauges, histograms.
 
-This is the single runtime home for the counters that used to live
-scattered across the serving stack (``ServingStats``, ``PlanCache.stats``,
-batcher queue depth, expression fallbacks): those APIs survive unchanged,
-but their mutations now land on registry-backed instruments, so one
-snapshot (or one Prometheus scrape) sees the whole system.
+This is the single runtime home for the serving stack's counters
+(``ServingStats``, ``PlanCache.stats``, expression fallbacks, the
+queries-in-flight gauge): their attribute APIs land on registry-backed
+instruments, so one snapshot (or one Prometheus scrape) sees the whole
+system.
 
-Three instrument kinds, all labeled and all safe for concurrent use:
+Three instrument kinds, all labeled and all safe for concurrent use,
+held by two classes:
 
-* :class:`Counter` — monotonic count (``inc``);
-* :class:`Gauge` — point-in-time level (``set``/``inc``/``dec``);
+* :class:`Scalar` — one number, of ``kind`` ``"counter"`` (a monotonic
+  count, ``inc``) or ``"gauge"`` (a point-in-time level,
+  ``set``/``inc``/``dec``);
 * :class:`Histogram` — **log-bucketed** distribution for latencies: the
   bucket bounds grow geometrically (default ×2\\ :sup:`1/4` from 1µs),
   so the p50/p95/p99 estimates carry a bounded *relative* error (one
@@ -65,46 +67,26 @@ def _render_prometheus_labels(labels: LabelItems,
     return f"{{{inner}}}"
 
 
-class Counter:
-    """A monotonic counter. ``set`` exists for the stats back-compat
-    properties (``stats.field += 1`` reads then sets under the caller's
-    own lock, exactly like the dataclass attributes it replaces)."""
+COUNTER = "counter"
+GAUGE = "gauge"
+HISTOGRAM = "histogram"
 
-    __slots__ = ("name", "labels", "_lock", "_value")
-    kind = "counter"
 
-    def __init__(self, name: str, labels: LabelItems = ()):
+class Scalar:
+    """One number: a monotonic counter or a point-in-time level (``kind``).
+
+    The kind only decides how exporters label it. A counter's ``set``
+    serves the stats attribute properties (``stats.field += 1`` reads then
+    sets under the caller's own lock).
+    """
+
+    __slots__ = ("name", "labels", "kind", "_lock", "_value")
+
+    def __init__(self, name: str, labels: LabelItems = (),
+                 kind: str = COUNTER):
         self.name = name
         self.labels = labels
-        self._lock = threading.Lock()
-        self._value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        with self._lock:
-            self._value += amount
-
-    def set(self, value: int) -> None:
-        with self._lock:
-            self._value = value
-
-    @property
-    def value(self):
-        with self._lock:
-            return self._value
-
-    def __repr__(self) -> str:
-        return f"Counter({_render_key(self.name, self.labels)}={self.value})"
-
-
-class Gauge:
-    """A point-in-time level (queue depth, ring occupancy)."""
-
-    __slots__ = ("name", "labels", "_lock", "_value")
-    kind = "gauge"
-
-    def __init__(self, name: str, labels: LabelItems = ()):
-        self.name = name
-        self.labels = labels
+        self.kind = kind
         self._lock = threading.Lock()
         self._value = 0
 
@@ -126,7 +108,8 @@ class Gauge:
             return self._value
 
     def __repr__(self) -> str:
-        return f"Gauge({_render_key(self.name, self.labels)}={self.value})"
+        return (f"{self.kind.capitalize()}("
+                f"{_render_key(self.name, self.labels)}={self.value})")
 
 
 def geometric_bounds(start: float, growth: float,
@@ -150,12 +133,12 @@ class Histogram:
     single-valued histogram reports that value exactly, and in general
     the estimate is within one ``growth`` factor of the true quantile.
     Explicit ``bounds`` override the geometric layout (used by tests
-    and by count-valued histograms like batch sizes).
+    and by count-valued histograms).
     """
 
     __slots__ = ("name", "labels", "_lock", "_bounds", "_counts",
                  "_count", "_sum", "_min", "_max")
-    kind = "histogram"
+    kind = HISTOGRAM
 
     def __init__(self, name: str, labels: LabelItems = (),
                  start: float = DEFAULT_START, growth: float = DEFAULT_GROWTH,
@@ -264,7 +247,7 @@ class MetricsRegistry:
     ``counter``/``gauge``/``histogram`` are get-or-create: the first call
     for a ``(name, labels)`` pair creates the instrument, later calls
     return the same object — so independent components meeting on one
-    registry (session counters, plan-cache counters, batcher gauges)
+    registry (session counters, plan-cache counters, the in-flight gauge)
     aggregate instead of colliding. Requesting an existing name as a
     different kind raises.
     """
@@ -274,33 +257,33 @@ class MetricsRegistry:
         self._instruments: "Dict[Tuple[str, LabelItems], object]" = {}
 
     # ------------------------------------------------------------------
-    def _get_or_create(self, cls, name: str,
+    def _get_or_create(self, kind: str, name: str,
                        labels: Optional[Mapping[str, str]], **kwargs):
         key = (name, _label_items(labels))
         with self._lock:
             instrument = self._instruments.get(key)
-            if instrument is not None:
-                if not isinstance(instrument, cls):
-                    raise ValueError(
-                        f"metric {name!r} already registered as "
-                        f"{instrument.kind}, requested {cls.kind}")
-                return instrument
-            instrument = cls(name, key[1], **kwargs)
-            self._instruments[key] = instrument
+            if instrument is None:
+                instrument = self._instruments[key] = (
+                    Histogram(name, key[1], **kwargs) if kind == HISTOGRAM
+                    else Scalar(name, key[1], kind))
+            elif instrument.kind != kind:
+                raise ValueError(
+                    f"metric {name!r} already registered as "
+                    f"{instrument.kind}, requested {kind}")
             return instrument
 
     def counter(self, name: str,
-                labels: Optional[Mapping[str, str]] = None) -> Counter:
-        return self._get_or_create(Counter, name, labels)
+                labels: Optional[Mapping[str, str]] = None) -> Scalar:
+        return self._get_or_create(COUNTER, name, labels)
 
     def gauge(self, name: str,
-              labels: Optional[Mapping[str, str]] = None) -> Gauge:
-        return self._get_or_create(Gauge, name, labels)
+              labels: Optional[Mapping[str, str]] = None) -> Scalar:
+        return self._get_or_create(GAUGE, name, labels)
 
     def histogram(self, name: str,
                   labels: Optional[Mapping[str, str]] = None,
                   **kwargs) -> Histogram:
-        return self._get_or_create(Histogram, name, labels, **kwargs)
+        return self._get_or_create(HISTOGRAM, name, labels, **kwargs)
 
     def instruments(self) -> List[object]:
         """Point-in-time instrument list, sorted by (name, labels)."""
@@ -318,10 +301,8 @@ class MetricsRegistry:
         }
         for instrument in self.instruments():
             key = _render_key(instrument.name, instrument.labels)
-            if isinstance(instrument, Counter):
-                out["counters"][key] = instrument.value
-            elif isinstance(instrument, Gauge):
-                out["gauges"][key] = instrument.value
+            if isinstance(instrument, Scalar):
+                out[f"{instrument.kind}s"][key] = instrument.value
             else:
                 out["histograms"][key] = instrument.snapshot()
         return out
@@ -341,7 +322,7 @@ class MetricsRegistry:
                 seen_types.add(name)
                 lines.append(f"# TYPE {name} {instrument.kind}")
             labels = instrument.labels
-            if isinstance(instrument, (Counter, Gauge)):
+            if isinstance(instrument, Scalar):
                 rendered = _render_prometheus_labels(labels)
                 lines.append(f"{name}{rendered} {_format(instrument.value)}")
                 continue
@@ -406,7 +387,7 @@ class CounterStats:
                             f"got {values} {named}")
         if registry is None:
             registry = MetricsRegistry()
-        self._counters: Dict[str, Counter] = {}
+        self._counters: Dict[str, Scalar] = {}
         for name in self.FIELDS:
             counter = self._counters[name] = registry.counter(
                 f"{self.PREFIX}_{name}")

@@ -34,7 +34,6 @@ from repro.relational.logical import (
     Scan,
     walk,
 )
-from repro.serving.batcher import DEFAULT_MAX_BATCH_ROWS, MicroBatcher
 
 
 def tables_equal_bitwise(a, b) -> bool:
@@ -395,7 +394,8 @@ class TestAdaptiveReoptimization:
         adaptive, static = make_adaptive_pair(readings_table)
         oracle = static.sql(MISESTIMATED_QUERY)
         for _ in range(3):
-            tables = adaptive.serve([MISESTIMATED_QUERY] * 8, workers=4)
+            tables = [outcome.result() for outcome in
+                      adaptive.serve([MISESTIMATED_QUERY] * 8, workers=4)]
             for table in tables:
                 assert tables_equal_bitwise(oracle, table)
         stats = adaptive.plan_cache.stats
@@ -415,56 +415,58 @@ class TestBackpressure:
         active = 0
         peak = 0
         lock = threading.Lock()
-        original = session.sql_with_stats
+        original = session._run_query
 
-        def tracked(query):
+        def tracked(record, deadline):
             nonlocal active, peak
             with lock:
                 active += 1
                 peak = max(peak, active)
             try:
                 time.sleep(0.002)
-                return original(query)
+                return original(record, deadline)
             finally:
                 with lock:
                     active -= 1
 
-        session.sql_with_stats = tracked
+        session._run_query = tracked
         try:
-            results = session.serve_with_stats([self.QUERY] * 8, workers=4,
-                                               max_pending=2,
-                                               backpressure="block")
+            results = session.serve([self.QUERY] * 8, workers=4,
+                                    max_pending=2, backpressure="block")
         finally:
-            del session.sql_with_stats
+            del session._run_query
         assert len(results) == 8
-        assert peak <= 2
+        assert all(outcome.ok for outcome in results)
+        assert 1 <= peak <= 2
         stats = session.serving_stats
         assert stats.submitted == 8 and stats.completed == 8
         assert stats.rejected == 0
 
     def test_raise_policy_rejects_and_counts(self, session):
         release = threading.Event()
-        original = session.sql_with_stats
+        original = session._run_query
 
-        def slow(query):
+        def slow(record, deadline):
             release.wait(timeout=5.0)
-            return original(query)
+            return original(record, deadline)
 
-        session.sql_with_stats = slow
+        session._run_query = slow
         timer = threading.Timer(0.2, release.set)
         timer.start()
         try:
             with pytest.raises(BackpressureError):
-                session.serve_with_stats([self.QUERY] * 3, workers=2,
-                                         max_pending=1, backpressure="raise")
+                [outcome.result() for outcome in
+                 session.serve([self.QUERY] * 3, workers=2, max_pending=1,
+                               backpressure="raise")]
         finally:
-            del session.sql_with_stats
+            del session._run_query
             release.set()
             timer.cancel()
         assert session.serving_stats.rejected >= 1
 
     def test_serial_path_counts_too(self, session):
-        session.serve([self.QUERY] * 3, workers=1, max_pending=2)
+        [outcome.result() for outcome in
+         session.serve([self.QUERY] * 3, workers=1, max_pending=2)]
         stats = session.serving_stats
         assert stats.submitted == 3 and stats.completed == 3
 
@@ -476,44 +478,15 @@ class TestBackpressure:
 
 
 # ---------------------------------------------------------------------------
-# Micro-batcher row cap and feedback isolation
+# Feedback isolation
 # ---------------------------------------------------------------------------
 
-ONE_ROW_REQUEST = {"age": 50.0, "bmi": 25.0, "bpm": 72.0, "fev": 3.0,
-                   "asthma": 1, "smoker": "no", "hypertension": "none"}
-
-
-class TestAdaptiveBatcher:
-    def test_static_cap_without_feedback(self, session):
-        batcher = MicroBatcher(session)
-        assert batcher.max_batch_rows == DEFAULT_MAX_BATCH_ROWS == 4096
-        # Served traffic leaves the cap alone: it is a plain int.
-        future = batcher.predict("covid_risk", ONE_ROW_REQUEST)
-        batcher.flush()
-        future.result(timeout=5)
-        assert batcher.max_batch_rows == DEFAULT_MAX_BATCH_ROWS
-
-    def test_explicit_cap_wins(self, session):
-        assert MicroBatcher(session, max_batch_rows=128).max_batch_rows == 128
-        with pytest.raises(ValueError):
-            MicroBatcher(session, max_batch_rows=0)
-
-    def test_background_worker_flushes_at_the_cap(self, session):
-        # Two queued rows reach a cap of 2 long before the minute-long
-        # max_delay runs out, so the worker flushes them as one batch.
-        with MicroBatcher(session, max_batch_rows=2,
-                          max_delay=60.0) as batcher:
-            futures = [batcher.predict("covid_risk", ONE_ROW_REQUEST)
-                       for _ in range(2)]
-            for future in futures:
-                future.result(timeout=10)
-            assert batcher.stats.batches == 1
-
+class TestFeedbackWrites:
     def test_predicts_write_feedback_only_through_profiles(
             self, noopt_session, covid_query, monkeypatch):
-        # Neither an sql() Predict (the no-opt session keeps its Predict
-        # node) nor a batcher flush writes to the feedback store; the
-        # only write is the run's profile, folded once.
+        # An sql() Predict (the no-opt session keeps its Predict node)
+        # does not write to the feedback store; the only write is the
+        # run's profile, folded once.
         store = noopt_session.feedback
         profiles = []
         monkeypatch.setattr(store, "record_profile", profiles.append)
@@ -521,9 +494,5 @@ class TestAdaptiveBatcher:
         noopt_session.sql(covid_query)
         assert any(isinstance(node, Predict)
                    for node in walk(noopt_session.last_run.plan))
-        batcher = MicroBatcher(noopt_session)
-        future = batcher.predict("covid_risk", ONE_ROW_REQUEST)
-        assert batcher.flush() == 1
-        future.result(timeout=5)
         assert len(profiles) == 1
         assert store.export_state() == before

@@ -837,8 +837,8 @@ class TestSessionIntegration:
                    for literal in range(100, 3300, 400)]
         served = self._session(patients_table, pulmonary_table, dt_pipeline)
         serial = self._session(patients_table, pulmonary_table, dt_pipeline)
-        for table, query in zip(served.serve(queries, workers=4), queries):
-            self._assert_same(table, serial.sql(query))
+        for outcome, query in zip(served.serve(queries, workers=4), queries):
+            self._assert_same(outcome.result(), serial.sql(query))
 
     def test_program_table_is_lru_bounded(
             self, monkeypatch, patients_table, pulmonary_table, dt_pipeline,
@@ -942,10 +942,10 @@ class TestSingleFlight:
         barrier = threading.Barrier(4)
         original = RavenSession._optimize_stmt
 
-        def slow_optimize(self, stmt):
+        def slow_optimize(self, stmt, **kwargs):
             optimize_calls.append(1)
             time.sleep(0.25)  # hold the flight open so the others coalesce
-            return original(self, stmt)
+            return original(self, stmt, **kwargs)
 
         session._optimize_stmt = slow_optimize.__get__(session)
 

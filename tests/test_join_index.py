@@ -362,8 +362,8 @@ class TestIndexConcurrency:
                 session.register_table(name, table)
         queries = [STAR + f" WHERE d.dv > {threshold}"
                    for threshold in (-1.0, -0.5, 0.0, 0.5)] * 4 + [GROUPED]
-        for table, query in zip(served.serve(queries, workers=4), queries):
-            assert tables_equal_bitwise(table, serial.sql(query))
+        for outcome, query in zip(served.serve(queries, workers=4), queries):
+            assert tables_equal_bitwise(outcome.result(), serial.sql(query))
         assert set(served.catalog.table("d").key_indexes) == {"k"}
         assert set(served.catalog.table("e").key_indexes) == {"j"}
 
@@ -428,7 +428,7 @@ class TestIndexChaos:
         queries = [STAR, FILTERED_STAR, GROUPED] * 8
         retry = RetryPolicy(max_attempts=8, base_delay=0.0005,
                             max_delay=0.001, seed=34)
-        outcomes = chaotic.serve_outcomes(queries, workers=1, retry=retry)
+        outcomes = chaotic.serve(queries, workers=1, retry=retry)
         assert faults.fires("executor.operator") > 0
         assert any(o.ok and o.attempts > 1 for o in outcomes)
         for query, outcome in zip(queries, outcomes):

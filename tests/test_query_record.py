@@ -15,7 +15,7 @@ from collections import Counter
 import pytest
 
 import repro
-from repro import MicroBatcher, RavenSession, Telemetry
+from repro import RavenSession, Telemetry
 from repro.adaptive.feedback import MAX_LABEL_CHARS, FeedbackStore
 from repro.adaptive.profile import PlanProfiler
 from repro.core.session import ROUTE_EXPLAIN, ServingStats
@@ -142,8 +142,8 @@ class TestEveryViewAgrees:
         elif route == "failing":
             with pytest.raises(InjectedFaultError) as raised:
                 session.sql(covid_query)
-            record = raised.value.run_stats
-            assert record is session.last_run and record.error is raised.value
+            record = session.last_run
+            assert record.error is raised.value
         else:
             _table, record = session.sql_with_stats(covid_query)
         after = observed_state(session)
@@ -445,20 +445,22 @@ class TestPinnedSurface:
             "compile_expressions", "adaptive", "warm_start",
             "breakers", "faults", "telemetry"]
 
-    def test_feedback_store_and_batcher_constructor_parameters(self):
+    def test_serve_parameters(self):
+        parameters = list(inspect.signature(RavenSession.serve).parameters)
+        assert parameters[1:] == [
+            "queries", "workers", "max_pending", "backpressure", "retry",
+            "deadline"]
+
+    def test_feedback_store_constructor_parameters(self):
         assert list(inspect.signature(FeedbackStore.__init__).parameters) \
             == ["self"]
-        parameters = inspect.signature(MicroBatcher.__init__).parameters
-        assert list(parameters) == [
-            "self", "session", "max_batch_rows", "max_delay"]
-        assert parameters["max_batch_rows"].default == 4096
 
     def test_package_exports(self):
         assert sorted(repro.__all__) == [
             "Catalog", "CircuitBreakerBoard", "Deadline",
             "DeadlineExceededError", "FaultInjector", "FeedbackStore",
-            "MetricsRegistry", "MicroBatcher", "OperatorProfile",
-            "OptimizationReport", "PartitionedTable", "PlanCache",
+            "MetricsRegistry", "OperatorProfile", "OptimizationReport",
+            "PartitionedTable", "PlanCache",
             "QueryOutcome", "RavenError", "RavenOptimizer", "RavenSession",
             "RetryPolicy", "RunStats", "Schema", "ServingStats",
             "SlowQueryLog", "Snapshot", "SnapshotStore", "Table",

@@ -46,7 +46,6 @@ from repro.resilience import (
     RetryPolicy,
     raven_typed,
 )
-from repro.serving.batcher import MicroBatcher
 from repro.serving.plan_cache import PlanCache
 
 FILTER_QUERY = "SELECT pi.id FROM patient_info AS pi WHERE pi.age > 50"
@@ -276,7 +275,6 @@ class TestCircuitBreaker:
         assert board.record_failure(key) == "tripped"
         assert board.state(key) == "open"
         assert board.acquire(key) == ROUTE_DEGRADED
-        assert board.stats.trips == 1
 
     def test_success_resets_consecutive_count(self):
         board, _ = self.make_board()
@@ -298,7 +296,6 @@ class TestCircuitBreaker:
         assert board.acquire(key) == ROUTE_DEGRADED
         assert board.record_success(key, trial=True) == "closed"
         assert board.acquire(key) == ROUTE_ADAPTIVE
-        assert board.stats.half_opens == 1 and board.stats.closes == 1
 
     def test_failed_trial_reopens(self):
         board, now = self.make_board()
@@ -311,7 +308,6 @@ class TestCircuitBreaker:
         assert board.acquire(key) == ROUTE_DEGRADED  # fresh recovery window
         now[0] = 22.0
         assert board.acquire(key) == ROUTE_TRIAL
-        assert board.stats.reopens == 1
 
     def test_untracked_keys_allocate_nothing(self):
         board, _ = self.make_board()
@@ -340,7 +336,6 @@ class TestCircuitBreaker:
             board.record_failure(key)
         assert board.record_failure(key) is None
         assert board.record_failure(key) is None
-        assert board.stats.trips == 1
 
     def test_trial_waits_for_full_recovery_interval(self):
         board, now = self.make_board()
@@ -362,7 +357,7 @@ class TestCircuitBreaker:
         board, _ = self.make_board()
         assert board.record_success(("never-failed",)) is None
         assert board.record_success(("never-failed",), trial=True) is None
-        assert len(board) == 0 and board.stats.closes == 0
+        assert len(board) == 0
 
     def test_static_entry_is_version_validated(self):
         board, _ = self.make_board()
@@ -396,15 +391,7 @@ class TestCircuitBreaker:
         board.record_failure(("b",))
         assert board.state(("a",)) == STATE_OPEN
         assert board.open_count() == 2
-        assert repr(board) == ("CircuitBreakerBoard(tracked=2, open=2, "
-                               "trips=2, reopens=0, closes=0)")
-
-    def test_stats_snapshot_is_a_copy(self):
-        board, _ = self.make_board(failure_threshold=1)
-        before = board.stats.snapshot()
-        board.record_failure(("a",))
-        assert before.trips == 0
-        assert board.stats.snapshot().trips == 1
+        assert repr(board) == "CircuitBreakerBoard(tracked=2, open=2)"
 
     def test_lru_keeps_recently_touched_keys(self):
         board, _ = self.make_board(max_tracked=2)
@@ -522,9 +509,9 @@ class TestFaultInjector:
 
     def test_string_error_carries_detail(self):
         faults = FaultInjector()
-        faults.inject("batcher.execute", error="batch lost")
+        faults.inject("predict.run", error="batch lost")
         with pytest.raises(InjectedFaultError, match=r"batch lost \[b7\]"):
-            faults.fire("batcher.execute", detail="b7")
+            faults.fire("predict.run", detail="b7")
 
     def test_error_instance_raised_as_is(self):
         faults = FaultInjector()
@@ -690,13 +677,33 @@ class TestChaosRetries:
         chaotic = make_session(patients_table, pulmonary_table, dt_pipeline,
                                faults=faults)
         retry = RetryPolicy(base_delay=0.001, max_delay=0.002, seed=1)
-        [outcome] = chaotic.serve_outcomes([covid_query], workers=1,
-                                           retry=retry)
+        [outcome] = chaotic.serve([covid_query], workers=1, retry=retry)
         assert outcome.ok and outcome.attempts == 2
         assert DEGRADED_RETRIED in outcome.degraded
         assert_tables_equal(outcome.table, expected)
         assert chaotic.serving_stats.retries == 1
         assert chaotic.serving_stats.failed == 0
+
+    def test_each_attempt_owns_its_record(
+            self, patients_table, pulmonary_table, dt_pipeline):
+        faults = FaultInjector(seed=1)
+        faults.inject("executor.operator", on_hits=[1])
+        chaotic = make_session(patients_table, pulmonary_table, dt_pipeline,
+                               faults=faults, telemetry=True)
+        with pytest.raises(InjectedFaultError) as raised:
+            chaotic.sql(FILTER_QUERY)
+        # The failed run's record is the session's last run; the error
+        # does not point back at it.
+        assert not hasattr(raised.value, "run_stats")
+        assert chaotic.last_run.error is raised.value
+        faults.inject("executor.operator",
+                      on_hits=[faults.hits("executor.operator") + 1])
+        retry = RetryPolicy(base_delay=0.001, max_delay=0.002, seed=1)
+        [outcome] = chaotic.serve([FILTER_QUERY], workers=1, retry=retry)
+        assert outcome.ok and outcome.attempts == 2
+        assert outcome.stats.attempt == outcome.attempts
+        assert outcome.stats.trace.root.attributes["attempt"] == 2
+        assert chaotic.last_run is outcome.stats
 
     def test_budget_exhaustion_yields_typed_error(
             self, patients_table, pulmonary_table, dt_pipeline):
@@ -706,16 +713,15 @@ class TestChaosRetries:
                                faults=faults, breakers=False)
         retry = RetryPolicy(max_attempts=3, base_delay=0.001,
                             max_delay=0.002, seed=2)
-        [outcome] = chaotic.serve_outcomes([FILTER_QUERY], workers=1,
-                                           retry=retry)
+        [outcome] = chaotic.serve([FILTER_QUERY], workers=1, retry=retry)
         assert not outcome.ok and outcome.attempts == 3
         assert isinstance(outcome.error, InjectedFaultError)
         assert chaotic.serving_stats.failed == 1
         assert chaotic.serving_stats.retries == 2
 
-    def test_serve_outcomes_isolates_failures(self, session, covid_query):
+    def test_serve_isolates_failures(self, session, covid_query):
         expected = session.sql(covid_query)
-        outcomes = session.serve_outcomes(
+        outcomes = session.serve(
             [covid_query, "SELECT x.id FROM no_such_table AS x", covid_query],
             workers=2)
         assert [o.ok for o in outcomes] == [True, False, True]
@@ -723,11 +729,12 @@ class TestChaosRetries:
         assert_tables_equal(outcomes[0].table, expected)
         assert_tables_equal(outcomes[2].table, expected)
 
-    def test_serve_still_aborts_on_final_failure(self, session, covid_query):
+    def test_failed_outcome_result_raises(self, session, covid_query):
+        outcomes = session.serve([covid_query,
+                                  "SELECT x.id FROM no_such_table AS x"],
+                                 workers=1)
         with pytest.raises(RavenError):
-            session.serve([covid_query,
-                           "SELECT x.id FROM no_such_table AS x"],
-                          workers=1)
+            [outcome.result() for outcome in outcomes]
 
 
 @pytest.mark.chaos
@@ -740,7 +747,7 @@ class TestChaosExpressionFallback:
         faults.inject("executor.compile", error=CompileError)
         chaotic = make_session(patients_table, pulmonary_table, dt_pipeline,
                                faults=faults)
-        [outcome] = chaotic.serve_outcomes([covid_query], workers=1)
+        [outcome] = chaotic.serve([covid_query], workers=1)
         assert outcome.ok and outcome.attempts == 1
         assert DEGRADED_INTERPRETED in outcome.degraded
         assert outcome.stats.expression_fallbacks > 0
@@ -788,8 +795,8 @@ class TestChaosDeadlines:
         chaotic = make_session(patients_table, pulmonary_table, dt_pipeline,
                                faults=faults)
         retry = RetryPolicy(max_attempts=5, base_delay=0.001, seed=6)
-        [outcome] = chaotic.serve_outcomes([FILTER_QUERY], workers=1,
-                                           retry=retry, deadline=0.02)
+        [outcome] = chaotic.serve([FILTER_QUERY], workers=1, retry=retry,
+                                  deadline=0.02)
         assert not outcome.ok and outcome.attempts == 1
         assert isinstance(outcome.error, DeadlineExceededError)
 
@@ -888,7 +895,7 @@ class TestChaosCircuitBreaker:
                                faults=faults, breakers=board)
         with pytest.raises(InjectedFaultError):
             chaotic.sql(FILTER_QUERY)
-        [outcome] = chaotic.serve_outcomes([FILTER_QUERY], workers=1)
+        [outcome] = chaotic.serve([FILTER_QUERY], workers=1)
         assert outcome.ok
         assert DEGRADED_STATIC_PLAN in outcome.degraded
 
@@ -943,23 +950,23 @@ class TestChaosPlanCache:
 class TestChaosBackpressure:
     def test_rejected_queries_become_outcomes(self, session, covid_query):
         release = threading.Event()
-        original = session.sql_with_stats
+        original = session._run_query
 
-        def slow(query, **kwargs):
+        def slow(record, deadline):
             release.wait(timeout=10.0)
-            return original(query, **kwargs)
+            return original(record, deadline)
 
-        session.sql_with_stats = slow
+        session._run_query = slow
         timer = threading.Timer(0.2, release.set)
         timer.start()
         try:
-            outcomes = session.serve_outcomes(
+            outcomes = session.serve(
                 [covid_query, covid_query, covid_query], workers=2,
                 max_pending=1, backpressure="raise")
         finally:
             timer.cancel()
             release.set()
-            session.sql_with_stats = original
+            del session._run_query
         # Admission is sequential in the submitting thread: the first
         # query holds the only slot, so the rest are rejected — as
         # outcomes, not exceptions.
@@ -969,73 +976,27 @@ class TestChaosBackpressure:
             assert isinstance(outcome.error, BackpressureError)
         assert session.serving_stats.rejected == 2
 
-    def test_raise_policy_still_raises_in_serve(self, session, covid_query):
+    def test_raise_policy_rejection_raises_from_result(self, session,
+                                                       covid_query):
         release = threading.Event()
-        original = session.sql_with_stats
+        original = session._run_query
 
-        def slow(query, **kwargs):
+        def slow(record, deadline):
             # Long enough to hold the only slot while the second query is
-            # admitted (immediately, in the submitting thread); abort-mode
-            # serve drains this worker before raising, so not longer.
+            # admitted (immediately, in the submitting thread); serve
+            # drains this worker before returning, so not longer.
             release.wait(timeout=0.2)
-            return original(query, **kwargs)
+            return original(record, deadline)
 
-        session.sql_with_stats = slow
+        session._run_query = slow
         try:
             with pytest.raises(BackpressureError):
-                session.serve([covid_query, covid_query], workers=2,
-                              max_pending=1, backpressure="raise")
+                [outcome.result() for outcome in
+                 session.serve([covid_query, covid_query], workers=2,
+                               max_pending=1, backpressure="raise")]
         finally:
             release.set()
-            session.sql_with_stats = original
-
-
-@pytest.mark.chaos
-class TestChaosMicroBatcher:
-    def test_batch_fault_fails_only_that_batch(self, session):
-        faults = FaultInjector(seed=12)
-        faults.inject("batcher.execute", on_hits=[1])
-        session.faults = faults
-        batcher = MicroBatcher(session)
-        future1 = batcher.predict("covid_risk", _one_row_inputs(session))
-        batcher.flush()
-        with pytest.raises(InjectedFaultError):
-            future1.result(timeout=5.0)
-        # Next batch is healthy.
-        future2 = batcher.predict("covid_risk", _one_row_inputs(session))
-        batcher.flush()
-        assert future2.result(timeout=5.0)
-        batcher.close()
-
-    def test_clean_close_flushes_and_rejects_new_requests(self, session):
-        batcher = MicroBatcher(session).start()
-        future = batcher.predict("covid_risk", _one_row_inputs(session))
-        batcher.close()
-        assert future.result(timeout=5.0)
-        assert batcher.pending_rows() == 0
-        with pytest.raises(ExecutionError):
-            batcher.predict("covid_risk", _one_row_inputs(session))
-
-    def test_wedged_worker_fails_pending_requests(self, session):
-        faults = FaultInjector(seed=13)
-        faults.inject("batcher.execute", mode="delay", delay=0.5,
-                      max_fires=1)
-        session.faults = faults
-        batcher = MicroBatcher(session, max_delay=0.001).start()
-        wedging = batcher.predict("covid_risk", _one_row_inputs(session))
-        # Wait until the worker is actually inside the delayed batch.
-        deadline = time.monotonic() + 5.0
-        while faults.fires("batcher.execute") == 0:
-            if time.monotonic() > deadline:  # pragma: no cover
-                pytest.fail("worker never picked up the batch")
-            time.sleep(0.005)
-        stranded = batcher.predict("covid_risk", _one_row_inputs(session))
-        batcher.close(timeout=0.05)
-        with pytest.raises(ExecutionError, match="still alive"):
-            stranded.result(timeout=5.0)
-        assert batcher.pending_rows() == 0
-        # The wedged batch itself eventually completes (delay, not crash).
-        assert wedging.result(timeout=5.0)
+            del session._run_query
 
 
 @pytest.mark.chaos
@@ -1079,7 +1040,6 @@ class TestChaosEverySite:
                           error=CompileError),
             faults.inject("predict.run", probability=0.02),
             faults.inject("plan_cache.optimize", probability=0.1),
-            faults.inject("batcher.execute", probability=0.1),
             faults.inject("snapshot.write", mode="torn", probability=0.5),
             faults.inject("telemetry.dump", mode="torn", probability=0.5),
             faults.inject("spill.write", mode="torn", probability=0.5),
@@ -1090,7 +1050,7 @@ class TestChaosEverySite:
                                faults=faults)
         retry = RetryPolicy(max_attempts=3, base_delay=0.001,
                             max_delay=0.002, seed=20240808)
-        outcomes = chaotic.serve_outcomes(queries, workers=2, retry=retry)
+        outcomes = chaotic.serve(queries, workers=2, retry=retry)
 
         assert len(outcomes) == len(queries)
         for outcome, reference in zip(outcomes, expected):
@@ -1101,12 +1061,3 @@ class TestChaosEverySite:
         stats = chaotic.serving_stats
         assert stats.completed == len(queries)
         assert stats.submitted == len(queries)
-
-
-# ---------------------------------------------------------------------------
-# helpers
-# ---------------------------------------------------------------------------
-
-def _one_row_inputs(_session):
-    return {"age": 61.0, "bmi": 27.5, "bpm": 78.0, "fev": 2.8,
-            "asthma": 1, "smoker": "yes", "hypertension": "mild"}

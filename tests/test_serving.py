@@ -1,4 +1,4 @@
-"""The serving layer: plan cache, concurrent execution, micro-batching."""
+"""The serving layer: plan cache and concurrent execution."""
 
 from __future__ import annotations
 
@@ -8,12 +8,7 @@ import numpy as np
 import pytest
 
 from repro import RavenSession
-from repro.serving import (
-    MicroBatcher,
-    PlanCache,
-    normalize_query,
-    query_dependencies,
-)
+from repro.serving import PlanCache, normalize_query, query_dependencies
 
 PREDICT_QUERY = """
 WITH data AS (
@@ -318,18 +313,19 @@ class TestConcurrentExecution:
     def test_serve_preserves_order_and_equality(self, session):
         queries = self.QUERIES * 4
         serial = [session.sql(query) for query in queries]
-        served = session.serve(queries, workers=8)
+        served = [outcome.result()
+                  for outcome in session.serve(queries, workers=8)]
         assert len(served) == len(queries)
         for expected, actual in zip(serial, served):
             assert tables_equal(expected, actual)
 
-    def test_serve_with_stats_reports_cache_hits(self, session):
+    def test_serve_reports_cache_hits(self, session):
         # Warm the cache first: concurrent cold misses for the same key may
         # each optimize independently (no single-flight yet), so only a
         # pre-warmed entry makes hit counts deterministic.
         session.sql(PREDICT_QUERY)
-        pairs = session.serve_with_stats([PREDICT_QUERY] * 6, workers=3)
-        assert all(stats.cache_hit for _, stats in pairs)
+        outcomes = session.serve([PREDICT_QUERY] * 6, workers=3)
+        assert all(outcome.stats.cache_hit for outcome in outcomes)
 
     def test_serve_rejects_bad_workers(self, session):
         with pytest.raises(ValueError):
@@ -344,97 +340,10 @@ class TestConcurrentExecution:
 
 
 # ---------------------------------------------------------------------------
-# Micro-batcher
+# Inference-session cache
 # ---------------------------------------------------------------------------
 
-def _request_row(index: int) -> dict:
-    return {
-        "age": 40.0 + index,
-        "bmi": 24.0 + (index % 5),
-        "bpm": 70.0 + index,
-        "fev": 3.0,
-        "asthma": index % 2,
-        "smoker": "yes" if index % 2 else "no",
-        "hypertension": ("none", "mild", "severe")[index % 3],
-    }
-
-
-class TestMicroBatcher:
-    def test_coalesces_into_one_vectorized_batch(self, session):
-        batcher = MicroBatcher(session)
-        futures = [batcher.predict("covid_risk", _request_row(i))
-                   for i in range(16)]
-        assert batcher.flush() == 1
-        assert batcher.stats.batches == 1
-        assert batcher.stats.requests == 16
-        assert batcher.stats.largest_batch == 16
-        for future in futures:
-            outputs = future.result(timeout=5)
-            assert outputs["score"].shape[0] == 1
-
-    def test_batched_results_match_single_requests(self, session):
-        batcher = MicroBatcher(session)
-        futures = [batcher.predict("covid_risk", _request_row(i))
-                   for i in range(12)]
-        batcher.flush()
-        coalesced = [future.result(timeout=5) for future in futures]
-
-        solo = MicroBatcher(session)
-        for i, expected in enumerate(coalesced):
-            future = solo.predict("covid_risk", _request_row(i))
-            solo.flush()
-            alone = future.result(timeout=5)
-            for name in expected:
-                assert np.allclose(np.asarray(alone[name], dtype=np.float64),
-                                   np.asarray(expected[name], dtype=np.float64))
-
-    def test_small_batch_requests(self, session):
-        batcher = MicroBatcher(session)
-        row = {name: np.repeat(value, 3) if not isinstance(value, str)
-               else np.repeat(value, 3)
-               for name, value in _request_row(0).items()}
-        future = batcher.predict("covid_risk", row)
-        batcher.flush()
-        assert future.result(timeout=5)["score"].shape[0] == 3
-
-    def test_missing_input_rejected_immediately(self, session):
-        from repro.errors import ExecutionError
-        batcher = MicroBatcher(session)
-        with pytest.raises(ExecutionError):
-            batcher.predict("covid_risk", {"age": 50.0})
-
-    def test_mismatched_row_counts_rejected(self, session):
-        from repro.errors import ExecutionError
-        batcher = MicroBatcher(session)
-        row = _request_row(0)
-        row["age"] = np.asarray([40.0, 50.0])
-        with pytest.raises(ExecutionError):
-            batcher.predict("covid_risk", row)
-
-    def test_background_worker_flushes(self, session):
-        with MicroBatcher(session, max_delay=0.01) as batcher:
-            futures = [batcher.predict("covid_risk", _request_row(i))
-                       for i in range(8)]
-            for future in futures:
-                assert future.result(timeout=5)["score"].shape[0] == 1
-        assert batcher.stats.requests == 8
-        # Concurrent arrivals coalesce: strictly fewer batches than requests
-        # is timing-dependent, but every request must be accounted for.
-        assert batcher.stats.batches >= 1
-
-    def test_model_reregister_refreshes_batcher_graph(self, session,
-                                                      gb_pipeline):
-        batcher = MicroBatcher(session)
-        first = batcher.predict("covid_risk", _request_row(1))
-        batcher.flush()
-        before = float(np.ravel(first.result(timeout=5)["score"])[0])
-        session.register_model("covid_risk", gb_pipeline, replace=True)
-        second = batcher.predict("covid_risk", _request_row(1))
-        batcher.flush()
-        after = float(np.ravel(second.result(timeout=5)["score"])[0])
-        # The batcher must pick up the new graph, matching what sql() sees.
-        assert after != before
-
+class TestInferenceSessionCache:
     def test_session_cache_is_lru_bounded(self, session, dt_pipeline,
                                           monkeypatch):
         from repro.core import executor as executor_module
@@ -445,21 +354,6 @@ class TestMicroBatcher:
         for _ in range(4):
             runtime.session_for(convert_pipeline(dt_pipeline))
         assert len(runtime._sessions) <= 2
-
-    def test_endpoint_serves_plan_graph(self, noopt_session):
-        # Lift the Predict graph out of a prepared (cached-plan-style)
-        # query and serve batched requests against that same graph.
-        prepared = noopt_session.prepare(PREDICT_QUERY)
-        graphs = prepared.optimized_graphs()
-        assert graphs, "no-opt plan must keep its Predict node"
-        batcher = MicroBatcher(noopt_session)
-        batcher.register_endpoint("covid_risk_plan", graphs[0])
-        inputs = {info.name: _request_row(1)[info.name]
-                  for info in graphs[0].inputs}
-        future = batcher.predict("covid_risk_plan", inputs)
-        batcher.flush()
-        outputs = future.result(timeout=5)
-        assert outputs["score"].shape[0] == 1
 
 
 # ---------------------------------------------------------------------------

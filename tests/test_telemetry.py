@@ -19,7 +19,6 @@ import pytest
 from repro import RavenSession, Telemetry
 from repro.errors import CatalogError, InjectedFaultError
 from repro.resilience import CircuitBreakerBoard, FaultInjector
-from repro.serving.batcher import MicroBatcher
 from repro.serving.plan_cache import PlanCacheStats
 from repro.telemetry import (
     MetricsRegistry,
@@ -79,6 +78,22 @@ class TestMetricsRegistry:
             registry.gauge("depth")
         with pytest.raises(ValueError, match="already registered"):
             registry.histogram("depth")
+        registry.gauge("queue")
+        registry.histogram("latency")
+        with pytest.raises(ValueError, match="registered as gauge"):
+            registry.counter("queue")
+        with pytest.raises(ValueError, match="registered as histogram"):
+            registry.gauge("latency")
+        assert registry.gauge("queue") is registry.gauge("queue")
+
+    def test_counter_and_gauge_repr_by_kind(self):
+        registry = MetricsRegistry()
+        registry.counter("hits").inc(2)
+        gauge = registry.gauge("depth")
+        gauge.inc(3)
+        gauge.dec()
+        assert repr(registry.counter("hits")) == "Counter(hits=2)"
+        assert repr(gauge) == "Gauge(depth=2)"
 
     def test_gauge_set_inc_dec(self):
         gauge = MetricsRegistry().gauge("queue")
@@ -279,7 +294,8 @@ class TestStatsBackCompat:
 
     def test_session_registry_sees_both_stat_families(self, traced_session,
                                                       covid_query):
-        traced_session.serve([covid_query, covid_query], workers=1)
+        [outcome.result() for outcome in
+         traced_session.serve([covid_query, covid_query], workers=1)]
         counters = traced_session.telemetry.metrics_snapshot()["counters"]
         assert counters["serving_submitted"] == 2
         assert counters["serving_completed"] == 2
@@ -588,62 +604,6 @@ class TestSlowQueryLog:
 
 
 # ---------------------------------------------------------------------------
-# Micro-batcher instrumentation
-# ---------------------------------------------------------------------------
-
-def _request_row(index: int) -> dict:
-    return {
-        "age": 40.0 + index,
-        "bmi": 24.0 + (index % 5),
-        "bpm": 70.0 + index,
-        "fev": 3.0,
-        "asthma": index % 2,
-        "smoker": "yes" if index % 2 else "no",
-        "hypertension": ("none", "mild", "severe")[index % 3],
-    }
-
-
-class TestBatcherInstrumentation:
-    def test_queue_gauges_track_depth(self, traced_session):
-        batcher = MicroBatcher(traced_session)
-        snap = traced_session.telemetry.metrics_snapshot
-        for index in range(5):
-            batcher.predict("covid_risk", _request_row(index))
-        gauges = snap()["gauges"]
-        assert gauges["batcher_queue_requests"] == 5
-        assert gauges["batcher_queue_rows"] == 5
-        batcher.flush()
-        gauges = snap()["gauges"]
-        assert gauges["batcher_queue_requests"] == 0
-        assert gauges["batcher_queue_rows"] == 0
-
-    def test_batch_size_histogram_observes_flushes(self, traced_session):
-        batcher = MicroBatcher(traced_session)
-        for index in range(8):
-            batcher.predict("covid_risk", _request_row(index))
-        batcher.flush()
-        hist = traced_session.telemetry.metrics_snapshot()["histograms"]
-        batch = hist["batcher_batch_rows"]
-        assert batch["count"] == 1 and batch["max"] == 8.0
-
-    def test_flush_produces_batcher_trace(self, traced_session):
-        batcher = MicroBatcher(traced_session)
-        futures = [batcher.predict("covid_risk", _request_row(i))
-                   for i in range(4)]
-        batcher.flush()
-        for future in futures:
-            future.result(timeout=5)
-        traces = [t for t in traced_session.telemetry.tracer.traces()
-                  if t.root.name.startswith("batcher:")]
-        assert traces
-        trace = traces[-1]
-        assert trace.root.attributes["model"] == "covid_risk"
-        assert trace.root.attributes["requests"] == 4
-        assert trace.root.attributes["rows"] == 4
-        assert trace.root.find("predict.batch") is not None
-
-
-# ---------------------------------------------------------------------------
 # Live-concurrency gauge
 # ---------------------------------------------------------------------------
 
@@ -666,7 +626,7 @@ class TestQueriesInFlightGauge:
         with pytest.raises(CatalogError):
             traced_session.sql("SELECT m.id FROM missing AS m WHERE m.x > 0")
         assert traced_session.serving_stats.queries_in_flight == 0
-        outcomes = traced_session.serve_outcomes(
+        outcomes = traced_session.serve(
             [FILTER_QUERY, "SELECT m.id FROM missing AS m WHERE m.x > 0"])
         assert [o.ok for o in outcomes] == [True, False]
         assert traced_session.serving_stats.queries_in_flight == 0
