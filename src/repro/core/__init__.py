@@ -5,13 +5,24 @@ prediction queries — assembled from the rules in ``repro.core.rules`` and
 the strategies in ``repro.core.strategies``.
 """
 
-from repro.core.binder import Binder, bind
-from repro.core.executor import PredictRuntime, QueryExecutor
-from repro.core.optimizer import OptimizationReport, RavenOptimizer
-from repro.core.parser import parse
-from repro.core.session import RavenSession, RunStats
+from importlib import import_module
 
-__all__ = [
-    "Binder", "OptimizationReport", "PredictRuntime", "QueryExecutor",
-    "RavenOptimizer", "RavenSession", "RunStats", "bind", "parse",
-]
+#: Each public name, and the submodule that defines it. Imported on first
+#: use, so that importing one submodule (the parser, say) loads no other.
+_EXPORTS = {
+    "Binder": "binder", "bind": "binder",
+    "PredictRuntime": "executor", "QueryExecutor": "executor",
+    "OptimizationReport": "optimizer", "RavenOptimizer": "optimizer",
+    "parse": "parser",
+    "RunStats": "record",
+    "RavenSession": "session",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)

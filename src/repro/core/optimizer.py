@@ -1,21 +1,35 @@
 """The Raven optimizer: orchestrates logical rules + runtime selection.
 
 Pipeline (paper §5.2, final paragraph): the logical optimizations run
-first, in a strict order — predicate-based model pruning before
-model-projection pushdown (pruning exposes more unused features), then the
-data-induced optimizations — because they are always beneficial. Then the
-data-driven strategy picks {none, MLtoSQL, MLtoDNN} per trained pipeline.
-Host-engine relational passes run before (to position filters) and after
-(to harvest the columns the rules freed). The static pipeline ends by
-lowering every inner equi-join region to one row-index ``MultiJoin`` — the
-only way an optimized plan runs an inner join — and the feedback-driven
-passes, when a store is given, tune that final shape.
+first, because they are always beneficial. Statistics pruning (the
+data-induced rule) runs first, on the registered graph: its result is a
+pure function of the model, its inputs' provenance and the catalog's
+statistics, so the model's catalog entry caches it and a cold plan gets
+it back without a tree walk. Predicate-based pruning then runs on that
+graph and model-projection pushdown last (both prunings expose unused
+features). Where the two prunings would not commute, a plan keeps the
+paper's order — predicates, pushdown, then statistics — see
+:meth:`RavenOptimizer._statistics_first`. Then the data-driven strategy
+picks {none, MLtoSQL, MLtoDNN} per trained pipeline; MLtoSQL writes each
+tree as one :class:`~repro.relational.expressions.TreeCase`. Host-engine
+relational passes run before (to position filters) and after (to harvest
+the columns the rules freed). The static pipeline ends by lowering every
+inner equi-join region to one row-index ``MultiJoin`` — the only way an
+optimized plan runs an inner join — and the feedback-driven passes, when
+a store is given, tune that final shape.
+
+:class:`OptimizationReport` records each step's seconds, so ``EXPLAIN``
+shows where a cold plan's time went.
 """
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
+
+import numpy as np
 
 from repro.adaptive.reopt import apply_feedback
 from repro.core.rules import (
@@ -25,9 +39,19 @@ from repro.core.rules import (
     ModelProjectionPushdown,
     PredicateBasedModelPruning,
 )
+from repro.core.rules.base import Rule
+from repro.core.rules.data_induced import (
+    constraints_from_stats,
+    input_column_provenance,
+)
+from repro.core.rules.intervals import Interval, StringConstraint
+from repro.core.rules.predicate_pruning import (
+    extract_input_constraints,
+    extract_output_predicates,
+)
 from repro.core.strategies import DefaultPaperRule, FixedStrategy, OptimizationStrategy
 from repro.errors import UnsupportedOperatorError
-from repro.relational.logical import PlanNode, find_predict_nodes
+from repro.relational.logical import PlanNode, Predict, find_predict_nodes
 from repro.relational.optimizer import RelationalOptimizer, lower_joins
 from repro.storage.catalog import Catalog
 
@@ -39,6 +63,8 @@ class OptimizationReport:
     rules_applied: List[str] = field(default_factory=list)
     rule_info: Dict[str, Dict[str, object]] = field(default_factory=dict)
     strategy_choices: List[str] = field(default_factory=list)
+    #: Seconds of each optimizer step, in the order they ran.
+    step_seconds: Dict[str, float] = field(default_factory=dict)
 
     def record(self, name: str, applied: bool, info: Dict[str, object]) -> None:
         if applied:
@@ -52,6 +78,10 @@ class OptimizationReport:
         for name, info in self.rule_info.items():
             details = ", ".join(f"{k}={v}" for k, v in info.items())
             lines.append(f"  {name}: {details}")
+        if self.step_seconds:
+            lines.append("optimizer ms: " + ", ".join(
+                f"{name}={1e3 * seconds:.3f}"
+                for name, seconds in self.step_seconds.items()))
         return "\n".join(lines)
 
 
@@ -100,37 +130,103 @@ class RavenOptimizer:
     # ------------------------------------------------------------------
     def optimize(self, plan: PlanNode) -> tuple[PlanNode, OptimizationReport]:
         report = OptimizationReport()
+
+        def step(name: str, function: Callable, *args):
+            started = time.perf_counter()
+            try:
+                return function(*args)
+            finally:
+                report.step_seconds[name] = time.perf_counter() - started
+
         # Position filters next to scans so predicate extraction sees them.
-        plan = self._relational.optimize(plan)
+        plan = step("relational", self._relational.optimize, plan)
 
+        rules: List[Rule] = []
         if self.enable_predicate_pruning:
-            result = PredicateBasedModelPruning().apply(plan, self.catalog)
-            plan = result.plan
-            report.record("predicate_based_model_pruning", result.applied,
-                          result.info)
+            rules.append(PredicateBasedModelPruning())
         if self.enable_projection_pushdown:
-            result = ModelProjectionPushdown().apply(plan, self.catalog)
-            plan = result.plan
-            report.record("model_projection_pushdown", result.applied,
-                          result.info)
+            rules.append(ModelProjectionPushdown())
         if self.enable_data_induced:
-            result = DataInducedOptimization().apply(plan, self.catalog)
+            if self._statistics_first(plan):
+                rules.insert(0, DataInducedOptimization())
+            else:
+                rules.append(DataInducedOptimization())
+        for rule in rules:
+            result = step(rule.name, rule.apply, plan, self.catalog)
             plan = result.plan
-            report.record("data_induced_optimization", result.applied,
-                          result.info)
+            report.record(rule.name, result.applied, result.info)
 
-        plan = self._apply_strategy(plan, report)
+        plan = step("strategy", self._apply_strategy, plan, report)
         # Harvest columns freed by the rules (pushdown below joins, scans).
-        plan = lower_joins(self._relational.optimize(plan))
+        plan = step("relational_post", self._relational.optimize, plan)
+        plan = step("lower_joins", lower_joins, plan)
         if self.feedback is not None:
             # Feedback-driven tuning runs last, over the final operator
             # shapes, so the fingerprints it consults match what the
             # executor will profile. The catalog supplies base-table
             # statistics for cold join-ordering estimates.
-            plan, changed, info = apply_feedback(plan, self.feedback,
-                                                 self.catalog)
+            plan, changed, info = step("adaptive_feedback", apply_feedback,
+                                       plan, self.feedback, self.catalog)
             report.record("adaptive_feedback", changed, info)
         return plan, report
+
+    def _statistics_first(self, plan: PlanNode) -> bool:
+        """Whether statistics pruning may run before the predicate rules.
+
+        Pruning a tree by two boxes gives the same split decisions in
+        either order when a row can satisfy both (a row in both boxes
+        reaches every node either order keeps). The orders can differ,
+        and the plan keeps the paper's order, when a Predict has:
+
+        * a linear model (folding point features into the intercept
+          adds them in a different order);
+        * a predicate on its output (merging failing leaves before or
+          after statistics pruning keeps different leaves);
+        * per-partition statistics (each partition's graph is built
+          from the predicate-pruned graph);
+        * a leaf value that is ``-0.0`` (merging equal leaves keeps the
+          left one's sign, a decided split the taken one's);
+        * an input whose predicate and statistics admit no common value,
+          or whose statistics are NaN (a column of NaN only).
+        """
+        for predict in find_predict_nodes(plan):
+            graph = predict.graph
+            for node in graph.nodes:
+                if node.op_type.startswith("Linear"):
+                    return False
+                if node.op_type.startswith("TreeEnsemble") and any(
+                        np.any((tree.value == 0.0) & np.signbit(tree.value))
+                        for tree in node.attrs["trees"]):
+                    return False
+            if extract_output_predicates(plan, predict):
+                return False
+            if not self._boxes_meet(predict):
+                return False
+        return True
+
+    def _boxes_meet(self, predict: Predict) -> bool:
+        provenance = input_column_provenance(predict, self.catalog)
+        tables = {table for table, _ in provenance.values()}
+        if any(self.catalog.table(table).data.num_partitions > 1
+               for table in tables):
+            return False
+        stats = constraints_from_stats(
+            provenance, {table: self.catalog.table(table).stats
+                         for table in tables})
+        if any(math.isnan(interval.low) or math.isnan(interval.high)
+               for interval in stats.numeric.values()):
+            return False
+        predicates = extract_input_constraints(predict, self.catalog)
+        for name, interval in predicates.numeric.items():
+            if name in stats.strings or interval.intersect(
+                    stats.numeric.get(name, Interval.UNKNOWN)).is_empty:
+                return False
+        for name, allowed in predicates.strings.items():
+            known: Optional[StringConstraint] = stats.strings.get(name)
+            if name in stats.numeric or (known is not None and not set(
+                    allowed.values) & set(known.values)):
+                return False
+        return True
 
     # ------------------------------------------------------------------
     def _apply_strategy(self, plan: PlanNode,
@@ -160,3 +256,4 @@ class RavenOptimizer:
                 plan = result.plan
                 report.record("ml_to_dnn", result.applied, result.info)
         return plan
+

@@ -10,6 +10,11 @@ and compiles one specialized model per partition from the per-partition
 statistics — the executor then dispatches each partition to its own model.
 The induced pruning composes with model-projection pushdown: features
 pruned by induced predicates subsequently vanish from the input columns.
+The optimizer runs this rule before predicate-based pruning (where the
+two orders agree, see :meth:`repro.core.optimizer.RavenOptimizer.
+_statistics_first`), so its result — a function of the registered model
+and the catalog's statistics alone — is cached on the model's catalog
+entry and a cold plan reuses it.
 """
 
 from __future__ import annotations
@@ -30,7 +35,19 @@ from repro.storage.statistics import TableStats
 
 
 class DataInducedOptimization(Rule):
-    """Statistics-driven model pruning + per-partition model compilation."""
+    """Statistics-driven model pruning + per-partition model compilation.
+
+    The result for a Predict is a pure function of (its graph, its
+    inputs' provenance, its source tables' statistics objects). When the
+    graph is the registered one, the result is cached on the model's
+    catalog entry, keyed by the provenance and checked against the
+    statistics objects, so each cold plan after the first gets the same
+    pruned graph back without a tree walk. Every way the key's
+    parts change invalidates it: re-registering the model makes a new
+    entry, re-registering a table makes new statistics objects, and
+    :meth:`~repro.storage.catalog.Catalog.augment_stats` swaps the
+    table's statistics object.
+    """
 
     name = "data_induced_optimization"
 
@@ -53,7 +70,36 @@ class DataInducedOptimization(Rule):
         provenance = input_column_provenance(predict, catalog)
         if not provenance:
             return None, {}
+        graph, per_partition_graphs, info = self._cached(predict, provenance,
+                                                         catalog)
+        if graph is None:
+            return None, {}
+        new_predict = predict.replace(graph=graph)
+        if per_partition_graphs is not None:
+            new_predict = new_predict.replace(
+                per_partition_graphs=per_partition_graphs)
+        return new_predict, dict(info)
 
+    def _cached(self, predict: Predict, provenance, catalog: Catalog):
+        entry = (catalog.model(predict.model_name)
+                 if catalog.has_model(predict.model_name) else None)
+        if entry is None or entry.graph is not predict.graph:
+            return self._prune(predict, provenance, catalog)
+        # The statistics objects the result read, compared by identity.
+        stats = [stats for table in sorted(_tables(provenance))
+                 for stats in (catalog.table(table).stats, *(
+                     part.stats for part in catalog.table(table).data.partitions))]
+        key = (tuple(sorted(provenance.items())), self.per_partition)
+        cached = entry.induced.get(key)
+        if cached is None or len(cached[0]) != len(stats) \
+                or any(a is not b for a, b in zip(cached[0], stats)):
+            cached = entry.induced[key] = (
+                stats, self._prune(predict, provenance, catalog))
+        return cached[1]
+
+    def _prune(self, predict: Predict, provenance, catalog: Catalog):
+        """``(graph, per_partition_graphs, info)``; graph is None when
+        nothing changed."""
         info: Dict[str, object] = {}
         # Global statistics pruning.
         constraints = constraints_from_stats(
@@ -77,12 +123,8 @@ class DataInducedOptimization(Rule):
                 changed = True
 
         if not changed:
-            return None, {}
-        new_predict = predict.replace(graph=graph)
-        if per_partition_graphs is not None:
-            new_predict = new_predict.replace(
-                per_partition_graphs=per_partition_graphs)
-        return new_predict, info
+            return None, None, {}
+        return graph, per_partition_graphs, info
 
     def _specialize_partitions(self, predict: Predict, provenance,
                                catalog: Catalog):

@@ -4,7 +4,12 @@ Replaces a whole Predict operator by a Project whose output expressions
 reimplement the pipeline: scalers become arithmetic, one-hot indicators
 become CASE expressions, decision trees become nested CASE WHEN chains
 (depth-first, exactly the shape shown in §5.1), and logistic links expand
-to ``1/(1+EXP(-margin))``.
+to ``1/(1+EXP(-margin))``. Each tree is one
+:class:`~repro.relational.expressions.TreeCase` node: the pruned tree's
+node arrays and one condition per split, never a node object per split
+or leaf. Its ``expand()`` is the nested CASE WHEN; the SQL text, EXPLAIN
+and the interpreted evaluator read that, and the compiler lowers the
+arrays to the same route instruction.
 
 A tree split never evaluates a scaler: a split on ``f(col) <= t``, where
 ``f`` is a monotone affine chain of one column (a scaler's ``(col - m) *
@@ -32,18 +37,24 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.rules.base import Rule, RuleResult, predict_nodes, replace_predict
+from repro.core.rules.intervals import compact_tree
 from repro.errors import UnsupportedOperatorError
 from repro.learn.tree import Tree
 from repro.onnxlite.graph import Graph, Node
 from repro.relational.expressions import (
+    SPLIT_GE,
+    SPLIT_IS,
+    SPLIT_LE,
     BinaryOp,
     CaseWhen,
     ColumnRef,
     Expression,
     FunctionCall,
     Literal,
+    TreeCase,
     UnaryOp,
     fold_constants,
+    split_condition,
 )
 from repro.relational.logical import PlanNode, Predict, Project
 from repro.storage.catalog import Catalog
@@ -306,47 +317,76 @@ def _compile_linear_regressor(node: Node, edges) -> None:
 
 def tree_to_expression(tree: Tree, features: List[Expression],
                        value_index: int) -> Expression:
-    """Depth-first nested CASE WHEN for one tree (paper §5.1's example).
+    """One tree as one :class:`TreeCase` (paper §5.1's nested CASE WHEN).
 
     Every split's condition comes from :func:`_split_conditions`, all of
-    a tree's at once; a split whose condition folds to a constant emits
-    only the subtree it always takes.
+    a tree's at once, and the node arrays are the tree's own, renumbered
+    into internal nodes and leaves. A split whose condition folds to a
+    constant keeps only the subtree it always takes; a tree left with no
+    split is its leaf's :class:`Literal`.
     """
-    left, right = tree.left.tolist(), tree.right.tolist()
-    leaf_values = tree.value[:, value_index].tolist()
-    internal = np.flatnonzero(tree.left >= 0)
-    conditions = dict(zip(internal.tolist(), _split_conditions(
-        features, tree.feature[internal], tree.threshold[internal])))
+    internal = tree.left >= 0
+    operands, split_operand, split_op, split_constant = _split_conditions(
+        features, tree.feature[internal], tree.threshold[internal])
+    constant = split_op > SPLIT_IS
+    if constant.any():
+        # Stand each constant split in by the child it always takes, the
+        # way intervals.prune_tree does (a child's id exceeds its parent's).
+        stand_in = np.arange(len(tree))
+        taken = np.where(split_op[constant] == _ALWAYS, tree.left[internal][
+            constant], tree.right[internal][constant])
+        stand_in[np.flatnonzero(internal)[constant]] = taken
+        for node in reversed(range(len(tree))):
+            stand_in[node] = stand_in[stand_in[node]]
+        left = np.where(internal, stand_in[tree.left], -1)
+        right = np.where(internal, stand_in[tree.right], -1)
+        return tree_to_expression(
+            compact_tree(tree, int(stand_in[0]), left, right, range(len(tree))),
+            features, value_index)
+    if not internal[0]:
+        return Literal(float(tree.value[0, value_index]))
+    rank = np.cumsum(internal) - 1            # internal nodes, pre-order
+    leaf_rank = np.cumsum(~internal) - 1      # leaves, pre-order
+    child_code = np.where(internal, rank, ~leaf_rank)
+    return TreeCase(operands, split_operand, split_op, split_constant,
+                    child_code[tree.left[internal]],
+                    child_code[tree.right[internal]],
+                    tree.value[~internal, value_index])
 
-    def translate(node: int) -> Expression:
-        if left[node] < 0:
-            return Literal(leaf_values[node])
-        condition = conditions[node]
-        if isinstance(condition, Literal):
-            return translate(left[node] if condition.value else right[node])
-        return CaseWhen([(condition, translate(left[node]))],
-                        translate(right[node]))
 
-    return translate(0)
+#: The split codes :func:`_split_conditions` adds to TreeCase's: the
+#: condition is constant true (the split always takes its left child) or
+#: constant false.
+_ALWAYS, _NEVER = SPLIT_IS + 1, SPLIT_IS + 2
 
 
 def _split_condition(feature: Expression, threshold: float) -> Expression:
     """One split's ``feature <= threshold``, folded (see
-    :func:`_split_conditions`)."""
-    return _split_conditions([feature], np.zeros(1, dtype=np.int64),
-                             np.array([threshold], dtype=np.float64))[0]
+    :func:`_split_conditions`), as an expression."""
+    operands, _, (op,), (constant,) = _split_conditions(
+        [feature], np.zeros(1, dtype=np.int64),
+        np.array([threshold], dtype=np.float64))
+    if op > SPLIT_IS:
+        return Literal(bool(op == _ALWAYS))
+    return split_condition(operands[0], int(op), float(constant))
 
 
 def _split_conditions(features: List[Expression], feature_index: np.ndarray,
-                      thresholds: np.ndarray) -> List[Expression]:
-    """``features[feature_index[k]] <= thresholds[k]`` for every split k.
+                      thresholds: np.ndarray
+                      ) -> Tuple[List[Expression], np.ndarray, np.ndarray,
+                                 np.ndarray]:
+    """``features[feature_index[k]] <= thresholds[k]`` for every split k,
+    as ``(operands, operand, op, constant)``: split k is
+    ``operands[operand[k]] <op[k]> constant[k]`` in :class:`TreeCase`'s
+    codes, or the constant :data:`_ALWAYS` / :data:`_NEVER`.
 
     A feature that is an affine chain of a column (see
     :func:`_affine_chain`) compares the raw column with the split's
     boundary; the boundaries of all splits whose chains have one shape
     come from one vectorized :func:`_fold_thresholds`. A split whose
     boundary does not fold, and every other feature, keeps
-    :func:`_unfolded_condition`.
+    :func:`_unfolded_split`. ``operands`` holds each distinct operand
+    once.
     """
     indices = feature_index.tolist()
     chains = {index: _affine_chain(features[index]) for index in set(indices)}
@@ -364,17 +404,26 @@ def _split_conditions(features: List[Expression], feature_index: np.ndarray,
         constants = np.array([chains[index][2] for index in group])
         boundary[splits], increasing[splits], folded[splits] = _fold_thresholds(
             ops, constants[row[feature_index[splits]]], thresholds[splits])
-    conditions = []
-    for index, limit, x, up, ok in zip(indices, thresholds.tolist(),
-                                       boundary.tolist(), increasing.tolist(),
-                                       folded.tolist()):
-        if not ok:
-            conditions.append(_unfolded_condition(features[index], limit))
-        elif up:
-            conditions.append(chains[index][0].le(Literal(x)))
-        else:
-            conditions.append(chains[index][0].ge(Literal(x)))
-    return conditions
+    ops = np.where(increasing, SPLIT_LE, SPLIT_GE).astype(np.int8)
+    slots: Dict[Expression, int] = {}
+    operands: List[Expression] = []
+
+    def slot(operand: Expression) -> int:
+        found = slots.get(operand)
+        if found is None:
+            found = slots[operand] = len(operands)
+            operands.append(operand)
+        return found
+
+    operand = np.zeros(len(indices), dtype=np.int64)
+    for k in np.flatnonzero(folded).tolist():
+        operand[k] = slot(chains[indices[k]][0])
+    for k in np.flatnonzero(~folded).tolist():
+        expr, ops[k], boundary[k] = _unfolded_split(features[indices[k]],
+                                                    float(thresholds[k]))
+        if expr is not None:
+            operand[k] = slot(expr)
+    return operands, operand, ops, boundary
 
 
 #: An affine op: ``(op, literal on the left)``.
@@ -482,8 +531,10 @@ def _fold_thresholds(ops: Tuple[_AffineOp, ...], constants: np.ndarray,
     return x, increasing, done & startable
 
 
-def _unfolded_condition(feature: Expression, threshold: float) -> Expression:
-    """``feature <= threshold``, folded when the feature is an indicator.
+def _unfolded_split(feature: Expression, threshold: float
+                    ) -> Tuple[Optional[Expression], int, float]:
+    """``feature <= threshold`` as ``(operand, op, constant)`` (see
+    :func:`_split_conditions`), folded when the feature is an indicator.
 
     An indicator ``CASE WHEN p THEN a ELSE b END`` with numeric literals
     ``a``/``b`` (a one-hot category, a binarized column) is ``<= t``
@@ -500,13 +551,13 @@ def _unfolded_condition(feature: Expression, threshold: float) -> Expression:
                for value in (when_true, when_false)):
             true_side = when_true.value <= threshold
             if true_side == (when_false.value <= threshold):
-                return Literal(true_side)
+                return None, _ALWAYS if true_side else _NEVER, 0.0
             if true_side:
-                return predicate
+                return predicate, SPLIT_IS, 0.0
             if isinstance(predicate, BinaryOp) and predicate.op == "=":
-                return predicate.left.ne(predicate.right)
-            return UnaryOp("not", predicate)
-    return feature.le(Literal(threshold))
+                return predicate.left.ne(predicate.right), SPLIT_IS, 0.0
+            return UnaryOp("not", predicate), SPLIT_IS, 0.0
+    return feature, SPLIT_LE, threshold
 
 
 def _sum_expressions(parts: List[Expression]) -> Expression:

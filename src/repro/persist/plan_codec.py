@@ -41,6 +41,7 @@ from repro.relational.expressions import (
     FunctionCall,
     InList,
     Literal,
+    TreeCase,
     UnaryOp,
 )
 from repro.relational.logical import (
@@ -77,6 +78,11 @@ def _scalar(value):
 # Expressions
 # ---------------------------------------------------------------------------
 
+#: A TreeCase's node arrays, in its constructor's order.
+_TREE_ARRAYS = ("split_operand", "split_op", "split_constant", "then",
+                "otherwise", "values")
+
+
 def expression_to_dict(expr: Expression) -> Dict[str, Any]:
     """Serialize an expression tree to a tagged, JSON-compatible dict."""
     if isinstance(expr, ColumnRef):
@@ -100,6 +106,11 @@ def expression_to_dict(expr: Expression) -> Dict[str, Any]:
                               expression_to_dict(value)]
                              for cond, value in expr.branches],
                 "default": expression_to_dict(expr.default)}
+    if isinstance(expr, TreeCase):
+        return {"t": "tree",
+                "operands": [expression_to_dict(operand)
+                             for operand in expr.operands],
+                **{name: getattr(expr, name).tolist() for name in _TREE_ARRAYS}}
     if isinstance(expr, InList):
         return {"t": "in", "operand": expression_to_dict(expr.operand),
                 "values": [_scalar(value) for value in expr.values]}
@@ -136,6 +147,10 @@ def expression_from_dict(payload: Dict[str, Any]) -> Expression:
                           expression_from_dict(value))
                          for cond, value in payload["branches"]],
                         expression_from_dict(payload["default"]))
+    if tag == "tree":
+        return TreeCase([expression_from_dict(operand)
+                         for operand in payload["operands"]],
+                        *(payload[name] for name in _TREE_ARRAYS))
     if tag == "in":
         return InList(expression_from_dict(payload["operand"]),
                       payload["values"])

@@ -21,6 +21,7 @@ from repro.relational.expressions import (
     FunctionCall,
     InList,
     Literal,
+    TreeCase,
     UnaryOp,
     col,
     conjunction,
@@ -57,7 +58,8 @@ __all__ = [
     "Filter", "FunctionCall", "InList",
     "Join", "JoinEdge", "Limit", "Literal", "MultiJoin",
     "PlanNode", "Predict",
-    "PredictMode", "Project", "RelationalOptimizer", "Scan", "Sort", "UnaryOp",
+    "PredictMode", "Project", "RelationalOptimizer", "Scan", "Sort", "TreeCase",
+    "UnaryOp",
     "col", "compile_outputs", "compile_predicate", "conjunction", "conjuncts",
     "execute", "expression_to_sql",
     "find_predict_nodes", "fold_constants", "lit", "plan_to_sql",

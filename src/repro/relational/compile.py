@@ -16,7 +16,11 @@ vectorized instructions:
 * **Leaf-id routing** — a whole ``CASE WHEN`` nest (a translated
   decision tree, however deep, or a multi-``WHEN`` chain) is one
   ``route`` instruction: parallel node arrays (condition slot, then
-  child, else child) over a leaf table. Each node splits its rows with
+  child, else child) over a leaf table. MLtoSQL hands each tree over as
+  one :class:`~repro.relational.expressions.TreeCase`, whose arrays are
+  already in the route's layout: lowering it copies them and lowers
+  each distinct split condition once, giving the program its
+  ``expand()`` nest would. Each node splits its rows with
   ``nonzero`` and evaluates a condition only on the rows that reach it;
   each row writes its leaf id once, and constant leaves come out of one
   ``values.take(leaf_id)``. A leaf that is an expression (a guarded
@@ -93,6 +97,7 @@ from repro.relational.expressions import (
     FunctionCall,
     InList,
     Literal,
+    TreeCase,
     UnaryOp,
     _one_row_table,
 )
@@ -552,6 +557,14 @@ class CompiledProgram:
         return reached
 
 
+def _shift(children: np.ndarray, first_node: int, first_leaf: int
+           ) -> List[int]:
+    """Child codes moved past ``first_node`` nodes and ``first_leaf``
+    leaves (``~leaf`` codes shift down)."""
+    return np.where(children >= 0, children + first_node,
+                    children - first_leaf).tolist()
+
+
 def _narrow(local: Optional[np.ndarray], rows: Optional[np.ndarray],
             positions: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The ``local``/``rows`` pair of a row set's subset at ``positions``
@@ -599,7 +612,7 @@ class _Compiler:
             return self._const_instr(expr)
         if isinstance(expr, ColumnRef):
             return _Instr("col", payload=expr.name)
-        if isinstance(expr, CaseWhen):
+        if isinstance(expr, (CaseWhen, TreeCase)):
             return self._route(expr)
         predicate = self._column_predicate(expr)
         if predicate is not None:
@@ -676,12 +689,16 @@ class _Compiler:
             return _Instr("const", payload=np.asarray(literal.value))
         return _Instr("const", payload=np.asarray(literal.value, dtype=np_dtype))
 
-    def _route(self, case: CaseWhen) -> _Instr:
+    def _route(self, case: Expression) -> _Instr:
         """One ``route`` for a whole CASE nest (see :class:`_Route`).
 
         Nested CASE values are inlined as subtrees, so a translated tree
-        is one instruction whatever its depth. Constant leaves of a
-        numeric CASE go into one value array in the CASE's dtype.
+        is one instruction whatever its depth. A :class:`TreeCase`'s node
+        arrays are the route's own (shifted past the nodes and leaves
+        before it); each of its splits lowers once per distinct
+        condition, in node order, so the program is the one its
+        ``expand()`` nest lowers to. Constant leaves of a numeric CASE go
+        into one value array in the CASE's dtype.
         """
         np_dtype = _NP_DTYPES.get(case.output_dtype(self.schema))
         conditions: List[int] = []
@@ -705,6 +722,8 @@ class _Compiler:
             return ~(len(slots) - 1)
 
         def child(value: Expression) -> int:
+            if isinstance(value, TreeCase):
+                return tree(value)
             if not isinstance(value, CaseWhen):
                 return leaf(value)
             root = previous = len(conditions)
@@ -718,6 +737,15 @@ class _Compiler:
                 then[node] = child(branch_value)
                 previous = node
             otherwise[previous] = child(value.default)
+            return root
+
+        def tree(value: TreeCase) -> int:
+            root, first_leaf = len(conditions), len(slots)
+            conditions.extend(self._tree_conditions(value))
+            then.extend(_shift(value.then, root, first_leaf))
+            otherwise.extend(_shift(value.otherwise, root, first_leaf))
+            for constant in value.values.tolist():
+                leaf(Literal(constant, DataType.FLOAT))
             return root
 
         child(case)
@@ -735,6 +763,23 @@ class _Compiler:
         return _Instr("route", tuple(dict.fromkeys(referenced)),
                       _Route(tuple(conditions), tuple(then), tuple(otherwise),
                              tuple(slots), values))
+
+    def _tree_conditions(self, tree: TreeCase) -> List[int]:
+        """The slot of each split's condition, lowering each distinct
+        condition once (a repeat counts one more use, as lowering it
+        again would)."""
+        slots: List[int] = []
+        seen: Dict[tuple, int] = {}
+        for node, key in enumerate(zip(
+                tree.split_operand.tolist(), tree.split_op.tolist(),
+                tree.split_constant.view(np.int64).tolist())):
+            slot = seen.get(key)
+            if slot is None:
+                slot = seen[key] = self.lower(tree.condition(node))
+            else:
+                self.uses[slot] += 1
+            slots.append(slot)
+        return slots
 
     def _try_fold(self, expr: Expression, children: Tuple[int, ...]
                   ) -> Optional[_Instr]:
@@ -795,8 +840,9 @@ class ProgramTable:
     def __init__(self):
         self._lock = threading.Lock()
         # A plain dict in recency order (oldest first). Finding a key
-        # compares expression trees node by node; an OrderedDict's pop or
-        # move_to_end looks the key up twice, a dict's pop once.
+        # compares the keys' expressions (a translated tree by its
+        # arrays' bytes); an OrderedDict's pop or move_to_end looks the
+        # key up twice, a dict's pop once.
         self._programs: Dict[tuple, CompiledProgram] = {}
 
     def __len__(self) -> int:

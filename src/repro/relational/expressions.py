@@ -3,7 +3,8 @@
 Expressions appear in ``WHERE`` clauses, projection lists and — crucially for
 Raven — as the target language of the MLtoSQL transformation (paper §5.1):
 scalers become arithmetic, one-hot encoders become equality indicators, and
-decision trees become nested ``CASE WHEN`` expressions.
+decision trees become nested ``CASE WHEN`` expressions — each tree held as
+one :class:`TreeCase` node whose :meth:`TreeCase.expand` is that nest.
 
 Every node supports:
 
@@ -174,6 +175,7 @@ class Literal(Expression):
 _COMPARISONS = {"=", "<>", "<", "<=", ">", ">="}
 _ARITHMETIC = {"+", "-", "*", "/"}
 _LOGICAL = {"and", "or"}
+_BINARY_OPS = _COMPARISONS | _ARITHMETIC | _LOGICAL
 
 _COMPARE_FUNCS: Dict[str, Callable] = {
     "=": np.equal, "<>": np.not_equal, "<": np.less,
@@ -188,7 +190,7 @@ class BinaryOp(Expression):
 
     def __init__(self, op: str, left: Expression, right: Expression):
         op = op.lower() if op.lower() in _LOGICAL else op
-        if op not in _COMPARISONS | _ARITHMETIC | _LOGICAL:
+        if op not in _BINARY_OPS:
             raise ExpressionError(f"unknown binary operator: {op!r}")
         self.op = op
         self.left = left
@@ -426,6 +428,146 @@ class CaseWhen(Expression):
     def __repr__(self):
         inner = " ".join(f"WHEN {c!r} THEN {v!r}" for c, v in self.branches)
         return f"CASE {inner} ELSE {self.default!r} END"
+
+
+#: How a :class:`TreeCase` split reads its operand: ``operand <= c``,
+#: ``operand >= c``, or the (boolean) operand itself is the condition.
+SPLIT_LE, SPLIT_GE, SPLIT_IS = 0, 1, 2
+
+
+class TreeCase(Expression):
+    """One translated decision tree: a ``CASE WHEN`` nest held as arrays.
+
+    Internal node ``i`` (pre-order, the ``then`` subtree first) tests
+    ``operands[split_operand[i]] <= split_constant[i]`` (``>=`` for
+    :data:`SPLIT_GE`, the operand itself for :data:`SPLIT_IS`), sends the
+    rows where it holds to ``then[i]`` and the rest to ``otherwise[i]``;
+    a child is a node index (>= 0, the root is node 0) or ``~leaf`` (< 0).
+    Leaf ``k`` is the FLOAT constant ``values[k]``, leaves numbered in
+    pre-order too — the layout of the compiled route
+    (:mod:`repro.relational.compile`), so lowering copies arrays.
+
+    The operands are the node's children: a rewrite (substitution,
+    folding) touches the handful of distinct split operands, never the
+    nodes. Equality and the hash read the operands and the arrays'
+    bytes. :meth:`expand` is the same tree as nested :class:`CaseWhen`;
+    the interpreted :meth:`evaluate` and the SQL printer use it, and
+    ``repr`` is its ``repr``.
+    """
+
+    __slots__ = ("operands", "split_operand", "split_op", "split_constant",
+                 "then", "otherwise", "values", "_arrays", "_repr")
+
+    def __init__(self, operands: Sequence[Expression], split_operand,
+                 split_op, split_constant, then, otherwise, values):
+        self.operands = tuple(operands)
+        self.split_operand = _frozen(split_operand, np.int64)
+        self.split_op = _frozen(split_op, np.int8)
+        self.split_constant = _frozen(split_constant, np.float64)
+        self.then = _frozen(then, np.int64)
+        self.otherwise = _frozen(otherwise, np.int64)
+        self.values = _frozen(values, np.float64)
+        if not len(self.then):
+            raise ExpressionError("a TreeCase needs at least one split")
+        self._arrays = tuple(array.tobytes() for array in (
+            self.split_operand, self.split_op, self.split_constant,
+            self.then, self.otherwise, self.values))
+
+    def children(self):
+        return self.operands
+
+    def with_children(self, children):
+        return TreeCase(children, self.split_operand, self.split_op,
+                        self.split_constant, self.then, self.otherwise,
+                        self.values)
+
+    def condition(self, node: int) -> Expression:
+        """Internal node ``node``'s condition as an expression."""
+        return split_condition(self.operands[int(self.split_operand[node])],
+                               int(self.split_op[node]),
+                               float(self.split_constant[node]))
+
+    def expand(self) -> Expression:
+        """The nested ``CASE WHEN`` this node stands for."""
+        conditions = [self.condition(node) for node in range(len(self.then))]
+        then, otherwise = self.then.tolist(), self.otherwise.tolist()
+        leaves = [Literal(value) for value in self.values.tolist()]
+
+        def build(child: int) -> Expression:
+            if child < 0:
+                return leaves[~child]
+            return CaseWhen([(conditions[child], build(then[child]))],
+                            build(otherwise[child]))
+
+        return build(0)
+
+    def evaluate(self, table: Table) -> np.ndarray:
+        return self.expand().evaluate(table)
+
+    def output_dtype(self, schema: Schema) -> DataType:
+        return DataType.FLOAT
+
+    def referenced_columns(self) -> Set[str]:
+        out: Set[str] = set()
+        for operand in self.operands:
+            out |= operand.referenced_columns()
+        return out
+
+    def _key(self):
+        return (self.operands, self._arrays)
+
+    def __repr__(self):
+        # A plan's fingerprint and its EXPLAIN label both read it.
+        try:
+            return self._repr
+        except AttributeError:
+            self._repr = self._render()
+            return self._repr
+
+    def _render(self) -> str:
+        # repr(self.expand()), written straight from the arrays.
+        operands = [repr(operand) for operand in self.operands]
+        conditions = [
+            operands[operand] if op == SPLIT_IS else
+            f"({operands[operand]} {'<=' if op == SPLIT_LE else '>='} "
+            f"lit({constant!r}))"
+            for operand, op, constant in zip(self.split_operand.tolist(),
+                                             self.split_op.tolist(),
+                                             self.split_constant.tolist())]
+        leaves = [f"lit({value!r})" for value in self.values.tolist()]
+        then, otherwise = self.then.tolist(), self.otherwise.tolist()
+        parts: List[str] = []
+        pending: List[object] = [0]
+        while pending:
+            item = pending.pop()
+            if isinstance(item, str):
+                parts.append(item)
+            elif item < 0:
+                parts.append(leaves[~item])
+            else:
+                parts.append(f"CASE WHEN {conditions[item]} THEN ")
+                pending += (" END", otherwise[item], " ELSE ", then[item])
+        return "".join(parts)
+
+
+def split_condition(operand: Expression, op: int,
+                    constant: float) -> Expression:
+    """One :class:`TreeCase` split, ``operand <op> constant``, as an
+    expression."""
+    if op == SPLIT_IS:
+        return operand
+    return BinaryOp("<=" if op == SPLIT_LE else ">=", operand,
+                    Literal(constant))
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    """``values`` as a read-only array of ``dtype`` (shared when it is one)."""
+    if isinstance(values, np.ndarray) and values.dtype == dtype \
+            and not values.flags.writeable:
+        return values
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
 
 
 class InList(Expression):

@@ -22,8 +22,9 @@ Properties the rest of the system relies on:
   output is identical to a whole-plan run no matter which worker ran
   what when.
 * **Skew-aware scheduling.** Morsels are pulled from one shared queue by
-  ``min(dop, #morsels)`` workers (an idle worker steals the next morsel,
-  so a skewed partition never strands the pool). With per-partition
+  ``min(dop, #morsels, usable cores)`` workers (an idle worker steals
+  the next morsel, so a skewed partition never strands the pool; more
+  threads than cores would only contend). With per-partition
   feedback (seconds-per-row under the scan's partition fingerprint) the
   queue is ordered longest-estimated-first (LPT); cold, by row count.
   Each finished morsel of a profiled run records its observation on the
@@ -41,6 +42,7 @@ Properties the rest of the system relies on:
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from collections import deque
@@ -118,6 +120,15 @@ def chunk_ranges(num_rows: int, chunks: int) -> List[Tuple[int, int]]:
         out.append((start, min(start + size, num_rows)))
         start += size
     return out or [(0, 0)]
+
+
+def usable_cores() -> int:
+    """The cores this process may run on: its affinity mask, else the
+    machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
 
 
 def plan_morsels(partition_rows: List[Tuple[int, int]],
@@ -288,7 +299,8 @@ class MorselExecutor:
                      driven: Scan, pruned: Dict[Scan, List[int]]
                      ) -> Dict[Morsel, Tuple[Table, float]]:
         """Run every morsel; returns ``{morsel: (output, seconds)}``."""
-        workers = min(self.dop, len(morsels))
+        # More threads than cores only contend for them (and the GIL).
+        workers = min(self.dop, len(morsels), usable_cores())
         # Order only matters to a pool; results merge canonically anyway.
         queue = deque(self._schedule(morsels, driven) if workers > 1
                       else morsels)

@@ -22,6 +22,7 @@ from repro.relational.expressions import (
     FunctionCall,
     InList,
     Literal,
+    TreeCase,
     UnaryOp,
 )
 from repro.relational.logical import (
@@ -88,6 +89,8 @@ def expression_to_sql(expr: Expression) -> str:
             # The engine models SQL NULL as NaN in float columns.
             return f"({expression_to_sql(expr.args[0])} IS NULL)"
         return f"{expr.name.upper()}({args})"
+    if isinstance(expr, TreeCase):
+        return expression_to_sql(expr.expand())
     if isinstance(expr, CaseWhen):
         parts = ["CASE"]
         for cond, value in expr.branches:

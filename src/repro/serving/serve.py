@@ -30,6 +30,7 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Iterable, List, Optional, Union
 
+from repro.core.record import RunStats
 from repro.errors import BackpressureError
 from repro.resilience.deadline import Deadline
 from repro.resilience.retry import QueryOutcome, RetryPolicy, raven_typed
@@ -103,9 +104,6 @@ def _attempts(session, query: str, retry: Optional[RetryPolicy],
     Jitter is deterministic per (policy seed, ``salt``), so a batch's
     retry schedule is reproducible.
     """
-    # core.session imports this module, so its record type is read here.
-    from repro.core.session import RunStats
-
     stats, lock = session.serving_stats, session._stats_lock
     deadline = Deadline.coerce(deadline)
     rng = retry.rng(salt) if retry is not None else None

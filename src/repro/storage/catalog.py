@@ -57,12 +57,19 @@ class TableEntry:
 
 @dataclass
 class ModelEntry:
-    """Catalog metadata for one registered trained pipeline."""
+    """Catalog metadata for one registered trained pipeline.
+
+    ``induced`` caches the data-induced rule's statistics pruning of
+    ``graph`` (see :class:`repro.core.rules.DataInducedOptimization`,
+    which owns its key). Re-registering the model makes a new entry.
+    """
 
     name: str
     graph: object  # repro.onnxlite.graph.Graph (opaque here)
     metadata: Dict[str, object] = field(default_factory=dict)
     version: int = 0
+    induced: Dict[tuple, tuple] = field(default_factory=dict, repr=False,
+                                        compare=False)
 
 
 # change_listener(kind, name) with kind in {"table", "model"}; fired on

@@ -159,6 +159,9 @@ class TestGpuAdjustmentUnderFanOut:
             return result
 
         monkeypatch.setattr(session.runtime._tensor_gpu, "run", recording_run)
+        # Four workers whatever the host: the pool is capped at the usable
+        # cores, and the race needs all four in flight at once.
+        monkeypatch.setattr("repro.relational.morsel.usable_cores", lambda: 4)
         monkeypatch.setattr("repro.core.executor.time", types.SimpleNamespace(
             perf_counter=lambda: 0.0))
         _, stats = session.sql_with_stats(

@@ -25,6 +25,9 @@ from repro.relational import compile as compile_module
 from repro.relational.compile import compile_outputs, compile_predicate
 from repro.relational.executor import Executor, session_programs
 from repro.relational.expressions import (
+    SPLIT_GE,
+    SPLIT_IS,
+    SPLIT_LE,
     Between,
     BinaryOp,
     CaseWhen,
@@ -32,6 +35,7 @@ from repro.relational.expressions import (
     Expression,
     FunctionCall,
     InList,
+    TreeCase,
     UnaryOp,
     col,
     lit,
@@ -119,6 +123,11 @@ def _every_node_type_expressions():
             [(f.gt(lit(0.0)),
               CaseWhen([(g.gt(lit(0.5)), f / g)], lit(-1.0)))],
             CaseWhen([(i.gt(lit(0)), lit(1.0))], lit(0.0)))),
+        # f <= 0.5 ? (s = 'alpha' ? .1 : .2) : (f * g >= -1 ? .3 : .4)
+        ("tree_case", TreeCase(
+            [f, s.eq(lit("alpha")), f * g], [0, 1, 2],
+            [SPLIT_LE, SPLIT_IS, SPLIT_GE], [0.5, 0.0, -1.0],
+            [1, ~0, ~2], [2, ~1, ~3], [0.1, 0.2, 0.3, 0.4])),
         ("in_numeric", InList(i, (1, 2, 5))),
         ("in_string", InList(s, ("alpha", "gamma"))),
         ("between", Between(f, lit(-1.0), lit(1.0))),

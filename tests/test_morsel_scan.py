@@ -9,6 +9,7 @@ table.
 
 from __future__ import annotations
 
+import os
 import threading
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.relational import (
     col,
     find_predict_nodes,
 )
+from repro.relational import morsel as morsel_module
 from repro.relational.executor import Executor, Morsel
 from repro.relational.morsel import (
     MIN_MORSEL_ROWS,
@@ -581,3 +583,21 @@ class TestScheduling:
         out = executor._schedule(list(morsels), Scan("events"))
         assert out == [Morsel(1, 0, 500), Morsel(2, 0, 500),
                        Morsel(0, 0, 100), Morsel(3, 0, 50)]
+
+    def test_pool_never_exceeds_the_usable_cores(self, monkeypatch):
+        pools = []
+
+        class Pool(morsel_module.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(morsel_module, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(morsel_module, "usable_cores", lambda: 2)
+        query = "SELECT e.id, e.x FROM events AS e WHERE e.y < 37.0"
+        got = make_session(dop=16).sql(query)
+        assert pools == [2]
+        assert tables_equal_bitwise(got, make_session(dop=1).sql(query))
+
+    def test_usable_cores_is_the_affinity_mask(self):
+        assert morsel_module.usable_cores() == len(os.sched_getaffinity(0))

@@ -26,7 +26,7 @@ from repro.onnxlite import convert_model, convert_pipeline, run_graph
 from repro.persist.plan_codec import plan_from_dict, plan_to_dict
 from repro.relational import PredictMode, find_predict_nodes
 from repro.relational.compile import compile_outputs
-from repro.relational.expressions import CaseWhen, col, lit
+from repro.relational.expressions import CaseWhen, TreeCase, col, lit
 from repro.relational.logical import Project, Scan
 from repro.relational.sqlgen import expression_to_sql
 from repro.storage import Table
@@ -104,7 +104,7 @@ class TestGraphToExpressions:
     def test_tree_to_expression_shape(self):
         tree = ref.to_tree((0, 1.0, ((0.0, 1.0), 1), ((1.0, 0.0), 1), 2))
         expr = tree_to_expression(tree, [col("f0")], value_index=1)
-        assert isinstance(expr, CaseWhen)
+        assert isinstance(expr, TreeCase)
         sql = expression_to_sql(expr)
         assert sql == "CASE WHEN ([f0] <= 1.0) THEN 1.0 ELSE 0.0 END"
 

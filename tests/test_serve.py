@@ -10,6 +10,8 @@ tests (bit-for-bit against ``sql()``, injected faults) live in
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -253,3 +255,21 @@ class TestAttempts:
         assert schedule() == first
         # Each query position draws its own jitter.
         assert first[:2] != first[2:]
+
+
+
+class TestImports:
+    def test_serving_then_the_package_in_a_fresh_process(self):
+        # The serve loop imports the run record at module level; the
+        # session imports the serve loop. Neither order may cycle, and
+        # repro.core resolves its names on first use.
+        code = ("import repro.serving.serve; import repro\n"
+                "import repro.core as core\n"
+                "from repro.core import RavenSession, RunStats\n"
+                "assert repro.serving.serve.RunStats is RunStats\n"
+                "assert RavenSession.__module__ == 'repro.core.session'\n"
+                "assert core.parse is repro.core.parser.parse\n"
+                "assert not hasattr(core, 'nothing')\n")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                           sys.path)})

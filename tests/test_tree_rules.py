@@ -2,10 +2,12 @@
 
 ``prune_tree``, ``collapse_uniform_subtrees`` and the output-predicate
 leaf merge decide per node over a :class:`Tree`'s arrays and share one
-pre-order compaction; ``tree_to_expression`` walks the arrays by index.
+pre-order compaction; ``tree_to_expression`` renumbers the arrays into
+one ``TreeCase``.
 Each is held, on Hypothesis-generated trees and interval boxes, to the
 recursive nested-tuple version in ``tree_reference`` — all six output
-arrays, ``n_samples`` included, and the CASE expression by ``==``.
+arrays, ``n_samples`` included, and the expanded CASE expression by
+``==``.
 """
 
 from __future__ import annotations
@@ -132,14 +134,14 @@ class TestTranslationMatchesReference:
     def test_tree_to_expression(self, nested, value_index):
         features = indicator_features()
         got = tree_to_expression(ref.to_tree(nested), features, value_index)
-        assert got == ref.translate(nested, features, value_index)
+        assert ref.nest(got) == ref.translate(nested, features, value_index)
 
     @settings(max_examples=50, deadline=None)
     @given(trees())
     def test_leaf_literals_are_python_floats(self, nested):
         expr = tree_to_expression(ref.to_tree(nested), [col(f"x{k}") for k in
                                                         range(N_FEATURES)], 1)
-        pending = [expr]
+        pending = [ref.nest(expr)]
         while pending:
             node = pending.pop()
             if isinstance(node, CaseWhen):

@@ -19,7 +19,7 @@ import numpy as np
 from repro.core.rules.intervals import Interval
 from repro.core.rules.ml_to_sql import _split_condition
 from repro.learn.tree import Tree
-from repro.relational.expressions import CaseWhen, Literal, lit
+from repro.relational.expressions import CaseWhen, Literal, TreeCase, lit
 
 
 def is_leaf(node) -> bool:
@@ -130,6 +130,12 @@ def translate(node, features, value_index: int):
                          value_index)
     return CaseWhen([(condition, translate(left, features, value_index))],
                     translate(right, features, value_index))
+
+
+def nest(expr):
+    """A translated tree as nested CASE WHEN: its :class:`TreeCase`
+    expanded (a tree folded to one leaf is already a Literal)."""
+    return expr.expand() if isinstance(expr, TreeCase) else expr
 
 
 def unfolded(tree: Tree, features, value_index: int, node: int = 0):
