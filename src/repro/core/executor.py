@@ -178,9 +178,9 @@ class PredictRuntime:
         """One inference batch, under a ``predict.batch`` span if traced."""
         self._pre_batch(detail=f"rows={rows}")
         if self.span is None:
-            return session.run(batch, wanted, dictionaries)
+            return session.run(batch, wanted, dictionaries, rows)
         with self.span.child("predict.batch", category="predict", rows=rows):
-            return session.run(batch, wanted, dictionaries)
+            return session.run(batch, wanted, dictionaries, rows)
 
     def _run_tensor(self, runtime: TensorRuntime, graph: Graph,
                     inputs: Dict[str, np.ndarray],

@@ -18,6 +18,23 @@ inner equi-join region to one row-index ``MultiJoin`` — the only way an
 optimized plan runs an inner join — and the feedback-driven passes, when
 a store is given, tune that final shape.
 
+The model rewrites are memoized per (graph, snapped box) on the model's
+catalog entry (``ModelEntry.rewrites``, see
+:func:`repro.core.rules.base.memoized`): statistics pruning keyed by the
+graph and its inputs' provenance (checked against the statistics
+objects), predicate pruning by the graph, the box's
+:func:`~repro.core.rules.predicate_pruning.box_key` and the output
+predicates, projection pushdown and the strategy's feature vector by the
+graph, MLtoSQL by the graph and the input mapping. ``box_key`` is exact
+for what enters the graph as a value (constantized points, string sets,
+intervals that reach a linear model) and snaps tree inputs to their
+threshold cell: per split, whether the box lies at or below the
+threshold, above it, may be NaN or has a NaN bound. So a cold literal
+that lands in a seen cell gets every rewrite back as the same objects —
+the pruned and pushed-down graphs, the feature vector, the TreeCase
+expressions — and what keys on them downstream (constant folding, the
+adaptive fingerprint, the session's compiled programs) hits by identity.
+
 :class:`OptimizationReport` records each step's seconds, so ``EXPLAIN``
 shows where a cold plan's time went.
 """
@@ -39,17 +56,18 @@ from repro.core.rules import (
     ModelProjectionPushdown,
     PredicateBasedModelPruning,
 )
-from repro.core.rules.base import Rule
-from repro.core.rules.data_induced import (
-    constraints_from_stats,
-    input_column_provenance,
-)
+from repro.core.rules.base import Rule, memoized
 from repro.core.rules.intervals import Interval, StringConstraint
 from repro.core.rules.predicate_pruning import (
     extract_input_constraints,
     extract_output_predicates,
 )
-from repro.core.strategies import DefaultPaperRule, FixedStrategy, OptimizationStrategy
+from repro.core.strategies import (
+    DefaultPaperRule,
+    FixedStrategy,
+    OptimizationStrategy,
+    feature_vector,
+)
 from repro.errors import UnsupportedOperatorError
 from repro.relational.logical import PlanNode, Predict, find_predict_nodes
 from repro.relational.optimizer import RelationalOptimizer, lower_joins
@@ -147,10 +165,11 @@ class RavenOptimizer:
         if self.enable_projection_pushdown:
             rules.append(ModelProjectionPushdown())
         if self.enable_data_induced:
-            if self._statistics_first(plan):
-                rules.insert(0, DataInducedOptimization())
+            induced = DataInducedOptimization()
+            if self._statistics_first(plan, induced):
+                rules.insert(0, induced)
             else:
-                rules.append(DataInducedOptimization())
+                rules.append(induced)
         for rule in rules:
             result = step(rule.name, rule.apply, plan, self.catalog)
             plan = result.plan
@@ -170,7 +189,8 @@ class RavenOptimizer:
             report.record("adaptive_feedback", changed, info)
         return plan, report
 
-    def _statistics_first(self, plan: PlanNode) -> bool:
+    def _statistics_first(self, plan: PlanNode,
+                          induced: DataInducedOptimization) -> bool:
         """Whether statistics pruning may run before the predicate rules.
 
         Pruning a tree by two boxes gives the same split decisions in
@@ -187,7 +207,11 @@ class RavenOptimizer:
         * a leaf value that is ``-0.0`` (merging equal leaves keeps the
           left one's sign, a decided split the taken one's);
         * an input whose predicate and statistics admit no common value,
-          or whose statistics are NaN (a column of NaN only).
+          or whose statistics are NaN (a column of NaN only);
+        * an input a predicate compares whose statistics may be NaN (a
+          column with nulls): a split the predicate decides is gone
+          before statistics pruning runs, and with it the refinement
+          that told statistics pruning the value is not NaN below it.
         """
         for predict in find_predict_nodes(plan):
             graph = predict.graph
@@ -200,26 +224,24 @@ class RavenOptimizer:
                     return False
             if extract_output_predicates(plan, predict):
                 return False
-            if not self._boxes_meet(predict):
+            if not self._boxes_meet(predict, induced):
                 return False
         return True
 
-    def _boxes_meet(self, predict: Predict) -> bool:
-        provenance = input_column_provenance(predict, self.catalog)
-        tables = {table for table, _ in provenance.values()}
+    def _boxes_meet(self, predict: Predict,
+                    induced: DataInducedOptimization) -> bool:
+        provenance, stats = induced.statistics_box(predict, self.catalog)
         if any(self.catalog.table(table).data.num_partitions > 1
-               for table in tables):
+               for table in {table for table, _ in provenance.values()}):
             return False
-        stats = constraints_from_stats(
-            provenance, {table: self.catalog.table(table).stats
-                         for table in tables})
         if any(math.isnan(interval.low) or math.isnan(interval.high)
                for interval in stats.numeric.values()):
             return False
         predicates = extract_input_constraints(predict, self.catalog)
         for name, interval in predicates.numeric.items():
-            if name in stats.strings or interval.intersect(
-                    stats.numeric.get(name, Interval.UNKNOWN)).is_empty:
+            known = stats.numeric.get(name)
+            if name in stats.strings or known is not None and (
+                    known.may_be_nan or interval.intersect(known).is_empty):
                 return False
         for name, allowed in predicates.strings.items():
             known: Optional[StringConstraint] = stats.strings.get(name)
@@ -232,7 +254,11 @@ class RavenOptimizer:
     def _apply_strategy(self, plan: PlanNode,
                         report: OptimizationReport) -> PlanNode:
         for predict in find_predict_nodes(plan):
-            choice = self.strategy.choose(predict.graph)
+            def features(graph, predict=predict):
+                return memoized(self.catalog, predict, ("feature_vector", graph),
+                                lambda: feature_vector(graph))
+
+            choice = self.strategy.choose(predict.graph, features)
             report.strategy_choices.append(choice)
             if choice == "sql":
                 try:

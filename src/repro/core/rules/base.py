@@ -9,10 +9,12 @@ feed the experiment harness (e.g. "columns pruned" in Table 2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, TypeVar
 
 from repro.relational.logical import PlanNode, Predict, find_predict_nodes
-from repro.storage.catalog import Catalog
+from repro.storage.catalog import Catalog, RewriteMemo
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -56,3 +58,32 @@ def replace_predict(plan: PlanNode, old: Predict, new: PlanNode) -> PlanNode:
 def predict_nodes(plan: PlanNode) -> List[Predict]:
     """All Predict operators in the plan (rules iterate over these)."""
     return find_predict_nodes(plan)
+
+
+def rewrite_memo(catalog: Catalog, predict: Predict) -> Optional[RewriteMemo]:
+    """The rewrite memo of the Predict's model, or None when the model is
+    not registered."""
+    if not catalog.has_model(predict.model_name):
+        return None
+    return catalog.model(predict.model_name).rewrites
+
+
+def memoized(catalog: Catalog, predict: Predict, key: tuple,
+             compute: Callable[[], T]) -> T:
+    """``compute()``, memoized in the Predict's model's rewrite memo.
+
+    ``key`` must decide the result: its first item names the rule, its
+    second is the graph the rule rewrites — hashed by identity (graphs
+    in a plan are never mutated, and the memo keeps the key's graph
+    alive, so its id is not reused) — and the rest is whatever else
+    the rule reads. A hit returns the very objects the miss built, so
+    every later key built from them (the next rule's graph, MLtoSQL's
+    expressions) hits too.
+    """
+    memo = rewrite_memo(catalog, predict)
+    if memo is None:
+        return compute()
+    found = memo.get(key)
+    if found is None:
+        found = memo.put(key, compute())
+    return found  # type: ignore[return-value]

@@ -13,7 +13,7 @@ pruned by induced predicates subsequently vanish from the input columns.
 The optimizer runs this rule before predicate-based pruning (where the
 two orders agree, see :meth:`repro.core.optimizer.RavenOptimizer.
 _statistics_first`), so its result — a function of the registered model
-and the catalog's statistics alone — is cached on the model's catalog
+and the catalog's statistics alone — is memoized on the model's catalog
 entry and a cold plan reuses it.
 """
 
@@ -21,7 +21,13 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.rules.base import Rule, RuleResult, predict_nodes, replace_predict
+from repro.core.rules.base import (
+    Rule,
+    RuleResult,
+    predict_nodes,
+    replace_predict,
+    rewrite_memo,
+)
 from repro.core.rules.intervals import InputConstraints, Interval, StringConstraint
 from repro.core.rules.predicate_pruning import (
     _tree_node_total,
@@ -38,21 +44,27 @@ class DataInducedOptimization(Rule):
     """Statistics-driven model pruning + per-partition model compilation.
 
     The result for a Predict is a pure function of (its graph, its
-    inputs' provenance, its source tables' statistics objects). When the
-    graph is the registered one, the result is cached on the model's
-    catalog entry, keyed by the provenance and checked against the
-    statistics objects, so each cold plan after the first gets the same
-    pruned graph back without a tree walk. Every way the key's
-    parts change invalidates it: re-registering the model makes a new
-    entry, re-registering a table makes new statistics objects, and
+    inputs' provenance, its source tables' statistics objects), so it is
+    memoized in the model's rewrite memo (see
+    :func:`~repro.core.rules.base.memoized`), keyed by the graph and the
+    provenance and checked against the statistics objects: each cold
+    plan after the first gets the same pruned graph back without a tree
+    walk. Every way the key's parts change invalidates it:
+    re-registering the model makes a new entry, re-registering a table
+    makes new statistics objects, and
     :meth:`~repro.storage.catalog.Catalog.augment_stats` swaps the
     table's statistics object.
+
+    An instance builds each Predict's provenance and statistics box once
+    (:meth:`statistics_box`), so the optimizer's order check and the rule
+    share them.
     """
 
     name = "data_induced_optimization"
 
     def __init__(self, per_partition: bool = True):
         self.per_partition = per_partition
+        self._boxes: Dict[int, tuple] = {}
 
     def apply(self, plan: PlanNode, catalog: Catalog) -> RuleResult:
         result = RuleResult(plan=plan)
@@ -64,14 +76,26 @@ class DataInducedOptimization(Rule):
                 result.merge_info(info)
         return result
 
+    def statistics_box(self, predict: Predict, catalog: Catalog
+                       ) -> Tuple[Dict[str, Tuple[str, str]], InputConstraints]:
+        """``(provenance, constraints from the global statistics)``."""
+        found = self._boxes.get(id(predict))
+        if found is None or found[0] is not predict:
+            provenance = input_column_provenance(predict, catalog)
+            box = constraints_from_stats(provenance, {
+                table: catalog.table(table).stats
+                for table in _tables(provenance)})
+            found = self._boxes[id(predict)] = (predict, provenance, box)
+        return found[1], found[2]
+
     # ------------------------------------------------------------------
     def _optimize_predict(self, predict: Predict,
                           catalog: Catalog) -> Tuple[Optional[Predict], Dict]:
-        provenance = input_column_provenance(predict, catalog)
+        provenance, box = self.statistics_box(predict, catalog)
         if not provenance:
             return None, {}
-        graph, per_partition_graphs, info = self._cached(predict, provenance,
-                                                         catalog)
+        graph, per_partition_graphs, info = self._memoized(
+            predict, provenance, box, catalog)
         if graph is None:
             return None, {}
         new_predict = predict.replace(graph=graph)
@@ -80,33 +104,32 @@ class DataInducedOptimization(Rule):
                 per_partition_graphs=per_partition_graphs)
         return new_predict, dict(info)
 
-    def _cached(self, predict: Predict, provenance, catalog: Catalog):
-        entry = (catalog.model(predict.model_name)
-                 if catalog.has_model(predict.model_name) else None)
-        if entry is None or entry.graph is not predict.graph:
-            return self._prune(predict, provenance, catalog)
+    def _memoized(self, predict: Predict, provenance, box, catalog: Catalog):
+        memo = rewrite_memo(catalog, predict)
+        if memo is None:
+            return self._prune(predict, provenance, box, catalog)
         # The statistics objects the result read, compared by identity.
         stats = [stats for table in sorted(_tables(provenance))
                  for stats in (catalog.table(table).stats, *(
                      part.stats for part in catalog.table(table).data.partitions))]
-        key = (tuple(sorted(provenance.items())), self.per_partition)
-        cached = entry.induced.get(key)
+        key = (self.name, predict.graph, tuple(sorted(provenance.items())),
+               self.per_partition)
+        cached = memo.get(key)
         if cached is None or len(cached[0]) != len(stats) \
                 or any(a is not b for a, b in zip(cached[0], stats)):
-            cached = entry.induced[key] = (
-                stats, self._prune(predict, provenance, catalog))
+            cached = memo.put(key, (
+                stats, self._prune(predict, provenance, box, catalog)))
         return cached[1]
 
-    def _prune(self, predict: Predict, provenance, catalog: Catalog):
+    def _prune(self, predict: Predict, provenance, box: InputConstraints,
+               catalog: Catalog):
         """``(graph, per_partition_graphs, info)``; graph is None when
-        nothing changed."""
+        nothing changed. ``box`` holds the global statistics' constraints."""
         info: Dict[str, object] = {}
         # Global statistics pruning.
-        constraints = constraints_from_stats(
-            provenance, {t: catalog.table(t).stats for t in _tables(provenance)})
         graph = predict.graph.copy()
         before = _tree_node_total(graph)
-        prune_graph_with_constraints(graph, constraints)
+        prune_graph_with_constraints(graph, box)
         after = _tree_node_total(graph)
         changed = after < before
         if changed:
@@ -174,15 +197,16 @@ def input_column_provenance(predict: Predict, catalog: Catalog
     for node in walk(predict.child):
         if isinstance(node, Scan):
             alias_to_table[node.alias] = node.table_name
+    schemas = {table: set(catalog.table(table).schema.names)
+               for table in set(alias_to_table.values())
+               if catalog.has_table(table)}
     provenance: Dict[str, Tuple[str, str]] = {}
     for model_input, plan_column in predict.input_mapping.items():
         if "." not in plan_column:
             continue
         alias, column = plan_column.split(".", 1)
         table = alias_to_table.get(alias)
-        if table is None or not catalog.has_table(table):
-            continue
-        if column in catalog.table(table).schema:
+        if table in schemas and column in schemas[table]:
             provenance[model_input] = (table, column)
     return provenance
 
@@ -190,7 +214,12 @@ def input_column_provenance(predict: Predict, catalog: Catalog
 def constraints_from_stats(provenance: Dict[str, Tuple[str, str]],
                            stats_by_table: Dict[str, TableStats]
                            ) -> InputConstraints:
-    """Translate min/max (+ small string domains) into input constraints."""
+    """Translate min/max (+ small string domains) into input constraints.
+
+    ``nanmin``/``nanmax`` bound only the non-null rows: a column with
+    nulls, or whose null count is unknown, gets an interval that may be
+    NaN, so no split it decides sends the NaN rows left.
+    """
     constraints = InputConstraints.empty()
     for model_input, (table, column) in provenance.items():
         stats = stats_by_table.get(table)
@@ -201,7 +230,8 @@ def constraints_from_stats(provenance: Dict[str, Tuple[str, str]],
             continue
         interval = column_stats.interval()
         if interval is not None:
-            constraints.numeric[model_input] = Interval(*interval)
+            constraints.numeric[model_input] = Interval(
+                *interval, may_be_nan=column_stats.null_count != 0)
         elif column_stats.categories is not None:
             constraints.strings[model_input] = StringConstraint(
                 tuple(column_stats.categories))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -26,14 +26,22 @@ from repro.onnxlite.ops import infer_edge_info
 
 @dataclass(frozen=True)
 class Interval:
-    """A numeric interval with optionally-open endpoints."""
+    """A numeric interval with optionally-open endpoints.
+
+    ``may_be_nan`` adds NaN to the set: a column with nulls (statistics
+    with a non-zero or unknown ``null_count``), or no knowledge at all
+    (:attr:`UNKNOWN`). A tree sends NaN right (``NaN <= t`` is false), so
+    such an interval never decides a split left; a comparison in a WHERE
+    clause fails on NaN, so its interval has no NaN.
+    """
 
     low: float = -math.inf
     high: float = math.inf
     low_open: bool = False
     high_open: bool = False
+    may_be_nan: bool = False
 
-    UNKNOWN: "Interval" = None  # assigned below
+    UNKNOWN: ClassVar["Interval"]  # assigned below
 
     @classmethod
     def point(cls, value: float) -> "Interval":
@@ -49,7 +57,8 @@ class Interval:
 
     @property
     def is_point(self) -> bool:
-        return self.low == self.high and not self.low_open and not self.high_open
+        return (self.low == self.high and not self.low_open
+                and not self.high_open and not self.may_be_nan)
 
     @property
     def is_unbounded(self) -> bool:
@@ -57,6 +66,8 @@ class Interval:
 
     @property
     def is_empty(self) -> bool:
+        if self.may_be_nan:
+            return False
         if self.low > self.high:
             return True
         if self.low == self.high and (self.low_open or self.high_open):
@@ -67,14 +78,15 @@ class Interval:
     def always_leq(self, threshold: float) -> bool:
         """True when every value in the interval satisfies ``x <= t``.
 
-        Holds when ``high <= t`` regardless of openness: an open upper bound
-        at ``t`` means values are strictly below ``t``, which still satisfy
-        the split.
+        Holds when ``high <= t`` regardless of openness (an open upper
+        bound at ``t`` means values are strictly below ``t``, which still
+        satisfy the split) and NaN is not in the interval.
         """
-        return self.high <= threshold
+        return self.high <= threshold and not self.may_be_nan
 
     def never_leq(self, threshold: float) -> bool:
-        """True when no value in the interval satisfies ``x <= t``."""
+        """True when no value in the interval satisfies ``x <= t`` (NaN
+        does not)."""
         return self.low > threshold or (self.low == threshold and self.low_open)
 
     # -- refinement and arithmetic ------------------------------------------
@@ -83,7 +95,8 @@ class Interval:
         high, high_open = min((self.high, self.high_open),
                               (other.high, other.high_open),
                               key=lambda pair: (pair[0], not pair[1]))
-        return Interval(low, high, low_open, high_open)
+        return Interval(low, high, low_open, high_open,
+                        self.may_be_nan and other.may_be_nan)
 
     def shift_scale(self, offset: float, scale: float) -> "Interval":
         """Image under ``(x - offset) * scale`` (a Scaler feature)."""
@@ -92,24 +105,29 @@ class Interval:
         high = (self.high - offset) * scale if math.isfinite(self.high) else \
             (math.inf if scale >= 0 else -math.inf)
         if scale >= 0:
-            return Interval(low, high, self.low_open, self.high_open)
-        return Interval(high, low, self.high_open, self.low_open)
+            return Interval(low, high, self.low_open, self.high_open,
+                            self.may_be_nan)
+        return Interval(high, low, self.high_open, self.low_open,
+                        self.may_be_nan)
 
     def refined_leq(self, threshold: float) -> "Interval":
         """Intersection with ``(-inf, threshold]`` (descending a left branch)."""
         return self.intersect(Interval.at_most(threshold))
 
     def refined_gt(self, threshold: float) -> "Interval":
-        """Intersection with ``(threshold, inf)`` (descending a right branch)."""
-        return self.intersect(Interval.at_least(threshold, strict=True))
+        """Intersection with ``(threshold, inf)`` or NaN (descending a right
+        branch)."""
+        return self.intersect(Interval(threshold, math.inf, low_open=True,
+                                       may_be_nan=True))
 
     def __repr__(self):
         left = "(" if self.low_open else "["
         right = ")" if self.high_open else "]"
-        return f"{left}{self.low}, {self.high}{right}"
+        nan = " or NaN" if self.may_be_nan else ""
+        return f"{left}{self.low}, {self.high}{right}{nan}"
 
 
-Interval.UNKNOWN = Interval()
+Interval.UNKNOWN = Interval(may_be_nan=True)
 
 UNIT = Interval(0.0, 1.0)  # one-hot/binarizer outputs always land here
 
@@ -275,9 +293,10 @@ def _propagate_node(node: Node, numeric, strings, edge_info) -> None:
         out = []
         for i in range(width):
             interval = source[i] if source and i < len(source) else Interval.UNKNOWN
-            if interval.never_leq(threshold):       # always > threshold -> 1
+            # NaN > threshold is false: NaN binarizes to 0.
+            if interval.never_leq(threshold) and not interval.may_be_nan:
                 out.append(Interval.point(1.0))
-            elif interval.always_leq(threshold) and not interval.is_unbounded:
+            elif interval.high <= threshold and not interval.is_unbounded:
                 out.append(Interval.point(0.0))
             else:
                 out.append(UNIT)

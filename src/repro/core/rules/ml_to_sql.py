@@ -36,7 +36,13 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.rules.base import Rule, RuleResult, predict_nodes, replace_predict
+from repro.core.rules.base import (
+    Rule,
+    RuleResult,
+    memoized,
+    predict_nodes,
+    replace_predict,
+)
 from repro.core.rules.intervals import compact_tree
 from repro.errors import UnsupportedOperatorError
 from repro.learn.tree import Tree
@@ -82,23 +88,34 @@ class MLtoSQL(Rule):
         for predict in predict_nodes(result.plan):
             if self.target is not None and predict is not self.target:
                 continue
-            expressions = graph_to_expressions(predict.graph, predict.input_mapping)
-            child_schema = predict.child.output_schema(catalog)
+            wanted = tuple(graph_output
+                           for _, graph_output, _ in predict.output_columns)
+            key = (self.name, predict.graph,
+                   tuple(predict.input_mapping.items()), wanted)
+            expressions = memoized(catalog, predict, key, lambda: _translate(
+                predict.graph, predict.input_mapping, wanted))
             kept = (predict.keep_columns if predict.keep_columns is not None
-                    else child_schema.names)
+                    else predict.child.output_schema(catalog).names)
             outputs = [(name, ColumnRef(name)) for name in kept]
-            for exposed, graph_output, _dtype in predict.output_columns:
-                if graph_output not in expressions:
-                    raise UnsupportedOperatorError(
-                        f"graph output {graph_output!r} not produced by MLtoSQL"
-                    )
-                outputs.append((exposed, fold_constants(expressions[graph_output])))
+            outputs += [(exposed, expression) for (exposed, _, _), expression
+                        in zip(predict.output_columns, expressions)]
             project = Project(predict.child, outputs)
             result.plan = replace_predict(result.plan, predict, project)
             result.applied = True
             result.info["predicts_converted"] = \
                 result.info.get("predicts_converted", 0) + 1
         return result
+
+
+def _translate(graph: Graph, input_mapping: Dict[str, str],
+               wanted: Tuple[str, ...]) -> Tuple[Expression, ...]:
+    """The folded expression of each ``wanted`` graph output."""
+    expressions = graph_to_expressions(graph, input_mapping)
+    missing = [name for name in wanted if name not in expressions]
+    if missing:
+        raise UnsupportedOperatorError(
+            f"graph output {missing[0]!r} not produced by MLtoSQL")
+    return tuple(fold_constants(expressions[name]) for name in wanted)
 
 
 # ---------------------------------------------------------------------------

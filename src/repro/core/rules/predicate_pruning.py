@@ -21,7 +21,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.rules.base import Rule, RuleResult, predict_nodes, replace_predict
+from repro.core.rules.base import (
+    Rule,
+    RuleResult,
+    memoized,
+    predict_nodes,
+    replace_predict,
+)
 from repro.core.rules.intervals import (
     InputConstraints,
     Interval,
@@ -65,23 +71,40 @@ class PredicateBasedModelPruning(Rule):
 def _prune_one_predict(plan: PlanNode, predict: Predict,
                        catalog: Catalog) -> Tuple[Optional[Predict], Dict]:
     input_constraints = extract_input_constraints(predict, catalog)
-    output_predicates = extract_output_predicates(plan, predict)
+    output_predicates = tuple(extract_output_predicates(plan, predict))
     if input_constraints.is_empty() and not output_predicates:
         return None, {}
+    intervals = propagate(predict.graph, input_constraints)
+    key = (PredicateBasedModelPruning.name, predict.graph,
+           box_key(predict.graph, input_constraints, intervals),
+           output_predicates, tuple(predict.output_columns))
+    graph, constantized, info = memoized(catalog, predict, key, lambda: _prune(
+        predict, input_constraints, intervals, output_predicates))
+    if graph is None:
+        return None, {}
+    new_mapping = {k: v for k, v in predict.input_mapping.items()
+                   if k not in constantized}
+    return predict.replace(graph=graph, input_mapping=new_mapping), info
 
+
+def _prune(predict: Predict, input_constraints: InputConstraints,
+           intervals: Dict[str, List[Interval]],
+           output_predicates: Tuple[Expression, ...]):
+    """``(graph, constantized inputs, info)``; graph is None when nothing
+    changed. ``intervals`` is ``propagate(predict.graph, ...)``."""
     graph = predict.graph.copy()
     info: Dict[str, object] = {}
     before_nodes = _tree_node_total(graph)
 
-    # Step 1: equality predicates -> Constant nodes, inputs removed.
+    # Step 1: equality predicates -> Constant nodes, inputs removed. A
+    # Constant propagates the point its predicate did, so ``intervals``
+    # still holds for the constantized graph.
     constantized = _constantize_equal_inputs(graph, input_constraints)
     if constantized:
         info["inputs_constantized"] = list(constantized)
-    new_mapping = {k: v for k, v in predict.input_mapping.items()
-                   if k not in constantized}
 
-    # Step 2+3: propagate remaining constraints and prune models.
-    prune_graph_with_constraints(graph, input_constraints)
+    # Step 2+3: prune models by the propagated constraints.
+    _prune_models(graph, intervals)
 
     # Step 4: output-predicate pruning (single decision trees only).
     for predicate in output_predicates:
@@ -90,11 +113,86 @@ def _prune_one_predict(plan: PlanNode, predict: Predict,
     after_nodes = _tree_node_total(graph)
     info["tree_nodes_before"] = before_nodes
     info["tree_nodes_after"] = after_nodes
-    changed = bool(constantized) or after_nodes < before_nodes
-    if not changed:
-        return None, {}
+    if not constantized and after_nodes >= before_nodes:
+        return None, (), {}
     graph.validate()
-    return predict.replace(graph=graph, input_mapping=new_mapping), info
+    return graph, tuple(constantized), info
+
+
+# ---------------------------------------------------------------------------
+# The memo key: what of the box the pruned graph depends on
+# ---------------------------------------------------------------------------
+
+def box_key(graph: Graph, constraints: InputConstraints,
+            intervals: Dict[str, List[Interval]]) -> tuple:
+    """A key of ``constraints`` on which the pruned ``graph`` depends
+    alone: two boxes with equal keys prune it to equal graphs.
+
+    Exact for what enters the graph as a value: each constantized
+    input's point (a ``Constant``), each string set, and every interval
+    that reaches a linear model (intercept folding). Snapped for trees:
+    :func:`prune_tree` reads a feature's interval only through the
+    decisions of :func:`_split_decisions`, so a bound that moves within
+    one threshold cell keeps the key.
+    """
+    key: List[object] = []
+    for info in graph.inputs:
+        if info.dtype == "string":
+            constraint = constraints.strings.get(info.name)
+            key.append(None if constraint is None else constraint.values)
+        else:
+            interval = constraints.numeric.get(info.name)
+            key.append(interval is not None and interval.is_point
+                       and float(interval.low).hex())
+    for node in graph.nodes:
+        vector = intervals.get(node.inputs[0]) if node.inputs else None
+        if vector is None:
+            continue
+        if node.op_type in _TREE_MODELS:
+            key.append(_split_decisions(node.attrs["trees"], vector))
+        elif node.op_type in _LINEAR_MODELS:
+            key.append(tuple(map(_exact, vector)))
+    return tuple(key)
+
+
+def _split_decisions(trees: List[Tree], vector: List[Interval]) -> object:
+    """Per split ``x[f] <= t`` of every tree: whether the feature's
+    interval lies at or below ``t``, lies above it, may be NaN, and has a
+    NaN bound — packed into bytes.
+
+    These bits decide :func:`prune_tree`. Descending a branch intersects
+    the interval with ``x <= t'`` or ``x > t'`` (or NaN) for the tree's
+    own thresholds ``t'``, so below it the interval lies at or below ``t``
+    exactly when the box's does or a left ancestor's ``t' <= t``, and
+    above ``t`` when the box's does or a right ancestor's ``t' >= t``; a
+    left ancestor clears may-be-NaN. A NaN bound never moves (it compares
+    false). A tree with a NaN threshold keys on the exact intervals.
+    """
+    feature = np.concatenate([tree.feature[tree.left >= 0] for tree in trees])
+    threshold = np.concatenate([tree.threshold[tree.left >= 0]
+                                for tree in trees])
+    if np.isnan(threshold).any():
+        return tuple(map(_exact, vector))
+    width = max(len(vector), int(feature.max(initial=-1)) + 1)
+    padded = list(vector) + [Interval.UNKNOWN] * (width - len(vector))
+    low = np.array([interval.low for interval in padded])[feature]
+    high = np.array([interval.high for interval in padded])[feature]
+    low_open = np.array([interval.low_open for interval in padded])[feature]
+    may_be_nan = np.array([interval.may_be_nan for interval in padded])[feature]
+    return np.packbits(np.concatenate([
+        high <= threshold,
+        (low > threshold) | ((low == threshold) & low_open),
+        may_be_nan, np.isnan(low), np.isnan(high)])).tobytes()
+
+
+def _exact(interval: Interval) -> tuple:
+    """An interval as a key that tells ``-0.0`` from ``0.0``."""
+    return (float(interval.low).hex(), float(interval.high).hex(),
+            interval.low_open, interval.high_open, interval.may_be_nan)
+
+
+_TREE_MODELS = ("TreeEnsembleClassifier", "TreeEnsembleRegressor")
+_LINEAR_MODELS = ("LinearClassifier", "LinearRegressor")
 
 
 # ---------------------------------------------------------------------------
@@ -104,10 +202,16 @@ def _prune_one_predict(plan: PlanNode, predict: Predict,
 def prune_graph_with_constraints(graph: Graph,
                                  constraints: InputConstraints) -> Dict[str, object]:
     """Propagate input constraints and prune/fold every model in place."""
-    intervals = propagate(graph, constraints)
+    return _prune_models(graph, propagate(graph, constraints))
+
+
+def _prune_models(graph: Graph,
+                  intervals: Dict[str, List[Interval]]) -> Dict[str, object]:
+    """Prune every tree and fold every linear model by the per-edge
+    ``intervals``, in place."""
     info: Dict[str, object] = {"trees_pruned": 0}
     for node in graph.nodes:
-        if node.op_type in ("TreeEnsembleClassifier", "TreeEnsembleRegressor"):
+        if node.op_type in _TREE_MODELS:
             vector = intervals.get(node.inputs[0])
             if vector is None:
                 continue
@@ -119,7 +223,7 @@ def prune_graph_with_constraints(graph: Graph,
                     info["trees_pruned"] += 1  # type: ignore[operator]
                 pruned_trees.append(pruned)
             node.attrs["trees"] = pruned_trees
-        elif node.op_type in ("LinearClassifier", "LinearRegressor"):
+        elif node.op_type in _LINEAR_MODELS:
             vector = intervals.get(node.inputs[0])
             if vector is not None:
                 _fold_linear_constants(node, vector)

@@ -15,10 +15,16 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.rules.base import Rule, RuleResult, predict_nodes, replace_predict
+from repro.core.rules.base import (
+    Rule,
+    RuleResult,
+    memoized,
+    predict_nodes,
+    replace_predict,
+)
 from repro.onnxlite.graph import Graph, Node
 from repro.onnxlite.ops import infer_edge_info
-from repro.relational.logical import PlanNode, Predict
+from repro.relational.logical import PlanNode
 from repro.storage.catalog import Catalog
 
 
@@ -30,8 +36,9 @@ class ModelProjectionPushdown(Rule):
     def apply(self, plan: PlanNode, catalog: Catalog) -> RuleResult:
         result = RuleResult(plan=plan)
         for predict in predict_nodes(result.plan):
-            graph = predict.graph.copy()
-            removed, info = pushdown_graph(graph)
+            graph, removed, info = memoized(
+                catalog, predict, (self.name, predict.graph),
+                lambda: _pushdown(predict.graph))
             if not info.get("applied"):
                 continue
             new_mapping = {name: column
@@ -42,6 +49,13 @@ class ModelProjectionPushdown(Rule):
             result.applied = True
             result.merge_info(info)
         return result
+
+
+def _pushdown(graph: Graph) -> Tuple[Graph, List[str], Dict[str, object]]:
+    """:func:`pushdown_graph` on a copy: ``(copy, removed, info)``."""
+    graph = graph.copy()
+    removed, info = pushdown_graph(graph)
+    return graph, removed, info
 
 
 # ---------------------------------------------------------------------------

@@ -636,9 +636,9 @@ class RavenSession:
             report.summary().replace("\n", "\n-- ")
 
     def to_sql_server(self, query: str) -> str:
-        """T-SQL text of the optimized plan (paper §6: SQL Server output)."""
+        """SQL text of the optimized plan (paper §6: SQL Server output)."""
         plan, _ = self.optimize(query)
-        return plan_to_sql(plan)
+        return plan_to_sql(plan, self.catalog)
 
     # ------------------------------------------------------------------
     # Execution

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
+from repro.core.strategies.features import feature_vector
 from repro.onnxlite.graph import Graph
 
 CHOICES: List[str] = ["none", "sql", "dnn"]
@@ -21,8 +22,11 @@ class OptimizationStrategy:
 
     name: str = "strategy"
 
-    def choose(self, graph: Graph) -> str:
-        raise NotImplementedError
+    def choose(self, graph: Graph,
+               features: Callable[[Graph], np.ndarray] = feature_vector) -> str:
+        """The choice for ``graph``; ``features(graph)`` is its statistics
+        vector (the optimizer passes a memoized one)."""
+        return self.choose_from_vector(features(graph))
 
     def fit(self, features: np.ndarray, runtimes: np.ndarray,
             choices: Sequence[str] = CHOICES) -> "OptimizationStrategy":
@@ -47,7 +51,8 @@ class FixedStrategy(OptimizationStrategy):
         self.choice = choice
         self.name = f"fixed:{choice}"
 
-    def choose(self, graph: Graph) -> str:
+    def choose(self, graph: Graph,
+               features: Callable[[Graph], np.ndarray] = feature_vector) -> str:
         return self.choice
 
     def choose_from_vector(self, vector: np.ndarray) -> str:

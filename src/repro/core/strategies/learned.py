@@ -21,10 +21,8 @@ from repro.core.strategies.base import (
     OptimizationStrategy,
     best_choice_labels,
 )
-from repro.core.strategies.features import feature_vector
 from repro.learn.ensemble import RandomForestClassifier
 from repro.learn.tree import DecisionTreeRegressor
-from repro.onnxlite.graph import Graph
 
 
 class ClassificationStrategy(OptimizationStrategy):
@@ -55,9 +53,6 @@ class ClassificationStrategy(OptimizationStrategy):
             raise RuntimeError("strategy must be fitted first")
         label = int(self.model_.predict(vector.reshape(1, -1))[0])
         return self.choices_[label]
-
-    def choose(self, graph: Graph) -> str:
-        return self.choose_from_vector(feature_vector(graph))
 
 
 class RegressionStrategy(OptimizationStrategy):
@@ -99,9 +94,6 @@ class RegressionStrategy(OptimizationStrategy):
         ])
         predictions = self.model_.predict(candidates)
         return self.choices_[int(np.argmin(predictions))]
-
-    def choose(self, graph: Graph) -> str:
-        return self.choose_from_vector(feature_vector(graph))
 
 
 def _one_hot(index: int, size: int) -> np.ndarray:

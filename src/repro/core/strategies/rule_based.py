@@ -23,9 +23,8 @@ from repro.core.strategies.base import (
     OptimizationStrategy,
     best_choice_labels,
 )
-from repro.core.strategies.features import FEATURE_NAMES, feature_vector
+from repro.core.strategies.features import FEATURE_NAMES
 from repro.learn.tree import DecisionTreeClassifier, Tree
-from repro.onnxlite.graph import Graph
 
 
 def tree_feature_importances(tree: Tree, n_features: int) -> np.ndarray:
@@ -80,9 +79,6 @@ class MLInformedRuleStrategy(OptimizationStrategy):
         label = int(self.rule_tree_.predict(selected)[0])
         return self.choices_[label]
 
-    def choose(self, graph: Graph) -> str:
-        return self.choose_from_vector(feature_vector(graph))
-
     def describe_rule(self) -> str:
         """Render the shallow tree as readable nested if/else text."""
         if self.rule_tree_ is None:
@@ -124,9 +120,6 @@ class DefaultPaperRule(OptimizationStrategy):
 
     def __init__(self, gpu_available: bool = True):
         self.gpu_available = gpu_available
-
-    def choose(self, graph: Graph) -> str:
-        return self.choose_from_vector(feature_vector(graph))
 
     def choose_from_vector(self, vector: np.ndarray) -> str:
         stats = dict(zip(FEATURE_NAMES, vector))

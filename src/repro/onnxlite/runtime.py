@@ -53,8 +53,8 @@ class InferenceSession:
 
     def run(self, inputs: Mapping[str, np.ndarray],
             outputs: Optional[List[str]] = None,
-            dictionaries: Optional[Mapping[str, np.ndarray]] = None
-            ) -> Dict[str, np.ndarray]:
+            dictionaries: Optional[Mapping[str, np.ndarray]] = None,
+            rows: int = 0) -> Dict[str, np.ndarray]:
         """Evaluate the graph over a batch of named input columns.
 
         Input arrays may be 1-D columns (reshaped to ``[N, 1]``) or already
@@ -64,7 +64,9 @@ class InferenceSession:
         :class:`~repro.onnxlite.ops.Coded`; for any other reader — a graph
         output passing the input through included — it is decoded to
         ``dictionary[codes]`` once per batch. Returns the requested
-        (default: all) graph outputs keyed by edge name.
+        (default: all) graph outputs keyed by edge name. ``rows`` is the
+        batch's row count when the graph reads no input (a model whose
+        every input a predicate made constant), else its inputs' length.
         """
         wanted = outputs if outputs is not None else self.graph.outputs
         dictionaries = dictionaries or {}
@@ -89,7 +91,7 @@ class InferenceSession:
                 )
             values[info.name] = value
         if batch_size is None:
-            batch_size = 0
+            batch_size = rows
         for node, kernel, prepared, feature_major in zip(
                 self._ordered, self._kernels, self._prepared,
                 self._feature_major):

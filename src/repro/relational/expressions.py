@@ -213,15 +213,16 @@ class BinaryOp(Expression):
         if self.op in _COMPARISONS:
             return _COMPARE_FUNCS[self.op](left, right)
         # Arithmetic. Division is always float (SQL float semantics here):
-        # x/0 yields IEEE inf/nan silently — guarded expressions route
-        # around those rows, and an unguarded division must not warn.
-        if self.op == "+":
-            return left + right
-        if self.op == "-":
-            return left - right
-        if self.op == "*":
-            return left * right
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # x/0, inf - inf and 0 * inf yield IEEE inf/nan silently — guarded
+        # expressions route around those rows, and unguarded arithmetic
+        # must not warn.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if self.op == "+":
+                return left + right
+            if self.op == "-":
+                return left - right
+            if self.op == "*":
+                return left * right
             return left.astype(np.float64) / right.astype(np.float64)
 
     def output_dtype(self, schema: Schema) -> DataType:

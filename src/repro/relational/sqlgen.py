@@ -1,4 +1,4 @@
-"""SQL text generation (T-SQL flavoured).
+"""SQL text generation (T-SQL flavoured; runs in stdlib ``sqlite3``).
 
 Raven can emit the optimized prediction query as SQL for execution on SQL
 Server (paper §6, "Transforming Raven plans to SQL Server queries"). This
@@ -9,7 +9,7 @@ important client is the MLtoSQL rule, whose compiled models become nested
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from repro.errors import PlanError
 from repro.relational.expressions import (
@@ -37,21 +37,21 @@ from repro.relational.logical import (
     Scan,
     Sort,
 )
+from repro.storage.catalog import Catalog
 from repro.storage.column import DataType
 
 _TYPE_NAMES = {
     DataType.FLOAT: "FLOAT",
     DataType.INT: "BIGINT",
     DataType.BOOL: "BIT",
-    DataType.STRING: "VARCHAR(MAX)",
+    DataType.STRING: "VARCHAR(8000)",  # the widest both dialects accept
 }
 
 
 def quote_identifier(name: str) -> str:
-    """Bracket-quote an identifier, preserving alias qualification."""
-    if "." in name:
-        qualifier, rest = name.split(".", 1)
-        return f"[{qualifier}].[{rest}]"
+    """Bracket-quote a column name as one identifier: the plan's ``d.c``
+    is the column ``[d.c]`` of the derived table below, which a Scan
+    names so (``[c] AS [d.c]``)."""
     return f"[{name}]"
 
 
@@ -110,38 +110,46 @@ def expression_to_sql(expr: Expression) -> str:
     raise PlanError(f"cannot render expression of type {type(expr).__name__}")
 
 
-def plan_to_sql(plan: PlanNode) -> str:
+def plan_to_sql(plan: PlanNode, catalog: Optional[Catalog] = None) -> str:
     """Render a logical plan as a SQL query.
 
-    Non-SELECT-shaped plans are rendered as nested derived tables. Predict
-    nodes render as the paper's ``PREDICT(MODEL = ..., DATA = ...)`` TVF so
-    the output is a valid Raven-dialect query.
+    Every operator is a derived table whose columns carry the plan's
+    names: a Scan selects ``[c] AS [alias.c]``, so the operators above
+    refer to ``[alias.c]``. A Scan of every column lists the table's
+    columns from ``catalog``; without one it is ``SELECT *``, whose
+    columns the operators above cannot name. Predict nodes render as
+    the paper's ``PREDICT(MODEL = ..., DATA = ...)`` TVF; a plan without
+    one is a query stdlib ``sqlite3`` runs.
     """
-    return _render(plan, top=True)
+    return _render(plan, catalog)
 
 
-def _render(plan: PlanNode, top: bool = False) -> str:
+def _render(plan: PlanNode, catalog: Optional[Catalog]) -> str:
+    def sub(child: PlanNode, alias: str) -> str:
+        return f"({_render(child, catalog)}) AS [{alias}]"
+
     if isinstance(plan, Scan):
-        cols = "*" if plan.columns is None else ", ".join(
-            quote_identifier(c) for c in plan.columns
-        )
-        sql = f"SELECT {cols} FROM [{plan.table_name}] AS [{plan.alias}]"
-        return sql if top else f"({sql})"
+        columns = plan.columns
+        if columns is None and catalog is not None:
+            columns = catalog.table(plan.table_name).schema.names
+        items = "*" if columns is None else ", ".join(
+            f"[{c}] AS {quote_identifier(f'{plan.alias}.{c}')}" for c in columns)
+        return f"SELECT {items} FROM [{plan.table_name}] AS [{plan.alias}]"
 
     if isinstance(plan, Filter):
-        inner = _subquery(plan.child, "t")
+        inner = sub(plan.child, "t")
         return f"SELECT * FROM {inner} WHERE {expression_to_sql(plan.predicate)}"
 
     if isinstance(plan, Project):
-        inner = _subquery(plan.child, "t")
+        inner = sub(plan.child, "t")
         items = ", ".join(
             f"{expression_to_sql(e)} AS {quote_identifier(n)}" for n, e in plan.outputs
         )
         return f"SELECT {items} FROM {inner}"
 
     if isinstance(plan, Join):
-        left = _subquery(plan.left, "l")
-        right = _subquery(plan.right, "r")
+        left = sub(plan.left, "l")
+        right = sub(plan.right, "r")
         conditions = " AND ".join(
             f"{quote_identifier(lk)} = {quote_identifier(rk)}"
             for lk, rk in zip(plan.left_keys, plan.right_keys)
@@ -153,19 +161,19 @@ def _render(plan: PlanNode, top: bool = False) -> str:
         # Render as a chain of INNER JOINs in the original input order
         # (the execution `order` is an engine-local annotation; the SQL
         # target's own optimizer picks its join order).
-        sql = f"SELECT * FROM {_subquery(plan.inputs[0], 't0')}"
+        sql = f"SELECT * FROM {sub(plan.inputs[0], 't0')}"
         for index in range(1, len(plan.inputs)):
             conditions = " AND ".join(
                 f"{quote_identifier(e.left_key)} = {quote_identifier(e.right_key)}"
                 for e in plan.edges
                 if max(e.left_input, e.right_input) == index
             )
-            sql += (f" INNER JOIN {_subquery(plan.inputs[index], f't{index}')}"
+            sql += (f" INNER JOIN {sub(plan.inputs[index], f't{index}')}"
                     f" ON {conditions}")
         return sql
 
     if isinstance(plan, Aggregate):
-        inner = _subquery(plan.child, "t")
+        inner = sub(plan.child, "t")
         items: List[str] = [quote_identifier(k) for k in plan.group_by]
         for spec in plan.aggregates:
             arg = "*" if spec.column is None else quote_identifier(spec.column)
@@ -176,18 +184,17 @@ def _render(plan: PlanNode, top: bool = False) -> str:
         return sql
 
     if isinstance(plan, Sort):
-        inner = _subquery(plan.child, "t")
+        inner = sub(plan.child, "t")
         keys = ", ".join(
             f"{quote_identifier(c)} {'ASC' if asc else 'DESC'}" for c, asc in plan.keys
         )
         return f"SELECT * FROM {inner} ORDER BY {keys}"
 
     if isinstance(plan, Limit):
-        inner = _subquery(plan.child, "t")
-        return f"SELECT TOP {plan.count} * FROM {inner}"
+        return f"SELECT * FROM {sub(plan.child, 't')} LIMIT {plan.count}"
 
     if isinstance(plan, Predict):
-        inner = _subquery(plan.child, "d")
+        inner = f"({_render(plan.child, catalog)})"
         with_clause = ", ".join(
             f"{name} {_TYPE_NAMES[dtype]}" for name, _, dtype in plan.output_columns
         )
@@ -195,9 +202,3 @@ def _render(plan: PlanNode, top: bool = False) -> str:
                 f"DATA = {inner} AS d) WITH ({with_clause}) AS p")
 
     raise PlanError(f"cannot render plan node {type(plan).__name__}")
-
-
-def _subquery(plan: PlanNode, alias: str) -> str:
-    if isinstance(plan, Scan) and plan.columns is None:
-        return f"[{plan.table_name}] AS [{plan.alias}]"
-    return f"({_render(plan, top=True)}) AS [{alias}]"

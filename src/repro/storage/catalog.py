@@ -18,8 +18,9 @@ the model format.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Hashable, List, Optional, Sequence
 
 from repro.errors import CatalogError
 from repro.storage.key_index import KeyIndex, build_key_index
@@ -55,21 +56,68 @@ class TableEntry:
         return self.data.num_rows
 
 
+class RewriteMemo:
+    """A bounded map that drops its least recently used entry when full.
+
+    Safe to share between threads: each lookup and store holds a lock,
+    and two threads that miss on one key both compute it, the later
+    store winning (a memoized value is a pure function of its key).
+    """
+
+    def __init__(self, capacity: int = 256):
+        self.capacity = capacity
+        self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: Hashable) -> object:
+        """The value stored under ``key``, or None."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+            return value
+
+    def put(self, key: Hashable, value: object) -> object:
+        """Store ``value`` (not None) under ``key`` and return it."""
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+        return value
+
+    def keys(self) -> List[Hashable]:
+        with self._lock:
+            return list(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+
 @dataclass
 class ModelEntry:
     """Catalog metadata for one registered trained pipeline.
 
-    ``induced`` caches the data-induced rule's statistics pruning of
-    ``graph`` (see :class:`repro.core.rules.DataInducedOptimization`,
-    which owns its key). Re-registering the model makes a new entry.
+    ``rewrites`` memoizes the optimizer's rewrites of ``graph`` and of
+    the graphs derived from it: statistics pruning, predicate pruning,
+    projection pushdown, the strategy's feature vector and MLtoSQL's
+    expressions (see :func:`repro.core.rules.base.memoized`). Each key
+    names its rule, holds the graph it rewrites (by identity) and what
+    else the rule reads — for predicate pruning, the query's box snapped
+    to the split decisions it implies. Re-registering the model makes a
+    new entry, so a new memo; re-registering a table or
+    :meth:`Catalog.augment_stats` gives statistics pruning a new
+    statistics object, so a new pruned graph, and every rewrite of it
+    misses.
     """
 
     name: str
     graph: object  # repro.onnxlite.graph.Graph (opaque here)
     metadata: Dict[str, object] = field(default_factory=dict)
     version: int = 0
-    induced: Dict[tuple, tuple] = field(default_factory=dict, repr=False,
-                                        compare=False)
+    rewrites: RewriteMemo = field(default_factory=RewriteMemo, repr=False,
+                                  compare=False)
 
 
 # change_listener(kind, name) with kind in {"table", "model"}; fired on

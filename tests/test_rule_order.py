@@ -17,6 +17,7 @@ catalog entry. Held here:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from unittest import mock
@@ -30,6 +31,7 @@ from repro import RavenSession, Table
 from repro.core.binder import Binder
 from repro.core.optimizer import RavenOptimizer
 from repro.core.parser import parse
+from repro.core.rules.data_induced import DataInducedOptimization
 from repro.core.rules.intervals import (
     Interval,
     collapse_uniform_subtrees,
@@ -62,6 +64,10 @@ intervals = st.one_of(
     st.builds(Interval, endpoints, endpoints, st.booleans(), st.booleans()),
 )
 boxes = st.lists(intervals, min_size=N_FEATURES, max_size=N_FEATURES)
+#: Statistics boxes: a column with nulls may be NaN.
+stats_boxes = st.lists(st.builds(
+    lambda interval, nulls: dataclasses.replace(interval, may_be_nan=nulls),
+    intervals, st.booleans()), min_size=N_FEATURES, max_size=N_FEATURES)
 
 
 def _prune(tree, box):
@@ -71,11 +77,14 @@ def _prune(tree, box):
 
 class TestOrderOracle:
     @settings(max_examples=100, deadline=None)
-    @given(trees(), boxes, boxes)
+    @given(trees(), boxes, stats_boxes)
     def test_prunings_commute_where_the_boxes_meet(self, nested, predicate,
                                                    stats):
+        # What _boxes_meet asks: a common value, and no statistics NaN
+        # where a predicate compares (an unflagged predicate interval).
         assume(all(not a.is_empty and not b.is_empty
                    and not a.intersect(b).is_empty
+                   and (a.may_be_nan or not b.may_be_nan)
                    for a, b in zip(predicate, stats)))
         tree = ref.to_tree(nested)
         today = _prune(_prune(tree, predicate), stats)
@@ -168,15 +177,48 @@ class TestSessionsAgree:
 
 
 def _outcome(session, query):
-    """The result's columns as bytes, or the error the query raised (both
-    orders raise the same one: a one-leaf model whose only input an
-    equality predicate removed fails under ``none`` in either)."""
+    """The result's columns as bytes, or the error the query raised."""
     try:
         result = session.sql(query)
     except Exception as error:  # noqa: BLE001 - compared, not swallowed
         return type(error), str(error)
     return [(name, result.array(name).tobytes())
             for name in result.column_names]
+
+
+CONFIGURATIONS = [dict(enable_optimizations=False), dict(strategy="none"),
+                  dict(strategy="sql")]
+
+
+class TestNaNAndEmptyInputs:
+    """The paper's §7.4 invariant where statistics miss NaN rows and where
+    a predicate leaves a model no input column."""
+
+    @pytest.mark.parametrize("config", CONFIGURATIONS)
+    @pytest.mark.parametrize("scale", [1.0, -1.0])
+    def test_a_nan_row_takes_the_unpruned_trees_branch(self, config, scale):
+        # Statistics bound x0 to [0.1, 0.2] but a row is NaN: the split
+        # x0 * scale <= 0.5 sends it right, to 0.9, in the unpruned tree
+        # (and MLtoSQL's folded x0 <= 0.5 or x0 >= -0.5 too).
+        table = Table.from_arrays(id=np.arange(3),
+                                  x0=np.asarray([0.1, 0.2, np.nan]),
+                                  x1=np.zeros(3), x2=np.zeros(3))
+        graph = _graph(ref.to_tree((0, 0.5, ((0.0, 0.1), 1),
+                                    ((0.0, 0.9), 1), 2)),
+                       offsets=(0.0,) * 3, scales=(scale,) * 3)
+        result = _session(table, graph, **config).sql(_query())
+        assert result.array("score").tolist() == [0.1, 0.1, 0.9]
+
+    @pytest.mark.parametrize("config", CONFIGURATIONS)
+    def test_a_model_with_no_live_input_scores_every_row(self, config):
+        # x0 = -1.5 makes x0 a Constant; the one-leaf tree reads nothing.
+        table = Table.from_arrays(id=np.arange(3),
+                                  x0=np.asarray([-1.5, 0.2, -1.5]),
+                                  x1=np.zeros(3), x2=np.zeros(3))
+        graph = _graph(ref.to_tree(((0.0, 0.7), 3)))
+        result = _session(table, graph, **config).sql(_query("d.x0 = -1.5"))
+        assert result.array("id").tolist() == [0, 2]
+        assert result.array("score").tolist() == [0.7, 0.7]
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +242,8 @@ def _statistics_first(session, query) -> bool:
     """The optimizer's choice for the query's plan, as optimize sees it."""
     optimizer = session._optimizer()
     bound = Binder(session.catalog).bind(parse(query))
-    return optimizer._statistics_first(optimizer._relational.optimize(bound))
+    return optimizer._statistics_first(optimizer._relational.optimize(bound),
+                                       DataInducedOptimization())
 
 
 class TestRuleOrder:
@@ -221,6 +264,15 @@ class TestRuleOrder:
         session = _session(table, _graph(ref.to_tree(TREE)))
         assert _statistics_first(session, _query("d.x0 < 1.1"))
         assert not _statistics_first(session, _query(where))
+
+    def test_statistics_with_nulls_under_a_predicate_keep_the_papers_order(
+            self, table):
+        x0 = table.array("x0").copy()
+        x0[5] = np.nan
+        session = _session(table.with_column("x0", Column(x0)),
+                           _graph(ref.to_tree(TREE)))
+        assert _statistics_first(session, _query("d.x1 < 1.1"))
+        assert not _statistics_first(session, _query("d.x0 < 1.1"))
 
     def test_a_negative_zero_leaf_keeps_the_papers_order(self, table):
         nested = (0, 0.5, ((0.0, -0.0), 5), ((0.0, 0.9), 5), 10)
@@ -245,7 +297,10 @@ class TestRuleOrder:
 
 
 def _induced(session):
-    return session.catalog.model("m").induced
+    """The statistics-pruning entries of the model's rewrite memo."""
+    memo = session.catalog.model("m").rewrites
+    return {key: memo.get(key) for key in memo.keys()
+            if key[0] == "data_induced_optimization"}
 
 
 def _induced_graph(session, query):
