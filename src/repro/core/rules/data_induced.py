@@ -197,16 +197,15 @@ def input_column_provenance(predict: Predict, catalog: Catalog
     for node in walk(predict.child):
         if isinstance(node, Scan):
             alias_to_table[node.alias] = node.table_name
-    schemas = {table: set(catalog.table(table).schema.names)
-               for table in set(alias_to_table.values())
-               if catalog.has_table(table)}
     provenance: Dict[str, Tuple[str, str]] = {}
     for model_input, plan_column in predict.input_mapping.items():
         if "." not in plan_column:
             continue
         alias, column = plan_column.split(".", 1)
         table = alias_to_table.get(alias)
-        if table in schemas and column in schemas[table]:
+        if table is None or not catalog.has_table(table):
+            continue
+        if column in catalog.table(table).schema:
             provenance[model_input] = (table, column)
     return provenance
 

@@ -96,10 +96,8 @@ class Scan(PlanNode):
 
     def output_schema(self, catalog: Catalog) -> Schema:
         table_schema = catalog.table(self.table_name).schema
-        dtypes = dict(table_schema)
-        names = self.columns if self.columns is not None else dtypes
-        return Schema([(f"{self.alias}.{n}", dtypes[n] if n in dtypes
-                        else table_schema.dtype_of(n)) for n in names])
+        names = self.columns if self.columns is not None else table_schema.names
+        return Schema([(f"{self.alias}.{n}", table_schema.dtype_of(n)) for n in names])
 
     def _label(self):
         cols = "*" if self.columns is None else ", ".join(self.columns)

@@ -9,7 +9,7 @@ important client is the MLtoSQL rule, whose compiled models become nested
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.errors import PlanError
 from repro.relational.expressions import (
@@ -110,29 +110,28 @@ def expression_to_sql(expr: Expression) -> str:
     raise PlanError(f"cannot render expression of type {type(expr).__name__}")
 
 
-def plan_to_sql(plan: PlanNode, catalog: Optional[Catalog] = None) -> str:
+def plan_to_sql(plan: PlanNode, catalog: Catalog) -> str:
     """Render a logical plan as a SQL query.
 
     Every operator is a derived table whose columns carry the plan's
-    names: a Scan selects ``[c] AS [alias.c]``, so the operators above
-    refer to ``[alias.c]``. A Scan of every column lists the table's
-    columns from ``catalog``; without one it is ``SELECT *``, whose
-    columns the operators above cannot name. Predict nodes render as
-    the paper's ``PREDICT(MODEL = ..., DATA = ...)`` TVF; a plan without
-    one is a query stdlib ``sqlite3`` runs.
+    names: a Scan selects ``[c] AS [alias.c]`` (a Scan of every column
+    lists the table's columns from ``catalog``), so the operators above
+    refer to ``[alias.c]``. Predict nodes render as the paper's
+    ``PREDICT(MODEL = ..., DATA = ...)`` TVF; a plan without one is a
+    query stdlib ``sqlite3`` runs.
     """
     return _render(plan, catalog)
 
 
-def _render(plan: PlanNode, catalog: Optional[Catalog]) -> str:
+def _render(plan: PlanNode, catalog: Catalog) -> str:
     def sub(child: PlanNode, alias: str) -> str:
         return f"({_render(child, catalog)}) AS [{alias}]"
 
     if isinstance(plan, Scan):
         columns = plan.columns
-        if columns is None and catalog is not None:
+        if columns is None:
             columns = catalog.table(plan.table_name).schema.names
-        items = "*" if columns is None else ", ".join(
+        items = ", ".join(
             f"[{c}] AS {quote_identifier(f'{plan.alias}.{c}')}" for c in columns)
         return f"SELECT {items} FROM [{plan.table_name}] AS [{plan.alias}]"
 

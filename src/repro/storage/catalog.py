@@ -56,6 +56,14 @@ class TableEntry:
         return self.data.num_rows
 
 
+#: Entries a model's rewrite memo holds: every rewrite each benchmark
+#: workload plans fits (a cold literal in one threshold cell needs 5, the
+#: five warm point-query texts 16). A cell costs ~3 entries of pruned
+#: graphs; for a 10-tree depth-12 forest that is ~107 KB an entry, so a
+#: full memo holds ~1.7 MB (256 entries would hold ~27 MB).
+REWRITE_MEMO_ENTRIES = 16
+
+
 class RewriteMemo:
     """A bounded map that drops its least recently used entry when full.
 
@@ -64,8 +72,7 @@ class RewriteMemo:
     store winning (a memoized value is a pure function of its key).
     """
 
-    def __init__(self, capacity: int = 256):
-        self.capacity = capacity
+    def __init__(self):
         self._entries: "OrderedDict[Hashable, object]" = OrderedDict()
         self._lock = threading.Lock()
 
@@ -82,7 +89,7 @@ class RewriteMemo:
         with self._lock:
             self._entries[key] = value
             self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
+            while len(self._entries) > REWRITE_MEMO_ENTRIES:
                 self._entries.popitem(last=False)
         return value
 
@@ -102,7 +109,8 @@ class ModelEntry:
     ``rewrites`` memoizes the optimizer's rewrites of ``graph`` and of
     the graphs derived from it: statistics pruning, predicate pruning,
     projection pushdown, the strategy's feature vector and MLtoSQL's
-    expressions (see :func:`repro.core.rules.base.memoized`). Each key
+    expressions (see :func:`repro.core.rules.base.memoized`), at most
+    :data:`REWRITE_MEMO_ENTRIES` of them. Each key
     names its rule, holds the graph it rewrites (by identity) and what
     else the rule reads — for predicate pruning, the query's box snapped
     to the split decisions it implies. Re-registering the model makes a

@@ -17,16 +17,17 @@ from repro.storage.column import Column, DataType, concat_columns
 
 
 class Schema:
-    """Ordered (column name, logical type) pairs."""
+    """Ordered (column name, logical type) pairs, looked up by name."""
 
-    __slots__ = ("_fields",)
+    __slots__ = ("_fields", "_dtypes")
 
     def __init__(self, fields: Sequence[Tuple[str, DataType]]):
-        names = [name for name, _ in fields]
-        if len(set(names)) != len(names):
+        self._fields: Tuple[Tuple[str, DataType], ...] = tuple(fields)
+        self._dtypes: Dict[str, DataType] = dict(self._fields)
+        if len(self._dtypes) != len(self._fields):
+            names = [name for name, _ in self._fields]
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise SchemaError(f"duplicate column names: {dupes}")
-        self._fields: Tuple[Tuple[str, DataType], ...] = tuple(fields)
 
     @property
     def names(self) -> List[str]:
@@ -37,13 +38,13 @@ class Schema:
         return [dtype for _, dtype in self._fields]
 
     def dtype_of(self, name: str) -> DataType:
-        for field_name, dtype in self._fields:
-            if field_name == name:
-                return dtype
-        raise SchemaError(f"unknown column: {name!r}")
+        dtype = self._dtypes.get(name)
+        if dtype is None:
+            raise SchemaError(f"unknown column: {name!r}")
+        return dtype
 
     def __contains__(self, name: str) -> bool:
-        return any(field_name == name for field_name, _ in self._fields)
+        return name in self._dtypes
 
     def __iter__(self) -> Iterator[Tuple[str, DataType]]:
         return iter(self._fields)
@@ -68,9 +69,13 @@ class Schema:
 
 
 class Table:
-    """A named collection of equal-length columns."""
+    """A named collection of equal-length columns.
 
-    __slots__ = ("columns",)
+    Its :attr:`schema` is built on first read and kept: a table's columns
+    are fixed once it is constructed.
+    """
+
+    __slots__ = ("columns", "_schema")
 
     def __init__(self, columns: Mapping[str, Column] | Sequence[Tuple[str, Column]]):
         if isinstance(columns, Mapping):
@@ -78,6 +83,7 @@ class Table:
         else:
             items = list(columns)
         self.columns: Dict[str, Column] = {}
+        self._schema: Schema | None = None
         length = None
         for name, column in items:
             if not isinstance(column, Column):
@@ -124,7 +130,10 @@ class Table:
 
     @property
     def schema(self) -> Schema:
-        return Schema([(name, col.dtype) for name, col in self.columns.items()])
+        if self._schema is None:
+            self._schema = Schema([(name, col.dtype)
+                                   for name, col in self.columns.items()])
+        return self._schema
 
     @property
     def column_names(self) -> List[str]:

@@ -49,6 +49,7 @@ from repro.onnxlite import Graph, Node, TensorInfo
 from repro.persist.plan_codec import plan_to_dict
 from repro.relational.expressions import ColumnRef, Literal, TreeCase
 from repro.relational.logical import Predict, Project, Scan
+from repro.storage import catalog as catalog_module
 from repro.storage.catalog import RewriteMemo
 from repro.storage.column import Column, DataType
 from repro.storage.statistics import TableStats
@@ -482,17 +483,18 @@ class TestInvalidation:
 
 
 class TestBound:
-    def test_the_memo_drops_its_least_recently_used_entry(self):
-        memo = RewriteMemo(capacity=2)
+    def test_the_memo_drops_its_least_recently_used_entry(self, monkeypatch):
+        monkeypatch.setattr(catalog_module, "REWRITE_MEMO_ENTRIES", 2)
+        memo = RewriteMemo()
         memo.put("a", 1)
         memo.put("b", 2)
         assert memo.get("a") == 1      # "b" is now the oldest
         memo.put("c", 3)
         assert memo.keys() == ["a", "c"] and memo.get("b") is None
 
-    def test_a_session_memo_stays_bounded(self, session, table):
+    def test_a_session_memo_stays_bounded(self, session, table, monkeypatch):
+        monkeypatch.setattr(catalog_module, "REWRITE_MEMO_ENTRIES", 6)
         entry = session.catalog.model("m")
-        entry.rewrites = RewriteMemo(capacity=6)
         for literal in (-0.8, 0.2, 0.7, 1.3, -0.8, 0.7):
             _tree_case(session, literal)
             assert len(entry.rewrites) <= 6

@@ -89,10 +89,9 @@ class TestExpressionToSql:
 
 
 class TestPlanToSql:
-    def test_scan(self):
-        assert plan_to_sql(Scan("t")) == "SELECT * FROM [t] AS [t]"
-        assert plan_to_sql(Scan("fact", alias="f", columns=["v"])) == \
-            "SELECT [v] AS [f.v] FROM [fact] AS [f]"
+    def test_scan(self, catalog):
+        assert plan_to_sql(Scan("fact", alias="f", columns=["v"]),
+                           catalog) == "SELECT [v] AS [f.v] FROM [fact] AS [f]"
 
     def test_a_scan_of_every_column_lists_the_catalogs(self, catalog):
         assert plan_to_sql(Scan("dim", alias="d"), catalog) == \
@@ -103,7 +102,7 @@ class TestPlanToSql:
             Filter(Join(Scan("fact"), Scan("dim"), ["fact.key"], ["dim.key"]),
                    col("fact.v").gt(0.0)),
             [("v", col("fact.v"))])
-        sql = plan_to_sql(plan)
+        sql = plan_to_sql(plan, catalog)
         assert "INNER JOIN" in sql
         assert "WHERE" in sql
         assert sql.startswith("SELECT [fact.v] AS [v]")
@@ -111,14 +110,15 @@ class TestPlanToSql:
     def test_aggregate_group_by(self, catalog):
         plan = Aggregate(Scan("fact"), ["fact.key"],
                          [AggregateSpec("n", "count")])
-        sql = plan_to_sql(plan)
+        sql = plan_to_sql(plan, catalog)
         assert "GROUP BY [fact.key]" in sql
         assert "COUNT(*) AS [n]" in sql
 
     def test_sort_limit(self, catalog):
         assert "ORDER BY [fact.v] DESC" in plan_to_sql(
-            Sort(Scan("fact"), [("fact.v", False)]))
-        assert plan_to_sql(Limit(Scan("fact"), 7)).endswith(" LIMIT 7")
+            Sort(Scan("fact"), [("fact.v", False)]), catalog)
+        assert plan_to_sql(Limit(Scan("fact"), 7), catalog).endswith(
+            " LIMIT 7")
 
     def test_predict_renders_tvf(self, catalog, dt_pipeline):
         from repro.onnxlite import convert_pipeline
@@ -127,7 +127,7 @@ class TestPlanToSql:
         graph = convert_pipeline(dt_pipeline)
         plan = Predict(Scan("fact"), "risk", graph, {},
                        [("score", "score", DataType.FLOAT)])
-        sql = plan_to_sql(plan)
+        sql = plan_to_sql(plan, catalog)
         assert "PREDICT(MODEL = risk" in sql
         assert "WITH (score FLOAT)" in sql
 
