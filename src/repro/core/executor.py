@@ -107,9 +107,11 @@ class PredictRuntime:
             outputs = self.run_graph_batched(graph, inputs, wanted,
                                              table.num_rows, dictionaries)
         elif node.mode is PredictMode.DNN_CPU:
-            outputs = self._run_tensor(self._tensor_cpu, graph, inputs, wanted)
+            outputs = self._run_tensor(self._tensor_cpu, graph, inputs, wanted,
+                                       table.num_rows)
         elif node.mode is PredictMode.DNN_GPU:
-            outputs = self._run_tensor(self._tensor_gpu, graph, inputs, wanted)
+            outputs = self._run_tensor(self._tensor_gpu, graph, inputs, wanted,
+                                       table.num_rows)
         else:  # pragma: no cover - exhaustive over PredictMode
             raise ExecutionError(f"unknown predict mode: {node.mode}")
 
@@ -183,14 +185,14 @@ class PredictRuntime:
             return session.run(batch, wanted, dictionaries, rows)
 
     def _run_tensor(self, runtime: TensorRuntime, graph: Graph,
-                    inputs: Dict[str, np.ndarray],
-                    wanted: List[str]) -> Dict[str, np.ndarray]:
+                    inputs: Dict[str, np.ndarray], wanted: List[str],
+                    rows: int) -> Dict[str, np.ndarray]:
         self._pre_batch(detail=f"device={runtime.device.name}")
         span = (self.span.child("predict.batch", category="predict",
                                 device=runtime.device.name)
                 if self.span is not None else None)
         started = time.perf_counter()
-        result = runtime.run(graph, inputs)
+        result = runtime.run(graph, inputs, rows=rows)
         measured = time.perf_counter() - started
         if span is not None:
             span.finish()

@@ -1,9 +1,12 @@
 """Raven's optimization rules (paper §4 and §5.1).
 
-Logical rules (always beneficial, applied first, in this order):
-``PredicateBasedModelPruning`` -> ``ModelProjectionPushdown`` ->
-``DataInducedOptimization``. Logical-to-physical rules (``MLtoSQL``,
-``MLtoDNN``) are applied per the data-driven strategy (§5.2).
+Logical rules (always beneficial, applied first): the statistics pruning of
+``DataInducedOptimization``, then ``PredicateBasedModelPruning``, then
+``ModelProjectionPushdown`` (one liveness pass over the pipeline graph).
+Where the two prunings would not commute a plan keeps the paper's order,
+with statistics last (``RavenOptimizer._statistics_first``).
+Logical-to-physical rules (``MLtoSQL``, ``MLtoDNN``) are applied per the
+data-driven strategy (§5.2).
 """
 
 from repro.core.rules.base import Rule, RuleResult, predict_nodes, replace_predict

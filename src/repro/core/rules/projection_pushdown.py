@@ -2,16 +2,20 @@
 
 Detects features the model never uses (zero-weight linear coefficients,
 tree features referenced by no split — on average 46% of features in the
-paper's OpenML study), densifies the model, inserts a ``FeatureExtractor``
-over its input, and pushes the extractor down through Concat / Scaler /
-OneHotEncoder until unused *pipeline inputs* disappear (Fig. 3 steps ➍-➏).
-Removed inputs shrink the Predict's input mapping; the relational optimizer
-then prunes the columns below joins and out of scans.
+paper's OpenML study) and removes them from the pipeline below it (Fig. 3
+steps ➍-➏). Which features each edge must carry is a dataflow question,
+answered by one backward liveness pass; one forward pass then narrows the
+featurizers (Scaler, Imputer, OneHotEncoder, Concat, ...) to what their
+outputs carry, densifies the model, and inserts a ``FeatureExtractor`` only
+where an edge carries more than its consumer reads. Unused *pipeline
+inputs* disappear and shrink the Predict's input mapping; the relational
+optimizer then prunes the columns below joins and out of scans.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from bisect import bisect_left
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -62,27 +66,93 @@ def _pushdown(graph: Graph) -> Tuple[Graph, List[str], Dict[str, object]]:
 # Graph-level transformation (shared with the data-induced rule)
 # ---------------------------------------------------------------------------
 
+#: Operators whose output can be narrowed to any subset of its features.
+#: Every other operator (Normalizer, Cast, a model, ...) reads all of its
+#: inputs — a model only its used features — and keeps all of its outputs.
+_NARROWS = frozenset({"Scaler", "Imputer", "Binarizer", "Identity",
+                      "OneHotEncoder", "Concat", "FeatureExtractor",
+                      "Constant"})
+#: The per-feature attributes a narrowed operator keeps a subset of.
+_PER_FEATURE = {"Scaler": ("offset", "scale"), "Imputer": ("imputed_values",),
+                "OneHotEncoder": ("categories",), "Constant": ("value",)}
+
+
 def pushdown_graph(graph: Graph) -> Tuple[List[str], Dict[str, object]]:
-    """Densify models, insert FeatureExtractors, push to fixpoint.
+    """Narrow every edge to the features the models read.
 
-    Mutates ``graph``; returns (removed input names, report info).
+    Two passes over one topological order and one edge-info map:
+
+    * liveness, in reverse order: an edge carries the sorted union of the
+      feature indices its live consumers read. A graph input, a graph
+      output and the output of an operator outside :data:`_NARROWS`
+      carry all of their features. A node no live edge reads is dead;
+    * rewrite, in order: each live node is narrowed in place to what its
+      outputs carry (per-feature attributes, Concat blocks, extractor
+      indices, a densified model), and a ``FeatureExtractor`` is inserted
+      where an edge carries more than its consumer reads.
+
+    Dead nodes and the graph inputs nobody reads are dropped. Mutates
+    ``graph``; returns (removed input names, report info).
     """
-    info: Dict[str, object] = {"applied": False}
-    inserted = _densify_models(graph)
-    if inserted:
-        info["applied"] = True
-        info["models_densified"] = inserted
+    order = graph.topological_nodes()
+    width = {name: max(edge.width, 1)
+             for name, edge in infer_edge_info(graph).items()}
 
-    changed = True
-    while changed:
-        changed = _push_extractors_once(graph)
-        if changed:
-            info["applied"] = True
+    need: Dict[str, Set[int]] = {name: set(range(width[name]))
+                                 for name in graph.outputs}
+    carried = {info.name: list(range(width[info.name]))
+               for info in graph.inputs}
+    live: List[Tuple[Node, List[Optional[List[int]]]]] = []
+    for node in reversed(order):
+        if not any(name in need for name in node.outputs):
+            continue
+        for name in node.outputs:
+            carried[name] = (sorted(need.get(name, ()))
+                             if node.op_type in _NARROWS
+                             else list(range(width[name])))
+        reads = _reads(node, carried[node.outputs[0]], width)
+        for name, read in zip(node.inputs, reads):
+            if read is not None:
+                need.setdefault(name, set()).update(read)
+        live.append((node, reads))
 
-    graph.prune_dead_nodes()
-    removed = graph.prune_dead_inputs()
+    changed = len(live) < len(order)
+    densified = 0
+    nodes: List[Node] = []
+    for node, reads in reversed(live):
+        kept = carried[node.outputs[0]]
+        if node.op_type == "FeatureExtractor":
+            # An extractor selects straight from what its input carries.
+            indices = _positions(carried[node.inputs[0]],
+                                 [node.attrs["indices"][j] for j in kept])
+            if indices != list(node.attrs["indices"]):
+                node.attrs["indices"] = indices
+                changed = True
+        else:
+            if node.op_type in _NARROWS:
+                if len(kept) < width[node.outputs[0]]:
+                    _narrow(node, kept, width[node.outputs[0]])
+                    changed = True
+            elif reads and len(reads[0]) < width[node.inputs[0]]:
+                # Outside _NARROWS only a model reads part of an input.
+                _remap_model_features(node, reads[0])
+                densified += 1
+            inputs = [name if read == carried[name] else
+                      _extract(graph, nodes, name,
+                               _positions(carried[name], read))
+                      for name, read in zip(node.inputs, reads)
+                      if read is not None]
+            changed |= inputs != node.inputs
+            node.inputs = inputs
+        nodes.append(node)
+    graph.nodes = nodes
+
+    removed = [info.name for info in graph.inputs if info.name not in need]
+    graph.inputs = [info for info in graph.inputs if info.name in need]
+    info: Dict[str, object] = {"applied": bool(changed or densified or removed)}
+    if densified:
+        info["models_densified"] = densified
     if removed:
-        info["applied"] = True
         info["inputs_removed"] = list(removed)
     graph.validate()
     return removed, info
@@ -104,32 +174,58 @@ def used_feature_indices(node: Node) -> Optional[List[int]]:
     return None
 
 
-def _densify_models(graph: Graph) -> int:
-    """Pass 1: replace each model with a dense version + FeatureExtractor."""
-    edge_info = infer_edge_info(graph)
-    inserted = 0
-    for node in list(graph.nodes):
-        used = used_feature_indices(node)
-        if used is None:
-            continue
-        width = edge_info[node.inputs[0]].width
-        if len(used) == width:
-            continue
-        if not used:
-            used = [0]  # degenerate (constant) model: keep one feature alive
-        mapping = {original: dense for dense, original in enumerate(used)}
-        _remap_model_features(node, used, mapping)
-        extractor_out = graph.fresh_edge(f"{node.name}_dense_in")
-        graph.add_node(Node("FeatureExtractor", [node.inputs[0]], [extractor_out],
-                            {"indices": list(used)}))
-        node.inputs[0] = extractor_out
-        inserted += 1
-    return inserted
+def _reads(node: Node, kept: List[int],
+           width: Dict[str, int]) -> List[Optional[List[int]]]:
+    """The sorted features ``node`` reads from each input (None: nothing)
+    when its first output carries ``kept``."""
+    used = used_feature_indices(node)
+    if used is not None:
+        return [used or [0]]  # a model with no split keeps one feature
+    if node.op_type in ("Scaler", "Imputer", "Binarizer", "Identity"):
+        return [kept]
+    if node.op_type == "OneHotEncoder":
+        return [[0]]
+    if node.op_type == "FeatureExtractor":
+        return [sorted({int(node.attrs["indices"][j]) for j in kept})]
+    if node.op_type == "Concat":
+        reads: List[Optional[List[int]]] = []
+        start = 0
+        for name in node.inputs:
+            stop = start + width[name]
+            block = kept[bisect_left(kept, start):bisect_left(kept, stop)]
+            reads.append([k - start for k in block] or None)
+            start = stop
+        return reads
+    return [list(range(width[name])) for name in node.inputs]
 
 
-def _remap_model_features(node: Node, used: List[int],
-                          mapping: Dict[int, int]) -> None:
+def _positions(carried: List[int], features: List[int]) -> List[int]:
+    """Where each of ``features`` sits on an edge that carries ``carried``."""
+    at = {feature: position for position, feature in enumerate(carried)}
+    return [at[int(feature)] for feature in features]
+
+
+def _extract(graph: Graph, nodes: List[Node], source: str,
+             indices: List[int]) -> str:
+    """Append a FeatureExtractor over ``source`` to ``nodes``; its output."""
+    out = graph.fresh_edge(f"{source}_fe")
+    extractor = Node("FeatureExtractor", [source], [out], {"indices": indices})
+    graph.nodes.append(extractor)  # claims the edge name
+    nodes.append(extractor)
+    return out
+
+
+def _narrow(node: Node, kept: List[int], width: int) -> None:
+    """Keep the ``kept`` features of a per-feature operator's attributes."""
+    for key in _PER_FEATURE.get(node.op_type, ()):
+        value = np.atleast_1d(np.asarray(node.attrs[key]))
+        node.attrs[key] = np.broadcast_to(value, (width,))[kept]
+
+
+def _remap_model_features(node: Node, used: List[int]) -> None:
+    """Densify a model to read only its ``used`` features, in order."""
     if node.op_type.startswith("TreeEnsemble"):
+        mapping = {original: dense for dense, original in enumerate(used)}
         node.attrs["trees"] = [tree.remap_features(mapping)
                                for tree in node.attrs["trees"]]
     elif node.op_type == "LinearClassifier":
@@ -138,180 +234,3 @@ def _remap_model_features(node: Node, used: List[int],
     elif node.op_type == "LinearRegressor":
         coefficients = np.asarray(node.attrs["coefficients"]).ravel()
         node.attrs["coefficients"] = coefficients[used].copy()
-
-
-def _push_extractors_once(graph: Graph) -> bool:
-    """Pass 2, one step: push one FeatureExtractor below its producer."""
-    producers = graph.producers()
-    consumers = graph.consumers()
-    edge_info = infer_edge_info(graph)
-
-    for extractor in list(graph.nodes):
-        if extractor.op_type != "FeatureExtractor":
-            continue
-        source = extractor.inputs[0]
-        producer = producers.get(source)
-        if producer is None:
-            continue  # reached a graph input
-        # Only rewrite when the extractor is the producer's sole consumer —
-        # otherwise the producer's full output is still needed elsewhere.
-        if len(consumers.get(source, [])) != 1:
-            continue
-        handler = _PUSH_HANDLERS.get(producer.op_type)
-        if handler is None:
-            continue
-        if handler(graph, extractor, producer, edge_info):
-            graph.prune_dead_nodes()
-            return True
-    return False
-
-
-def _push_through_concat(graph: Graph, extractor: Node, concat: Node,
-                         edge_info) -> bool:
-    indices = list(extractor.attrs["indices"])
-    if indices != sorted(indices):
-        # The densified model expects features in extractor order; splitting
-        # across blocks only preserves that order for ascending indices.
-        return False
-    widths = [max(edge_info[name].width, 1) for name in concat.inputs]
-    offsets = np.concatenate([[0], np.cumsum(widths)])
-
-    surviving_inputs: List[str] = []
-    for block, source in enumerate(concat.inputs):
-        start, stop = offsets[block], offsets[block + 1]
-        local = [i - start for i in indices if start <= i < stop]
-        if not local:
-            continue  # whole block unused -> drop it (and its producers)
-        if local == list(range(widths[block])):
-            surviving_inputs.append(source)  # full block passes through
-        else:
-            out = graph.fresh_edge(f"{source}_fe")
-            graph.add_node(Node("FeatureExtractor", [source], [out],
-                                {"indices": local}))
-            surviving_inputs.append(out)
-
-    target = extractor.outputs[0]
-    graph.remove_node(extractor)
-    graph.remove_node(concat)
-    if len(surviving_inputs) == 1:
-        graph.add_node(Node("Identity", surviving_inputs, [target]))
-    else:
-        graph.add_node(Node("Concat", surviving_inputs, [target]))
-    return True
-
-
-def _push_through_scaler(graph: Graph, extractor: Node, scaler: Node,
-                         edge_info) -> bool:
-    indices = np.asarray(extractor.attrs["indices"], dtype=np.int64)
-    width = edge_info[scaler.inputs[0]].width
-    offset = np.broadcast_to(np.asarray(scaler.attrs["offset"], dtype=np.float64),
-                             (width,))
-    scale = np.broadcast_to(np.asarray(scaler.attrs["scale"], dtype=np.float64),
-                            (width,))
-    source = scaler.inputs[0]
-    target = extractor.outputs[0]
-    narrowed = graph.fresh_edge(f"{source}_fe")
-    graph.remove_node(extractor)
-    graph.remove_node(scaler)
-    graph.add_node(Node("FeatureExtractor", [source], [narrowed],
-                        {"indices": indices.tolist()}))
-    graph.add_node(Node("Scaler", [narrowed], [target], {
-        "offset": offset[indices].copy(),
-        "scale": scale[indices].copy(),
-    }))
-    return True
-
-
-def _push_through_one_hot(graph: Graph, extractor: Node, encoder: Node,
-                          edge_info) -> bool:
-    # Selecting a subset of one-hot outputs == encoding against the subset
-    # of categories (each output dimension is an independent indicator).
-    indices = list(extractor.attrs["indices"])
-    categories = np.asarray(encoder.attrs["categories"])
-    target = extractor.outputs[0]
-    source = encoder.inputs[0]
-    graph.remove_node(extractor)
-    graph.remove_node(encoder)
-    graph.add_node(Node("OneHotEncoder", [source], [target],
-                        {"categories": categories[indices].copy()}))
-    return True
-
-
-def _push_through_imputer(graph: Graph, extractor: Node, imputer: Node,
-                          edge_info) -> bool:
-    indices = np.asarray(extractor.attrs["indices"], dtype=np.int64)
-    width = edge_info[imputer.inputs[0]].width
-    values = np.broadcast_to(
-        np.asarray(imputer.attrs["imputed_values"], dtype=np.float64),
-        (width,))
-    source = imputer.inputs[0]
-    target = extractor.outputs[0]
-    narrowed = graph.fresh_edge(f"{source}_fe")
-    graph.remove_node(extractor)
-    graph.remove_node(imputer)
-    graph.add_node(Node("FeatureExtractor", [source], [narrowed],
-                        {"indices": indices.tolist()}))
-    graph.add_node(Node("Imputer", [narrowed], [target],
-                        {"imputed_values": values[indices].copy()}))
-    return True
-
-
-def _push_through_binarizer(graph: Graph, extractor: Node, binarizer: Node,
-                            edge_info) -> bool:
-    source = binarizer.inputs[0]
-    target = extractor.outputs[0]
-    narrowed = graph.fresh_edge(f"{source}_fe")
-    threshold = binarizer.attrs.get("threshold", 0.0)
-    graph.remove_node(extractor)
-    graph.remove_node(binarizer)
-    graph.add_node(Node("FeatureExtractor", [source], [narrowed],
-                        {"indices": list(extractor.attrs["indices"])}))
-    graph.add_node(Node("Binarizer", [narrowed], [target],
-                        {"threshold": threshold}))
-    return True
-
-
-def _push_through_constant(graph: Graph, extractor: Node, constant: Node,
-                           edge_info) -> bool:
-    indices = list(extractor.attrs["indices"])
-    value = np.atleast_1d(np.asarray(constant.attrs["value"]))
-    target = extractor.outputs[0]
-    graph.remove_node(extractor)
-    graph.remove_node(constant)
-    graph.add_node(Node("Constant", [], [target], {"value": value[indices].copy()}))
-    return True
-
-
-def _push_through_extractor(graph: Graph, extractor: Node, inner: Node,
-                            edge_info) -> bool:
-    outer_indices = list(extractor.attrs["indices"])
-    inner_indices = list(inner.attrs["indices"])
-    composed = [inner_indices[i] for i in outer_indices]
-    target = extractor.outputs[0]
-    source = inner.inputs[0]
-    graph.remove_node(extractor)
-    graph.remove_node(inner)
-    graph.add_node(Node("FeatureExtractor", [source], [target],
-                        {"indices": composed}))
-    return True
-
-
-def _push_through_identity(graph: Graph, extractor: Node, identity: Node,
-                           edge_info) -> bool:
-    extractor.inputs[0] = identity.inputs[0]
-    graph.remove_node(identity)
-    return True
-
-
-_PUSH_HANDLERS = {
-    "Concat": _push_through_concat,
-    "Scaler": _push_through_scaler,
-    "OneHotEncoder": _push_through_one_hot,
-    "Binarizer": _push_through_binarizer,
-    "Imputer": _push_through_imputer,
-    "Constant": _push_through_constant,
-    "FeatureExtractor": _push_through_extractor,
-    "Identity": _push_through_identity,
-    # Normalizer intentionally absent: row norms depend on every feature,
-    # so a projection cannot move below it.
-}

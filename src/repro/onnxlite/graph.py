@@ -76,9 +76,8 @@ class Graph:
     """A trained-pipeline DAG.
 
     Nodes are kept in insertion order; :meth:`topological_nodes` computes a
-    valid execution order (and validates acyclicity). Graphs are mutated
-    only through the provided editing helpers so the structure invariants
-    hold after every rule application.
+    valid execution order (and validates acyclicity). A rule edits a graph
+    in place, then :meth:`validate` checks the structure invariants.
     """
 
     def __init__(self, name: str, inputs: Sequence[TensorInfo],
@@ -101,16 +100,6 @@ class Graph:
                 return info
         raise GraphError(f"unknown graph input: {name!r}")
 
-    def producers(self) -> Dict[str, Node]:
-        """Edge name -> node that produces it."""
-        table: Dict[str, Node] = {}
-        for node in self.nodes:
-            for output in node.outputs:
-                if output in table:
-                    raise GraphError(f"edge {output!r} has two producers")
-                table[output] = node
-        return table
-
     def consumers(self) -> Dict[str, List[Node]]:
         """Edge name -> nodes that consume it."""
         table: Dict[str, List[Node]] = {}
@@ -118,12 +107,6 @@ class Graph:
             for input_name in node.inputs:
                 table.setdefault(input_name, []).append(node)
         return table
-
-    def node_by_output(self, edge: str) -> Optional[Node]:
-        for node in self.nodes:
-            if edge in node.outputs:
-                return node
-        return None
 
     def operator_counts(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
@@ -175,44 +158,8 @@ class Graph:
         self.nodes.append(node)
         return node
 
-    def remove_node(self, node: Node) -> None:
-        self.nodes = [n for n in self.nodes if n is not node]
-
     def remove_input(self, name: str) -> None:
         self.inputs = [info for info in self.inputs if info.name != name]
-
-    def rename_edge(self, old: str, new: str) -> None:
-        """Rewire every reference to edge ``old`` to ``new``."""
-        for node in self.nodes:
-            node.inputs = [new if e == old else e for e in node.inputs]
-            node.outputs = [new if e == old else e for e in node.outputs]
-        self.outputs = [new if e == old else e for e in self.outputs]
-        self.inputs = [TensorInfo(new, info.dtype, info.width) if info.name == old
-                       else info for info in self.inputs]
-
-    def prune_dead_nodes(self) -> int:
-        """Drop nodes whose outputs reach no graph output; returns count."""
-        needed: Set[str] = set(self.outputs)
-        kept: List[Node] = []
-        # Walk in reverse topological order collecting live edges.
-        for node in reversed(self.topological_nodes()):
-            if any(output in needed for output in node.outputs):
-                kept.append(node)
-                needed.update(node.inputs)
-        removed = len(self.nodes) - len(kept)
-        order = {id(n): i for i, n in enumerate(self.nodes)}
-        self.nodes = sorted(kept, key=lambda n: order[id(n)])
-        return removed
-
-    def prune_dead_inputs(self) -> List[str]:
-        """Drop graph inputs no node consumes; returns removed names."""
-        consumed: Set[str] = set()
-        for node in self.nodes:
-            consumed.update(node.inputs)
-        consumed.update(self.outputs)  # a passthrough input may be an output
-        removed = [info.name for info in self.inputs if info.name not in consumed]
-        self.inputs = [info for info in self.inputs if info.name in consumed]
-        return removed
 
     def copy(self) -> "Graph":
         return Graph(self.name, list(self.inputs), list(self.outputs),

@@ -85,10 +85,10 @@ class CpuDevice:
     name = "cpu"
     simulated = False
 
-    def run(self, program: TensorProgram,
-            inputs: Dict[str, np.ndarray]) -> RunResult:
+    def run(self, program: TensorProgram, inputs: Dict[str, np.ndarray],
+            rows: int = 0) -> RunResult:
         started = time.perf_counter()
-        outputs = _execute(program, inputs)
+        outputs = _execute(program, inputs, _batch_size(inputs, rows))
         return RunResult(outputs, time.perf_counter() - started, simulated=False)
 
 
@@ -127,16 +127,16 @@ class SimulatedGpuDevice:
     def name(self) -> str:
         return self.spec.name
 
-    def run(self, program: TensorProgram,
-            inputs: Dict[str, np.ndarray]) -> RunResult:
-        outputs = _execute(program, inputs)
-        seconds = self.model_seconds(program, inputs, outputs)
+    def run(self, program: TensorProgram, inputs: Dict[str, np.ndarray],
+            rows: int = 0) -> RunResult:
+        batch = _batch_size(inputs, rows)
+        outputs = _execute(program, inputs, batch)
+        seconds = self.model_seconds(program, inputs, outputs, batch)
         return RunResult(outputs, seconds, simulated=True)
 
     def model_seconds(self, program: TensorProgram,
                       inputs: Dict[str, np.ndarray],
-                      outputs: Dict[str, np.ndarray]) -> float:
-        batch = _batch_size(inputs)
+                      outputs: Dict[str, np.ndarray], batch: int) -> float:
         spec = self.spec
         device_flops = spec.host_speedup * measured_host_flops()
         seconds = spec.init_seconds
@@ -158,11 +158,9 @@ class SimulatedGpuDevice:
         return seconds
 
 
-def _execute(program: TensorProgram,
-             inputs: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    buffers: Dict[str, np.ndarray] = {}
-    batch = _batch_size(inputs)
-    buffers["__batch_size__"] = np.asarray(batch)
+def _execute(program: TensorProgram, inputs: Dict[str, np.ndarray],
+             batch: int) -> Dict[str, np.ndarray]:
+    buffers: Dict[str, np.ndarray] = {"__batch_size__": np.asarray(batch)}
     for name in program.input_names:
         array = np.asarray(inputs[name])
         if array.ndim == 1:
@@ -174,10 +172,12 @@ def _execute(program: TensorProgram,
             for output, buffer in program.outputs.items()}
 
 
-def _batch_size(inputs: Dict[str, np.ndarray]) -> int:
+def _batch_size(inputs: Dict[str, np.ndarray], rows: int) -> int:
+    """The inputs' row count; ``rows`` when there are no inputs (a model
+    whose every input a predicate made constant)."""
     for array in inputs.values():
         return len(np.asarray(array))
-    return 0
+    return rows
 
 
 def _device_bytes(array: np.ndarray) -> float:

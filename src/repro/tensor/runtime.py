@@ -57,9 +57,11 @@ class TensorRuntime:
         return program
 
     def run(self, graph: Graph, inputs: Dict[str, np.ndarray],
-            tree_strategy: Optional[str] = None) -> RunResult:
+            tree_strategy: Optional[str] = None, rows: int = 0) -> RunResult:
+        """Run ``graph`` on the device; ``rows`` is the batch's row count
+        when the graph reads no input, else its inputs' length."""
         program = self.compile(graph, tree_strategy)
-        return self.device.run(program, inputs)
+        return self.device.run(program, inputs, rows)
 
 
 def cpu_runtime() -> TensorRuntime:

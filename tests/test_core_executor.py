@@ -152,8 +152,8 @@ class TestGpuAdjustmentUnderFanOut:
         run = session.runtime._tensor_gpu.run
         together = threading.Barrier(4)
 
-        def recording_run(graph, inputs):
-            result = run(graph, inputs)
+        def recording_run(graph, inputs, **kwargs):
+            result = run(graph, inputs, **kwargs)
             modeled.append(result.seconds)
             together.wait(timeout=10)
             return result

@@ -187,7 +187,8 @@ def _outcome(session, query):
 
 
 CONFIGURATIONS = [dict(enable_optimizations=False), dict(strategy="none"),
-                  dict(strategy="sql")]
+                  dict(strategy="sql"), dict(strategy="dnn"),
+                  dict(strategy="dnn", gpu_available=True)]
 
 
 class TestNaNAndEmptyInputs:

@@ -13,12 +13,29 @@ from repro.core.rules import (
     used_feature_indices,
 )
 from repro.core.rules.intervals import StringConstraint
+import tree_reference as ref
 from repro.learn import (
+    Binarizer,
+    ColumnTransformer,
     DecisionTreeClassifier,
     LogisticRegression,
+    MinMaxScaler,
+    Normalizer,
+    OneHotEncoder,
+    Pipeline,
+    RandomForestClassifier,
+    SimpleImputer,
+    StandardScaler,
     make_standard_pipeline,
 )
-from repro.onnxlite import convert_pipeline, run_graph
+from repro.onnxlite import (
+    Graph,
+    Node,
+    TensorInfo,
+    convert_model,
+    convert_pipeline,
+    run_graph,
+)
 from repro.relational import find_predict_nodes, walk
 from repro.relational.expressions import Between, InList, col, lit
 from repro.relational.logical import Scan
@@ -262,29 +279,114 @@ class TestModelProjectionPushdown:
         assert removed == []
 
 
-@given(st.integers(0, 2000))
-@settings(max_examples=25, deadline=None)
-def test_pushdown_preserves_semantics_random_pipelines(seed):
-    """Property: projection pushdown never changes model output."""
+#: Numeric feature groups a random pipeline draws from; the imputing ones
+#: get NaN inputs.
+NUMERIC_GROUPS = {
+    "scale": (StandardScaler, False),
+    "minmax": (MinMaxScaler, False),
+    "normalize": (Normalizer, False),
+    "impute": (lambda: Pipeline([("impute", SimpleImputer()),
+                                 ("scale", StandardScaler())]), True),
+    "binarize": (lambda: Pipeline([("impute", SimpleImputer()),
+                                   ("binarize", Binarizer())]), True),
+}
+
+
+def _random_model(rng, seed):
+    """``(model, is_tree)``: a tree, a small forest or a sparse linear model."""
+    kind = int(rng.integers(0, 3))
+    if kind == 0:
+        return DecisionTreeClassifier(max_depth=int(rng.integers(1, 5)),
+                                      random_state=seed), True
+    if kind == 1:
+        return RandomForestClassifier(n_estimators=3, max_depth=3,
+                                      random_state=seed), True
+    return LogisticRegression(penalty="l1", C=0.05, max_iter=300), False
+
+
+def _random_graph(seed):
+    """``(graph, inputs, is_tree)``: a random pipeline of numeric groups and
+    one-hot encoders, or a bare model over one wide input."""
     rng = np.random.default_rng(seed)
     n = 400
-    n_num = int(rng.integers(2, 6))
-    n_cat = int(rng.integers(0, 3))
-    columns = {f"x{i}": rng.normal(size=n) for i in range(n_num)}
-    for i in range(n_cat):
-        columns[f"c{i}"] = rng.choice(["a", "b", "c"], n)
+    model, is_tree = _random_model(rng, seed)
+    if rng.random() < 0.2:
+        X = rng.normal(size=(n, int(rng.integers(3, 7))))
+        model.fit(X, (X[:, 0] + 0.5 * X[:, 1] > 0).astype(int))
+        graph = convert_model(model, X.shape[1])
+        return graph, {graph.input_names[0]: X}, is_tree
+    columns, transformers = {}, []
+    for group in range(int(rng.integers(1, 4))):
+        name = list(NUMERIC_GROUPS)[int(rng.integers(0, len(NUMERIC_GROUPS)))]
+        make, with_nans = NUMERIC_GROUPS[name]
+        names = [f"x{len(columns) + i}" for i in range(int(rng.integers(1, 4)))]
+        for column in names:
+            values = rng.normal(size=n)
+            if with_nans:
+                values[rng.random(n) < 0.1] = np.nan
+            columns[column] = values
+        transformers.append((f"{name}{group}", make(), names))
+    categorical = [f"c{i}" for i in range(int(rng.integers(0, 3)))]
+    for column in categorical:
+        columns[column] = rng.choice(["a", "b", "c"], n)
+    if categorical:
+        transformers.append(("cat", OneHotEncoder(), categorical))
     table = Table.from_arrays(**columns)
-    y = (columns["x0"] + 0.5 * columns["x1"] > 0).astype(int)
-    pipeline = make_standard_pipeline(
-        DecisionTreeClassifier(max_depth=int(rng.integers(1, 5)),
-                               random_state=seed),
-        [f"x{i}" for i in range(n_num)], [f"c{i}" for i in range(n_cat)])
-    pipeline.fit(table, y)
-    graph = convert_pipeline(pipeline)
+    signal = np.nan_to_num(columns["x0"]) + 0.5 * np.nan_to_num(
+        columns[f"x{len(columns) - len(categorical) - 1}"])
+    pipeline = Pipeline([("features", ColumnTransformer(transformers)),
+                         ("model", model)])
+    pipeline.fit(table, (signal > 0).astype(int))
+    return convert_pipeline(pipeline), columns, is_tree
+
+
+@given(st.integers(0, 2000))
+@settings(max_examples=40, deadline=None)
+def test_pushdown_preserves_semantics_random_pipelines(seed):
+    """Property: projection pushdown never changes model output — tree
+    outputs bit for bit — and pushing a pushed graph changes nothing."""
+    graph, inputs, is_tree = _random_graph(seed)
     original = graph.copy()
     pushdown_graph(graph)
-    inputs = {name: table.array(name) for name in columns}
     reference = run_graph(original, inputs)
-    narrowed = {name: inputs[name] for name in graph.input_names}
-    optimized = run_graph(graph, narrowed)
-    assert np.allclose(optimized["score"], reference["score"], atol=1e-12)
+    optimized = run_graph(graph, {name: inputs[name]
+                                  for name in graph.input_names})
+    if is_tree:
+        # A narrowed tree compares the very same feature values.
+        assert np.array_equal(optimized["score"], reference["score"])
+        assert np.array_equal(optimized["label"], reference["label"])
+    else:
+        # A dense dot over fewer terms may round differently.
+        assert np.allclose(optimized["score"], reference["score"], atol=1e-12)
+    again = graph.copy()
+    _removed, info = pushdown_graph(again)
+    assert not info["applied"]
+    assert again.input_names == graph.input_names
+
+
+def test_pushdown_narrows_an_edge_two_models_read():
+    """A scaled edge read by two trees carries the union of their features;
+    each tree gets an extractor for its own."""
+    graph = Graph("g", [TensorInfo("x", width=4)], ["a", "b"])
+    graph.add_node(Node("Scaler", ["x"], ["scaled"], {
+        "offset": np.asarray([0.5, -1.0, 2.0, 0.0]),
+        "scale": np.asarray([2.0, 0.5, 1.5, 3.0])}))
+    for output, (first, second) in (("a", (0, 2)), ("b", (1, 2))):
+        tree = ref.to_tree((first, 0.3, ((0.1,), 1),
+                            (second, -0.2, ((0.4,), 1), ((0.8,), 1), 2), 3))
+        graph.add_node(Node("TreeEnsembleRegressor", ["scaled"], [output], {
+            "trees": [tree], "aggregate": "SUM",
+            "base_values": np.asarray([0.0])}))
+    original = graph.copy()
+    removed, info = pushdown_graph(graph)
+    assert removed == [] and info["models_densified"] == 2
+    scaler = next(node for node in graph.nodes if node.op_type == "Scaler")
+    assert scaler.attrs["offset"].tolist() == [0.5, -1.0, 2.0]
+    extracted = sorted(node.attrs["indices"] for node in graph.nodes
+                       if node.op_type == "FeatureExtractor")
+    assert extracted == [[0, 1, 2], [0, 2], [1, 2]]
+    x = np.random.default_rng(5).normal(size=(300, 4))
+    reference = run_graph(original, {"x": x})
+    optimized = run_graph(graph, {"x": x})
+    for output in ("a", "b"):
+        assert np.array_equal(optimized[output], reference[output])
