@@ -23,7 +23,7 @@ benchmarks/README.md for the end-to-end benchmark and acceptance checks.
 
 from repro.adaptive import FeedbackStore, OperatorProfile
 from repro.core.optimizer import OptimizationReport, RavenOptimizer
-from repro.core.session import RavenSession, RunStats, ServingStats
+from repro.core.session import RavenSession, RunStats
 from repro.errors import DeadlineExceededError, RavenError
 from repro.persist import Snapshot, SnapshotStore
 from repro.resilience import (
@@ -33,7 +33,7 @@ from repro.resilience import (
     QueryOutcome,
     RetryPolicy,
 )
-from repro.serving import PlanCache
+from repro.serving import PlanCache, ServingStats
 from repro.storage.catalog import Catalog
 from repro.storage.partition import PartitionedTable
 from repro.storage.table import Schema, Table

@@ -78,6 +78,12 @@ class PredictRuntime:
         clone.span = None
         return clone
 
+    def add_gpu_adjustment(self, seconds: float) -> None:
+        """Add to ``gpu_time_adjustment`` under the lock every clone of
+        this runtime shares."""
+        with self._lock:
+            self.gpu_time_adjustment += seconds
+
     def _pre_batch(self, detail: str = "") -> None:
         """Deadline check + fault hook before one inference batch."""
         if self.deadline is not None:
@@ -197,8 +203,7 @@ class PredictRuntime:
         if span is not None:
             span.finish()
         if runtime.device.simulated:
-            with self._lock:
-                self.gpu_time_adjustment += result.seconds - measured
+            self.add_gpu_adjustment(result.seconds - measured)
         missing = [name for name in wanted if name not in result.outputs]
         if missing:
             raise ExecutionError(f"tensor program lacks outputs: {missing}")

@@ -38,8 +38,9 @@ class RunStats(PlanProfiler):
     and the per-operator observations behind :attr:`operator_profiles`).
     ``optimize_seconds`` vs ``execute_seconds`` is the per-call
     optimize/execute breakdown (on a plan-cache hit the former is just
-    normalize + lookup); ``seconds`` is the whole call. A run that failed
-    keeps what it observed up to ``error``.
+    the cache lookup: normalizing the query comes before the optimize
+    phase); ``seconds`` is the whole call. A run that failed keeps what
+    it observed up to ``error``.
     """
 
     def __init__(self, query: str = "", route: str = ROUTE_ADAPTIVE,
@@ -47,7 +48,7 @@ class RunStats(PlanProfiler):
                  report: Optional[OptimizationReport] = None,
                  attempt: int = 1):
         super().__init__()
-        # Decided once the plan is resolved (see _sql_routed).
+        # Decided once the plan is resolved (see Engine.run).
         self.profile = False
         self.query = query
         # adaptive | trial | degraded (served the breaker's static plan)
@@ -133,12 +134,6 @@ class RunStats(PlanProfiler):
     def wall_seconds(self) -> float:
         """The measured execution wall time (alias of ``execute_seconds``)."""
         return self.execute_seconds
-
-    @property
-    def total_seconds(self) -> float:
-        """End-to-end time of the call: optimize (or cache lookup) plus
-        execution."""
-        return self.optimize_seconds + self.execute_seconds
 
     @property
     def adjusted_seconds(self) -> float:

@@ -102,10 +102,10 @@ class SnapshotStore:
     # ------------------------------------------------------------------
     def attach(self, session, every_reoptimizations: int = 8) -> None:
         """Checkpoint ``session`` every K adaptive re-optimizations."""
-        session.attach_snapshot_store(self, every_reoptimizations)
+        session.warm.attach(self, every_reoptimizations)
 
     def detach(self, session) -> None:
-        session.detach_snapshot_store()
+        session.warm.detach()
 
     def __repr__(self) -> str:
         return (f"SnapshotStore({str(self.directory)!r}, "

@@ -4,7 +4,8 @@ The paper optimizes a prediction query once and runs the optimized plan
 repeatedly; this package makes that the steady-state of a live session:
 
 * :class:`PlanCache` — normalized, versioned, LRU-bounded cache of
-  optimized plans (``RavenSession`` keeps one by default);
+  optimized plans (``RavenSession`` keeps one by default), with its
+  counters and the session's serving counters (:class:`ServingStats`);
 * :mod:`~repro.serving.normalize` — SQL normalization +
   auto-parameterization that builds the cache keys;
 * :mod:`~repro.serving.serve` — the batch loop behind
@@ -21,11 +22,12 @@ from repro.serving.plan_cache import (
     CachedPlan,
     PlanCache,
     PlanCacheStats,
+    ServingStats,
     dependency_versions,
 )
 
 __all__ = [
     "CachedPlan", "NormalizedQuery", "PlanCache", "PlanCacheStats",
-    "QueryDependencies", "dependency_versions", "normalize_query",
-    "query_dependencies",
+    "QueryDependencies", "ServingStats", "dependency_versions",
+    "normalize_query", "query_dependencies",
 ]

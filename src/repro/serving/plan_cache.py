@@ -28,6 +28,8 @@ Entries are invalidated two ways, belt and braces:
   a concurrent DDL was in flight).
 
 All operations are thread-safe; counters are exposed via :attr:`stats`.
+The session's serving-traffic counters (:class:`ServingStats`) sit next
+to the cache's own (:class:`PlanCacheStats`) and share their registry.
 """
 
 from __future__ import annotations
@@ -37,8 +39,16 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Tuple
 
+from repro.errors import DeadlineExceededError
+from repro.resilience.breaker import (
+    EVENT_CLOSED,
+    EVENT_REOPENED,
+    EVENT_TRIPPED,
+    ROUTE_DEGRADED,
+    ROUTE_TRIAL,
+)
 from repro.storage.catalog import Catalog
-from repro.telemetry.metrics import CounterStats
+from repro.telemetry.metrics import CounterStats, MetricsRegistry
 
 DEFAULT_CAPACITY = 128
 # Default bound on waiting for another caller's in-flight optimization:
@@ -82,6 +92,88 @@ class PlanCacheStats(CounterStats):
     def hit_rate(self) -> float:
         lookups = self.lookups
         return self.hits / lookups if lookups else 0.0
+
+
+class ServingStats(CounterStats):
+    """Counters for session serving traffic (monotonic).
+
+    ``rejected`` counts queries refused by the ``"raise"`` backpressure
+    policy when the bounded pending-query depth was full; ``failed`` are
+    queries whose final serve outcome was an error (retries exhausted or
+    non-retryable); ``retries`` are individual retry attempts;
+    ``deadline_exceeded`` counts :class:`DeadlineExceededError` raises;
+    ``degraded_runs`` are executions served from a breaker's static
+    re-optimization; ``expression_fallbacks`` are compiled-engine →
+    interpreted-oracle falls; the ``breaker_*`` fields mirror the
+    board's transitions. The resilience counters also cover direct
+    ``sql()`` calls, not just ``serve`` batches — a breaker trip is a
+    breaker trip however the query arrived.
+
+    Registry counters ``serving_<field>`` (on the session's shared
+    registry, so one metrics snapshot or Prometheus scrape sees them)
+    behind the attribute API of
+    :class:`~repro.telemetry.metrics.CounterStats`. Concurrent writers
+    update them with :meth:`~repro.telemetry.metrics.CounterStats.inc`
+    and :meth:`observe`, each one counter's own atomic increment.
+
+    ``queries_in_flight`` is the one non-monotonic member: a gauge of
+    queries currently inside ``sql()`` (incremented on entry, decremented
+    in a ``finally`` so error paths can never wedge it high). It is
+    carried by snapshots and the repr but is not part of equality.
+    """
+
+    PREFIX = "serving"
+    FIELDS = ("submitted", "completed", "rejected", "failed", "retries",
+              "deadline_exceeded", "degraded_runs", "expression_fallbacks",
+              "breaker_trips", "breaker_reopens", "breaker_half_opens",
+              "breaker_closes")
+
+    __slots__ = ("in_flight",)
+
+    def __init__(self, *values: int, queries_in_flight: int = 0,
+                 registry: Optional[MetricsRegistry] = None, **named: int):
+        if registry is None:
+            registry = MetricsRegistry()
+        super().__init__(*values, registry=registry, **named)
+        self.in_flight = registry.gauge("serving_queries_in_flight")
+        if queries_in_flight:
+            self.in_flight.set(queries_in_flight)
+
+    @property
+    def queries_in_flight(self) -> int:
+        return self.in_flight.value
+
+    def observe(self, record) -> None:
+        """Count one finished run (a :class:`~repro.core.record.RunStats`):
+        its lifecycle events, a deadline expiry and its expression
+        fallbacks."""
+        for name in record.events:
+            counter = _EVENT_COUNTERS.get(name)
+            if counter is not None:
+                self.inc(counter)
+        if isinstance(record.error, DeadlineExceededError):
+            self.inc("deadline_exceeded")
+        if record.expression_fallbacks:
+            self.inc("expression_fallbacks", record.expression_fallbacks)
+
+    def snapshot(self) -> "ServingStats":
+        return ServingStats(*self._values(),
+                            queries_in_flight=self.queries_in_flight)
+
+    def __repr__(self) -> str:
+        return (f"{super().__repr__()[:-1]}, "
+                f"queries_in_flight={self.queries_in_flight})")
+
+
+#: The serving counter each lifecycle event on a record bumps when the
+#: record is folded.
+_EVENT_COUNTERS = {
+    f"breaker.{ROUTE_TRIAL}": "breaker_half_opens",
+    f"breaker.{ROUTE_DEGRADED}": "degraded_runs",
+    f"breaker.{EVENT_TRIPPED}": "breaker_trips",
+    f"breaker.{EVENT_REOPENED}": "breaker_reopens",
+    f"breaker.{EVENT_CLOSED}": "breaker_closes",
+}
 
 
 @dataclass

@@ -1,10 +1,11 @@
 """The batch entry point: run many queries concurrently, one outcome each.
 
-``RavenSession.serve`` delegates here. Every query in a batch runs
-through the session's ordinary lifecycle (``RavenSession._run_query``:
-plan cache, breakers, deadline checks, one :class:`RunStats` record and
-its fold), so a served query is the same run as an ``sql()`` call; this
-module only adds what a batch needs around it:
+``RavenSession.serve`` delegates here with its engine. Every query in a
+batch runs through the engine's ordinary lifecycle
+(:meth:`repro.core.engine.Engine.run`: plan cache, breakers, deadline
+checks, one :class:`RunStats` record and its fold), so a served query is
+the same run as an ``sql()`` call; this module only adds what a batch
+needs around it:
 
 * an **admission gate** — ``max_pending`` bounds the queries submitted
   but not yet finished, and ``backpressure`` decides what happens at the
@@ -36,17 +37,17 @@ from repro.resilience.deadline import Deadline
 from repro.resilience.retry import QueryOutcome, RetryPolicy, raven_typed
 
 
-def serve(session, queries: Iterable[str], *, workers: int,
+def serve(engine, queries: Iterable[str], *, workers: int,
           max_pending: Optional[int], backpressure: str,
           retry: Optional[RetryPolicy],
           deadline: Union[Deadline, float, None]) -> List[QueryOutcome]:
-    """Run ``queries`` on ``session``; one outcome per query, in order.
+    """Run ``queries`` on ``engine``; one outcome per query, in order.
 
     The defaults are ``RavenSession.serve``'s. ``deadline`` is a
     per-query budget in seconds spanning all of that query's attempts, or
-    a shared :class:`~repro.resilience.Deadline`. ``serving_stats``
-    counts ``submitted``, ``completed``, ``rejected``, ``retries`` and
-    ``failed`` (final outcomes that are errors).
+    a shared :class:`~repro.resilience.Deadline`. The engine's
+    ``serving_stats`` count ``submitted``, ``completed``, ``rejected``,
+    ``retries`` and ``failed`` (final outcomes that are errors).
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -55,16 +56,15 @@ def serve(session, queries: Iterable[str], *, workers: int,
     if max_pending is not None and max_pending < 1:
         raise ValueError("max_pending must be >= 1")
     queries = list(queries)
-    stats, lock = session.serving_stats, session._stats_lock
+    stats = engine.serving_stats
     gate = (threading.BoundedSemaphore(max_pending)
             if max_pending is not None else None)
 
     def run_one(index: int, query: str) -> QueryOutcome:
         try:
-            return _attempts(session, query, retry, deadline, salt=index)
+            return _attempts(engine, query, retry, deadline, salt=index)
         finally:
-            with lock:
-                stats.completed += 1
+            stats.inc("completed")
             if gate is not None:
                 gate.release()
 
@@ -74,15 +74,13 @@ def serve(session, queries: Iterable[str], *, workers: int,
             if backpressure == "block":
                 gate.acquire()
             elif not gate.acquire(blocking=False):
-                with lock:
-                    stats.rejected += 1
+                stats.inc("rejected")
                 return QueryOutcome(query=query, attempts=0,
                                     error=BackpressureError(
                                         f"pending-query depth {max_pending} "
                                         f"exceeded (policy='raise'): "
                                         f"{query[:80]!r}"))
-        with lock:
-            stats.submitted += 1
+        stats.inc("submitted")
         return submit(run_one, index, query)
 
     if workers == 1 or len(queries) <= 1:
@@ -95,7 +93,7 @@ def serve(session, queries: Iterable[str], *, workers: int,
             for entry in pending]
 
 
-def _attempts(session, query: str, retry: Optional[RetryPolicy],
+def _attempts(engine, query: str, retry: Optional[RetryPolicy],
               deadline: Union[Deadline, float, None],
               salt: int) -> QueryOutcome:
     """Run one query under the retry policy; always returns an outcome.
@@ -104,7 +102,7 @@ def _attempts(session, query: str, retry: Optional[RetryPolicy],
     Jitter is deterministic per (policy seed, ``salt``), so a batch's
     retry schedule is reproducible.
     """
-    stats, lock = session.serving_stats, session._stats_lock
+    stats = engine.serving_stats
     deadline = Deadline.coerce(deadline)
     rng = retry.rng(salt) if retry is not None else None
     attempt = 0
@@ -113,7 +111,7 @@ def _attempts(session, query: str, retry: Optional[RetryPolicy],
         attempt += 1
         record = RunStats(query, attempt=attempt)
         try:
-            table = session._run_query(record, deadline)
+            table = engine.run(record, deadline)
         except Exception as error:
             delay = None
             if (retry is not None and attempt < retry.max_attempts
@@ -125,13 +123,11 @@ def _attempts(session, query: str, retry: Optional[RetryPolicy],
                 elif deadline is not None and deadline.remaining() <= delay:
                     delay = None
             if delay is None:
-                with lock:
-                    stats.failed += 1
+                stats.inc("failed")
                 return QueryOutcome(query=query, stats=record,
                                     attempts=attempt,
                                     error=raven_typed(error))
-            with lock:
-                stats.retries += 1
+            stats.inc("retries")
             time.sleep(delay)
             slept += delay
             continue

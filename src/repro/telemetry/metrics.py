@@ -362,10 +362,11 @@ class CounterStats:
     as the counter ``<PREFIX>_<field>`` — a private registry until one
     is passed or :meth:`bind` re-homes the family onto a shared one — and
     reads, assigns and increments like a plain attribute: assignment sets
-    the counter, so ``stats.field += 1`` sites (serialized by their
-    owners' locks, as they were for the dataclasses this replaced) work
-    unchanged. Construction takes initial values positionally in
-    ``FIELDS`` order or by name; equality compares the counters.
+    the counter, so ``stats.field += 1`` is a read then a write, and
+    its sites are serialized by their owners' locks; :meth:`inc` is the
+    atomic increment for writers that hold no lock. Construction takes
+    initial values positionally in ``FIELDS`` order or by name; equality
+    compares the counters.
     """
 
     PREFIX = ""
@@ -405,6 +406,11 @@ class CounterStats:
             if value:
                 target.inc(value)
             self._counters[name] = target
+
+    def inc(self, name: str, amount: int = 1) -> None:
+        """Add ``amount`` to the field ``name`` under the counter's own
+        lock: atomic without an owner's lock."""
+        self._counters[name].inc(amount)
 
     def _values(self) -> Tuple[int, ...]:
         return tuple(self._counters[name].value for name in self.FIELDS)

@@ -141,8 +141,7 @@ class TestProfiling:
     def test_optimize_execute_breakdown(self, session, covid_query):
         _, stats = session.sql_with_stats(covid_query)
         assert stats.execute_seconds == stats.wall_seconds
-        assert stats.total_seconds == pytest.approx(
-            stats.optimize_seconds + stats.execute_seconds)
+        assert stats.seconds >= stats.optimize_seconds + stats.execute_seconds
 
     def test_non_adaptive_sessions_do_not_profile(self, patients_table):
         sess = RavenSession(adaptive=False)
@@ -415,7 +414,7 @@ class TestBackpressure:
         active = 0
         peak = 0
         lock = threading.Lock()
-        original = session._run_query
+        original = session.engine.run
 
         def tracked(record, deadline):
             nonlocal active, peak
@@ -429,12 +428,12 @@ class TestBackpressure:
                 with lock:
                     active -= 1
 
-        session._run_query = tracked
+        session.engine.run = tracked
         try:
             results = session.serve([self.QUERY] * 8, workers=4,
                                     max_pending=2, backpressure="block")
         finally:
-            del session._run_query
+            del session.engine.run
         assert len(results) == 8
         assert all(outcome.ok for outcome in results)
         assert 1 <= peak <= 2
@@ -444,13 +443,13 @@ class TestBackpressure:
 
     def test_raise_policy_rejects_and_counts(self, session):
         release = threading.Event()
-        original = session._run_query
+        original = session.engine.run
 
         def slow(record, deadline):
             release.wait(timeout=5.0)
             return original(record, deadline)
 
-        session._run_query = slow
+        session.engine.run = slow
         timer = threading.Timer(0.2, release.set)
         timer.start()
         try:
@@ -459,7 +458,7 @@ class TestBackpressure:
                  session.serve([self.QUERY] * 3, workers=2, max_pending=1,
                                backpressure="raise")]
         finally:
-            del session._run_query
+            del session.engine.run
             release.set()
             timer.cancel()
         assert session.serving_stats.rejected >= 1

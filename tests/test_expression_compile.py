@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import tree_reference as ref
 from repro import RavenSession, Table
+from repro.core.engine import Engine
 from repro.core.rules.ml_to_sql import tree_to_expression
 from repro.errors import CompileError
 from repro.relational import compile as compile_module
@@ -949,14 +950,14 @@ class TestSingleFlight:
 
         optimize_calls = []
         barrier = threading.Barrier(4)
-        original = RavenSession._optimize_stmt
+        original = Engine.optimize
 
         def slow_optimize(self, stmt, **kwargs):
             optimize_calls.append(1)
             time.sleep(0.25)  # hold the flight open so the others coalesce
             return original(self, stmt, **kwargs)
 
-        session._optimize_stmt = slow_optimize.__get__(session)
+        session.engine.optimize = slow_optimize.__get__(session.engine)
 
         results = [None] * 4
 

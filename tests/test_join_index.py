@@ -537,8 +537,8 @@ class TestWarmBookkeeping:
             for query in self.QUERIES:
                 session.sql(query)
                 plans = [session.optimize(query)[0],
-                         session._optimize_stmt(parse(query),
-                                                static=True)[0]]
+                         session.engine.optimize(parse(query),
+                                                 static=True)[0]]
                 for plan in plans:
                     for variant in (plan, with_order(plan),
                                     with_order(plan, order_insensitive=True)):

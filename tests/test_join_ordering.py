@@ -668,8 +668,8 @@ class TestJoinCountPins:
     def test_optimized_star_has_no_inner_join(self, session, adaptive):
         session.adaptive = adaptive
         for plan in (session.optimize(self.QUERY)[0],
-                     session._optimize_stmt(parse(self.QUERY),
-                                            static=True)[0]):
+                     session.engine.optimize(parse(self.QUERY),
+                                             static=True)[0]):
             assert [n for n in walk(plan) if isinstance(n, MultiJoin)]
             assert not [n for n in walk(plan)
                         if isinstance(n, Join) and n.how == "inner"]

@@ -19,10 +19,14 @@ Covers:
 from __future__ import annotations
 
 import json
+import sys
+import threading
+import time
 
 import pytest
 
 import repro.adaptive.feedback as feedback_module
+import repro.persist.warm as warm_module
 from repro import RavenSession, Snapshot, SnapshotStore, Table
 from repro.adaptive.feedback import FEEDBACK_FORMAT, FeedbackStore
 from repro.adaptive.profile import OperatorProfile, plan_fingerprint
@@ -553,6 +557,71 @@ class TestWarmStart:
         assert warm.plan_cache.stats.restored == 1
         warm.register_table("readings", readings_table, replace=True)
         assert len(warm.plan_cache) == 0  # eager invalidation dropped it
+
+    def test_registrations_racing_a_load_install_each_plan_once(
+            self, rng, patients_table, pulmonary_table, dt_pipeline,
+            covid_query, monkeypatch):
+        # Each thread registers one table or model while the main thread
+        # loads the snapshot. The listener is subscribed before the
+        # initial install pass, and install passes are serialized, so no
+        # registration can leave a ready plan pending, and no plan is
+        # restored twice. A pause after each pass's dependency checks
+        # widens the window a racing registration lands in.
+        install_plans = warm_module.install_plans
+
+        def slow_install_plans(*args):
+            outcome = install_plans(*args)
+            time.sleep(0.002)
+            return outcome
+
+        monkeypatch.setattr(warm_module, "install_plans", slow_install_plans)
+        readings = {f"r{k}": Table.from_arrays(a=rng.uniform(0, 1, 200))
+                    for k in range(4)}
+        registrations = [
+            *(lambda session, name=name, table=table:
+              session.register_table(name, table)
+              for name, table in readings.items()),
+            lambda session: session.register_table(
+                "patient_info", patients_table, primary_key=["id"]),
+            lambda session: session.register_table(
+                "pulmonary_test", pulmonary_table, primary_key=["id"]),
+            lambda session: session.register_model("covid_risk",
+                                                   dt_pipeline),
+        ]
+        queries = [f"SELECT t.a FROM {name} AS t WHERE t.a > 0.5"
+                   for name in readings] + [covid_query]
+        source = RavenSession()
+        for register in registrations:
+            register(source)
+        for query in queries:
+            source.sql(query)
+        snapshot = source.snapshot()
+        assert len(snapshot.plans) == len(queries)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(16):
+                warm = RavenSession()
+                start = threading.Barrier(len(registrations) + 1)
+
+                def run(register):
+                    start.wait(timeout=10)
+                    register(warm)
+
+                threads = [threading.Thread(target=run, args=(register,))
+                           for register in registrations]
+                for thread in threads:
+                    thread.start()
+                start.wait(timeout=10)
+                warm.load_snapshot(snapshot)
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert warm.warm.plans_pending == 0
+                assert warm.plan_cache.stats.restored == len(queries)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestSnapshotStore:

@@ -18,12 +18,12 @@ import repro
 from repro import RavenSession, Telemetry
 from repro.adaptive.feedback import MAX_LABEL_CHARS, FeedbackStore
 from repro.adaptive.profile import PlanProfiler
-from repro.core.session import ROUTE_EXPLAIN, ServingStats
+from repro.core.session import ROUTE_EXPLAIN
 from repro.errors import DeadlineExceededError, InjectedFaultError
 from repro.relational.expressions import Expression
 from repro.relational.logical import Scan, walk
 from repro.resilience import CircuitBreakerBoard, Deadline, FaultInjector
-from repro.serving.plan_cache import PlanCacheStats
+from repro.serving.plan_cache import PlanCacheStats, ServingStats
 from repro.telemetry.explain import render_analyze
 
 FILTER_QUERY = "SELECT pi.id FROM patient_info AS pi WHERE pi.age > 50"

@@ -950,13 +950,13 @@ class TestChaosPlanCache:
 class TestChaosBackpressure:
     def test_rejected_queries_become_outcomes(self, session, covid_query):
         release = threading.Event()
-        original = session._run_query
+        original = session.engine.run
 
         def slow(record, deadline):
             release.wait(timeout=10.0)
             return original(record, deadline)
 
-        session._run_query = slow
+        session.engine.run = slow
         timer = threading.Timer(0.2, release.set)
         timer.start()
         try:
@@ -966,7 +966,7 @@ class TestChaosBackpressure:
         finally:
             timer.cancel()
             release.set()
-            del session._run_query
+            del session.engine.run
         # Admission is sequential in the submitting thread: the first
         # query holds the only slot, so the rest are rejected — as
         # outcomes, not exceptions.
@@ -979,7 +979,7 @@ class TestChaosBackpressure:
     def test_raise_policy_rejection_raises_from_result(self, session,
                                                        covid_query):
         release = threading.Event()
-        original = session._run_query
+        original = session.engine.run
 
         def slow(record, deadline):
             # Long enough to hold the only slot while the second query is
@@ -988,7 +988,7 @@ class TestChaosBackpressure:
             release.wait(timeout=0.2)
             return original(record, deadline)
 
-        session._run_query = slow
+        session.engine.run = slow
         try:
             with pytest.raises(BackpressureError):
                 [outcome.result() for outcome in
@@ -996,7 +996,7 @@ class TestChaosBackpressure:
                                max_pending=1, backpressure="raise")]
         finally:
             release.set()
-            del session._run_query
+            del session.engine.run
 
 
 @pytest.mark.chaos

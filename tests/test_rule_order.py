@@ -134,6 +134,15 @@ def _session(table: Table, graph: Graph, **kwargs) -> RavenSession:
     return session
 
 
+def _optimizer(session: RavenSession) -> RavenOptimizer:
+    """The optimizer ``session.optimize`` runs, built from its settings."""
+    return RavenOptimizer(session.catalog, enable_cross=session.enable_cross,
+                          enable_data_induced=session.enable_data_induced,
+                          strategy=session.strategy,
+                          gpu_available=session.gpu_available,
+                          feedback=session.feedback)
+
+
 def _query(where: str = "") -> str:
     return ("SELECT d.id, p.score FROM PREDICT(MODEL = m, DATA = t AS d) "
             "WITH (score FLOAT) AS p" + (f" WHERE {where}" if where else ""))
@@ -241,7 +250,7 @@ def table() -> Table:
 
 def _statistics_first(session, query) -> bool:
     """The optimizer's choice for the query's plan, as optimize sees it."""
-    optimizer = session._optimizer()
+    optimizer = _optimizer(session)
     bound = Binder(session.catalog).bind(parse(query))
     return optimizer._statistics_first(optimizer._relational.optimize(bound),
                                        DataInducedOptimization())
@@ -358,7 +367,7 @@ class TestStepSeconds:
 
     def test_every_step_is_timed_within_the_wall_time(self, table):
         session = _session(table, _graph(ref.to_tree(TREE)), strategy="sql")
-        optimizer = session._optimizer()
+        optimizer = _optimizer(session)
         plan = Binder(session.catalog).bind(parse(_query("d.x0 < 1.1")))
         started = time.perf_counter()
         _, report = optimizer.optimize(plan)

@@ -11,15 +11,20 @@ and crash-safe telemetry dumps under torn-write fault injection.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 
 import numpy as np
 import pytest
 
 from repro import RavenSession, Telemetry
-from repro.errors import CatalogError, InjectedFaultError
+from repro.errors import (
+    CatalogError,
+    DeadlineExceededError,
+    InjectedFaultError,
+)
 from repro.resilience import CircuitBreakerBoard, FaultInjector
-from repro.serving.plan_cache import PlanCacheStats
+from repro.serving.plan_cache import PlanCacheStats, ServingStats
 from repro.telemetry import (
     MetricsRegistry,
     SlowQueryLog,
@@ -28,7 +33,7 @@ from repro.telemetry import (
 )
 from repro.telemetry.metrics import DEFAULT_GROWTH
 from repro.telemetry import trace as trace_module
-from repro.core.session import RunStats, ServingStats
+from repro.core.session import RunStats
 
 FILTER_QUERY = "SELECT pi.id FROM patient_info AS pi WHERE pi.age > 50"
 
@@ -276,6 +281,39 @@ class TestStatsBackCompat:
         stats.completed += 2
         assert registry.snapshot()["counters"]["serving_completed"] == 2
 
+    def test_serving_stats_observe_loses_no_update_under_contention(self):
+        # The fold and the serve loop update the counters with no lock of
+        # their own: more threads than cores and a tiny switch interval
+        # would show a lost read-modify-write.
+        stats = ServingStats()
+        record = RunStats("q")
+        record.events = ["cache.hit", "breaker.degraded", "breaker.tripped"]
+        record.expression_fallbacks = 2
+        record.error = DeadlineExceededError("late")
+        start = threading.Barrier(16)
+
+        def work():
+            start.wait(timeout=10)
+            for _ in range(500):
+                stats.observe(record)
+                stats.inc("completed")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(16)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        runs = 16 * 500
+        assert stats == ServingStats(
+            completed=runs, degraded_runs=runs, breaker_trips=runs,
+            deadline_exceeded=runs, expression_fallbacks=2 * runs)
+
     def test_plan_cache_stats_attribute_api(self):
         stats = PlanCacheStats()
         stats.hits += 3
@@ -377,7 +415,7 @@ class TestSpanTrees:
         traced_session.sql(covid_query)  # warm hit, no stale marking yet
         assert "plan.stale" not in \
             traced_session.telemetry.tracer.last().root.event_names()
-        monkeypatch.setattr("repro.core.session.feedback_divergence",
+        monkeypatch.setattr("repro.core.engine.feedback_divergence",
                             lambda *args, **kwargs: True)
         traced_session.sql(covid_query)
         trace = traced_session.telemetry.tracer.last()
@@ -611,13 +649,13 @@ class TestQueriesInFlightGauge:
     def test_gauge_reads_load_mid_query_and_drains_after(
             self, traced_session, monkeypatch):
         seen = []
-        routed = type(traced_session)._sql_routed
+        execute = type(traced_session.engine)._execute
 
-        def spy(self, query, deadline, trace=None):
+        def spy(self, record, deadline):
             seen.append(self.serving_stats.queries_in_flight)
-            return routed(self, query, deadline, trace)
+            return execute(self, record, deadline)
 
-        monkeypatch.setattr(type(traced_session), "_sql_routed", spy)
+        monkeypatch.setattr(type(traced_session.engine), "_execute", spy)
         traced_session.sql(FILTER_QUERY)
         assert seen == [1]
         assert traced_session.serving_stats.queries_in_flight == 0
